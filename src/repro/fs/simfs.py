@@ -236,7 +236,7 @@ class SimFileHandle:
 
     def __init__(self, fs: "SimFS", inode: _Inode, path: str, mode: str) -> None:
         self._fs = fs
-        self._inode = inode
+        self._inode: _Inode | None = inode
         self.path = path
         self.mode = mode
         self._pos = 0
@@ -366,9 +366,15 @@ class SimFileHandle:
         self._check_open()
 
     def close(self) -> None:
-        """Close the handle; further operations raise."""
+        """Close the handle; further operations raise.
+
+        A closed handle also lets go of its inode, so one that a caller
+        still holds (returned from a rank body, captured in a traceback)
+        does not pin the file's extents.
+        """
         if not self._closed:
             self._closed = True
+            self._inode = None
             self._fs._account_meta("close")
 
     @property
@@ -385,8 +391,10 @@ class SimFileHandle:
 
     @property
     def _data(self) -> SparseFile:
-        assert self._inode.data is not None
-        return self._inode.data
+        inode = self._inode
+        if inode is None:  # closed by another thread after _check_open
+            raise InvalidOperationError(f"{self.path}: handle is closed")
+        return inode.data
 
     def _check_open(self) -> None:
         if self._closed:

@@ -15,9 +15,17 @@ each rank costs O(1) python objects of engine state:
   per-rank list of tuples.
 * **Value columns.**  Logged op *results* live in per-position
   :class:`_Col` columns that start as a single shared value (barrier
-  ``None``, the bcast/allgather/allreduce shared object) and spill to an
-  exceptions dict, then a dense object ndarray, only when ranks actually
-  disagree (per-rank ``exec_once`` results such as file handles).
+  ``None``, the bcast/allgather/allreduce shared object, a split's
+  plan) and spill to an exceptions dict, then a dense object ndarray,
+  only when ranks actually disagree (per-rank ``exec_once`` results such
+  as file handles).
+* **Wave-flat communicator algebra.**  ``split`` / ``dup`` / ``subworld``
+  log one shared :class:`_SplitPlan` per split wave — the child worlds
+  plus two int arrays, ``child_of[lrank]`` and ``rank_in_child[lrank]`` —
+  so a split's column stays *uniform*.  No per-rank communicator object
+  is ever stored: the four-slot :class:`BulkComm` is rebuilt from the
+  plan on every replay, exactly as the root communicator is rebuilt by
+  every execution.
 * **Preallocated wave buffers.**  Each in-flight collective is one
   :class:`_Wave`: an object ndarray of deposit slots, a bool deposit
   bitmap, and a preallocated int32 waiter array.  Waking the world when a
@@ -80,6 +88,17 @@ barrier-per-collective behavior should add explicit barriers.
 Pass ``stats={}`` to :func:`run_spmd_bulk` (or ``engine_stats={}``
 through ``run_spmd``) to receive per-wave timing and replay counters —
 the raw material of the ``scale`` suite's phase breakdown.
+
+**Lifetime contract.**  Everything a run creates dies with ``run_spmd``:
+program rows and their columns, in-flight waves, mailboxes and sub-worlds
+are reachable only through the engine, and :meth:`_BulkEngine.run` lets
+go of all of them in a ``finally`` — on success, rank failure, deadlock
+and timeout alike — and cuts every world's reference back to the engine.
+This is not left to the garbage collector because it cannot do it:
+``dtype=object`` ndarrays (dense columns, wave slots) are invisible to
+CPython's cycle collector, so a cycle engine → program row → column →
+logged value → world → engine through one of them would otherwise be
+immortal, and with it every file handle the run logged.
 """
 
 from __future__ import annotations
@@ -88,7 +107,9 @@ import threading
 import time
 from array import array
 from collections import deque
-from typing import Any, Callable, Sequence
+from itertools import compress
+from operator import index
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -335,10 +356,12 @@ class _World:
     """Shared state of one communicator group under the bulk engine.
 
     ``granks`` maps local rank to engine (global) rank; for the root
-    world it is a ``range``, so a million-rank world costs no per-rank
-    objects here either.  ``consumed[lr]`` counts collective ops local
-    rank ``lr`` has completed — its frontier collective is op number
-    ``consumed[lr]`` of this world.
+    world it is a ``range`` and for a sub-world an int64 ``array``, so a
+    million-rank world costs no per-rank objects here either.
+    ``consumed[lr]`` counts collective ops local rank ``lr`` has
+    completed — its frontier collective is op number ``consumed[lr]`` of
+    this world.  Every world registers with its engine, which severs it
+    when the run ends.
     """
 
     __slots__ = ("engine", "size", "granks", "consumed", "waves", "_mailboxes")
@@ -350,6 +373,7 @@ class _World:
         self.consumed = array("l", bytes(8 * self.size))
         self.waves: dict[int, _Wave] = {}
         self._mailboxes: dict[int, _Mailbox] = {}
+        engine.worlds.append(self)
 
     def mailbox(self, lrank: int) -> _Mailbox:
         box = self._mailboxes.get(lrank)
@@ -754,19 +778,21 @@ class BulkComm:
 
     def split(self, color: int | None, key: int = 0) -> "BulkComm | None":
         """Partition by ``color``; subgroup ranks ordered by ``(key, rank)``."""
-        world = self._world
+        world, lr = self._world, self._lrank
 
-        def split_result(wave: _Wave) -> "BulkComm | None":
+        def shared_plan(wave: _Wave) -> _SplitPlan:
             if not wave.has_shared:
-                wave.shared = _split_worlds(world, wave.slots)
+                wave.shared = _split_plan(world, wave.slots)
                 wave.has_shared = True
-            entry = wave.shared.get(self._lrank)
-            if entry is None:
-                return COMM_NULL
-            child_world, new_rank = entry
-            return BulkComm(child_world, new_rank)
+            return wave.shared
 
-        return self._collective(_OP_SPLIT, (color, key), _ready_all, split_result)
+        # Every member logs the same plan object, so the column stays
+        # uniform; the communicator itself is rebuilt on each replay.
+        plan = self._collective(_OP_SPLIT, (color, key), _ready_all, shared_plan)
+        child = plan.child_of[lr]
+        if child < 0:
+            return COMM_NULL
+        return BulkComm(plan.worlds[child], plan.rank_in_child[lr])
 
     def dup(self) -> "BulkComm":
         """Duplicate the communicator (fresh synchronization context)."""
@@ -848,23 +874,58 @@ def _shared_list(wave: _Wave) -> list[Any]:
     return wave.shared
 
 
-def _split_worlds(
-    world: _World, slots: Sequence[Any]
-) -> dict[int, tuple[_World, int]]:
-    """Shared split plan: old local rank -> (child world, new rank)."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for old_rank, (color, key) in enumerate(slots):
-        if color is None:
-            continue
-        groups.setdefault(color, []).append((key, old_rank))
-    plan: dict[int, tuple[_World, int]] = {}
-    for members in groups.values():
-        members.sort()
-        granks = [world.granks[old] for _, old in members]
-        child = _World(world.engine, granks)
-        for new_rank, (_, old_rank) in enumerate(members):
-            plan[old_rank] = (child, new_rank)
-    return plan
+class _SplitPlan(NamedTuple):
+    """Outcome of one split wave, shared by every rank of the parent world.
+
+    ``worlds`` is the child-world table; parent local rank ``lr`` became
+    rank ``rank_in_child[lr]`` of ``worlds[child_of[lr]]``, or got
+    ``COMM_NULL`` where ``child_of[lr]`` is -1 (``color=None``).
+    """
+
+    worlds: list[_World]
+    child_of: array
+    rank_in_child: array
+
+
+def _int64s(values: np.ndarray) -> array:
+    """An int64 ndarray as an ``array``: indexing it yields python ints."""
+    return array("q", values.astype(np.int64, copy=False).tobytes())
+
+
+def _split_plan(world: _World, slots: np.ndarray) -> _SplitPlan:
+    """Group a completed split wave's ``(color, key)`` deposits.
+
+    One stable sort on ``(color, key)`` over the members in old-rank
+    order — so ties fall back to the old rank — replaces per-rank tuples
+    and an n-entry dict; children are numbered by ascending color.
+    """
+    n = len(slots)
+    colors, keys = zip(*slots)
+    member = [c is not None for c in colors]
+    old = np.flatnonzero(member)
+    if len(old) < n:
+        colors, keys = compress(colors, member), compress(keys, member)
+    try:
+        color = np.fromiter(map(index, colors), np.int64, len(old))
+        key = np.fromiter(map(index, keys), np.int64, len(old))
+    except (TypeError, OverflowError) as exc:
+        raise CommunicatorError(f"split failed: {exc!r}") from exc
+    order = np.lexsort((key, color))
+    color, old = color[order], old[order]
+    # ``color`` is sorted: each child is one run, ``starts`` its first slot.
+    _, starts, child = np.unique(color, return_index=True, return_inverse=True)
+    child_of = np.full(n, -1, dtype=np.int64)
+    child_of[old] = child
+    rank_in_child = np.zeros(n, dtype=np.int64)
+    rank_in_child[old] = np.arange(len(old)) - starts[child]
+    parent = world.granks
+    granks = old if isinstance(parent, range) else np.frombuffer(parent, np.int64)[old]
+    bounds = [*starts.tolist(), len(old)]
+    worlds = [
+        _World(world.engine, _int64s(granks[a:b]))
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    return _SplitPlan(worlds, _int64s(child_of), _int64s(rank_in_child))
 
 
 class BulkRequest:
@@ -997,6 +1058,8 @@ class _BulkEngine:
         self.parked_b = array("l", bytes(8 * nprocs))  # op index / tag
         self.parked_c = array("l", bytes(8 * nprocs))  # world size / unused
 
+        #: Every world of the run, root first (worlds register themselves).
+        self.worlds: list[_World] = []
         self.world = _World(self, range(nprocs))
         self.runnable: deque[int] = deque(range(nprocs))
         self.results: list[Any] = [None] * nprocs
@@ -1251,42 +1314,61 @@ class _BulkEngine:
         stats = self.stats
         if stats is None:
             return
-        seen: set[int] = set()
-        uniform = 0
-        for prog in self.progs:
-            if id(prog) not in seen:
-                seen.add(id(prog))
-                if prog.uniform:
-                    uniform += 1
+        rows = set(self.progs)
         stats["engine"] = "bulk"
         stats["ranks"] = self.size
         stats["executions"] = self.nexecs
-        stats["programs"] = len(seen)
-        stats["uniform_programs"] = uniform
+        stats["programs"] = len(rows)
+        stats["uniform_programs"] = sum(prog.uniform for prog in rows)
         stats["waves"] = list(self.wave_log)
         stats["waves_dropped"] = self.wave_log_dropped
 
-    def run(self) -> list[Any]:
-        nworkers = min(self.nworkers, self.size)
-        if nworkers == 1:
-            self._worker()
-        else:
-            threads = [
-                threading.Thread(
-                    target=self._worker, name=f"bulk-worker-{i}", daemon=True
-                )
-                for i in range(nworkers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        self._fill_stats()
-        if self.failures:
-            from repro.simmpi.runner import spmd_failure_error
+    def _teardown(self) -> None:
+        """Let go of everything the run created (module docstring, *Lifetime*).
 
-            raise spmd_failure_error(self.failures)
-        return self.results
+        Rows, columns and waves hang off the engine and its worlds alone,
+        so dropping those references frees them at once, object ndarrays
+        included; cutting the world -> engine back reference (and what
+        the caller handed in or was handed, which may hold communicators)
+        leaves no cycle through the engine for a collector to find.
+        """
+        with self.cond:
+            # A worker cut off by an interrupt fails its rank at its next op.
+            self.aborted = self.finished = True
+        for world in self.worlds:
+            world.waves.clear()
+            world._mailboxes.clear()
+            world.engine = None
+        self.worlds.clear()
+        self.world = None
+        self.progs = self.execs = ()
+        self.results, self.failures = (), {}
+        self.fn = self.args = self.kwargs = None
+
+    def run(self) -> list[Any]:
+        try:
+            nworkers = min(self.nworkers, self.size)
+            if nworkers == 1:
+                self._worker()
+            else:
+                threads = [
+                    threading.Thread(
+                        target=self._worker, name=f"bulk-worker-{i}", daemon=True
+                    )
+                    for i in range(nworkers)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+            self._fill_stats()
+            if self.failures:
+                from repro.simmpi.runner import spmd_failure_error
+
+                raise spmd_failure_error(self.failures)
+            return self.results
+        finally:
+            self._teardown()
 
 
 def run_spmd_bulk(

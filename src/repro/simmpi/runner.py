@@ -1,10 +1,13 @@
-"""SPMD program execution over threads.
+"""SPMD program execution: one entry point, three engines.
 
 :func:`run_spmd` launches ``nprocs`` copies of a function, each with its own
-rank's :class:`~repro.simmpi.comm.Comm`, joins them, and either returns the
-rank-ordered results or raises :class:`~repro.errors.SpmdWorkerError`
-carrying every rank's exception.  A failing rank aborts the world's
-synchronization primitives so no surviving rank deadlocks.
+rank's communicator, joins them, and either returns the rank-ordered
+results or raises :class:`~repro.errors.SpmdWorkerError` carrying every
+rank's exception.  A failing rank aborts the world's synchronization
+primitives so no surviving rank deadlocks.  The thread engine (one OS
+thread per rank over :class:`~repro.simmpi.comm.Comm`) lives here; the
+bulk and process engines are dispatched to :mod:`repro.simmpi.bulk` and
+:mod:`repro.simmpi.proc`.
 """
 
 from __future__ import annotations
@@ -185,7 +188,7 @@ def _is_abort_fallout(exc: BaseException) -> bool:
 
 
 def spmd_failure_error(failures: dict[int, BaseException]) -> SpmdWorkerError:
-    """Shared failure policy of both engines: abort fallout is reported
+    """Shared failure policy of all three engines: abort fallout is reported
     only when no primary failure remains to explain it."""
     primary = {
         rank: exc for rank, exc in failures.items() if not _is_abort_fallout(exc)

@@ -18,8 +18,9 @@ write-time options fund two recovery paths:
   mirrored to a replica hosted on the partner group's name stem
   (:func:`~repro.sion.buddy.buddy_path`).  :func:`recover_multifile`
   rebuilds a **lost or torn physical file byte-identically** by copying
-  its replica back.  Costs 2x the written bytes, survives the loss of
-  an entire physical file.
+  its replica back — the byte ranges the replica's metablocks describe,
+  never the alignment padding between them.  Costs 2x the written bytes,
+  survives the loss of an entire physical file.
 
 The decision per physical file (also rendered as a table in
 ``docs/RESILIENCE.md``):
@@ -245,8 +246,10 @@ def _restore_from_buddy(
 
     The replica qualifies only when both of its metablocks decode and it
     describes the right file — restoring a half-written replica would
-    trade one damaged copy for another.  Returns True on success, False
-    when no qualifying replica exists (callers then fall back or raise).
+    trade one damaged copy for another.  Only the byte ranges those
+    metablocks describe are moved (:func:`_copy_described`).  Returns
+    True on success, False when no qualifying replica exists (callers
+    then fall back or raise).
     """
     rpath = buddy_path(base, filenum, nfiles)
     if not backend.exists(rpath):
@@ -260,10 +263,14 @@ def _restore_from_buddy(
             return False
     finally:
         raw.close()
-    if mb1.filenum != filenum or mb1.nfiles != nfiles:
+    if (
+        mb1.filenum != filenum
+        or mb1.nfiles != nfiles
+        or mb2.ntasks_local != mb1.ntasks_local
+    ):
         return False
 
-    copied = _copy_file(backend, rpath, fpath)
+    copied = _copy_described(backend, rpath, fpath, mb1, mb2)
     report.files_recovered += 1
     report.files_rebuilt_from_buddy += 1
     data_bytes = 0
@@ -285,26 +292,68 @@ def _restore_from_buddy(
     return True
 
 
-def _copy_file(backend: Backend, src: str, dst: str) -> int:
-    """Copy ``src`` over ``dst`` in bounded chunks; returns bytes copied."""
+def _described_ranges(mb1: Metablock1, mb2: Metablock2, file_size: int):
+    """``(offset, size)`` of every byte range the two metablocks describe.
+
+    Metablock 1, then per task the written bytes of each chunk behind its
+    shadow header, then metablock 2 through the end of the file.  In
+    shadow mode a task may own a header in any block below the file's
+    block count, even past its own last listed block — the zero-byte
+    header of a chunk it opened and never used, which metablock 2 trims —
+    so every such slot is taken.  Everything else in the file is
+    alignment padding no writer ever touched.
+    """
+    layout = ChunkLayout.from_metablock1(mb1)
+    header = SHADOW_HEADER_SIZE if mb1.flags & FLAG_SHADOW else 0
+    nblocks = mb2.maxblocks
+    yield 0, mb1.encoded_size
+    for ltask, sizes in enumerate(mb2.blocksizes):
+        if header:
+            sizes = [header + s for s in sizes] + [header] * (nblocks - len(sizes))
+        yield from layout.read_requests(ltask, sizes)
+    yield mb1.metablock2_offset, file_size - mb1.metablock2_offset
+
+
+def _copy_described(
+    backend: Backend, src: str, dst: str, mb1: Metablock1, mb2: Metablock2
+) -> int:
+    """Rebuild ``dst`` from the described ranges of ``src``; returns bytes moved.
+
+    One ``gather_read`` -> ``scatter_write`` pair per ``_COPY_CHUNK`` of
+    payload (a longer range is cut), so peak memory stays bounded and the
+    padding between chunks is never read, written, or materialised: the
+    restored file has the replica's size and content, as holes where the
+    replica has holes.
+    """
     size = backend.file_size(src)
+    copied = 0
     rsrc = backend.open(src, "rb")
     try:
         rdst = backend.open(dst, "w+b")
         try:
-            off = 0
-            while off < size:
-                piece = rsrc.pread(off, min(_COPY_CHUNK, size - off))
-                if not piece:
-                    break
-                rdst.pwrite(off, piece)
-                off += len(piece)
+            batch: list[tuple[int, int]] = []
+            room = _COPY_CHUNK
+            for off, n in _described_ranges(mb1, mb2, size):
+                while n:
+                    take = min(n, room)
+                    batch.append((off, take))
+                    off, n, room = off + take, n - take, room - take
+                    if not room:
+                        copied += _copy_batch(rsrc, rdst, batch)
+                        batch, room = [], _COPY_CHUNK
+            if batch:
+                copied += _copy_batch(rsrc, rdst, batch)
             rdst.flush()
         finally:
             rdst.close()
     finally:
         rsrc.close()
-    return size
+    return copied
+
+
+def _copy_batch(rsrc, rdst, batch: list[tuple[int, int]]) -> int:
+    pieces = rsrc.gather_read(batch)
+    return rdst.scatter_write(zip((off for off, _ in batch), pieces))
 
 
 def _rebuild_from_shadows(

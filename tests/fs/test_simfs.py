@@ -1,5 +1,7 @@
 """In-memory simulated file system: sparse files, namespace, clock."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -262,6 +264,27 @@ class TestHandles:
         assert f.closed
         with pytest.raises(InvalidOperationError):
             f.write(b"x")
+
+    def test_closed_handle_pins_no_extents(self):
+        """A closed handle somebody still holds lets the file's data go
+        (once the name is gone too), and every operation on it keeps
+        raising the closed-handle error."""
+        fs = SimFS()
+        f = fs.open("/f", "w+b")
+        f.write(b"x" * 4096)
+        data = f._inode.data
+        f.close()
+        fs.unlink("/f")
+        assert sys.getrefcount(data) == 2  # ``data`` itself and the call's argument
+        for op in (
+            lambda: f.seek(0), f.tell, lambda: f.write(b"x"), lambda: f.write_zeros(1),
+            lambda: f.read(1), lambda: f.pwrite(0, b"x"), lambda: f.pread(0, 1),
+            lambda: f.pwritev(0, [b"x"]), lambda: f.preadv(0, [1]),
+            lambda: f.truncate(0), f.flush,
+        ):
+            with pytest.raises(InvalidOperationError, match="handle is closed"):
+                op()
+        f.close()  # still idempotent
 
     def test_read_on_writeonly_rejected(self):
         fs = SimFS()

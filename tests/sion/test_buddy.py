@@ -242,6 +242,79 @@ def test_sionverify_inject_cli(tmp_path):
     assert main_verify(["--inject", "lose-file=1", path]) == 2
 
 
+# -- what the restore moves --------------------------------------------------
+
+
+def _store_bytes_moved(be, fn) -> int:
+    before = dict(be.fs.op_counts)
+    fn()
+    return sum(
+        n - before.get(key, 0)
+        for key, n in be.fs.op_counts.items() if key.endswith("_bytes")
+    )
+
+
+@pytest.mark.parametrize("copy_chunk", [1 << 20, 100])
+def test_restore_moves_only_described_ranges(monkeypatch, copy_chunk):
+    """Small payloads in 4 KiB chunks: the restore reads and writes the
+    metablocks, shadow headers and written bytes — not the padding — and
+    the rebuilt file keeps the replica's size, content and holes.  A tiny
+    ``_COPY_CHUNK`` cuts every range into pieces and changes nothing."""
+    from repro.sion import recovery
+
+    monkeypatch.setattr(recovery, "_COPY_CHUNK", copy_chunk)
+    fs = SimFS(blocksize_override=4096)
+    fs.mkdir("/scratch")
+    be = SimBackend(fs)
+    path = "/scratch/sparse.sion"
+
+    def task(comm):
+        f = paropen(path, "w", comm, chunksize=4096, nfiles=1, shadow=True,
+                    buddy=True, backend=be)
+        f.fwrite(_payload(comm.rank, 37 * comm.rank))  # rank 0 writes nothing
+        f.parclose()
+
+    run_spmd(8, task)
+    before = _file_bytes(be, path)
+    allocated = be.allocated_size(path)
+    be.unlink(path)
+
+    moved = _store_bytes_moved(be, lambda: recover_multifile(path, backend=be))
+
+    assert _file_bytes(be, path) == before
+    assert be.allocated_size(path) == allocated < len(before)
+    described = sum(37 * r for r in range(8)) + 8 * 32  # data + shadow headers
+    # Read once and written once, plus the metablocks (decoded, then copied).
+    assert 2 * described < moved < 2 * described + 2048 < len(before)
+
+
+@pytest.mark.parametrize("tall_neighbour", [True, False])
+def test_restore_keeps_headers_of_opened_but_unused_chunks(tall_neighbour):
+    """A task that moves on to a fresh chunk and then closes leaves a
+    zero-byte shadow header there that metablock 2 does not list (trailing
+    empty blocks are trimmed) — inside the block range when another task
+    is that tall, past metablock 2 otherwise.  The restore carries both."""
+    be = _backend()
+    path = "/scratch/trail.sion"
+
+    def task(comm):
+        f = paropen(path, "w", comm, chunksize=256, nfiles=1, shadow=True,
+                    buddy=True, backend=be)
+        f.fwrite(_payload(comm.rank, 100))
+        if comm.rank == 3:
+            assert f.ensure_free_space(400)  # opens block 1, never writes it
+        if comm.rank == 1 and tall_neighbour:
+            f.fwrite(_payload(comm.rank, 1000))
+        f.parclose()
+
+    run_spmd(4, task)
+    before = _file_bytes(be, path)
+    be.unlink(path)
+    assert recover_multifile(path, backend=be).files_rebuilt_from_buddy == 1
+    assert _file_bytes(be, path) == before
+    assert verify_multifile(path, backend=be, deep=True).ok
+
+
 # -- the resilience property -------------------------------------------------
 
 
