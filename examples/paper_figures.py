@@ -3,7 +3,7 @@
 
 Runs the complete evaluation suite on the simulated machines and prints
 the paper-style tables (plus ASCII renderings of the log-scale figures).
-Equivalent to ``pytest benchmarks/ --benchmark-only`` minus the harness.
+Equivalent to ``pytest benchmarks/`` minus the harness.
 
 Run:  python examples/paper_figures.py          (~30 s)
 """

@@ -1,15 +1,16 @@
-"""``python -m repro.bench`` — run, compare, and list benchmark scenarios."""
+"""``python -m repro.bench`` — run, compare, record, and list scenarios."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.bench.compare import DEFAULT_THRESHOLD, compare_reports
 from repro.bench.registry import SUITES, iter_scenarios
 from repro.bench.results import BenchReport
-from repro.bench.runner import run_suite
+from repro.bench.runner import record_suite, run_suite
 from repro.errors import ReproError
 
 
@@ -63,16 +64,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"max tolerated relative regression (default {DEFAULT_THRESHOLD})",
     )
     cmp_p.add_argument(
-        "--baseline-only",
-        action="store_true",
-        help=(
-            "restrict the comparison to scenarios/metrics present in the "
-            "baseline (candidate-only entries are dropped, not listed as "
-            "'new'); use when gating one run against a focused baseline"
-        ),
-    )
-    cmp_p.add_argument(
         "--json", action="store_true", help="emit the deltas as JSON instead of text"
+    )
+
+    rec_p = sub.add_parser(
+        "record",
+        help="run a whole suite and (re)write <suite>.json, its ci-grid "
+        "slice <suite>_ci.json and their .meta.json sidecars",
+    )
+    rec_p.add_argument("--suite", choices=SUITES, required=True)
+    rec_p.add_argument(
+        "-o",
+        "--output",
+        default="benchmarks/baselines",
+        help="directory receiving the baselines (default: benchmarks/baselines)",
+    )
+    rec_p.add_argument(
+        "-q", "--quiet", action="store_true", help="suppress per-scenario progress"
     )
 
     list_p = sub.add_parser("list", help="list registered scenarios")
@@ -116,12 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     candidate = BenchReport.load(args.candidate)
     baseline = BenchReport.load(args.baseline)
-    result = compare_reports(
-        candidate,
-        baseline,
-        threshold=args.threshold,
-        baseline_only=args.baseline_only,
-    )
+    result = compare_reports(candidate, baseline, threshold=args.threshold)
     if args.json:
         print(
             json.dumps(
@@ -137,6 +140,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         print(result.format_report())
     return 0 if result.passed else 1
+
+
+def _cmd_record(args: argparse.Namespace) -> int:
+    progress = None if args.quiet else _progress
+    for path in record_suite(args.suite, args.output, progress=progress):
+        print(f"wrote {path}")
+    return 0
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -164,17 +174,29 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "compare": _cmd_compare,
+    "record": _cmd_record,
+    "list": _cmd_list,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_list(args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader left (``compare ... | head -3``).  Point the fd
+        # at devnull so the interpreter's exit-time flush stays quiet too;
+        # non-zero because the verdict may never have been delivered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

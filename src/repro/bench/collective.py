@@ -6,7 +6,8 @@ the number of tasks, while the files stay byte-identical to direct mode.
 These scenarios drive the real library over the simulated store with a
 :class:`~repro.backends.instrument.CountingBackend` and assert the call
 counts from first principles (like the ``scale`` suite pins its on-disk
-geometry), so the committed baseline only has to gate wall clock:
+geometry).  Those pins are the whole gate: wall clock is reported, never
+compared, so the suite has no committed baseline.
 
 * ``collective/write-wave[ntasks=N]`` — N tasks funnel one payload each
   through ``NCOLLECTORS`` collectors; exactly one ``scatter_write`` per
@@ -27,7 +28,7 @@ All SION backend interactions — collective mode's waves *and* direct
 mode's replay-guarded handles — are ``exec_once``-guarded, so every
 count here is deterministic under the bulk engine's memoized replay and
 pinned exactly from first principles.  The 4k/16k points carry the
-``ci-grid`` tag and gate on every push; 64k runs in the nightly
+``ci-grid`` tag and run on every push; 64k runs in the nightly
 workflow.
 """
 
@@ -35,67 +36,34 @@ from __future__ import annotations
 
 import time
 
-from repro.backends.instrument import CountingBackend
-from repro.backends.simfs_backend import SimBackend
 from repro.bench.registry import scenario
 from repro.bench.results import Metric, ScenarioOutput
+from repro.bench.scaffold import (
+    CHUNKSIZE,
+    CI_GRID_COUNTS,
+    FSBLK,
+    PAYLOAD,
+    counting_backend,
+    grid_tags,
+    host_clock,
+    payload,
+    pin,
+    write_cycle,
+)
 from repro.bench.scale import expected_geometry
-from repro.fs.simfs import SimFS
 from repro.sion.mapping import physical_path
-
-KiB = 1024
 
 #: Task counts of the full grid; the first two form the CI grid.
 COLLECTIVE_TASK_COUNTS = (4096, 16384, 65536)
-CI_TASK_COUNTS = frozenset((4096, 16384))
 
 #: Collectors per scenario — constant while the task count grows, which
 #: is the whole point: physical-writer pressure stays flat.
 NCOLLECTORS = 64
 
-FSBLK = 4 * KiB
-CHUNKSIZE = 4 * KiB
-PAYLOAD = 64
-
 #: Backend write calls per physical file that are metadata, not data:
 #: the metablock-1 create, the metablock-2 append, and the metablock-1
 #: offset patch.
 METADATA_WRITES_PER_FILE = 3
-
-
-def _tags(family: str, ntasks: int) -> tuple[str, ...]:
-    tags = ["collective", "data-plane", family]
-    if ntasks in CI_TASK_COUNTS:
-        tags.append("ci-grid")
-    return tuple(tags)
-
-
-def _backend() -> CountingBackend:
-    return CountingBackend(SimBackend(SimFS(blocksize_override=FSBLK)))
-
-
-def _payload(rank: int, nbytes: int) -> bytes:
-    return bytes((rank * 31 + i) % 256 for i in range(nbytes))
-
-
-def _write_cycle(backend, ntasks, engine, *, nfiles=1, collectors=None,
-                 chunksize=CHUNKSIZE, payload_bytes=PAYLOAD, path="/coll.sion"):
-    """One collective open/write/close cycle; returns (wall_s, out[0])."""
-    from repro.simmpi import run_spmd
-    from repro.sion import paropen
-
-    def program(comm):
-        f = paropen(
-            path, "w", comm, chunksize=chunksize, fsblksize=FSBLK,
-            nfiles=nfiles, backend=backend, collectors=collectors,
-        )
-        f.fwrite(_payload(comm.rank, payload_bytes))
-        f.parclose()
-        return (f.layout.start_of_data, f.mb1.metablock2_offset)
-
-    t0 = time.perf_counter()
-    out = run_spmd(ntasks, program, engine=engine)
-    return time.perf_counter() - t0, out[0]
 
 
 def _read_cycle(backend, ntasks, engine, *, collectors=None,
@@ -116,15 +84,9 @@ def _read_cycle(backend, ntasks, engine, *, collectors=None,
     out = run_spmd(ntasks, program, engine=engine)
     wall = time.perf_counter() - t0
     for rank in check:
-        if out[rank] != _payload(rank, payload_bytes):
+        if out[rank] != payload(rank, payload_bytes):
             raise AssertionError(f"rank {rank} round-tripped corrupted bytes")
     return wall
-
-
-def _pin(actual: int, expected: int, what: str) -> None:
-    """First-principles count assertion (the gate never sees drift)."""
-    if actual != expected:
-        raise AssertionError(f"{what}: expected exactly {expected}, got {actual}")
 
 
 # --------------------------------------------------------------------------
@@ -137,25 +99,24 @@ def _write_wave(ctx) -> ScenarioOutput:
     p = ctx.params
     ntasks, ncoll = p["ntasks"], p["collectors"]
     collectsize = resolve_collectsize(None, ncoll, ntasks)
-    backend = _backend()
-    wall, geom = _write_cycle(
+    backend = counting_backend()
+    wall, geom = write_cycle(
         backend, ntasks, p["engine"], nfiles=p["nfiles"], collectors=ncoll
     )
-    if geom != expected_geometry(ntasks, CHUNKSIZE, FSBLK):
-        raise AssertionError(f"on-disk geometry drifted: {geom}")
+    pin(geom, expected_geometry(ntasks, CHUNKSIZE, FSBLK), "on-disk geometry")
     snap = backend.snapshot()
     calls = backend.stats.calls
-    _pin(calls.get("scatter_write", 0), ncoll, "wave scatter_writes")
-    _pin(
+    pin(calls.get("scatter_write", 0), ncoll, "wave scatter_writes")
+    pin(
         snap["data_write_calls"],
         ncoll + METADATA_WRITES_PER_FILE * p["nfiles"],
         "total backend write calls",
     )
     # One exec_once-guarded handle per collector plus the per-file
     # metablock-1 create.
-    _pin(snap["opens"], ncoll + p["nfiles"], "backend opens")
+    pin(snap["opens"], ncoll + p["nfiles"], "backend opens")
     metrics = {
-        "open_write_close_wall_s": Metric(wall, "s", "lower"),
+        "open_write_close_wall_s": host_clock(wall),
         "tasks_per_s": Metric(ntasks / wall, "tasks/s", "info"),
         "wave_write_calls": Metric(float(calls["scatter_write"]), "calls", "info"),
         "data_write_calls": Metric(float(snap["data_write_calls"]), "calls", "info"),
@@ -167,7 +128,7 @@ def _write_wave(ctx) -> ScenarioOutput:
         f"({calls['scatter_write']} waves + "
         f"{METADATA_WRITES_PER_FILE * p['nfiles']} metadata) in {wall:.2f} s"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=snap)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -177,12 +138,12 @@ def _write_wave(ctx) -> ScenarioOutput:
 def _read_wave(ctx) -> ScenarioOutput:
     p = ctx.params
     ntasks, ncoll = p["ntasks"], p["collectors"]
-    backend = _backend()
-    _write_cycle(backend, ntasks, p["engine"], collectors=ncoll)
+    backend = counting_backend()
+    write_cycle(backend, ntasks, p["engine"], collectors=ncoll)
     before = backend.snapshot()
     wall = _read_cycle(backend, ntasks, p["engine"], collectors=ncoll)
     snap = backend.snapshot()
-    _pin(
+    pin(
         backend.stats.calls.get("gather_read", 0), ncoll, "prefetch gather_reads"
     )
     read_calls = snap["data_read_calls"] - before["data_read_calls"]
@@ -191,14 +152,14 @@ def _read_wave(ctx) -> ScenarioOutput:
     # is exactly one prefetch wave per collector, one data fragment per
     # task (each task wrote a single block).
     meta_reads = 8 * 1 + 4
-    _pin(read_calls, ncoll + meta_reads, "total backend read calls")
-    _pin(
+    pin(read_calls, ncoll + meta_reads, "total backend read calls")
+    pin(
         snap["fragments_read"] - before["fragments_read"],
         ntasks + meta_reads,
         "prefetched fragments",
     )
     metrics = {
-        "read_wall_s": Metric(wall, "s", "lower"),
+        "read_wall_s": host_clock(wall),
         "tasks_per_s": Metric(ntasks / wall, "tasks/s", "info"),
         "wave_read_calls": Metric(float(ncoll), "calls", "info"),
         "data_read_calls": Metric(float(read_calls), "calls", "info"),
@@ -208,7 +169,7 @@ def _read_wave(ctx) -> ScenarioOutput:
         f"{read_calls} backend read calls ({ncoll} prefetch waves) "
         f"in {wall:.2f} s"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=snap)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -218,10 +179,10 @@ def _read_wave(ctx) -> ScenarioOutput:
 def _direct_vs_collective(ctx) -> ScenarioOutput:
     p = ctx.params
     ntasks, ncoll, nfiles = p["ntasks"], p["collectors"], p["nfiles"]
-    direct = _backend()
-    _write_cycle(direct, ntasks, p["engine"], nfiles=nfiles)
-    coll = _backend()
-    _write_cycle(coll, ntasks, p["engine"], nfiles=nfiles, collectors=ncoll)
+    direct = counting_backend()
+    write_cycle(direct, ntasks, p["engine"], nfiles=nfiles)
+    coll = counting_backend()
+    write_cycle(coll, ntasks, p["engine"], nfiles=nfiles, collectors=ncoll)
     for fn in range(nfiles):
         path = physical_path("/coll.sion", fn)
         if direct.file_size(path) != coll.file_size(path):
@@ -237,10 +198,10 @@ def _direct_vs_collective(ctx) -> ScenarioOutput:
             raise AssertionError(f"file {fn}: bytes differ between modes")
     dsnap, csnap = direct.snapshot(), coll.snapshot()
     meta = METADATA_WRITES_PER_FILE * nfiles
-    _pin(csnap["data_write_calls"], ncoll + meta, "collective write calls")
+    pin(csnap["data_write_calls"], ncoll + meta, "collective write calls")
     # Direct-mode handles are replay-guarded, so the counts are exact on
     # both engines: one physical call per task plus the metadata writes.
-    _pin(dsnap["data_write_calls"], ntasks + meta, "direct write calls")
+    pin(dsnap["data_write_calls"], ntasks + meta, "direct write calls")
     ratio = dsnap["data_write_calls"] / csnap["data_write_calls"]
     metrics = {
         "collective_write_calls": Metric(
@@ -260,7 +221,7 @@ def _direct_vs_collective(ctx) -> ScenarioOutput:
         f"{csnap['data_write_calls']} (collective, {ncoll} collectors), "
         f"{ratio:.0f}x fewer"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=(dsnap, csnap))
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -274,12 +235,12 @@ def _nfiles_collectors_tradeoff(ctx) -> ScenarioOutput:
     lines = ["nfiles  collectors  write calls  calls/file   wall"]
     for nfiles in p["nfiles_sweep"]:
         for ncoll in p["collectors_sweep"]:
-            backend = _backend()
-            wall, _ = _write_cycle(
+            backend = counting_backend()
+            wall, _ = write_cycle(
                 backend, ntasks, p["engine"], nfiles=nfiles, collectors=ncoll
             )
             snap = backend.snapshot()
-            _pin(
+            pin(
                 snap["data_write_calls"],
                 ncoll + METADATA_WRITES_PER_FILE * nfiles,
                 f"write calls at nfiles={nfiles}, collectors={ncoll}",
@@ -291,7 +252,7 @@ def _nfiles_collectors_tradeoff(ctx) -> ScenarioOutput:
             metrics[f"calls_per_file{key}"] = Metric(
                 snap["data_write_calls"] / nfiles, "calls", "info"
             )
-            metrics[f"wall_s{key}"] = Metric(wall, "s", "info")
+            metrics[f"wall_s{key}"] = host_clock(wall)
             lines.append(
                 f"{nfiles:>6}  {ncoll:>10}  {snap['data_write_calls']:>11}  "
                 f"{snap['data_write_calls'] / nfiles:>10.1f}  {wall:>5.2f} s"
@@ -311,7 +272,7 @@ for _n in COLLECTIVE_TASK_COUNTS:
     scenario(
         f"collective/write-wave[ntasks={_n}]",
         suite="collective",
-        tags=_tags("write-wave", _n),
+        tags=grid_tags("collective", "data-plane", "write-wave", _n in CI_GRID_COUNTS),
         params={
             "ntasks": _n,
             "collectors": NCOLLECTORS,
@@ -322,21 +283,21 @@ for _n in COLLECTIVE_TASK_COUNTS:
     scenario(
         f"collective/read-wave[ntasks={_n}]",
         suite="collective",
-        tags=_tags("read-wave", _n),
+        tags=grid_tags("collective", "data-plane", "read-wave", _n in CI_GRID_COUNTS),
         params={"ntasks": _n, "collectors": NCOLLECTORS, "engine": "bulk"},
     )(_read_wave)
 
 scenario(
     "collective/direct-vs-collective[ntasks=4096]",
     suite="collective",
-    tags=_tags("equivalence", 4096),
+    tags=grid_tags("collective", "data-plane", "equivalence", ci=True),
     params={"ntasks": 4096, "collectors": NCOLLECTORS, "nfiles": 2, "engine": "bulk"},
 )(_direct_vs_collective)
 
 scenario(
     "collective/nfiles-collectors-tradeoff[ntasks=4096]",
     suite="collective",
-    tags=_tags("tradeoff", 4096),
+    tags=grid_tags("collective", "data-plane", "tradeoff", ci=True),
     params={
         "ntasks": 4096,
         "nfiles_sweep": [1, 2, 4],

@@ -1,10 +1,11 @@
 """Regression gate: diff a candidate run against a committed baseline.
 
-The smoke scenarios are deterministic simulations, so any metric drift at
-all is a real behavior change; the default threshold exists only to leave
-headroom for benign float noise from refactorings and across Python
-versions.  Wall-clock (``better="info"``) metrics are reported, never
-gated.
+Gated metrics are deterministic (simulated seconds, geometry bytes, hit
+rates, retained-object counts), so any drift at all is a real behavior
+change; the default threshold exists only to leave headroom for benign
+float noise from refactorings and across Python versions.  Host-clock
+(``better="info"``) metrics are reported, never gated — and a baseline
+that holds nothing else is refused rather than vacuously passed.
 """
 
 from __future__ import annotations
@@ -72,6 +73,15 @@ class MetricDelta:
             f"{where}: {self.baseline:g} -> {self.candidate:g} {self.unit} "
             f"({change})"
         )
+
+
+def gated_metric_count(report: BenchReport) -> int:
+    """How many metrics of ``report`` a comparison against it would gate."""
+    return sum(
+        m.better != "info"
+        for sc in report.scenarios.values()
+        for m in sc.metrics.values()
+    )
 
 
 def _relative_change(base: float, cand: float) -> float:
@@ -143,7 +153,6 @@ def compare_reports(
     candidate: BenchReport,
     baseline: BenchReport,
     threshold: float = DEFAULT_THRESHOLD,
-    baseline_only: bool = False,
 ) -> ComparisonResult:
     """Gate ``candidate`` against ``baseline``.
 
@@ -154,14 +163,9 @@ def compare_reports(
     refreshed).  Non-finite candidate values always gate as regressions,
     and mixing suites or schema versions (swapped arguments, a filtered
     run against a full baseline) is an operator error, not a comparison.
-
-    With ``baseline_only`` the comparison is restricted to the baseline's
-    scenarios and metrics: candidate-only entries are dropped entirely
-    instead of reported as ``new``.  This is the mode for *focused*
-    baselines (one report diffed against several baseline files, each
-    gating its own slice) — without it every other slice shows up as a
-    wall of ungated "new" noise, and a candidate-only scenario that
-    errored would fail a gate that never covered it.
+    So is a baseline without a single gated metric: every comparison
+    against it would pass, which is the vacuous pass refused for errored
+    baseline entries below.
     """
     if candidate.suite != baseline.suite:
         raise ReproError(
@@ -172,6 +176,11 @@ def compare_reports(
         raise ReproError(
             f"schema version mismatch: candidate v{candidate.schema_version}, "
             f"baseline v{baseline.schema_version}"
+        )
+    if not gated_metric_count(baseline):
+        raise ReproError(
+            "baseline gates nothing: it holds no metric other than "
+            "better='info' ones, so every comparison against it would pass"
         )
     result = ComparisonResult(threshold=threshold)
     for name, base_sc in sorted(baseline.scenarios.items()):
@@ -225,13 +234,9 @@ def compare_reports(
                     unit=base_m.unit,
                 )
             )
-        if baseline_only:
-            continue
         for mname in sorted(set(cand_sc.metrics) - set(base_sc.metrics)):
             if cand_sc.metrics[mname].better != "info":
                 result.deltas.append(MetricDelta(name, mname, "new"))
-    if baseline_only:
-        return result
     for name in sorted(set(candidate.scenarios) - set(baseline.scenarios)):
         # A brand-new scenario is ungated, but one that errored must still
         # fail — otherwise an always-broken scenario slips into the next

@@ -9,32 +9,22 @@ The zero-copy/vectored data plane makes two promises (ISSUE 2):
 
 These scenarios measure both with the instrumented
 :class:`~repro.backends.instrument.CountingBackend` over the simulated
-file system, which makes every count fully deterministic — so the smoke
-baseline gates them like any other metric and a reintroduced copy or a
-de-vectorized write path fails CI.  A wall-clock throughput scenario
-(``better="info"``) rides along for trending.
+file system, which makes every count fully deterministic: each scenario
+pins its counts exactly (so a reintroduced copy or a de-vectorized write
+path fails the run itself), and the smoke baseline gates them as metrics
+on top.  A wall-clock throughput scenario (``better="info"``) rides
+along for trending.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.backends.instrument import CountingBackend
-from repro.backends.simfs_backend import SimBackend
 from repro.bench.registry import scenario
 from repro.bench.results import Metric, ScenarioOutput
-from repro.fs.simfs import SimFS
+from repro.bench.scaffold import FSBLK, KiB, counting_backend, pin
 from repro.sion import serial
 from repro.sion.buffering import CoalescingWriter
-
-KiB = 1024
-
-#: Alignment granularity for every core-io scenario (deterministic layout).
-FSBLK = 4 * KiB
-
-
-def _counting_backend() -> CountingBackend:
-    return CountingBackend(SimBackend(SimFS(blocksize_override=FSBLK)))
 
 
 def _payload(nbytes: int) -> bytearray:
@@ -68,7 +58,7 @@ def _count_metrics(prefix: str, d: dict[str, int]) -> dict[str, Metric]:
 def core_io_fwrite_span(ctx) -> ScenarioOutput:
     chunksize, nbytes = ctx.params["chunksize"], ctx.params["payload_bytes"]
     nfrag = -(-nbytes // chunksize)
-    backend = _counting_backend()
+    backend = counting_backend()
     payload = _payload(nbytes)
     with serial.open(
         "/span.sion", "w", chunksizes=[chunksize], fsblksize=FSBLK, backend=backend
@@ -80,6 +70,10 @@ def core_io_fwrite_span(ctx) -> ScenarioOutput:
         after = backend.snapshot()
         backend.clear_sources()
     d = _delta(after, before)
+    pin(d["fragments_written"], nfrag, "fwrite fragments")
+    pin(d["data_write_calls"], 1, "fwrite vectored backend calls")
+    pin(d["copied_fragments"], 0, "copies of the memoryview payload")
+    pin(d["seeks"], 0, "seeks on the positioned chunk data path")
     metrics = _count_metrics("fwrite", d)
     text = (
         f"fwrite of {nbytes // KiB} KiB across {nfrag} chunks of "
@@ -87,7 +81,7 @@ def core_io_fwrite_span(ctx) -> ScenarioOutput:
         f"{d['fragments_written']} fragment(s), {d['copied_fragments']} "
         f"copie(s), {d['seeks']} seek(s)"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=d)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +96,7 @@ def core_io_fwrite_span(ctx) -> ScenarioOutput:
 )
 def core_io_read_gather(ctx) -> ScenarioOutput:
     chunksize, nbytes = ctx.params["chunksize"], ctx.params["payload_bytes"]
-    backend = _counting_backend()
+    backend = counting_backend()
     payload = _payload(nbytes)
     with serial.open(
         "/rg.sion", "w", chunksizes=[chunksize], fsblksize=FSBLK, backend=backend
@@ -117,6 +111,8 @@ def core_io_read_gather(ctx) -> ScenarioOutput:
     if data != bytes(payload):
         raise AssertionError("read-gather returned corrupted payload")
     d = _delta(after, before)
+    pin(d["data_read_calls"], 1, "fread vectored backend calls")
+    pin(d["seeks"], 0, "fread seeks")
     metrics = {
         "fread_backend_calls": Metric(d["data_read_calls"], "calls", "lower"),
         "fread_seeks": Metric(d["seeks"], "calls", "lower"),
@@ -126,7 +122,7 @@ def core_io_read_gather(ctx) -> ScenarioOutput:
         f"{-(-nbytes // chunksize)} chunks: {d['data_read_calls']} backend "
         f"call(s), {d['seeks']} seek(s)"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=d)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +143,7 @@ def core_io_read_gather(ctx) -> ScenarioOutput:
 )
 def core_io_coalesced(ctx) -> ScenarioOutput:
     p = ctx.params
-    backend = _counting_backend()
+    backend = counting_backend()
     with serial.open(
         "/co.sion", "w", chunksizes=[p["chunksize"]], fsblksize=FSBLK, backend=backend
     ) as f:
@@ -168,6 +164,13 @@ def core_io_coalesced(ctx) -> ScenarioOutput:
         flushes = w.flushes
     coalesced = _delta(mid, before)
     direct = _delta(after, mid)
+    # One vectored call per flush, not one per chunk fragment; the
+    # large-write bypass forwards the caller's view untouched.
+    volume = p["records"] * p["record_bytes"]
+    pin(coalesced["data_write_calls"], volume // p["buffer_size"], "coalesced flush calls")
+    pin(coalesced["fragments_written"], volume // p["chunksize"], "coalesced fragments")
+    pin(direct["data_write_calls"], 1, "bypass backend calls")
+    pin(direct["copied_fragments"], 0, "bypass copies")
     metrics = {
         "coalesced_backend_calls": Metric(
             coalesced["data_write_calls"], "calls", "lower"
@@ -183,7 +186,7 @@ def core_io_coalesced(ctx) -> ScenarioOutput:
         f"{p['bypass_bytes'] // KiB} KiB bypass: {direct['data_write_calls']} "
         f"call(s), {direct['copied_fragments']} copie(s)"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=(coalesced, direct))
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +204,7 @@ def core_io_paropen_span(ctx) -> ScenarioOutput:
     from repro.sion import paropen
 
     p = ctx.params
-    backend = _counting_backend()
+    backend = counting_backend()
     payloads = [_payload(p["payload_bytes"]) for _ in range(p["ntasks"])]
 
     def write_task(comm):
@@ -234,15 +237,19 @@ def core_io_paropen_span(ctx) -> ScenarioOutput:
     if datas != [bytes(q) for q in payloads]:
         raise AssertionError("paropen roundtrip corrupted payloads")
     d = _delta(after, before)
-    metrics = _count_metrics("par_fwrite", d)
     nfrag = -(-p["payload_bytes"] // p["chunksize"]) * p["ntasks"]
+    pin(d["data_write_calls"], p["ntasks"], "scatter_writes (one per task)")
+    pin(d["fragments_written"], nfrag, "parallel fwrite fragments")
+    pin(d["copied_fragments"], 0, "parallel fwrite copies")
+    pin(d["seeks"], 0, "parallel fwrite seeks")
+    metrics = _count_metrics("par_fwrite", d)
     text = (
         f"{p['ntasks']} tasks x {p['payload_bytes'] // KiB} KiB over "
         f"{p['chunksize'] // KiB} KiB chunks ({nfrag} fragments total): "
         f"{d['data_write_calls']} backend call(s), {d['copied_fragments']} "
         f"copie(s), {d['seeks']} seek(s)"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=d)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +268,7 @@ def core_io_throughput(ctx) -> ScenarioOutput:
     best = float("inf")
     calls = None
     for r in range(p["rounds"]):
-        backend = _counting_backend()
+        backend = counting_backend()
         t0 = time.perf_counter()
         with serial.open(
             f"/tp{r}.sion", "w", chunksizes=[p["chunksize"]],
@@ -272,6 +279,8 @@ def core_io_throughput(ctx) -> ScenarioOutput:
         best = min(best, time.perf_counter() - t0)
         calls = backend.snapshot()
     assert calls is not None
+    # One data call plus the three metadata writes of a create/close cycle.
+    pin(calls["data_write_calls"], 4, "backend calls of a create/fwrite/close cycle")
     metrics = {
         "write_wall_s": Metric(best, better="info"),
         "write_mb_s": Metric(p["payload_bytes"] / best / 1e6, "MB/s", "info"),
@@ -283,4 +292,4 @@ def core_io_throughput(ctx) -> ScenarioOutput:
         f"({p['payload_bytes'] / best / 1e6:.0f} MB/s, "
         f"{calls['data_write_calls']} backend data calls)"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=calls)
+    return ScenarioOutput(metrics=metrics, text=text)

@@ -50,14 +50,11 @@ class ScenarioOutput:
     """What one scenario function returns.
 
     ``metrics`` feed the JSON report and the regression gate; ``text`` is
-    the human-readable table/figure (what ``emit()`` persists); ``raw``
-    carries the workload's native result objects for the pytest wrappers'
-    assertions — it never reaches the JSON file.
+    the human-readable table/figure (what ``emit()`` persists).
     """
 
     metrics: dict[str, Metric] = field(default_factory=dict)
     text: str = ""
-    raw: Any = None
 
     def __post_init__(self) -> None:
         self.metrics = coerce_metrics(self.metrics)

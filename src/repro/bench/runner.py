@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import pathlib
 import time
 import traceback
 from typing import Any, Callable, Mapping
 
+from repro.bench.compare import gated_metric_count
 from repro.bench.registry import Registry, ensure_builtin_scenarios
 from repro.bench.results import BenchReport, Metric, ScenarioResult
 from repro.bench.schema import METRIC_DIRECTIONS
@@ -108,6 +111,55 @@ def run_suite(
             status = "FAILED" if error else "ok"
             progress(f"  {sc.name}: {status} ({wall:.2f}s)")
     return report
+
+
+def record_suite(
+    suite: str,
+    out_dir: str | pathlib.Path = "benchmarks/baselines",
+    progress: Callable[[str], None] | None = None,
+    param_overrides: Mapping[str, Any] | None = None,
+) -> list[pathlib.Path]:
+    """Run ``suite`` once and (re)write its committed baselines in ``out_dir``.
+
+    ``<suite>.json`` is the whole run; if the suite has ``ci-grid``
+    scenarios, ``<suite>_ci.json`` is that slice *of the same report*, so
+    the push gate and the nightly gate cannot drift apart.  Each file gets
+    a ``.meta.json`` sidecar (command, git SHA, time, environment).
+    Nothing is written if a scenario errored, or if a file would gate
+    nothing — ``compare`` refuses such a baseline anyway.
+    """
+    report = run_suite(suite=suite, progress=progress, param_overrides=param_overrides)
+    if report.failed:
+        raise ReproError(
+            f"refusing to record suite {suite!r}, {len(report.failed)} "
+            "scenario(s) errored:\n"
+            + "\n".join(f"FAILED {r.name}:\n{r.error}" for r in report.failed)
+        )
+    targets = {f"{suite}.json": report}
+    ci = {n: r for n, r in report.scenarios.items() if "ci-grid" in r.tags}
+    if ci:
+        targets[f"{suite}_ci.json"] = dataclasses.replace(report, scenarios=ci)
+    for name, rep in targets.items():
+        if not gated_metric_count(rep):
+            raise ReproError(
+                f"refusing to record {name}: it would gate nothing (every "
+                "metric is better='info'; the suite's pins are its gate)"
+            )
+    out_dir = pathlib.Path(out_dir)
+    written = []
+    for name, rep in targets.items():
+        path = rep.save(out_dir / name)
+        sidecar = {
+            "artifact": name,
+            "command": f"python -m repro.bench record --suite {suite}",
+            "git_sha": rep.git_sha,
+            "created": rep.created,
+            "environment": rep.environment,
+        }
+        meta = path.with_suffix(".meta.json")
+        meta.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        written += [path, meta]
+    return written
 
 
 def _jsonable(value):

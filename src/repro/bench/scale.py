@@ -2,37 +2,32 @@
 
 The paper's headline results run at 4k-64k tasks; these scenarios drive
 the *real* library (collective open/write/close over the simulated store,
-serial metadata scans, bare collectives) at 4k-256k simulated tasks using
-the bulk SPMD engine, and record wall clock plus deterministic geometry
-facts as gated metrics.
+serial metadata scans, bare collectives) at 4k-256k simulated tasks (and
+one 2^20 point) using the bulk SPMD engine.  What they gate is exact:
+the on-disk geometry against a closed form, the multifile's sha256
+against ``benchmarks/baselines/scale_multifile_hashes.json`` (captured
+before the engine was wave-vectorized — a frozen pin, never re-recorded;
+a new grid point is added by copying the digest the scenario prints), and
+the O(1)-python-objects-per-rank bound.  Wall clock and the per-phase
+breakdown are reported (``better="info"``) and never gated, with two
+deliberately loose budgets kept as in-scenario checks: the 64k cycle must
+stay 10x under the 2400 s the thread-per-rank engine could not finish in,
+and the 256k serial scan under 3 s (it took 6.4 s before the metadata
+paths were vectorized).
 
 The ``taskbw`` family is the suite's *data plane* counterpart: a small
 world of real OS processes (``engine="proc"``) streams real bytes
 through :class:`~repro.backends.localfs.LocalBackend` into a tempdir
-multifile, and the gated metric is aggregate write bandwidth.  Unlike
-the simulated control-plane points its walls are hardware-dependent, so
-its grid is deliberately tiny (1/2/4 workers, tens of MB per task —
+multifile.  Its numbers are hardware, so all of them are ``info``; the
+one transferable claim — 4 workers move >= 2x the bytes per second of 1
+*within one run* — is a named test in ``benchmarks/bench_scenarios.py``.
+Its grid is deliberately tiny (1/2/4 workers, tens of MB per task —
 sized to stay inside the page cache so the engines are measured, not
 the disk's writeback behavior).
 
-Committed baselines backing the suite:
-
-* ``benchmarks/baselines/scale_preopt.json`` — the pre-optimization
-  control plane (thread-per-rank engine, scalar metadata paths), captured
-  by ``benchmarks/tools/record_scale_preopt.py`` before the bulk engine
-  landed.  Points the old engine could not finish carry their wall budget
-  as a recorded *floor* (``lower_bound`` in their params), so speedups
-  computed against them are conservative.  The 64k open/close point is a
-  floor because the thread engine could not even spawn that many ranks.
-* ``benchmarks/baselines/scale.json`` / ``scale_ci.json`` — the current
-  implementation; CI gates the reduced ``ci-grid`` (4k/16k) against
-  ``scale_ci.json`` with a generous threshold (wall clock on shared
-  runners is noisy; only algorithmic regressions should trip it).
-* ``benchmarks/baselines/scale_taskbw.json`` /
-  ``scale_taskbw_preopt.json`` — the data-plane family under the proc
-  engine and its thread-engine (single-GIL) reference, captured by
-  ``benchmarks/tools/record_taskbw_baseline.py``; CI gates the former
-  slice of the same ``ci-grid`` run with ``--baseline-only``.
+``benchmarks/baselines/scale.json`` / ``scale_ci.json`` hold the gated
+values of the full grid and of its ``ci-grid`` slice (4k/16k); refresh
+both with ``python -m repro.bench record --suite scale``.
 
 All scenarios honor ``REPRO_SPMD_TIMEOUT`` (see ``repro.simmpi.runner``):
 on very slow machines raise it before running the 256k points.
@@ -49,13 +44,21 @@ from pathlib import Path
 from repro.backends.simfs_backend import SimBackend
 from repro.bench.registry import scenario
 from repro.bench.results import Metric, ScenarioOutput
-from repro.fs.simfs import SimFS
-
-KiB = 1024
+from repro.bench.scaffold import (
+    CHUNKSIZE,
+    CI_GRID_COUNTS,
+    FSBLK,
+    PAYLOAD,
+    KiB,
+    check,
+    grid_tags,
+    host_clock,
+    pin,
+    sim_backend,
+)
 
 #: Task counts of the full grid; the first two form the CI grid.
 SCALE_TASK_COUNTS = (4096, 16384, 65536, 262144)
-CI_TASK_COUNTS = frozenset((4096, 16384))
 
 #: The headline nightly-only point: 2^20 tasks through one collective
 #: open/write/close cycle.  Kept out of :data:`SCALE_TASK_COUNTS` so the
@@ -71,25 +74,14 @@ NIGHTLY_TASK_COUNT = 1 << 20
 #: costs hundreds).  The precise figure is also a gated metric.
 MAX_BLOCKS_PER_RANK = 64.0
 
-#: Common geometry: one FS block per chunk keeps the files small while
-#: still exercising every alignment and accounting path.
-FSBLK = 4 * KiB
-CHUNKSIZE = 4 * KiB
-PAYLOAD = 64
+#: The two loose absolute wall budgets the suite keeps (module docstring),
+#: by task count: 10x under the pre-bulk-engine 64k floor, and under half
+#: the pre-vectorization 256k scan.
+CYCLE_WALL_BUDGET_S = {65536: 240.0}
+SCAN_WALL_BUDGET_S = {262144: 3.0}
 
 #: Collective families measured by ``scale/collectives``.
 COLLECTIVE_OPS = ("bcast", "gather", "scatter", "reduce", "barrier", "allgather")
-
-
-def _tags(family: str, ntasks: int) -> tuple[str, ...]:
-    tags = ["scale", "control-plane", family]
-    if ntasks in CI_TASK_COUNTS:
-        tags.append("ci-grid")
-    return tuple(tags)
-
-
-def _backend() -> SimBackend:
-    return SimBackend(SimFS(blocksize_override=FSBLK))
 
 
 def multifile_fingerprint(backend: SimBackend, base_path: str, nfiles: int = 1) -> str:
@@ -129,7 +121,7 @@ def expected_geometry(ntasks: int, chunksize: int, fsblk: int) -> tuple[int, int
     kind; data starts at the next FS block; with one block of one aligned
     chunk per task, metablock 2 follows the block array immediately.
     Every grid point asserts against this, so geometry drift fails the
-    scenario itself — the wall-clock gate's wide threshold never sees it.
+    scenario itself.
     """
     mb1_size = 56 + 16 * ntasks + 4
     start_of_data = -(-mb1_size // fsblk) * fsblk
@@ -144,8 +136,7 @@ def _hash_pins() -> dict:
     """Recorded per-``ntasks`` fingerprints of the byte-identity baseline.
 
     Loads ``benchmarks/baselines/scale_multifile_hashes.json`` (captured
-    with the pre-wave-vectorization engine by
-    ``benchmarks/tools/record_scale_fingerprints.py``) once per process.
+    with the pre-wave-vectorization engine) once per process.
     Returns ``{}`` when the repo checkout is not present (installed
     package run outside the tree) — the pin is then simply not applied.
     """
@@ -215,8 +206,8 @@ def _phase_metrics(stats: dict, ntasks: int, t0_mono: float) -> dict[str, Metric
     out: dict[str, Metric] = {}
     if not waves or stats.get("waves_dropped"):
         return out
-    out["collective_wait_s"] = Metric(
-        sum(t_done - t_open for _, _, t_open, t_done in waves), "s", "info"
+    out["collective_wait_s"] = host_clock(
+        sum(t_done - t_open for _, _, t_open, t_done in waves)
     )
     waves.sort(key=lambda w: w[3])
     if tuple(w[1] for w in waves) != _CYCLE_WAVES:
@@ -224,9 +215,9 @@ def _phase_metrics(stats: dict, ntasks: int, t0_mono: float) -> dict[str, Metric
     open_s = waves[1][3] - t0_mono
     write_s = waves[2][3] - waves[1][3]
     close_s = waves[3][3] - waves[2][3]
-    out["phase_open_s"] = Metric(open_s, "s", "lower")
-    out["phase_write_s"] = Metric(write_s, "s", "lower")
-    out["phase_close_s"] = Metric(close_s, "s", "lower")
+    out["phase_open_s"] = host_clock(open_s)
+    out["phase_write_s"] = host_clock(write_s)
+    out["phase_close_s"] = host_clock(close_s)
     return out
 
 
@@ -240,7 +231,7 @@ def _paropen_parclose(ctx) -> ScenarioOutput:
 
     p = ctx.params
     ntasks = p["ntasks"]
-    backend = _backend()
+    backend = sim_backend()
     payload = bytes([0xAB]) * p["payload_bytes"]
 
     def program(comm):
@@ -267,19 +258,24 @@ def _paropen_parclose(ctx) -> ScenarioOutput:
     gc.collect()
     blocks_per_rank = (sys.getallocatedblocks() - blocks_before) / ntasks
     peak_rss_mb = _peak_rss_mb()
-    if blocks_per_rank > MAX_BLOCKS_PER_RANK:
-        raise AssertionError(
-            f"bulk cycle retains {blocks_per_rank:.1f} python blocks per rank "
-            f"(> {MAX_BLOCKS_PER_RANK:.0f}); engine state is no longer O(1) "
-            "objects per rank"
-        )
+    check(
+        blocks_per_rank <= MAX_BLOCKS_PER_RANK,
+        f"bulk cycle retains {blocks_per_rank:.1f} python blocks per rank "
+        f"(> {MAX_BLOCKS_PER_RANK:.0f}); engine state is no longer O(1) "
+        "objects per rank",
+    )
     start_of_data, mb2_offset = out[0]
-    if (start_of_data, mb2_offset) != expected_geometry(
-        ntasks, p["chunksize"], p["fsblksize"]
-    ):
-        raise AssertionError(
-            f"on-disk geometry drifted: ({start_of_data}, {mb2_offset}) != "
-            f"{expected_geometry(ntasks, p['chunksize'], p['fsblksize'])}"
+    pin(
+        (start_of_data, mb2_offset),
+        expected_geometry(ntasks, p["chunksize"], p["fsblksize"]),
+        "on-disk geometry",
+    )
+    budget = CYCLE_WALL_BUDGET_S.get(ntasks)
+    if budget is not None:
+        check(
+            wall <= budget,
+            f"{ntasks}-task open/close cycle took {wall:.1f} s "
+            f"(budget {budget:.0f} s)",
         )
 
     # Spot-check the multifile through the serial global view: corner
@@ -298,16 +294,17 @@ def _paropen_parclose(ctx) -> ScenarioOutput:
     # never bytes.  (Extent-run hashing keeps this cheap even at 2^20
     # tasks; unrecorded points still report their hash for future pins.)
     digest = multifile_fingerprint(backend, "/scale.sion", nfiles=p["nfiles"])
-    pin = _hash_pins().get(str(ntasks))
-    if pin is not None and digest != pin["sha256"]:
-        raise AssertionError(
-            f"multifile bytes drifted at ntasks={ntasks}: sha256 {digest} != "
-            f"recorded {pin['sha256']} "
-            "(benchmarks/baselines/scale_multifile_hashes.json)"
+    recorded = _hash_pins().get(str(ntasks))
+    if recorded is not None:
+        pin(
+            digest,
+            recorded["sha256"],
+            f"multifile sha256 at ntasks={ntasks} "
+            "(benchmarks/baselines/scale_multifile_hashes.json)",
         )
 
     metrics = {
-        "open_close_wall_s": Metric(wall, "s", "lower"),
+        "open_close_wall_s": host_clock(wall),
         "tasks_per_s": Metric(ntasks / wall, "tasks/s", "info"),
         "start_of_data_bytes": Metric(float(start_of_data), "bytes", "lower"),
         "mb2_offset_bytes": Metric(float(mb2_offset), "bytes", "lower"),
@@ -329,11 +326,9 @@ def _paropen_parclose(ctx) -> ScenarioOutput:
         f"{mb2_offset / (1 << 20):.1f} MiB{phases}; peak RSS "
         f"{peak_rss_mb:,.0f} MiB, {blocks_per_rank:.1f} live blocks/rank; "
         f"sha256 {digest[:16]}... "
-        f"({'pinned' if pin is not None else 'no recorded pin'})"
+        f"({'pinned' if recorded is not None else 'no recorded pin'})"
     )
-    return ScenarioOutput(
-        metrics=metrics, text=text, raw={"wall": wall, "sha256": digest}
-    )
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +341,7 @@ def _serial_scan(ctx) -> ScenarioOutput:
 
     p = ctx.params
     ntasks = p["ntasks"]
-    backend = _backend()
+    backend = sim_backend()
     # ``writers`` ranks spread evenly across the rank space (always
     # including the first and last rank) get a payload; the scan must
     # account exactly their bytes.
@@ -374,12 +369,18 @@ def _serial_scan(ctx) -> ScenarioOutput:
     total = loc.total_bytes()
     g.close()
     scan_wall = time.perf_counter() - t0
-    if total != p["payload_bytes"] * len(writers):
-        raise AssertionError(f"metadata scan saw {total} logical bytes")
+    pin(total, p["payload_bytes"] * len(writers), "logical bytes seen by the scan")
+    budget = SCAN_WALL_BUDGET_S.get(ntasks)
+    if budget is not None:
+        check(
+            scan_wall < budget,
+            f"{ntasks}-task metadata scan took {scan_wall:.2f} s "
+            f"(budget {budget:.0f} s)",
+        )
 
     metrics = {
-        "create_wall_s": Metric(create_wall, "s", "lower"),
-        "scan_wall_s": Metric(scan_wall, "s", "lower"),
+        "create_wall_s": host_clock(create_wall),
+        "scan_wall_s": host_clock(scan_wall),
         "logical_total_bytes": Metric(float(total), "bytes", "lower"),
     }
     text = (
@@ -387,18 +388,12 @@ def _serial_scan(ctx) -> ScenarioOutput:
         f"create {create_wall * 1e3:.0f} ms, full metadata scan "
         f"{scan_wall * 1e3:.0f} ms"
     )
-    return ScenarioOutput(
-        metrics=metrics, text=text, raw={"create": create_wall, "scan": scan_wall}
-    )
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
 # Bare collective microbenchmarks: one whole-world round per op family,
-# timed end to end (world setup + the collective + teardown).  Unlike the
-# open/close cycle these have no pre-optimization analogue: the old
-# engine's in-program per-op timings do not survive the change of
-# execution model, so the family is gated only against the current
-# baseline.
+# timed end to end (world setup + the collective + teardown).
 
 
 def _collectives(ctx) -> ScenarioOutput:
@@ -425,7 +420,7 @@ def _collectives(ctx) -> ScenarioOutput:
             t0 = time.perf_counter()
             run_spmd(ntasks, programs[op], engine=engine)
             best = min(best, time.perf_counter() - t0)
-        metrics[f"{op}_wall_s"] = Metric(best, "s", "lower")
+        metrics[f"{op}_wall_s"] = host_clock(best)
         lines.append(f"{op:<9} {best * 1e3:8.1f} ms")
     text = f"{ntasks}-rank whole-world rounds (engine={engine}):\n" + "\n".join(lines)
     return ScenarioOutput(metrics=metrics, text=text)
@@ -485,6 +480,7 @@ def _contention_sweep(ctx) -> ScenarioOutput:
             f"{align // KiB:>9}  {k_model:>11.1f}  {w:>13.2f}  {r:>12.2f}"
         )
         metrics[f"write_speedup_{align // KiB}k"] = Metric(w, "x", "info")
+    pin(speedups_w[0], 1.0, "write speedup at the true block size")
 
     # Pin the ordering of the ablation sweep (smaller alignment -> more
     # sharers -> larger aligned-vs-unaligned speedup, strictly so below
@@ -635,8 +631,8 @@ def _taskbw(ctx) -> ScenarioOutput:
 
     agg = total_mb / best
     metrics = {
-        "write_wall_s": Metric(best, "s", "lower"),
-        "agg_mb_per_s": Metric(agg, "MB/s", "higher"),
+        "write_wall_s": host_clock(best),
+        "agg_mb_per_s": host_clock(agg, "MB/s"),
         "per_task_mb": Metric(float(p["task_mb"]), "MB", "info"),
     }
     text = (
@@ -644,7 +640,7 @@ def _taskbw(ctx) -> ScenarioOutput:
         f"({p['piece_kib']} KiB pieces) via engine={p['engine']}: best of "
         f"{p['rounds']} rounds {best:.3f} s = {agg:,.0f} MB/s aggregate"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw={"wall": best})
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -656,7 +652,7 @@ for _n in SCALE_TASK_COUNTS:
     scenario(
         f"scale/paropen-parclose[ntasks={_n}]",
         suite="scale",
-        tags=_tags("paropen-parclose", _n),
+        tags=grid_tags("scale", "control-plane", "paropen-parclose", _n in CI_GRID_COUNTS),
         params={
             "ntasks": _n,
             "chunksize": CHUNKSIZE,
@@ -669,7 +665,7 @@ for _n in SCALE_TASK_COUNTS:
     scenario(
         f"scale/serial-scan[ntasks={_n}]",
         suite="scale",
-        tags=_tags("serial-scan", _n),
+        tags=grid_tags("scale", "control-plane", "serial-scan", _n in CI_GRID_COUNTS),
         params={
             "ntasks": _n,
             "chunksize": CHUNKSIZE,
@@ -682,7 +678,7 @@ for _n in SCALE_TASK_COUNTS:
     scenario(
         f"scale/collectives[ntasks={_n}]",
         suite="scale",
-        tags=_tags("collectives", _n),
+        tags=grid_tags("scale", "control-plane", "collectives", _n in CI_GRID_COUNTS),
         params={"ntasks": _n, "rounds": 1, "engine": "bulk"},
     )(_collectives)
 

@@ -1,12 +1,14 @@
 """Built-in scenario definitions.
 
-Every figure/table benchmark under ``benchmarks/`` is registered here so
-the CLI runner, the regression gate, and the pytest wrappers all execute
-the same code.  Scenarios in the ``smoke`` suite measure *deterministic*
-simulated costs (virtual seconds / modelled MB/s) — byte-identical across
-runs, so the comparator can gate them tightly.  The ``full`` suite adds
-wall-clock micro scenarios of the real library (``better="info"``: never
-gated, still recorded).
+Every figure/table benchmark of the paper is registered here so the CLI
+runner, the regression gate, and ``benchmarks/bench_scenarios.py`` all
+execute the same code.  Scenarios in the ``smoke`` suite measure
+*deterministic* simulated costs (virtual seconds / modelled MB/s) —
+byte-identical across runs, so the comparator can gate them tightly —
+and :func:`~repro.bench.scaffold.check` the paper's qualitative claims
+(speedup floors, orderings, crossovers) in place.  The ``full`` suite
+adds wall-clock micro scenarios of the real library (``better="info"``:
+never gated, still recorded).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.analysis.plots import ascii_chart
 from repro.analysis.results import Series, format_table, human_count
 from repro.bench.registry import scenario
 from repro.bench.results import Metric, ScenarioOutput, series_metrics
+from repro.bench.scaffold import KiB, check
 from repro.fs.events import Engine
 from repro.fs.interference import bystander_latency
 from repro.fs.metadata import FifoMetadataService, MetadataCosts, MetadataOp
@@ -27,14 +30,18 @@ from repro.workloads.mp2c_io import crossover_particles_m, run_fig6
 from repro.workloads.scalasca_io import run_table2
 from repro.workloads.scaling import analyzer_load_times, mp2c_weak_scaling
 
-KiB = 1024
 TB = 10**12
 
 # --------------------------------------------------------------------------
 # Fig. 3 — parallel file creation / opening vs. SION multifile creation.
 
 
-def _fig3_output(label: str, rows) -> ScenarioOutput:
+def _fig3_output(label: str, rows, sion_create_max_s: float) -> ScenarioOutput:
+    check(
+        rows[-1].sion_create_s < sion_create_max_s,
+        f"{label}: SION create at {rows[-1].ntasks} tasks took "
+        f"{rows[-1].sion_create_s:.2f} s (paper: < {sion_create_max_s:.0f} s)",
+    )
     series = Series(label, "#tasks", "time (s)", xs=[r.ntasks for r in rows])
     series.add_curve("create files", [r.create_files_s for r in rows])
     series.add_curve("open existing", [r.open_existing_s for r in rows])
@@ -47,7 +54,7 @@ def _fig3_output(label: str, rows) -> ScenarioOutput:
     metrics["create_speedup_at_max"] = Metric(
         rows[-1].create_speedup, unit="x", better="higher"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=rows)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 @scenario(
@@ -61,7 +68,7 @@ def fig3_jugene(ctx) -> ScenarioOutput:
     rows = filecreate.run_fig3(
         ctx.profile, ctx.params["task_counts"], ctx.params["sion_nfiles"]
     )
-    return _fig3_output("fig3a", rows)
+    return _fig3_output("fig3a", rows, sion_create_max_s=3.0)
 
 
 @scenario(
@@ -75,7 +82,7 @@ def fig3_jaguar(ctx) -> ScenarioOutput:
     rows = filecreate.run_fig3(
         ctx.profile, ctx.params["task_counts"], ctx.params["sion_nfiles"]
     )
-    return _fig3_output("fig3b", rows)
+    return _fig3_output("fig3b", rows, sion_create_max_s=10.0)
 
 
 # --------------------------------------------------------------------------
@@ -93,10 +100,15 @@ def fig4_jugene(ctx) -> ScenarioOutput:
     series = Series("fig4a", "#files", "MB/s", xs=[p.nfiles for p in pts])
     series.add_curve("write", [p.write_mb_s for p in pts])
     series.add_curve("read", [p.read_mb_s for p in pts])
+    by_n = {p.nfiles: p for p in pts}
+    check(
+        by_n[16].write_mb_s > 2 * by_n[1].write_mb_s
+        and by_n[128].write_mb_s < by_n[16].write_mb_s,
+        "fig4a: write bandwidth must saturate by 16 files and decline at 128",
+    )
     return ScenarioOutput(
         metrics=series_metrics(series, unit="MB/s", better="higher"),
         text=format_table(series),
-        raw=pts,
     )
 
 
@@ -113,10 +125,13 @@ def fig4_jaguar(ctx) -> ScenarioOutput:
     series.add_curve("read (default)", [p.read_mb_s for p in res.default])
     series.add_curve("write (optimized)", [p.write_mb_s for p in res.optimized])
     series.add_curve("read (optimized)", [p.read_mb_s for p in res.optimized])
+    check(
+        all(o.write_mb_s >= d.write_mb_s - 1e-6 for d, o in zip(res.default, res.optimized)),
+        "fig4b: optimized striping must never write slower than the default",
+    )
     return ScenarioOutput(
         metrics=series_metrics(series, unit="MB/s", better="higher"),
         text=format_table(series),
-        raw=res,
     )
 
 
@@ -132,9 +147,7 @@ def _fig5_output(label: str, pts) -> ScenarioOutput:
     series.add_curve("task-local read", [p.tasklocal_read for p in pts])
     text = format_table(series) + "\n\n" + ascii_chart(series, log_x=True)
     return ScenarioOutput(
-        metrics=series_metrics(series, unit="MB/s", better="higher"),
-        text=text,
-        raw=pts,
+        metrics=series_metrics(series, unit="MB/s", better="higher"), text=text
     )
 
 
@@ -145,7 +158,12 @@ def _fig5_output(label: str, pts) -> ScenarioOutput:
     profile="jugene",
 )
 def fig5_jugene(ctx) -> ScenarioOutput:
-    return _fig5_output("fig5a", taskbw.run_fig5a(ctx.profile))
+    pts = taskbw.run_fig5a(ctx.profile)
+    check(
+        all(p.sion_write >= p.tasklocal_write - 1e-6 for p in pts),
+        "fig5a: SION must write at least as fast as task-local files",
+    )
+    return _fig5_output("fig5a", pts)
 
 
 @scenario(
@@ -155,7 +173,12 @@ def fig5_jugene(ctx) -> ScenarioOutput:
     profile="jaguar",
 )
 def fig5_jaguar(ctx) -> ScenarioOutput:
-    return _fig5_output("fig5b", taskbw.run_fig5b(ctx.profile))
+    pts = taskbw.run_fig5b(ctx.profile)
+    check(
+        pts[-1].sion_read > ctx.profile.nominal_peak_bw,
+        "fig5b: SION reads must exceed the nominal peak at scale (client caching)",
+    )
+    return _fig5_output("fig5b", pts)
 
 
 # --------------------------------------------------------------------------
@@ -179,6 +202,12 @@ def fig6_mp2c(ctx) -> ScenarioOutput:
     text += "\n\n" + ascii_chart(series, log_x=True, log_y=True)
     cross = crossover_particles_m(pts)
     by_m = {p.particles_m: p for p in pts}
+    check(cross is not None, "fig6: SION and single-file curves must cross")
+    check(
+        by_m[33.0].write_speedup >= 10,
+        f"fig6: write speedup at 33 M particles is {by_m[33.0].write_speedup:.1f}x "
+        "(paper: 1-2 orders of magnitude)",
+    )
     text += (
         f"\n\ncrossover at ~{cross} M particles; "
         f"speedup at 33 M: write {by_m[33.0].write_speedup:.0f}x, "
@@ -188,7 +217,7 @@ def fig6_mp2c(ctx) -> ScenarioOutput:
     metrics["write_speedup_at_33M"] = Metric(
         by_m[33.0].write_speedup, unit="x", better="higher"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=pts)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -203,6 +232,11 @@ def fig6_mp2c(ctx) -> ScenarioOutput:
 )
 def table1_alignment(ctx) -> ScenarioOutput:
     res = alignment.run_table1(ctx.profile)
+    check(
+        2.2 < res.write_factor < 2.9 and 1.5 < res.read_factor < 2.1,
+        f"table1: alignment factors write {res.write_factor:.2f}x / read "
+        f"{res.read_factor:.2f}x left the paper's 2.53x / 1.78x neighbourhood",
+    )
     rows = [
         "#tasks  data      blksize  write MB/s  read MB/s",
         "------  --------  -------  ----------  ---------",
@@ -224,7 +258,7 @@ def table1_alignment(ctx) -> ScenarioOutput:
         "write_factor": Metric(res.write_factor, "x", "info"),
         "read_factor": Metric(res.read_factor, "x", "info"),
     }
-    return ScenarioOutput(metrics=metrics, text="\n".join(rows), raw=res)
+    return ScenarioOutput(metrics=metrics, text="\n".join(rows))
 
 
 #: Block sizes for the alignment ablation (2 MiB true block downward).
@@ -248,14 +282,19 @@ def ablation_alignment_sweep(ctx) -> ScenarioOutput:
     series.add_curve("write", [r.write_mb_s for r in rows])
     series.add_curve("read", [r.read_mb_s for r in rows])
     base_w = rows[0].write_mb_s
-    series.add_curve("write penalty", [base_w / r.write_mb_s for r in rows])
+    penalties = [base_w / r.write_mb_s for r in rows]
+    check(
+        penalties == sorted(penalties) and penalties[-1] < 2.6,
+        f"write penalty must grow monotonically and saturate near 1 + c: {penalties}",
+    )
+    series.add_curve("write penalty", penalties)
     metrics = series_metrics(
         series,
         unit="MB/s",
         better="higher",
         overrides={"write penalty": ("x", "lower")},
     )
-    return ScenarioOutput(metrics=metrics, text=format_table(series), raw=rows)
+    return ScenarioOutput(metrics=metrics, text=format_table(series))
 
 
 # --------------------------------------------------------------------------
@@ -270,6 +309,12 @@ def ablation_alignment_sweep(ctx) -> ScenarioOutput:
 )
 def table2_scalasca(ctx) -> ScenarioOutput:
     res = run_table2(ctx.profile)
+    check(
+        res.activation_speedup > 5
+        and res.sion.write_bw_mb_s > res.tasklocal.write_bw_mb_s,
+        f"table2: activation speedup {res.activation_speedup:.1f}x (paper 13.1x) "
+        "with no loss of write bandwidth",
+    )
     rows = [
         "I/O type    #tasks  trace size  activation  write BW",
         "----------  ------  ----------  ----------  ---------",
@@ -293,7 +338,7 @@ def table2_scalasca(ctx) -> ScenarioOutput:
         "sion_write_bw_mb_s": Metric(res.sion.write_bw_mb_s, "MB/s", "higher"),
         "activation_speedup": Metric(res.activation_speedup, "x", "info"),
     }
-    return ScenarioOutput(metrics=metrics, text="\n".join(rows), raw=res)
+    return ScenarioOutput(metrics=metrics, text="\n".join(rows))
 
 
 # --------------------------------------------------------------------------
@@ -308,6 +353,11 @@ def table2_scalasca(ctx) -> ScenarioOutput:
 )
 def ablation_tape_archive(ctx) -> ScenarioOutput:
     cmp_ = archive.run_archive_comparison()
+    check(
+        cmp_.archive_speedup > 2 and cmp_.retrieve_speedup > 2,
+        f"multifile archive/retrieve speedups {cmp_.archive_speedup:.1f}x / "
+        f"{cmp_.retrieve_speedup:.1f}x not > 2x",
+    )
     lines = [
         "scenario: 1470 GB of traces, 32K tasks, 4 interleaved archive users",
         "",
@@ -336,9 +386,7 @@ def ablation_tape_archive(ctx) -> ScenarioOutput:
     metrics["archive_speedup"] = Metric(cmp_.archive_speedup, "x", "higher")
     metrics["retrieve_speedup"] = Metric(cmp_.retrieve_speedup, "x", "higher")
     return ScenarioOutput(
-        metrics=metrics,
-        text="\n".join(lines) + "\n\n" + format_table(series),
-        raw=(cmp_, sweep),
+        metrics=metrics, text="\n".join(lines) + "\n\n" + format_table(series)
     )
 
 
@@ -362,6 +410,10 @@ def ablation_interference(ctx) -> ScenarioOutput:
     series.add_curve("bystander latency", [r.storm_latency_s for r in rows])
     series.add_curve("slowdown", [r.slowdown for r in rows])
     sion_like = bystander_latency(costs, 16)
+    check(
+        rows[-1].storm_latency_s > 60 and sion_like.storm_latency_s < 0.1,
+        "a 64K create storm must cost a bystander minutes, a SION creation nothing",
+    )
     text = format_table(series) + (
         f"\n\nduring a SION creation (16 creates) the same bystander waits "
         f"{sion_like.storm_latency_s * 1e3:.1f} ms — the disruption simply "
@@ -369,7 +421,7 @@ def ablation_interference(ctx) -> ScenarioOutput:
     )
     metrics = series_metrics(series)
     metrics["sion_bystander_latency_s"] = Metric(sion_like.storm_latency_s)
-    return ScenarioOutput(metrics=metrics, text=text, raw=(rows, sion_like))
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -418,13 +470,15 @@ def metadata_exchange_sweep(profile, task_counts):
 )
 def ablation_metadata_exchange(ctx) -> ScenarioOutput:
     rows = metadata_exchange_sweep(ctx.profile, ctx.params["task_counts"])
+    check(
+        all(collective < naive < tasklocal for _, collective, naive, tasklocal in rows),
+        "collective metadata must beat per-task metablock writes, which beat per-task files",
+    )
     series = Series("metadata-exchange", "#tasks", "seconds", xs=[r[0] for r in rows])
     series.add_curve("collective (SION)", [r[1] for r in rows])
     series.add_curve("per-task metablock writes", [r[2] for r in rows])
     series.add_curve("per-task files", [r[3] for r in rows])
-    return ScenarioOutput(
-        metrics=series_metrics(series), text=format_table(series), raw=rows
-    )
+    return ScenarioOutput(metrics=series_metrics(series), text=format_table(series))
 
 
 # --------------------------------------------------------------------------
@@ -452,13 +506,16 @@ def nfiles_tradeoff_times(profile, ntasks: int, nfiles_list):
 )
 def ablation_nfiles_tradeoff(ctx) -> ScenarioOutput:
     rows = nfiles_tradeoff_times(ctx.profile, ctx.params["ntasks"], ctx.params["nfiles"])
+    totals = {r[0]: r[3] for r in rows}
+    check(
+        totals[16] < totals[1] and totals[16] <= totals[128],
+        "the nfiles optimum sits in the middle: 16 files must beat both 1 and 128",
+    )
     series = Series("nfiles-tradeoff", "#files", "seconds", xs=[r[0] for r in rows])
     series.add_curve("create", [r[1] for r in rows])
     series.add_curve("write 1TB", [r[2] for r in rows])
     series.add_curve("total", [r[3] for r in rows])
-    return ScenarioOutput(
-        metrics=series_metrics(series), text=format_table(series), raw=rows
-    )
+    return ScenarioOutput(metrics=series_metrics(series), text=format_table(series))
 
 
 # --------------------------------------------------------------------------
@@ -479,9 +536,14 @@ def weak_scaling_mp2c(ctx) -> ScenarioOutput:
     series = Series("weak-scaling", "#tasks", "seconds", xs=[p.ntasks for p in pts])
     series.add_curve("SION write", [p.sion_write_s for p in pts])
     series.add_curve("single-file write", [p.single_write_s for p in pts])
-    series.add_curve("speedup", [p.speedup for p in pts])
+    speedups = [p.speedup for p in pts]
+    check(
+        speedups == sorted(speedups) and speedups[-1] > 100,
+        f"weak-scaling speedup must grow with the machine past 100x: {speedups}",
+    )
+    series.add_curve("speedup", speedups)
     metrics = series_metrics(series, overrides={"speedup": ("x", "higher")})
-    return ScenarioOutput(metrics=metrics, text=format_table(series), raw=pts)
+    return ScenarioOutput(metrics=metrics, text=format_table(series))
 
 
 @scenario(
@@ -496,10 +558,14 @@ def weak_scaling_analyzer(ctx) -> ScenarioOutput:
     series = Series("analyzer-load", "#tasks", "seconds", xs=[p.ntasks for p in pts])
     series.add_curve("task-local open", [p.tasklocal_open_s for p in pts])
     series.add_curve("SION open", [p.sion_open_s for p in pts])
+    check(
+        all(p.sion_open_s < p.tasklocal_open_s for p in pts),
+        "the analyzer must open a SION multifile faster than task-local traces",
+    )
     text = format_table(series) + "\n\nspeedup: " + "  ".join(
         f"{human_count(p.ntasks)}:{p.speedup:.0f}x" for p in pts
     )
-    return ScenarioOutput(metrics=series_metrics(series), text=text, raw=pts)
+    return ScenarioOutput(metrics=series_metrics(series), text=text)
 
 
 # --------------------------------------------------------------------------
@@ -531,6 +597,16 @@ def extrapolation_sweep(profile, task_counts):
 )
 def extrapolation_create(ctx) -> ScenarioOutput:
     rows = extrapolation_sweep(ctx.profile, ctx.params["task_counts"])
+    speedups = [create / sion for _, create, _, sion in rows]
+    check(
+        rows[-1][1] > 3600 and speedups[-1] > 100,
+        f"at {rows[-1][0]} tasks pure creates must cost over an hour and the "
+        f"multifile stay two orders below: {rows[-1][1]:.0f} s, {speedups[-1]:.0f}x",
+    )
+    check(
+        all(b >= 0.9 * a for a, b in zip(speedups, speedups[1:])),
+        f"create/SION speedup must keep growing with the task count: {speedups}",
+    )
     series = Series("extrapolation", "#tasks", "seconds", xs=[r[0] for r in rows])
     series.add_curve("create files", [r[1] for r in rows])
     series.add_curve("open existing", [r[2] for r in rows])
@@ -543,7 +619,7 @@ def extrapolation_create(ctx) -> ScenarioOutput:
         f"{rows[-1][2] / 60:.0f} minutes per run; the SION multifile stays at "
         f"{rows[-1][3]:.0f} s"
     )
-    return ScenarioOutput(metrics=series_metrics(series), text=text, raw=rows)
+    return ScenarioOutput(metrics=series_metrics(series), text=text)
 
 
 # --------------------------------------------------------------------------
@@ -612,7 +688,7 @@ def micro_paropen(ctx) -> ScenarioOutput:
         f"files: write {times['write_s'] * 1e3:.1f} ms, "
         f"read {times['read_s'] * 1e3:.1f} ms"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=times)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 def build_metablock(ntasks: int = 4096):
@@ -660,7 +736,7 @@ def micro_metablock(ctx) -> ScenarioOutput:
         raise AssertionError("metablock roundtrip corrupted the task count")
     metrics = {"best_roundtrip_s": Metric(best, better="info")}
     text = f"{ntasks}-task metablock encode+decode: best of {rounds} = {best * 1e3:.2f} ms"
-    return ScenarioOutput(metrics=metrics, text=text, raw=best)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------

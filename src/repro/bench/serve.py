@@ -22,9 +22,9 @@ over one 4k-writer multifile — and report throughput *and* tail latency
   container under 64/256/1024 sessions, cold and warm, one latency
   curve per point (nightly).
 
-Latency percentiles are wall-clock and gate at the comparator's default
-headroom; call counts and hit rates are asserted in-scenario from first
-principles, so the committed baseline never sees drift.
+Latency percentiles and pass walls are host clock: reported, never
+compared.  Call counts are pinned in-scenario from first principles; the
+committed baseline gates the cache hit rates, which are deterministic.
 """
 
 from __future__ import annotations
@@ -33,22 +33,26 @@ import asyncio
 import math
 import time
 
-from repro.backends.instrument import CountingBackend
-from repro.backends.simfs_backend import SimBackend
-from repro.bench.collective import _payload, _write_cycle
 from repro.bench.registry import scenario
 from repro.bench.results import Metric, ScenarioOutput
-from repro.fs.simfs import SimFS
+from repro.bench.scaffold import (
+    CHUNKSIZE,
+    PAYLOAD,
+    KiB,
+    check,
+    counting_backend,
+    grid_tags,
+    host_clock,
+    payload,
+    pin,
+    write_cycle,
+)
 from repro.serve.gateway import ReadGateway
 from repro.sion.mapping import ReadPartition
 
-KiB = 1024
-
-#: One container shape for the whole suite: the acceptance multifile.
+#: One container shape for the whole suite: the acceptance multifile
+#: (4 KiB chunks and FS blocks, 64 B payloads — the scaffold geometry).
 NWRITERS = 4096
-FSBLK = 4 * KiB
-CHUNKSIZE = 4 * KiB
-PAYLOAD = 64
 PATH = "/serve.sion"
 
 #: Session counts of the load grid; the first two form the CI grid.
@@ -64,23 +68,6 @@ CACHE_BLOCK = 64 * KiB
 READ_SIZE = 100
 
 
-def _tags(family: str, ci: bool) -> tuple[str, ...]:
-    tags = ["serve", "data-plane", family]
-    if ci:
-        tags.append("ci-grid")
-    return tuple(tags)
-
-
-def _backend() -> CountingBackend:
-    return CountingBackend(SimBackend(SimFS(blocksize_override=FSBLK)))
-
-
-def _pin(actual, expected, what: str) -> None:
-    """First-principles assertion (the gate never sees drift)."""
-    if actual != expected:
-        raise AssertionError(f"{what}: expected exactly {expected}, got {actual}")
-
-
 def _percentile(samples: "list[float]", q: float) -> float:
     """Nearest-rank percentile of ``samples`` (``q`` in 0..1)."""
     if not samples:
@@ -90,7 +77,7 @@ def _percentile(samples: "list[float]", q: float) -> float:
 
 
 def _expected_slice(part: ReadPartition, reader: int) -> bytes:
-    return b"".join(_payload(w, PAYLOAD) for w in part.writers_of(reader))
+    return b"".join(payload(w, PAYLOAD) for w in part.writers_of(reader))
 
 
 async def _session_pass(gw: ReadGateway, nsessions: int):
@@ -112,7 +99,7 @@ async def _session_pass(gw: ReadGateway, nsessions: int):
         sids.append((i, sid))
 
     await asyncio.gather(*(open_one(i) for i in range(nsessions)))
-    _pin(gw.stats_gateway.sessions_active, nsessions, "concurrent sessions")
+    pin(gw.stats_gateway.sessions_active, nsessions, "concurrent sessions")
 
     async def drain_one(i: int, sid: int) -> int:
         parts = []
@@ -140,8 +127,8 @@ async def _session_pass(gw: ReadGateway, nsessions: int):
 
 def _lat_metrics(prefix: str, samples: "list[float]") -> "dict[str, Metric]":
     return {
-        f"{prefix}_p50_ms": Metric(_percentile(samples, 0.50) * 1e3, "ms", "lower"),
-        f"{prefix}_p99_ms": Metric(_percentile(samples, 0.99) * 1e3, "ms", "lower"),
+        f"{prefix}_p50_ms": host_clock(_percentile(samples, 0.50) * 1e3, "ms"),
+        f"{prefix}_p99_ms": host_clock(_percentile(samples, 0.99) * 1e3, "ms"),
     }
 
 
@@ -151,11 +138,8 @@ def _lat_metrics(prefix: str, samples: "list[float]") -> "dict[str, Metric]":
 
 def _load(ctx) -> ScenarioOutput:
     nsessions = ctx.params["sessions"]
-    backend = _backend()
-    _write_cycle(
-        backend, NWRITERS, ctx.params["engine"],
-        chunksize=CHUNKSIZE, payload_bytes=PAYLOAD, path=PATH,
-    )
+    backend = counting_backend()
+    write_cycle(backend, NWRITERS, ctx.params["engine"], path=PATH)
     gw = ReadGateway(
         backend=backend, cache_bytes=CACHE_BYTES, cache_block=CACHE_BLOCK
     )
@@ -167,6 +151,15 @@ def _load(ctx) -> ScenarioOutput:
     cold_wall = time.perf_counter() - t0
     cold_reads = backend.snapshot()["data_read_calls"] - before["data_read_calls"]
     cold_cache = gw.cache.snapshot()
+    # Sessions share the one cache: the cold pass costs about one vectored
+    # backend read per cache block of the chunk region, whatever the
+    # session count — never O(sessions * streams).
+    region_blocks = NWRITERS * CHUNKSIZE // CACHE_BLOCK
+    check(
+        cold_reads < 2 * region_blocks,
+        f"cold pass issued {cold_reads} backend reads for a "
+        f"{region_blocks}-block chunk region",
+    )
 
     # Warm rerun: the same N sessions must be served from cache alone.
     before = backend.snapshot()
@@ -176,26 +169,25 @@ def _load(ctx) -> ScenarioOutput:
     after = backend.snapshot()
     warm_cache = gw.cache.snapshot()
 
-    _pin(
+    pin(
         after["data_read_calls"] - before["data_read_calls"], 0,
         "warm-pass backend data reads",
     )
     warm_lookups = warm_cache["lookups"] - cold_cache["lookups"]
     warm_hits = warm_cache["hits"] - cold_cache["hits"]
     warm_hit_rate = warm_hits / warm_lookups if warm_lookups else 0.0
-    if not warm_hit_rate > 0.9:
-        raise AssertionError(f"warm hit-rate {warm_hit_rate:.3f} not > 0.9")
+    check(warm_hit_rate > 0.9, f"warm hit-rate {warm_hit_rate:.3f} not > 0.9")
     warm_cache_bytes = warm_cache["bytes_served"] - cold_cache["bytes_served"]
     if warm_cache_bytes < warm_bytes:
         raise AssertionError(
             f"warm pass served {warm_cache_bytes} cache bytes for "
             f"{warm_bytes} logical bytes — not fully cache-resident"
         )
-    _pin(gw.stats_gateway.sessions_peak, nsessions, "peak concurrent sessions")
+    pin(gw.stats_gateway.sessions_peak, nsessions, "peak concurrent sessions")
 
     metrics = {
-        "cold_wall_s": Metric(cold_wall, "s", "lower"),
-        "warm_wall_s": Metric(warm_wall, "s", "lower"),
+        "cold_wall_s": host_clock(cold_wall),
+        "warm_wall_s": host_clock(warm_wall),
         **_lat_metrics("open", open_lat),
         **_lat_metrics("read", read_lat),
         **_lat_metrics("warm_read", warm_read_lat),
@@ -213,7 +205,7 @@ def _load(ctx) -> ScenarioOutput:
         f"(0 backend reads, hit-rate {warm_hit_rate:.2f}, "
         f"{warm_cache_bytes} B from cache)"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=warm_cache)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -222,11 +214,8 @@ def _load(ctx) -> ScenarioOutput:
 
 def _mix(ctx) -> ScenarioOutput:
     nclients = ctx.params["sessions"]
-    backend = _backend()
-    _write_cycle(
-        backend, NWRITERS, ctx.params["engine"],
-        chunksize=CHUNKSIZE, payload_bytes=PAYLOAD, path=PATH,
-    )
+    backend = counting_backend()
+    write_cycle(backend, NWRITERS, ctx.params["engine"], path=PATH)
     gw = ReadGateway(
         backend=backend, cache_bytes=CACHE_BYTES, cache_block=CACHE_BLOCK
     )
@@ -236,7 +225,7 @@ def _mix(ctx) -> ScenarioOutput:
     async def client(i: int) -> int:
         nonlocal nops
         rank = (i * 31) % NWRITERS
-        want = _payload(rank, PAYLOAD)
+        want = payload(rank, PAYLOAD)
         # open+drain a single-stream session ...
         t0 = time.perf_counter()
         sid = await gw.open_session(PATH, rank=rank)
@@ -249,13 +238,13 @@ def _mix(ctx) -> ScenarioOutput:
         t0 = time.perf_counter()
         task = await gw.read_task(PATH, (rank + 1) % NWRITERS)
         op_lat.append(time.perf_counter() - t0)
-        if task != _payload((rank + 1) % NWRITERS, PAYLOAD):
+        if task != payload((rank + 1) % NWRITERS, PAYLOAD):
             raise AssertionError(f"client {i}: read_task bytes diverged")
         # ... and a ranged read inside a third stream.
         t0 = time.perf_counter()
         rng = await gw.read_range(PATH, (rank + 2) % NWRITERS, 8, 16)
         op_lat.append(time.perf_counter() - t0)
-        if rng != _payload((rank + 2) % NWRITERS, PAYLOAD)[8:24]:
+        if rng != payload((rank + 2) % NWRITERS, PAYLOAD)[8:24]:
             raise AssertionError(f"client {i}: read_range bytes diverged")
         nops += 3
         return len(data) + len(task) + len(rng)
@@ -268,10 +257,12 @@ def _mix(ctx) -> ScenarioOutput:
     nbytes = asyncio.run(drive())
     wall = time.perf_counter() - t0
     cache = gw.cache.snapshot()
-    _pin(nops, 3 * nclients, "mixed ops executed")
+    pin(nops, 3 * nclients, "mixed ops executed")
+    # Overlapping streams: the shared cache absorbs the re-reads.
+    check(cache["hit_rate"] > 0.5, f"mixed-op hit-rate {cache['hit_rate']:.3f} not > 0.5")
 
     metrics = {
-        "mix_wall_s": Metric(wall, "s", "lower"),
+        "mix_wall_s": host_clock(wall),
         **_lat_metrics("op", op_lat),
         "ops_per_s": Metric(nops / wall, "ops/s", "info"),
         "hit_rate": Metric(cache["hit_rate"], "ratio", "higher"),
@@ -281,7 +272,7 @@ def _mix(ctx) -> ScenarioOutput:
         f"read_range; {nbytes} bytes byte-verified) in {wall:.2f} s, "
         f"cache hit-rate {cache['hit_rate']:.2f}"
     )
-    return ScenarioOutput(metrics=metrics, text=text, raw=cache)
+    return ScenarioOutput(metrics=metrics, text=text)
 
 
 # --------------------------------------------------------------------------
@@ -289,11 +280,8 @@ def _mix(ctx) -> ScenarioOutput:
 
 
 def _sweep(ctx) -> ScenarioOutput:
-    backend = _backend()
-    _write_cycle(
-        backend, NWRITERS, ctx.params["engine"],
-        chunksize=CHUNKSIZE, payload_bytes=PAYLOAD, path=PATH,
-    )
+    backend = counting_backend()
+    write_cycle(backend, NWRITERS, ctx.params["engine"], path=PATH)
     metrics: "dict[str, Metric]" = {}
     lines = ["sessions  cold (s)  warm (s)  read p99 (ms)  hit rate"]
     for m in ctx.params["session_counts"]:
@@ -308,9 +296,9 @@ def _sweep(ctx) -> ScenarioOutput:
         warm = time.perf_counter() - t0
         hit_rate = gw.cache.snapshot()["hit_rate"]
         p99_ms = _percentile(read_lat, 0.99) * 1e3
-        metrics[f"cold_wall_s[sessions={m}]"] = Metric(cold, "s", "lower")
-        metrics[f"warm_wall_s[sessions={m}]"] = Metric(warm, "s", "lower")
-        metrics[f"read_p99_ms[sessions={m}]"] = Metric(p99_ms, "ms", "lower")
+        metrics[f"cold_wall_s[sessions={m}]"] = host_clock(cold)
+        metrics[f"warm_wall_s[sessions={m}]"] = host_clock(warm)
+        metrics[f"read_p99_ms[sessions={m}]"] = host_clock(p99_ms, "ms")
         metrics[f"hit_rate[sessions={m}]"] = Metric(hit_rate, "ratio", "higher")
         lines.append(
             f"{m:>8}  {cold:>8.2f}  {warm:>8.2f}  {p99_ms:>13.3f}  {hit_rate:>8.2f}"
@@ -330,20 +318,20 @@ for _n in SERVE_SESSION_COUNTS:
     scenario(
         f"serve/load[sessions={_n}]",
         suite="serve",
-        tags=_tags("load", _n in CI_SESSION_COUNTS),
+        tags=grid_tags("serve", "data-plane", "load", _n in CI_SESSION_COUNTS),
         params={"sessions": _n, "engine": "bulk"},
     )(_load)
 
 scenario(
     "serve/mix[sessions=256]",
     suite="serve",
-    tags=_tags("mix", True),
+    tags=grid_tags("serve", "data-plane", "mix", ci=True),
     params={"sessions": 256, "engine": "bulk"},
 )(_mix)
 
 scenario(
     "serve/sweep[nwriters=4096]",
     suite="serve",
-    tags=_tags("sweep", False),
+    tags=grid_tags("serve", "data-plane", "sweep", ci=False),
     params={"session_counts": [64, 256, 1024], "engine": "bulk"},
 )(_sweep)

@@ -67,11 +67,22 @@ def test_within_threshold_is_ok():
 
 
 def test_info_metrics_never_gate():
-    base = _report({"wall_s": Metric(1.0, better="info")})
-    cand = _report({"wall_s": Metric(50.0, better="info")})
+    base = _report({"cost_s": Metric(1.0), "wall_s": Metric(1.0, better="info")})
+    cand = _report({"cost_s": Metric(1.0), "wall_s": Metric(50.0, better="info")})
     result = compare_reports(cand, base, threshold=0.0)
     assert result.passed
-    assert result.deltas == []
+    assert [d.metric for d in result.deltas] == ["cost_s"]
+
+
+def test_baseline_that_gates_nothing_is_refused():
+    # A host-clock-only baseline would pass every candidate: the vacuous
+    # pass the errored-entry rule below refuses, for a whole file.
+    base = _report({"read_wall_s": Metric(1.0, better="info")})
+    cand = _report({"read_wall_s": Metric(50.0, better="info")})
+    with pytest.raises(ReproError, match="baseline gates nothing"):
+        compare_reports(cand, base)
+    with pytest.raises(ReproError, match="baseline gates nothing"):
+        compare_reports(cand, BenchReport(suite="smoke"))
 
 
 def test_missing_scenario_fails():
@@ -113,16 +124,23 @@ def test_direction_mismatch_forces_baseline_refresh():
 def test_info_to_gated_promotion_forces_baseline_refresh():
     # Starting to gate a previously-info metric must not be silently
     # skipped just because the stale baseline still says 'info'.
-    base = _report({"factor": Metric(2.5, "x", "info")})
-    cand = _report({"factor": Metric(2.5, "x", "higher")})
+    base = _report({"cost_s": Metric(1.0), "factor": Metric(2.5, "x", "info")})
+    cand = _report({"cost_s": Metric(1.0), "factor": Metric(2.5, "x", "higher")})
     result = compare_reports(cand, base)
     assert not result.passed
-    assert result.failures[0].status == "direction-mismatch"
+    assert [d.status for d in result.failures] == ["direction-mismatch"]
 
 
 def test_errored_baseline_entry_cannot_vacuously_pass():
     base = _report({}, error="Traceback ...")
     cand = _report({"cost_s": Metric(1.0)})
+    for rep in (base, cand):
+        rep.add(
+            ScenarioResult(
+                name="t", suite="smoke", tags=(), params={},
+                metrics={"cost_s": Metric(1.0)}, wall_s=0.0,
+            )
+        )
     result = compare_reports(cand, base)
     assert not result.passed
     assert result.failures[0].status == "baseline-error"
@@ -156,48 +174,6 @@ def test_new_scenarios_and_metrics_reported_not_gated():
     assert result.passed
     assert sorted(d.status for d in result.deltas) == ["new", "new", "ok"]
     assert "not gated" in result.format_report()
-
-
-def test_baseline_only_drops_candidate_only_entries():
-    # The focused-baseline mode (smoke run vs. core_io.json in CI): every
-    # scenario outside the baseline's slice is ignored, not "new" noise.
-    base = _report({"cost_s": Metric(1.0)})
-    cand = _report({"cost_s": Metric(1.0), "extra_s": Metric(9.0)})
-    cand.add(
-        ScenarioResult(
-            name="other/slice", suite="smoke", tags=(), params={},
-            metrics={"x": Metric(1.0)}, wall_s=0.0,
-        )
-    )
-    result = compare_reports(cand, base, baseline_only=True)
-    assert result.passed
-    assert [d.status for d in result.deltas] == ["ok"]
-
-
-def test_baseline_only_ignores_candidate_only_errors():
-    # A scenario gated by a *different* baseline may error without
-    # failing this focused gate; its own gate still catches it.
-    base = _report({"cost_s": Metric(1.0)})
-    cand = _report({"cost_s": Metric(1.0)})
-    cand.add(
-        ScenarioResult(
-            name="other/broken", suite="smoke", tags=(), params={},
-            metrics={}, wall_s=0.0, error="Traceback ...",
-        )
-    )
-    assert compare_reports(cand, base, baseline_only=True).passed
-    assert not compare_reports(cand, base).passed
-
-
-def test_baseline_only_still_gates_shared_entries():
-    base = _report({"cost_s": Metric(10.0)})
-    cand = _report({"cost_s": Metric(20.0)})
-    result = compare_reports(cand, base, threshold=0.10, baseline_only=True)
-    assert not result.passed
-    assert result.failures[0].status == "regression"
-    # Structure failures inside the baseline slice still fail too.
-    gone = BenchReport(suite="smoke")
-    assert not compare_reports(gone, base, baseline_only=True).passed
 
 
 def test_nan_candidate_gates_as_regression():
