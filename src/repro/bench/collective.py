@@ -200,7 +200,7 @@ def _direct_vs_collective(ctx) -> ScenarioOutput:
     meta = METADATA_WRITES_PER_FILE * nfiles
     pin(csnap["data_write_calls"], ncoll + meta, "collective write calls")
     # Direct-mode handles are replay-guarded, so the counts are exact on
-    # both engines: one physical call per task plus the metadata writes.
+    # every engine: one physical call per task plus the metadata writes.
     pin(dsnap["data_write_calls"], ntasks + meta, "direct write calls")
     ratio = dsnap["data_write_calls"] / csnap["data_write_calls"]
     metrics = {

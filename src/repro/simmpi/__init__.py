@@ -1,10 +1,12 @@
-"""In-process SPMD substrate with MPI-like communicators.
+"""SPMD substrate with MPI-like communicators.
 
 The SION layer (like the original SIONlib) needs MPI only for metadata
 exchange around collective open/close.  This package provides those
 semantics — communicators, point-to-point messages, and the standard
-collectives — over Python threads, so parallel programs can be executed
-deterministically in a single process:
+collectives — defined once in :class:`Comm` and carried by three
+transports: one thread per rank (the default), the cooperative bulk
+engine for up to a million simulated ranks, and one process per rank.
+Parallel programs can so be executed deterministically on one machine:
 
 >>> from repro.simmpi import run_spmd
 >>> def program(comm):
@@ -13,12 +15,11 @@ deterministically in a single process:
 [6, 6, 6, 6]
 """
 
-from repro.simmpi.bulk import BulkComm, default_nworkers, run_spmd_bulk
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, COMM_NULL, Comm
+from repro.simmpi.bulk import BulkComm, run_spmd_bulk
+from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, COMM_NULL, Comm, Request, ThreadComm
 from repro.simmpi.proc import ProcComm, run_spmd_proc
 from repro.simmpi.runner import (
     ENGINES,
-    default_bulk_nworkers,
     normalize_engine,
     run_spmd,
     spmd_context,
@@ -32,8 +33,8 @@ __all__ = [
     "Comm",
     "ENGINES",
     "ProcComm",
-    "default_bulk_nworkers",
-    "default_nworkers",
+    "Request",
+    "ThreadComm",
     "normalize_engine",
     "run_spmd",
     "run_spmd_bulk",

@@ -3,9 +3,10 @@
 The default :func:`~repro.simmpi.runner.run_spmd` engine gives every rank
 its own OS thread, which is faithful but tops out around a few thousand
 ranks.  This module executes the same ``fn(comm, ...)`` programs
-*cooperatively* on a bounded worker pool, and — since the wave-vectorized
-rewrite — keeps the whole control plane in **flat per-wave arrays** so
-each rank costs O(1) python objects of engine state:
+*cooperatively* — one scheduler loop on the calling thread runs one rank
+at a time, so no engine state needs a lock — and keeps the whole control
+plane in **flat per-wave arrays** so each rank costs O(1) python objects
+of engine state:
 
 * **Shared op log.**  Rank op sequences are interned opcode ids appended
   to :class:`_Program` rows *shared* by every rank that runs the same
@@ -20,9 +21,9 @@ each rank costs O(1) python objects of engine state:
   only when ranks actually disagree (per-rank ``exec_once`` results such
   as file handles).
 * **Wave-flat communicator algebra.**  ``split`` / ``dup`` / ``subworld``
-  log one shared :class:`_SplitPlan` per split wave — the child worlds
-  plus two int arrays, ``child_of[lrank]`` and ``rank_in_child[lrank]`` —
-  so a split's column stays *uniform*.  No per-rank communicator object
+  log one shared :class:`~repro.simmpi.comm.SplitPlan` per split wave —
+  two int arrays, ``child_of[lrank]`` and ``rank_in_child[lrank]``, next
+  to the child worlds — so a split's column stays *uniform*.  No per-rank communicator object
   is ever stored: the four-slot :class:`BulkComm` is rebuilt from the
   plan on every replay, exactly as the root communicator is rebuilt by
   every execution.
@@ -42,7 +43,7 @@ stack, so cooperative scheduling is built on **memoized replay**:
 * a rank body runs until it hits a communication op whose result is not
   yet available (e.g. a barrier some ranks have not reached);
 * the op's deposit is recorded in the wave buffer, the rank is parked,
-  and its worker moves on to another rank;
+  and the loop moves on to another rank;
 * when the op completes, parked ranks re-run **from the top** — every
   communication op they already completed returns its column value
   instantly and with no side effects, so the body deterministically
@@ -66,7 +67,7 @@ parks on (roughly the program's collective depth), not by world size.
    re-suspend without touching any state, and the cleanup re-runs for
    real on replay.
 3. Busy-wait loops over ``iprobe()``/``Request.test()`` never yield the
-   worker; use blocking ``recv``/``wait`` instead.
+   loop; use blocking ``recv``/``wait`` instead.
 4. ``allgather``/``allreduce`` results are computed once and **shared**
    between ranks (the thread engine hands each rank a private copy);
    treat them as read-only.
@@ -89,6 +90,12 @@ Pass ``stats={}`` to :func:`run_spmd_bulk` (or ``engine_stats={}``
 through ``run_spmd``) to receive per-wave timing and replay counters —
 the raw material of the ``scale`` suite's phase breakdown.
 
+**Deadlock and stall.**  Deadlock is declared the moment the worklist is
+empty with ranks unfinished.  The ``timeout`` is a *stall* bound, checked
+where the loop regains control — on entry to a frontier op and when a
+body parks or returns: a rank body that held the loop longer than that
+fails every unfinished rank with "bulk engine stalled".
+
 **Lifetime contract.**  Everything a run creates dies with ``run_spmd``:
 program rows and their columns, in-flight waves, mailboxes and sub-worlds
 are reachable only through the engine, and :meth:`_BulkEngine.run` lets
@@ -103,13 +110,10 @@ immortal, and with it every file handle the run logged.
 
 from __future__ import annotations
 
-import threading
 import time
 from array import array
 from collections import deque
-from itertools import compress
-from operator import index
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -118,19 +122,15 @@ from repro.errors import (
     CommunicatorError,
     SimMPIError,
 )
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, COMM_NULL, _copy_payload, _fold
-
-
-def default_nworkers() -> int:
-    """Bounded pool size: enough to overlap I/O, few enough to stay cheap.
-
-    Thin re-export: the actual default lives in
-    :func:`repro.simmpi.runner.default_bulk_nworkers`, the single source
-    of truth the ``run_spmd`` docstring refers to.
-    """
-    from repro.simmpi.runner import default_bulk_nworkers
-
-    return default_bulk_nworkers()
+from repro.simmpi.comm import (
+    _ALL,
+    _NONE,
+    Comm,
+    SplitPlan,
+    _find_match,
+    _int64s,
+    group_split,
+)
 
 
 class _Suspend(BaseException):
@@ -144,6 +144,8 @@ class _Suspend(BaseException):
 # --------------------------------------------------------------------------
 # Opcode interning and program fingerprints.
 
+#: Op names are interned on first use; logs, waves and parked-on
+#: descriptors hold the small ints.
 _OP_NAMES: list[str] = []
 _OP_IDS: dict[str, int] = {}
 
@@ -155,23 +157,6 @@ def _opid(name: str) -> int:
         _OP_NAMES.append(name)
     return opid
 
-
-_OP_BARRIER = _opid("barrier")
-_OP_BCAST = _opid("bcast")
-_OP_GATHER = _opid("gather")
-_OP_ALLGATHER = _opid("allgather")
-_OP_GATHERV = _opid("gatherv")
-_OP_SCATTERV = _opid("scatterv")
-_OP_SCATTER = _opid("scatter")
-_OP_ALLTOALL = _opid("alltoall")
-_OP_REDUCE = _opid("reduce")
-_OP_ALLREDUCE = _opid("allreduce")
-_OP_SPLIT = _opid("split")
-_OP_SEND = _opid("send")
-_OP_RECV = _opid("recv")
-_OP_IPROBE = _opid("iprobe")
-_OP_TRYRECV = _opid("tryrecv")
-_OP_EXEC_ONCE = _opid("exec_once")
 
 #: FNV-1a-style running fingerprint of an op-id sequence, masked to stay
 #: a machine int.  Used by the uniform-program fast path: replays
@@ -211,7 +196,7 @@ class _Col:
         self.dense: Any = None
 
     def put(self, grank: int, value: Any, engine_size: int) -> None:
-        """Record ``value`` for ``grank`` (caller holds the program lock)."""
+        """Record ``value`` for ``grank``."""
         mode = self.mode
         if mode == 2:
             self.dense[grank] = value
@@ -231,15 +216,11 @@ class _Col:
             dense.fill(self.value)
             for g, v in exc.items():
                 dense[g] = v
-            # Publish dense before flipping the mode: lock-free readers
-            # observe either the old uniform view or the complete dense
-            # one (the exceptions dict is kept so a stale mode-1 read
-            # stays correct).
             self.dense = dense
             self.mode = 2
 
     def get(self, grank: int) -> Any:
-        """Logged value for ``grank`` (lock-free; replay hot path)."""
+        """Logged value for ``grank`` (replay hot path)."""
         mode = self.mode
         if mode == 1:
             exc = self.exc
@@ -310,7 +291,7 @@ class _Wave:
         "waiters", "nwaiters", "wake_root", "shared", "has_shared", "t0",
     )
 
-    def __init__(self, opid: int, size: int) -> None:
+    def __init__(self, opid: int, size: int, wake_root: int | None) -> None:
         self.opid = opid
         self.slots = np.empty(size, dtype=object)
         self.deposited = np.zeros(size, dtype=bool)
@@ -319,7 +300,7 @@ class _Wave:
         #: Parked global ranks, packed front-first; reset on every wake.
         self.waiters = np.empty(size, dtype=np.int32)
         self.nwaiters = 0
-        self.wake_root: int | None = None  # deposit by this lrank readies waiters
+        self.wake_root = wake_root  # deposit by this lrank readies waiters
         self.shared: Any = None  # once-computed shared result (allgather, ...)
         self.has_shared = False
         self.t0 = time.monotonic()
@@ -333,23 +314,6 @@ class _Mailbox:
     def __init__(self) -> None:
         self.messages: deque[tuple[int, int, Any]] = deque()
         self.waiters: set[int] = set()
-
-    def match(self, source: int, tag: int) -> tuple[int, int, Any] | None:
-        for i, (src, tg, _) in enumerate(self.messages):
-            if source not in (ANY_SOURCE, src):
-                continue
-            if tag not in (ANY_TAG, tg):
-                continue
-            msg = self.messages[i]
-            del self.messages[i]
-            return msg
-        return None
-
-    def probe(self, source: int, tag: int) -> bool:
-        return any(
-            source in (ANY_SOURCE, src) and tag in (ANY_TAG, tg)
-            for src, tg, _ in self.messages
-        )
 
 
 class _World:
@@ -382,35 +346,20 @@ class _World:
         return box
 
 
-class BulkComm:
-    """One rank's communicator handle under the bulk engine.
 
-    Implements the same surface as :class:`repro.simmpi.comm.Comm`; see the
-    module docstring for the few intentional semantic differences.
+class BulkComm(Comm):
+    """One rank's communicator handle under the bulk engine: the wave
+    buffer + park/replay transport behind :class:`repro.simmpi.comm.Comm`.
+    See the module docstring for the few intentional semantic differences.
     """
 
-    __slots__ = ("_world", "_engine", "_lrank", "_grank")
+    __slots__ = ("_group", "_engine", "_rank", "_grank")
 
     def __init__(self, world: _World, lrank: int) -> None:
-        self._world = world
+        self._group = world
         self._engine = world.engine
-        self._lrank = lrank
+        self._rank = lrank
         self._grank = world.granks[lrank]
-
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        """This task's rank within the communicator (0-based)."""
-        return self._lrank
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the communicator."""
-        return self._world.size
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<BulkComm rank={self._lrank} size={self._world.size}>"
 
     # -- replay machinery -------------------------------------------------
 
@@ -447,540 +396,167 @@ class BulkComm:
         """Record a completed frontier op in the (shared) program row."""
         engine = self._engine
         g = self._grank
-        with engine.proglock:
-            self._verify_frontier(ex)
-            prog, k = ex.prog, ex.cursor
-            if k < len(prog.ops):
-                if prog.ops[k] == opid:
-                    prog.cols[k].put(g, value, engine.size)
-                else:
-                    # This rank diverges from the row it shared: branch to
-                    # (or create) the child row for its op, sharing the
-                    # common-prefix columns by reference.
-                    child = prog.branches.get((k, opid))
-                    if child is None:
-                        fps = prog.fps[: k + 1]
-                        fps.append(_fp_step(fps[-1], opid))
-                        child = _Program(
-                            prog.ops[:k] + [opid], prog.cols[:k] + [_Col()], fps
-                        )
-                        prog.branches[(k, opid)] = child
-                    child.cols[k].put(g, value, engine.size)
-                    engine.progs[g] = ex.prog = child
+        self._verify_frontier(ex)
+        prog, k = ex.prog, ex.cursor
+        if k < len(prog.ops):
+            if prog.ops[k] == opid:
+                prog.cols[k].put(g, value, engine.size)
             else:
-                col = _Col()
-                col.put(g, value, engine.size)
-                prog.ops.append(opid)
-                prog.cols.append(col)
-                prog.fps.append(_fp_step(prog.fps[-1], opid))
-            engine.nops[g] = ex.nlogged = ex.cursor = k + 1
+                # This rank diverges from the row it shared: branch to
+                # (or create) the child row for its op, sharing the
+                # common-prefix columns by reference.
+                child = prog.branches.get((k, opid))
+                if child is None:
+                    fps = prog.fps[: k + 1]
+                    fps.append(_fp_step(fps[-1], opid))
+                    child = _Program(
+                        prog.ops[:k] + [opid], prog.cols[:k] + [_Col()], fps
+                    )
+                    prog.branches[(k, opid)] = child
+                child.cols[k].put(g, value, engine.size)
+                engine.progs[g] = ex.prog = child
+        else:
+            col = _Col()
+            col.put(g, value, engine.size)
+            prog.ops.append(opid)
+            prog.cols.append(col)
+            prog.fps.append(_fp_step(prog.fps[-1], opid))
+        engine.nops[g] = ex.nlogged = ex.cursor = k + 1
         return value
 
-    def _op(self, opid: int, frontier: Callable[[], Any]) -> Any:
-        """Replay a logged op or execute ``frontier`` exactly once."""
+    def _once(self, opname: str, fn: Callable[[], Any]) -> Any:
+        """Replay a logged op or execute ``fn`` exactly once.
+
+        Whether a rank has executed its op is exactly ``nops[rank] >
+        position`` — the shared program's op count doubles as the
+        exec-once bitmap.
+        """
         engine = self._engine
         ex = engine.execs[self._grank]
         if ex.suspending:
             raise _Suspend()
+        opid = _opid(opname)
         if ex.cursor < ex.nlogged:
             return self._replay(ex, opid)
-        if engine.aborted:
-            raise SimMPIError("communicator aborted (another rank failed)")
-        return self._advance(ex, opid, frontier())
+        engine.enter_frontier(self._grank)
+        before = ex.cursor
+        value = fn()
+        if ex.cursor != before:
+            raise SimMPIError("exec_once callable must not perform communication")
+        return self._advance(ex, opid, value)
 
-    def _collective(
+    def _exchange(
         self,
-        opid: int,
-        deposit: Any,
-        ready: Callable[[_Wave], bool],
-        result: Callable[[_Wave], Any],
-        wake_root: int | None = None,
-        copy: bool = True,
+        opname: str,
+        value: Any,
+        frame: Callable[[Any], Any],
+        needs: int,
+        read: Callable[[Any], Any],
+        shared: bool = False,
     ) -> Any:
+        """Deposit into the frontier wave; park until ``needs`` is met.
+
+        The one transport that honours the readiness hint — a bcast
+        returns at the root immediately, a gather blocks only the root —
+        and the ``shared`` permission: an allgather list, an allreduce
+        fold and a split plan are computed once per wave and handed to
+        every rank, which keeps their log columns uniform.
+        """
         engine = self._engine
         g = self._grank
         ex = engine.execs[g]
         if ex.suspending:
             raise _Suspend()
+        opid = _opid(opname)
         if ex.cursor < ex.nlogged:
-            # Replay fast path: no lock, no deposit copy.
+            # Replay fast path: no deposit, no copy.
             return self._replay(ex, opid)
-        world, lr = self._world, self._lrank
-        with engine.cond:
-            if engine.aborted:
-                raise SimMPIError("communicator aborted (another rank failed)")
-            k = world.consumed[lr]
-            wave = world.waves.get(k)
-            if wave is None:
-                wave = world.waves[k] = _Wave(opid, world.size)
-                wave.wake_root = wake_root
-            if wave.opid != opid:
-                engine.abort()
-                raise CollectiveMismatchError(
-                    "ranks disagree on collective operation: "
-                    f"{sorted((_OP_NAMES[wave.opid], _OP_NAMES[opid]))}"
-                )
-            if not wave.deposited[lr]:
-                wave.deposited[lr] = True
-                wave.slots[lr] = _copy_payload(deposit) if copy else deposit
-                wave.filled += 1
-                engine.last_progress = time.monotonic()
-                if wave.filled == world.size or lr == wave.wake_root:
-                    engine.wake_wave(wave)
-            if not ready(wave):
-                nw = wave.nwaiters
-                wave.waiters[nw] = g
-                wave.nwaiters = nw + 1
-                engine.park_collective(g, opid, k, world.size)
-                ex.suspending = True
-                raise _Suspend()
-            value = result(wave)
-            world.consumed[lr] = k + 1
-            wave.consumed += 1
-            if wave.consumed == world.size:
-                del world.waves[k]
-                engine.note_wave_done(world, wave)
-                if k == 0:
-                    engine.maybe_mark_uniform(world)
+        engine.enter_frontier(g)
+        world, lr = self._group, self._rank
+        k = world.consumed[lr]
+        wave = world.waves.get(k)
+        if wave is None:
+            # A deposit by the one rank everybody needs readies the waiters.
+            wave = world.waves[k] = _Wave(opid, world.size, needs if needs >= 0 else None)
+        if wave.opid != opid:
+            engine.aborted = True
+            raise CollectiveMismatchError(
+                "ranks disagree on collective operation: "
+                f"{sorted((_OP_NAMES[wave.opid], opname))}"
+            )
+        if not wave.deposited[lr]:
+            wave.deposited[lr] = True
+            wave.slots[lr] = frame(value)
+            wave.filled += 1
+            if wave.filled == world.size or lr == wave.wake_root:
+                engine.wake_wave(wave)
+        if not (
+            wave.filled == world.size if needs == _ALL
+            else needs == _NONE or wave.deposited[needs]
+        ):
+            nw = wave.nwaiters
+            wave.waiters[nw] = g
+            wave.nwaiters = nw + 1
+            engine.park_collective(g, opid, k, world.size)
+            ex.suspending = True
+            raise _Suspend()
+        if not shared:
+            value = read(wave.slots)
+        else:
+            if not wave.has_shared:
+                wave.shared = read(wave.slots)
+                wave.has_shared = True
+            value = wave.shared
+        world.consumed[lr] = k + 1
+        wave.consumed += 1
+        if wave.consumed == world.size:
+            del world.waves[k]
+            engine.note_wave_done(world, wave)
+            if k == 0:
+                engine.maybe_mark_uniform(world)
         return self._advance(ex, opid, value)
 
-    # -- collectives ------------------------------------------------------
+    def _split_groups(self, deposits: np.ndarray) -> tuple[SplitPlan, list[_World]]:
+        """Child worlds of a completed split wave.
 
-    def barrier(self) -> None:
-        """Block until every rank of the communicator has entered."""
-        self._collective(_OP_BARRIER, None, _ready_all, _result_none)
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        """Broadcast ``value`` from ``root`` to every rank; returns it."""
-        self._check_root(root)
-        deposit = value if self._lrank == root else None
-        return self._collective(
-            _OP_BCAST,
-            deposit,
-            lambda wave: bool(wave.deposited[root]),
-            lambda wave: wave.slots[root],
-            wake_root=root,
-        )
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        """Gather one value per rank at ``root`` (``None`` elsewhere)."""
-        self._check_root(root)
-        if self._lrank == root:
-            return self._collective(
-                _OP_GATHER, value, _ready_all, _slots_list
-            )
-        return self._collective(_OP_GATHER, value, _ready_always, _result_none)
-
-    def allgather(self, value: Any) -> list[Any]:
-        """Gather one value per rank; every rank gets the (shared) list."""
-        return self._collective(_OP_ALLGATHER, value, _ready_all, _shared_list)
-
-    def gatherv(self, fragments: Sequence[Any], root: int = 0) -> list[tuple[Any, ...]] | None:
-        """Gather a variable-length fragment sequence per rank at ``root``.
-
-        Same contract as :meth:`repro.simmpi.comm.Comm.gatherv`: fragments
-        are snapshotted per the payload contract at deposit, only the root
-        blocks (MPI-relaxed readiness), and the result replays on body
-        re-execution like every collective.
+        Every member logs the same ``(plan, worlds)`` object, so the
+        column stays uniform; the communicator itself is rebuilt from it
+        on each replay.
         """
-        self._check_root(root)
-        # Tuples travel by reference through _copy_payload, so snapshot
-        # each fragment explicitly before depositing (copy=False below).
-        deposit = tuple(_copy_payload(f) for f in fragments)
-        if self._lrank == root:
-            return self._collective(
-                _OP_GATHERV, deposit, _ready_all, _slots_list, copy=False
-            )
-        return self._collective(
-            _OP_GATHERV, deposit, _ready_always, _result_none, copy=False
-        )
-
-    def scatterv(
-        self, values: Sequence[Sequence[Any]] | None, root: int = 0
-    ) -> tuple[Any, ...]:
-        """Scatter one variable-length fragment sequence to each rank.
-
-        Mirror of :meth:`gatherv`; non-root ranks only wait for the
-        root's deposit, as real MPI allows.
-        """
-        self._check_root(root)
-        if self._lrank == root:
-            if values is None or len(values) != self.size:
-                self._engine.abort()
-                raise CommunicatorError(
-                    "scatterv requires exactly one fragment sequence per rank "
-                    "at the root"
-                )
-            deposit = [tuple(_copy_payload(f) for f in seq) for seq in values]
-            return self._collective(
-                _OP_SCATTERV, deposit, _ready_always,
-                lambda wave: wave.slots[root][root],
-                wake_root=root, copy=False,
-            )
-        lr = self._lrank
-        return self._collective(
-            _OP_SCATTERV, None,
-            lambda wave: bool(wave.deposited[root]),
-            lambda wave: wave.slots[root][lr],
-            wake_root=root,
-        )
-
-    def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter ``len == size`` values from ``root``; each rank gets one."""
-        self._check_root(root)
-        if self._lrank == root:
-            if values is None or len(values) != self.size:
-                self._engine.abort()
-                raise CommunicatorError(
-                    "scatter requires exactly one value per rank at the root"
-                )
-            deposit = [_copy_payload(v) for v in values]
-            return self._collective(
-                _OP_SCATTER, deposit, _ready_always,
-                lambda wave: wave.slots[root][root],
-                wake_root=root, copy=False,
-            )
-        lr = self._lrank
-        return self._collective(
-            _OP_SCATTER, None,
-            lambda wave: bool(wave.deposited[root]),
-            lambda wave: wave.slots[root][lr],
-            wake_root=root,
-        )
-
-    def alltoall(self, values: Sequence[Any]) -> list[Any]:
-        """Each rank provides one value per destination; returns its column."""
-        if len(values) != self.size:
-            self._engine.abort()
-            raise CommunicatorError("alltoall requires exactly one value per rank")
-        lr = self._lrank
-        return self._collective(
-            _OP_ALLTOALL,
-            [_copy_payload(v) for v in values],
-            _ready_all,
-            lambda wave: [wave.slots[src][lr] for src in range(len(wave.slots))],
-            copy=False,
-        )
-
-    def reduce(
-        self,
-        value: Any,
-        op: Callable[[Any, Any], Any] | None = None,
-        root: int = 0,
-    ) -> Any | None:
-        """Reduce one value per rank at ``root`` (default op: ``+``)."""
-        self._check_root(root)
-        if self._lrank == root:
-            return self._collective(
-                _OP_REDUCE, value, _ready_all,
-                lambda wave: _fold(list(wave.slots), op),
-            )
-        return self._collective(_OP_REDUCE, value, _ready_always, _result_none)
-
-    def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
-        """Reduce one value per rank; the (shared) result on every rank."""
-
-        def shared_fold(wave: _Wave) -> Any:
-            if not wave.has_shared:
-                wave.shared = _fold(list(wave.slots), op)
-                wave.has_shared = True
-            return wave.shared
-
-        return self._collective(_OP_ALLREDUCE, value, _ready_all, shared_fold)
-
-    # -- point to point ---------------------------------------------------
-
-    def send(self, value: Any, dest: int, tag: int = 0) -> None:
-        """Send ``value`` to rank ``dest`` (asynchronous, buffered)."""
-        if not 0 <= dest < self.size:
-            raise CommunicatorError(f"dest {dest} out of range for size {self.size}")
-        if tag < 0:
-            raise CommunicatorError("tags must be non-negative")
-        world, lr = self._world, self._lrank
-        engine = self._engine
-
-        def frontier() -> None:
-            with engine.cond:
-                box = world.mailbox(dest)
-                box.messages.append((lr, tag, _copy_payload(value)))
-                engine.wake(box.waiters)
-            return None
-
-        return self._op(_OP_SEND, frontier)
-
-    def recv(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, return_status: bool = False
-    ) -> Any:
-        """Receive a message; parks this rank until a matching one arrives.
-
-        With ``return_status=True`` returns ``(value, source, tag)``.
-        """
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise CommunicatorError(f"source {source} out of range")
-        world, lr = self._world, self._lrank
-        engine = self._engine
-
-        def frontier() -> Any:
-            with engine.cond:
-                if engine.aborted:
-                    raise SimMPIError("communicator aborted (another rank failed)")
-                box = world.mailbox(lr)
-                hit = box.match(source, tag)
-                if hit is None:
-                    box.waiters.add(self._grank)
-                    engine.park_recv(self._grank, source, tag)
-                    engine.execs[self._grank].suspending = True
-                    raise _Suspend()
-                return hit
-
-        src, tg, payload = self._op(_OP_RECV, frontier)
-        if return_status:
-            return payload, src, tg
-        return payload
-
-    def sendrecv(
-        self, value: Any, dest: int, source: int = ANY_SOURCE, tag: int = 0
-    ) -> Any:
-        """Combined send and receive (deadlock-free shift pattern)."""
-        self.send(value, dest, tag)
-        return self.recv(source, tag)
-
-    def isend(self, value: Any, dest: int, tag: int = 0) -> "BulkRequest":
-        """Non-blocking send.  Buffered, so it completes immediately."""
-        self.send(value, dest, tag)
-        req = BulkRequest(self, None, None)
-        req._done = True
-        return req
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "BulkRequest":
-        """Non-blocking receive; complete it with ``wait()`` or ``test()``."""
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise CommunicatorError(f"source {source} out of range")
-        return BulkRequest(self, source, tag)
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True if a matching message is already waiting (not consumed).
-
-        The probe is an op: its outcome is logged and replayed.  Spinning
-        on ``iprobe`` without an intervening blocking op never yields the
-        worker — use ``recv`` to wait.
-        """
-        world, lr = self._world, self._lrank
-        engine = self._engine
-
-        def frontier() -> bool:
-            with engine.cond:
-                return world.mailbox(lr).probe(source, tag)
-
-        return self._op(_OP_IPROBE, frontier)
-
-    # -- communicator management ------------------------------------------
-
-    def split(self, color: int | None, key: int = 0) -> "BulkComm | None":
-        """Partition by ``color``; subgroup ranks ordered by ``(key, rank)``."""
-        world, lr = self._world, self._lrank
-
-        def shared_plan(wave: _Wave) -> _SplitPlan:
-            if not wave.has_shared:
-                wave.shared = _split_plan(world, wave.slots)
-                wave.has_shared = True
-            return wave.shared
-
-        # Every member logs the same plan object, so the column stays
-        # uniform; the communicator itself is rebuilt on each replay.
-        plan = self._collective(_OP_SPLIT, (color, key), _ready_all, shared_plan)
-        child = plan.child_of[lr]
-        if child < 0:
-            return COMM_NULL
-        return BulkComm(plan.worlds[child], plan.rank_in_child[lr])
-
-    def dup(self) -> "BulkComm":
-        """Duplicate the communicator (fresh synchronization context)."""
-        comm = self.split(color=0, key=self._lrank)
-        assert comm is not None
-        return comm
-
-    def subworld(self, size: int) -> "BulkComm | None":
-        """Communicator over ranks ``[0, size)``; ``COMM_NULL`` elsewhere.
-
-        Same contract as :meth:`repro.simmpi.comm.Comm.subworld` — the
-        sub-world sizing hook for partitioned readers.
-        """
-        if not 1 <= size <= self.size:
-            raise CommunicatorError(
-                f"subworld size {size} out of range for {self.size} ranks"
-            )
-        return self.split(color=0 if self._lrank < size else None, key=self._lrank)
-
-    def exec_once(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` exactly once for this rank; replays return its result.
-
-        The bulk-engine escape hatch for non-idempotent side effects: on
-        replay the column value is returned and ``fn`` is not called.
-        Whether a rank has executed its op is exactly ``nops[rank] >
-        position`` — the shared program's op count doubles as the
-        exec-once bitmap.  ``fn`` must not perform communication — a
-        skipped replay would desynchronize the op log (checked).
-        """
-        engine = self._engine
-
-        def frontier() -> Any:
-            ex = engine.execs[self._grank]
-            before = ex.cursor
-            value = fn()
-            if ex.cursor != before:
-                raise SimMPIError(
-                    "exec_once callable must not perform communication"
-                )
-            return value
-
-        return self._op(_OP_EXEC_ONCE, frontier)
-
-    def abort(self) -> None:
-        """Abort the whole bulk world, failing every unfinished rank."""
-        engine = self._engine
-        with engine.cond:
-            engine.abort()
-
-    # -- internals ---------------------------------------------------------
-
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.size:
-            raise CommunicatorError(f"root {root} out of range for size {self.size}")
-
-
-def _ready_all(wave: _Wave) -> bool:
-    return wave.filled == len(wave.slots)
-
-
-def _ready_always(wave: _Wave) -> bool:
-    return True
-
-
-def _result_none(wave: _Wave) -> None:
-    return None
-
-
-def _slots_list(wave: _Wave) -> list[Any]:
-    """Root's gather/gatherv result: the wave buffer as a plain list."""
-    return list(wave.slots)
-
-
-def _shared_list(wave: _Wave) -> list[Any]:
-    """Shared allgather result (computed once, handed to every rank)."""
-    if not wave.has_shared:
-        wave.shared = list(wave.slots)
-        wave.has_shared = True
-    return wave.shared
-
-
-class _SplitPlan(NamedTuple):
-    """Outcome of one split wave, shared by every rank of the parent world.
-
-    ``worlds`` is the child-world table; parent local rank ``lr`` became
-    rank ``rank_in_child[lr]`` of ``worlds[child_of[lr]]``, or got
-    ``COMM_NULL`` where ``child_of[lr]`` is -1 (``color=None``).
-    """
-
-    worlds: list[_World]
-    child_of: array
-    rank_in_child: array
-
-
-def _int64s(values: np.ndarray) -> array:
-    """An int64 ndarray as an ``array``: indexing it yields python ints."""
-    return array("q", values.astype(np.int64, copy=False).tobytes())
-
-
-def _split_plan(world: _World, slots: np.ndarray) -> _SplitPlan:
-    """Group a completed split wave's ``(color, key)`` deposits.
-
-    One stable sort on ``(color, key)`` over the members in old-rank
-    order — so ties fall back to the old rank — replaces per-rank tuples
-    and an n-entry dict; children are numbered by ascending color.
-    """
-    n = len(slots)
-    colors, keys = zip(*slots)
-    member = [c is not None for c in colors]
-    old = np.flatnonzero(member)
-    if len(old) < n:
-        colors, keys = compress(colors, member), compress(keys, member)
-    try:
-        color = np.fromiter(map(index, colors), np.int64, len(old))
-        key = np.fromiter(map(index, keys), np.int64, len(old))
-    except (TypeError, OverflowError) as exc:
-        raise CommunicatorError(f"split failed: {exc!r}") from exc
-    order = np.lexsort((key, color))
-    color, old = color[order], old[order]
-    # ``color`` is sorted: each child is one run, ``starts`` its first slot.
-    _, starts, child = np.unique(color, return_index=True, return_inverse=True)
-    child_of = np.full(n, -1, dtype=np.int64)
-    child_of[old] = child
-    rank_in_child = np.zeros(n, dtype=np.int64)
-    rank_in_child[old] = np.arange(len(old)) - starts[child]
-    parent = world.granks
-    granks = old if isinstance(parent, range) else np.frombuffer(parent, np.int64)[old]
-    bounds = [*starts.tolist(), len(old)]
-    worlds = [
-        _World(world.engine, _int64s(granks[a:b]))
-        for a, b in zip(bounds, bounds[1:])
-    ]
-    return _SplitPlan(worlds, _int64s(child_of), _int64s(rank_in_child))
-
-
-class BulkRequest:
-    """Handle for a pending non-blocking operation (bulk engine)."""
-
-    def __init__(self, comm: BulkComm, source: int | None, tag: int | None) -> None:
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = False
-        self._value: Any = None
-
-    @property
-    def completed(self) -> bool:
-        """True once the operation has finished (after wait/test success)."""
-        return self._done
-
-    def test(self) -> tuple[bool, Any]:
-        """Non-blocking completion check: ``(done, value_or_None)``.
-
-        Each call is an op whose outcome is logged; see ``iprobe`` for the
-        busy-wait caveat.
-        """
-        if self._done:
-            return True, self._value
-        comm = self._comm
-        world, lr = comm._world, comm._lrank
-        engine = comm._engine
-        source = self._source if self._source is not None else ANY_SOURCE
-        tag = self._tag if self._tag is not None else ANY_TAG
-
-        def frontier() -> tuple[bool, Any]:
-            with engine.cond:
-                hit = world.mailbox(lr).match(source, tag)
-                if hit is None:
-                    return False, None
-                return True, hit[2]
-
-        done, payload = comm._op(_OP_TRYRECV, frontier)
-        if done:
-            self._done = True
-            self._value = payload
-        return done, payload
-
-    def wait(self) -> Any:
-        """Park until completion; returns the received value (sends: None)."""
-        if self._done:
-            return self._value
-        value = self._comm.recv(
-            self._source if self._source is not None else ANY_SOURCE,
-            self._tag if self._tag is not None else ANY_TAG,
-        )
-        self._value = value
-        self._done = True
-        return value
+        plan = group_split(deposits)
+        world = self._group
+        granks = plan.members  # of the root world: local rank == global rank
+        if not isinstance(world.granks, range):
+            table = np.frombuffer(world.granks, np.int64)
+            granks = [table[m] for m in plan.members]
+        worlds = [_World(world.engine, _int64s(g)) for g in granks]
+        return plan, worlds
+
+    def _post(self, dest: int, tag: int, payload: Any) -> None:
+        box = self._group.mailbox(dest)
+        box.messages.append((self._rank, tag, payload))
+        self._engine.wake(box.waiters)
+
+    def _match(self, source: int, tag: int, block: bool) -> tuple[int, int, Any] | None:
+        box = self._group.mailbox(self._rank)
+        i = _find_match(box.messages, source, tag)
+        if i is not None:
+            msg = box.messages[i]
+            del box.messages[i]
+            return msg
+        if block:
+            engine, g = self._engine, self._grank
+            box.waiters.add(g)
+            engine.park_recv(g, source, tag)
+            engine.execs[g].suspending = True
+            raise _Suspend()
+        return None
+
+    def _probe(self, source: int, tag: int) -> bool:
+        return _find_match(self._group.mailbox(self._rank).messages, source, tag) is not None
+
+    def _abort(self) -> None:
+        self._engine.aborted = True
 
 
 #: Waiter batches below this size wake with a plain loop; above it, the
@@ -992,12 +568,13 @@ _WAVE_LOG_CAP = 4096
 
 
 class _BulkEngine:
-    """Worklist scheduler executing logical ranks on a bounded pool.
+    """Worklist scheduler executing logical ranks, one at a time, on the
+    calling thread.
 
     All persistent per-rank state is packed into flat arrays (program
     row refs, op counts, scheduler flags, parked-on descriptors); the
     only per-rank python objects are the transient :class:`_Exec` of the
-    ranks currently on a worker and whatever the rank bodies themselves
+    rank currently executing and whatever the rank bodies themselves
     allocate.
     """
 
@@ -1008,7 +585,6 @@ class _BulkEngine:
         args: tuple,
         kwargs: dict,
         timeout: float | None,
-        nworkers: int | None,
         stats: dict | None = None,
     ) -> None:
         if nprocs < 1:
@@ -1019,18 +595,13 @@ class _BulkEngine:
         self.kwargs = kwargs
         self.timeout = timeout
         self.stats = stats
-        #: Monotonic time of the last scheduler progress (op completion,
-        #: wake, rank finishing).  The timeout is a *stall* bound — it
-        #: fires only when nothing has advanced for ``timeout`` seconds,
-        #: matching the thread engine's per-wait semantics rather than
-        #: capping healthy long runs.
+        #: Monotonic time at which the scheduler last had control (a rank
+        #: entered a frontier op, parked or returned).  The timeout is a
+        #: *stall* bound — it fires only when a rank body has held the
+        #: loop for more than ``timeout`` seconds, matching the thread
+        #: engine's per-wait semantics rather than capping healthy long
+        #: runs.
         self.last_progress = time.monotonic()
-        self.nworkers = max(1, nworkers if nworkers is not None else default_nworkers())
-        self.cond = threading.Condition()
-        #: Guards program rows, columns and the ``progs``/``nops`` arrays.
-        #: Leaf lock: may be taken while holding ``cond``, never the
-        #: reverse.  Replay reads are lock-free (GIL-ordered stores).
-        self.proglock = threading.Lock()
 
         # Flat per-rank state: one shared program row at the start, zero
         # logged ops, every rank runnable and parked on "start".
@@ -1044,12 +615,8 @@ class _BulkEngine:
         # views — same memory.
         self.done_b = bytearray(nprocs)
         self.queued_b = bytearray(b"\x01" * nprocs)
-        self.running_b = bytearray(nprocs)
-        self.rewake_b = bytearray(nprocs)
         self.done_v = np.frombuffer(self.done_b, dtype=np.bool_)
         self.queued_v = np.frombuffer(self.queued_b, dtype=np.bool_)
-        self.running_v = np.frombuffer(self.running_b, dtype=np.bool_)
-        self.rewake_v = np.frombuffer(self.rewake_b, dtype=np.bool_)
 
         # Parked-on descriptors, packed; formatted lazily by
         # ``_parked_desc`` only when a stuck world is reported.
@@ -1065,64 +632,41 @@ class _BulkEngine:
         self.results: list[Any] = [None] * nprocs
         self.failures: dict[int, BaseException] = {}
         self.ndone = 0
-        self.active = 0
         self.aborted = False
-        self.finished = False
         self.timed_out = False
 
         # Stats counters (satellite telemetry, no hot-path cost beyond
         # the per-wave append).
         self.nexecs = 0
-        self.nprograms = 1
         self.wave_log: list[tuple[int, str, float, float]] = []
         self.wave_log_dropped = 0
 
-    # -- scheduler state transitions (call with ``self.cond`` held) --------
+    # -- scheduler state transitions ---------------------------------------
+
+    def _enqueue(self, grank: int) -> None:
+        if not (self.done_b[grank] or self.queued_b[grank]):
+            self.queued_b[grank] = 1
+            self.runnable.append(grank)
 
     def wake(self, waiters: set[int]) -> None:
-        """Move parked ranks back onto the run queue (or defer: a rank
-        whose previous execution is still unwinding re-queues when its
-        worker releases it).  Set-based path for mailbox waiters."""
-        if not waiters:
-            return
-        self.last_progress = time.monotonic()
+        """Move parked ranks back onto the run queue.  Set-based path for
+        mailbox waiters."""
         for grank in waiters:
-            if self.done_b[grank] or self.queued_b[grank]:
-                continue
-            if self.running_b[grank]:
-                self.rewake_b[grank] = 1
-            else:
-                self.queued_b[grank] = 1
-                self.runnable.append(grank)
+            self._enqueue(grank)
         waiters.clear()
-        self.cond.notify_all()
 
     def wake_wave(self, wave: _Wave) -> None:
         """Wake a wave's parked ranks — vectorized over the flag views."""
         nw = wave.nwaiters
-        if nw == 0:
-            return
         wave.nwaiters = 0
-        self.last_progress = time.monotonic()
         if nw < _WAKE_VECTOR_MIN:
-            for i in range(nw):
-                grank = int(wave.waiters[i])
-                if self.done_b[grank] or self.queued_b[grank]:
-                    continue
-                if self.running_b[grank]:
-                    self.rewake_b[grank] = 1
-                else:
-                    self.queued_b[grank] = 1
-                    self.runnable.append(grank)
+            for grank in wave.waiters[:nw].tolist():
+                self._enqueue(grank)
         else:
             w = wave.waiters[:nw]
-            w = w[~(self.done_v[w] | self.queued_v[w])]
-            running = self.running_v[w]
-            self.rewake_v[w[running]] = True
-            go = w[~running]
+            go = w[~(self.done_v[w] | self.queued_v[w])]
             self.queued_v[go] = True
             self.runnable.extend(go.tolist())
-        self.cond.notify_all()
 
     def park_collective(self, grank: int, opid: int, k: int, wsize: int) -> None:
         self.parked_kind[grank] = 1
@@ -1163,56 +707,57 @@ class _BulkEngine:
         opcode compares.  Ranks that later diverge simply branch to
         unflagged child rows — the flag never needs revoking.
         """
-        with self.proglock:
-            progs = self.progs
-            first = progs[world.granks[0]]
-            for lr in range(1, world.size):
-                if progs[world.granks[lr]] is not first:
-                    return
-            first.uniform = True
+        progs = self.progs
+        first = progs[world.granks[0]]
+        for lr in range(1, world.size):
+            if progs[world.granks[lr]] is not first:
+                return
+        first.uniform = True
 
-    def abort(self) -> None:
-        # The condition wraps an RLock, so this is safe both from worker
-        # context (lock already held) and from plain rank code.
-        with self.cond:
-            self.aborted = True
-            self.cond.notify_all()
+    def stalled(self) -> bool:
+        """Check the stall bound; called where the loop regains control —
+        on entry to a frontier op and when a body parks or returns."""
+        now = time.monotonic()
+        if self.timeout is not None and now - self.last_progress > self.timeout:
+            self.timed_out = self.aborted = True
+            return True
+        self.last_progress = now
+        return False
+
+    def enter_frontier(self, grank: int) -> None:
+        """Gate of every op that is about to execute rather than replay."""
+        if self.aborted:
+            raise SimMPIError("communicator aborted (another rank failed)")
+        if self.stalled():
+            raise self.stuck_error(grank)
+
+    def stuck_error(self, grank: int) -> SimMPIError:
+        """Why an unfinished rank can no longer finish."""
+        if self.timed_out:
+            return SimMPIError(
+                f"bulk engine stalled: no scheduler progress for "
+                f"{self.timeout}s while rank {grank} was parked on "
+                f"{self._parked_desc(grank)}; raise REPRO_SPMD_TIMEOUT "
+                "if the machine is genuinely this slow"
+            )
+        if self.aborted:
+            return SimMPIError("communicator aborted (another rank failed)")
+        return SimMPIError(
+            f"deadlock: rank {grank} is parked on "
+            f"{self._parked_desc(grank)} and no other rank can "
+            "complete it"
+        )
 
     def _finish_rank(self, grank: int, result: Any) -> None:
         self.done_b[grank] = 1
         self.results[grank] = result
         self.ndone += 1
-        self.last_progress = time.monotonic()
 
     def _fail_rank(self, grank: int, exc: BaseException) -> None:
         self.done_b[grank] = 1
         self.failures[grank] = exc
         self.ndone += 1
         self.aborted = True
-
-    def _declare_stuck(self) -> None:
-        """No runnable rank, no active worker, ranks unfinished: fail them."""
-        for grank in range(self.size):
-            if self.done_b[grank]:
-                continue
-            if self.timed_out:
-                exc: BaseException = SimMPIError(
-                    f"bulk engine stalled: no scheduler progress for "
-                    f"{self.timeout}s while rank {grank} was parked on "
-                    f"{self._parked_desc(grank)}; raise REPRO_SPMD_TIMEOUT "
-                    "if the machine is genuinely this slow"
-                )
-            elif self.aborted:
-                exc = SimMPIError("communicator aborted (another rank failed)")
-            else:
-                exc = SimMPIError(
-                    f"deadlock: rank {grank} is parked on "
-                    f"{self._parked_desc(grank)} and no other rank can "
-                    "complete it"
-                )
-            self._fail_rank(grank, exc)
-        self.finished = True
-        self.cond.notify_all()
 
     # -- execution ---------------------------------------------------------
 
@@ -1226,15 +771,11 @@ class _BulkEngine:
         except _Suspend:
             return
         except BaseException as exc:  # noqa: BLE001 - fanned out to caller
-            with self.cond:
-                self._fail_rank(grank, exc)
-                self.cond.notify_all()
+            self._fail_rank(grank, exc)
             return
         finally:
             self.execs[grank] = None
-        with self.cond:
-            self._finish_rank(grank, result)
-            self.cond.notify_all()
+        self._finish_rank(grank, result)
 
     def _check_completed_replay(self, ex: _Exec, grank: int) -> None:
         """Deferred replay verification when a body returns mid-replay.
@@ -1257,58 +798,22 @@ class _BulkEngine:
                 "mismatch); bulk-engine programs must be deterministic"
             )
 
-    def _worker(self) -> None:
-        while True:
-            with self.cond:
-                grank = None
-                while grank is None:
-                    if self.finished or self.ndone >= self.size:
-                        self.finished = True
-                        self.cond.notify_all()
-                        return
-                    if self.aborted and self.active == 0:
-                        self._declare_stuck()
-                        return
-                    if self.runnable and not self.aborted:
-                        grank = self.runnable.popleft()
-                        self.queued_b[grank] = 0
-                        if self.done_b[grank]:
-                            grank = None
-                            continue
-                        self.running_b[grank] = 1
-                        self.active += 1
-                        break
-                    if self.active == 0 and not self.runnable:
-                        self._declare_stuck()
-                        return
-                    remaining = None
-                    if self.timeout is not None:
-                        remaining = self.last_progress + self.timeout - time.monotonic()
-                        if remaining <= 0:
-                            if not self.timed_out:
-                                self.timed_out = True
-                                self.aborted = True
-                                self.cond.notify_all()
-                            if self.active == 0:
-                                self._declare_stuck()
-                                return
-                            # A worker is still executing a rank body; it
-                            # will fail at its next op and notify.  Wait —
-                            # spinning here would hold the condition lock
-                            # and starve that worker.
-                            remaining = 0.05
-                    self.cond.wait(timeout=remaining)
-            self._execute(grank)
-            with self.cond:
+    def _loop(self) -> None:
+        """Run the worklist dry.  Deadlock is declared the moment it is
+        empty with ranks unfinished; an abort or a stall fails them too."""
+        runnable = self.runnable
+        while self.ndone < self.size:
+            if self.aborted or not runnable:
+                for grank in range(self.size):
+                    if not self.done_b[grank]:
+                        self._fail_rank(grank, self.stuck_error(grank))
+                return
+            grank = runnable.popleft()
+            self.queued_b[grank] = 0
+            if not self.done_b[grank]:
+                self._execute(grank)
                 self.nexecs += 1
-                self.running_b[grank] = 0
-                self.active -= 1
-                if self.rewake_b[grank]:
-                    self.rewake_b[grank] = 0
-                    if not self.done_b[grank] and not self.queued_b[grank]:
-                        self.queued_b[grank] = 1
-                        self.runnable.append(grank)
-                self.cond.notify_all()
+                self.stalled()
 
     def _fill_stats(self) -> None:
         stats = self.stats
@@ -1332,9 +837,6 @@ class _BulkEngine:
         the caller handed in or was handed, which may hold communicators)
         leaves no cycle through the engine for a collector to find.
         """
-        with self.cond:
-            # A worker cut off by an interrupt fails its rank at its next op.
-            self.aborted = self.finished = True
         for world in self.worlds:
             world.waves.clear()
             world._mailboxes.clear()
@@ -1347,20 +849,7 @@ class _BulkEngine:
 
     def run(self) -> list[Any]:
         try:
-            nworkers = min(self.nworkers, self.size)
-            if nworkers == 1:
-                self._worker()
-            else:
-                threads = [
-                    threading.Thread(
-                        target=self._worker, name=f"bulk-worker-{i}", daemon=True
-                    )
-                    for i in range(nworkers)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
+            self._loop()
             self._fill_stats()
             if self.failures:
                 from repro.simmpi.runner import spmd_failure_error
@@ -1384,11 +873,14 @@ def run_spmd_bulk(
 
     Same result contract as :func:`repro.simmpi.runner.run_spmd`; see the
     module docstring for the bulk-engine program contract.  Usually invoked
-    as ``run_spmd(..., engine="bulk")``.  If ``stats`` is a dict it is
+    as ``run_spmd(..., engine="bulk")``.  ``nworkers`` is accepted and
+    ignored: the engine has no worker pool (ranks run one at a time on the
+    calling thread), and the keyword stays only so that callers written
+    for the pool keep working.  If ``stats`` is a dict it is
     filled with engine telemetry on return: ``executions`` (total body
     runs, replay multiplier included), ``programs``/``uniform_programs``
     (shared op-log rows), and ``waves`` — up to ``_WAVE_LOG_CAP``
     ``(world_size, opname, t_created, t_completed)`` tuples the scale
     suite turns into its per-phase breakdown.
     """
-    return _BulkEngine(nprocs, fn, args, kwargs, timeout, nworkers, stats).run()
+    return _BulkEngine(nprocs, fn, args, kwargs, timeout, stats).run()

@@ -83,7 +83,7 @@ import time
 import traceback
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.backends.instrument import snapshot_live_stats, stats_deltas
 from repro.errors import (
@@ -91,13 +91,7 @@ from repro.errors import (
     CommunicatorError,
     SimMPIError,
 )
-from repro.simmpi.comm import (
-    ANY_SOURCE,
-    ANY_TAG,
-    COMM_NULL,
-    _copy_payload,
-    _fold,
-)
+from repro.simmpi.comm import Comm, SplitPlan, _matches, group_split
 
 #: Maximum world size; one OS process per rank.  Overridable via the
 #: ``REPRO_PROC_MAX_RANKS`` environment variable.
@@ -225,7 +219,8 @@ class _SlotView:
 
     Readers index only what they need (``bcast`` touches one slot), so a
     size-*n* world does O(n) total unpickling work for single-source
-    collectives instead of every rank unpickling every slot.
+    collectives instead of every rank unpickling every slot.  Iterating
+    it (``list(view)``) reads every slot in rank order.
     """
 
     def __init__(self, shared: _ProcShared) -> None:
@@ -234,24 +229,10 @@ class _SlotView:
 
     def __getitem__(self, rank: int) -> Any:
         if rank not in self._cache:
+            if not 0 <= rank < self._shared.size:
+                raise IndexError(rank)
             self._cache[rank] = _read_slot(self._shared, rank)
         return self._cache[rank]
-
-    def all(self) -> list[Any]:
-        return [self[r] for r in range(self._shared.size)]
-
-
-class _ListSlots:
-    """Slot-view interface over a plain list (hub-routed collectives)."""
-
-    def __init__(self, slots: list[Any]) -> None:
-        self._slots = slots
-
-    def __getitem__(self, rank: int) -> Any:
-        return self._slots[rank]
-
-    def all(self) -> list[Any]:
-        return list(self._slots)
 
 
 def _write_slot(
@@ -326,9 +307,9 @@ class _Runtime:
         Non-matching messages are stashed for later receives.  Honours
         the world abort flag and the communicator timeout.
         """
-        for i, msg in enumerate(self.stash):
-            if match(msg):
-                return self.stash.pop(i)
+        msg = self.take(match)
+        if msg is not None:
+            return msg
         mailbox = self.shared.mailboxes[self.world_rank]
         timeout = self.shared.timeout
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -351,6 +332,13 @@ class _Runtime:
                 return msg
             self.stash.append(msg)
 
+    def take(self, match: Callable[[tuple], bool]) -> tuple | None:
+        """Pop the first stashed message satisfying ``match``, if any."""
+        for i, msg in enumerate(self.stash):
+            if match(msg):
+                return self.stash.pop(i)
+        return None
+
     def drain(self) -> None:
         """Pull everything currently queued into the stash (probe path)."""
         mailbox = self.shared.mailboxes[self.world_rank]
@@ -371,72 +359,50 @@ class _Runtime:
         return n
 
 
-def _read_nothing(slots: Any) -> None:
-    return None
+class _Group:
+    """One communicator group as a rank process sees it."""
+
+    def __init__(self, rt: _Runtime, cid: tuple, members: tuple[int, ...]) -> None:
+        self.rt = rt
+        #: Communicator id: messages carry it, so groups never mix traffic.
+        self.id = cid
+        #: Local rank -> world rank.
+        self.members = members
+        self.size = len(members)
 
 
-class ProcComm:
-    """One rank's communicator handle on the process engine.
-
-    Mirrors the :class:`~repro.simmpi.comm.Comm` API: ``rank``/``size``,
-    all collectives (``barrier`` … ``allreduce``, ``gatherv`` /
-    ``scatterv``), point-to-point, ``split``/``dup``/``subworld`` and
-    ``exec_once``.  World collectives ride the shared-memory slot
-    buffer; subgroup collectives are hub-routed over mailboxes.
+class ProcComm(Comm):
+    """One rank's communicator handle on the process engine: the
+    transport behind :class:`repro.simmpi.comm.Comm` whose world
+    collectives ride the shared-memory slot buffer and whose subgroup
+    collectives are hub-routed over mailboxes.
     """
 
-    def __init__(
-        self,
-        runtime: _Runtime,
-        comm_id: tuple,
-        members: tuple[int, ...],
-        rank: int,
-    ) -> None:
-        self._rt = runtime
-        self._id = comm_id
-        self._members = members  # local rank -> world rank
+    def __init__(self, group: _Group, rank: int) -> None:
+        self._group = group
         self._rank = rank
-
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        """This task's rank within the communicator (0-based)."""
-        return self._rank
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the communicator."""
-        return len(self._members)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ProcComm rank={self._rank} size={self.size}>"
-
-    # -- internal collective machinery ------------------------------------
-
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.size:
-            raise CommunicatorError(f"root {root} out of range for size {self.size}")
-
-    def _is_world(self) -> bool:
-        return self._id == _WORLD_ID
 
     def _exchange(
         self,
         opname: str,
         value: Any,
-        reader: Callable[[Any], Any] | None = None,
+        frame: Callable[[Any], Any],
+        needs: int,
+        read: Callable[[Any], Any],
+        shared: bool = False,
     ) -> Any:
-        """Deposit/synchronize/read primitive behind every collective."""
-        value = _copy_payload(value)
-        if self._is_world():
-            return self._exchange_world(opname, value, reader)
-        return self._exchange_hub(opname, value, reader)
+        """Deposit/synchronize/read primitive behind every collective
+        (``needs`` and ``shared`` are moot: every rank waits for everyone
+        and reads its own, unpickled, result)."""
+        value = frame(value)
+        if self._group.id == _WORLD_ID:
+            return self._exchange_world(opname, value, read)
+        return self._exchange_hub(opname, value, read)
 
     def _exchange_world(
-        self, opname: str, value: Any, reader: Callable[[Any], Any] | None
+        self, opname: str, value: Any, read: Callable[[Any], Any]
     ) -> Any:
-        shared = self._rt.shared
+        shared = self._group.rt.shared
         spill = _write_slot(shared, self._rank, opname, value)
         try:
             shared.wait_barrier()
@@ -446,8 +412,7 @@ class ProcComm:
                 raise CollectiveMismatchError(
                     f"ranks disagree on collective operation: {sorted(names)}"
                 )
-            slots = _SlotView(shared)
-            result = reader(slots) if reader is not None else slots.all()
+            result = read(_SlotView(shared))
             # Second barrier: every rank has read; slots (and any spill
             # segments) may now be reused/unlinked for the next op.
             shared.wait_barrier()
@@ -461,335 +426,83 @@ class ProcComm:
                     pass
 
     def _exchange_hub(
-        self, opname: str, value: Any, reader: Callable[[Any], Any] | None
+        self, opname: str, value: Any, read: Callable[[Any], Any]
     ) -> Any:
         """Subgroup collective routed through local rank 0 (the hub)."""
-        rt = self._rt
-        cid = self._id
+        group = self._group
+        rt, cid, members = group.rt, group.id, group.members
         seq = rt.next_seq(cid)
-        hub_world = self._members[0]
         if self._rank != 0:
-            rt.post(hub_world, ("c", cid, seq, self._rank, opname, value))
+            rt.post(members[0], ("c", cid, seq, self._rank, opname, value))
             _, _, _, _, op, slots = rt.wait_for(
                 lambda m: m[0] == "c" and m[1] == cid and m[2] == seq and m[3] == _HUB,
                 what=f"hub reply for {opname}#{seq} on {cid}",
             )
-            if op != opname:
-                self.abort()
-                raise CollectiveMismatchError(
-                    f"ranks disagree on collective operation: {sorted({op, opname})}"
+            names = {op, opname}
+        else:
+            slots = [None] * len(members)
+            slots[0] = value
+            names = {opname}
+            for _ in members[1:]:
+                _, _, _, src, op, payload = rt.wait_for(
+                    lambda m: m[0] == "c" and m[1] == cid and m[2] == seq and m[3] != _HUB,
+                    what=f"deposits for {opname}#{seq} on {cid}",
                 )
-            view = _ListSlots(slots)
-            return reader(view) if reader is not None else view.all()
-        slots = [None] * self.size
-        slots[0] = value
-        names = {opname}
-        for _ in range(self.size - 1):
-            _, _, _, src, op, payload = rt.wait_for(
-                lambda m: m[0] == "c" and m[1] == cid and m[2] == seq and m[3] != _HUB,
-                what=f"deposits for {opname}#{seq} on {cid}",
-            )
-            slots[src] = payload
-            names.add(op)
+                slots[src] = payload
+                names.add(op)
         if len(names) > 1:
-            self.abort()
+            self._abort()
             raise CollectiveMismatchError(
                 f"ranks disagree on collective operation: {sorted(names)}"
             )
-        for lr in range(1, self.size):
-            rt.post(self._members[lr], ("c", cid, seq, _HUB, opname, slots))
-        view = _ListSlots(slots)
-        return reader(view) if reader is not None else view.all()
+        if self._rank == 0:
+            for dest in members[1:]:
+                rt.post(dest, ("c", cid, seq, _HUB, opname, slots))
+        return read(slots)
 
-    # -- collectives -------------------------------------------------------
+    def _split_groups(self, deposits: Any) -> tuple[SplitPlan, list[_Group]]:
+        """Every member computes the same deterministic assignment
+        locally; subgroup ids derive from the parent id and a
+        per-communicator split counter, so traffic on different subgroups
+        never mixes."""
+        group = self._group
+        rt, cid, members = group.rt, group.id, group.members
+        ctx = rt.next_ctx(cid)
+        plan = group_split(deposits)
+        groups = [
+            _Group(rt, (*cid, ctx, child), tuple(members[old] for old in olds.tolist()))
+            for child, olds in enumerate(plan.members)
+        ]
+        return plan, groups
 
-    def barrier(self) -> None:
-        """Block until every rank of the communicator has entered."""
-        self._exchange("barrier", None, reader=_read_nothing)
+    def _post(self, dest: int, tag: int, payload: Any) -> None:
+        group = self._group
+        group.rt.post(group.members[dest], ("u", group.id, self._rank, tag, payload))
 
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        """Broadcast ``value`` from ``root`` to every rank; returns it."""
-        self._check_root(root)
-        deposited = value if self._rank == root else None
-        return self._exchange("bcast", deposited, reader=lambda slots: slots[root])
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        """Gather one value per rank at ``root`` (rank order; None elsewhere)."""
-        self._check_root(root)
-        reader = _read_all if self._rank == root else _read_nothing
-        return self._exchange("gather", value, reader=reader)
-
-    def allgather(self, value: Any) -> list[Any]:
-        """Gather one value per rank and return the list on every rank."""
-        return self._exchange("allgather", value)
-
-    def gatherv(
-        self, fragments: Sequence[Any], root: int = 0
-    ) -> list[tuple[Any, ...]] | None:
-        """Gather a variable-length fragment sequence per rank at ``root``.
-
-        Same contract as the thread engine: ``root`` receives the
-        rank-ordered list of fragment tuples, everyone else ``None``;
-        fragments are snapshotted at deposit per the payload contract.
-        """
-        self._check_root(root)
-        deposit = tuple(_copy_payload(f) for f in fragments)
-        reader = _read_all if self._rank == root else _read_nothing
-        return self._exchange("gatherv", deposit, reader=reader)
-
-    def scatterv(
-        self, values: Sequence[Sequence[Any]] | None, root: int = 0
-    ) -> tuple[Any, ...]:
-        """Scatter a variable-length fragment sequence to each rank."""
-        self._check_root(root)
-        if self._rank == root:
-            if values is None or len(values) != self.size:
-                self.abort()
-                raise CommunicatorError(
-                    "scatterv requires exactly one fragment sequence per rank "
-                    "at the root"
-                )
-            deposit = [tuple(_copy_payload(f) for f in seq) for seq in values]
-        else:
-            deposit = None
-        rank = self._rank
-        return self._exchange(
-            "scatterv", deposit, reader=lambda slots: slots[root][rank]
+    def _find_user(self, source: int, tag: int) -> Callable[[tuple], bool]:
+        """Predicate for this group's user messages that a receive for
+        ``(source, tag)`` matches."""
+        cid = self._group.id
+        return lambda m: (
+            m[0] == "u" and m[1] == cid and _matches(source, tag, m[2], m[3])
         )
 
-    def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter ``len == size`` values from ``root``; each rank gets one."""
-        self._check_root(root)
-        if self._rank == root:
-            if values is None or len(values) != self.size:
-                self.abort()
-                raise CommunicatorError(
-                    "scatter requires exactly one value per rank at the root"
-                )
-            deposit = [_copy_payload(v) for v in values]
-        else:
-            deposit = None
-        rank = self._rank
-        return self._exchange(
-            "scatter", deposit, reader=lambda slots: slots[root][rank]
-        )
+    def _match(self, source: int, tag: int, block: bool) -> tuple[int, int, Any] | None:
+        rt = self._group.rt
+        match = self._find_user(source, tag)
+        if block:
+            return rt.wait_for(match, what=f"source={source} tag={tag}")[2:]
+        rt.drain()
+        msg = rt.take(match)
+        return None if msg is None else msg[2:]
 
-    def alltoall(self, values: Sequence[Any]) -> list[Any]:
-        """Each rank provides one value per destination; returns its column."""
-        if len(values) != self.size:
-            self.abort()
-            raise CommunicatorError("alltoall requires exactly one value per rank")
-        slots = self._exchange("alltoall", [_copy_payload(v) for v in values])
-        return [slots[src][self._rank] for src in range(self.size)]
+    def _probe(self, source: int, tag: int) -> bool:
+        rt = self._group.rt
+        rt.drain()
+        return any(map(self._find_user(source, tag), rt.stash))
 
-    def reduce(
-        self,
-        value: Any,
-        op: Callable[[Any, Any], Any] | None = None,
-        root: int = 0,
-    ) -> Any | None:
-        """Reduce one value per rank at ``root`` (default op: ``+``)."""
-        self._check_root(root)
-        reader = _read_all if self._rank == root else _read_nothing
-        slots = self._exchange("reduce", value, reader=reader)
-        if self._rank != root:
-            return None
-        return _fold(slots, op)
-
-    def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
-        """Reduce one value per rank; the result is returned on every rank."""
-        slots = self._exchange("allreduce", value)
-        return _fold(slots, op)
-
-    # -- point to point ----------------------------------------------------
-
-    def send(self, value: Any, dest: int, tag: int = 0) -> None:
-        """Send ``value`` to rank ``dest`` (asynchronous, buffered)."""
-        if not 0 <= dest < self.size:
-            raise CommunicatorError(f"dest {dest} out of range for size {self.size}")
-        if tag < 0:
-            raise CommunicatorError("tags must be non-negative")
-        self._rt.post(
-            self._members[dest],
-            ("u", self._id, self._rank, tag, _copy_payload(value)),
-        )
-
-    def _match_user(self, source: int, tag: int) -> Callable[[tuple], bool]:
-        cid = self._id
-
-        def match(m: tuple) -> bool:
-            if m[0] != "u" or m[1] != cid:
-                return False
-            if source not in (ANY_SOURCE, m[2]):
-                return False
-            return tag in (ANY_TAG, m[3])
-
-        return match
-
-    def recv(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, return_status: bool = False
-    ) -> Any:
-        """Receive a message; blocks until a matching one arrives.
-
-        With ``return_status=True`` returns ``(value, source, tag)``.
-        """
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise CommunicatorError(f"source {source} out of range")
-        _, _, src, tg, payload = self._rt.wait_for(
-            self._match_user(source, tag), what=f"source={source} tag={tag}"
-        )
-        if return_status:
-            return payload, src, tg
-        return payload
-
-    def sendrecv(
-        self, value: Any, dest: int, source: int = ANY_SOURCE, tag: int = 0
-    ) -> Any:
-        """Combined send and receive (deadlock-free shift pattern)."""
-        self.send(value, dest, tag)
-        return self.recv(source, tag)
-
-    def isend(self, value: Any, dest: int, tag: int = 0) -> "ProcRequest":
-        """Non-blocking send; buffered, so it completes immediately."""
-        self.send(value, dest, tag)
-        req = ProcRequest(self, None, None)
-        req._done = True
-        return req
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "ProcRequest":
-        """Non-blocking receive; complete it with ``wait()`` or ``test()``."""
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise CommunicatorError(f"source {source} out of range")
-        return ProcRequest(self, source, tag)
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True if a matching message is already waiting (not consumed)."""
-        self._rt.drain()
-        match = self._match_user(source, tag)
-        return any(match(m) for m in self._rt.stash)
-
-    # -- communicator management -------------------------------------------
-
-    def split(self, color: int | None, key: int = 0) -> "ProcComm | None":
-        """Partition the communicator by ``color``; order subgroups by ``key``.
-
-        Every member allgathers ``(color, key)`` and computes the same
-        deterministic assignment locally; subgroup ids derive from the
-        parent id and a per-communicator split counter, so traffic on
-        different subgroups never mixes.  Ranks passing ``color=None``
-        receive :data:`~repro.simmpi.comm.COMM_NULL`.
-        """
-        ctx = self._rt.next_ctx(self._id)
-        info = self.allgather((color, key))
-        try:
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for old_rank, (col, k) in enumerate(info):
-                if col is None:
-                    continue
-                groups.setdefault(col, []).append((k, old_rank))
-            my_entry: tuple[tuple, tuple[int, ...], int] | None = None
-            for col, members in groups.items():
-                members.sort()
-                locals_ = tuple(self._members[old] for _, old in members)
-                for new_rank, (_, old_rank) in enumerate(members):
-                    if old_rank == self._rank:
-                        my_entry = ((*self._id, ctx, col), locals_, new_rank)
-        except Exception as exc:  # noqa: BLE001 - mirrored thread-engine policy
-            raise CommunicatorError(f"split failed: {exc!r}") from exc
-        if my_entry is None:
-            return COMM_NULL
-        child_id, members, new_rank = my_entry
-        return ProcComm(self._rt, child_id, members, new_rank)
-
-    def dup(self) -> "ProcComm":
-        """Duplicate the communicator (fresh message context)."""
-        comm = self.split(color=0, key=self._rank)
-        assert comm is not None
-        return comm
-
-    def subworld(self, size: int) -> "ProcComm | None":
-        """Communicator over ranks ``[0, size)``; COMM_NULL elsewhere.
-
-        Same contract as the thread engine: collective over the parent,
-        raises :class:`CommunicatorError` unless ``1 <= size <=
-        self.size``.
-        """
-        if not 1 <= size <= self.size:
-            raise CommunicatorError(
-                f"subworld size {size} out of range for {self.size} ranks"
-            )
-        return self.split(color=0 if self._rank < size else None, key=self._rank)
-
-    def exec_once(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` exactly once per rank program; returns its result.
-
-        Rank bodies execute exactly once on this engine (no replay), so
-        this simply calls ``fn`` — but *in the rank's own process*:
-        in-memory side effects stay in the child; only external effects
-        (files, backend writes) are visible after the run.  See the
-        module docstring for the portability contract.
-        """
-        return fn()
-
-    def abort(self) -> None:
-        """Abort the world, waking all blocked ranks with errors.
-
-        Process worlds share one abort domain: unlike the thread engine,
-        aborting a subgroup tears down the whole world — the same net
-        effect as a rank failure under :func:`run_spmd`.
-        """
-        self._rt.shared.abort()
-
-
-class ProcRequest:
-    """Handle for a pending non-blocking operation (process engine)."""
-
-    def __init__(
-        self, comm: ProcComm, source: int | None, tag: int | None
-    ) -> None:
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = False
-        self._value: Any = None
-
-    @property
-    def completed(self) -> bool:
-        """True once the operation has finished (after wait/test success)."""
-        return self._done
-
-    def test(self) -> tuple[bool, Any]:
-        """Non-blocking completion check: ``(done, value_or_None)``."""
-        if self._done:
-            return True, self._value
-        comm = self._comm
-        comm._rt.drain()
-        match = comm._match_user(
-            self._source if self._source is not None else ANY_SOURCE,
-            self._tag if self._tag is not None else ANY_TAG,
-        )
-        for i, msg in enumerate(comm._rt.stash):
-            if match(msg):
-                comm._rt.stash.pop(i)
-                self._value = msg[4]
-                self._done = True
-                return True, self._value
-        return False, None
-
-    def wait(self) -> Any:
-        """Block until completion; returns the received value (sends: None)."""
-        if self._done:
-            return self._value
-        self._value = self._comm.recv(
-            self._source if self._source is not None else ANY_SOURCE,
-            self._tag if self._tag is not None else ANY_TAG,
-        )
-        self._done = True
-        return self._value
-
-
-def _read_all(slots: Any) -> list[Any]:
-    return slots.all()
+    def _abort(self) -> None:
+        self._group.rt.shared.abort()
 
 
 def _portable_exception(exc: BaseException) -> BaseException:
@@ -824,9 +537,8 @@ def _child_main(
     status = "ok"
     payload: Any = None
     try:
-        comm = ProcComm(
-            _Runtime(shared, rank), _WORLD_ID, tuple(range(shared.size)), rank
-        )
+        world = _Group(_Runtime(shared, rank), _WORLD_ID, tuple(range(shared.size)))
+        comm = ProcComm(world, rank)
         payload = fn(comm, *args, **kwargs)
     except BaseException as exc:  # noqa: BLE001 - fan out to the parent
         shared.abort()

@@ -5,9 +5,10 @@ rank's communicator, joins them, and either returns the rank-ordered
 results or raises :class:`~repro.errors.SpmdWorkerError` carrying every
 rank's exception.  A failing rank aborts the world's synchronization
 primitives so no surviving rank deadlocks.  The thread engine (one OS
-thread per rank over :class:`~repro.simmpi.comm.Comm`) lives here; the
-bulk and process engines are dispatched to :mod:`repro.simmpi.bulk` and
-:mod:`repro.simmpi.proc`.
+thread per rank over :class:`~repro.simmpi.comm.ThreadComm`) lives here;
+the bulk and process engines are dispatched to :mod:`repro.simmpi.bulk`
+and :mod:`repro.simmpi.proc`.  All three hand the rank program the same
+:class:`~repro.simmpi.comm.Comm` API over their own transport.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import threading
 from typing import Any, Callable, Iterator
 
 from repro.errors import SimMPIError, SpmdWorkerError
-from repro.simmpi.comm import Comm, make_world
+from repro.simmpi.comm import ThreadComm, make_world
 
 #: Default safety timeout for collectives; prevents silent test hangs.
 #: Overridable per environment via ``REPRO_SPMD_TIMEOUT`` (seconds; zero or
@@ -34,18 +35,6 @@ ENGINES = ("threads", "bulk", "proc")
 
 #: Accepted spellings that normalize onto :data:`ENGINES` entries.
 _ENGINE_ALIASES = {"thread": "threads", "processes": "proc", "process": "proc"}
-
-
-def default_bulk_nworkers() -> int:
-    """Bulk-engine pool default: ``min(32, (os.cpu_count() or 1) * 4)``.
-
-    Defined here — next to the engine dispatch that documents it — as the
-    single source of truth; :mod:`repro.simmpi.bulk` re-exports it as
-    ``default_nworkers``.  The ``or 1`` guard matters: ``os.cpu_count()``
-    may return ``None`` (e.g. some containers), and the pool must never
-    be empty.
-    """
-    return min(32, (os.cpu_count() or 1) * 4)
 
 
 def normalize_engine(engine: str) -> str:
@@ -107,12 +96,12 @@ def run_spmd(
     engine:
         ``"threads"`` (default) runs one OS thread per rank — fully
         preemptive, supports arbitrary blocking programs, practical up to
-        a few thousand ranks.  ``"bulk"`` runs ranks cooperatively on a
-        bounded worker pool with wave-vectorized collectives: op logs are
-        shared program rows of interned opcode ids, per-op results live
-        in per-position value columns, and each collective is one
-        preallocated wave buffer — O(1) python objects of engine state
-        per rank, practical to a million ranks.  Rank bodies may be
+        a few thousand ranks.  ``"bulk"`` runs ranks cooperatively, one
+        at a time on the calling thread, with wave-vectorized
+        collectives: op logs are shared program rows of interned opcode
+        ids, per-op results live in per-position value columns, and each
+        collective is one preallocated wave buffer — O(1) python objects
+        of engine state per rank, practical to a million ranks.  Rank bodies may be
         re-executed when a collective unblocks (see
         :mod:`repro.simmpi.bulk` for the contract; guard non-idempotent
         effects with ``Comm.exec_once``).
@@ -122,9 +111,9 @@ def run_spmd(
         be picklable or rank-local (see :mod:`repro.simmpi.proc`).
         ``"thread"`` is accepted as an alias of ``"threads"``.
     nworkers:
-        Bulk engine only: size of the worker pool (default
-        :func:`default_bulk_nworkers`, i.e.
-        ``min(32, (os.cpu_count() or 1) * 4)``).
+        Accepted and ignored.  The bulk engine once had a worker pool of
+        this size; it runs on the calling thread now, and the keyword
+        remains only so that it is not forwarded to ``fn``.
     engine_stats:
         Bulk engine only: pass a dict to receive engine telemetry on
         return (execution counts, program rows, per-wave timings — see
@@ -148,8 +137,7 @@ def run_spmd(
         from repro.simmpi.bulk import run_spmd_bulk
 
         return run_spmd_bulk(
-            nprocs, fn, *args, timeout=timeout, nworkers=nworkers,
-            stats=engine_stats, **kwargs
+            nprocs, fn, *args, timeout=timeout, stats=engine_stats, **kwargs
         )
     if engine == "proc":
         from repro.simmpi.proc import run_spmd_proc
@@ -199,7 +187,7 @@ def spmd_failure_error(failures: dict[int, BaseException]) -> SpmdWorkerError:
 @contextlib.contextmanager
 def spmd_context(
     nprocs: int, timeout: Any = _TIMEOUT_UNSET
-) -> Iterator[list[Comm]]:
+) -> Iterator[list[ThreadComm]]:
     """Context manager yielding the communicators of a world.
 
     Useful for driving ranks manually from test code (e.g. one rank per

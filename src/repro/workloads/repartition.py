@@ -18,7 +18,7 @@ Two layers, like the rest of :mod:`repro.workloads`:
   (fewer readers mean fewer clients pulling, but also less aggregate
   client bandwidth) can be swept without touching a byte.
 * :func:`repartition_roundtrip` — the *driver*: executes the same shape
-  against the real library over a storage backend (both SPMD engines),
+  against the real library over a storage backend (thread or bulk engine),
   verifying byte identity inside each reader rank.  The ``repartition``
   benchmark suite wraps this with a counting backend to pin the O(m)
   physical-call claim.

@@ -8,12 +8,16 @@ pins an inode — on both in-process engines, through every open path, and
 whether the run succeeded, lost a rank, or deadlocked.  The bulk engine
 cannot leave this to the collector: its dense columns and wave slots are
 object ndarrays the cycle collector does not traverse (see the lifetime
-contract in :mod:`repro.simmpi.bulk`).
+contract in :mod:`repro.simmpi.bulk`).  What the process engine could
+leave behind lives outside the interpreter — rank processes,
+shared-memory segments, pipe descriptors — and is counted there.
 """
 
 from __future__ import annotations
 
 import gc
+import multiprocessing
+import os
 import time
 import tracemalloc
 
@@ -48,7 +52,7 @@ OUTCOMES = {
     "raise": RuntimeError,
     "kill_rank": FaultInjectedError,
     "deadlock": SimMPIError,  # bulk only: threads wait out the timeout
-    "timeout": SimMPIError,  # bulk only: a stalled pool, not a parked world
+    "timeout": SimMPIError,  # bulk only: a stalled loop, not a parked world
 }
 
 
@@ -79,7 +83,7 @@ def _misbehave(comm, outcome: str) -> None:
     if outcome == "deadlock" and comm.rank == 1:
         comm.recv(source=0, tag=99)  # nobody sends it
     if outcome == "timeout" and comm.rank == 5:
-        time.sleep(1.5)  # holds a worker far past the 0.2 s stall bound
+        time.sleep(1.5)  # holds the loop far past the 0.2 s stall bound
 
 
 def _cycle(engine: str, open_path: str, outcome: str) -> list | None:
@@ -204,3 +208,41 @@ def test_checkpoint_cycles_do_not_accumulate():
     finally:
         tracemalloc.stop()
     assert current[-1] - current[0] < 1 << 20, current
+
+
+# --------------------------------------------------------------------------
+# The process engine: no child, shared-memory segment or descriptor is left.
+
+PROC_CELLS = ("success", "raise", "os_exit", "spill")
+
+
+def _proc_program(comm, cell):
+    if cell == "raise" and comm.rank == 1:
+        raise RuntimeError("rank 1 gives up")
+    if cell == "os_exit" and comm.rank == 1:
+        os._exit(17)  # dies without reporting or aborting
+    if cell == "spill":
+        # 4 MiB does not fit the 64 KiB slot: an ephemeral segment carries it.
+        return len(comm.bcast(bytes(4 << 20) if comm.rank == 1 else None, root=1))
+    return comm.allreduce(comm.rank)
+
+
+def _proc_cycle(cell: str) -> None:
+    run = lambda: run_spmd(3, _proc_program, cell, engine="proc", timeout=30.0)  # noqa: E731
+    if cell in ("raise", "os_exit"):
+        with pytest.raises(SpmdWorkerError):
+            run()
+    else:
+        assert run() == [4 << 20 if cell == "spill" else 3] * 3
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm and /proc")
+@pytest.mark.parametrize("cell", PROC_CELLS)
+def test_proc_run_leaves_no_child_segment_or_descriptor(cell):
+    segments = set(os.listdir("/dev/shm"))
+    _proc_cycle(cell)  # the first run also starts the shared resource tracker
+    fds = len(os.listdir("/proc/self/fd"))
+    _proc_cycle(cell)
+    assert multiprocessing.active_children() == []
+    assert set(os.listdir("/dev/shm")) - segments == set()
+    assert len(os.listdir("/proc/self/fd")) == fds

@@ -9,12 +9,19 @@ the receiver ever noticing.
 import threading
 
 import numpy as np
+import pytest
 
+from repro.simmpi import run_spmd
 from repro.simmpi.comm import make_world
 
 
-def spmd(size, fn):
-    """Run ``fn(comm)`` on every rank; returns rank-ordered results."""
+def spmd(size, fn, engine="threads"):
+    """Run ``fn(comm)`` on every rank; returns rank-ordered results.
+
+    The thread engine is driven by hand over ``make_world`` — the
+    contract holds for communicators however they are run."""
+    if engine != "threads":
+        return run_spmd(size, fn, engine=engine, timeout=30.0)
     comms = make_world(size, timeout=30.0)
     results = [None] * size
     errors = []
@@ -37,7 +44,7 @@ def spmd(size, fn):
 
 
 class TestMemoryviewSnapshots:
-    def test_send_recv_snapshots_a_memoryview(self):
+    def test_send_recv_snapshots_a_memoryview(self, engine="threads"):
         def task(comm):
             if comm.rank == 0:
                 buf = bytearray(b"payload!")
@@ -48,9 +55,9 @@ class TestMemoryviewSnapshots:
             assert type(got) is bytes
             return got
 
-        assert spmd(2, task)[1] == b"payload!"
+        assert spmd(2, task, engine)[1] == b"payload!"
 
-    def test_sliced_view_sends_only_the_window(self):
+    def test_sliced_view_sends_only_the_window(self, engine="threads"):
         def task(comm):
             if comm.rank == 0:
                 buf = bytearray(b"0123456789")
@@ -58,9 +65,9 @@ class TestMemoryviewSnapshots:
                 return None
             return comm.recv(source=0)
 
-        assert spmd(2, task)[1] == b"3456"
+        assert spmd(2, task, engine)[1] == b"3456"
 
-    def test_non_contiguous_view_flattens_in_c_order(self):
+    def test_non_contiguous_view_flattens_in_c_order(self, engine="threads"):
         def task(comm):
             if comm.rank == 0:
                 arr = np.arange(10, dtype=np.uint8)
@@ -68,9 +75,9 @@ class TestMemoryviewSnapshots:
                 return None
             return comm.recv(source=0)
 
-        assert spmd(2, task)[1] == bytes([0, 2, 4, 6, 8])
+        assert spmd(2, task, engine)[1] == bytes([0, 2, 4, 6, 8])
 
-    def test_bcast_snapshots_before_fanout(self):
+    def test_bcast_snapshots_before_fanout(self, engine="threads"):
         def task(comm):
             buf = bytearray(b"root-data") if comm.rank == 0 else None
             view = memoryview(buf) if buf is not None else None
@@ -79,20 +86,20 @@ class TestMemoryviewSnapshots:
                 buf[:] = b"XXXXXXXXX"
             return got
 
-        assert spmd(3, task) == [b"root-data"] * 3
+        assert spmd(3, task, engine) == [b"root-data"] * 3
 
-    def test_gather_delivers_bytes_per_rank(self):
+    def test_gather_delivers_bytes_per_rank(self, engine="threads"):
         def task(comm):
             mine = bytearray([comm.rank]) * 4
             got = comm.gather(memoryview(mine), root=0)
             mine[:] = b"\xff" * 4
             return got
 
-        results = spmd(3, task)
+        results = spmd(3, task, engine)
         assert results[0] == [bytes([r]) * 4 for r in range(3)]
         assert results[1] is None and results[2] is None
 
-    def test_isend_snapshots_like_send(self):
+    def test_isend_snapshots_like_send(self, engine="threads"):
         def task(comm):
             if comm.rank == 0:
                 buf = bytearray(b"async")
@@ -102,11 +109,11 @@ class TestMemoryviewSnapshots:
                 return None
             return comm.recv(source=0)
 
-        assert spmd(2, task)[1] == b"async"
+        assert spmd(2, task, engine)[1] == b"async"
 
 
 class TestOtherBufferTypes:
-    def test_bytearray_stays_bytearray_but_is_copied(self):
+    def test_bytearray_stays_bytearray_but_is_copied(self, engine="threads"):
         def task(comm):
             if comm.rank == 0:
                 buf = bytearray(b"mutate-me")
@@ -117,9 +124,9 @@ class TestOtherBufferTypes:
             assert type(got) is bytearray
             return bytes(got)
 
-        assert spmd(2, task)[1] == b"mutate-me"
+        assert spmd(2, task, engine)[1] == b"mutate-me"
 
-    def test_ndarray_stays_ndarray_but_is_copied(self):
+    def test_ndarray_stays_ndarray_but_is_copied(self, engine="threads"):
         def task(comm):
             if comm.rank == 0:
                 arr = np.arange(6, dtype=np.int32)
@@ -130,7 +137,7 @@ class TestOtherBufferTypes:
             assert isinstance(got, np.ndarray)
             return got.tolist()
 
-        assert spmd(2, task)[1] == [0, 1, 2, 3, 4, 5]
+        assert spmd(2, task, engine)[1] == [0, 1, 2, 3, 4, 5]
 
     def test_immutable_payloads_travel_by_reference(self):
         marker = (1, "two", b"three")
@@ -140,3 +147,19 @@ class TestOtherBufferTypes:
 
         results = spmd(2, task)
         assert results[0] is marker and results[1] is marker
+
+
+# Every scenario that takes the engine runs again on the other two
+# transports (by-reference travel of immutables is in-process only).
+_SCENARIOS = [
+    (cls, name)
+    for cls in (TestMemoryviewSnapshots, TestOtherBufferTypes)
+    for name, fn in sorted(vars(cls).items())
+    if name.startswith("test_") and fn.__defaults__ == ("threads",)
+]
+
+
+@pytest.mark.parametrize("cls,name", _SCENARIOS, ids=[name for _, name in _SCENARIOS])
+@pytest.mark.parametrize("engine", ["bulk", "proc"])
+def test_same_on_engine(engine, cls, name):
+    getattr(cls(), name)(engine=engine)

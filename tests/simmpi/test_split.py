@@ -2,9 +2,9 @@
 
 Every scenario takes the engine as an argument defaulting to the thread
 engine — the reference — and ``test_same_on_bulk_engine`` at the bottom
-runs each of them again on the bulk engine, whose split is a different
-implementation (one shared plan per split wave, see
-:mod:`repro.simmpi.bulk`).
+runs each of them again on the bulk engine, which logs one shared plan
+per split wave and rebuilds the communicator from it on every replay
+(see :mod:`repro.simmpi.bulk`).
 """
 
 import gc
