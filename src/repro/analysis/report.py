@@ -10,6 +10,9 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass
 
+#: The command that (re)produces every artifact below.
+REGENERATE = "pytest benchmarks/"
+
 #: Display order and titles for the known result artifacts.
 ARTIFACTS: list[tuple[str, str]] = [
     ("fig3a_jugene", "Fig. 3a — parallel file creation, Jugene"),
@@ -55,8 +58,7 @@ def collect_sections(results_dir: str | pathlib.Path) -> list[ReportSection]:
                 ReportSection(
                     name,
                     title,
-                    f"(missing — run `pytest benchmarks/ --benchmark-only` "
-                    f"to produce {path.name})",
+                    f"(missing — run `{REGENERATE}` to produce {path.name})",
                     missing=True,
                 )
             )
@@ -69,7 +71,7 @@ def render_markdown(sections: list[ReportSection], heading: str = "Reproduced re
     produced = sum(1 for s in sections if not s.missing)
     lines.append(
         f"{produced}/{len(sections)} artifacts present. Regenerate with "
-        "`pytest benchmarks/ --benchmark-only`."
+        f"`{REGENERATE}`."
     )
     lines.append("")
     for s in sections:

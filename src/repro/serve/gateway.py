@@ -11,10 +11,11 @@ One :class:`ReadGateway` owns three resident layers:
   serves stale bytes;
 * **sessions** — read cursors compiled on demand from the same
   :class:`~repro.sion.mapping.ReadPartition` arithmetic the SPMD
-  partitioned read uses: a session owns a contiguous slice of writer
-  task streams and drains it with record (``fread``) semantics, while
-  stateless ranged reads address any writer stream at any logical
-  offset.
+  partitioned read uses: a session *is* the library's read cursor
+  (:class:`~repro.sion.readwrite.PartitionStream`) over a contiguous
+  slice of writer task streams, drained with record (``fread``)
+  semantics, while stateless ranged reads address any writer stream at
+  any logical offset.
 
 Freshness contract (generation tags): every opened container carries a
 fingerprint of its *metablock identity* — per physical file, a digest of
@@ -46,7 +47,6 @@ from repro.backends.caching import CachingRawFile
 from repro.backends.localfs import LocalBackend
 from repro.errors import SionUsageError
 from repro.fs.cache import DEFAULT_CACHE_BLOCK, ChunkCache
-from repro.sion.compression import ZlibReader
 from repro.sion.constants import FLAG_COMPRESS, FLAG_SHADOW
 from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import ChunkLayout
@@ -184,13 +184,9 @@ class ContainerHandle:
         ``compress=True`` (each writer stream is an independent zlib
         stream).
         """
-        raw = self.stream(grank).read_all()
-        if not self.compress:
-            return raw
-        zr = ZlibReader()
-        zr.feed(raw)
-        zr.source_exhausted()
-        return zr.take(zr.available())
+        return PartitionStream(
+            [self.stream(grank)], compress=self.compress
+        ).read_all()
 
     def read_range(self, grank: int, offset: int, n: int) -> bytes:
         """Up to ``n`` bytes of stream ``grank`` starting at logical ``offset``.
@@ -245,16 +241,17 @@ class ContainerHandle:
             )
 
 
-class GatewaySession:
+class GatewaySession(PartitionStream):
     """One client's record-read cursor over a slice of writer streams.
 
-    Mirrors the SPMD partitioned read: the session owns a contiguous
-    slice of the container's task streams (``readers``/``reader`` name
-    the slice exactly like :class:`~repro.sion.mapping.ReadPartition`,
-    ``rank`` selects a single stream) and drains it with ``fread``
-    semantics across chunk and stream boundaries.  Compressed containers
-    are served through per-stream zlib readers, like
-    :class:`~repro.sion.openspec.SionPartitionedReadFile`.
+    The SPMD partitioned reader's cursor, served remotely: the session
+    owns a contiguous slice of the container's task streams
+    (``readers``/``reader`` name the slice exactly like
+    :class:`~repro.sion.mapping.ReadPartition`, ``rank`` selects a
+    single stream) and drains it with ``fread`` semantics across chunk
+    and stream boundaries — decompressing per stream when the container
+    was sealed with ``compress=True``.  The physical handles belong to
+    the container, so :meth:`close` only retires the cursor.
     """
 
     def __init__(
@@ -264,96 +261,10 @@ class GatewaySession:
         self.id = session_id
         self.container = container
         self.writers = tuple(writers)
-        self.reads = 0
-        self.bytes_read = 0
-        self.closed = False
-        self._streams = [container.stream(g) for g in self.writers]
-        self._mux = PartitionStream(self._streams)
-        self._zrs = (
-            [ZlibReader() for _ in self._streams] if container.compress else None
+        super().__init__(
+            [container.stream(g) for g in self.writers],
+            compress=container.compress,
         )
-        self._zidx = 0
-
-    def feof(self) -> bool:
-        """True once every stream of the slice is exhausted."""
-        if self._zrs is not None:
-            return self._zcur() is None
-        return self._mux.feof()
-
-    def fread(self, n: int) -> bytes:
-        """Read up to ``n`` logical bytes, crossing chunk/stream boundaries.
-
-        Raises :class:`~repro.errors.SionUsageError` on a negative size
-        or a closed session.
-        """
-        if self.closed:
-            raise SionUsageError(f"session {self.id} is closed")
-        if n < 0:
-            raise SionUsageError("read size must be non-negative")
-        if self._zrs is None:
-            out = self._mux.fread(n)
-        else:
-            out = self._zread(n)
-        self.reads += 1
-        self.bytes_read += len(out)
-        return out
-
-    def read_all(self) -> bytes:
-        """Everything that remains of the slice."""
-        if self._zrs is None:
-            if self.closed:
-                raise SionUsageError(f"session {self.id} is closed")
-            out = self._mux.read_all()
-            self.reads += 1
-            self.bytes_read += len(out)
-            return out
-        parts = []
-        while True:
-            piece = self.fread(1 << 20)
-            if not piece:
-                break
-            parts.append(piece)
-        return b"".join(parts)
-
-    def close(self) -> None:
-        """Retire the cursor (the container stays open for other sessions)."""
-        self.closed = True
-
-    # -- compressed multiplexing (mirrors SionPartitionedReadFile) ----------
-
-    def _zcur(self):
-        assert self._zrs is not None
-        while self._zidx < len(self._streams):
-            zr = self._zrs[self._zidx]
-            if not zr.exhausted or zr.available():
-                return zr, self._streams[self._zidx]
-            self._zidx += 1
-        return None
-
-    def _zread(self, n: int) -> bytes:
-        parts: list[bytes] = []
-        want = n
-        while want > 0:
-            cur = self._zcur()
-            if cur is None:
-                break
-            zr, stream = cur
-            while zr.available() < want and not stream.feof():
-                piece = stream.fread(64 * 1024)
-                if not piece:
-                    break
-                zr.feed(piece)
-            if stream.feof():
-                zr.source_exhausted()
-            piece = zr.take(want)
-            if not piece and zr.exhausted:
-                self._zidx += 1
-                continue
-            if not piece:
-                break
-            parts.append(piece)
-            want -= len(piece)
-        return b"".join(parts)
 
 
 class ReadGateway:

@@ -20,7 +20,8 @@ Parallel write (collective open/close, independent writes)::
 Parallel read mirrors write (``sion.paropen(..., "r")``, ``fread``,
 ``feof``, ``bytes_avail_in_chunk``).  Serial tools use :func:`sion.open`
 (global view, with ``get_locations`` and ``seek``) or
-:func:`sion.open_rank` (task-local view).
+:func:`sion.open_rank` (task-local view).  Every read surface is the one
+read cursor, :class:`PartitionStream`, over a slice of task streams.
 """
 
 from repro.sion.constants import (
@@ -42,7 +43,7 @@ from repro.sion.hybrid import HybridParallelFile, open_rank_thread, paropen_hybr
 from repro.sion.openspec import (
     AccessPlan,
     OpenSpec,
-    SionPartitionedReadFile,
+    SionReadFile,
     compile_plan,
     open_access,
 )
@@ -74,7 +75,7 @@ __all__ = [
     "open_access",
     "SionParallelFile",
     "SionCollectiveFile",
-    "SionPartitionedReadFile",
+    "SionReadFile",
     "PartitionStream",
     "TaskStream",
     "resolve_collectsize",

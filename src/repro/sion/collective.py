@@ -20,12 +20,13 @@ layers:
   (``gather`` of offsets + ``gatherv`` of payloads, PR 2's buffer-view
   discipline) and issues **one** ``scatter_write`` against the physical
   file.
-* **Read mode** — each task computes its complete request list locally
+* **Read mode** (:func:`prefetch_read`, matched and partitioned alike) —
+  each task computes its complete request list locally
   (:meth:`~repro.sion.layout.ChunkLayout.read_requests`), the collector
-  fetches all of its senders' data in **one** ``gather_read`` and
-  ``scatterv``-distributes the pieces; every subsequent ``fread`` is
-  served from the prefetched :class:`PreloadedFragments` without touching
-  the store.
+  fetches all of its senders' data in **one** ``gather_read`` per
+  physical file and ``scatterv``-distributes the pieces; every
+  subsequent ``fread`` of the ordinary read handle is served from the
+  prefetched :class:`PreloadedFragments` without touching the store.
 
 Because the fragments are byte-for-byte what direct mode would have
 written (same offsets, same payloads, same metablocks), the resulting
@@ -35,12 +36,12 @@ benchmark suite, whose :class:`~repro.backends.instrument.CountingBackend`
 counts prove that backend data calls scale with the number of collectors,
 not the number of tasks.
 
-Every backend interaction (open, wave write, prefetch read) is wrapped in
-``Comm.exec_once``, so collective-mode backend telemetry is deterministic
-even under the bulk engine's memoized replay — as is direct mode's, whose
-handles are routed through
-:class:`~repro.sion.openspec.ReplayGuardedFile` by the shared open
-pipeline.
+A collector's physical handle is a
+:class:`~repro.sion.openspec.ReplayGuardedFile` on its collector group,
+like every direct-mode handle: each backend interaction (open, wave
+write, prefetch read, close) is one ``Comm.exec_once`` op, so
+collective-mode backend telemetry is deterministic even under the bulk
+engine's memoized replay.
 """
 
 from __future__ import annotations
@@ -52,9 +53,15 @@ from repro.backends.base import Backend, RawFile
 from repro.buffers import BufferLike, as_view
 from repro.errors import SionUsageError
 from repro.sion.constants import SHADOW_HEADER_SIZE
-from repro.sion.format import Metablock1, Metablock2
+from repro.sion.format import Metablock1
 from repro.sion.layout import ChunkLayout
 from repro.sion.mapping import TaskMapping
+from repro.sion.openspec import (
+    AccessPlan,
+    SionReadFile,
+    open_guarded,
+    open_mirrored,
+)
 from repro.sion.parallel import SionParallelFile
 from repro.sion.readwrite import TaskStream
 from repro.simmpi.comm import Comm
@@ -222,11 +229,13 @@ class PreloadedFragments(RawFile, _NoDataAccess):
 class SionCollectiveFile(SionParallelFile):
     """One task's handle on a multifile opened in collective mode.
 
-    The write/read API is identical to :class:`SionParallelFile`; only
-    the physical data movement differs (collection waves).  Additional
-    surface: :attr:`is_collector`, :attr:`collectsize`,
-    :attr:`collector_lrank` and the explicit :meth:`flush_collective`
-    wave (collective over the whole world, like ``parclose``).
+    Write mode only (collective reads return the ordinary read handle,
+    fed by :func:`prefetch_read`).  The write API is identical to
+    :class:`SionParallelFile`; only the physical data movement differs
+    (collection waves).  Additional surface: :attr:`is_collector`,
+    :attr:`collectsize`, :attr:`collector_lrank` and the explicit
+    :meth:`flush_collective` wave (collective over the whole world, like
+    ``parclose``).
     """
 
     def __init__(
@@ -234,7 +243,7 @@ class SionCollectiveFile(SionParallelFile):
         *,
         ccom: Comm,
         collectsize: int,
-        recorder: FragmentRecorder | None,
+        recorder: FragmentRecorder,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
@@ -266,10 +275,10 @@ class SionCollectiveFile(SionParallelFile):
 
         Collective over the collector group.  Offsets travel as an
         immutable tuple through ``gather``; payload bytes travel through
-        ``gatherv``.  The collector's single backend call is wrapped in
-        ``exec_once`` so a bulk-engine replay never re-issues it.
+        ``gatherv``.  The collector's single backend call goes through
+        its replay-guarded handle, so a bulk-engine replay never
+        re-issues it.
         """
-        assert self._recorder is not None
         frags = self._recorder.take()
         offsets = tuple(off for off, _ in frags)
         gathered_offsets = self.ccom.gather(offsets, root=0)
@@ -280,9 +289,8 @@ class SionCollectiveFile(SionParallelFile):
             for offs, pieces in zip(gathered_offsets, gathered_data):
                 wave.extend(zip(offs, pieces))
             if wave:
-                raw = self._raw
-                assert raw is not None
-                self.ccom.exec_once(lambda: raw.scatter_write(wave))
+                assert self._raw is not None
+                self._raw.scatter_write(wave)
 
     def flush_collective(self) -> None:
         """Ship all buffered fragments to the collector now.
@@ -292,7 +300,7 @@ class SionCollectiveFile(SionParallelFile):
         it to bound sender-side buffering between waves; ``parclose``
         always runs a final wave.
         """
-        self._check_mode("w")
+        self._check_open()
         self._wave()
 
     # -- collective close (parclose hooks) ----------------------------------
@@ -300,13 +308,6 @@ class SionCollectiveFile(SionParallelFile):
     def _flush_data(self) -> None:
         """The final collection wave, before metablock 2 is persisted."""
         self._wave()
-
-    def _close_raw(self) -> None:
-        if self._raw is not None:
-            # exec_once: the collector handle is shared across bulk-engine
-            # replays (it was opened under exec_once), so it must close
-            # exactly once even if the final barrier parks this rank.
-            self.ccom.exec_once(self._raw.close)
 
 
 def open_collective_write(
@@ -326,33 +327,25 @@ def open_collective_write(
 ) -> SionCollectiveFile:
     """Build the write-mode collective handle (metadata already agreed).
 
-    With ``replica_path`` set (buddy mode), the collector's physical
-    handle is a :class:`~repro.sion.buddy.MirrorRawFile`, so every
-    collection wave's ``scatter_write`` — and the master's metablock-2
-    persistence at close — lands on the buddy replica too.
+    Only the collector opens the physical file, replay-guarded on the
+    collector group (every wave write and the close execute once per
+    rank).  With ``replica_path`` set (buddy mode) the handle mirrors onto
+    the replica, so every collection wave's ``scatter_write`` — and the
+    master's metablock-2 persistence at close — lands on it too.
     """
-    from repro.sion.buddy import MirrorRawFile
-
     ccom = lcom.split(color=lrank // collectsize, key=lrank)
     assert ccom is not None
-    raw: RawFile | None = None
-    if ccom.rank == 0:
-        if replica_path is not None:
-            raw = ccom.exec_once(
-                lambda: MirrorRawFile(
-                    backend.open(my_path, "r+b"),
-                    backend.open(replica_path, "r+b"),
-                )
-            )
-        else:
-            raw = ccom.exec_once(lambda: backend.open(my_path, "r+b"))
+    raw = (
+        open_mirrored(backend, my_path, replica_path, ccom)
+        if ccom.rank == 0
+        else None
+    )
     recorder = FragmentRecorder()
     stream = TaskStream(recorder, layout, lrank, "w", shadow=shadow)
     return SionCollectiveFile(
         ccom=ccom,
         collectsize=collectsize,
         recorder=recorder,
-        mode="w",
         comm=comm,
         lcom=lcom,
         backend=backend,
@@ -367,69 +360,71 @@ def open_collective_write(
     )
 
 
-def open_collective_read(
-    comm: Comm,
-    lcom: Comm,
-    lrank: int,
-    collectsize: int,
-    backend: Backend,
-    base_path: str,
-    my_path: str,
-    layout: ChunkLayout,
-    mb1: Metablock1,
-    mb2: Metablock2,
-    tmap: TaskMapping,
-    compress: bool,
-    shadow: bool,
-) -> SionCollectiveFile:
-    """Build the read-mode collective handle: one prefetch wave at open.
+def prefetch_read(
+    plan: AccessPlan, comm: Comm, ccom: Comm, backend: Backend
+) -> SionReadFile:
+    """Open a reader's slice through one collector prefetch wave.
 
-    Each sender plans its complete request list locally; the collector
-    fetches all of its senders' fragments in **one** ``gather_read``
-    (``exec_once``: replay-safe and counted once) and ``scatterv``s the
-    pieces back.  Subsequent reads never touch the store.
+    ``ccom`` is the collector group (its rank 0 is the collector).  Each
+    sender plans the complete request list of every writer stream in its
+    slice locally; the collector fetches all of its senders' fragments in
+    **one** ``gather_read`` per touched physical file (replay-guarded,
+    so counted once) and ``scatterv``s them back.  Every later read is
+    served from :class:`PreloadedFragments` without touching the store —
+    physical data calls scale with collectors x files, not with readers
+    or writer streams.
     """
-    ccom = lcom.split(color=lrank // collectsize, key=lrank)
-    assert ccom is not None
-    blocksizes = list(mb2.blocksizes[lrank])
-    data_offset = SHADOW_HEADER_SIZE if shadow else 0
-    requests = tuple(layout.read_requests(lrank, blocksizes, data_offset))
-    gathered = ccom.gather(requests, root=0)
-    raw: RawFile | None = None
+    data_offset = SHADOW_HEADER_SIZE if plan.shadow else 0
+    requests = [
+        (
+            a.path,
+            tuple(
+                plan.file_layouts[a.filenum].read_requests(
+                    a.lrank, a.blocksizes, data_offset
+                )
+            ),
+        )
+        for a in plan.assignments
+    ]
+    gathered = ccom.gather(tuple(requests), root=0)
+    raws: list[RawFile] = []
     if ccom.rank == 0:
         assert gathered is not None
-        raw = ccom.exec_once(lambda: backend.open(my_path, "rb"))
-        flat = [req for reqs in gathered for req in reqs]
-        handle = raw
-        pieces = ccom.exec_once(lambda: handle.gather_read(flat)) if flat else []
-        per_sender: list[list[bytes]] = []
-        start = 0
-        for reqs in gathered:
-            per_sender.append(pieces[start : start + len(reqs)])
-            start += len(reqs)
+        # Bucket every (sender, stream) request list by physical path,
+        # preserving order, and fetch each path's bucket in one call.
+        buckets: dict[str, list[tuple[int, int]]] = {}
+        slices: list[list[tuple[str, int, int]]] = []
+        for sender_reqs in gathered:
+            sender_slices = []
+            for path, reqs in sender_reqs:
+                bucket = buckets.setdefault(path, [])
+                sender_slices.append((path, len(bucket), len(reqs)))
+                bucket.extend(reqs)
+            slices.append(sender_slices)
+        pieces_by_path: dict[str, list[bytes]] = {}
+        for path, reqs in buckets.items():
+            raw = open_guarded(backend, path, "rb", ccom)
+            raws.append(raw)
+            pieces_by_path[path] = raw.gather_read(reqs) if reqs else []
+        per_sender = [
+            [
+                tuple(pieces_by_path[path][start : start + count])
+                for path, start, count in sender_slices
+            ]
+            for sender_slices in slices
+        ]
         mine = ccom.scatterv(per_sender, root=0)
     else:
         mine = ccom.scatterv(None, root=0)
-    preloaded = PreloadedFragments(
-        list(zip([off for off, _ in requests], mine))
-    )
-    stream = TaskStream(
-        preloaded, layout, lrank, "r", blocksizes=blocksizes, shadow=shadow
-    )
-    return SionCollectiveFile(
-        ccom=ccom,
-        collectsize=collectsize,
-        recorder=None,
-        mode="r",
-        comm=comm,
-        lcom=lcom,
-        backend=backend,
-        base_path=base_path,
-        my_path=my_path,
-        raw=raw,
-        stream=stream,
-        layout=layout,
-        mb1=mb1,
-        mapping=tmap,
-        compress=compress,
-    )
+    streams = [
+        TaskStream(
+            PreloadedFragments(list(zip([off for off, _ in reqs], pieces))),
+            plan.file_layouts[a.filenum],
+            a.lrank,
+            "r",
+            blocksizes=a.blocksizes,
+            shadow=plan.shadow,
+        )
+        for (_, reqs), pieces, a in zip(requests, mine, plan.assignments)
+    ]
+    return SionReadFile(comm, plan, streams, raws)

@@ -19,9 +19,10 @@ from __future__ import annotations
 from repro.backends.base import Backend
 from repro.errors import SionUsageError
 from repro.simmpi.comm import Comm
-from repro.sion.openspec import OpenSpec, open_access
+from repro.sion.openspec import OpenSpec, SionReadFile, open_access
 from repro.sion.parallel import SionParallelFile
-from repro.sion.serial import SionRankFile, open_rank
+from repro.sion.readwrite import PartitionStream
+from repro.sion.serial import open_rank
 
 
 def thread_multifile_path(base: str, thread: int) -> str:
@@ -88,7 +89,7 @@ class HybridParallelFile:
     """Per-rank view of a hybrid job's thread multifiles."""
 
     def __init__(
-        self, base_path: str, mode: str, comm: Comm, handles: list[SionParallelFile]
+        self, base_path: str, mode: str, comm: Comm, handles: "list[SionParallelFile | SionReadFile]"
     ) -> None:
         self.base_path = base_path
         self.mode = mode
@@ -101,7 +102,7 @@ class HybridParallelFile:
         """Thread streams available to this rank."""
         return len(self._handles)
 
-    def stream(self, thread: int) -> SionParallelFile:
+    def stream(self, thread: int) -> "SionParallelFile | SionReadFile":
         """The multifile handle owned by ``thread`` on this rank.
 
         Handles are independent; concurrent threads may each use their own
@@ -133,7 +134,7 @@ class HybridParallelFile:
 
 def open_rank_thread(
     path: str, rank: int, thread: int, backend: Backend | None = None
-) -> SionRankFile:
+) -> PartitionStream:
     """Serial task-local view of one (rank, thread) logical file.
 
     This is what a hybrid-aware trace analyzer uses to load the stream of

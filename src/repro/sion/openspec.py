@@ -17,21 +17,23 @@ module is the single pipeline behind every entry point:
   each rank's :class:`AccessPlan`: physical file(s), chunk layout,
   stream assignments, metablock duties, and the resolved aggregation
   degree.
-* :func:`open_access` — compiles the plan and hands it to the matching
+* :func:`open_access` — compiles the plan and hands it to one of two
+  executors: the write executor (direct or collective) or the read
   executor.  ``paropen`` (direct and collective), ``paropen_hybrid``,
   and the serial ``open``/``open_rank`` are all thin shims over this
   function or over the shared metadata helpers below.
 
-The planner's new capability is the **re-partitioned read**: a reader
-world of any size ``m`` over an ``n``-writer multifile.  Each reader is
-assigned a contiguous slice of writer task streams
-(:class:`~repro.sion.mapping.ReadPartition`) and drives them through
-multiplexed :class:`~repro.sion.readwrite.TaskStream` cursors
-(:class:`~repro.sion.readwrite.PartitionStream`), in direct mode and in
-collective-prefetch mode, on both SPMD engines — byte-identical to an
-``n``-rank read of the same file.
+Every read is a **partitioned read**: a reader world of any size ``m``
+over an ``n``-writer multifile, each reader assigned a contiguous slice
+of writer task streams (:class:`~repro.sion.mapping.ReadPartition`); a
+matched read is the plan with ``m == n``.  The read executor opens the
+slice directly (one replay-guarded handle per touched file) or through
+one collector prefetch wave (:func:`~repro.sion.collective.prefetch_read`),
+and either way returns a :class:`SionReadFile` — the
+:class:`~repro.sion.readwrite.PartitionStream` cursor over the slice —
+on every SPMD engine, byte-identical to an ``n``-rank read of the file.
 
-Direct-mode backend interactions are routed through
+Physical handles — direct-mode ones and collectors' — are routed through
 :class:`ReplayGuardedFile`, so instrumented backend telemetry is
 deterministic under the bulk engine's memoized replay (each physical
 call executes exactly once per rank; replays return the logged result).
@@ -46,14 +48,12 @@ from repro.backends.base import Backend, RawFile
 from repro.backends.localfs import LocalBackend
 from repro.buffers import BufferLike
 from repro.errors import SionUsageError
-from repro.sion.compression import ZlibReader
 from repro.sion.buddy import MirrorRawFile, buddy_path
 from repro.sion.constants import (
     FLAG_BUDDY,
     FLAG_COMPRESS,
     FLAG_SHADOW,
     MAPPING_CUSTOM,
-    SHADOW_HEADER_SIZE,
 )
 from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import ChunkLayout
@@ -346,6 +346,27 @@ def build_file_metadata(
     return mb1, layout
 
 
+def write_metablock2(
+    raw: RawFile,
+    layout: ChunkLayout,
+    mb1: Metablock1,
+    blocksizes: list[list[int]],
+) -> None:
+    """Append metablock 2 after the last block and patch its offset.
+
+    The one close-time metadata write of a physical file, shared by the
+    serial creator and the parallel per-file masters: seek past the
+    chunk blocks, write metablock 2, patch its offset into metablock 1,
+    flush.
+    """
+    mb2 = Metablock2(blocksizes=blocksizes)
+    offset = layout.end_of_blocks(mb2.maxblocks)
+    raw.seek(offset)
+    raw.write(mb2.encode())
+    mb1.patch_metablock2_offset(raw, offset)
+    raw.flush()
+
+
 # ---------------------------------------------------------------------------
 # Replay-guarded handles: deterministic backend telemetry under bulk replay.
 
@@ -506,13 +527,13 @@ class StreamAssignment:
 class AccessPlan:
     """Per-rank physical access plan compiled from an :class:`OpenSpec`.
 
-    Write mode / matched read: the single-stream fields (``filenum``,
-    ``lrank``, ``my_path``, ``layout``, ``mb1``/``mb2``, ``lcom``)
-    describe this rank's chunk schedule and its metablock duties (the
-    per-file master — ``lcom.rank == 0`` — writes metablock 1 and later
-    metablock 2).  Partitioned read: ``partition`` plus one
-    :class:`StreamAssignment` per assigned writer stream, with the
-    per-file metadata in ``file_layouts``.
+    Write mode: the single-stream fields (``filenum``, ``lrank``,
+    ``my_path``, ``layout``, ``mb1``, ``lcom``) describe this rank's chunk
+    schedule and its metablock duties (the per-file master —
+    ``lcom.rank == 0`` — writes metablock 1 and later metablock 2).  Read
+    mode: ``partition`` plus one :class:`StreamAssignment` per writer
+    stream in this reader's slice (exactly one in a matched read), with
+    the per-file layouts in ``file_layouts``.
 
     Produced by :func:`compile_plan` (collectively — read mode decodes
     the metablocks on one rank and broadcasts them); consumed by the
@@ -530,7 +551,7 @@ class AccessPlan:
     collectsize: int | None
     compress: bool = False
     shadow: bool = False
-    # -- single-stream (write / matched read) --------------------------------
+    # -- write ---------------------------------------------------------------
     filenum: int | None = None
     lrank: int | None = None
     my_path: str | None = None
@@ -538,9 +559,8 @@ class AccessPlan:
     replica_path: str | None = None
     layout: ChunkLayout | None = None
     mb1: Metablock1 | None = None
-    mb2: Metablock2 | None = None
     lcom: Any = None
-    # -- partitioned read ----------------------------------------------------
+    # -- read ----------------------------------------------------------------
     partition: ReadPartition | None = None
     assignments: tuple[StreamAssignment, ...] = ()
     file_layouts: dict[int, ChunkLayout] = field(default_factory=dict)
@@ -561,9 +581,7 @@ def open_access(spec: OpenSpec, comm: Any, backend: Backend | None = None):
         plan = compile_write_plan(spec, comm, backend)
         return _execute_write(plan, comm, backend)
     plan = compile_read_plan(spec, comm, backend)
-    if plan.partition is not None:
-        return _execute_partitioned_read(plan, comm, backend)
-    return _execute_matched_read(plan, comm, backend)
+    return _execute_read(plan, comm, backend)
 
 
 def compile_plan(spec: OpenSpec, comm: Any, backend: Backend) -> AccessPlan:
@@ -673,13 +691,15 @@ def _create_with_metablock1(backend: Backend, path: str, mb1: Metablock1) -> Non
 
 
 def compile_read_plan(spec: OpenSpec, comm: Any, backend: Backend) -> AccessPlan:
-    """The read-side metadata probe: set geometry, then per-rank duties.
+    """The read-side metadata probe: set geometry, then this reader's slice.
 
-    A matched world (``comm.size == ntasks`` recorded in the file, and
-    ``partitioned`` unset) keeps the historical per-file broadcast plan;
-    a partitioned world of any size gets a :class:`ReadPartition` over
-    the writer task streams with one :class:`StreamAssignment` per
-    stream in its contiguous slice.
+    Rank 0 loads every physical file's metadata once and broadcasts it,
+    so readers whose slices span several files need no further per-file
+    choreography.  A reader world of any size gets a
+    :class:`ReadPartition` over the writer task streams and one
+    :class:`StreamAssignment` per stream of its contiguous slice; without
+    ``partitioned`` the world must match the writer count, and the plan
+    is that partition with ``m == n`` (reader ``r`` reads writer ``r``).
     """
     # Rank 0 reads file 0's metablock 1 to learn the set geometry
     # (exec_once: decoding a 256k-task metablock is worth not replaying).
@@ -689,29 +709,14 @@ def compile_read_plan(spec: OpenSpec, comm: Any, backend: Backend) -> AccessPlan
         else None
     )
     nfiles, ntasks_global, kind, table = comm.bcast(info, root=0)
+    if not spec.partitioned and ntasks_global != comm.size:
+        raise SionUsageError(
+            f"multifile was written by {ntasks_global} tasks but the "
+            f"communicator has {comm.size}; re-open with "
+            "partitioned=True (any reader count) or use the serial API"
+        )
     collectsize = spec.resolved_collectsize(comm.size)
     tmap = TaskMapping.from_kind_code(ntasks_global, nfiles, kind, table)
-    if not spec.partitioned:
-        if ntasks_global != comm.size:
-            raise SionUsageError(
-                f"multifile was written by {ntasks_global} tasks but the "
-                f"communicator has {comm.size}; re-open with "
-                "partitioned=True (any reader count) or use the serial API"
-            )
-        myfile = tmap.file_of(comm.rank)
-        return AccessPlan(
-            spec=spec,
-            ntasks=ntasks_global,
-            mapping=tmap,
-            collectsize=collectsize,
-            filenum=myfile,
-            lrank=tmap.local_rank(comm.rank),
-            my_path=physical_path(spec.path, myfile),
-        )
-
-    # Partitioned read: rank 0 loads every physical file's metadata once
-    # and broadcasts it; readers whose slices span several files need no
-    # further per-file choreography.
     partition = ReadPartition.balanced(ntasks_global, comm.size)
     if comm.rank == 0:
         metadata = comm.exec_once(
@@ -724,7 +729,6 @@ def compile_read_plan(spec: OpenSpec, comm: Any, backend: Backend) -> AccessPlan
     else:
         metadata = comm.bcast(None, root=0)
     flags = metadata[0][0].flags
-    file_layouts = {f: metadata[f][2] for f in range(nfiles)}
     assignments = []
     for grank in partition.writers_of(comm.rank):
         f = tmap.file_of(grank)
@@ -745,10 +749,9 @@ def compile_read_plan(spec: OpenSpec, comm: Any, backend: Backend) -> AccessPlan
         collectsize=collectsize,
         compress=bool(flags & FLAG_COMPRESS),
         shadow=bool(flags & FLAG_SHADOW),
-        mb1=metadata[0][0],
         partition=partition,
         assignments=tuple(assignments),
-        file_layouts=file_layouts,
+        file_layouts={f: metadata[f][2] for f in range(nfiles)},
     )
 
 
@@ -773,7 +776,6 @@ def _execute_write(plan: AccessPlan, comm: Any, backend: Backend):
     raw = open_mirrored(backend, plan.my_path, plan.replica_path, plan.lcom)
     stream = TaskStream(raw, plan.layout, plan.lrank, "w", shadow=plan.shadow)
     return SionParallelFile(
-        mode="w",
         comm=comm,
         lcom=plan.lcom,
         backend=backend,
@@ -788,237 +790,67 @@ def _execute_write(plan: AccessPlan, comm: Any, backend: Backend):
     )
 
 
-def _execute_matched_read(plan: AccessPlan, comm: Any, backend: Backend):
-    from repro.sion.parallel import SionParallelFile
+def _execute_read(plan: AccessPlan, comm: Any, backend: Backend) -> "SionReadFile":
+    """Open this reader's slice: directly, or through a collector prefetch.
 
-    assert plan.my_path is not None and plan.lrank is not None
-    # Same single-file shortcut as ``compile_write_plan``: with one
-    # physical file the per-file communicator is ``comm`` itself.
-    if plan.mapping.nfiles == 1:
-        lcom = comm
-    else:
-        lcom = comm.split(color=plan.filenum, key=comm.rank)
-    assert lcom is not None
-    my_path = plan.my_path
-
-    if lcom.rank == 0:
-        mb1, mb2, layout = lcom.exec_once(
-            lambda: load_file_metadata(backend, my_path)
-        )
-        lcom.bcast((mb1, mb2, layout), root=0)
-    else:
-        mb1, mb2, layout = lcom.bcast(None, root=0)
-    compress = bool(mb1.flags & FLAG_COMPRESS)
-    shadow = bool(mb1.flags & FLAG_SHADOW)
-    if plan.collectsize is not None:
-        from repro.sion.collective import open_collective_read
-
-        return open_collective_read(
-            comm, lcom, plan.lrank, plan.collectsize, backend,
-            plan.spec.path, my_path, layout, mb1, mb2, plan.mapping,
-            compress=compress, shadow=shadow,
-        )
-    raw = open_guarded(backend, my_path, "rb", lcom)
-    stream = TaskStream(
-        raw,
-        layout,
-        plan.lrank,
-        "r",
-        blocksizes=mb2.blocksizes[plan.lrank],
-        shadow=shadow,
-    )
-    return SionParallelFile(
-        mode="r",
-        comm=comm,
-        lcom=lcom,
-        backend=backend,
-        base_path=plan.spec.path,
-        my_path=my_path,
-        raw=raw,
-        stream=stream,
-        layout=layout,
-        mb1=mb1,
-        mapping=plan.mapping,
-        compress=compress,
-    )
-
-
-def _execute_partitioned_read(plan: AccessPlan, comm: Any, backend: Backend):
-    if plan.collectsize is not None:
-        return _open_partitioned_prefetch(plan, comm, backend)
-    # Direct partitioned mode: each reader opens every physical file its
-    # slice touches exactly once (replay-guarded), and the multiplexed
-    # cursor batches the streams' fragment plans so a whole-slice read
-    # costs one vectored call per touched file — O(readers) physical
-    # data calls for the world, however many writer streams there are.
-    raws: dict[int, RawFile] = {}
-    streams: list[TaskStream] = []
-    for a in plan.assignments:
-        raw = raws.get(a.filenum)
-        if raw is None:
-            raw = raws[a.filenum] = open_guarded(backend, a.path, "rb", comm)
-        streams.append(
-            TaskStream(
-                raw,
-                plan.file_layouts[a.filenum],
-                a.lrank,
-                "r",
-                blocksizes=list(a.blocksizes),
-                shadow=plan.shadow,
-            )
-        )
-    return SionPartitionedReadFile(
-        comm=comm,
-        backend=backend,
-        base_path=plan.spec.path,
-        plan=plan,
-        streams=streams,
-        own_raws=list(raws.values()),
-        close_via=comm,
-    )
-
-
-def _open_partitioned_prefetch(plan: AccessPlan, comm: Any, backend: Backend):
-    """Collective-prefetch partitioned read: one wave per collector group.
-
-    Readers are grouped world-wide by the resolved ``collectsize``; each
-    sender plans the complete request list of *every* writer stream in
-    its slice, the group's collector fetches all of them in one
-    ``gather_read`` per touched physical file, and ``scatterv`` hands
-    each sender its per-stream fragments.  Later reads are served from
-    :class:`~repro.sion.collective.PreloadedFragments` without touching
-    the store — physical data calls scale with collectors x files, not
-    with readers or writer streams.
+    Direct mode opens every physical file the slice touches exactly once
+    (replay-guarded); the cursor batches the streams' fragment plans, so a
+    whole-slice read costs one vectored call per touched file — O(readers)
+    physical data calls for the world, however many writer streams there
+    are.  With ``collectsize`` a matched reader joins its writer's
+    per-file collector group (the groups a collective write used) and a
+    partitioned reader a world-wide group of consecutive ranks.
     """
-    from repro.sion.collective import PreloadedFragments
+    k = plan.collectsize
+    if k is None:
+        raws: dict[int, RawFile] = {}
+        streams = []
+        for a in plan.assignments:
+            raw = raws.get(a.filenum)
+            if raw is None:
+                raw = raws[a.filenum] = open_guarded(backend, a.path, "rb", comm)
+            streams.append(
+                TaskStream(
+                    raw, plan.file_layouts[a.filenum], a.lrank, "r",
+                    blocksizes=a.blocksizes, shadow=plan.shadow,
+                )
+            )
+        return SionReadFile(comm, plan, streams, list(raws.values()))
+    from repro.sion.collective import prefetch_read
 
-    assert plan.collectsize is not None
-    ccom = comm.split(color=comm.rank // plan.collectsize, key=comm.rank)
+    if plan.spec.partitioned:
+        ccom = comm.split(color=comm.rank // k, key=comm.rank)
+    else:  # color (file, group within the file), flattened to one integer
+        (a,) = plan.assignments
+        ccom = comm.split(color=a.filenum * plan.ntasks + a.lrank // k, key=a.lrank)
     assert ccom is not None
-    data_offset = SHADOW_HEADER_SIZE if plan.shadow else 0
-    per_stream_requests = []
-    for a in plan.assignments:
-        layout = plan.file_layouts[a.filenum]
-        per_stream_requests.append(
-            (
-                a.path,
-                tuple(
-                    layout.read_requests(a.lrank, list(a.blocksizes), data_offset)
-                ),
-            )
-        )
-    gathered = ccom.gather(tuple(per_stream_requests), root=0)
-    collector_raws: list[RawFile] = []
-    if ccom.rank == 0:
-        assert gathered is not None
-        # Bucket every (sender, stream) request list by physical path,
-        # preserving order, and fetch each path's bucket in one call.
-        order: list[str] = []
-        buckets: dict[str, list[tuple[int, int]]] = {}
-        slices: list[list[tuple[str, int, int]]] = []
-        for sender_reqs in gathered:
-            sender_slices = []
-            for path, reqs in sender_reqs:
-                if path not in buckets:
-                    buckets[path] = []
-                    order.append(path)
-                start = len(buckets[path])
-                buckets[path].extend(reqs)
-                sender_slices.append((path, start, len(reqs)))
-            slices.append(sender_slices)
-        pieces_by_path: dict[str, list[bytes]] = {}
-        for path in order:
-            raw = ccom.exec_once(lambda p=path: backend.open(p, "rb"))
-            collector_raws.append(raw)
-            reqs = buckets[path]
-            handle = raw
-            pieces_by_path[path] = (
-                ccom.exec_once(lambda h=handle, r=reqs: h.gather_read(r))
-                if reqs
-                else []
-            )
-        per_sender = [
-            [
-                tuple(pieces_by_path[path][start : start + count])
-                for path, start, count in sender_slices
-            ]
-            for sender_slices in slices
-        ]
-        mine = ccom.scatterv(per_sender, root=0)
-    else:
-        mine = ccom.scatterv(None, root=0)
-    streams: list[TaskStream] = []
-    for (path, reqs), pieces, a in zip(per_stream_requests, mine, plan.assignments):
-        preloaded = PreloadedFragments(
-            list(zip([off for off, _ in reqs], pieces))
-        )
-        streams.append(
-            TaskStream(
-                preloaded,
-                plan.file_layouts[a.filenum],
-                a.lrank,
-                "r",
-                blocksizes=list(a.blocksizes),
-                shadow=plan.shadow,
-            )
-        )
-    return SionPartitionedReadFile(
-        comm=comm,
-        backend=backend,
-        base_path=plan.spec.path,
-        plan=plan,
-        streams=streams,
-        own_raws=collector_raws,
-        close_via=ccom,
-    )
+    return prefetch_read(plan, comm, ccom, backend)
 
 
 # ---------------------------------------------------------------------------
-# The partitioned read handle.
+# The read handle.
 
 
-class SionPartitionedReadFile:
-    """One reader's handle on a multifile opened with ``partitioned=True``.
+class SionReadFile(PartitionStream):
+    """One rank's handle from ``paropen(..., "r")``, whatever the plan.
 
-    The reader owns a contiguous slice of writer task streams; its
-    logical stream is their concatenation in writer-rank order, so the
+    Matched or partitioned, direct or collector-prefetched: the handle is
+    the :class:`~repro.sion.readwrite.PartitionStream` cursor over this
+    reader's slice of writer streams (one stream in a matched read), the
+    partition introspection, and the collective :meth:`parclose`.  The
     world's readers together reproduce an ``n``-rank read byte for byte.
-    The read API mirrors :class:`~repro.sion.parallel.SionParallelFile`
-    (``fread``/``read``/``read_all``/``feof``/``bytes_avail_in_chunk``),
-    with the multiplexed cursor crossing writer-stream boundaries the
-    way the single-stream cursor crosses chunk boundaries.
     """
 
     mode = "r"
 
     def __init__(
-        self,
-        comm: Any,
-        backend: Backend,
-        base_path: str,
-        plan: AccessPlan,
-        streams: list[TaskStream],
-        own_raws: list[RawFile],
-        close_via: Any,
+        self, comm: Any, plan: AccessPlan, streams: list[TaskStream],
+        raws: list[RawFile],
     ) -> None:
         """Bind the reader's compiled slice (built by the executor)."""
+        super().__init__(streams, compress=plan.compress, raws=raws)
         self.comm = comm
-        self.backend = backend
-        self.base_path = base_path
         self.plan = plan
-        self.mapping = plan.mapping
-        self.compress = plan.compress
-        self._streams = streams
-        self._own_raws = own_raws
-        self._close_via = close_via
-        self._mux = PartitionStream(streams)
-        self._closed = False
-        # Compressed sets: every writer stream is an independent zlib
-        # stream, decompressed separately and concatenated.
-        self._zrs = [ZlibReader() for _ in streams] if plan.compress else None
-        self._zidx = 0
-
-    # -- introspection ------------------------------------------------------
 
     @property
     def partition(self) -> ReadPartition:
@@ -1036,128 +868,13 @@ class SionPartitionedReadFile:
         """Number of logical task streams recorded in the multifile."""
         return self.plan.ntasks
 
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`parclose` has run."""
-        return self._closed
-
-    def tell_logical(self) -> int:
-        """Raw chunk-stream bytes consumed so far across the slice."""
-        self._check_open()
-        return self._mux.tell_logical()
-
-    # -- read API -----------------------------------------------------------
-
-    def feof(self) -> bool:
-        """True once every assigned writer stream is exhausted."""
-        self._check_open()
-        if self._zrs is not None:
-            return self._zcur() is None
-        return self._mux.feof()
-
-    def bytes_avail_in_chunk(self) -> int:
-        """Unread data bytes in the current writer stream's chunk."""
-        self._check_open()
-        self._no_compress("bytes_avail_in_chunk")
-        return self._mux.bytes_avail_in_chunk()
-
-    def read(self, n: int) -> bytes:
-        """Read within the current chunk of the current writer stream."""
-        self._check_open()
-        self._no_compress("read")
-        return self._mux.read(n)
-
-    def fread(self, n: int) -> bytes:
-        """Read up to ``n`` logical bytes, crossing chunk *and* writer
-        stream boundaries."""
-        self._check_open()
-        if n < 0:
-            raise SionUsageError("read size must be non-negative")
-        if self._zrs is None:
-            return self._mux.fread(n)
-        parts: list[bytes] = []
-        want = n
-        while want > 0:
-            cur = self._zcur()
-            if cur is None:
-                break
-            zr, stream = cur
-            self._zpump(zr, stream, want)
-            piece = zr.take(want)
-            if not piece and zr.exhausted:
-                self._zidx += 1
-                continue
-            if not piece:
-                break
-            parts.append(piece)
-            want -= len(piece)
-        return b"".join(parts)
-
-    def read_all(self) -> bytes:
-        """Everything that remains of this reader's slice."""
-        self._check_open()
-        if self._zrs is None:
-            return self._mux.read_all()
-        parts = []
-        while True:
-            piece = self.fread(1 << 20)
-            if not piece:
-                break
-            parts.append(piece)
-        return b"".join(parts)
-
-    # -- collective close ---------------------------------------------------
-
     def parclose(self) -> None:
         """Collective close of the reader world."""
-        if self._closed:
+        if self.closed:
             raise SionUsageError("multifile already closed")
-        for raw in self._own_raws:
-            if isinstance(raw, ReplayGuardedFile):
-                raw.close()
-            else:
-                # Prefetch-mode collector handles were opened under
-                # exec_once and are shared across bulk-engine replays;
-                # they must close exactly once.
-                self._close_via.exec_once(raw.close)
-        self._closed = True
+        self.close()
         self.comm.barrier()
 
-    def __enter__(self) -> "SionPartitionedReadFile":
-        return self
-
     def __exit__(self, *exc: object) -> None:
-        if not self._closed:
+        if not self.closed:
             self.parclose()
-
-    # -- internals ----------------------------------------------------------
-
-    def _zcur(self):
-        assert self._zrs is not None
-        while self._zidx < len(self._streams):
-            zr = self._zrs[self._zidx]
-            stream = self._streams[self._zidx]
-            if not zr.exhausted or zr.available():
-                return zr, stream
-            self._zidx += 1
-        return None
-
-    def _zpump(self, zr: ZlibReader, stream: TaskStream, want: int) -> None:
-        while zr.available() < want and not stream.feof():
-            piece = stream.fread(64 * 1024)
-            if not piece:
-                break
-            zr.feed(piece)
-        if stream.feof():
-            zr.source_exhausted()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SionUsageError("multifile is closed")
-
-    def _no_compress(self, op: str) -> None:
-        if self.compress:
-            raise SionUsageError(
-                f"{op} is unavailable with transparent compression; "
-                "use fread/read_all, which manage boundaries internally"
-            )

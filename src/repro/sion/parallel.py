@@ -2,9 +2,10 @@
 
 :func:`paropen` is a collective operation over a communicator: tasks agree
 on the task-to-file mapping, per-file masters write/read the metablocks,
-layout information is distributed, and every task receives a
-:class:`SionParallelFile` positioned at its first chunk.  In between open
-and close, reads and writes are completely independent (no communication).
+layout information is distributed, and every task receives a handle
+positioned at its first chunk: a :class:`SionParallelFile` to write, a
+:class:`~repro.sion.openspec.SionReadFile` to read.  In between open and
+close, reads and writes are completely independent (no communication).
 :meth:`SionParallelFile.parclose` is the matching collective close, where
 masters collect per-task byte counts and append metablock 2.
 
@@ -17,17 +18,23 @@ hybrid, serial, and partitioned entry points.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NoReturn
 
 from repro.backends.base import Backend, RawFile
 from repro.buffers import BufferLike, as_view
 from repro.errors import SionUsageError
-from repro.sion.compression import ZlibReader, ZlibWriter
-from repro.sion.format import Metablock1, Metablock2
+from repro.sion.compression import ZlibWriter
+from repro.sion.format import Metablock1
 from repro.sion.layout import ChunkLayout
 from repro.sion.mapping import TaskMapping
-from repro.sion.openspec import OpenSpec, open_access, unwrap_raw
-from repro.sion.readwrite import TaskStream
+from repro.sion.openspec import (
+    OpenSpec,
+    SionReadFile,
+    open_access,
+    unwrap_raw,
+    write_metablock2,
+)
+from repro.sion.readwrite import TaskStream, refuse_other_mode
 from repro.simmpi.comm import Comm
 
 
@@ -47,7 +54,7 @@ def paropen(
     collectsize: int | None = None,
     collectors: int | None = None,
     partitioned: bool = False,
-) -> "SionParallelFile":
+) -> "SionParallelFile | SionReadFile":
     """Collectively open a multifile for parallel access.
 
     Parameters mirror ``sion_paropen_mpi``:
@@ -87,9 +94,8 @@ def paropen(
         Read mode only: accept a reader world of **any** size over the
         multifile.  Each reader receives a contiguous slice of the
         recorded writer task streams
-        (:class:`~repro.sion.mapping.ReadPartition`) and a
-        :class:`~repro.sion.openspec.SionPartitionedReadFile` handle
-        whose multiplexed cursor concatenates them — byte-identical to a
+        (:class:`~repro.sion.mapping.ReadPartition`) and a read handle
+        whose cursor concatenates them — byte-identical to a
         matched-world read.  Works with ``collectsize``/``collectors``
         (collective-prefetch partitioned read).
 
@@ -98,9 +104,13 @@ def paropen(
     :class:`~repro.errors.SionUsageError` by the
     :class:`~repro.sion.openspec.OpenSpec` validator.
 
-    Returns each task's :class:`SionParallelFile` handle (a
-    :class:`~repro.sion.collective.SionCollectiveFile` in collective
-    mode, a partitioned read handle with ``partitioned=True``).
+    Returns each task's handle.  Write mode: a :class:`SionParallelFile`
+    (a :class:`~repro.sion.collective.SionCollectiveFile` in collective
+    mode).  Read mode, in all four plans — matched or ``partitioned``,
+    direct or collector-prefetched: a
+    :class:`~repro.sion.openspec.SionReadFile`, the
+    :class:`~repro.sion.readwrite.PartitionStream` read cursor over this
+    task's slice of writer streams plus ``parclose``.
 
     Example — every rank writes one record, then reads it back::
 
@@ -140,31 +150,29 @@ def persist_metablock2(
 ) -> None:
     """Append metablock 2 and patch its offset into metablock 1 (master).
 
-    Shared by direct and collective parclose.  Wrapped in ``exec_once``:
-    a bulk-engine replay of the close sequence must not re-write the
-    metablock (the bytes would be identical, but instrumented backends
-    would double-count the boundary crossing).  Callers pass the
-    *unguarded* physical handle — the sequence is one composite op, and
-    a replay-guarded handle would nest ``exec_once`` inside ``exec_once``.
+    Shared by direct and collective parclose: :func:`write_metablock2`
+    wrapped in ``exec_once``, because a bulk-engine replay of the close
+    sequence must not re-write the metablock (the bytes would be
+    identical, but instrumented backends would double-count the boundary
+    crossing).  Callers pass the *unguarded* physical handle — the
+    sequence is one composite op, and a replay-guarded handle would nest
+    ``exec_once`` inside ``exec_once``.
     """
-    mb2 = Metablock2(blocksizes=blocksizes)
-    offset = layout.end_of_blocks(mb2.maxblocks)
-
-    def _persist() -> None:
-        raw.seek(offset)
-        raw.write(mb2.encode())
-        mb1.patch_metablock2_offset(raw, offset)
-        raw.flush()
-
-    lcom.exec_once(_persist)
+    lcom.exec_once(lambda: write_metablock2(raw, layout, mb1, blocksizes))
 
 
 class SionParallelFile:
-    """One task's handle on a collectively opened multifile."""
+    """One task's write handle on a collectively opened multifile.
+
+    Write mode only: ``paropen(..., "r")`` returns the read handle
+    (:class:`~repro.sion.openspec.SionReadFile`), and asking this handle
+    for a read call is a :class:`~repro.errors.SionUsageError`.
+    """
+
+    mode = "w"
 
     def __init__(
         self,
-        mode: str,
         comm: Comm,
         lcom: Comm,
         backend: Backend,
@@ -177,7 +185,6 @@ class SionParallelFile:
         mapping: TaskMapping,
         compress: bool,
     ) -> None:
-        self.mode = mode
         self.comm = comm
         self.lcom = lcom
         self.backend = backend
@@ -189,8 +196,7 @@ class SionParallelFile:
         self.mb1 = mb1
         self.mapping = mapping
         self.compress = compress
-        self._zw: ZlibWriter | None = ZlibWriter() if compress and mode == "w" else None
-        self._zr: ZlibReader | None = ZlibReader() if compress and mode == "r" else None
+        self._zw: ZlibWriter | None = ZlibWriter() if compress else None
         self._closed = False
 
     # -- introspection ------------------------------------------------------
@@ -228,7 +234,7 @@ class SionParallelFile:
         return self._stream.cur_block, self._stream.pos
 
     def tell_logical(self) -> int:
-        """Raw chunk-stream bytes consumed/produced so far by this task."""
+        """Raw chunk-stream bytes produced so far by this task."""
         return self._stream.tell_logical()
 
     # -- write API (Listing 1) ------------------------------------------------
@@ -250,7 +256,7 @@ class SionParallelFile:
         transparent compression the deflate output is the only buffer
         materialized on the way down.
         """
-        self._check_mode("w")
+        self._check_open()
         if self._zw is not None:
             view = as_view(data)
             self._stream.fwrite(self._zw.compress(view))
@@ -264,80 +270,29 @@ class SionParallelFile:
 
     def flush_shadow(self) -> None:
         """Checkpoint recovery metadata for the current block (paper §6)."""
-        self._check_mode("w")
+        self._check_open()
         self._stream.flush_shadow()
-
-    # -- read API (Listing 2) ----------------------------------------------------
-
-    def feof(self) -> bool:
-        """True after the task's entire logical stream has been read."""
-        self._check_mode("r")
-        if self._zr is not None:
-            self._pump(1)
-            return self._zr.exhausted
-        return self._stream.feof()
-
-    def bytes_avail_in_chunk(self) -> int:
-        """Unread data bytes in the current chunk."""
-        self._check_plain("bytes_avail_in_chunk")
-        return self._stream.bytes_avail_in_chunk()
-
-    def read(self, n: int) -> bytes:
-        """ANSI-``fread`` equivalent: stays within the current chunk."""
-        self._check_plain("read")
-        return self._stream.read(n)
-
-    def fread(self, n: int) -> bytes:
-        """SIONlib read: crosses chunk boundaries; up to ``n`` logical bytes."""
-        self._check_mode("r")
-        if self._zr is not None:
-            self._pump(n)
-            return self._zr.take(n)
-        return self._stream.fread(n)
-
-    def read_all(self) -> bytes:
-        """Entire remaining logical stream of this task."""
-        self._check_mode("r")
-        if self._zr is not None:
-            parts = []
-            while not self.feof():
-                self._pump(1 << 20)
-                parts.append(self._zr.take(self._zr.available()))
-            return b"".join(parts)
-        return self._stream.read_all()
-
-    def _pump(self, want: int) -> None:
-        """Feed the decompressor until ``want`` bytes are ready or EOF."""
-        assert self._zr is not None
-        while self._zr.available() < want and not self._stream.feof():
-            raw_piece = self._stream.fread(64 * 1024)
-            if not raw_piece:
-                break
-            self._zr.feed(raw_piece)
-        if self._stream.feof():
-            self._zr.source_exhausted()
 
     # -- collective close ------------------------------------------------------
 
     def parclose(self) -> None:
-        """Collective close; masters append metablock 2 (write mode)."""
+        """Collective close; per-file masters append metablock 2."""
         if self._closed:
             raise SionUsageError("multifile already closed")
-        if self.mode == "w":
-            if self._zw is not None:
-                tail = self._zw.finish()
-                if tail:
-                    self._stream.fwrite(tail)
-            blocks = self._stream.finalize()
-            self._flush_data()
-            gathered = self.lcom.gather(blocks, root=0)
-            if self.lcom.rank == 0:
-                assert gathered is not None and self._raw is not None
-                persist_metablock2(
-                    self.lcom, unwrap_raw(self._raw), self.layout, self.mb1,
-                    gathered,
-                )
-        self._close_raw()
+        if self._zw is not None:
+            tail = self._zw.finish()
+            if tail:
+                self._stream.fwrite(tail)
+        blocks = self._stream.finalize()
+        self._flush_data()
+        gathered = self.lcom.gather(blocks, root=0)
+        if self.lcom.rank == 0:
+            assert gathered is not None and self._raw is not None
+            persist_metablock2(
+                self.lcom, unwrap_raw(self._raw), self.layout, self.mb1, gathered
+            )
+        if self._raw is not None:
+            self._raw.close()
         self._closed = True
         # The world barrier already makes every file's metablock 2 durable
         # before *any* rank returns: each per-file master enters it only
@@ -352,11 +307,6 @@ class SionParallelFile:
         collective subclass runs its final collection wave here.
         """
 
-    def _close_raw(self) -> None:
-        """Hook: release the physical handle (collective mode: guarded)."""
-        assert self._raw is not None
-        self._raw.close()
-
     # -- context manager -----------------------------------------------------
 
     def __enter__(self) -> "SionParallelFile":
@@ -366,20 +316,19 @@ class SionParallelFile:
         if not self._closed:
             self.parclose()
 
+    def __getattr__(self, name: str) -> NoReturn:
+        refuse_other_mode(self, name, "w")
+
     # -- internals -------------------------------------------------------------
 
-    def _check_mode(self, mode: str) -> None:
+    def _check_open(self) -> None:
         if self._closed:
             raise SionUsageError("multifile is closed")
-        if self.mode != mode:
-            raise SionUsageError(
-                f"operation requires mode {mode!r}, file is open {self.mode!r}"
-            )
 
     def _check_plain(self, op: str) -> None:
-        self._check_mode("w" if op in ("ensure_free_space", "write", "bytes_left_in_chunk") else "r")
+        self._check_open()
         if self.compress:
             raise SionUsageError(
                 f"{op} is unavailable with transparent compression; "
-                "use fwrite/fread, which manage chunk boundaries internally"
+                "use fwrite, which manages chunk boundaries internally"
             )

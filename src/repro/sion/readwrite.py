@@ -15,6 +15,13 @@ It provides the paper's API semantics:
   mirror images (Listing 2), driven by the per-block byte counts recorded
   in metablock 2.
 
+A :class:`PartitionStream` is the read API itself: a cursor over a slice
+of task streams (a single stream is a slice of length 1) that owns
+transparent decompression, the closed/compression usage checks and the
+physical handles it was given.  Every read surface — ``paropen(..., "r")``
+in all four plans, ``open_rank``, the serial global view and the read
+gateway's sessions — is one of these.
+
 Byte movement is **zero-copy and vectored**: every write accepts any
 buffer-protocol payload and forwards ``memoryview`` slices of it; every
 call uses *positioned* backend I/O (chunk addresses are computable
@@ -32,12 +39,35 @@ fragment list — still one backend call.
 
 from __future__ import annotations
 
+from typing import NoReturn, Sequence
+
 from repro.backends.base import RawFile
 from repro.buffers import BufferLike, as_view, concat_views
 from repro.errors import SionChunkOverflowError, SionUsageError
+from repro.sion.compression import ZlibReader
 from repro.sion.constants import SHADOW_HEADER_SIZE
 from repro.sion.format import ShadowHeader
 from repro.sion.layout import ChunkLayout
+
+#: Raw chunk-stream bytes fed to a decompressor per refill of a piecewise
+#: compressed read (``read_all`` takes a stream's whole remainder at once).
+_ZPIECE = 64 * 1024
+
+#: The two halves of the handle API, by the mode they belong to.  A handle
+#: serves one mode; the other mode's names are a usage error on it, not an
+#: ``AttributeError`` (see :func:`refuse_other_mode`).
+_MODE_API = {
+    "r": ("feof", "read", "fread", "read_all", "bytes_avail_in_chunk"),
+    "w": ("fwrite", "write", "ensure_free_space", "bytes_left_in_chunk",
+          "flush_shadow", "flush_collective"),
+}
+
+
+def refuse_other_mode(handle: object, name: str, mode: str) -> NoReturn:
+    """``__getattr__`` body of a handle open in ``mode`` only."""
+    if name in _MODE_API["w" if mode == "r" else "r"]:
+        raise SionUsageError(f"{name} is unavailable: file is open {mode!r}")
+    raise AttributeError(f"{type(handle).__name__!r} has no attribute {name!r}")
 
 
 class TaskStream:
@@ -77,12 +107,6 @@ class TaskStream:
             self._skip_empty_blocks()
 
     # -- common ------------------------------------------------------------
-
-    @property
-    def nblocks_read(self) -> int:
-        """Number of blocks recorded for this task (read mode)."""
-        assert self._blocksizes is not None
-        return len(self._blocksizes)
 
     def tell_logical(self) -> int:
         """Bytes consumed/produced so far across all blocks."""
@@ -341,35 +365,68 @@ class TaskStream:
 
 
 class PartitionStream:
-    """Multiplexed read cursor over several tasks' streams.
+    """The read cursor: a slice of task streams read as one logical file.
 
-    A partitioned reader consumes a contiguous slice of writer task
-    streams; this cursor presents their concatenation (in writer-rank
-    order) with the same semantics a single :class:`TaskStream` offers.
-    The chunk-spanning :meth:`fread` extends the single-stream plan one
-    level up: it collects the *complete* fragment plan across writer
-    streams, merges the requests of streams sharing a physical handle,
-    and issues **one** vectored ``gather_read`` per distinct handle — so
-    a reader draining its whole slice costs one physical call per
-    touched file, not one per writer stream.
+    Every read surface is one of these — a matched ``paropen`` rank, a
+    partitioned reader, ``open_rank``, the serial global view, a gateway
+    session — and a single stream is simply a slice of length 1.  The
+    slice's logical stream is the concatenation of its task streams (in
+    writer-rank order), with the semantics a single :class:`TaskStream`
+    offers:
 
-    Streams must be read-mode :class:`TaskStream` instances.  The cursor
-    owns their advancement; do not interleave direct stream reads.
+    * :meth:`fread` collects the *complete* fragment plan across the
+      streams, merges the requests of streams sharing a physical handle
+      and issues **one** vectored ``gather_read`` per distinct handle — so
+      draining a whole slice costs one physical call per touched file,
+      not one per stream;
+    * with ``compress=True`` every task stream is an independent zlib
+      stream: ``fread``/``read_all``/``feof`` answer in decompressed
+      bytes, and the chunk-local ``read``/``bytes_avail_in_chunk`` are
+      usage errors (compressed bytes have no record boundaries);
+    * a short read (truncated or damaged file) consumes only the bytes
+      that arrived — later streams stay untouched and ``feof()`` stays
+      False, so tooling can tell the shortfall from a clean end.
+
+    ``raws`` are the physical handles the cursor owns: :meth:`close`
+    closes them.  Streams must be read-mode :class:`TaskStream`
+    instances; the cursor owns their advancement, so do not interleave
+    direct stream reads.
+
+    Example::
+
+        cursor = PartitionStream([stream_a, stream_b])
+        while not cursor.feof():
+            consume(cursor.fread(1 << 16))
     """
 
-    def __init__(self, streams: "list[TaskStream]") -> None:
+    def __init__(
+        self,
+        streams: "list[TaskStream]",
+        *,
+        compress: bool = False,
+        raws: Sequence[RawFile] = (),
+    ) -> None:
         for s in streams:
             if s.mode != "r":
                 raise SionUsageError("PartitionStream requires read-mode streams")
         self._streams = streams
         self._idx = 0
+        self.compress = compress
+        self._zrs = [ZlibReader() for _ in streams] if compress else None
+        self._raws = list(raws)
+        self._closed = False
 
     # -- cursor state --------------------------------------------------------
 
     @property
     def nstreams(self) -> int:
-        """Writer streams multiplexed by this cursor."""
+        """Task streams multiplexed by this cursor."""
         return len(self._streams)
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` has run."""
+        return self._closed
 
     def _advance(self) -> None:
         while self._idx < len(self._streams) and self._streams[self._idx].feof():
@@ -382,41 +439,109 @@ class PartitionStream:
         return self._streams[self._idx]
 
     def feof(self) -> bool:
-        """True once every multiplexed stream is exhausted."""
+        """True once every stream of the slice is exhausted."""
+        self._check_open()
+        if self._zrs is not None:
+            return self._inflated(1) is None
         return self._current() is None
 
     def tell_logical(self) -> int:
-        """Bytes consumed so far across the whole slice."""
+        """Raw chunk-stream bytes consumed so far across the whole slice."""
+        self._check_open()
         return sum(s.tell_logical() for s in self._streams)
+
+    def get_current_location(self) -> tuple[int, int]:
+        """``sion_get_current_location``: ``(block, pos_in_chunk)``.
+
+        Of the stream under the cursor, in raw chunk-stream bytes
+        (compressed bytes when transparent compression is active).
+        """
+        self._check_open()
+        if not self._streams:
+            return 0, 0
+        s = self._streams[min(self._idx, len(self._streams) - 1)]
+        return s.cur_block, s.pos
 
     # -- chunk-local operations (current stream) -----------------------------
 
     def bytes_avail_in_chunk(self) -> int:
         """Unread data bytes in the current stream's current chunk."""
+        self._check_raw("bytes_avail_in_chunk")
         s = self._current()
         return s.bytes_avail_in_chunk() if s is not None else 0
 
     def read(self, n: int) -> bytes:
         """Read within the current chunk of the current stream."""
+        self._check_raw("read")
         s = self._current()
         return s.read(n) if s is not None else b""
 
     # -- slice-spanning operations -------------------------------------------
 
     def fread(self, n: int) -> bytes:
-        """Read up to ``n`` bytes, crossing chunk and stream boundaries.
-
-        The plan is pure local arithmetic (every stream's chunk
-        addresses are computable without communication); the physical
-        fetch is one ``gather_read`` per distinct handle.  On a short
-        read (truncated or damaged file) only the bytes that actually
-        arrived are consumed — later streams' cursors stay untouched, so
-        ``feof()`` remains False and tooling can tell the shortfall from
-        a clean end of slice.
-        """
+        """Read up to ``n`` logical bytes, crossing chunk and stream boundaries."""
+        self._check_open()
         if n < 0:
             raise SionUsageError("read size must be non-negative")
-        self._advance()
+        if self._zrs is None:
+            self._advance()
+            pieces = self._gather(n)
+            self._advance()
+            return concat_views(pieces)
+        parts: list[bytes] = []
+        while n > 0:
+            zr = self._inflated(n)
+            piece = zr.take(n) if zr is not None else b""
+            if not piece:
+                break  # end of slice, or the store came back short
+            parts.append(piece)
+            n -= len(piece)
+        return b"".join(parts)
+
+    def read_all(self) -> bytes:
+        """Everything that remains of the slice, in one vectored pass."""
+        self._check_open()
+        if self._zrs is None:
+            remaining = 0
+            for s in self._streams[self._idx :]:
+                assert s._blocksizes is not None
+                remaining += sum(s._blocksizes[s.cur_block :]) - s.pos
+            return self.fread(max(remaining, 0))
+        parts = []
+        while (zr := self._inflated(None)) is not None:
+            piece = zr.take(zr.available())
+            if not piece:
+                break  # the store came back short
+            parts.append(piece)
+        return b"".join(parts)
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def close(self) -> None:
+        """Release the physical handles this cursor owns (idempotent)."""
+        if not self._closed:
+            self._closed = True
+            for raw in self._raws:
+                raw.close()
+
+    def __enter__(self) -> "PartitionStream":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def __getattr__(self, name: str) -> NoReturn:
+        refuse_other_mode(self, name, "r")
+
+    # -- internals ------------------------------------------------------------
+
+    def _gather(self, n: int) -> list[bytes]:
+        """Fetch up to ``n`` raw bytes from the cursor on; advance past them.
+
+        The plan is pure local arithmetic (every stream's chunk addresses
+        are computable without communication); the physical fetch is one
+        ``gather_read`` per distinct handle.
+        """
         plans: list[tuple[TaskStream, list, int, int, int]] = []
         remaining = n
         i = self._idx
@@ -428,11 +553,9 @@ class PartitionStream:
                 plans.append((s, requests, blk, pos, expected))
                 remaining -= expected
             i += 1
-        if not plans:
-            return b""
         # Merge per-handle: one vectored call per distinct raw handle,
         # remembering each plan's slice of its handle's piece list.
-        buckets: dict[int, tuple[object, list]] = {}
+        buckets: dict[int, tuple[RawFile, list]] = {}
         placements: list[tuple[int, int, int]] = []  # (raw id, start, count)
         for s, requests, _, _, _ in plans:
             key = id(s.raw)
@@ -456,13 +579,40 @@ class PartitionStream:
             else:
                 _, s.cur_block, s.pos = s._plan_read(got)
                 break  # shortfall: later streams were not consumed
-        self._advance()
-        return concat_views(out)
+        return out
 
-    def read_all(self) -> bytes:
-        """Everything that remains of the slice, in one vectored pass."""
-        remaining = 0
-        for s in self._streams[self._idx :]:
-            assert s._blocksizes is not None
-            remaining += sum(s._blocksizes[s.cur_block :]) - s.pos
-        return self.fread(max(remaining, 0))
+    def _inflated(self, want: "int | None") -> "ZlibReader | None":
+        """The current stream's decompressor, refilled toward ``want`` bytes.
+
+        Refills in :data:`_ZPIECE` raw pieces; ``want=None`` takes the
+        stream's whole remainder in one read.  Streams whose zlib stream
+        is exhausted are passed over; ``None`` means the slice is done.
+        A refill that comes back empty before the stream's recorded end
+        (a short store) stops, leaving the decompressor not exhausted.
+        """
+        assert self._zrs is not None
+        while self._idx < len(self._streams):
+            zr, s = self._zrs[self._idx], self._streams[self._idx]
+            while (want is None or zr.available() < want) and not s.feof():
+                piece = s.read_all() if want is None else s.fread(_ZPIECE)
+                if not piece:
+                    break
+                zr.feed(piece)
+            if s.feof():
+                zr.source_exhausted()
+            if not zr.exhausted:
+                return zr
+            self._idx += 1
+        return None
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SionUsageError("read handle is closed")
+
+    def _check_raw(self, op: str) -> None:
+        self._check_open()
+        if self.compress:
+            raise SionUsageError(
+                f"{op} is unavailable with transparent compression; "
+                "use fread/read_all, which manage boundaries internally"
+            )

@@ -10,6 +10,11 @@ Three entry points:
   like defragmentation (Listing 3).
 * :func:`open_rank` — *task-local view*: read a single task's logical file
   with the same streaming API the parallel reader offers (Listing 4).
+
+Both read views are the one read cursor,
+:class:`~repro.sion.readwrite.PartitionStream`, over a single task
+stream: ``open_rank`` returns it, and the global view keeps one under its
+``seek`` position.
 """
 
 from __future__ import annotations
@@ -23,12 +28,16 @@ from repro.backends.localfs import LocalBackend
 from repro.buffers import BufferLike, as_view
 from repro.errors import SionUsageError
 from repro.sion.constants import FLAG_COMPRESS, FLAG_SHADOW
-from repro.sion.compression import ZlibReader
 from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import ChunkLayout
 from repro.sion.mapping import TaskMapping, physical_path
-from repro.sion.openspec import OpenSpec, build_file_metadata, load_metablocks
-from repro.sion.readwrite import TaskStream
+from repro.sion.openspec import (
+    OpenSpec,
+    build_file_metadata,
+    load_metablocks,
+    write_metablock2,
+)
+from repro.sion.readwrite import PartitionStream, TaskStream
 
 
 @dataclass
@@ -100,16 +109,45 @@ def open(  # noqa: A001 - mirrors the paper's sion_open
 
 def open_rank(
     path: str, rank: int, backend: Backend | None = None
-) -> "SionRankFile":
-    """Open the task-local view of a single rank (read-only).
+) -> PartitionStream:
+    """Open the task-local view of a single rank (read-only, Listing 4).
 
     Shares the pipeline's validated spec and metadata decode helpers
     with every other entry point (the task-local view is a read spec
-    narrowed to one stream).
+    narrowed to one stream).  Returns the read cursor over that stream,
+    owning the one physical handle it opened (``close`` releases it).
+    Only the rank's own physical file is read: file 0's metablock 1
+    names it, and a damaged sibling does not matter.
     """
     backend = backend if backend is not None else LocalBackend()
     spec = OpenSpec.for_serial(path, "r")
-    return SionRankFile(spec.path, rank, backend)
+    raw = backend.open(spec.path, "rb")
+    try:
+        mb1 = Metablock1.decode_from(raw)
+        tmap = TaskMapping.from_kind_code(
+            mb1.ntasks_global, mb1.nfiles, mb1.mapping_kind, mb1.mapping_table
+        )
+        if not 0 <= rank < tmap.ntasks:
+            raise SionUsageError(f"rank {rank} out of range ({tmap.ntasks} tasks)")
+        filenum = tmap.file_of(rank)
+        if filenum == 0:
+            mb2 = Metablock2.decode_from(raw, mb1.metablock2_offset)
+            layout = ChunkLayout.from_metablock1(mb1)
+        else:
+            raw.close()
+            raw = backend.open(physical_path(spec.path, filenum), "rb")
+            mb1, mb2, layout = load_metablocks(raw)
+    except BaseException:
+        raw.close()
+        raise
+    lrank = tmap.local_rank(rank)
+    stream = TaskStream(
+        raw, layout, lrank, "r", blocksizes=mb2.blocksizes[lrank],
+        shadow=bool(mb1.flags & FLAG_SHADOW),
+    )
+    return PartitionStream(
+        [stream], compress=bool(mb1.flags & FLAG_COMPRESS), raws=[raw]
+    )
 
 
 class SionSerialFile:
@@ -131,11 +169,11 @@ class SionSerialFile:
         self._closed = False
         # Serial-write accounting: bytes written per (global rank, block).
         self._written: dict[int, dict[int, int]] = {}
-        # Current cursor.
+        # Current cursor (read mode: the read cursor at that position).
         self._cur_rank = 0
         self._cur_block = 0
         self._cur_pos = 0
-        self._read_stream: TaskStream | None = None
+        self._cursor: PartitionStream | None = None
         if mode == "r":
             self.seek(0, 0, 0)
 
@@ -260,7 +298,7 @@ class SionSerialFile:
                 shadow=bool(pf.mb1.flags & FLAG_SHADOW),
             )
             stream.seek_logical(block, pos)
-            self._read_stream = stream
+            self._cursor = PartitionStream([stream], compress=self.compressed)
         else:
             capacity = pf.layout.capacity(lrank)
             if block < 0 or pos < 0:
@@ -279,29 +317,23 @@ class SionSerialFile:
 
     def bytes_avail_in_chunk(self) -> int:
         """Unread data bytes in the chunk under the cursor."""
-        self._check_mode("r")
-        assert self._read_stream is not None
-        return self._read_stream.bytes_avail_in_chunk()
+        return self._read_cursor().bytes_avail_in_chunk()
 
     def feof(self) -> bool:
         """True when the cursor's task has no data left."""
-        self._check_mode("r")
-        assert self._read_stream is not None
-        return self._read_stream.feof()
+        return self._read_cursor().feof()
 
     def read(self, n: int) -> bytes:
         """Read within the current chunk."""
-        self._check_mode("r")
+        cursor = self._read_cursor()
         self._no_compress("read")
-        assert self._read_stream is not None
-        return self._read_stream.read(n)
+        return cursor.read(n)
 
     def fread(self, n: int) -> bytes:
         """Read across chunk boundaries of the current task."""
-        self._check_mode("r")
+        cursor = self._read_cursor()
         self._no_compress("fread")
-        assert self._read_stream is not None
-        return self._read_stream.fread(n)
+        return cursor.fread(n)
 
     def read_task(self, rank: int) -> bytes:
         """Entire logical content of ``rank``'s task-local file.
@@ -311,14 +343,7 @@ class SionSerialFile:
         """
         self._check_mode("r")
         self.seek(rank, 0, 0)
-        assert self._read_stream is not None
-        raw = self._read_stream.read_all()
-        if self.compressed:
-            zr = ZlibReader()
-            zr.feed(raw)
-            zr.source_exhausted()
-            return zr.take(zr.available())
-        return raw
+        return self._read_cursor().read_all()
 
     # -- serial writing (Listing 3) -----------------------------------------------------
 
@@ -418,12 +443,7 @@ class SionSerialFile:
                     blocksizes.append(
                         [per_block.get(b, 0) for b in range(nblocks)]
                     )
-                mb2 = Metablock2(blocksizes=blocksizes)
-                offset = pf.layout.end_of_blocks(mb2.maxblocks)
-                pf.raw.seek(offset)
-                pf.raw.write(mb2.encode())
-                pf.mb1.patch_metablock2_offset(pf.raw, offset)
-                pf.raw.flush()
+                write_metablock2(pf.raw, pf.layout, pf.mb1, blocksizes)
         for pf in self._files:
             pf.raw.close()
         self._closed = True
@@ -454,6 +474,11 @@ class SionSerialFile:
                 f"operation requires mode {mode!r}, file is open {self.mode!r}"
             )
 
+    def _read_cursor(self) -> PartitionStream:
+        self._check_mode("r")
+        assert self._cursor is not None
+        return self._cursor
+
     def _no_compress(self, op: str) -> None:
         if self.compressed:
             raise SionUsageError(
@@ -461,116 +486,3 @@ class SionSerialFile:
                 "multifile; use read_task for transparent decompression"
             )
 
-
-class SionRankFile:
-    """Task-local read view of one rank (Listing 4)."""
-
-    def __init__(self, path: str, rank: int, backend: Backend) -> None:
-        raw0 = backend.open(path, "rb")
-        mb1_0 = Metablock1.decode_from(raw0)
-        tmap = TaskMapping.from_kind_code(
-            mb1_0.ntasks_global, mb1_0.nfiles, mb1_0.mapping_kind, mb1_0.mapping_table
-        )
-        if not 0 <= rank < tmap.ntasks:
-            raw0.close()
-            raise SionUsageError(f"rank {rank} out of range ({tmap.ntasks} tasks)")
-        filenum = tmap.file_of(rank)
-        lrank = tmap.local_rank(rank)
-        if filenum == 0:
-            raw, mb1 = raw0, mb1_0
-            mb2 = Metablock2.decode_from(raw, mb1.metablock2_offset)
-            layout = ChunkLayout.from_metablock1(mb1)
-        else:
-            raw0.close()
-            raw = backend.open(physical_path(path, filenum), "rb")
-            mb1, mb2, layout = load_metablocks(raw)
-        self.rank = rank
-        self.path = path
-        self._raw = raw
-        self.mb1 = mb1
-        self.compressed = bool(mb1.flags & FLAG_COMPRESS)
-        self._stream = TaskStream(
-            raw,
-            layout,
-            lrank,
-            "r",
-            blocksizes=mb2.blocksizes[lrank],
-            shadow=bool(mb1.flags & FLAG_SHADOW),
-        )
-        self._zr = ZlibReader() if self.compressed else None
-        self._closed = False
-
-    def bytes_avail_in_chunk(self) -> int:
-        """Unread data bytes in the current chunk (raw stream)."""
-        self._check_open()
-        return self._stream.bytes_avail_in_chunk()
-
-    def get_current_location(self) -> tuple[int, int]:
-        """``sion_get_current_location``: ``(block, pos_in_chunk)``."""
-        self._check_open()
-        return self._stream.cur_block, self._stream.pos
-
-    def tell_logical(self) -> int:
-        """Raw chunk-stream bytes consumed so far for this rank."""
-        self._check_open()
-        return self._stream.tell_logical()
-
-    def feof(self) -> bool:
-        """True when this rank's logical stream is exhausted."""
-        self._check_open()
-        if self._zr is not None:
-            self._pump(1)
-            return self._zr.exhausted
-        return self._stream.feof()
-
-    def read(self, n: int) -> bytes:
-        """Read within the current chunk (raw bytes; no decompression)."""
-        self._check_open()
-        if self.compressed:
-            raise SionUsageError("compressed multifile: use fread/read_all")
-        return self._stream.read(n)
-
-    def fread(self, n: int) -> bytes:
-        """Read up to ``n`` logical bytes, crossing chunk boundaries."""
-        self._check_open()
-        if self._zr is not None:
-            self._pump(n)
-            return self._zr.take(n)
-        return self._stream.fread(n)
-
-    def read_all(self) -> bytes:
-        """Everything that remains of this rank's logical file."""
-        self._check_open()
-        if self._zr is not None:
-            parts = []
-            while not self.feof():
-                self._pump(1 << 20)
-                parts.append(self._zr.take(self._zr.available()))
-            return b"".join(parts)
-        return self._stream.read_all()
-
-    def close(self) -> None:
-        """Release the underlying physical-file handle."""
-        if not self._closed:
-            self._raw.close()
-            self._closed = True
-
-    def __enter__(self) -> "SionRankFile":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def _pump(self, want: int) -> None:
-        assert self._zr is not None
-        while self._zr.available() < want and not self._stream.feof():
-            piece = self._stream.fread(64 * 1024)
-            if not piece:
-                break
-            self._zr.feed(piece)
-        if self._stream.feof():
-            self._zr.source_exhausted()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SionUsageError("rank file is closed")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.report import (
     ARTIFACTS,
+    REGENERATE,
     collect_sections,
     render_markdown,
     write_report,
@@ -32,6 +33,16 @@ def test_render_contains_all_titles(tmp_path):
     for _, title in ARTIFACTS:
         assert title in md
     assert f"{len(ARTIFACTS)}/{len(ARTIFACTS)} artifacts present" in md
+
+
+def test_regenerate_hint_is_the_bench_command(tmp_path):
+    # The figure benches are plain tests (no ``benchmark`` fixture), so
+    # ``--benchmark-only`` would skip every one of them.
+    assert REGENERATE == "pytest benchmarks/"
+    sections = collect_sections(tmp_path)
+    assert f"run `{REGENERATE}` to produce" in sections[0].body
+    assert f"Regenerate with `{REGENERATE}`." in render_markdown(sections)
+    assert "--benchmark-only" not in render_markdown(sections)
 
 
 def test_write_report_roundtrip(tmp_path):
