@@ -31,9 +31,11 @@ class CachingRawFile(RawFile):
 
     The wrapper is read-only by design — the gateway serves *sealed*
     containers — so every write-side call raises
-    :class:`~repro.errors.ReproError`.  A short or empty block (EOF) is
-    cached like any other content: the file is immutable for the
-    lifetime of its generation tag, so EOF is stable too.
+    :class:`~repro.errors.ReproError`.  A short block (EOF) is cached like
+    any other content: the file is immutable for the lifetime of its
+    generation tag, so EOF is stable too.  A block wholly past EOF is not
+    cached: it holds no bytes for the byte budget to bound, so a reader
+    probing past EOF would otherwise grow the table without limit.
     """
 
     def __init__(self, inner: RawFile, cache: ChunkCache, generation: object, path: str) -> None:
@@ -128,7 +130,8 @@ class CachingRawFile(RawFile):
             pieces = self._inner.gather_read([(b * bs, bs) for b in missing])
             for b, piece in zip(missing, pieces):
                 blocks[b] = piece
-                self._cache.put((self._gen, self._path, b), piece)
+                if piece:
+                    self._cache.put((self._gen, self._path, b), piece)
         out: list[bytes] = []
         for off, size in requests:
             out.append(self._assemble(blocks, off, size))

@@ -47,28 +47,13 @@ from repro.backends.caching import CachingRawFile
 from repro.backends.localfs import LocalBackend
 from repro.errors import SionUsageError
 from repro.fs.cache import DEFAULT_CACHE_BLOCK, ChunkCache
-from repro.sion.constants import FLAG_COMPRESS, FLAG_SHADOW
 from repro.sion.format import Metablock1, Metablock2
-from repro.sion.layout import ChunkLayout
-from repro.sion.mapping import ReadPartition, TaskMapping, physical_path
-from repro.sion.openspec import load_metablocks
+from repro.sion.mapping import ReadPartition, physical_path
+from repro.sion.openspec import ReadPlan, load_metablocks
 from repro.sion.readwrite import PartitionStream, TaskStream
 
 #: Default chunk-cache byte budget of a gateway that is not given one.
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
-
-
-@dataclass(frozen=True)
-class _FileInfo:
-    """Decoded metadata plus the cached read handle of one physical file."""
-
-    path: str
-    mb1: Metablock1
-    mb2: Metablock2
-    layout: ChunkLayout
-    raw: RawFile
-    size: int
-    token: tuple
 
 
 @dataclass
@@ -88,27 +73,37 @@ class GatewayStats:
 class ContainerHandle:
     """One sealed multifile held open by the gateway.
 
-    Owns the decoded metadata of every physical file, the caching read
-    handles, and the per-stream prefix sums that turn a logical byte
-    offset into a ``(block, pos)`` cursor for ranged reads.  All state is
-    immutable after construction; sessions share it freely.
+    The container's :class:`~repro.sion.openspec.ReadPlan` (the decoded
+    metadata of every physical file, the same object an SPMD read
+    broadcasts), one caching read handle per file, and the per-stream
+    prefix sums that turn a logical byte offset into a ``(block, pos)``
+    cursor for ranged reads.  All state is immutable after construction
+    (the prefix cache is lock-guarded); sessions share it freely.
     """
 
     def __init__(
         self,
         path: str,
         generation: int,
-        tmap: TaskMapping,
-        files: "list[_FileInfo]",
+        plan: ReadPlan,
+        raws: "list[RawFile]",
+        sizes: Sequence[int],
+        tokens: Sequence[tuple],
     ) -> None:
-        """Bind the decoded metadata of ``path`` under ``generation``."""
+        """Bind the decoded metadata of ``path`` under ``generation``.
+
+        ``raws``, ``sizes`` and ``tokens`` are per physical file: its
+        read handle, its size and its identity token at open time.
+        """
         self.path = path
         self.generation = generation
-        self.tmap = tmap
-        self.files = files
-        flags = files[0].mb1.flags
-        self.compress = bool(flags & FLAG_COMPRESS)
-        self.shadow = bool(flags & FLAG_SHADOW)
+        self.plan = plan
+        self.raws = raws
+        self.sizes = tuple(sizes)
+        #: Per-file identity tokens at open time (the revalidation probe).
+        self.tokens = tuple(tokens)
+        self.compress = plan.compress
+        self.shadow = plan.shadow
         self._prefix_cache: dict[int, list[int]] = {}
         self._lock = threading.Lock()
 
@@ -117,12 +112,12 @@ class ContainerHandle:
     @property
     def ntasks(self) -> int:
         """Writer task streams recorded in the container."""
-        return self.tmap.ntasks
+        return self.plan.ntasks
 
     @property
     def nfiles(self) -> int:
         """Physical files of the container."""
-        return self.tmap.nfiles
+        return len(self.plan.paths)
 
     @property
     def fingerprint(self) -> tuple:
@@ -134,26 +129,15 @@ class ContainerHandle:
         """
         return tuple(
             (
-                hashlib.sha256(fi.mb1.encode()).hexdigest(),
-                fi.mb1.metablock2_offset,
-                zlib.crc32(fi.mb2.encode()[:-4]) & 0xFFFFFFFF,
-                fi.size,
+                hashlib.sha256(mb1.encode()).hexdigest(),
+                mb1.metablock2_offset,
+                zlib.crc32(Metablock2(blocks).encode()[:-4]) & 0xFFFFFFFF,
+                size,
             )
-            for fi in self.files
+            for mb1, blocks, size in zip(self.plan.mb1s, self.plan.blocksizes, self.sizes)
         )
 
-    @property
-    def tokens(self) -> tuple:
-        """Per-file identity tokens at open time (the revalidation probe)."""
-        return tuple(fi.token for fi in self.files)
-
     # -- per-stream access ----------------------------------------------------
-
-    def blocksizes_of(self, grank: int) -> list[int]:
-        """Recorded per-block byte counts of writer stream ``grank``."""
-        self._check_rank(grank)
-        f = self.tmap.file_of(grank)
-        return list(self.files[f].mb2.blocksizes[self.tmap.local_rank(grank)])
 
     def stream_bytes(self, grank: int) -> int:
         """Total recorded (compressed) bytes of writer stream ``grank``."""
@@ -166,17 +150,7 @@ class ContainerHandle:
         shared; only the cursor position is per-stream state.
         """
         self._check_rank(grank)
-        f = self.tmap.file_of(grank)
-        fi = self.files[f]
-        return TaskStream(
-            fi.raw,
-            fi.layout,
-            self.tmap.local_rank(grank),
-            "r",
-            blocksizes=self.blocksizes_of(grank),
-            shadow=self.shadow,
-        )
-
+        return self.plan.stream(self.raws[self.plan.mapping.files[grank]], grank)
     def read_task(self, grank: int) -> bytes:
         """Entire logical content of writer stream ``grank``.
 
@@ -217,8 +191,8 @@ class ContainerHandle:
 
     def close(self) -> None:
         """Close the physical handles (cached blocks stay resident)."""
-        for fi in self.files:
-            fi.raw.close()
+        for raw in self.raws:
+            raw.close()
 
     # -- internals ----------------------------------------------------------
 
@@ -228,9 +202,8 @@ class ContainerHandle:
         with self._lock:
             prefix = self._prefix_cache.get(grank)
             if prefix is None:
-                prefix = [0]
-                for b in self.blocksizes_of(grank):
-                    prefix.append(prefix[-1] + b)
+                f, lrank = self.plan.mapping.files[grank], self.plan.mapping.lranks[grank]
+                prefix = [0, *itertools.accumulate(self.plan.blocksizes[f][lrank])]
                 self._prefix_cache[grank] = prefix
             return prefix
 
@@ -359,7 +332,7 @@ class ReadGateway:
         """The cheap per-session-open revalidation probe (stat, no data reads)."""
         try:
             return handle.tokens == tuple(
-                self.backend.identity_token(fi.path) for fi in handle.files
+                self.backend.identity_token(p) for p in handle.plan.paths
             )
         except Exception:  # noqa: BLE001 - a vanished file is "changed"
             return False
@@ -369,31 +342,21 @@ class ReadGateway:
         generation = next(self._generations)
         raw0 = self.backend.open(path, "rb")
         try:
-            mb1_0 = Metablock1.decode_from(raw0)
+            nfiles = Metablock1.decode_from(raw0).nfiles
         finally:
             raw0.close()
-        tmap = TaskMapping.from_kind_code(
-            mb1_0.ntasks_global, mb1_0.nfiles, mb1_0.mapping_kind, mb1_0.mapping_table
-        )
-        files: list[_FileInfo] = []
-        for f in range(mb1_0.nfiles):
+        raws: list[RawFile] = []
+        metadata, sizes, tokens = [], [], []
+        for f in range(nfiles):
             fpath = physical_path(path, f)
-            raw = CachingRawFile(
-                self.backend.open(fpath, "rb"), self.cache, generation, fpath
+            raws.append(
+                CachingRawFile(self.backend.open(fpath, "rb"), self.cache, generation, fpath)
             )
-            mb1, mb2, layout = load_metablocks(raw)
-            files.append(
-                _FileInfo(
-                    path=fpath,
-                    mb1=mb1,
-                    mb2=mb2,
-                    layout=layout,
-                    raw=raw,
-                    size=self.backend.file_size(fpath),
-                    token=self.backend.identity_token(fpath),
-                )
-            )
-        return ContainerHandle(path, generation, tmap, files)
+            metadata.append(load_metablocks(raws[-1]))
+            sizes.append(self.backend.file_size(fpath))
+            tokens.append(self.backend.identity_token(fpath))
+        plan = ReadPlan.from_metadata(path, metadata)
+        return ContainerHandle(path, generation, plan, raws, sizes, tokens)
 
     # -- async session API ----------------------------------------------------
 

@@ -294,7 +294,7 @@ class _Wave:
     def __init__(self, opid: int, size: int, wake_root: int | None) -> None:
         self.opid = opid
         self.slots = np.empty(size, dtype=object)
-        self.deposited = np.zeros(size, dtype=bool)
+        self.deposited = bytearray(size)  # indexes as plain ints: hot path
         self.filled = 0
         self.consumed = 0
         #: Parked global ranks, packed front-first; reset on every wake.
@@ -367,9 +367,10 @@ class BulkComm(Comm):
         """Return the column value of the op at the cursor (hot path)."""
         prog, c = ex.prog, ex.cursor
         if ex.fast:
-            # Uniform fast path: accumulate the sequence fingerprint;
-            # verified once against the program prefix at the frontier.
-            ex.fp = _fp_step(ex.fp, opid)
+            # Uniform fast path: accumulate the sequence fingerprint
+            # (``_fp_step``, inlined on this hot path); verified once
+            # against the program prefix at the frontier.
+            ex.fp = ((ex.fp ^ opid) * _FP_MULT) & _FP_MASK
         elif prog.ops[c] != opid:
             raise SimMPIError(
                 f"non-deterministic rank program: replay expected "
@@ -378,7 +379,10 @@ class BulkComm(Comm):
                 "deterministic"
             )
         ex.cursor = c + 1
-        return prog.cols[c].get(self._grank)
+        col = prog.cols[c]
+        if col.exc is None and col.mode == 1:  # uniform: ``_Col.get`` inlined
+            return col.value
+        return col.get(self._grank)
 
     def _verify_frontier(self, ex: _Exec) -> None:
         """Fingerprint check when a fast-path replay reaches its frontier."""
@@ -396,7 +400,8 @@ class BulkComm(Comm):
         """Record a completed frontier op in the (shared) program row."""
         engine = self._engine
         g = self._grank
-        self._verify_frontier(ex)
+        if not ex.verified:
+            self._verify_frontier(ex)
         prog, k = ex.prog, ex.cursor
         if k < len(prog.ops):
             if prog.ops[k] == opid:
@@ -435,10 +440,13 @@ class BulkComm(Comm):
         ex = engine.execs[self._grank]
         if ex.suspending:
             raise _Suspend()
-        opid = _opid(opname)
+        opid = _OP_IDS.get(opname)
+        if opid is None:
+            opid = _opid(opname)
         if ex.cursor < ex.nlogged:
             return self._replay(ex, opid)
-        engine.enter_frontier(self._grank)
+        if engine.aborted or engine.stalled():  # the frontier gate
+            raise engine.stuck_error(self._grank)
         before = ex.cursor
         value = fn()
         if ex.cursor != before:
@@ -467,11 +475,14 @@ class BulkComm(Comm):
         ex = engine.execs[g]
         if ex.suspending:
             raise _Suspend()
-        opid = _opid(opname)
+        opid = _OP_IDS.get(opname)
+        if opid is None:
+            opid = _opid(opname)
         if ex.cursor < ex.nlogged:
             # Replay fast path: no deposit, no copy.
             return self._replay(ex, opid)
-        engine.enter_frontier(g)
+        if engine.aborted or engine.stalled():  # the frontier gate
+            raise engine.stuck_error(g)
         world, lr = self._group, self._rank
         k = world.consumed[lr]
         wave = world.waves.get(k)
@@ -485,7 +496,7 @@ class BulkComm(Comm):
                 f"{sorted((_OP_NAMES[wave.opid], opname))}"
             )
         if not wave.deposited[lr]:
-            wave.deposited[lr] = True
+            wave.deposited[lr] = 1
             wave.slots[lr] = frame(value)
             wave.filled += 1
             if wave.filled == world.size or lr == wave.wake_root:
@@ -723,13 +734,6 @@ class _BulkEngine:
             return True
         self.last_progress = now
         return False
-
-    def enter_frontier(self, grank: int) -> None:
-        """Gate of every op that is about to execute rather than replay."""
-        if self.aborted:
-            raise SimMPIError("communicator aborted (another rank failed)")
-        if self.stalled():
-            raise self.stuck_error(grank)
 
     def stuck_error(self, grank: int) -> SimMPIError:
         """Why an unfinished rank can no longer finish."""

@@ -256,7 +256,7 @@ class Comm:
     # -- argument checks ---------------------------------------------------
 
     def _check_rank(self, what: str, rank: int) -> None:
-        if not 0 <= rank < self.size:
+        if not 0 <= rank < self._group.size:
             raise CommunicatorError(
                 f"{what} {rank} out of range for size {self.size}"
             )

@@ -38,16 +38,16 @@ from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import ChunkLayout, align_up
 from repro.sion.mapping import ReadPartition, TaskMapping
 from repro.sion.buffering import CoalescingWriter
-from repro.sion.collective import SionCollectiveFile, resolve_collectsize
+from repro.sion.collective import SionCollectiveFile
 from repro.sion.hybrid import HybridParallelFile, open_rank_thread, paropen_hybrid
 from repro.sion.openspec import (
-    AccessPlan,
     OpenSpec,
+    ReadPlan,
     SionReadFile,
-    compile_plan,
-    open_access,
+    WritePlan,
+    resolve_collectsize,
 )
-from repro.sion.parallel import SionParallelFile, paropen
+from repro.sion.parallel import SionParallelFile, open_access, paropen
 from repro.sion.readwrite import PartitionStream, TaskStream
 from repro.sion.serial import SionSerialFile, open, open_rank  # noqa: A004
 from repro.sion.recovery import RecoveryReport, recover_multifile
@@ -70,8 +70,8 @@ __all__ = [
     "TaskMapping",
     "ReadPartition",
     "OpenSpec",
-    "AccessPlan",
-    "compile_plan",
+    "WritePlan",
+    "ReadPlan",
     "open_access",
     "SionParallelFile",
     "SionCollectiveFile",

@@ -47,45 +47,21 @@ engine's memoized replay.
 from __future__ import annotations
 
 import bisect
-import math
 
 from repro.backends.base import Backend, RawFile
 from repro.buffers import BufferLike, as_view
 from repro.errors import SionUsageError
 from repro.sion.constants import SHADOW_HEADER_SIZE
-from repro.sion.format import Metablock1
-from repro.sion.layout import ChunkLayout
-from repro.sion.mapping import TaskMapping
 from repro.sion.openspec import (
-    AccessPlan,
+    ReadPlan,
     SionReadFile,
+    WritePlan,
     open_guarded,
     open_mirrored,
 )
 from repro.sion.parallel import SionParallelFile
 from repro.sion.readwrite import TaskStream
 from repro.simmpi.comm import Comm
-
-
-def resolve_collectsize(
-    collectsize: int | None, collectors: int | None, ntasks: int
-) -> int | None:
-    """Normalize the two spellings of the aggregation degree.
-
-    ``collectsize`` is the number of tasks per collector group (SIONlib's
-    ``collsize``); ``collectors`` asks for a total collector count and
-    resolves to ``ceil(ntasks / collectors)``.  ``None`` (neither given)
-    selects direct mode.
-    """
-    if collectsize is not None and collectors is not None:
-        raise SionUsageError("pass either collectsize or collectors, not both")
-    if collectors is not None:
-        if collectors < 1:
-            raise SionUsageError(f"collectors must be >= 1, got {collectors}")
-        collectsize = math.ceil(ntasks / min(collectors, ntasks))
-    if collectsize is not None and collectsize < 1:
-        raise SionUsageError(f"collectsize must be >= 1, got {collectsize}")
-    return collectsize
 
 
 class _NoDataAccess:
@@ -239,16 +215,12 @@ class SionCollectiveFile(SionParallelFile):
     """
 
     def __init__(
-        self,
-        *,
-        ccom: Comm,
-        collectsize: int,
-        recorder: FragmentRecorder,
-        **kwargs,
+        self, comm: Comm, lcom: Comm, plan: WritePlan, raw: RawFile | None,
+        stream: TaskStream, *, ccom: Comm, recorder: FragmentRecorder,
     ) -> None:
-        super().__init__(**kwargs)
+        """Bind the sender stream and its collector group ``ccom``."""
+        super().__init__(comm, lcom, plan, raw, stream)
         self.ccom = ccom
-        self._collectsize = collectsize
         self._recorder = recorder
 
     # -- introspection ------------------------------------------------------
@@ -256,7 +228,7 @@ class SionCollectiveFile(SionParallelFile):
     @property
     def collectsize(self) -> int:
         """Number of tasks per collector group."""
-        return self._collectsize
+        return self.plan.collectsize
 
     @property
     def is_collector(self) -> bool:
@@ -266,7 +238,7 @@ class SionCollectiveFile(SionParallelFile):
     @property
     def collector_lrank(self) -> int:
         """Local rank (within the physical file) of this task's collector."""
-        return (self.local_rank // self._collectsize) * self._collectsize
+        return (self.local_rank // self.collectsize) * self.collectsize
 
     # -- collection waves ---------------------------------------------------
 
@@ -311,59 +283,35 @@ class SionCollectiveFile(SionParallelFile):
 
 
 def open_collective_write(
-    comm: Comm,
-    lcom: Comm,
-    lrank: int,
-    collectsize: int,
-    backend: Backend,
-    base_path: str,
-    my_path: str,
-    layout: ChunkLayout,
-    mb1: Metablock1,
-    tmap: TaskMapping,
-    compress: bool,
-    shadow: bool,
-    replica_path: str | None = None,
+    comm: Comm, lcom: Comm, plan: WritePlan, backend: Backend
 ) -> SionCollectiveFile:
     """Build the write-mode collective handle (metadata already agreed).
 
     Only the collector opens the physical file, replay-guarded on the
     collector group (every wave write and the close execute once per
-    rank).  With ``replica_path`` set (buddy mode) the handle mirrors onto
+    rank).  In buddy mode (``plan.replica`` set) the handle mirrors onto
     the replica, so every collection wave's ``scatter_write`` — and the
     master's metablock-2 persistence at close — lands on it too.
     """
-    ccom = lcom.split(color=lrank // collectsize, key=lrank)
+    lrank = lcom.rank
+    ccom = lcom.split(color=lrank // plan.collectsize, key=lrank)
     assert ccom is not None
     raw = (
-        open_mirrored(backend, my_path, replica_path, ccom)
+        open_mirrored(backend, plan.path, plan.replica, ccom)
         if ccom.rank == 0
         else None
     )
     recorder = FragmentRecorder()
-    stream = TaskStream(recorder, layout, lrank, "w", shadow=shadow)
+    stream = TaskStream(recorder, plan.layout, lrank, "w", shadow=plan.shadow)
     return SionCollectiveFile(
-        ccom=ccom,
-        collectsize=collectsize,
-        recorder=recorder,
-        comm=comm,
-        lcom=lcom,
-        backend=backend,
-        base_path=base_path,
-        my_path=my_path,
-        raw=raw,
-        stream=stream,
-        layout=layout,
-        mb1=mb1,
-        mapping=tmap,
-        compress=compress,
+        comm, lcom, plan, raw, stream, ccom=ccom, recorder=recorder
     )
 
 
 def prefetch_read(
-    plan: AccessPlan, comm: Comm, ccom: Comm, backend: Backend
+    plan: ReadPlan, writers: range, comm: Comm, ccom: Comm, backend: Backend
 ) -> SionReadFile:
-    """Open a reader's slice through one collector prefetch wave.
+    """Open a reader's slice ``writers`` through one collector prefetch wave.
 
     ``ccom`` is the collector group (its rank 0 is the collector).  Each
     sender plans the complete request list of every writer stream in its
@@ -375,41 +323,42 @@ def prefetch_read(
     or writer streams.
     """
     data_offset = SHADOW_HEADER_SIZE if plan.shadow else 0
-    requests = [
+    files, lranks = plan.mapping.files, plan.mapping.lranks
+    requests = tuple(
         (
-            a.path,
+            files[g],
             tuple(
-                plan.file_layouts[a.filenum].read_requests(
-                    a.lrank, a.blocksizes, data_offset
+                plan.layouts[files[g]].read_requests(
+                    lranks[g], plan.blocksizes[files[g]][lranks[g]], data_offset
                 )
             ),
         )
-        for a in plan.assignments
-    ]
-    gathered = ccom.gather(tuple(requests), root=0)
+        for g in writers
+    )
+    gathered = ccom.gather(requests, root=0)
     raws: list[RawFile] = []
     if ccom.rank == 0:
         assert gathered is not None
-        # Bucket every (sender, stream) request list by physical path,
-        # preserving order, and fetch each path's bucket in one call.
-        buckets: dict[str, list[tuple[int, int]]] = {}
-        slices: list[list[tuple[str, int, int]]] = []
+        # Bucket every (sender, stream) request list by physical file,
+        # preserving order, and fetch each file's bucket in one call.
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        slices: list[list[tuple[int, int, int]]] = []
         for sender_reqs in gathered:
             sender_slices = []
-            for path, reqs in sender_reqs:
-                bucket = buckets.setdefault(path, [])
-                sender_slices.append((path, len(bucket), len(reqs)))
+            for f, reqs in sender_reqs:
+                bucket = buckets.setdefault(f, [])
+                sender_slices.append((f, len(bucket), len(reqs)))
                 bucket.extend(reqs)
             slices.append(sender_slices)
-        pieces_by_path: dict[str, list[bytes]] = {}
-        for path, reqs in buckets.items():
-            raw = open_guarded(backend, path, "rb", ccom)
+        pieces_by_file: dict[int, list[bytes]] = {}
+        for f, reqs in buckets.items():
+            raw = open_guarded(backend, plan.paths[f], "rb", ccom)
             raws.append(raw)
-            pieces_by_path[path] = raw.gather_read(reqs) if reqs else []
+            pieces_by_file[f] = raw.gather_read(reqs) if reqs else []
         per_sender = [
             [
-                tuple(pieces_by_path[path][start : start + count])
-                for path, start, count in sender_slices
+                tuple(pieces_by_file[f][start : start + count])
+                for f, start, count in sender_slices
             ]
             for sender_slices in slices
         ]
@@ -417,14 +366,7 @@ def prefetch_read(
     else:
         mine = ccom.scatterv(None, root=0)
     streams = [
-        TaskStream(
-            PreloadedFragments(list(zip([off for off, _ in reqs], pieces))),
-            plan.file_layouts[a.filenum],
-            a.lrank,
-            "r",
-            blocksizes=a.blocksizes,
-            shadow=plan.shadow,
-        )
-        for (_, reqs), pieces, a in zip(requests, mine, plan.assignments)
+        plan.stream(PreloadedFragments(list(zip([o for o, _ in reqs], pieces))), g)
+        for (_, reqs), pieces, g in zip(requests, mine, writers)
     ]
-    return SionReadFile(comm, plan, streams, raws)
+    return SionReadFile(comm, plan, writers, streams, raws)

@@ -19,8 +19,8 @@ from __future__ import annotations
 from repro.backends.base import Backend
 from repro.errors import SionUsageError
 from repro.simmpi.comm import Comm
-from repro.sion.openspec import OpenSpec, SionReadFile, open_access
-from repro.sion.parallel import SionParallelFile
+from repro.sion.openspec import OpenSpec, SionReadFile
+from repro.sion.parallel import SionParallelFile, open_access
 from repro.sion.readwrite import PartitionStream
 from repro.sion.serial import open_rank
 

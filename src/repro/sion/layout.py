@@ -219,11 +219,18 @@ class ChunkLayout:
         self._check_task(task)
         if data_offset < 0:
             raise SionUsageError("data_offset must be non-negative")
+        base = self.start_of_data + self.chunk_prefix[task] + data_offset
+        stride = self.block_capacity
         return [
-            (self.chunk_start(task, block) + data_offset, size)
+            (base + block * stride, size)
             for block, size in enumerate(blocksizes)
             if size > 0
         ]
+
+    def chunk_starts(self, tasks: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """:meth:`chunk_start` over parallel int arrays, in one pass."""
+        prefix = np.asarray(self.chunk_prefix, dtype=np.int64)
+        return self.start_of_data + blocks * self.block_capacity + prefix[tasks]
 
     def is_aligned(self, true_fsblksize: int) -> bool:
         """True when every chunk boundary falls on a ``true_fsblksize`` edge."""

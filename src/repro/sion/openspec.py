@@ -1,4 +1,4 @@
-"""One open pipeline: ``OpenSpec`` -> ``AccessPlan`` -> access handles.
+"""One open pipeline: ``OpenSpec`` -> one plan per file and wave -> handles.
 
 The paper's multifile is a *portable container*: all metadata lives in
 the file, not in the job, so any consumer — parallel, serial, collective,
@@ -7,21 +7,31 @@ module is the single pipeline behind every entry point:
 
 * :class:`OpenSpec` — a validated, immutable description of *what* to
   open (path, mode, chunk geometry, mapping, aggregation, compression,
-  shadow headers, partitioned-read opt-in).  It replaces the keyword
-  soup that was duplicated across ``paropen``, the collective mode, the
-  hybrid opener and the serial tools, and it rejects contradictory
-  option combinations up front with :class:`~repro.errors.SionUsageError`
-  (instead of silently ignoring half of them inside an SPMD program).
-* :func:`compile_plan` — the planner.  Runs the collective metadata
-  agreement (write) or the metadata probe/broadcast (read) and produces
-  each rank's :class:`AccessPlan`: physical file(s), chunk layout,
-  stream assignments, metablock duties, and the resolved aggregation
-  degree.
-* :func:`open_access` — compiles the plan and hands it to one of two
-  executors: the write executor (direct or collective) or the read
-  executor.  ``paropen`` (direct and collective), ``paropen_hybrid``,
-  and the serial ``open``/``open_rank`` are all thin shims over this
-  function or over the shared metadata helpers below.
+  shadow headers, partitioned-read opt-in).  It rejects contradictory
+  option combinations up front with :class:`~repro.errors.SionUsageError`,
+  identically for every entry point, before any file is touched.
+* :func:`compile_write_plan` — the collective write agreement (paper
+  Listing 1, metadata half).  Each per-file master turns the chunk sizes
+  it gathers into one immutable :class:`WritePlan` — metablock 1, the
+  chunk layout, the physical and replica paths, the flags and the
+  resolved aggregation degree — creates the file, and broadcasts the
+  plan.  A rank's plan is that object plus its rank in the file's
+  communicator (its local rank).
+* :func:`compile_read_plan` — rank 0 decodes every physical file's
+  metablocks once into a :class:`ReadPlan` (the task mapping plus
+  per-file layouts and block tables) and broadcasts it.  A reader's
+  slice of writer streams is a ``(start, count)`` range into it; the read
+  gateway indexes the same object.
+* :func:`open_read` turns a read plan into a :class:`SionReadFile`;
+  :func:`repro.sion.parallel.open_access` is the entry that dispatches
+  both modes.
+
+**Replay.**  Under the bulk engine a rank body re-runs from the top each
+time a collective it parked on completes.  Every value an open derives is
+a logged collective or ``exec_once`` result, or an O(1) index into one —
+a master plans its file inside ``exec_once``, every other rank receives
+the plan through the bcast — so a re-executed rank rebuilds its handle
+and nothing else.
 
 Every read is a **partitioned read**: a reader world of any size ``m``
 over an ``n``-writer multifile, each reader assigned a contiguous slice
@@ -41,11 +51,12 @@ call executes exactly once per rank; replays return the logged result).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+import math
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, NamedTuple, Sequence
 
 from repro.backends.base import Backend, RawFile
-from repro.backends.localfs import LocalBackend
 from repro.buffers import BufferLike
 from repro.errors import SionUsageError
 from repro.sion.buddy import MirrorRawFile, buddy_path
@@ -65,29 +76,7 @@ from repro.sion.readwrite import PartitionStream, TaskStream
 # OpenSpec: the validated, immutable description of an open request.
 
 
-@dataclass(frozen=True)
-class OpenSpec:
-    """What to open, validated once, shared by every entry point.
-
-    Write mode describes the geometry to create (``chunksize`` for the
-    collective opens where every rank states its own size, or
-    ``chunksizes`` for the serial creator that states all of them);
-    read mode must *not* prescribe geometry — the multifile itself is
-    authoritative — so any such option is rejected as contradictory.
-
-    Every contradictory combination (both ``collectsize`` and
-    ``collectors``, geometry options in read mode, ``partitioned`` in
-    write mode, ...) raises :class:`~repro.errors.SionUsageError` at
-    construction time — identically for every entry point, before any
-    file is touched.
-
-    Example::
-
-        spec = OpenSpec.for_paropen(path="/out.sion", mode="r",
-                                    partitioned=True)
-        handle = open_access(spec, comm, backend)
-    """
-
+class _OpenFields(NamedTuple):
     path: str
     mode: str
     chunksize: int | None = None
@@ -102,72 +91,86 @@ class OpenSpec:
     collectors: int | None = None
     partitioned: bool = False
 
-    def __post_init__(self) -> None:
+
+#: Write-only options a read spec must leave unset (in message order), and
+#: their values when none is given: fields 2..9 of an :class:`OpenSpec`.
+_GEOMETRY = ("chunksize", "chunksizes", "fsblksize", "nfiles", "mapping")
+_FLAGS = ("compress", "shadow", "buddy")
+_UNSET = (None, None, None, None, None, False, False, False)
+
+
+class OpenSpec(_OpenFields):
+    """What to open, validated once, shared by every entry point.
+
+    Write mode describes the geometry to create (``chunksize`` for the
+    collective opens where every rank states its own size, or
+    ``chunksizes`` for the serial creator that states all of them);
+    read mode must *not* prescribe geometry — the multifile itself is
+    authoritative — so any such option is rejected as contradictory.
+
+    Every contradictory combination (both ``collectsize`` and
+    ``collectors``, geometry options in read mode, ``partitioned`` in
+    write mode, ...) raises :class:`~repro.errors.SionUsageError` at
+    construction time — identically for every entry point, before any
+    file is touched.  A spec is a named tuple: every rank builds one each
+    time the bulk engine re-executes its open, so it must cost next to
+    nothing.
+
+    Example::
+
+        spec = OpenSpec.for_paropen(path="/out.sion", mode="r",
+                                    partitioned=True)
+        handle = open_access(spec, comm, backend)
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields: Any, **named: Any) -> None:
+        """Validate the fields the named tuple was just built from."""
         if self.mode not in ("r", "w"):
             raise SionUsageError(f"mode must be 'r' or 'w', got {self.mode!r}")
-        if self.collectsize is not None and self.collectors is not None:
-            raise SionUsageError(
-                "pass either collectsize or collectors, not both"
-            )
-        if self.collectsize is not None and self.collectsize < 1:
-            raise SionUsageError(
-                f"collectsize must be >= 1, got {self.collectsize}"
-            )
+        if self.collectsize is not None:
+            if self.collectors is not None:
+                raise SionUsageError(
+                    "pass either collectsize or collectors, not both"
+                )
+            if self.collectsize < 1:
+                raise SionUsageError(
+                    f"collectsize must be >= 1, got {self.collectsize}"
+                )
         if self.collectors is not None and self.collectors < 1:
-            raise SionUsageError(
-                f"collectors must be >= 1, got {self.collectors}"
-            )
+            raise SionUsageError(f"collectors must be >= 1, got {self.collectors}")
         if self.fsblksize is not None and self.fsblksize < 1:
-            raise SionUsageError(
-                f"fsblksize must be positive: {self.fsblksize}"
-            )
+            raise SionUsageError(f"fsblksize must be positive: {self.fsblksize}")
         if self.nfiles is not None and self.nfiles < 1:
             raise SionUsageError(f"nfiles must be >= 1, got {self.nfiles}")
-        if self.mode == "w":
-            self._validate_write()
-        else:
-            self._validate_read()
-
-    def _validate_write(self) -> None:
+        if self.mode == "r":
+            if self[2:10] != _UNSET:
+                given = [n for n in _GEOMETRY if getattr(self, n) is not None]
+                given += [n for n in _FLAGS if getattr(self, n)]
+                if given:
+                    raise SionUsageError(
+                        f"{given[0]} contradicts read mode: the multifile's own "
+                        "metadata is authoritative for its geometry and flags"
+                    )
+            return
         if self.partitioned:
             raise SionUsageError(
                 "partitioned access applies to read mode only; a write "
                 "world always owns one stream per task"
             )
-        if self.chunksize is not None and self.chunksizes is not None:
-            raise SionUsageError(
-                "pass either chunksize (per-rank collective open) or "
-                "chunksizes (serial creation), not both"
-            )
-        if self.chunksize is None and self.chunksizes is None:
-            raise SionUsageError("write mode requires a non-negative chunksize")
-        if self.chunksize is not None and self.chunksize < 0:
-            raise SionUsageError("write mode requires a non-negative chunksize")
         if self.chunksizes is not None:
-            if not self.chunksizes:
+            if self.chunksize is not None:
                 raise SionUsageError(
-                    "serial write requires the per-task chunk sizes"
+                    "pass either chunksize (per-rank collective open) or "
+                    "chunksizes (serial creation), not both"
                 )
+            if not self.chunksizes:
+                raise SionUsageError("serial write requires the per-task chunk sizes")
             if min(self.chunksizes) < 0:
                 raise SionUsageError("chunk sizes must be non-negative")
-
-    def _validate_read(self) -> None:
-        geometry_opts = (
-            ("chunksize", self.chunksize is not None),
-            ("chunksizes", self.chunksizes is not None),
-            ("fsblksize", self.fsblksize is not None),
-            ("nfiles", self.nfiles is not None),
-            ("mapping", self.mapping is not None),
-            ("compress", self.compress),
-            ("shadow", self.shadow),
-            ("buddy", self.buddy),
-        )
-        for name, given in geometry_opts:
-            if given:
-                raise SionUsageError(
-                    f"{name} contradicts read mode: the multifile's own "
-                    "metadata is authoritative for its geometry and flags"
-                )
+        elif self.chunksize is None or self.chunksize < 0:
+            raise SionUsageError("write mode requires a non-negative chunksize")
 
     # -- constructors ---------------------------------------------------------
 
@@ -202,19 +205,11 @@ class OpenSpec:
                 mapping = None  # type: ignore[assignment]
         if isinstance(mapping, list):
             mapping = tuple(mapping)
+        # Positional, in field order: every rank builds this spec on every
+        # replay of its open, and keywords would cost twice as much.
         return cls(
-            path=path,
-            mode=mode,
-            chunksize=chunksize,
-            fsblksize=fsblksize,
-            nfiles=nfiles,
-            mapping=mapping,
-            compress=compress,
-            shadow=shadow,
-            buddy=buddy,
-            collectsize=collectsize,
-            collectors=collectors,
-            partitioned=partitioned,
+            path, mode, chunksize, None, fsblksize, nfiles, mapping,
+            compress, shadow, buddy, collectsize, collectors, partitioned,
         )
 
     @classmethod
@@ -263,11 +258,26 @@ class OpenSpec:
             return list(self.mapping)
         return self.mapping
 
-    def resolved_collectsize(self, ntasks: int) -> int | None:
-        """The aggregation degree, normalized (``None`` = direct mode)."""
-        from repro.sion.collective import resolve_collectsize
 
-        return resolve_collectsize(self.collectsize, self.collectors, ntasks)
+def resolve_collectsize(
+    collectsize: int | None, collectors: int | None, ntasks: int
+) -> int | None:
+    """Normalize the two spellings of the aggregation degree.
+
+    ``collectsize`` is the number of tasks per collector group (SIONlib's
+    ``collsize``); ``collectors`` asks for a total collector count and
+    resolves to ``ceil(ntasks / collectors)``.  ``None`` (neither given)
+    selects direct mode.
+    """
+    if collectsize is not None and collectors is not None:
+        raise SionUsageError("pass either collectsize or collectors, not both")
+    if collectors is not None:
+        if collectors < 1:
+            raise SionUsageError(f"collectors must be >= 1, got {collectors}")
+        collectsize = math.ceil(ntasks / min(collectors, ntasks))
+    if collectsize is not None and collectsize < 1:
+        raise SionUsageError(f"collectsize must be >= 1, got {collectsize}")
+    return collectsize
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +407,12 @@ class ReplayGuardedFile(RawFile):
     def __init__(self, raw: RawFile, comm: Any) -> None:
         """Guard ``raw`` with ``comm``'s ``exec_once`` replay log."""
         self._raw = raw
-        self._comm = comm
+        self._once = comm.exec_once
 
     @property
     def unguarded(self) -> RawFile:
         """The wrapped physical handle (for composite exec_once blocks)."""
         return self._raw
-
-    def _once(self, fn: Callable[[], Any]) -> Any:
-        return self._comm.exec_once(fn)
 
     # -- streaming surface --------------------------------------------------
 
@@ -496,11 +503,11 @@ def open_mirrored(
     existing code path.  Both opens happen inside a single ``exec_once``
     op — the mirror pair must be created exactly once per rank.
     """
-    if replica_path is None:
-        return open_guarded(backend, path, "r+b", comm)
     return ReplayGuardedFile(
         comm.exec_once(
-            lambda: MirrorRawFile(
+            lambda: backend.open(path, "r+b")
+            if replica_path is None
+            else MirrorRawFile(
                 backend.open(path, "r+b"), backend.open(replica_path, "r+b")
             )
         ),
@@ -509,291 +516,229 @@ def open_mirrored(
 
 
 # ---------------------------------------------------------------------------
-# AccessPlan: what one rank physically does.
+# Write: one plan per physical file and open wave.
 
 
 @dataclass(frozen=True)
-class StreamAssignment:
-    """One writer task stream a reader consumes (partitioned read)."""
+class WritePlan:
+    """One physical file's open, planned once per wave by its master.
 
-    grank: int  # writer global rank
-    filenum: int
-    lrank: int  # writer's local rank within its physical file
-    path: str
-    blocksizes: tuple[int, ...]
-
-
-@dataclass
-class AccessPlan:
-    """Per-rank physical access plan compiled from an :class:`OpenSpec`.
-
-    Write mode: the single-stream fields (``filenum``, ``lrank``,
-    ``my_path``, ``layout``, ``mb1``, ``lcom``) describe this rank's chunk
-    schedule and its metablock duties (the per-file master —
-    ``lcom.rank == 0`` — writes metablock 1 and later metablock 2).  Read
-    mode: ``partition`` plus one :class:`StreamAssignment` per writer
-    stream in this reader's slice (exactly one in a matched read), with
-    the per-file layouts in ``file_layouts``.
-
-    Produced by :func:`compile_plan` (collectively — read mode decodes
-    the metablocks on one rank and broadcasts them); consumed by the
-    executor, which turns the plan into an open handle.
+    The per-file master (rank 0 of the file's communicator) builds it
+    from the ``(global rank, chunk size)`` pairs it gathers, inside
+    ``exec_once``, and broadcasts it: every rank of the file holds the
+    same object, and a rank's own plan is this plus its local rank (its
+    rank in the file's communicator).  ``mb1`` is the one metablock 1
+    the master later patches with the metablock-2 offset.
 
     Example::
 
-        plan = compile_plan(spec, comm, backend)
-        assert plan.layout is not None or plan.partition is not None
+        plan, lcom = compile_write_plan(spec, comm, backend)
+        offset = plan.layout.chunk_start(lcom.rank, 0)
     """
 
-    spec: OpenSpec
-    ntasks: int
     mapping: TaskMapping
-    collectsize: int | None
-    compress: bool = False
-    shadow: bool = False
-    # -- write ---------------------------------------------------------------
-    filenum: int | None = None
-    lrank: int | None = None
-    my_path: str | None = None
-    #: Buddy mode (write): where this rank's file is replicated, or None.
-    replica_path: str | None = None
-    layout: ChunkLayout | None = None
-    mb1: Metablock1 | None = None
-    lcom: Any = None
-    # -- read ----------------------------------------------------------------
-    partition: ReadPartition | None = None
-    assignments: tuple[StreamAssignment, ...] = ()
-    file_layouts: dict[int, ChunkLayout] = field(default_factory=dict)
+    filenum: int
+    path: str  # this physical file
+    replica: str | None  # its buddy replica, or None
+    layout: ChunkLayout
+    mb1: Metablock1
+    compress: bool
+    shadow: bool
+    collectsize: int | None  # resolved aggregation degree; None = direct
 
 
-# ---------------------------------------------------------------------------
-# The pipeline.
-
-
-def open_access(spec: OpenSpec, comm: Any, backend: Backend | None = None):
-    """Compile ``spec`` into this rank's plan and open the access handle.
-
-    The one pipeline behind ``paropen`` (direct, collective, partitioned)
-    and ``paropen_hybrid``.  Collective over ``comm``.
-    """
-    backend = backend if backend is not None else LocalBackend()
-    if spec.mode == "w":
-        plan = compile_write_plan(spec, comm, backend)
-        return _execute_write(plan, comm, backend)
-    plan = compile_read_plan(spec, comm, backend)
-    return _execute_read(plan, comm, backend)
-
-
-def compile_plan(spec: OpenSpec, comm: Any, backend: Backend) -> AccessPlan:
-    """Compile an :class:`AccessPlan` without opening data handles."""
-    if spec.mode == "w":
-        return compile_write_plan(spec, comm, backend)
-    return compile_read_plan(spec, comm, backend)
-
-
-def compile_write_plan(spec: OpenSpec, comm: Any, backend: Backend) -> AccessPlan:
+def compile_write_plan(spec: OpenSpec, comm: Any, backend: Backend):
     """The collective write agreement (paper Listing 1, metadata half).
 
-    Tasks agree on the task-to-file mapping and alignment granularity,
-    per-file masters persist metablock 1, and every rank leaves with the
-    shared layout of its physical file.
-    """
-    chunksize = spec.chunksize
-    if chunksize is None or chunksize < 0:
-        raise SionUsageError("write mode requires a non-negative chunksize")
-    ntasks = comm.size
-    collectsize = spec.resolved_collectsize(ntasks)
-    tmap = TaskMapping.create(ntasks, spec.effective_nfiles, spec.effective_mapping)
-    myfile = tmap.file_of(comm.rank)
-    lrank = tmap.local_rank(comm.rank)
-    mypath = physical_path(spec.path, myfile)
+    Collective over ``comm``.  A rank needs only its physical file's
+    index before the split into per-file communicators (one ``exec_once``
+    lookup into the task mapping; single-file sets need no split at all).
+    Each per-file master gathers its tasks' ``(global rank, chunk size)``
+    pairs, plans the file once (:class:`WritePlan`, built and the file —
+    and its replica — created inside one ``exec_once``) and broadcasts
+    the plan, which also orders the create before any rank writes.
 
-    # Rank 0 determines the alignment granularity for the whole set.
+    Returns ``(plan, lcom)``: the file's plan and communicator, whose
+    rank is this task's local rank and whose rank 0 owns the metablock
+    duties.
+    """
+    rank = comm.rank
     fsblksize = spec.fsblksize
     if fsblksize is None:
-        probed = backend.stat_blocksize(spec.path) if comm.rank == 0 else None
+        # Rank 0 determines the alignment granularity for the whole set.
+        probed = backend.stat_blocksize(spec.path) if rank == 0 else None
         fsblksize = comm.bcast(probed, root=0)
-    assert fsblksize is not None
-    if fsblksize < 1:
-        raise SionUsageError(f"fsblksize must be positive: {fsblksize}")
-
-    # Single-file containers need no sub-communicator: every rank is in
-    # file 0 and ``split(color=0, key=rank)`` would reproduce ``comm``
-    # rank for rank.  Reusing ``comm`` skips a whole collective wave —
-    # at bulk-engine scale, one fewer park-and-replay cycle per rank.
-    if tmap.nfiles == 1:
-        lcom = comm
+        if fsblksize < 1:
+            raise SionUsageError(f"fsblksize must be positive: {fsblksize}")
+    if spec.nfiles is None or spec.nfiles == 1:
+        # Every rank is in file 0 and ``split(color=0, key=rank)`` would
+        # reproduce ``comm`` rank for rank: reusing it skips a whole wave.
+        filenum, lcom, lrank = 0, comm, rank
     else:
-        lcom = comm.split(color=myfile, key=comm.rank)
-    assert lcom is not None
+        filenum = comm.exec_once(partial(_file_of, spec, comm, rank))
+        lcom = comm.split(color=filenum, key=rank)
+        lrank = lcom.rank
+    gathered = lcom.gather((rank, spec.chunksize), root=0)
+    if lrank == 0:
+        plan = lcom.exec_once(
+            partial(_plan_file, spec, comm.size, filenum, fsblksize, gathered, backend)
+        )
+        return lcom.bcast(plan, root=0), lcom
+    # The bcast alone orders the create: the master deposits only after
+    # its exec_once above created the file.
+    return lcom.bcast(None, root=0), lcom
 
+
+def _file_of(spec: OpenSpec, comm: Any, rank: int) -> int:
+    """The physical file ``rank`` writes (validates the mapping)."""
+    return TaskMapping.create(comm.size, spec.nfiles, spec.effective_mapping).files[rank]
+
+
+def _plan_file(
+    spec: OpenSpec,
+    ntasks: int,
+    filenum: int,
+    fsblksize: int,
+    gathered: list[tuple[int, int]],
+    backend: Backend,
+) -> WritePlan:
+    """A per-file master's once-per-wave work: plan the file and create it.
+
+    The replica opens with the *same* metablock 1 bytes, so the mirrored
+    chunk writes leave it byte-identical to the primary.
+    """
+    tmap = TaskMapping.create(ntasks, spec.effective_nfiles, spec.effective_mapping)
     flags = (
         (FLAG_COMPRESS if spec.compress else 0)
         | (FLAG_SHADOW if spec.shadow else 0)
         | (FLAG_BUDDY if spec.buddy else 0)
     )
-    replica = buddy_path(spec.path, myfile, tmap.nfiles) if spec.buddy else None
-    # Per-file master gathers (global rank, chunksize) and writes metablock 1.
-    gathered = lcom.gather((comm.rank, int(chunksize)), root=0)
-    layout: ChunkLayout
-    if lcom.rank == 0:
-        assert gathered is not None
-        granks = [g for g, _ in gathered]
-        chunks = [c for _, c in gathered]
-        mb1, layout = build_file_metadata(
-            tmap, myfile, chunks, granks, fsblksize, flags
-        )
-        # exec_once: the truncating create must not repeat if the bulk
-        # engine replays this rank body (thread engine: plain call).
-        lcom.exec_once(lambda: _create_with_metablock1(backend, mypath, mb1))
-        if replica is not None:
-            # The replica opens with the *same* metablock 1 bytes, so the
-            # mirrored chunk writes leave it byte-identical to the primary.
-            lcom.exec_once(
-                lambda: _create_with_metablock1(backend, replica, mb1)
-            )
-        # The root adopts the *broadcast* objects too: under bulk-engine
-        # replay the locally rebuilt layout/mb1 would be fresh instances,
-        # and parclose's metablock2_offset patch must land on the single
-        # mb1 every rank of this file shares.
-        layout, mb1 = lcom.bcast((layout, mb1), root=0)
-    else:
-        # bcast alone orders the create: a non-root rank cannot return
-        # before the root deposited, and the root deposits only after the
-        # exec_once above persisted metablock 1 — so the file exists for
-        # everyone here without an extra barrier wave.
-        layout, mb1 = lcom.bcast(None, root=0)
-    return AccessPlan(
-        spec=spec,
-        ntasks=ntasks,
+    mb1, layout = build_file_metadata(
+        tmap,
+        filenum,
+        [int(c) for _, c in gathered],
+        [g for g, _ in gathered],
+        fsblksize,
+        flags,
+    )
+    path = physical_path(spec.path, filenum)
+    replica = buddy_path(spec.path, filenum, tmap.nfiles) if spec.buddy else None
+    for target in (path, replica) if replica is not None else (path,):
+        raw = backend.open(target, "w+b")
+        try:
+            raw.write(mb1.encode())
+            raw.flush()
+        finally:
+            raw.close()
+    return WritePlan(
         mapping=tmap,
-        collectsize=collectsize,
-        compress=spec.compress,
-        shadow=spec.shadow,
-        filenum=myfile,
-        lrank=lrank,
-        my_path=mypath,
-        replica_path=replica,
+        filenum=filenum,
+        path=path,
+        replica=replica,
         layout=layout,
         mb1=mb1,
-        lcom=lcom,
-    )
-
-
-def _create_with_metablock1(backend: Backend, path: str, mb1: Metablock1) -> None:
-    """Create/truncate one physical file and persist its metablock 1."""
-    raw = backend.open(path, "w+b")
-    try:
-        raw.write(mb1.encode())
-        raw.flush()
-    finally:
-        raw.close()
-
-
-def compile_read_plan(spec: OpenSpec, comm: Any, backend: Backend) -> AccessPlan:
-    """The read-side metadata probe: set geometry, then this reader's slice.
-
-    Rank 0 loads every physical file's metadata once and broadcasts it,
-    so readers whose slices span several files need no further per-file
-    choreography.  A reader world of any size gets a
-    :class:`ReadPartition` over the writer task streams and one
-    :class:`StreamAssignment` per stream of its contiguous slice; without
-    ``partitioned`` the world must match the writer count, and the plan
-    is that partition with ``m == n`` (reader ``r`` reads writer ``r``).
-    """
-    # Rank 0 reads file 0's metablock 1 to learn the set geometry
-    # (exec_once: decoding a 256k-task metablock is worth not replaying).
-    info = (
-        comm.exec_once(lambda: load_set_geometry(backend, spec.path))
-        if comm.rank == 0
-        else None
-    )
-    nfiles, ntasks_global, kind, table = comm.bcast(info, root=0)
-    if not spec.partitioned and ntasks_global != comm.size:
-        raise SionUsageError(
-            f"multifile was written by {ntasks_global} tasks but the "
-            f"communicator has {comm.size}; re-open with "
-            "partitioned=True (any reader count) or use the serial API"
-        )
-    collectsize = spec.resolved_collectsize(comm.size)
-    tmap = TaskMapping.from_kind_code(ntasks_global, nfiles, kind, table)
-    partition = ReadPartition.balanced(ntasks_global, comm.size)
-    if comm.rank == 0:
-        metadata = comm.exec_once(
-            lambda: [
-                load_file_metadata(backend, physical_path(spec.path, f))
-                for f in range(nfiles)
-            ]
-        )
-        metadata = comm.bcast(metadata, root=0)
-    else:
-        metadata = comm.bcast(None, root=0)
-    flags = metadata[0][0].flags
-    assignments = []
-    for grank in partition.writers_of(comm.rank):
-        f = tmap.file_of(grank)
-        lrank = tmap.local_rank(grank)
-        assignments.append(
-            StreamAssignment(
-                grank=grank,
-                filenum=f,
-                lrank=lrank,
-                path=physical_path(spec.path, f),
-                blocksizes=tuple(metadata[f][1].blocksizes[lrank]),
-            )
-        )
-    return AccessPlan(
-        spec=spec,
-        ntasks=ntasks_global,
-        mapping=tmap,
-        collectsize=collectsize,
-        compress=bool(flags & FLAG_COMPRESS),
-        shadow=bool(flags & FLAG_SHADOW),
-        partition=partition,
-        assignments=tuple(assignments),
-        file_layouts={f: metadata[f][2] for f in range(nfiles)},
+        compress=spec.compress,
+        shadow=spec.shadow,
+        collectsize=resolve_collectsize(spec.collectsize, spec.collectors, ntasks),
     )
 
 
 # ---------------------------------------------------------------------------
-# Executors.
+# Read: one plan per multifile, decoded once.
 
 
-def _execute_write(plan: AccessPlan, comm: Any, backend: Backend):
-    from repro.sion.parallel import SionParallelFile
+@dataclass(frozen=True)
+class ReadPlan:
+    """A sealed multifile's metadata, decoded once, indexed by every reader.
 
-    assert plan.layout is not None and plan.mb1 is not None
-    assert plan.my_path is not None and plan.lrank is not None
-    if plan.collectsize is not None:
-        from repro.sion.collective import open_collective_write
+    The task mapping (writer global rank -> file, local rank) plus, per
+    physical file, its path, metablock 1, chunk layout and block table
+    (metablock 2's bytes per task per block).  An SPMD read builds it
+    once per wave on rank 0 (:func:`compile_read_plan`), the read gateway
+    once per container generation; :meth:`stream` turns any writer
+    stream into a cursor with O(1) lookups — no per-stream copies.
 
-        return open_collective_write(
-            comm, plan.lcom, plan.lrank, plan.collectsize, backend,
-            plan.spec.path, plan.my_path, plan.layout, plan.mb1,
-            plan.mapping, plan.compress, plan.shadow,
-            replica_path=plan.replica_path,
+    Example::
+
+        plan = ReadPlan.from_metadata(path, [load_file_metadata(b, path)])
+        data = PartitionStream([plan.stream(raw, 0)]).read_all()
+    """
+
+    mapping: TaskMapping
+    ntasks: int  # writer task streams recorded in the multifile
+    paths: tuple[str, ...]
+    mb1s: tuple[Metablock1, ...]
+    layouts: tuple[ChunkLayout, ...]
+    blocksizes: tuple[list[list[int]], ...]
+    compress: bool
+    shadow: bool
+
+    @classmethod
+    def from_metadata(
+        cls, path: str, metadata: "Sequence[tuple[Metablock1, Metablock2, ChunkLayout]]"
+    ) -> "ReadPlan":
+        """The plan of the multifile at ``path`` from its files' metablocks."""
+        mb1 = metadata[0][0]
+        return cls(
+            mapping=TaskMapping.from_kind_code(
+                mb1.ntasks_global, mb1.nfiles, mb1.mapping_kind, mb1.mapping_table
+            ),
+            ntasks=mb1.ntasks_global,
+            paths=tuple(physical_path(path, f) for f in range(len(metadata))),
+            mb1s=tuple(m[0] for m in metadata),
+            layouts=tuple(m[2] for m in metadata),
+            blocksizes=tuple(m[1].blocksizes for m in metadata),
+            compress=bool(mb1.flags & FLAG_COMPRESS),
+            shadow=bool(mb1.flags & FLAG_SHADOW),
         )
-    raw = open_mirrored(backend, plan.my_path, plan.replica_path, plan.lcom)
-    stream = TaskStream(raw, plan.layout, plan.lrank, "w", shadow=plan.shadow)
-    return SionParallelFile(
-        comm=comm,
-        lcom=plan.lcom,
-        backend=backend,
-        base_path=plan.spec.path,
-        my_path=plan.my_path,
-        raw=raw,
-        stream=stream,
-        layout=plan.layout,
-        mb1=plan.mb1,
-        mapping=plan.mapping,
-        compress=plan.compress,
+
+    def stream(self, raw: RawFile, grank: int) -> TaskStream:
+        """A read cursor over writer stream ``grank``; ``raw`` serves its file."""
+        f = self.mapping.files[grank]
+        lrank = self.mapping.lranks[grank]
+        return TaskStream(
+            raw, self.layouts[f], lrank, "r",
+            blocksizes=self.blocksizes[f][lrank], shadow=self.shadow,
+        )
+
+
+def load_read_plan(backend: Backend, path: str) -> ReadPlan:
+    """Decode the whole set: file 0's geometry, then every file's metablocks."""
+    nfiles = load_set_geometry(backend, path)[0]
+    return ReadPlan.from_metadata(
+        path,
+        [load_file_metadata(backend, physical_path(path, f)) for f in range(nfiles)],
     )
 
 
-def _execute_read(plan: AccessPlan, comm: Any, backend: Backend) -> "SionReadFile":
+def compile_read_plan(spec: OpenSpec, comm: Any, backend: Backend) -> ReadPlan:
+    """The read-side metadata probe: one decode on rank 0, one bcast.
+
+    Collective over ``comm``.  Rank 0 loads every physical file's
+    metadata inside one ``exec_once`` (decoding a 256k-task set is worth
+    not replaying) and broadcasts the :class:`ReadPlan`, so readers whose
+    slices span several files need no further per-file choreography.
+    Without ``partitioned`` the world must match the writer count.
+    """
+    if comm.rank == 0:
+        plan = comm.bcast(comm.exec_once(lambda: load_read_plan(backend, spec.path)))
+    else:
+        plan = comm.bcast(None)
+    if not spec.partitioned and plan.ntasks != comm.size:
+        raise SionUsageError(
+            f"multifile was written by {plan.ntasks} tasks but the "
+            f"communicator has {comm.size}; re-open with "
+            "partitioned=True (any reader count) or use the serial API"
+        )
+    return plan
+
+
+def open_read(spec: OpenSpec, comm: Any, backend: Backend) -> "SionReadFile":
     """Open this reader's slice: directly, or through a collector prefetch.
 
-    Direct mode opens every physical file the slice touches exactly once
+    The slice is reader ``comm.rank``'s ``(start, count)`` range of a
+    balanced :class:`ReadPartition` (``m == n``: its own stream).  Direct
+    mode opens every physical file the slice touches exactly once
     (replay-guarded); the cursor batches the streams' fragment plans, so a
     whole-slice read costs one vectored call per touched file — O(readers)
     physical data calls for the world, however many writer streams there
@@ -801,30 +746,35 @@ def _execute_read(plan: AccessPlan, comm: Any, backend: Backend) -> "SionReadFil
     per-file collector group (the groups a collective write used) and a
     partitioned reader a world-wide group of consecutive ranks.
     """
-    k = plan.collectsize
+    plan = compile_read_plan(spec, comm, backend)
+    part = ReadPartition.balanced(plan.ntasks, comm.size)
+    start = part.starts[comm.rank]
+    writers = range(start, start + part.counts[comm.rank])
+    k = spec.collectsize
+    if spec.collectors is not None:
+        k = resolve_collectsize(None, spec.collectors, comm.size)
     if k is None:
+        files = plan.mapping.files
         raws: dict[int, RawFile] = {}
         streams = []
-        for a in plan.assignments:
-            raw = raws.get(a.filenum)
+        for g in writers:
+            raw = raws.get(files[g])
             if raw is None:
-                raw = raws[a.filenum] = open_guarded(backend, a.path, "rb", comm)
-            streams.append(
-                TaskStream(
-                    raw, plan.file_layouts[a.filenum], a.lrank, "r",
-                    blocksizes=a.blocksizes, shadow=plan.shadow,
+                raw = raws[files[g]] = open_guarded(
+                    backend, plan.paths[files[g]], "rb", comm
                 )
-            )
-        return SionReadFile(comm, plan, streams, list(raws.values()))
-    from repro.sion.collective import prefetch_read
-
-    if plan.spec.partitioned:
+            streams.append(plan.stream(raw, g))
+        return SionReadFile(comm, plan, writers, streams, list(raws.values()))
+    if spec.partitioned:
         ccom = comm.split(color=comm.rank // k, key=comm.rank)
     else:  # color (file, group within the file), flattened to one integer
-        (a,) = plan.assignments
-        ccom = comm.split(color=a.filenum * plan.ntasks + a.lrank // k, key=a.lrank)
-    assert ccom is not None
-    return prefetch_read(plan, comm, ccom, backend)
+        lrank = plan.mapping.lranks[start]
+        ccom = comm.split(
+            color=plan.mapping.files[start] * plan.ntasks + lrank // k, key=lrank
+        )
+    from repro.sion.collective import prefetch_read  # it imports this module
+
+    return prefetch_read(plan, writers, comm, ccom, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -844,24 +794,20 @@ class SionReadFile(PartitionStream):
     mode = "r"
 
     def __init__(
-        self, comm: Any, plan: AccessPlan, streams: list[TaskStream],
-        raws: list[RawFile],
+        self, comm: Any, plan: ReadPlan, writers: range,
+        streams: list[TaskStream], raws: list[RawFile],
     ) -> None:
-        """Bind the reader's compiled slice (built by the executor)."""
+        """Bind the reader's slice ``writers`` (built by the executor)."""
         super().__init__(streams, compress=plan.compress, raws=raws)
         self.comm = comm
         self.plan = plan
+        #: Writer global ranks this reader consumes, in stream order.
+        self.writer_ranks = writers
 
     @property
     def partition(self) -> ReadPartition:
         """The world's reader -> writer-slice assignment."""
-        assert self.plan.partition is not None
-        return self.plan.partition
-
-    @property
-    def writer_ranks(self) -> range:
-        """Writer global ranks this reader consumes, in stream order."""
-        return self.partition.writers_of(self.comm.rank)
+        return ReadPartition.balanced(self.plan.ntasks, self.comm.size)
 
     @property
     def nwriters(self) -> int:

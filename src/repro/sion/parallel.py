@@ -10,10 +10,10 @@ close, reads and writes are completely independent (no communication).
 masters collect per-task byte counts and append metablock 2.
 
 The metadata agreement itself lives in :mod:`repro.sion.openspec`:
-``paropen`` is a thin shim building an
-:class:`~repro.sion.openspec.OpenSpec` and handing it to the shared
-``OpenSpec -> AccessPlan`` pipeline, the same one behind the collective,
-hybrid, serial, and partitioned entry points.
+``paropen`` builds an :class:`~repro.sion.openspec.OpenSpec` and hands it
+to :func:`open_access`, the executor that turns the spec's per-file wave
+plan into a handle — the same pipeline behind the collective, hybrid and
+partitioned entry points.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, NoReturn
 
 from repro.backends.base import Backend, RawFile
+from repro.backends.localfs import LocalBackend
 from repro.buffers import BufferLike, as_view
 from repro.errors import SionUsageError
 from repro.sion.compression import ZlibWriter
@@ -30,7 +31,10 @@ from repro.sion.mapping import TaskMapping
 from repro.sion.openspec import (
     OpenSpec,
     SionReadFile,
-    open_access,
+    WritePlan,
+    compile_write_plan,
+    open_mirrored,
+    open_read,
     unwrap_raw,
     write_metablock2,
 )
@@ -141,6 +145,28 @@ def paropen(
     return open_access(spec, comm, backend)
 
 
+def open_access(spec: OpenSpec, comm: Comm, backend: Backend | None = None):
+    """Compile ``spec`` into this rank's plan and open its handle.
+
+    The one pipeline behind ``paropen`` (direct, collective, partitioned)
+    and ``paropen_hybrid``.  Collective over ``comm``.  Write mode opens
+    this rank's stream on its file's :class:`~repro.sion.openspec.WritePlan`
+    (through a collector group with ``collectsize``); read mode is
+    :func:`~repro.sion.openspec.open_read`.
+    """
+    backend = backend if backend is not None else LocalBackend()
+    if spec.mode == "r":
+        return open_read(spec, comm, backend)
+    plan, lcom = compile_write_plan(spec, comm, backend)
+    if plan.collectsize is not None:
+        from repro.sion.collective import open_collective_write  # imports us
+
+        return open_collective_write(comm, lcom, plan, backend)
+    raw = open_mirrored(backend, plan.path, plan.replica, lcom)
+    stream = TaskStream(raw, plan.layout, lcom.rank, "w", shadow=plan.shadow)
+    return SionParallelFile(comm, lcom, plan, raw, stream)
+
+
 def persist_metablock2(
     lcom: Comm,
     raw: RawFile,
@@ -175,36 +201,41 @@ class SionParallelFile:
         self,
         comm: Comm,
         lcom: Comm,
-        backend: Backend,
-        base_path: str,
-        my_path: str,
+        plan: WritePlan,
         raw: RawFile | None,
         stream: TaskStream,
-        layout: ChunkLayout,
-        mb1: Metablock1,
-        mapping: TaskMapping,
-        compress: bool,
     ) -> None:
+        """Bind this task's stream on its file's plan (built by the executor)."""
         self.comm = comm
         self.lcom = lcom
-        self.backend = backend
-        self.base_path = base_path
-        self.my_path = my_path
+        self.plan = plan
         self._raw = raw
         self._stream = stream
-        self.layout = layout
-        self.mb1 = mb1
-        self.mapping = mapping
-        self.compress = compress
-        self._zw: ZlibWriter | None = ZlibWriter() if compress else None
+        self.compress = plan.compress
+        self._zw: ZlibWriter | None = ZlibWriter() if plan.compress else None
         self._closed = False
 
     # -- introspection ------------------------------------------------------
 
     @property
+    def layout(self) -> ChunkLayout:
+        """Chunk layout of this task's physical file."""
+        return self.plan.layout
+
+    @property
+    def mb1(self) -> Metablock1:
+        """Metablock 1 of this task's physical file (shared by its tasks)."""
+        return self.plan.mb1
+
+    @property
+    def mapping(self) -> TaskMapping:
+        """The set's task-to-file mapping."""
+        return self.plan.mapping
+
+    @property
     def filenum(self) -> int:
         """Index of the physical file this task writes to."""
-        return self.mb1.filenum
+        return self.plan.filenum
 
     @property
     def local_rank(self) -> int:
@@ -256,7 +287,8 @@ class SionParallelFile:
         transparent compression the deflate output is the only buffer
         materialized on the way down.
         """
-        self._check_open()
+        if self._closed:
+            raise SionUsageError("multifile is closed")
         if self._zw is not None:
             view = as_view(data)
             self._stream.fwrite(self._zw.compress(view))
@@ -286,10 +318,11 @@ class SionParallelFile:
         blocks = self._stream.finalize()
         self._flush_data()
         gathered = self.lcom.gather(blocks, root=0)
-        if self.lcom.rank == 0:
+        if self._stream.ltask == 0:  # the per-file master (lcom rank 0)
             assert gathered is not None and self._raw is not None
             persist_metablock2(
-                self.lcom, unwrap_raw(self._raw), self.layout, self.mb1, gathered
+                self.lcom, unwrap_raw(self._raw), self.plan.layout, self.plan.mb1,
+                gathered,
             )
         if self._raw is not None:
             self._raw.close()

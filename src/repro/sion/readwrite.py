@@ -71,7 +71,18 @@ def refuse_other_mode(handle: object, name: str, mode: str) -> NoReturn:
 
 
 class TaskStream:
-    """Sequential cursor over one task's chunks in one physical file."""
+    """Sequential cursor over one task's chunks in one physical file.
+
+    Chunk ``b``'s data starts at ``_base + b * _stride`` (the layout's
+    :meth:`~repro.sion.layout.ChunkLayout.chunk_start` plus the shadow
+    header, precomputed): a bulk-engine replay rebuilds every stream, so
+    construction and the hot calls stay free of per-call lookups.
+    """
+
+    __slots__ = (
+        "raw", "ltask", "mode", "shadow", "capacity", "cur_block", "pos",
+        "_data_offset", "_base", "_stride", "_finished", "_blocksizes", "_closed",
+    )
 
     def __init__(
         self,
@@ -79,32 +90,38 @@ class TaskStream:
         layout: ChunkLayout,
         ltask: int,
         mode: str,
-        blocksizes: list[int] | None = None,
+        blocksizes: Sequence[int] | None = None,
         shadow: bool = False,
     ) -> None:
         if mode not in ("r", "w"):
             raise SionUsageError(f"TaskStream mode must be 'r' or 'w', got {mode!r}")
         if mode == "r" and blocksizes is None:
             raise SionUsageError("read mode requires the task's block sizes")
+        ntasks = len(layout.aligned_sizes)
+        if not 0 <= ltask < ntasks:
+            raise SionUsageError(f"task {ltask} out of range for {ntasks} local tasks")
         self.raw = raw
-        self.layout = layout
         self.ltask = ltask
         self.mode = mode
         self.shadow = shadow
-        self._data_offset = SHADOW_HEADER_SIZE if shadow else 0
-        self.capacity = layout.capacity(ltask) - self._data_offset
+        self._data_offset = data_offset = SHADOW_HEADER_SIZE if shadow else 0
+        self.capacity = layout.aligned_sizes[ltask] - data_offset
         if self.capacity <= 0:
             raise SionUsageError(
                 "chunk too small to hold the shadow header; "
                 "increase chunksize or fsblksize"
             )
+        self._base = layout.start_of_data + layout.chunk_prefix[ltask] + data_offset
+        self._stride = layout.block_capacity
         self.cur_block = 0
         self.pos = 0  # data bytes into the current chunk
         self._finished: list[int] = []  # bytes written per completed block
-        self._blocksizes = list(blocksizes) if blocksizes is not None else None
+        # Read mode: the recorded block table, shared with its owner (the
+        # decoded metablock 2), never copied and never mutated.
+        self._blocksizes = blocksizes
         self._closed = False
         if mode == "r":
-            self._skip_empty_blocks()
+            self._at_end()
 
     # -- common ------------------------------------------------------------
 
@@ -114,14 +131,6 @@ class TaskStream:
             return sum(self._finished) + self.pos
         assert self._blocksizes is not None
         return sum(self._blocksizes[: self.cur_block]) + self.pos
-
-    def _abs(self, block: int, pos: int) -> int:
-        """Absolute file offset of data byte ``pos`` in chunk ``block``."""
-        return self.layout.chunk_start(self.ltask, block) + self._data_offset + pos
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SionUsageError("stream is closed")
 
     # -- write side ------------------------------------------------------------
 
@@ -165,7 +174,7 @@ class TaskStream:
                 f"capacity={self.capacity}); call ensure_free_space first"
             )
         if n:
-            self.raw.pwrite(self._abs(self.cur_block, self.pos), view)
+            self.raw.pwrite(self._base + self.cur_block * self._stride + self.pos, view)
         self.pos += n
         return n
 
@@ -179,7 +188,8 @@ class TaskStream:
         after the backend call returns, so a failed write never leaves
         block accounting claiming bytes that are not on disk.
         """
-        self._require("w")
+        if self._closed or self.mode != "w":
+            self._require("w")
         view = as_view(data)
         total = view.nbytes
         if total == 0:
@@ -198,7 +208,9 @@ class TaskStream:
                 pos = 0
                 avail = self.capacity
             take = min(avail, total - done)
-            fragments.append((self._abs(blk, pos), view[done : done + take]))
+            fragments.append(
+                (self._base + blk * self._stride + pos, view[done : done + take])
+            )
             pos += take
             done += take
         self.raw.scatter_write(fragments)
@@ -216,27 +228,25 @@ class TaskStream:
 
     def _shadow_fragment(self, block: int, written: int) -> tuple[int, bytes]:
         hdr = ShadowHeader(ltask=self.ltask, block=block, written=written)
-        return self.layout.chunk_start(self.ltask, block), hdr.encode()
-
-    def _flush_shadow(self) -> None:
-        """Persist the current block's shadow header (if enabled)."""
-        if not self.shadow:
-            return
-        self.raw.pwrite(*self._shadow_fragment(self.cur_block, self.pos))
+        return self._base - self._data_offset + block * self._stride, hdr.encode()
 
     def flush_shadow(self) -> None:
         """Public hook: checkpoint the recovery metadata now (paper §6)."""
         self._require("w")
-        self._flush_shadow()
+        if self.shadow:
+            self.raw.pwrite(*self._shadow_fragment(self.cur_block, self.pos))
 
     def finalize(self) -> list[int]:
         """Close the write stream; returns bytes written per block.
 
-        Trailing empty blocks are trimmed; a task that wrote nothing
-        reports a single zero-byte block.
+        Persists the current block's shadow header (if enabled).  Trailing
+        empty blocks are trimmed; a task that wrote nothing reports a
+        single zero-byte block.
         """
-        self._require("w")
-        self._flush_shadow()
+        if self._closed or self.mode != "w":
+            self._require("w")
+        if self.shadow:
+            self.raw.pwrite(*self._shadow_fragment(self.cur_block, self.pos))
         sizes = [*self._finished, self.pos]
         while len(sizes) > 1 and sizes[-1] == 0:
             sizes.pop()
@@ -245,32 +255,36 @@ class TaskStream:
 
     # -- read side -----------------------------------------------------------------
 
+    def _at_end(self) -> bool:
+        """Step past exhausted blocks; True once every recorded byte is read."""
+        blocks = self._blocksizes
+        while self.cur_block < len(blocks) and self.pos >= blocks[self.cur_block]:
+            self.cur_block += 1
+            self.pos = 0
+        return self.cur_block >= len(blocks)
+
     def bytes_avail_in_chunk(self) -> int:
         """Data bytes left to read in the current chunk (Listing 2)."""
         self._require("r")
-        assert self._blocksizes is not None
-        self._skip_empty_blocks()
-        if self.cur_block >= len(self._blocksizes):
+        if self._at_end():
             return 0
         return self._blocksizes[self.cur_block] - self.pos
 
     def feof(self) -> bool:
         """True once every recorded byte of this task has been read."""
-        self._require("r")
-        assert self._blocksizes is not None
-        self._skip_empty_blocks()
-        return self.cur_block >= len(self._blocksizes)
+        if self._closed or self.mode != "r":
+            self._require("r")
+        return self._at_end()
 
     def read(self, n: int) -> bytes:
         """Read up to ``n`` bytes from the current chunk only."""
         self._require("r")
         if n < 0:
             raise SionUsageError("read size must be non-negative")
-        avail = self.bytes_avail_in_chunk()
-        m = min(n, avail)
+        m = min(n, self.bytes_avail_in_chunk())
         if m == 0:
             return b""
-        out = self.raw.pread(self._abs(self.cur_block, self.pos), m)
+        out = self.raw.pread(self._base + self.cur_block * self._stride + self.pos, m)
         self.pos += len(out)
         return out
 
@@ -280,18 +294,18 @@ class TaskStream:
         Returns ``(requests, end_block, end_pos)`` without touching the
         stream state — the gather plan is pure local arithmetic.
         """
-        assert self._blocksizes is not None
+        blocks = self._blocksizes
         requests: list[tuple[int, int]] = []
         blk, pos = self.cur_block, self.pos
         remaining = n
         while remaining > 0:
-            while blk < len(self._blocksizes) and pos >= self._blocksizes[blk]:
+            while blk < len(blocks) and pos >= blocks[blk]:
                 blk += 1
                 pos = 0
-            if blk >= len(self._blocksizes):
+            if blk >= len(blocks):
                 break
-            take = min(remaining, self._blocksizes[blk] - pos)
-            requests.append((self._abs(blk, pos), take))
+            take = min(remaining, blocks[blk] - pos)
+            requests.append((self._base + blk * self._stride + pos, take))
             pos += take
             remaining -= take
         return requests, blk, pos
@@ -306,7 +320,8 @@ class TaskStream:
         read — so ``feof()`` stays False and tooling can tell the
         shortfall apart from a clean end of stream.
         """
-        self._require("r")
+        if self._closed or self.mode != "r":
+            self._require("r")
         if n < 0:
             raise SionUsageError("read size must be non-negative")
         requests, blk, pos = self._plan_read(n)
@@ -321,44 +336,35 @@ class TaskStream:
             _, self.cur_block, self.pos = self._plan_read(got)
         return concat_views(pieces)
 
+    def _remaining(self) -> int:
+        """Recorded bytes from the cursor to the end of the stream."""
+        return sum(self._blocksizes[self.cur_block :]) - self.pos
+
     def read_all(self) -> bytes:
         """Read this task's entire remaining logical stream."""
         self._require("r")
-        assert self._blocksizes is not None
-        remaining = sum(self._blocksizes[self.cur_block :]) - self.pos
-        return self.fread(max(remaining, 0))
+        return self.fread(max(self._remaining(), 0))
 
     def seek_logical(self, block: int, pos: int) -> None:
         """Reposition to ``pos`` within the data of chunk ``block`` (read mode)."""
         self._require("r")
-        assert self._blocksizes is not None
+        blocks = self._blocksizes
         if block < 0 or pos < 0:
             raise SionUsageError("block and pos must be non-negative")
-        if block >= len(self._blocksizes):
+        if block >= len(blocks):
+            raise SionUsageError(f"block {block} out of range ({len(blocks)} blocks)")
+        if pos > blocks[block]:
             raise SionUsageError(
-                f"block {block} out of range ({len(self._blocksizes)} blocks)"
-            )
-        if pos > self._blocksizes[block]:
-            raise SionUsageError(
-                f"pos {pos} beyond data in block {block} "
-                f"({self._blocksizes[block]} bytes)"
+                f"pos {pos} beyond data in block {block} ({blocks[block]} bytes)"
             )
         self.cur_block = block
         self.pos = pos
 
-    def _skip_empty_blocks(self) -> None:
-        assert self._blocksizes is not None
-        while (
-            self.cur_block < len(self._blocksizes)
-            and self.pos >= self._blocksizes[self.cur_block]
-        ):
-            self.cur_block += 1
-            self.pos = 0
-
     # -- internals ----------------------------------------------------------
 
     def _require(self, mode: str) -> None:
-        self._check_open()
+        if self._closed:
+            raise SionUsageError("stream is closed")
         if self.mode != mode:
             verb = "write" if mode == "w" else "read"
             raise SionUsageError(f"stream is not open for {verb} (mode={self.mode!r})")
@@ -429,7 +435,8 @@ class PartitionStream:
         return self._closed
 
     def _advance(self) -> None:
-        while self._idx < len(self._streams) and self._streams[self._idx].feof():
+        streams = self._streams
+        while self._idx < len(streams) and streams[self._idx]._at_end():
             self._idx += 1
 
     def _current(self) -> "TaskStream | None":
@@ -443,7 +450,8 @@ class PartitionStream:
         self._check_open()
         if self._zrs is not None:
             return self._inflated(1) is None
-        return self._current() is None
+        self._advance()
+        return self._idx >= len(self._streams)
 
     def tell_logical(self) -> int:
         """Raw chunk-stream bytes consumed so far across the whole slice."""
@@ -480,11 +488,11 @@ class PartitionStream:
 
     def fread(self, n: int) -> bytes:
         """Read up to ``n`` logical bytes, crossing chunk and stream boundaries."""
-        self._check_open()
+        if self._closed:
+            raise SionUsageError("read handle is closed")
         if n < 0:
             raise SionUsageError("read size must be non-negative")
         if self._zrs is None:
-            self._advance()
             pieces = self._gather(n)
             self._advance()
             return concat_views(pieces)
@@ -500,11 +508,11 @@ class PartitionStream:
 
     def read_all(self) -> bytes:
         """Everything that remains of the slice, in one vectored pass."""
-        self._check_open()
+        if self._closed:
+            raise SionUsageError("read handle is closed")
         if self._zrs is None:
             remaining = 0
             for s in self._streams[self._idx :]:
-                assert s._blocksizes is not None
                 remaining += sum(s._blocksizes[s.cur_block :]) - s.pos
             return self.fread(max(remaining, 0))
         parts = []
@@ -593,12 +601,12 @@ class PartitionStream:
         assert self._zrs is not None
         while self._idx < len(self._streams):
             zr, s = self._zrs[self._idx], self._streams[self._idx]
-            while (want is None or zr.available() < want) and not s.feof():
+            while (want is None or zr.available() < want) and not s._at_end():
                 piece = s.read_all() if want is None else s.fread(_ZPIECE)
                 if not piece:
                     break
                 zr.feed(piece)
-            if s.feof():
+            if s._at_end():
                 zr.source_exhausted()
             if not zr.exhausted:
                 return zr

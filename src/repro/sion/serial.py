@@ -280,11 +280,18 @@ class SionSerialFile:
         """Position at ``pos`` within ``rank``'s chunk of ``block``.
 
         This is ``sion_seek``: the navigation primitive for both global-view
-        reading and serial writing.
+        reading and serial writing.  A compressed task stream can only be
+        entered at its start: any other position falls inside a deflate
+        stream and is refused with :class:`~repro.errors.SionUsageError`.
         """
         self._check_open()
         if not 0 <= rank < self.mapping.ntasks:
             raise SionUsageError(f"rank {rank} out of range ({self.mapping.ntasks})")
+        if (block, pos) != (0, 0) and self.compressed:
+            raise SionUsageError(
+                f"cannot seek to block {block}, pos {pos}: the multifile is "
+                "compressed and a task stream can only be entered at its start"
+            )
         pf = self._phys_of(rank)
         lrank = self.mapping.local_rank(rank)
         if self.mode == "r":

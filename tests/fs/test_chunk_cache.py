@@ -12,7 +12,7 @@ Three properties ISSUE 6 demands:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.backends.caching import CachingRawFile
 from repro.backends.simfs_backend import SimBackend
@@ -99,6 +99,7 @@ def test_any_interleaving_matches_uncached(plan):
 
 
 @given(st.binary(min_size=1, max_size=LIMIT), st.integers(1, 8))
+@example(b"\x00" * 33, 1)  # the sweeps touch two blocks wholly past EOF
 @settings(max_examples=60, deadline=None)
 def test_eviction_under_pressure_stays_correct(content, nblocks_budget):
     """A cache far smaller than the file evicts constantly, never corrupts."""

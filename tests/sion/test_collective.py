@@ -198,6 +198,7 @@ def test_handle_surface_and_flush_collective():
         f.flush_collective()  # explicit early wave
         comm.barrier()  # both collectors' waves done before sampling
         waves_after_flush = backend.stats.calls.get("scatter_write", 0)
+        comm.barrier()  # every rank sampled before any group's final wave
         f.fwrite(_payload(comm.rank, 600)[300:])
         f.parclose()
         return (f.collectsize, f.is_collector, f.collector_lrank,

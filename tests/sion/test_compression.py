@@ -1,5 +1,6 @@
 """Transparent zlib compression (paper §6 roadmap feature)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SionUsageError
@@ -142,6 +143,29 @@ class TestParallelCompressed:
                 sf.read(10)
             with pytest.raises(SionUsageError):
                 sf.fread(10)
+
+    def test_serial_seek_inside_a_deflate_stream_refused(self, sim_backend):
+        """A compressed stream has no logical position except its start.
+
+        A cursor placed mid-deflate-stream used to surface as a raw
+        ``zlib.error`` on the next ``feof()``; the seek itself now refuses.
+        """
+        payload = np.random.default_rng(0).bytes(50_000)
+
+        def task(comm):
+            f = paropen("/scratch/zseek.sion", "w", comm, chunksize=4096,
+                        compress=True, backend=sim_backend)
+            f.fwrite(payload)
+            f.parclose()
+
+        run_spmd(2, task)
+        with serial.open("/scratch/zseek.sion", "r", backend=sim_backend) as sf:
+            for block, pos in ((1, 100), (0, 100), (1, 0)):
+                with pytest.raises(SionUsageError, match="compressed"):
+                    sf.seek(0, block, pos)
+            sf.seek(1, 0, 0)
+            assert not sf.feof()
+            assert sf.read_task(0) == payload
 
     def test_open_rank_decompresses(self, any_backend):
         backend, base = any_backend

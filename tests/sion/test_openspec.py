@@ -1,4 +1,4 @@
-"""The OpenSpec/AccessPlan pipeline: validation, planning, replay guards.
+"""The OpenSpec -> plan pipeline: validation, planning, replay guards.
 
 Every entry point funnels through one validated spec, so contradictory
 option combinations must fail identically everywhere — loudly, with
@@ -10,11 +10,14 @@ import pytest
 from repro.errors import SionUsageError, SpmdWorkerError
 from repro.sion import paropen, serial
 from repro.sion.hybrid import paropen_hybrid
+from repro.sion.mapping import ReadPartition
 from repro.sion.openspec import (
-    AccessPlan,
     OpenSpec,
+    ReadPlan,
     ReplayGuardedFile,
-    compile_plan,
+    WritePlan,
+    compile_read_plan,
+    compile_write_plan,
     unwrap_raw,
 )
 from repro.simmpi import run_spmd
@@ -189,13 +192,14 @@ def test_compile_write_plan_exposes_duties(sim_backend):
         spec = OpenSpec.for_paropen(
             path="/scratch/p.sion", mode="w", chunksize=100, nfiles=2,
         )
-        plan = compile_plan(spec, comm, sim_backend)
+        plan, lcom = compile_write_plan(spec, comm, sim_backend)
+        assert isinstance(plan, WritePlan)
         return (
             plan.filenum,
-            plan.lrank,
-            plan.my_path,
-            plan.lcom.rank == 0,  # metablock duty: per-file master
-            plan.layout.capacity(plan.lrank),
+            lcom.rank,  # the local rank
+            plan.path,
+            lcom.rank == 0,  # metablock duty: per-file master
+            plan.layout.capacity(lcom.rank),
         )
 
     out = run_spmd(4, task)
@@ -222,9 +226,11 @@ def test_compile_partitioned_read_plan_assignments(sim_backend):
         spec = OpenSpec.for_paropen(
             path="/scratch/q.sion", mode="r", partitioned=True
         )
-        plan = compile_plan(spec, comm, sim_backend)
-        assert isinstance(plan, AccessPlan)
-        return [(a.grank, a.filenum, a.lrank) for a in plan.assignments]
+        plan = compile_read_plan(spec, comm, sim_backend)
+        assert isinstance(plan, ReadPlan)
+        tmap = plan.mapping
+        writers = ReadPartition.balanced(plan.ntasks, comm.size).writers_of(comm.rank)
+        return [(g, tmap.files[g], tmap.lranks[g]) for g in writers]
 
     out = run_spmd(2, rtask)
     # Balanced contiguous slices over 6 writers in 2 files of 3.
