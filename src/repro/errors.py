@@ -94,12 +94,13 @@ class SionUsageError(SionError):
     """API misuse: wrong mode, closed handle, invalid parameter."""
 
 
-class SionChunkOverflowError(SionError):
+class SionChunkOverflowError(SionUsageError):
     """A plain write exceeded the space remaining in the current chunk.
 
     Raised when the caller used the raw ANSI-style ``write`` without a
     preceding :func:`ensure_free_space`, mirroring the corruption that would
     occur in C.  Use ``sion_fwrite`` to split writes across chunks instead.
+    This is API misuse, so it is a :class:`SionUsageError` on every writer.
     """
 
 

@@ -20,8 +20,10 @@ Parallel write (collective open/close, independent writes)::
 Parallel read mirrors write (``sion.paropen(..., "r")``, ``fread``,
 ``feof``, ``bytes_avail_in_chunk``).  Serial tools use :func:`sion.open`
 (global view, with ``get_locations`` and ``seek``) or
-:func:`sion.open_rank` (task-local view).  Every read surface is the one
-read cursor, :class:`PartitionStream`, over a slice of task streams.
+:func:`sion.open_rank` (task-local view).  Every write handle — parallel,
+collective, hybrid or serial — is the one write cursor,
+:class:`WriteStream`, over a different sink; every read surface is the
+one read cursor, :class:`PartitionStream`, over a slice of task streams.
 """
 
 from repro.sion.constants import (
@@ -48,8 +50,8 @@ from repro.sion.openspec import (
     resolve_collectsize,
 )
 from repro.sion.parallel import SionParallelFile, open_access, paropen
-from repro.sion.readwrite import PartitionStream, TaskStream
-from repro.sion.serial import SionSerialFile, open, open_rank  # noqa: A004
+from repro.sion.readwrite import PartitionStream, TaskStream, WriteStream
+from repro.sion.serial import SionSerialFile, SionSerialWriter, open, open_rank  # noqa: A004
 from repro.sion.recovery import RecoveryReport, recover_multifile
 from repro.sion.text import TextReader, TextWriter
 
@@ -76,6 +78,7 @@ __all__ = [
     "SionParallelFile",
     "SionCollectiveFile",
     "SionReadFile",
+    "WriteStream",
     "PartitionStream",
     "TaskStream",
     "resolve_collectsize",
@@ -87,6 +90,7 @@ __all__ = [
     "TextReader",
     "TextWriter",
     "SionSerialFile",
+    "SionSerialWriter",
     "open",
     "open_rank",
     "RecoveryReport",

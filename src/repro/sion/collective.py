@@ -11,15 +11,14 @@ layers:
   groups of ``collectsize`` ranks (``paropen(..., collectsize=K)``, or
   ``collectors=N`` as sugar for ``K = ceil(ntasks / N)``).  The lowest
   local rank of each group is its collector.
-* **Write mode** — every task plans its chunk fragments locally with the
-  ordinary :class:`~repro.sion.readwrite.TaskStream` arithmetic, but the
-  stream writes into a :class:`FragmentRecorder` instead of the store.
-  At each *collection wave* (:meth:`SionCollectiveFile.flush_collective`,
-  and finally :meth:`~SionCollectiveFile.parclose`) the collector gathers
-  its senders' ``(offset, bytes)`` fragments over the communicator
-  (``gather`` of offsets + ``gatherv`` of payloads, PR 2's buffer-view
-  discipline) and issues **one** ``scatter_write`` against the physical
-  file.
+* **Write mode** — every task's handle is the ordinary write cursor
+  (:class:`~repro.sion.readwrite.WriteStream`), but its sink is a
+  :class:`FragmentRecorder` instead of the store.  At each *collection
+  wave* (:meth:`SionCollectiveFile.flush_collective`, and finally the
+  sink's drain in ``parclose``) the collector gathers its senders'
+  ``(offset, bytes)`` fragments over the communicator (``gather`` of
+  offsets + ``gatherv`` of payloads) and issues **one** ``scatter_write``
+  against the physical file.
 * **Read mode** (:func:`prefetch_read`, matched and partitioned alike) —
   each task computes its complete request list locally
   (:meth:`~repro.sion.layout.ChunkLayout.read_requests`), the collector
@@ -47,102 +46,84 @@ engine's memoized replay.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 
 from repro.backends.base import Backend, RawFile
 from repro.buffers import BufferLike, as_view
 from repro.errors import SionUsageError
 from repro.sion.constants import SHADOW_HEADER_SIZE
-from repro.sion.openspec import (
-    ReadPlan,
-    SionReadFile,
-    WritePlan,
-    open_guarded,
-    open_mirrored,
-)
+from repro.sion.openspec import ReadPlan, ReplayGuardedFile, SionReadFile, open_guarded
 from repro.sion.parallel import SionParallelFile
-from repro.sion.readwrite import TaskStream
 from repro.simmpi.comm import Comm
 
 
-class _NoDataAccess:
-    """Shared guards for the two pseudo-files below."""
+class FragmentRecorder:
+    """Collective-mode write sink: records fragments, ships them in waves.
 
-    def _refuse(self, op: str) -> None:
-        raise SionUsageError(
-            f"{op} is not available on a collective-mode task stream; "
-            "data moves only in collection waves via the collector rank"
-        )
-
-
-class FragmentRecorder(RawFile, _NoDataAccess):
-    """Write-side sink: records ``(offset, bytes)`` instead of storing.
-
-    Stands in for the physical file underneath a sender's
-    :class:`~repro.sion.readwrite.TaskStream`: all of the stream's chunk
-    arithmetic, shadow headers and block accounting run unchanged, but
-    the resulting fragments accumulate here until the next collection
-    wave ships them to the collector.  Payloads are snapshotted at write
-    time (the caller may reuse its buffer immediately, mirroring the
-    communicator's payload contract).
+    Stands in for the physical file underneath a task's write cursor: the
+    ``(offset, bytes)`` fragments accumulate here until the next
+    collection wave (:meth:`drain`) ships them to the collector — the
+    group's rank 0, which alone holds ``raw``, the replay-guarded physical
+    file (mirrored onto the buddy replica, if any).  Payloads are
+    snapshotted at write time, so the caller may reuse its buffer.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ccom: Comm, raw: ReplayGuardedFile | None) -> None:
+        """Record for collector group ``ccom``; ``raw`` only on its collector."""
+        self.ccom = ccom
+        self.raw = raw
         self._fragments: list[tuple[int, bytes]] = []
-        self._closed = False
 
-    @property
-    def pending(self) -> int:
-        """Fragments recorded since the last :meth:`take`."""
-        return len(self._fragments)
-
-    def take(self) -> list[tuple[int, bytes]]:
-        """Drain and return the recorded fragments (wave handoff)."""
-        frags, self._fragments = self._fragments, []
-        return frags
-
-    # -- RawFile write surface used by TaskStream --------------------------
-    # (the base class builds pwritev/scatter_write on pwrite, so recording
-    # the primitive is enough)
+    # -- the write cursor's sink ---------------------------------------------
 
     def pwrite(self, offset: int, data: BufferLike) -> int:
+        """Record one positioned write (an empty one records nothing)."""
         view = as_view(data)
         if view.nbytes:
             self._fragments.append((offset, view.tobytes()))
         return view.nbytes
 
-    def write(self, data: BufferLike) -> int:
-        self._refuse("write at the implicit file pointer")
-        raise AssertionError  # pragma: no cover - _refuse always raises
+    def scatter_write(self, fragments) -> int:
+        """Record a fragment list as the store receives it: non-empty, by offset."""
+        views = sorted(((off, as_view(d)) for off, d in fragments), key=itemgetter(0))
+        self._fragments.extend((off, v.tobytes()) for off, v in views if v.nbytes)
+        return sum(v.nbytes for _, v in views)
 
-    def flush(self) -> None:
-        pass
+    # -- what parclose asks of a sink ------------------------------------------
+
+    def drain(self) -> None:
+        """One collection wave: gather fragments, one ``scatter_write``.
+
+        Collective over the collector group.  Offsets travel as an
+        immutable tuple through ``gather``; payload bytes travel through
+        ``gatherv``.  The collector's single backend call goes through
+        its replay-guarded handle, so a bulk-engine replay never
+        re-issues it.
+        """
+        frags, self._fragments = self._fragments, []
+        gathered_offsets = self.ccom.gather(tuple(off for off, _ in frags), root=0)
+        gathered_data = self.ccom.gatherv([data for _, data in frags], root=0)
+        if self.raw is not None:
+            assert gathered_offsets is not None and gathered_data is not None
+            wave: list[tuple[int, bytes]] = []
+            for offs, pieces in zip(gathered_offsets, gathered_data):
+                wave.extend(zip(offs, pieces))
+            if wave:
+                self.raw.scatter_write(wave)
+
+    @property
+    def unguarded(self) -> RawFile:
+        """The collector's physical handle (the per-file master is one)."""
+        assert self.raw is not None
+        return self.raw.unguarded
 
     def close(self) -> None:
-        self._closed = True
-
-    # -- everything else is a usage error ----------------------------------
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        self._refuse("seek")
-        raise AssertionError  # pragma: no cover
-
-    def tell(self) -> int:
-        self._refuse("tell")
-        raise AssertionError  # pragma: no cover
-
-    def read(self, n: int = -1) -> bytes:
-        self._refuse("read")
-        raise AssertionError  # pragma: no cover
-
-    def write_zeros(self, n: int) -> int:
-        self._refuse("write_zeros")
-        raise AssertionError  # pragma: no cover
-
-    def truncate(self, size: int) -> None:
-        self._refuse("truncate")
+        """Close the collector's physical handle; senders hold none."""
+        if self.raw is not None:
+            self.raw.close()
 
 
-class PreloadedFragments(RawFile, _NoDataAccess):
+class PreloadedFragments:
     """Read-side source serving positioned reads from prefetched bytes.
 
     Holds the ``(offset, bytes)`` fragments a collector prefetched for
@@ -156,74 +137,38 @@ class PreloadedFragments(RawFile, _NoDataAccess):
     """
 
     def __init__(self, fragments: list[tuple[int, bytes]]) -> None:
-        self._frags = sorted(fragments, key=lambda f: f[0])
+        self._frags = sorted(fragments, key=itemgetter(0))
         self._starts = [off for off, _ in self._frags]
 
-    # preadv/gather_read come from the RawFile base class, built on this.
+    def gather_read(self, requests) -> list[bytes]:
+        """The prefetched bytes of each ``(offset, size)`` request, in order."""
+        out = []
+        for offset, n in requests:
+            i = bisect.bisect_right(self._starts, offset) - 1
+            if i < 0:
+                out.append(b"")
+                continue
+            start, data = self._frags[i]
+            out.append(data[offset - start : offset - start + n])
+        return out
+
     def pread(self, offset: int, n: int) -> bytes:
-        i = bisect.bisect_right(self._starts, offset) - 1
-        if i < 0:
-            return b""
-        start, data = self._frags[i]
-        rel = offset - start
-        if rel >= len(data):
-            return b""
-        return data[rel : rel + n]
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    # -- everything else is a usage error ----------------------------------
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        self._refuse("seek")
-        raise AssertionError  # pragma: no cover
-
-    def tell(self) -> int:
-        self._refuse("tell")
-        raise AssertionError  # pragma: no cover
-
-    def read(self, n: int = -1) -> bytes:
-        self._refuse("read")
-        raise AssertionError  # pragma: no cover
-
-    def write(self, data: BufferLike) -> int:
-        self._refuse("write")
-        raise AssertionError  # pragma: no cover
-
-    def write_zeros(self, n: int) -> int:
-        self._refuse("write_zeros")
-        raise AssertionError  # pragma: no cover
-
-    def truncate(self, size: int) -> None:
-        self._refuse("truncate")
+        """The prefetched bytes at ``offset``, up to ``n`` of them."""
+        return self.gather_read(((offset, n),))[0]
 
 
 class SionCollectiveFile(SionParallelFile):
-    """One task's handle on a multifile opened in collective mode.
+    """The write handle with a :class:`FragmentRecorder` as its sink.
 
-    Write mode only (collective reads return the ordinary read handle,
-    fed by :func:`prefetch_read`).  The write API is identical to
-    :class:`SionParallelFile`; only the physical data movement differs
-    (collection waves).  Additional surface: :attr:`is_collector`,
-    :attr:`collectsize`, :attr:`collector_lrank` and the explicit
-    :meth:`flush_collective` wave (collective over the whole world, like
-    ``parclose``).
+    The write API and ``parclose`` are :class:`SionParallelFile`'s; this
+    adds the collector-group introspection and the explicit
+    :meth:`flush_collective` wave.
     """
 
-    def __init__(
-        self, comm: Comm, lcom: Comm, plan: WritePlan, raw: RawFile | None,
-        stream: TaskStream, *, ccom: Comm, recorder: FragmentRecorder,
-    ) -> None:
-        """Bind the sender stream and its collector group ``ccom``."""
-        super().__init__(comm, lcom, plan, raw, stream)
-        self.ccom = ccom
-        self._recorder = recorder
-
-    # -- introspection ------------------------------------------------------
+    @property
+    def ccom(self) -> Comm:
+        """This task's collector group (its rank 0 is the collector)."""
+        return self._raw.ccom
 
     @property
     def collectsize(self) -> int:
@@ -240,30 +185,6 @@ class SionCollectiveFile(SionParallelFile):
         """Local rank (within the physical file) of this task's collector."""
         return (self.local_rank // self.collectsize) * self.collectsize
 
-    # -- collection waves ---------------------------------------------------
-
-    def _wave(self) -> None:
-        """One collection wave: gather fragments, one ``scatter_write``.
-
-        Collective over the collector group.  Offsets travel as an
-        immutable tuple through ``gather``; payload bytes travel through
-        ``gatherv``.  The collector's single backend call goes through
-        its replay-guarded handle, so a bulk-engine replay never
-        re-issues it.
-        """
-        frags = self._recorder.take()
-        offsets = tuple(off for off, _ in frags)
-        gathered_offsets = self.ccom.gather(offsets, root=0)
-        gathered_data = self.ccom.gatherv([data for _, data in frags], root=0)
-        if self.ccom.rank == 0:
-            assert gathered_offsets is not None and gathered_data is not None
-            wave: list[tuple[int, bytes]] = []
-            for offs, pieces in zip(gathered_offsets, gathered_data):
-                wave.extend(zip(offs, pieces))
-            if wave:
-                assert self._raw is not None
-                self._raw.scatter_write(wave)
-
     def flush_collective(self) -> None:
         """Ship all buffered fragments to the collector now.
 
@@ -272,40 +193,9 @@ class SionCollectiveFile(SionParallelFile):
         it to bound sender-side buffering between waves; ``parclose``
         always runs a final wave.
         """
-        self._check_open()
-        self._wave()
-
-    # -- collective close (parclose hooks) ----------------------------------
-
-    def _flush_data(self) -> None:
-        """The final collection wave, before metablock 2 is persisted."""
-        self._wave()
-
-
-def open_collective_write(
-    comm: Comm, lcom: Comm, plan: WritePlan, backend: Backend
-) -> SionCollectiveFile:
-    """Build the write-mode collective handle (metadata already agreed).
-
-    Only the collector opens the physical file, replay-guarded on the
-    collector group (every wave write and the close execute once per
-    rank).  In buddy mode (``plan.replica`` set) the handle mirrors onto
-    the replica, so every collection wave's ``scatter_write`` — and the
-    master's metablock-2 persistence at close — lands on it too.
-    """
-    lrank = lcom.rank
-    ccom = lcom.split(color=lrank // plan.collectsize, key=lrank)
-    assert ccom is not None
-    raw = (
-        open_mirrored(backend, plan.path, plan.replica, ccom)
-        if ccom.rank == 0
-        else None
-    )
-    recorder = FragmentRecorder()
-    stream = TaskStream(recorder, plan.layout, lrank, "w", shadow=plan.shadow)
-    return SionCollectiveFile(
-        comm, lcom, plan, raw, stream, ccom=ccom, recorder=recorder
-    )
+        if self._closed:
+            raise SionUsageError("multifile is closed")
+        self._raw.drain()
 
 
 def prefetch_read(

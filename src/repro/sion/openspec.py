@@ -381,27 +381,22 @@ def write_metablock2(
 # Replay-guarded handles: deterministic backend telemetry under bulk replay.
 
 
-def unwrap_raw(raw: RawFile) -> RawFile:
-    """The physical handle underneath a replay guard (identity otherwise)."""
-    return raw.unguarded if isinstance(raw, ReplayGuardedFile) else raw
+class ReplayGuardedFile:
+    """Route every backend call of a cursor's handle through ``exec_once``.
 
-
-class ReplayGuardedFile(RawFile):
-    """Route every backend interaction of a handle through ``exec_once``.
-
-    Direct-mode streams issue their positioned calls straight against
-    the store.  Under the bulk engine's memoized replay a rank body may
-    re-execute, and although re-issuing an idempotent positioned write
-    leaves the bytes exact, it inflates instrumented call counts
+    Cursors issue their positioned calls straight against the store.
+    Under the bulk engine's memoized replay a rank body may re-execute,
+    and although re-issuing an idempotent positioned write leaves the
+    bytes exact, it inflates instrumented call counts
     (``CountingBackend``, SimFS accounting).  Wrapping the handle makes
     each physical call an ``exec_once`` op: it executes exactly once per
     rank and replays its logged result, so direct-mode telemetry is as
     deterministic as collective mode's.
 
-    Composite operations that must count as *one* backend call (e.g.
-    ``persist_metablock2``'s seek/write/patch/flush sequence, itself
-    wrapped in ``exec_once``) unwrap via :func:`unwrap_raw` — nesting
-    ``exec_once`` inside ``exec_once`` is an op-log violation.
+    The guard carries what the write and read cursors call.  Composite
+    operations that must count as *one* backend call (the metablock-2
+    seek/write/patch/flush sequence, itself wrapped in ``exec_once``) use
+    :attr:`unguarded`: ``exec_once`` must not nest.
     """
 
     def __init__(self, raw: RawFile, comm: Any) -> None:
@@ -414,41 +409,12 @@ class ReplayGuardedFile(RawFile):
         """The wrapped physical handle (for composite exec_once blocks)."""
         return self._raw
 
-    # -- streaming surface --------------------------------------------------
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        """``seek`` as a replay-guarded op (executes once per rank)."""
-        return self._once(lambda: self._raw.seek(offset, whence))
-
-    def tell(self) -> int:
-        """``tell`` as a replay-guarded op (executes once per rank)."""
-        return self._once(self._raw.tell)
-
-    def read(self, n: int = -1) -> bytes:
-        """``read`` as a replay-guarded op (executes once per rank)."""
-        return self._once(lambda: self._raw.read(n))
-
-    def write(self, data: BufferLike) -> int:
-        """``write`` as a replay-guarded op (executes once per rank)."""
-        return self._once(lambda: self._raw.write(data))
-
-    def write_zeros(self, n: int) -> int:
-        """``write_zeros`` as a replay-guarded op (executes once per rank)."""
-        return self._once(lambda: self._raw.write_zeros(n))
-
-    def truncate(self, size: int) -> None:
-        """``truncate`` as a replay-guarded op (executes once per rank)."""
-        return self._once(lambda: self._raw.truncate(size))
-
-    def flush(self) -> None:
-        """``flush`` as a replay-guarded op (executes once per rank)."""
-        return self._once(self._raw.flush)
+    def drain(self) -> None:
+        """Nothing to drain: a direct-mode sink writes straight through."""
 
     def close(self) -> None:
         """``close`` as a replay-guarded op (executes once per rank)."""
         return self._once(self._raw.close)
-
-    # -- positioned / vectored surface --------------------------------------
 
     def pwrite(self, offset: int, data: BufferLike) -> int:
         """Positioned write as a replay-guarded op."""
@@ -457,14 +423,6 @@ class ReplayGuardedFile(RawFile):
     def pread(self, offset: int, n: int) -> bytes:
         """Positioned read as a replay-guarded op."""
         return self._once(lambda: self._raw.pread(offset, n))
-
-    def pwritev(self, offset: int, views: Sequence[BufferLike]) -> int:
-        """Contiguous gather-write as a replay-guarded op."""
-        return self._once(lambda: self._raw.pwritev(offset, views))
-
-    def preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
-        """Contiguous scatter-read as a replay-guarded op."""
-        return self._once(lambda: self._raw.preadv(offset, sizes))
 
     def scatter_write(self, fragments) -> int:
         """Vectored write as a replay-guarded op (fragments materialized)."""
@@ -497,10 +455,10 @@ def open_mirrored(
 
     The direct-mode buddy integration point: with ``replica_path`` set,
     the replay-guarded handle wraps a
-    :class:`~repro.sion.buddy.MirrorRawFile`, so every chunk write,
-    shadow header, and metablock the stream (or ``persist_metablock2``,
-    via :func:`unwrap_raw`) issues lands on both copies through the one
-    existing code path.  Both opens happen inside a single ``exec_once``
+    :class:`~repro.sion.buddy.MirrorRawFile`, so every chunk write and
+    shadow header the cursor issues, and the metablocks the master writes
+    through :attr:`ReplayGuardedFile.unguarded`, land on both copies
+    through the one existing code path.  Both opens happen inside a single ``exec_once``
     op — the mirror pair must be created exactly once per rank.
     """
     return ReplayGuardedFile(
@@ -697,8 +655,7 @@ class ReadPlan:
         f = self.mapping.files[grank]
         lrank = self.mapping.lranks[grank]
         return TaskStream(
-            raw, self.layouts[f], lrank, "r",
-            blocksizes=self.blocksizes[f][lrank], shadow=self.shadow,
+            raw, self.layouts[f], lrank, self.blocksizes[f][lrank], self.shadow
         )
 
 

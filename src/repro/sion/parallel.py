@@ -3,11 +3,13 @@
 :func:`paropen` is a collective operation over a communicator: tasks agree
 on the task-to-file mapping, per-file masters write/read the metablocks,
 layout information is distributed, and every task receives a handle
-positioned at its first chunk: a :class:`SionParallelFile` to write, a
-:class:`~repro.sion.openspec.SionReadFile` to read.  In between open and
-close, reads and writes are completely independent (no communication).
-:meth:`SionParallelFile.parclose` is the matching collective close, where
-masters collect per-task byte counts and append metablock 2.
+positioned at its first chunk: a :class:`SionParallelFile` to write — the
+:class:`~repro.sion.readwrite.WriteStream` cursor over this task's
+physical file — and a :class:`~repro.sion.openspec.SionReadFile` to read.
+In between open and close, reads and writes are completely independent
+(no communication).  :meth:`SionParallelFile.parclose` is the matching
+collective close, where masters collect per-task byte counts and append
+metablock 2.
 
 The metadata agreement itself lives in :mod:`repro.sion.openspec`:
 ``paropen`` builds an :class:`~repro.sion.openspec.OpenSpec` and hands it
@@ -18,13 +20,11 @@ partitioned entry points.
 
 from __future__ import annotations
 
-from typing import Any, NoReturn
+from typing import Any
 
-from repro.backends.base import Backend, RawFile
+from repro.backends.base import Backend
 from repro.backends.localfs import LocalBackend
-from repro.buffers import BufferLike, as_view
 from repro.errors import SionUsageError
-from repro.sion.compression import ZlibWriter
 from repro.sion.format import Metablock1
 from repro.sion.layout import ChunkLayout
 from repro.sion.mapping import TaskMapping
@@ -35,10 +35,9 @@ from repro.sion.openspec import (
     compile_write_plan,
     open_mirrored,
     open_read,
-    unwrap_raw,
     write_metablock2,
 )
-from repro.sion.readwrite import TaskStream, refuse_other_mode
+from repro.sion.readwrite import WriteStream
 from repro.simmpi.comm import Comm
 
 
@@ -108,9 +107,10 @@ def paropen(
     :class:`~repro.errors.SionUsageError` by the
     :class:`~repro.sion.openspec.OpenSpec` validator.
 
-    Returns each task's handle.  Write mode: a :class:`SionParallelFile`
-    (a :class:`~repro.sion.collective.SionCollectiveFile` in collective
-    mode).  Read mode, in all four plans — matched or ``partitioned``,
+    Returns each task's handle.  Write mode: a :class:`SionParallelFile`,
+    the :class:`~repro.sion.readwrite.WriteStream` write cursor plus
+    ``parclose`` (a :class:`~repro.sion.collective.SionCollectiveFile` in
+    collective mode).  Read mode, in all four plans — matched or ``partitioned``,
     direct or collector-prefetched: a
     :class:`~repro.sion.openspec.SionReadFile`, the
     :class:`~repro.sion.readwrite.PartitionStream` read cursor over this
@@ -150,70 +150,48 @@ def open_access(spec: OpenSpec, comm: Comm, backend: Backend | None = None):
 
     The one pipeline behind ``paropen`` (direct, collective, partitioned)
     and ``paropen_hybrid``.  Collective over ``comm``.  Write mode opens
-    this rank's stream on its file's :class:`~repro.sion.openspec.WritePlan`
-    (through a collector group with ``collectsize``); read mode is
-    :func:`~repro.sion.openspec.open_read`.
+    this rank's cursor on its file's :class:`~repro.sion.openspec.WritePlan`
+    over the replay-guarded file (mirrored onto the buddy replica, if
+    any); with ``collectsize`` the file's ranks split into collector
+    groups, only each group's collector opens the file, and the cursor's
+    sink is a :class:`~repro.sion.collective.FragmentRecorder`.  Read
+    mode is :func:`~repro.sion.openspec.open_read`.
     """
     backend = backend if backend is not None else LocalBackend()
     if spec.mode == "r":
         return open_read(spec, comm, backend)
     plan, lcom = compile_write_plan(spec, comm, backend)
-    if plan.collectsize is not None:
-        from repro.sion.collective import open_collective_write  # imports us
+    if plan.collectsize is None:
+        raw = open_mirrored(backend, plan.path, plan.replica, lcom)
+        return SionParallelFile(comm, lcom, plan, raw)
+    from repro.sion.collective import FragmentRecorder, SionCollectiveFile  # imports us
 
-        return open_collective_write(comm, lcom, plan, backend)
-    raw = open_mirrored(backend, plan.path, plan.replica, lcom)
-    stream = TaskStream(raw, plan.layout, lcom.rank, "w", shadow=plan.shadow)
-    return SionParallelFile(comm, lcom, plan, raw, stream)
-
-
-def persist_metablock2(
-    lcom: Comm,
-    raw: RawFile,
-    layout: ChunkLayout,
-    mb1: Metablock1,
-    blocksizes: list[list[int]],
-) -> None:
-    """Append metablock 2 and patch its offset into metablock 1 (master).
-
-    Shared by direct and collective parclose: :func:`write_metablock2`
-    wrapped in ``exec_once``, because a bulk-engine replay of the close
-    sequence must not re-write the metablock (the bytes would be
-    identical, but instrumented backends would double-count the boundary
-    crossing).  Callers pass the *unguarded* physical handle — the
-    sequence is one composite op, and a replay-guarded handle would nest
-    ``exec_once`` inside ``exec_once``.
-    """
-    lcom.exec_once(lambda: write_metablock2(raw, layout, mb1, blocksizes))
+    lrank = lcom.rank
+    ccom = lcom.split(color=lrank // plan.collectsize, key=lrank)
+    raw = open_mirrored(backend, plan.path, plan.replica, ccom) if ccom.rank == 0 else None
+    return SionCollectiveFile(comm, lcom, plan, FragmentRecorder(ccom, raw))
 
 
-class SionParallelFile:
-    """One task's write handle on a collectively opened multifile.
+class SionParallelFile(WriteStream):
+    """One task's write handle from ``paropen(..., "w")``.
 
-    Write mode only: ``paropen(..., "r")`` returns the read handle
-    (:class:`~repro.sion.openspec.SionReadFile`), and asking this handle
-    for a read call is a :class:`~repro.errors.SionUsageError`.
+    The :class:`~repro.sion.readwrite.WriteStream` cursor over this task's
+    sink, plus the plan introspection and the collective :meth:`parclose`
+    (the shape of :class:`~repro.sion.openspec.SionReadFile`).  Besides
+    the cursor's writes, ``parclose`` asks the sink to ``drain``, for the
+    master's ``unguarded`` physical handle, and to ``close``.
     """
 
     mode = "w"
 
-    def __init__(
-        self,
-        comm: Comm,
-        lcom: Comm,
-        plan: WritePlan,
-        raw: RawFile | None,
-        stream: TaskStream,
-    ) -> None:
-        """Bind this task's stream on its file's plan (built by the executor)."""
+    def __init__(self, comm: Comm, lcom: Comm, plan: WritePlan, raw) -> None:
+        """Bind this task's cursor on its file's plan (built by the executor)."""
+        super().__init__(
+            raw, plan.layout, lcom.rank, shadow=plan.shadow, compress=plan.compress
+        )
         self.comm = comm
         self.lcom = lcom
         self.plan = plan
-        self._raw = raw
-        self._stream = stream
-        self.compress = plan.compress
-        self._zw: ZlibWriter | None = ZlibWriter() if plan.compress else None
-        self._closed = False
 
     # -- introspection ------------------------------------------------------
 
@@ -240,105 +218,47 @@ class SionParallelFile:
     @property
     def local_rank(self) -> int:
         """This task's index within its physical file."""
-        return self._stream.ltask
+        return self.ltask
 
     @property
     def chunksize(self) -> int:
         """This task's usable chunk capacity in bytes."""
-        return self._stream.capacity
+        return self.capacity
 
     @property
     def fsblksize(self) -> int:
         """Alignment granularity of the multifile."""
         return self.mb1.fsblksize
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def get_current_location(self) -> tuple[int, int]:
-        """``sion_get_current_location``: ``(block, pos_in_chunk)``.
-
-        Positions refer to the raw chunk stream (compressed bytes when
-        transparent compression is active).
-        """
-        return self._stream.cur_block, self._stream.pos
-
-    def tell_logical(self) -> int:
-        """Raw chunk-stream bytes produced so far by this task."""
-        return self._stream.tell_logical()
-
-    # -- write API (Listing 1) ------------------------------------------------
-
-    def ensure_free_space(self, nbytes: int) -> bool:
-        """Make room for an ``nbytes`` ANSI-style write; True if block grew."""
-        self._check_plain("ensure_free_space")
-        return self._stream.ensure_free_space(nbytes)
-
-    def write(self, data: BufferLike) -> int:
-        """ANSI-``fwrite`` equivalent: must fit in the current chunk."""
-        self._check_plain("write")
-        return self._stream.write(data)
-
-    def fwrite(self, data: BufferLike) -> int:
-        """SIONlib write: splits across chunks; returns *logical* bytes.
-
-        The payload view is forwarded without intermediate copies; with
-        transparent compression the deflate output is the only buffer
-        materialized on the way down.
-        """
-        if self._closed:
-            raise SionUsageError("multifile is closed")
-        if self._zw is not None:
-            view = as_view(data)
-            self._stream.fwrite(self._zw.compress(view))
-            return view.nbytes
-        return self._stream.fwrite(data)
-
-    def bytes_left_in_chunk(self) -> int:
-        """Writable bytes remaining in the current chunk."""
-        self._check_plain("bytes_left_in_chunk")
-        return self._stream.bytes_left_in_chunk()
-
-    def flush_shadow(self) -> None:
-        """Checkpoint recovery metadata for the current block (paper §6)."""
-        self._check_open()
-        self._stream.flush_shadow()
-
     # -- collective close ------------------------------------------------------
 
     def parclose(self) -> None:
-        """Collective close; per-file masters append metablock 2."""
+        """Collective close; per-file masters append metablock 2.
+
+        The sink drains first (a collective-mode sink's final collection
+        wave), so every data byte is in the file before the master's
+        gather completes and metablock 2 claims it.
+        """
         if self._closed:
             raise SionUsageError("multifile already closed")
-        if self._zw is not None:
-            tail = self._zw.finish()
-            if tail:
-                self._stream.fwrite(tail)
-        blocks = self._stream.finalize()
-        self._flush_data()
+        blocks = self.finalize()
+        self._raw.drain()
         gathered = self.lcom.gather(blocks, root=0)
-        if self._stream.ltask == 0:  # the per-file master (lcom rank 0)
-            assert gathered is not None and self._raw is not None
-            persist_metablock2(
-                self.lcom, unwrap_raw(self._raw), self.plan.layout, self.plan.mb1,
-                gathered,
+        if self.ltask == 0:  # the per-file master (lcom rank 0)
+            # One exec_once op, so a bulk-engine replay of the close does
+            # not write the metablock again (the bytes would be identical,
+            # but instrumented backends would count the calls twice).  It
+            # runs on the unguarded handle: exec_once must not nest.
+            raw, plan = self._raw.unguarded, self.plan
+            self.lcom.exec_once(
+                lambda: write_metablock2(raw, plan.layout, plan.mb1, gathered)
             )
-        if self._raw is not None:
-            self._raw.close()
-        self._closed = True
+        self._raw.close()
         # The world barrier already makes every file's metablock 2 durable
         # before *any* rank returns: each per-file master enters it only
         # after its mb2 write above, so a separate lcom barrier per file
         # would only add a synchronization wave.
         self.comm.barrier()
-
-    def _flush_data(self) -> None:
-        """Hook: push any buffered stream data down before metablock 2.
-
-        Direct mode writes through, so there is nothing to flush; the
-        collective subclass runs its final collection wave here.
-        """
 
     # -- context manager -----------------------------------------------------
 
@@ -348,20 +268,3 @@ class SionParallelFile:
     def __exit__(self, *exc: Any) -> None:
         if not self._closed:
             self.parclose()
-
-    def __getattr__(self, name: str) -> NoReturn:
-        refuse_other_mode(self, name, "w")
-
-    # -- internals -------------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SionUsageError("multifile is closed")
-
-    def _check_plain(self, op: str) -> None:
-        self._check_open()
-        if self.compress:
-            raise SionUsageError(
-                f"{op} is unavailable with transparent compression; "
-                "use fwrite, which manages chunk boundaries internally"
-            )

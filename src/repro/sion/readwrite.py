@@ -1,22 +1,24 @@
-"""Chunk-aware task streams: the read/write engine of the SION layer.
+"""Chunk-aware task streams: the write and read cursors of the SION layer.
 
-A :class:`TaskStream` is one task's sequential view of its logical file,
-implemented over the chunks that belong to it inside a physical multifile.
-It provides the paper's API semantics:
+A :class:`WriteStream` is the write API itself (Listing 1): one task's
+sequential writer over the chunks that belong to it inside a physical
+multifile.  Every write handle is one of these over a different *sink* —
+direct, buddy, collective, hybrid and serial writers alike — so the
+write semantics exist once:
 
 * ``ensure_free_space(n)`` — advance to a fresh chunk if the current one
-  cannot take ``n`` more bytes (Listing 1); requires **no communication**
-  because every chunk address is computable locally.
+  cannot take ``n`` more bytes; requires **no communication** because
+  every chunk address is computable locally.
 * ``write(data)`` — ANSI-``fwrite``-style write that must fit the current
   chunk (the caller guards with ``ensure_free_space``).
 * ``fwrite(data)`` — SIONlib's own write, splitting data across chunk
-  boundaries internally.
-* ``bytes_avail_in_chunk`` / ``feof`` / ``read`` / ``fread`` — the read-side
-  mirror images (Listing 2), driven by the per-block byte counts recorded
-  in metablock 2.
+  boundaries internally (and deflating it first with transparent
+  compression).
 
-A :class:`PartitionStream` is the read API itself: a cursor over a slice
-of task streams (a single stream is a slice of length 1) that owns
+A :class:`TaskStream` is the read primitive: one task's recorded chunks,
+driven by the per-block byte counts of metablock 2.  A
+:class:`PartitionStream` is the read API (Listing 2): a cursor over a
+slice of task streams (a single stream is a slice of length 1) that owns
 transparent decompression, the closed/compression usage checks and the
 physical handles it was given.  Every read surface — ``paropen(..., "r")``
 in all four plans, ``open_rank``, the serial global view and the read
@@ -44,7 +46,7 @@ from typing import NoReturn, Sequence
 from repro.backends.base import RawFile
 from repro.buffers import BufferLike, as_view, concat_views
 from repro.errors import SionChunkOverflowError, SionUsageError
-from repro.sion.compression import ZlibReader
+from repro.sion.compression import ZlibReader, ZlibWriter
 from repro.sion.constants import SHADOW_HEADER_SIZE
 from repro.sion.format import ShadowHeader
 from repro.sion.layout import ChunkLayout
@@ -57,7 +59,7 @@ _ZPIECE = 64 * 1024
 #: serves one mode; the other mode's names are a usage error on it, not an
 #: ``AttributeError`` (see :func:`refuse_other_mode`).
 _MODE_API = {
-    "r": ("feof", "read", "fread", "read_all", "bytes_avail_in_chunk"),
+    "r": ("feof", "read", "fread", "read_all", "read_task", "bytes_avail_in_chunk"),
     "w": ("fwrite", "write", "ensure_free_space", "bytes_left_in_chunk",
           "flush_shadow", "flush_collective"),
 }
@@ -70,41 +72,39 @@ def refuse_other_mode(handle: object, name: str, mode: str) -> NoReturn:
     raise AttributeError(f"{type(handle).__name__!r} has no attribute {name!r}")
 
 
-class TaskStream:
-    """Sequential cursor over one task's chunks in one physical file.
+class WriteStream:
+    """The write cursor: one task's chunks in one physical file.
 
-    Chunk ``b``'s data starts at ``_base + b * _stride`` (the layout's
-    :meth:`~repro.sion.layout.ChunkLayout.chunk_start` plus the shadow
-    header, precomputed): a bulk-engine replay rebuilds every stream, so
-    construction and the hot calls stay free of per-call lookups.
+    The cursor calls only ``pwrite`` and ``scatter_write`` on its *sink*:
+    a :class:`~repro.sion.openspec.ReplayGuardedFile` in direct mode, a
+    :class:`~repro.sion.collective.FragmentRecorder` in collective mode,
+    the physical file itself for serial creation.  Chunk ``b``'s data
+    starts at ``_base + b * _stride`` (precomputed: a bulk-engine replay
+    rebuilds every handle).  With ``compress=True`` each ``fwrite`` is
+    deflated into the task's zlib stream, and the chunk-local calls are
+    usage errors: compressed bytes have no record boundaries.  A forward
+    :meth:`seek_logical` moves only the position (``cur_block``, ``pos``),
+    so skipped bytes count as written once a write lands past them.
     """
 
     __slots__ = (
-        "raw", "ltask", "mode", "shadow", "capacity", "cur_block", "pos",
-        "_data_offset", "_base", "_stride", "_finished", "_blocksizes", "_closed",
+        "_raw", "ltask", "shadow", "compress", "capacity", "cur_block", "pos",
+        "_end", "_base", "_stride", "_finished", "_zw", "_closed",
     )
 
     def __init__(
         self,
-        raw: RawFile,
+        raw,
         layout: ChunkLayout,
         ltask: int,
-        mode: str,
-        blocksizes: Sequence[int] | None = None,
+        *,
         shadow: bool = False,
+        compress: bool = False,
     ) -> None:
-        if mode not in ("r", "w"):
-            raise SionUsageError(f"TaskStream mode must be 'r' or 'w', got {mode!r}")
-        if mode == "r" and blocksizes is None:
-            raise SionUsageError("read mode requires the task's block sizes")
         ntasks = len(layout.aligned_sizes)
         if not 0 <= ltask < ntasks:
             raise SionUsageError(f"task {ltask} out of range for {ntasks} local tasks")
-        self.raw = raw
-        self.ltask = ltask
-        self.mode = mode
-        self.shadow = shadow
-        self._data_offset = data_offset = SHADOW_HEADER_SIZE if shadow else 0
+        data_offset = SHADOW_HEADER_SIZE if shadow else 0
         self.capacity = layout.aligned_sizes[ltask] - data_offset
         if self.capacity <= 0:
             raise SionUsageError(
@@ -113,31 +113,38 @@ class TaskStream:
             )
         self._base = layout.start_of_data + layout.chunk_prefix[ltask] + data_offset
         self._stride = layout.block_capacity
+        self._raw = raw
+        self.ltask = ltask
+        self.shadow = shadow
+        self.compress = compress
+        self._zw = ZlibWriter() if compress else None
         self.cur_block = 0
-        self.pos = 0  # data bytes into the current chunk
+        self.pos = 0  # the cursor, in data bytes into the current chunk
+        self._end = 0  # how far writes reached in the current chunk
         self._finished: list[int] = []  # bytes written per completed block
-        # Read mode: the recorded block table, shared with its owner (the
-        # decoded metablock 2), never copied and never mutated.
-        self._blocksizes = blocksizes
         self._closed = False
-        if mode == "r":
-            self._at_end()
 
-    # -- common ------------------------------------------------------------
+    # -- cursor state --------------------------------------------------------
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`finalize` has run."""
+        return self._closed
 
     def tell_logical(self) -> int:
-        """Bytes consumed/produced so far across all blocks."""
-        if self.mode == "w":
-            return sum(self._finished) + self.pos
-        assert self._blocksizes is not None
-        return sum(self._blocksizes[: self.cur_block]) + self.pos
+        """Raw chunk-stream bytes produced so far by this task."""
+        return sum(self._finished) + self.pos
 
-    # -- write side ------------------------------------------------------------
+    def get_current_location(self) -> tuple[int, int]:
+        """``sion_get_current_location``: ``(block, pos_in_chunk)``, raw bytes."""
+        return self.cur_block, self.pos
 
     def bytes_left_in_chunk(self) -> int:
-        """Write capacity remaining in the current chunk."""
-        self._require("w")
+        """Writable bytes remaining in the current chunk."""
+        self._plain_only("bytes_left_in_chunk")
         return self.capacity - self.pos
+
+    # -- write API (Listing 1) -------------------------------------------------
 
     def ensure_free_space(self, nbytes: int) -> bool:
         """Guarantee ``nbytes`` fit contiguously; may advance to a new chunk.
@@ -146,7 +153,7 @@ class TaskStream:
         :class:`SionUsageError` if ``nbytes`` can never fit a single chunk —
         use :meth:`fwrite` for such writes.
         """
-        self._require("w")
+        self._plain_only("ensure_free_space")
         if nbytes < 0:
             raise SionUsageError("nbytes must be non-negative")
         if nbytes > self.capacity:
@@ -155,17 +162,14 @@ class TaskStream:
                 f"({self.capacity}); use fwrite() to span chunks"
             )
         if self.pos + nbytes > self.capacity:
-            self._advance_write_block()
+            self._next_block()
             return True
         return False
 
     def write(self, data: BufferLike) -> int:
-        """Write within the current chunk (ANSI-style); no spanning.
-
-        The payload view goes straight to one positioned backend write —
-        no intermediate copy, no seek.
-        """
-        self._require("w")
+        """ANSI-``fwrite`` equivalent: one positioned write inside the chunk."""
+        if self._closed or self._zw is not None:
+            self._plain_only("write")
         view = as_view(data)
         n = view.nbytes
         if self.pos + n > self.capacity:
@@ -174,36 +178,92 @@ class TaskStream:
                 f"capacity={self.capacity}); call ensure_free_space first"
             )
         if n:
-            self.raw.pwrite(self._base + self.cur_block * self._stride + self.pos, view)
-        self.pos += n
+            self._raw.pwrite(self._base + self.cur_block * self._stride + self.pos, view)
+        self.pos = self._end = self.pos + n
         return n
 
     def fwrite(self, data: BufferLike) -> int:
-        """Chunk-spanning write: one vectored backend call for all fragments.
+        """SIONlib write: splits across chunks; returns *logical* bytes.
 
-        Splits the payload at chunk boundaries *locally* (chunk addresses
-        need no communication), collects ``(offset, view)`` fragments —
-        including any shadow headers of blocks completed along the way —
-        and issues a single ``scatter_write``.  Stream state commits only
-        after the backend call returns, so a failed write never leaves
-        block accounting claiming bytes that are not on disk.
+        The payload view is forwarded without copies; with compression the
+        deflate output is the only buffer materialized on the way down.
         """
-        if self._closed or self.mode != "w":
-            self._require("w")
+        if self._closed:
+            raise SionUsageError("multifile is closed")
         view = as_view(data)
+        if self._zw is None:
+            return self._put(view)
+        self._put(as_view(self._zw.compress(view)))
+        return view.nbytes
+
+    def seek_logical(self, block: int, pos: int) -> None:
+        """Move forward to ``pos`` in chunk ``block``; never backwards."""
+        self._plain_only("seek_logical")
+        if block < 0 or pos < 0:
+            raise SionUsageError("block and pos must be non-negative")
+        if pos > self.capacity:
+            raise SionUsageError(f"pos {pos} beyond chunk capacity {self.capacity}")
+        if (block, pos) < (self.cur_block, self.pos):
+            raise SionUsageError(
+                f"cannot seek back to block {block}, pos {pos}: the cursor of "
+                f"task {self.ltask} is at block {self.cur_block}, pos {self.pos}"
+            )
+        while self.cur_block < block:
+            self._next_block()
+        self.pos = pos
+
+    def flush_shadow(self) -> None:
+        """Checkpoint recovery metadata for the current block (paper §6)."""
+        if self._closed:
+            raise SionUsageError("multifile is closed")
+        if self.shadow:
+            self._raw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
+
+    def finalize(self) -> list[int]:
+        """End the stream; returns bytes written per block.
+
+        Writes the zlib trailer (with compression) and the current block's
+        shadow header (if enabled).  Trailing empty blocks are trimmed; a
+        task that wrote nothing reports a single zero-byte block.
+        """
+        if self._closed:
+            raise SionUsageError("multifile is closed")
+        if self._zw is not None:
+            self._put(as_view(self._zw.finish()))
+        if self.shadow:
+            self._raw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
+        sizes = [*self._finished, self._end]
+        while len(sizes) > 1 and sizes[-1] == 0:
+            sizes.pop()
+        self._closed = True
+        return sizes
+
+    def __getattr__(self, name: str) -> NoReturn:
+        refuse_other_mode(self, name, "w")
+
+    # -- internals ----------------------------------------------------------
+
+    def _put(self, view: memoryview) -> int:
+        """Chunk-spanning write: one ``scatter_write`` for all fragments.
+
+        The fragments include the shadow headers of blocks completed along
+        the way.  Cursor state commits only after the sink call returns, so
+        a failed write never leaves block accounting claiming bytes that
+        are not on disk.
+        """
         total = view.nbytes
         if total == 0:
             return 0
         fragments: list[tuple[int, BufferLike]] = []
         completed: list[int] = []
-        blk, pos = self.cur_block, self.pos
+        blk, pos, end = self.cur_block, self.pos, self._end
         done = 0
         while done < total:
             avail = self.capacity - pos
             if avail == 0:
                 if self.shadow:
-                    fragments.append(self._shadow_fragment(blk, pos))
-                completed.append(pos)
+                    fragments.append(self._shadow_fragment(blk, end))
+                completed.append(end)
                 blk += 1
                 pos = 0
                 avail = self.capacity
@@ -211,49 +271,74 @@ class TaskStream:
             fragments.append(
                 (self._base + blk * self._stride + pos, view[done : done + take])
             )
-            pos += take
+            pos = end = pos + take
             done += take
-        self.raw.scatter_write(fragments)
+        self._raw.scatter_write(fragments)
         self._finished.extend(completed)
-        self.cur_block, self.pos = blk, pos
+        self.cur_block, self.pos, self._end = blk, pos, pos
         return total
 
-    def _advance_write_block(self) -> None:
+    def _next_block(self) -> None:
         """Complete the current block and move the cursor to the next one."""
         if self.shadow:
-            self.raw.pwrite(*self._shadow_fragment(self.cur_block, self.pos))
-        self._finished.append(self.pos)
+            self._raw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
+        self._finished.append(self._end)
         self.cur_block += 1
-        self.pos = 0
+        self.pos = self._end = 0
 
     def _shadow_fragment(self, block: int, written: int) -> tuple[int, bytes]:
         hdr = ShadowHeader(ltask=self.ltask, block=block, written=written)
-        return self._base - self._data_offset + block * self._stride, hdr.encode()
+        return self._base - SHADOW_HEADER_SIZE + block * self._stride, hdr.encode()
 
-    def flush_shadow(self) -> None:
-        """Public hook: checkpoint the recovery metadata now (paper §6)."""
-        self._require("w")
-        if self.shadow:
-            self.raw.pwrite(*self._shadow_fragment(self.cur_block, self.pos))
+    def _plain_only(self, op: str) -> None:
+        if self._closed:
+            raise SionUsageError("multifile is closed")
+        if self._zw is not None:
+            raise SionUsageError(
+                f"{op} is unavailable with transparent compression; "
+                "use fwrite, which manages chunk boundaries internally"
+            )
 
-    def finalize(self) -> list[int]:
-        """Close the write stream; returns bytes written per block.
 
-        Persists the current block's shadow header (if enabled).  Trailing
-        empty blocks are trimmed; a task that wrote nothing reports a
-        single zero-byte block.
-        """
-        if self._closed or self.mode != "w":
-            self._require("w")
-        if self.shadow:
-            self.raw.pwrite(*self._shadow_fragment(self.cur_block, self.pos))
-        sizes = [*self._finished, self.pos]
-        while len(sizes) > 1 and sizes[-1] == 0:
-            sizes.pop()
-        self._closed = True
-        return sizes
+class TaskStream:
+    """Read primitive: one task's recorded chunks in one physical file.
 
-    # -- read side -----------------------------------------------------------------
+    :class:`PartitionStream` composes these.  ``blocksizes`` is the task's
+    row of metablock 2, shared with its owner (the decoded metablock),
+    never copied and never mutated.  Chunk ``b``'s data starts at
+    ``_base + b * _stride``.
+    """
+
+    __slots__ = ("raw", "cur_block", "pos", "_base", "_stride", "_blocksizes")
+
+    def __init__(
+        self,
+        raw: RawFile,
+        layout: ChunkLayout,
+        ltask: int,
+        blocksizes: Sequence[int],
+        shadow: bool = False,
+    ) -> None:
+        ntasks = len(layout.aligned_sizes)
+        if not 0 <= ltask < ntasks:
+            raise SionUsageError(f"task {ltask} out of range for {ntasks} local tasks")
+        data_offset = SHADOW_HEADER_SIZE if shadow else 0
+        if layout.aligned_sizes[ltask] <= data_offset:
+            raise SionUsageError(
+                "chunk too small to hold the shadow header; "
+                "increase chunksize or fsblksize"
+            )
+        self.raw = raw
+        self._base = layout.start_of_data + layout.chunk_prefix[ltask] + data_offset
+        self._stride = layout.block_capacity
+        self.cur_block = 0
+        self.pos = 0  # data bytes into the current chunk
+        self._blocksizes = blocksizes
+        self._at_end()
+
+    def tell_logical(self) -> int:
+        """Bytes consumed so far across all blocks."""
+        return sum(self._blocksizes[: self.cur_block]) + self.pos
 
     def _at_end(self) -> bool:
         """Step past exhausted blocks; True once every recorded byte is read."""
@@ -265,20 +350,16 @@ class TaskStream:
 
     def bytes_avail_in_chunk(self) -> int:
         """Data bytes left to read in the current chunk (Listing 2)."""
-        self._require("r")
         if self._at_end():
             return 0
         return self._blocksizes[self.cur_block] - self.pos
 
     def feof(self) -> bool:
         """True once every recorded byte of this task has been read."""
-        if self._closed or self.mode != "r":
-            self._require("r")
         return self._at_end()
 
     def read(self, n: int) -> bytes:
         """Read up to ``n`` bytes from the current chunk only."""
-        self._require("r")
         if n < 0:
             raise SionUsageError("read size must be non-negative")
         m = min(n, self.bytes_avail_in_chunk())
@@ -320,8 +401,6 @@ class TaskStream:
         read — so ``feof()`` stays False and tooling can tell the
         shortfall apart from a clean end of stream.
         """
-        if self._closed or self.mode != "r":
-            self._require("r")
         if n < 0:
             raise SionUsageError("read size must be non-negative")
         requests, blk, pos = self._plan_read(n)
@@ -342,12 +421,10 @@ class TaskStream:
 
     def read_all(self) -> bytes:
         """Read this task's entire remaining logical stream."""
-        self._require("r")
         return self.fread(max(self._remaining(), 0))
 
     def seek_logical(self, block: int, pos: int) -> None:
-        """Reposition to ``pos`` within the data of chunk ``block`` (read mode)."""
-        self._require("r")
+        """Reposition to ``pos`` within the data of chunk ``block``."""
         blocks = self._blocksizes
         if block < 0 or pos < 0:
             raise SionUsageError("block and pos must be non-negative")
@@ -359,15 +436,6 @@ class TaskStream:
             )
         self.cur_block = block
         self.pos = pos
-
-    # -- internals ----------------------------------------------------------
-
-    def _require(self, mode: str) -> None:
-        if self._closed:
-            raise SionUsageError("stream is closed")
-        if self.mode != mode:
-            verb = "write" if mode == "w" else "read"
-            raise SionUsageError(f"stream is not open for {verb} (mode={self.mode!r})")
 
 
 class PartitionStream:
@@ -394,9 +462,8 @@ class PartitionStream:
       False, so tooling can tell the shortfall from a clean end.
 
     ``raws`` are the physical handles the cursor owns: :meth:`close`
-    closes them.  Streams must be read-mode :class:`TaskStream`
-    instances; the cursor owns their advancement, so do not interleave
-    direct stream reads.
+    closes them.  The cursor owns the :class:`TaskStream` instances'
+    advancement, so do not interleave direct stream reads.
 
     Example::
 
@@ -412,9 +479,6 @@ class PartitionStream:
         compress: bool = False,
         raws: Sequence[RawFile] = (),
     ) -> None:
-        for s in streams:
-            if s.mode != "r":
-                raise SionUsageError("PartitionStream requires read-mode streams")
         self._streams = streams
         self._idx = 0
         self.compress = compress

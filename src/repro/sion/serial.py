@@ -14,18 +14,20 @@ Three entry points:
 Both read views are the one read cursor,
 :class:`~repro.sion.readwrite.PartitionStream`, over a single task
 stream: ``open_rank`` returns it, and the global view keeps one under its
-``seek`` position.
+``seek`` position.  The write view, :class:`SionSerialWriter`, is the one
+write cursor, :class:`~repro.sion.readwrite.WriteStream`, once per task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from repro.backends.base import Backend, RawFile
 from repro.backends.localfs import LocalBackend
-from repro.buffers import BufferLike, as_view
+from repro.buffers import BufferLike
 from repro.errors import SionUsageError
 from repro.sion.constants import FLAG_COMPRESS, FLAG_SHADOW
 from repro.sion.format import Metablock1, Metablock2
@@ -37,7 +39,12 @@ from repro.sion.openspec import (
     load_metablocks,
     write_metablock2,
 )
-from repro.sion.readwrite import PartitionStream, TaskStream
+from repro.sion.readwrite import (
+    PartitionStream,
+    TaskStream,
+    WriteStream,
+    refuse_other_mode,
+)
 
 
 @dataclass
@@ -85,13 +92,14 @@ def open(  # noqa: A001 - mirrors the paper's sion_open
     nfiles: int = 1,
     mapping: str | list[int] = "blocked",
     backend: Backend | None = None,
-) -> "SionSerialFile":
+) -> "SionSerialFile | SionSerialWriter":
     """Open a multifile from a serial program (global view).
 
-    A thin shim over the shared pipeline: the options are validated as
-    an :class:`~repro.sion.openspec.OpenSpec` (so contradictory
-    combinations fail identically across every entry point) before the
-    serial executor runs.
+    Mode ``"r"`` returns the read view, mode ``"w"`` the write view
+    (:class:`SionSerialWriter`).  A thin shim over the shared pipeline:
+    the options are validated as an :class:`~repro.sion.openspec.OpenSpec`
+    (so contradictory combinations fail identically across every entry
+    point) before the serial executor runs.
     """
     backend = backend if backend is not None else LocalBackend()
     spec = OpenSpec.for_serial(
@@ -104,7 +112,7 @@ def open(  # noqa: A001 - mirrors the paper's sion_open
     )
     if spec.mode == "r":
         return SionSerialFile._open_read(path, backend)
-    return SionSerialFile._open_write(spec, backend)
+    return SionSerialWriter._create(spec, backend)
 
 
 def open_rank(
@@ -142,8 +150,7 @@ def open_rank(
         raise
     lrank = tmap.local_rank(rank)
     stream = TaskStream(
-        raw, layout, lrank, "r", blocksizes=mb2.blocksizes[lrank],
-        shadow=bool(mb1.flags & FLAG_SHADOW),
+        raw, layout, lrank, mb2.blocksizes[lrank], bool(mb1.flags & FLAG_SHADOW)
     )
     return PartitionStream(
         [stream], compress=bool(mb1.flags & FLAG_COMPRESS), raws=[raw]
@@ -151,31 +158,24 @@ def open_rank(
 
 
 class SionSerialFile:
-    """Global-view handle for serial programs and command-line tools."""
+    """Global-view read handle for serial programs and command-line tools."""
+
+    mode = "r"
 
     def __init__(
         self,
-        mode: str,
         backend: Backend,
         base_path: str,
         files: list[_PhysFile],
         tmap: TaskMapping,
     ) -> None:
-        self.mode = mode
         self.backend = backend
         self.base_path = base_path
         self._files = files
         self.mapping = tmap
         self._closed = False
-        # Serial-write accounting: bytes written per (global rank, block).
-        self._written: dict[int, dict[int, int]] = {}
-        # Current cursor (read mode: the read cursor at that position).
-        self._cur_rank = 0
-        self._cur_block = 0
-        self._cur_pos = 0
         self._cursor: PartitionStream | None = None
-        if mode == "r":
-            self.seek(0, 0, 0)
+        self.seek(0, 0, 0)
 
     # -- constructors --------------------------------------------------------
 
@@ -197,30 +197,7 @@ class SionSerialFile:
             pf = _PhysFile(f, fpath, raw, mb1, layout)
             pf.mb2 = mb2
             files.append(pf)
-        return cls("r", backend, path, files, tmap)
-
-    @classmethod
-    def _open_write(cls, spec: OpenSpec, backend: Backend) -> "SionSerialFile":
-        assert spec.chunksizes is not None
-        chunksizes = list(spec.chunksizes)
-        ntasks = len(chunksizes)
-        tmap = TaskMapping.create(
-            ntasks, spec.effective_nfiles, spec.effective_mapping
-        )
-        fsblksize = spec.fsblksize
-        if fsblksize is None:
-            fsblksize = backend.stat_blocksize(spec.path)
-        files: list[_PhysFile] = []
-        for f in range(tmap.nfiles):
-            members = tmap.tasks_of_file(f)
-            mb1, layout = build_file_metadata(
-                tmap, f, [chunksizes[r] for r in members], members, fsblksize, 0
-            )
-            fpath = physical_path(spec.path, f)
-            raw = backend.open(fpath, "w+b")
-            raw.write(mb1.encode())
-            files.append(_PhysFile(f, fpath, raw, mb1, layout))
-        return cls("w", backend, spec.path, files, tmap)
+        return cls(backend, path, files, tmap)
 
     # -- metadata (Listing 5) ------------------------------------------------
 
@@ -279,10 +256,10 @@ class SionSerialFile:
     def seek(self, rank: int, block: int = 0, pos: int = 0) -> None:
         """Position at ``pos`` within ``rank``'s chunk of ``block``.
 
-        This is ``sion_seek``: the navigation primitive for both global-view
-        reading and serial writing.  A compressed task stream can only be
-        entered at its start: any other position falls inside a deflate
-        stream and is refused with :class:`~repro.errors.SionUsageError`.
+        This is ``sion_seek`` for global-view reading (Listing 5).  A
+        compressed task stream can only be entered at its start: any other
+        position falls inside a deflate stream and is refused with
+        :class:`~repro.errors.SionUsageError`.
         """
         self._check_open()
         if not 0 <= rank < self.mapping.ntasks:
@@ -294,31 +271,13 @@ class SionSerialFile:
             )
         pf = self._phys_of(rank)
         lrank = self.mapping.local_rank(rank)
-        if self.mode == "r":
-            assert pf.mb2 is not None
-            stream = TaskStream(
-                pf.raw,
-                pf.layout,
-                lrank,
-                "r",
-                blocksizes=pf.mb2.blocksizes[lrank],
-                shadow=bool(pf.mb1.flags & FLAG_SHADOW),
-            )
-            stream.seek_logical(block, pos)
-            self._cursor = PartitionStream([stream], compress=self.compressed)
-        else:
-            capacity = pf.layout.capacity(lrank)
-            if block < 0 or pos < 0:
-                raise SionUsageError("block and pos must be non-negative")
-            if pos > capacity:
-                raise SionUsageError(
-                    f"pos {pos} beyond chunk capacity {capacity} of rank {rank}"
-                )
-            # Write mode keeps a purely logical cursor: every write is a
-            # positioned backend call, so there is nothing to seek.
-        self._cur_rank = rank
-        self._cur_block = block
-        self._cur_pos = pos
+        assert pf.mb2 is not None
+        stream = TaskStream(
+            pf.raw, pf.layout, lrank, pf.mb2.blocksizes[lrank],
+            bool(pf.mb1.flags & FLAG_SHADOW),
+        )
+        stream.seek_logical(block, pos)
+        self._cursor = PartitionStream([stream], compress=self.compressed)
 
     # -- reading --------------------------------------------------------------------
 
@@ -348,109 +307,15 @@ class SionSerialFile:
         Transparently decompresses if the multifile was written with
         ``compress=True``.
         """
-        self._check_mode("r")
         self.seek(rank, 0, 0)
         return self._read_cursor().read_all()
-
-    # -- serial writing (Listing 3) -----------------------------------------------------
-
-    def ensure_free_space(self, nbytes: int) -> bool:
-        """Advance the cursor to a fresh chunk if ``nbytes`` don't fit."""
-        self._check_mode("w")
-        pf = self._phys_of(self._cur_rank)
-        capacity = pf.layout.capacity(self.mapping.local_rank(self._cur_rank))
-        if nbytes < 0:
-            raise SionUsageError("nbytes must be non-negative")
-        if nbytes > capacity:
-            raise SionUsageError(
-                f"request of {nbytes} bytes exceeds chunk capacity {capacity}; "
-                "use fwrite() to span chunks"
-            )
-        if self._cur_pos + nbytes > capacity:
-            self.seek(self._cur_rank, self._cur_block + 1, 0)
-            return True
-        return False
-
-    def write(self, data: BufferLike) -> int:
-        """Write at the cursor; must stay inside the current chunk.
-
-        The payload view goes down as one positioned backend write — no
-        intermediate copy, no seek.
-        """
-        self._check_mode("w")
-        pf = self._phys_of(self._cur_rank)
-        lrank = self.mapping.local_rank(self._cur_rank)
-        capacity = pf.layout.capacity(lrank)
-        view = as_view(data)
-        n = view.nbytes
-        if self._cur_pos + n > capacity:
-            raise SionUsageError(
-                f"write of {n} bytes overflows chunk capacity {capacity} "
-                f"at pos {self._cur_pos}; call ensure_free_space first"
-            )
-        if n:
-            pf.raw.pwrite(
-                pf.layout.chunk_start(lrank, self._cur_block) + self._cur_pos, view
-            )
-        self._record_written(self._cur_rank, self._cur_block, self._cur_pos + n)
-        self._cur_pos += n
-        return n
-
-    def fwrite(self, data: BufferLike) -> int:
-        """Write at the cursor, spanning blocks of the current task.
-
-        Splits the payload at chunk boundaries locally and issues a
-        single vectored ``scatter_write`` for the whole fragment list.
-        """
-        self._check_mode("w")
-        view = as_view(data)
-        total = view.nbytes
-        if total == 0:
-            return 0
-        pf = self._phys_of(self._cur_rank)
-        lrank = self.mapping.local_rank(self._cur_rank)
-        capacity = pf.layout.capacity(lrank)
-        fragments: list[tuple[int, BufferLike]] = []
-        ends: list[tuple[int, int]] = []  # (block, end_pos) to record on success
-        blk, pos = self._cur_block, self._cur_pos
-        done = 0
-        while done < total:
-            avail = capacity - pos
-            if avail == 0:
-                blk += 1
-                pos = 0
-                avail = capacity
-            take = min(avail, total - done)
-            fragments.append(
-                (pf.layout.chunk_start(lrank, blk) + pos, view[done : done + take])
-            )
-            pos += take
-            ends.append((blk, pos))
-            done += take
-        pf.raw.scatter_write(fragments)
-        # Metadata commits only after the backend accepted the bytes — a
-        # failed write must not leave metablock 2 claiming phantom data.
-        for b, end in ends:
-            self._record_written(self._cur_rank, b, end)
-        self._cur_block, self._cur_pos = blk, pos
-        return total
 
     # -- lifecycle -------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Close; in write mode this appends metablock 2 to every file."""
+        """Release every physical file (idempotent)."""
         if self._closed:
             return
-        if self.mode == "w":
-            for pf in self._files:
-                blocksizes: list[list[int]] = []
-                for grank in pf.mb1.globalranks:
-                    per_block = self._written.get(grank, {})
-                    nblocks = max(per_block) + 1 if per_block else 1
-                    blocksizes.append(
-                        [per_block.get(b, 0) for b in range(nblocks)]
-                    )
-                write_metablock2(pf.raw, pf.layout, pf.mb1, blocksizes)
         for pf in self._files:
             pf.raw.close()
         self._closed = True
@@ -461,28 +326,20 @@ class SionSerialFile:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
+    def __getattr__(self, name: str) -> NoReturn:
+        refuse_other_mode(self, name, "r")
+
     # -- internals ------------------------------------------------------------------------
 
     def _phys_of(self, rank: int) -> _PhysFile:
         return self._files[self.mapping.file_of(rank)]
 
-    def _record_written(self, rank: int, block: int, end_pos: int) -> None:
-        per_block = self._written.setdefault(rank, {})
-        per_block[block] = max(per_block.get(block, 0), end_pos)
-
     def _check_open(self) -> None:
         if self._closed:
             raise SionUsageError("multifile is closed")
 
-    def _check_mode(self, mode: str) -> None:
-        self._check_open()
-        if self.mode != mode:
-            raise SionUsageError(
-                f"operation requires mode {mode!r}, file is open {self.mode!r}"
-            )
-
     def _read_cursor(self) -> PartitionStream:
-        self._check_mode("r")
+        self._check_open()
         assert self._cursor is not None
         return self._cursor
 
@@ -493,3 +350,106 @@ class SionSerialFile:
                 "multifile; use read_task for transparent decompression"
             )
 
+
+class SionSerialWriter:
+    """Serial creation of a multifile (Listing 3): one write cursor per task.
+
+    ``seek(rank, block, pos)`` selects ``rank``'s
+    :class:`~repro.sion.readwrite.WriteStream`, created at its first
+    ``seek``, and moves it forward; ``write``, ``fwrite`` and
+    ``ensure_free_space`` go to the selected cursor (rank 0's until the
+    first ``seek``).  ``close`` appends every file's metablock 2 from the
+    cursors' block counts; a task never sought records one empty block.
+    """
+
+    mode = "w"
+
+    def __init__(self, files: list[_PhysFile], tmap: TaskMapping) -> None:
+        self._files = files
+        self.mapping = tmap
+        self._streams: dict[int, WriteStream] = {}
+        self._cursor: WriteStream | None = None
+        self._closed = False
+
+    @classmethod
+    def _create(cls, spec: OpenSpec, backend: Backend) -> "SionSerialWriter":
+        assert spec.chunksizes is not None
+        chunksizes = list(spec.chunksizes)
+        ntasks = len(chunksizes)
+        tmap = TaskMapping.create(
+            ntasks, spec.effective_nfiles, spec.effective_mapping
+        )
+        fsblksize = spec.fsblksize
+        if fsblksize is None:
+            fsblksize = backend.stat_blocksize(spec.path)
+        files: list[_PhysFile] = []
+        for f in range(tmap.nfiles):
+            members = tmap.tasks_of_file(f)
+            mb1, layout = build_file_metadata(
+                tmap, f, [chunksizes[r] for r in members], members, fsblksize, 0
+            )
+            fpath = physical_path(spec.path, f)
+            raw = backend.open(fpath, "w+b")
+            raw.write(mb1.encode())
+            files.append(_PhysFile(f, fpath, raw, mb1, layout))
+        return cls(files, tmap)
+
+    def seek(self, rank: int, block: int = 0, pos: int = 0) -> None:
+        """``sion_seek`` for serial writing: select ``rank``'s cursor, move it.
+
+        A position before the cursor is refused with
+        :class:`~repro.errors.SionUsageError`.
+        """
+        if self._closed:
+            raise SionUsageError("multifile is closed")
+        if not 0 <= rank < self.mapping.ntasks:
+            raise SionUsageError(f"rank {rank} out of range ({self.mapping.ntasks})")
+        stream = self._streams.get(rank)
+        if stream is None:
+            pf = self._files[self.mapping.file_of(rank)]
+            stream = WriteStream(pf.raw, pf.layout, self.mapping.local_rank(rank))
+            self._streams[rank] = stream
+        stream.seek_logical(block, pos)
+        self._cursor = stream
+
+    def ensure_free_space(self, nbytes: int) -> bool:
+        """Advance the cursor to a fresh chunk if ``nbytes`` don't fit."""
+        return self._write_cursor().ensure_free_space(nbytes)
+
+    def write(self, data: BufferLike) -> int:
+        """Write at the cursor; must stay inside the current chunk."""
+        return self._write_cursor().write(data)
+
+    def fwrite(self, data: BufferLike) -> int:
+        """Write at the cursor, spanning blocks of the current task."""
+        return self._write_cursor().fwrite(data)
+
+    def close(self) -> None:
+        """Append metablock 2 to every file, then close them (idempotent)."""
+        if self._closed:
+            return
+        streams = self._streams
+        for pf in self._files:
+            blocksizes = [
+                streams[g].finalize() if g in streams else [0]
+                for g in pf.mb1.globalranks
+            ]
+            write_metablock2(pf.raw, pf.layout, pf.mb1, blocksizes)
+        for pf in self._files:
+            pf.raw.close()
+        self._closed = True
+
+    def __enter__(self) -> "SionSerialWriter":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def __getattr__(self, name: str) -> NoReturn:
+        refuse_other_mode(self, name, "w")
+
+    def _write_cursor(self) -> WriteStream:
+        if self._cursor is None:
+            self.seek(0)
+        assert self._cursor is not None
+        return self._cursor

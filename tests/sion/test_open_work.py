@@ -38,9 +38,9 @@ FSBLK = 1024
 PINS = {
     "direct-1": {"write": (37, 98, 3), "read": (50, 60, 2)},
     "direct-2": {"write": (47, 141, 4), "read": (50, 60, 2)},
-    "collective": {"write": (75, 190, 5)},
+    "collective": {"write": (64, 190, 5)},
     "partitioned": {"read": (80, 58, 2)},
-    "prefetch": {"read": (157, 158, 4)},
+    "prefetch": {"read": (149, 158, 4)},
 }
 
 

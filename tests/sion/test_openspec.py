@@ -18,7 +18,6 @@ from repro.sion.openspec import (
     WritePlan,
     compile_read_plan,
     compile_write_plan,
-    unwrap_raw,
 )
 from repro.simmpi import run_spmd
 from tests.conftest import TEST_BLKSIZE
@@ -242,15 +241,13 @@ def test_compile_partitioned_read_plan_assignments(sim_backend):
 # Replay guards.
 
 
-def test_unwrap_raw_returns_inner_handle(sim_backend):
+def test_guard_exposes_inner_handle(sim_backend):
     class _Comm:
         def exec_once(self, fn):
             return fn()
 
     with sim_backend.open("/scratch/g.bin", "w+b") as raw:
         guarded = ReplayGuardedFile(raw, _Comm())
-        assert unwrap_raw(guarded) is raw
-        assert unwrap_raw(raw) is raw
         assert guarded.unguarded is raw
         assert guarded.pwrite(0, b"abcd") == 4
         assert guarded.pread(0, 4) == b"abcd"

@@ -335,8 +335,8 @@ def test_partition_stream_shortfall_stops_consuming():
     layout = ChunkLayout(64, [64, 64], 0)
     # Stream 0's chunk is complete; stream 1's chunk is half missing.
     store = ShortStore(bytes(range(64)) + bytes(range(64, 96)))
-    s0 = TaskStream(store, layout, 0, "r", blocksizes=[64])
-    s1 = TaskStream(store, layout, 1, "r", blocksizes=[64])
+    s0 = TaskStream(store, layout, 0, [64])
+    s1 = TaskStream(store, layout, 1, [64])
     mux = PartitionStream([s0, s1])
     got = mux.fread(200)
     assert got == bytes(range(96))

@@ -197,7 +197,7 @@ class TestFailureConsistency:
         )
         ok = payload_of(CHUNK // 2)
         f.fwrite(ok)
-        f._stream.raw = _FailingWrites(f._stream.raw)
+        f._raw = _FailingWrites(f._raw)
         try:
             f.fwrite(payload_of(CHUNK * 3))
         except OSError:
@@ -206,7 +206,7 @@ class TestFailureConsistency:
             raise AssertionError("expected the vectored write to fail")
         # The cursor and block accounting still describe only the good write.
         assert f.tell_logical() == len(ok)
-        f._stream.raw = f._stream.raw._inner
+        f._raw = f._raw._inner
         f.parclose()
         with serial.open("/ft.sion", "r", backend=backend) as g:
             assert g.read_task(0) == bytes(ok)
@@ -223,7 +223,7 @@ class TestFailureConsistency:
             w.pwrite(0, payload)
             w.truncate(CHUNK + CHUNK // 2)  # cut half the second chunk
         raw = sim.open("/trunc.bin", "rb")
-        stream = TaskStream(raw, layout, 0, "r", blocksizes=[CHUNK, CHUNK])
+        stream = TaskStream(raw, layout, 0, [CHUNK, CHUNK])
         data = stream.fread(2 * CHUNK)
         assert data == bytes(payload[: CHUNK + CHUNK // 2])
         assert not stream.feof()  # metadata claims more than the file holds
