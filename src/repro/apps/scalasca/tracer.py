@@ -200,7 +200,7 @@ class TraceExperiment:
         compressed = zlib.compress(raw, self.compression_level)
         assert self._handle is not None
         if self.method == "tasklocal":
-            self._handle.write(compressed)
+            self._handle.pwrite(0, compressed)
             self._handle.flush()
             self._handle.close()
             self.comm.barrier()
@@ -232,8 +232,9 @@ def read_trace(
         from repro.backends.localfs import LocalBackend
 
         backend = backend if backend is not None else LocalBackend()
-        with backend.open(task_local_path(base_path, rank), "rb") as f:
-            compressed = f.read()
+        path = task_local_path(base_path, rank)
+        with backend.open(path, "rb") as f:
+            compressed = f.pread(0, backend.file_size(path))
     else:
         raise SionUsageError(f"unknown trace method {method!r}; use {METHODS}")
     return decode_events(zlib.decompress(compressed))

@@ -1,19 +1,18 @@
 """Abstract storage interface consumed by the SION layer.
 
 Kept deliberately small — exactly what the multifile format needs:
-positioned binary I/O, sparse zero-extension, existence/size/blocksize
-queries, and unlink.  Paths are plain strings interpreted by the backend.
+positioned binary I/O, existence/size/blocksize queries, and unlink.
+Paths are plain strings interpreted by the backend.
 
-Two families of data calls exist:
-
-* **streaming** — ``read``/``write`` at the implicit file pointer, used
-  only for metadata blocks;
-* **positioned / vectored** — ``pwrite``/``pread`` and the scatter/gather
-  calls ``pwritev``/``preadv``/``scatter_write``/``gather_read``, which
-  never move the file pointer.  The chunk engine uses these exclusively:
-  chunk addresses are computable locally (paper §3.1), so a
-  chunk-spanning write can hand the *entire* fragment list to the
-  backend in one call instead of one seek+write per fragment.
+Every data call is positioned: chunk addresses are computable locally
+(paper §3.1), and so are the metablocks', so no handle carries a file
+pointer.  ``pwrite``/``pread`` move one buffer; ``scatter_write`` and
+``gather_read`` move a whole fragment list in one call, merging
+physically contiguous runs into one vectored store call each — a
+chunk-spanning write hands the *entire* fragment list to the backend
+instead of one write per fragment.  A ``pwrite`` past end of file
+leaves a hole where the store supports sparse files, so empty chunk
+padding "exists only on the logical level".
 
 All write-side calls accept any buffer-protocol object (``bytes``,
 ``bytearray``, ``memoryview``, NumPy arrays) and must not materialize
@@ -32,33 +31,12 @@ class RawFile(abc.ABC):
     """An open file supporting positioned, vectored binary I/O."""
 
     @abc.abstractmethod
-    def seek(self, offset: int, whence: int = 0) -> int:
-        """Move the file pointer; returns the new absolute position."""
+    def pwrite(self, offset: int, data: BufferLike) -> int:
+        """Write ``data`` at ``offset``; returns bytes written."""
 
     @abc.abstractmethod
-    def tell(self) -> int:
-        """Current absolute position."""
-
-    @abc.abstractmethod
-    def read(self, n: int = -1) -> bytes:
-        """Read up to ``n`` bytes at the current position."""
-
-    @abc.abstractmethod
-    def write(self, data: BufferLike) -> int:
-        """Write ``data`` at the current position; returns bytes written."""
-
-    @abc.abstractmethod
-    def write_zeros(self, n: int) -> int:
-        """Extend by ``n`` zero bytes *without necessarily materializing them*.
-
-        Implementations should leave a hole where the underlying store
-        supports sparse files; the SION layer relies on this so empty chunk
-        padding "exists only on the logical level" (paper §3.1).
-        """
-
-    @abc.abstractmethod
-    def truncate(self, size: int) -> None:
-        """Set the file size exactly to ``size``."""
+    def pread(self, offset: int, n: int) -> bytes:
+        """Read up to ``n`` bytes at ``offset`` (short at end of file)."""
 
     @abc.abstractmethod
     def flush(self) -> None:
@@ -68,69 +46,12 @@ class RawFile(abc.ABC):
     def close(self) -> None:
         """Release the handle; subsequent operations are invalid."""
 
-    # -- positioned I/O (file pointer untouched) ---------------------------
-
-    def pwrite(self, offset: int, data: BufferLike) -> int:
-        """Write ``data`` at ``offset`` without moving the file pointer.
-
-        Portable default via seek/write with pointer restore; backends
-        with a native positional call should override.
-        """
-        pos = self.tell()
-        try:
-            self.seek(offset)
-            return self.write(data)
-        finally:
-            self.seek(pos)
-
-    def pread(self, offset: int, n: int) -> bytes:
-        """Read up to ``n`` bytes at ``offset``; file pointer untouched."""
-        pos = self.tell()
-        try:
-            self.seek(offset)
-            return self.read(n)
-        finally:
-            self.seek(pos)
-
-    # -- vectored I/O -------------------------------------------------------
-
-    def pwritev(self, offset: int, views: Sequence[BufferLike]) -> int:
-        """Gather-write ``views`` back to back starting at ``offset``.
-
-        Returns total bytes written.  Default loops :meth:`pwrite`;
-        backends with a native vectored call (``os.pwritev``) override.
-        """
-        total = 0
-        for v in views:
-            view = as_view(v)
-            if view.nbytes:
-                total += self.pwrite(offset + total, view)
-        return total
-
-    def preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
-        """Scatter-read consecutive pieces of ``sizes`` starting at ``offset``.
-
-        Returns one ``bytes`` per requested size.  Pieces shorten (and
-        eventually empty) at end of file, mirroring ``read``.
-        """
-        out: list[bytes] = []
-        pos = offset
-        for size in sizes:
-            if size < 0:
-                raise ValueError(f"negative read size: {size}")
-            piece = self.pread(pos, size) if size else b""
-            out.append(piece)
-            # Advance by the nominal size: a short piece means EOF, and
-            # every later nominal offset lies beyond it (empty reads).
-            pos += size
-        return out
-
     def scatter_write(self, fragments: Iterable["tuple[int, BufferLike]"]) -> int:
         """Write a whole fragment list — ``(offset, data)`` pairs — at once.
 
         This is the single backend call a chunk-spanning ``fwrite`` or a
         coalesced flush issues per operation.  Fragments must be disjoint;
-        physically contiguous runs are merged into one :meth:`pwritev`
+        physically contiguous runs are merged into one :meth:`_pwritev`
         each.  Returns total bytes written.
         """
         frags = [(off, as_view(d)) for off, d in fragments]
@@ -154,7 +75,7 @@ class RawFile(abc.ABC):
                 run.append(nxt)
                 end += nxt.nbytes
                 i += 1
-            total += self.pwritev(run_off, run)
+            total += self._pwritev(run_off, run)
         return total
 
     def gather_read(self, requests: Sequence["tuple[int, int]"]) -> list[bytes]:
@@ -162,7 +83,7 @@ class RawFile(abc.ABC):
 
         The read-side mirror of :meth:`scatter_write`: one backend call
         per chunk-spanning ``fread``.  Results come back in request
-        order; contiguous runs collapse into one :meth:`preadv` each.
+        order; contiguous runs collapse into one :meth:`_preadv` each.
         """
         order = sorted(range(len(requests)), key=lambda k: requests[k][0])
         out: list[bytes] = [b""] * len(requests)
@@ -182,9 +103,37 @@ class RawFile(abc.ABC):
                 run_sizes.append(nxt_size)
                 end += nxt_size
                 i += 1
-            pieces = self.preadv(run_off, run_sizes)
+            pieces = self._preadv(run_off, run_sizes)
             for idx, piece in zip(run_idx, pieces):
                 out[idx] = piece
+        return out
+
+    # -- contiguous-run hooks beneath scatter_write / gather_read -----------
+
+    def _pwritev(self, offset: int, views: Sequence[memoryview]) -> int:
+        """Write non-empty ``views`` back to back from ``offset``.
+
+        The portable loop; a store with a native vectored call overrides.
+        """
+        total = 0
+        for view in views:
+            total += self.pwrite(offset + total, view)
+        return total
+
+    def _preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
+        """Read consecutive pieces of ``sizes`` from ``offset``.
+
+        Pieces shorten, then empty, at end of file.  The portable loop; a
+        store with a native vectored call overrides.
+        """
+        out: list[bytes] = []
+        for size in sizes:
+            if size < 0:
+                raise ValueError(f"negative read size: {size}")
+            out.append(self.pread(offset, size) if size else b"")
+            # Advance by the nominal size: a short piece means EOF, and
+            # every later nominal offset lies beyond it (empty reads).
+            offset += size
         return out
 
     def __enter__(self) -> "RawFile":

@@ -1,11 +1,12 @@
 """Read-through caching adapter over any backend file handle.
 
 :class:`CachingRawFile` wraps a backend :class:`~repro.backends.base.RawFile`
-and serves the positioned and vectored read calls block-granularly
-through a shared :class:`~repro.fs.cache.ChunkCache` — the real half of
-the paper's client-side caching story (Fig. 5b): a warm working set
-never reaches the store.  The wrapper is read-only by design; the read
-gateway in :mod:`repro.serve` uses it to serve *sealed* containers.
+and serves positioned and vectored reads block-granularly through a
+shared :class:`~repro.fs.cache.ChunkCache` — the real half of the
+paper's client-side caching story (Fig. 5b): a warm working set never
+reaches the store.  It is a read-only source, not a ``RawFile``: the
+read gateway in :mod:`repro.serve` uses it to serve *sealed* containers,
+whose metablocks it decodes on the backend handle before wrapping it.
 """
 
 from __future__ import annotations
@@ -13,29 +14,23 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.backends.base import RawFile
-from repro.buffers import BufferLike
-from repro.errors import ReproError
 from repro.fs.cache import ChunkCache
 
 
-class CachingRawFile(RawFile):
+class CachingRawFile:
     """Read-through cache wrapper around a backend file handle.
 
-    Positioned and vectored reads (``pread``/``preadv``/``gather_read``)
-    are split at ``cache.block_size`` boundaries; resident blocks are
-    served from the shared :class:`ChunkCache` and the missing ones are
-    fetched from the wrapped handle in **one** vectored ``gather_read``
-    per call, then inserted.  Streaming reads (used only for metablock
-    decoding at container open) pass through untouched, as do
-    ``seek``/``tell``.
+    ``pread``/``gather_read`` are split at ``cache.block_size``
+    boundaries; resident blocks are served from the shared
+    :class:`ChunkCache` and the missing ones are fetched from the wrapped
+    handle in **one** vectored ``gather_read`` per call, then inserted.
 
-    The wrapper is read-only by design — the gateway serves *sealed*
-    containers — so every write-side call raises
-    :class:`~repro.errors.ReproError`.  A short block (EOF) is cached like
-    any other content: the file is immutable for the lifetime of its
-    generation tag, so EOF is stable too.  A block wholly past EOF is not
-    cached: it holds no bytes for the byte budget to bound, so a reader
-    probing past EOF would otherwise grow the table without limit.
+    The wrapper serves reads only — the gateway serves *sealed*
+    containers.  A short block (EOF) is cached like any other content:
+    the file is immutable for the lifetime of its generation tag, so EOF
+    is stable too.  A block wholly past EOF is not cached: it holds no
+    bytes for the byte budget to bound, so a reader probing past EOF
+    would otherwise grow the table without limit.
     """
 
     def __init__(self, inner: RawFile, cache: ChunkCache, generation: object, path: str) -> None:
@@ -46,69 +41,13 @@ class CachingRawFile(RawFile):
         self._path = path
         self._bs = cache.block_size
 
-    # -- streaming surface (metadata decode only) ---------------------------
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        """Delegate to the wrapped handle (metadata decode path)."""
-        return self._inner.seek(offset, whence)
-
-    def tell(self) -> int:
-        """Delegate to the wrapped handle."""
-        return self._inner.tell()
-
-    def read(self, n: int = -1) -> bytes:
-        """Delegate to the wrapped handle (metadata decode path)."""
-        return self._inner.read(n)
-
-    def flush(self) -> None:
-        """No-op for a read-only handle."""
-
     def close(self) -> None:
         """Close the wrapped handle (cached blocks stay resident)."""
         self._inner.close()
 
-    # -- write surface: sealed containers are read-only ---------------------
-
-    def write(self, data: BufferLike) -> int:
-        """Reject writes: the gateway serves sealed containers."""
-        raise ReproError("CachingRawFile is read-only (sealed container)")
-
-    def write_zeros(self, n: int) -> int:
-        """Reject writes: the gateway serves sealed containers."""
-        raise ReproError("CachingRawFile is read-only (sealed container)")
-
-    def truncate(self, size: int) -> None:
-        """Reject writes: the gateway serves sealed containers."""
-        raise ReproError("CachingRawFile is read-only (sealed container)")
-
-    def pwrite(self, offset: int, data: BufferLike) -> int:
-        """Reject writes: the gateway serves sealed containers."""
-        raise ReproError("CachingRawFile is read-only (sealed container)")
-
-    def pwritev(self, offset: int, views: Sequence[BufferLike]) -> int:
-        """Reject writes: the gateway serves sealed containers."""
-        raise ReproError("CachingRawFile is read-only (sealed container)")
-
-    def scatter_write(self, fragments) -> int:
-        """Reject writes: the gateway serves sealed containers."""
-        raise ReproError("CachingRawFile is read-only (sealed container)")
-
-    # -- cached read surface -------------------------------------------------
-
     def pread(self, offset: int, n: int) -> bytes:
         """Positioned read served block-granularly through the cache."""
         return self.gather_read([(offset, n)])[0]
-
-    def preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
-        """Consecutive scatter-read through the cache (one fetch wave)."""
-        requests = []
-        pos = offset
-        for size in sizes:
-            if size < 0:
-                raise ValueError(f"negative read size: {size}")
-            requests.append((pos, size))
-            pos += size
-        return self.gather_read(requests)
 
     def gather_read(self, requests: Sequence["tuple[int, int]"]) -> list[bytes]:
         """Vectored read: resident blocks hit, misses fetched in one call.

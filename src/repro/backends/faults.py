@@ -15,9 +15,9 @@ trigger points:
 * :meth:`FaultPlan.tear_scatter` — a targeted ``scatter_write`` persists
   only its first ``keep_fragments`` fragments, then raises: a torn
   vectored write, the paper's motivating partial-checkpoint failure.
-* :meth:`FaultPlan.drop_metablock2` — the streaming write carrying a
+* :meth:`FaultPlan.drop_metablock2` — the ``pwrite`` carrying a
   metablock-2 payload for the targeted path is silently swallowed, as is
-  everything after it on that handle: the writer "succeeds" but the file
+  every later write and flush on that handle: the writer "succeeds" but the file
   is left exactly as a crash-before-close leaves it (no exception — the
   recovery path, not the failure path, is under test).
 * :meth:`FaultPlan.corrupt_chunk_header` — the shadow header of one
@@ -159,9 +159,9 @@ class FaultPlan:
     def drop_metablock2(self, path: str) -> "FaultPlan":
         """Silently drop metablock-2 persistence for ``path``.
 
-        The streaming ``write`` whose payload opens with the metablock-2
-        magic is swallowed, along with every later write and flush on
-        that handle — modeling a writer that died during the close
+        The ``pwrite`` whose payload opens with the metablock-2 magic is
+        swallowed, along with every later write and flush on that
+        handle — modeling a writer that died during the close
         sequence after its barrier partners already believed it done.
         No exception is raised; the damage is only visible when the file
         is next opened (and is exactly what ``sionrecover`` repairs).
@@ -223,7 +223,7 @@ class FaultingRawFile(RawFile):
 
     Structure mirrors :class:`~repro.backends.instrument.CountingRawFile`:
     every protocol method forwards to the inner handle directly, so inner
-    fan-out (a ``scatter_write`` decomposing into ``pwritev`` runs) never
+    fan-out (a ``scatter_write`` decomposing into contiguous runs) never
     re-enters the trigger logic — faults key on boundary crossings by the
     SION layer, exactly like the instrumentation counts.
     """
@@ -308,60 +308,11 @@ class FaultingRawFile(RawFile):
                 return True
         return False
 
-    # -- streaming surface --------------------------------------------------
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        """Forward ``seek`` (swallowed during an mb2 blackout)."""
-        if self._swallowing:
-            return offset
-        return self._inner.seek(offset, whence)
-
-    def tell(self) -> int:
-        """Forward ``tell``."""
-        return self._inner.tell()
-
-    def read(self, n: int = -1) -> bytes:
-        """Forward ``read``, charging the returned bytes to the kill budget."""
-        self._charge(0)
-        out = self._inner.read(n)
-        self._charge(len(out))
-        return out
-
-    def write(self, data: BufferLike) -> int:
-        """Forward ``write``; the drop-mb2 and kill triggers fire here."""
-        if self._should_drop(data):
-            return as_view(data).nbytes
-        self._charge(as_view(data).nbytes)
-        return self._inner.write(data)
-
-    def write_zeros(self, n: int) -> int:
-        """Forward ``write_zeros`` (swallowed during an mb2 blackout)."""
-        if self._swallowing:
-            return n
-        self._charge(n)
-        return self._inner.write_zeros(n)
-
-    def truncate(self, size: int) -> None:
-        """Forward ``truncate`` (swallowed during an mb2 blackout)."""
-        if self._swallowing:
-            return
-        self._inner.truncate(size)
-
-    def flush(self) -> None:
-        """Forward ``flush`` (swallowed during an mb2 blackout)."""
-        if self._swallowing:
-            return
-        self._inner.flush()
-
-    def close(self) -> None:
-        """Forward ``close`` (always reaches the store)."""
-        self._inner.close()
-
-    # -- positioned / vectored surface --------------------------------------
+    # -- the protocol -------------------------------------------------------
 
     def pwrite(self, offset: int, data: BufferLike) -> int:
-        """Forward ``pwrite``; kill and corrupt-header triggers fire here."""
-        if self._swallowing:
+        """Forward ``pwrite``; drop-mb2, kill and corrupt-header fire here."""
+        if self._should_drop(data):
             return as_view(data).nbytes
         self._charge(as_view(data).nbytes)
         return self._inner.pwrite(offset, self._corrupted(data))
@@ -370,19 +321,6 @@ class FaultingRawFile(RawFile):
         """Forward ``pread``, charging ``n`` to the kill budget first."""
         self._charge(n)
         return self._inner.pread(offset, n)
-
-    def pwritev(self, offset: int, views: Sequence[BufferLike]) -> int:
-        """Forward ``pwritev``; kill and corrupt-header triggers fire here."""
-        views = list(views)
-        if self._swallowing:
-            return sum(as_view(v).nbytes for v in views)
-        self._charge(sum(as_view(v).nbytes for v in views))
-        return self._inner.pwritev(offset, [self._corrupted(v) for v in views])
-
-    def preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
-        """Forward ``preadv``, charging the request total first."""
-        self._charge(sum(sizes))
-        return self._inner.preadv(offset, sizes)
 
     def scatter_write(self, fragments) -> int:
         """Forward ``scatter_write``; every write-side trigger fires here."""
@@ -409,6 +347,15 @@ class FaultingRawFile(RawFile):
         """Forward ``gather_read``, charging the request total first."""
         self._charge(sum(n for _, n in requests))
         return self._inner.gather_read(requests)
+
+    def flush(self) -> None:
+        """Forward ``flush`` (swallowed during an mb2 blackout)."""
+        if not self._swallowing:
+            self._inner.flush()
+
+    def close(self) -> None:
+        """Forward ``close`` (always reaches the store)."""
+        self._inner.close()
 
 
 class FaultInjectingBackend(Backend):

@@ -4,9 +4,10 @@
 ``RawFile`` protocol boundary, exactly what the SION layer asked the
 store to do:
 
-* **backend calls** per method (``write``, ``pwrite``, ``scatter_write``,
-  ``seek``, …) — proving that a chunk-spanning ``fwrite`` of N fragments
-  crosses the boundary *once* (one ``scatter_write``), not N times;
+* **backend calls** per method (``pwrite``, ``scatter_write``,
+  ``gather_read``, …) — proving that a chunk-spanning ``fwrite`` of N
+  fragments crosses the boundary *once* (one ``scatter_write``), not N
+  times;
 * **fragments** — individual payload buffers carried by those calls;
 * **copies** — fragments whose memory is *not* part of a tracked source
   payload.  :meth:`CountingBackend.track_source` registers the
@@ -32,10 +33,10 @@ from repro.backends.base import Backend, RawFile
 from repro.buffers import BufferLike
 
 #: RawFile methods that deliver payload bytes to the store.
-DATA_WRITE_METHODS = ("write", "pwrite", "pwritev", "scatter_write")
+DATA_WRITE_METHODS = ("pwrite", "scatter_write")
 
 #: RawFile methods that fetch payload bytes from the store.
-DATA_READ_METHODS = ("read", "pread", "preadv", "gather_read")
+DATA_READ_METHODS = ("pread", "gather_read")
 
 #: Every live :class:`IOStats` in this process, by token.  The process
 #: SPMD engine snapshots this registry around a rank body and ships the
@@ -141,10 +142,6 @@ class IOStats:
         return sum(self.calls.get(m, 0) for m in DATA_READ_METHODS)
 
     @property
-    def seeks(self) -> int:
-        return self.calls.get("seek", 0)
-
-    @property
     def opens(self) -> int:
         """Handles opened against the backend (collective mode: per
         collector plus the metadata masters, not per task)."""
@@ -187,12 +184,16 @@ class IOStats:
         return total
 
     def snapshot(self) -> dict[str, int]:
-        """Plain-dict summary (for metrics and assertions); atomic."""
+        """Plain-dict summary (for metrics and assertions); atomic.
+
+        ``seeks`` is 0 by construction — the protocol has no file
+        pointer — and stays in the summary for the metrics built on it.
+        """
         with self._lock:
             return {
                 "data_write_calls": self.data_write_calls,
                 "data_read_calls": self.data_read_calls,
-                "seeks": self.seeks,
+                "seeks": 0,
                 "opens": self.opens,
                 "fragments_written": self.fragments_written,
                 "fragments_read": self.fragments_read,
@@ -253,7 +254,7 @@ class CountingRawFile(RawFile):
     """Counts every protocol call, then delegates to the wrapped handle.
 
     Every method forwards to the *inner* file directly, so an inner
-    ``scatter_write`` that fans out into ``pwritev`` runs does not
+    ``scatter_write`` that fans out into contiguous runs does not
     re-enter this wrapper: the counts measure boundary crossings by the
     SION layer, not backend internals.
     """
@@ -261,45 +262,6 @@ class CountingRawFile(RawFile):
     def __init__(self, inner: RawFile, stats: IOStats) -> None:
         self._inner = inner
         self.stats = stats
-
-    # -- streaming ---------------------------------------------------------
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        self.stats.count("seek")
-        return self._inner.seek(offset, whence)
-
-    def tell(self) -> int:
-        self.stats.count("tell")
-        return self._inner.tell()
-
-    def read(self, n: int = -1) -> bytes:
-        self.stats.count("read")
-        out = self._inner.read(n)
-        self.stats.count_read_bytes(len(out))
-        return out
-
-    def write(self, data: BufferLike) -> int:
-        self.stats.count("write")
-        self.stats.note_payloads([data])
-        return self._inner.write(data)
-
-    def write_zeros(self, n: int) -> int:
-        self.stats.count("write_zeros")
-        return self._inner.write_zeros(n)
-
-    def truncate(self, size: int) -> None:
-        self.stats.count("truncate")
-        self._inner.truncate(size)
-
-    def flush(self) -> None:
-        self.stats.count("flush")
-        self._inner.flush()
-
-    def close(self) -> None:
-        self.stats.count("close")
-        self._inner.close()
-
-    # -- positioned / vectored ---------------------------------------------
 
     def pwrite(self, offset: int, data: BufferLike) -> int:
         self.stats.count("pwrite")
@@ -310,18 +272,6 @@ class CountingRawFile(RawFile):
         self.stats.count("pread")
         out = self._inner.pread(offset, n)
         self.stats.count_read_bytes(len(out))
-        return out
-
-    def pwritev(self, offset: int, views: Sequence[BufferLike]) -> int:
-        views = list(views)
-        self.stats.count("pwritev")
-        self.stats.note_payloads(views)
-        return self._inner.pwritev(offset, views)
-
-    def preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
-        self.stats.count("preadv")
-        out = self._inner.preadv(offset, sizes)
-        self.stats.count_read_bytes(sum(len(p) for p in out), requests=len(out))
         return out
 
     def scatter_write(self, fragments) -> int:
@@ -335,6 +285,14 @@ class CountingRawFile(RawFile):
         out = self._inner.gather_read(requests)
         self.stats.count_read_bytes(sum(len(p) for p in out), requests=len(out))
         return out
+
+    def flush(self) -> None:
+        self.stats.count("flush")
+        self._inner.flush()
+
+    def close(self) -> None:
+        self.stats.count("close")
+        self._inner.close()
 
 
 class CountingBackend(Backend):

@@ -1,12 +1,11 @@
 """Backend over the real (POSIX) file system.
 
-Files are opened *unbuffered* (raw ``FileIO``): the chunk engine issues
-positioned and vectored calls (``os.pwrite``/``os.pwritev``/…) directly
-against the file descriptor, and a user-space buffer in between would
-have to be flushed and invalidated around every one of them to stay
-coherent.  Partial reads/writes — legal for raw files — are completed by
-looping, so callers keep the all-or-nothing semantics the buffered layer
-used to provide.
+Files are opened *unbuffered* (raw ``FileIO``): every call is a
+positioned or vectored one (``os.pwrite``/``os.pwritev``/…) straight
+against the file descriptor, so the descriptor's own offset is never
+used and no user-space buffer has to be kept coherent.  Partial
+reads/writes — legal for raw files — are completed by looping, so
+callers get all-or-nothing semantics.
 """
 
 from __future__ import annotations
@@ -34,13 +33,12 @@ class LocalRawFile(RawFile):
     """Adapter around an unbuffered binary file object.
 
     Open handles are **picklable** (a requirement of the process SPMD
-    engine): the pickle records the path, an equivalent reopen mode, and
-    the file position, and unpickling reopens the file and seeks back.
-    Create/truncate modes (``w``/``x``) are rewritten to ``r+`` for the
-    reopen — the file already exists by pickle time, and a child process
-    re-truncating the parent's file would destroy data.  The two handles
-    are then independent descriptors on the same file, exactly like a
-    ``dup``'d fd with a private offset.
+    engine): the pickle records the path and an equivalent reopen mode,
+    and unpickling reopens the file.  Create/truncate modes (``w``/``x``)
+    are rewritten to ``r+`` for the reopen — the file already exists by
+    pickle time, and a child process re-truncating the parent's file
+    would destroy data.  The two handles are then independent
+    descriptors on the same file, exactly like a ``dup``'d fd.
     """
 
     def __init__(self, fobj) -> None:
@@ -63,55 +61,10 @@ class LocalRawFile(RawFile):
             reopen = mode + "b"
         else:
             reopen = mode
-        return {"path": os.fspath(path), "mode": reopen, "pos": f.tell()}
+        return {"path": os.fspath(path), "mode": reopen}
 
     def __setstate__(self, state: dict) -> None:
         self._f = open(state["path"], state["mode"], buffering=0)
-        self._f.seek(state["pos"])
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        return self._f.seek(offset, whence)
-
-    def tell(self) -> int:
-        return self._f.tell()
-
-    def read(self, n: int = -1) -> bytes:
-        if n is None or n < 0:
-            return self._f.readall()
-        parts: list[bytes] = []
-        remaining = n
-        while remaining > 0:
-            piece = self._f.read(remaining)
-            if not piece:
-                break
-            parts.append(piece)
-            remaining -= len(piece)
-        if len(parts) == 1:
-            return parts[0]
-        return b"".join(parts)
-
-    def write(self, data: BufferLike) -> int:
-        view = as_view(data)
-        total = view.nbytes
-        done = self._f.write(view)
-        while done < total:  # pragma: no cover - raw partial writes are rare
-            done += self._f.write(view[done:])
-        return total
-
-    def write_zeros(self, n: int) -> int:
-        # Seek forward and truncate up: leaves a hole on sparse-capable
-        # file systems instead of writing n zero bytes.
-        if n < 0:
-            raise ValueError("negative zero-extension")
-        pos = self._f.seek(n, os.SEEK_CUR)
-        end = self._f.seek(0, os.SEEK_END)
-        if pos > end:
-            self._f.truncate(pos)
-        self._f.seek(pos)
-        return n
-
-    def truncate(self, size: int) -> None:
-        self._f.truncate(size)
 
     def flush(self) -> None:
         self._f.flush()
@@ -147,16 +100,13 @@ class LocalRawFile(RawFile):
             return parts[0]
         return b"".join(parts)
 
-    def pwritev(self, offset: int, views: Sequence[BufferLike]) -> int:
-        vs = [v for v in (as_view(x) for x in views) if v.nbytes]
-        if not vs:
-            return 0
+    def _pwritev(self, offset: int, views: Sequence[memoryview]) -> int:
         if not _HAVE_PWRITEV:  # pragma: no cover - exercised on exotic hosts
-            return super().pwritev(offset, vs)
+            return super()._pwritev(offset, views)
         fd = self._f.fileno()
         total = 0
-        for start in range(0, len(vs), _IOV_MAX):
-            batch = vs[start : start + _IOV_MAX]
+        for start in range(0, len(views), _IOV_MAX):
+            batch = views[start : start + _IOV_MAX]
             need = sum(v.nbytes for v in batch)
             done = os.pwritev(fd, batch, offset + total)
             if done < need:  # pragma: no cover - partial vectored write
@@ -169,12 +119,12 @@ class LocalRawFile(RawFile):
             total += need
         return total
 
-    def preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
+    def _preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
         sizes = [int(s) for s in sizes]
         if any(s < 0 for s in sizes):
             raise ValueError("read sizes must be non-negative")
         if not _HAVE_PREADV:  # pragma: no cover - exercised on exotic hosts
-            return super().preadv(offset, sizes)
+            return super()._preadv(offset, sizes)
         fd = self._f.fileno()
         out: list[bytes] = [b""] * len(sizes)
         pos = offset
@@ -222,8 +172,8 @@ class LocalBackend(Backend):
     def open(self, path: str, mode: str) -> LocalRawFile:
         if "b" not in mode:
             mode += "b"
-        # buffering=0: the vectored fd-level calls stay coherent with the
-        # streaming ones without flush/invalidate gymnastics.
+        # buffering=0: the fd-level positioned calls bypass any user-space
+        # buffer, so there is nothing to flush or invalidate around them.
         return LocalRawFile(open(path, mode, buffering=0))
 
     def exists(self, path: str) -> bool:

@@ -12,28 +12,14 @@ from repro.fs.simfs import SimFS, SimFileHandle
 
 
 class SimRawFile(RawFile):
-    """Adapter from :class:`SimFileHandle` to the backend interface."""
+    """Adapter from :class:`SimFileHandle` to the backend interface.
+
+    Every call maps 1:1 onto the handle's native one, so one
+    scatter/gather run costs one simulated data operation.
+    """
 
     def __init__(self, handle: SimFileHandle) -> None:
         self._h = handle
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        return self._h.seek(offset, whence)
-
-    def tell(self) -> int:
-        return self._h.tell()
-
-    def read(self, n: int = -1) -> bytes:
-        return self._h.read(n)
-
-    def write(self, data: bytes) -> int:
-        return self._h.write(data)
-
-    def write_zeros(self, n: int) -> int:
-        return self._h.write_zeros(n)
-
-    # Positioned / vectored calls map 1:1 onto the handle's native ones, so
-    # one scatter/gather run costs one simulated data operation.
 
     def pwrite(self, offset: int, data) -> int:
         return self._h.pwrite(offset, data)
@@ -41,14 +27,11 @@ class SimRawFile(RawFile):
     def pread(self, offset: int, n: int) -> bytes:
         return self._h.pread(offset, n)
 
-    def pwritev(self, offset: int, views) -> int:
+    def _pwritev(self, offset: int, views) -> int:
         return self._h.pwritev(offset, views)
 
-    def preadv(self, offset: int, sizes) -> list[bytes]:
+    def _preadv(self, offset: int, sizes) -> list[bytes]:
         return self._h.preadv(offset, sizes)
-
-    def truncate(self, size: int) -> None:
-        self._h.truncate(size)
 
     def flush(self) -> None:
         self._h.flush()

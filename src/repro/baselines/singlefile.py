@@ -51,10 +51,11 @@ def write_single_file(
         raise SionUsageError("slab_bytes must be positive")
     sizes = comm.allgather(len(data))
     f = backend.open(base, "wb") if comm.rank == root else None
+    pos = _HEAD.size + 8 * comm.size  # the root's write offset
     if comm.rank == root:
         assert f is not None
-        f.write(_HEAD.pack(_MAGIC, comm.size))
-        f.write(struct.pack(f"<{comm.size}Q", *sizes))
+        f.pwrite(0, _HEAD.pack(_MAGIC, comm.size))
+        f.pwrite(_HEAD.size, struct.pack(f"<{comm.size}Q", *sizes))
     # Slab loop: every task streams its payload to the root in bounded
     # pieces; the root writes each piece before requesting the next.
     for src in range(comm.size):
@@ -67,7 +68,7 @@ def write_single_file(
             if comm.rank == root:
                 piece = comm.recv(source=src, tag=1)
                 assert f is not None
-                f.write(piece)
+                pos += f.pwrite(pos, piece)
     if comm.rank == root:
         assert f is not None
         f.flush()
@@ -87,17 +88,18 @@ def read_single_file(
     sizes: list[int] | None = None
     if comm.rank == root:
         f = backend.open(base, "rb")
-        magic, ntasks = _HEAD.unpack(f.read(_HEAD.size))
+        magic, ntasks = _HEAD.unpack(f.pread(0, _HEAD.size))
         if magic != _MAGIC:
             raise SionFormatError(f"{base}: not a single-file checkpoint")
         if ntasks != comm.size:
             raise SionUsageError(
                 f"{base} holds {ntasks} tasks, communicator has {comm.size}"
             )
-        sizes = list(struct.unpack(f"<{ntasks}Q", f.read(8 * ntasks)))
+        sizes = list(struct.unpack(f"<{ntasks}Q", f.pread(_HEAD.size, 8 * ntasks)))
     sizes = comm.bcast(sizes, root=root)
     assert sizes is not None
     out = bytearray()
+    pos = _HEAD.size + 8 * comm.size  # the root's read offset
     for dst in range(comm.size):
         nslabs = max(1, -(-sizes[dst] // slab_bytes))
         remaining = sizes[dst]
@@ -105,7 +107,8 @@ def read_single_file(
             take = min(slab_bytes, remaining)
             remaining -= take
             if comm.rank == root:
-                piece = f.read(take)
+                piece = f.pread(pos, take)
+                pos += take
                 if dst == root:
                     out.extend(piece)
                 else:

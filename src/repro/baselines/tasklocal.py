@@ -33,7 +33,7 @@ def write_task_local(
     backend = backend if backend is not None else LocalBackend()
     path = task_local_path(base, comm.rank)
     with backend.open(path, "wb") as f:
-        f.write(data)
+        f.pwrite(0, data)
     return path
 
 
@@ -44,7 +44,7 @@ def read_task_local(
     backend = backend if backend is not None else LocalBackend()
     path = task_local_path(base, comm.rank)
     with backend.open(path, "rb") as f:
-        return f.read()
+        return f.pread(0, backend.file_size(path))
 
 
 def unlink_task_local(

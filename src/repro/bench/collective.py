@@ -147,7 +147,7 @@ def _read_wave(ctx) -> ScenarioOutput:
         backend.stats.calls.get("gather_read", 0), ncoll, "prefetch gather_reads"
     )
     read_calls = snap["data_read_calls"] - before["data_read_calls"]
-    # Metadata costs 4 streaming reads for the world probe plus 8 per
+    # Metadata costs 4 positioned reads for the world probe plus 8 per
     # physical file (metablock 1 + metablock 2 decode); everything else
     # is exactly one prefetch wave per collector, one data fragment per
     # task (each task wrote a single block).
@@ -190,7 +190,7 @@ def _direct_vs_collective(ctx) -> ScenarioOutput:
         a = direct.inner.open(path, "rb")
         b = coll.inner.open(path, "rb")
         try:
-            same = a.read(direct.file_size(path)) == b.read(coll.file_size(path))
+            same = a.pread(0, direct.file_size(path)) == b.pread(0, coll.file_size(path))
         finally:
             a.close()
             b.close()

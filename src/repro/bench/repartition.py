@@ -59,7 +59,7 @@ REPARTITION_WRITER_COUNTS = (4096, 16384, 65536)
 NREADERS = 32
 
 #: Fixed metadata read calls of a partitioned open: the rank-0 probe (4
-#: streaming reads) plus one mb1+mb2 decode per physical file (8 reads).
+#: positioned reads) plus one mb1+mb2 decode per physical file (8 reads).
 def metadata_reads(nfiles: int) -> int:
     return 8 * nfiles + 4
 

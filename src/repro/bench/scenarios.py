@@ -710,12 +710,12 @@ def build_metablock(ntasks: int = 4096):
 
 def metablock_roundtrip(mb1):
     """Encode+decode of one metablock 1 (the open/close hot path)."""
-    import io
-
+    from repro.backends.simfs_backend import SimBackend
     from repro.sion.format import Metablock1
 
-    raw = mb1.encode()
-    return Metablock1.decode_from(io.BytesIO(raw))
+    with SimBackend().open("/mb1", "w+b") as f:
+        f.pwrite(0, mb1.encode())
+        return Metablock1.decode_from(f)
 
 
 @scenario(

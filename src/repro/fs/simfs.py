@@ -1,11 +1,12 @@
 """Functional in-memory file system with sparse files and a virtual clock.
 
 :class:`SimFS` gives the SION layer a real (if simulated) place to put
-bytes: hierarchical directories, POSIX-ish open modes, seek/read/write, and
-*sparse* storage — extents of zeros occupy no memory, so a 1 TB virtual
-write is cheap.  Every operation advances a virtual clock using the machine
-profile's metadata costs and single-stream bandwidth, which lets functional
-tests assert timing properties (e.g. "creating one multifile is cheaper
+bytes: hierarchical directories, POSIX-ish open modes, positioned
+``pread``/``pwrite`` (plus their vectored forms), and *sparse* storage —
+extents of zeros occupy no memory, so a 1 TB virtual write is cheap.
+Every operation advances a virtual clock using the machine profile's
+metadata costs and single-stream bandwidth, which lets functional tests
+assert timing properties (e.g. "creating one multifile is cheaper
 than creating N files") without the full discrete-event machinery.
 
 The massively parallel experiments do *not* route every byte through this
@@ -110,52 +111,6 @@ class SparseFile:
         self.size = max(self.size, hi)
         return n
 
-    def write_zeros(self, offset: int, n: int) -> int:
-        """Write ``n`` zero bytes without materializing them (a hole)."""
-        if offset < 0 or n < 0:
-            raise ValueError("offset and n must be non-negative")
-        if n == 0:
-            return 0
-        self.version = next(_version_clock)
-        lo, hi = offset, offset + n
-        first, last = self._overlap_range(lo, hi)
-        # Punch the range out of any overlapping extents.
-        keep_starts: list[int] = []
-        keep_chunks: list[bytearray] = []
-        for i in range(first, last):
-            s = self._starts[i]
-            c = self._chunks[i]
-            e = s + len(c)
-            if s < lo:
-                keep_starts.append(s)
-                keep_chunks.append(c[: lo - s])
-            if e > hi:
-                keep_starts.append(hi)
-                keep_chunks.append(c[hi - s :])
-        self._starts[first:last] = keep_starts
-        self._chunks[first:last] = keep_chunks
-        self.size = max(self.size, hi)
-        return n
-
-    def truncate(self, size: int) -> None:
-        """Cut or extend (with a hole) to exactly ``size`` bytes."""
-        if size < 0:
-            raise ValueError("negative size")
-        if size != self.size:
-            self.version = next(_version_clock)
-        if size < self.size:
-            first, last = self._overlap_range(size, self.size)
-            keep_starts: list[int] = []
-            keep_chunks: list[bytearray] = []
-            for i in range(first, last):
-                s = self._starts[i]
-                if s < size:
-                    keep_starts.append(s)
-                    keep_chunks.append(self._chunks[i][: size - s])
-            self._starts[first:] = keep_starts
-            self._chunks[first:] = keep_chunks
-        self.size = size
-
     def read(self, offset: int, n: int) -> bytes:
         """Read up to ``n`` bytes at ``offset``; holes come back as zeros."""
         if offset < 0 or n < 0:
@@ -232,78 +187,21 @@ class _Inode:
 
 
 class SimFileHandle:
-    """Open-file handle with POSIX-like positioning semantics."""
+    """Open-file handle: positioned calls only, no file pointer."""
 
     def __init__(self, fs: "SimFS", inode: _Inode, path: str, mode: str) -> None:
         self._fs = fs
         self._inode: _Inode | None = inode
         self.path = path
         self.mode = mode
-        self._pos = 0
         self._closed = False
         self.readable = "r" in mode or "+" in mode
-        self.writable = "w" in mode or "a" in mode or "+" in mode
-
-    # -- positioning ----------------------------------------------------------
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        """Like ``io.IOBase.seek``: whence 0=set, 1=cur, 2=end."""
-        self._check_open()
-        if whence == 0:
-            new = offset
-        elif whence == 1:
-            new = self._pos + offset
-        elif whence == 2:
-            new = self._data.size + offset
-        else:
-            raise ValueError(f"bad whence: {whence}")
-        if new < 0:
-            raise ValueError("negative seek position")
-        self._pos = new
-        return new
-
-    def tell(self) -> int:
-        """Current file position."""
-        self._check_open()
-        return self._pos
+        self.writable = "w" in mode or "+" in mode
 
     # -- data -------------------------------------------------------------------
 
-    def write(self, data: bytes | bytearray | memoryview) -> int:
-        """Write at the current position; advances it."""
-        self._check_open()
-        self._check_writable()
-        with self._fs._lock:
-            n = self._data.write(self._pos, data)
-            self._pos += n
-            self._fs._account_data("write", n)
-        return n
-
-    def write_zeros(self, n: int) -> int:
-        """Sparse write of ``n`` zeros at the current position."""
-        self._check_open()
-        self._check_writable()
-        with self._fs._lock:
-            self._data.write_zeros(self._pos, n)
-            self._pos += n
-            self._fs._account_data("write", n)
-        return n
-
-    def read(self, n: int = -1) -> bytes:
-        """Read up to ``n`` bytes (all remaining if negative)."""
-        self._check_open()
-        if not self.readable:
-            raise InvalidOperationError(f"{self.path}: not open for reading")
-        with self._fs._lock:
-            if n < 0:
-                n = max(0, self._data.size - self._pos)
-            out = self._data.read(self._pos, n)
-            self._pos += len(out)
-            self._fs._account_data("read", len(out))
-        return out
-
     def pwrite(self, offset: int, data: bytes | bytearray | memoryview) -> int:
-        """Positional write; does not move the file pointer."""
+        """Write ``data`` at ``offset``; a gap past EOF stays a hole."""
         self._check_open()
         self._check_writable()
         with self._fs._lock:
@@ -312,7 +210,7 @@ class SimFileHandle:
         return n
 
     def pread(self, offset: int, n: int) -> bytes:
-        """Positional read; does not move the file pointer."""
+        """Read up to ``n`` bytes at ``offset`` (short at EOF)."""
         self._check_open()
         if not self.readable:
             raise InvalidOperationError(f"{self.path}: not open for reading")
@@ -351,15 +249,6 @@ class SimFileHandle:
                 pos += size
             self._fs._account_data("read", sum(len(p) for p in out))
         return out
-
-    def truncate(self, size: int | None = None) -> int:
-        """Truncate/extend to ``size`` (default: current position)."""
-        self._check_open()
-        self._check_writable()
-        with self._fs._lock:
-            size = self._pos if size is None else size
-            self._data.truncate(size)
-        return size
 
     def flush(self) -> None:
         """No-op (everything is already 'durable' in memory)."""
@@ -459,10 +348,12 @@ class SimFS:
     def open(self, path: str, mode: str = "rb") -> SimFileHandle:
         """Open a file; 'w' creates/truncates, 'r' requires existence.
 
-        Supported modes: ``rb``, ``wb``, ``ab``, ``r+b``, ``w+b``.
+        Supported modes: ``rb``, ``wb``, ``r+b``, ``w+b``.
         """
         if "b" not in mode:
             raise InvalidOperationError("SimFS is binary-only; use a 'b' mode")
+        if mode[0] not in "rw":
+            raise InvalidOperationError(f"unsupported SimFS mode {mode!r}")
         parts = self._split(path)
         if not parts:
             raise InvalidOperationError("cannot open the root directory")
@@ -474,9 +365,8 @@ class SimFS:
             parent = self._walk_dir(parts[:-1], path)
             name = parts[-1]
             inode = parent.entries.get(name)
-            creating = "w" in mode or "a" in mode
             if inode is None:
-                if not creating:
+                if not mode.startswith("w"):
                     raise FileNotFoundSimError(path)
                 inode = _Inode("file")
                 parent.entries[name] = inode
@@ -487,10 +377,7 @@ class SimFS:
                 self._account_meta("open")
                 if mode.startswith("w"):
                     inode.data = SparseFile()
-        handle = SimFileHandle(self, inode, self._norm(path), mode)
-        if "a" in mode:
-            handle.seek(0, 2)
-        return handle
+        return SimFileHandle(self, inode, self._norm(path), mode)
 
     def exists(self, path: str) -> bool:
         """True if ``path`` names a file or directory."""

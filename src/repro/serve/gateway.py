@@ -17,37 +17,33 @@ One :class:`ReadGateway` owns three resident layers:
   semantics, while stateless ranged reads address any writer stream at
   any logical offset.
 
-Freshness contract (generation tags): every opened container carries a
-fingerprint of its *metablock identity* — per physical file, a digest of
-metablock 1, the metablock-2 offset and CRC, and the file size.  Session
-opens revalidate cheaply with the backend's stat-level
-``identity_token`` (mtime/inode on the local FS, the exact mutation
-version in the simulator — never a data read); any token mismatch
-triggers a full metadata reload under a fresh generation, and the old
-generation's cache entries are dropped wholesale (chunk payload can
-mutate without the metablocks changing, so a mismatched token is never
-second-guessed).  On a backend whose token cannot see a given re-seal
-(the default token folds only sizes), call :meth:`ReadGateway.refresh`
-to force a new generation.
+Freshness contract (generation tags): every opened container records,
+per physical file, the backend's stat-level ``identity_token``
+(mtime/inode on the local FS, the exact mutation version in the
+simulator — never a data read).  Session opens re-probe the tokens; any
+mismatch triggers a full metadata reload under a fresh generation, and
+the old generation's cache entries are dropped wholesale (chunk payload
+can mutate without the metablocks changing, so a mismatched token is
+never second-guessed).  On a backend whose token cannot see a given
+re-seal (the default token folds only sizes), call
+:meth:`ReadGateway.refresh` to force a new generation.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import itertools
 import threading
-import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.backends.base import Backend, RawFile
+from repro.backends.base import Backend
 from repro.backends.caching import CachingRawFile
 from repro.backends.localfs import LocalBackend
 from repro.errors import SionUsageError
 from repro.fs.cache import DEFAULT_CACHE_BLOCK, ChunkCache
-from repro.sion.format import Metablock1, Metablock2
+from repro.sion.format import Metablock1
 from repro.sion.mapping import ReadPartition, physical_path
 from repro.sion.openspec import ReadPlan, load_metablocks
 from repro.sion.readwrite import PartitionStream, TaskStream
@@ -86,7 +82,7 @@ class ContainerHandle:
         path: str,
         generation: int,
         plan: ReadPlan,
-        raws: "list[RawFile]",
+        raws: "list[CachingRawFile]",
         sizes: Sequence[int],
         tokens: Sequence[tuple],
     ) -> None:
@@ -119,29 +115,7 @@ class ContainerHandle:
         """Physical files of the container."""
         return len(self.plan.paths)
 
-    @property
-    def fingerprint(self) -> tuple:
-        """Metablock identity: digests of both metablocks plus file sizes.
-
-        The metablock-2 CRC is taken over the encoded payload *without*
-        its trailing stored CRC — a CRC over the self-checksummed bytes
-        would be the constant CRC-32 residue for every container.
-        """
-        return tuple(
-            (
-                hashlib.sha256(mb1.encode()).hexdigest(),
-                mb1.metablock2_offset,
-                zlib.crc32(Metablock2(blocks).encode()[:-4]) & 0xFFFFFFFF,
-                size,
-            )
-            for mb1, blocks, size in zip(self.plan.mb1s, self.plan.blocksizes, self.sizes)
-        )
-
     # -- per-stream access ----------------------------------------------------
-
-    def stream_bytes(self, grank: int) -> int:
-        """Total recorded (compressed) bytes of writer stream ``grank``."""
-        return self._prefix(grank)[-1]
 
     def stream(self, grank: int) -> TaskStream:
         """A fresh read cursor over writer stream ``grank``.
@@ -151,6 +125,7 @@ class ContainerHandle:
         """
         self._check_rank(grank)
         return self.plan.stream(self.raws[self.plan.mapping.files[grank]], grank)
+
     def read_task(self, grank: int) -> bytes:
         """Entire logical content of writer stream ``grank``.
 
@@ -345,14 +320,15 @@ class ReadGateway:
             nfiles = Metablock1.decode_from(raw0).nfiles
         finally:
             raw0.close()
-        raws: list[RawFile] = []
+        raws: list[CachingRawFile] = []
         metadata, sizes, tokens = [], [], []
         for f in range(nfiles):
             fpath = physical_path(path, f)
-            raws.append(
-                CachingRawFile(self.backend.open(fpath, "rb"), self.cache, generation, fpath)
-            )
-            metadata.append(load_metablocks(raws[-1]))
+            # Decode on the backend handle, then wrap it: the metablocks
+            # are read once here and never belong in the chunk cache.
+            raw = self.backend.open(fpath, "rb")
+            metadata.append(load_metablocks(raw))
+            raws.append(CachingRawFile(raw, self.cache, generation, fpath))
             sizes.append(self.backend.file_size(fpath))
             tokens.append(self.backend.identity_token(fpath))
         plan = ReadPlan.from_metadata(path, metadata)

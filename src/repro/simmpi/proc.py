@@ -59,7 +59,7 @@ Backend handles
 Handles a rank opens must either be created inside the rank body or be
 picklable.  :class:`~repro.backends.localfs.LocalBackend` and open
 :class:`~repro.backends.localfs.LocalRawFile` handles pickle (the file
-reopens by path and seeks back in the child).  ``SimBackend`` is
+reopens by path in the child; there is no position to restore).  ``SimBackend`` is
 **in-process-only**: under ``fork`` each child would get an independent
 copy-on-write snapshot of the simulated store and cross-rank writes
 would silently vanish, so it refuses to pickle and must not be shared

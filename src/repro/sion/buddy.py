@@ -16,7 +16,7 @@ node-local disk), file ``f``'s replica survives on stem ``f + 1``.  With
 survives deletion of the primary.
 
 Mechanically the mode is one wrapper: :class:`MirrorRawFile` duplicates
-the write-side ``RawFile`` surface onto two physical handles.  The open
+the write-side ``RawFile`` calls onto two physical handles.  The open
 pipeline (:mod:`repro.sion.openspec`) hands the write executors a mirror
 instead of a plain handle, so chunk writes, shadow headers, and both
 metablocks reach primary and replica through the *same* code path — the
@@ -48,15 +48,12 @@ def buddy_path(base: str, filenum: int, nfiles: int) -> str:
 class MirrorRawFile(RawFile):
     """Duplicate every mutation onto a primary and a replica handle.
 
-    Write-side operations (``write``, ``pwrite``, ``pwritev``,
-    ``scatter_write``, ``write_zeros``, ``truncate``, ``seek``,
-    ``flush``, ``close``) are forwarded to both handles; read-side
-    operations are served by the primary alone.  Return values are the
-    primary's.  Every method forwards explicitly rather than relying on
-    the :class:`~repro.backends.base.RawFile` defaults, so a mirrored
-    ``scatter_write`` costs exactly one ``scatter_write`` per copy —
-    instrumented counts stay interpretable (replica overhead is a clean
-    2x of every write-side counter).
+    ``pwrite``, ``scatter_write``, ``flush`` and ``close`` reach both
+    handles; ``pread`` and ``gather_read`` are served by the primary
+    alone.  Return values are the primary's.  Every call forwards
+    explicitly, so a mirrored ``scatter_write`` costs exactly one
+    ``scatter_write`` per copy — instrumented counts stay interpretable
+    (replica overhead is a clean 2x of every write-side counter).
     """
 
     def __init__(self, primary: RawFile, replica: RawFile) -> None:
@@ -64,77 +61,15 @@ class MirrorRawFile(RawFile):
         self.primary = primary
         self.replica = replica
 
-    # -- streaming surface (mirrored) ---------------------------------------
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        """Seek both handles; returns the primary's position."""
-        pos = self.primary.seek(offset, whence)
-        self.replica.seek(offset, whence)
-        return pos
-
-    def write(self, data: BufferLike) -> int:
-        """Write ``data`` at both file pointers."""
-        n = self.primary.write(data)
-        self.replica.write(data)
-        return n
-
-    def write_zeros(self, n: int) -> int:
-        """Write ``n`` zero bytes to both handles."""
-        out = self.primary.write_zeros(n)
-        self.replica.write_zeros(n)
-        return out
-
-    def truncate(self, size: int) -> None:
-        """Truncate both copies to ``size``."""
-        self.primary.truncate(size)
-        self.replica.truncate(size)
-
-    def flush(self) -> None:
-        """Flush both copies."""
-        self.primary.flush()
-        self.replica.flush()
-
-    def close(self) -> None:
-        """Close both handles (replica first; primary close wins errors)."""
-        self.replica.close()
-        self.primary.close()
-
-    # -- read-side surface (primary only) -----------------------------------
-
-    def tell(self) -> int:
-        """The primary's file-pointer position."""
-        return self.primary.tell()
-
-    def read(self, n: int = -1) -> bytes:
-        """Read from the primary (the replica is write-only in this mode)."""
-        return self.primary.read(n)
-
-    def pread(self, offset: int, n: int) -> bytes:
-        """Positioned read from the primary."""
-        return self.primary.pread(offset, n)
-
-    def preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
-        """Contiguous scatter-read from the primary."""
-        return self.primary.preadv(offset, sizes)
-
-    def gather_read(self, requests: Sequence[tuple[int, int]]) -> list[bytes]:
-        """Vectored read from the primary."""
-        return self.primary.gather_read(requests)
-
-    # -- positioned / vectored writes (mirrored) ----------------------------
-
     def pwrite(self, offset: int, data: BufferLike) -> int:
         """Positioned write to both copies."""
         n = self.primary.pwrite(offset, data)
         self.replica.pwrite(offset, data)
         return n
 
-    def pwritev(self, offset: int, views: Sequence[BufferLike]) -> int:
-        """Contiguous gather-write to both copies."""
-        views = list(views)
-        n = self.primary.pwritev(offset, views)
-        self.replica.pwritev(offset, views)
-        return n
+    def pread(self, offset: int, n: int) -> bytes:
+        """Positioned read from the primary."""
+        return self.primary.pread(offset, n)
 
     def scatter_write(self, fragments) -> int:
         """Vectored write to both copies (one call per copy)."""
@@ -142,3 +77,19 @@ class MirrorRawFile(RawFile):
         n = self.primary.scatter_write(frags)
         self.replica.scatter_write(frags)
         return n
+
+    def gather_read(self, requests: Sequence[tuple[int, int]]) -> list[bytes]:
+        """Vectored read from the primary."""
+        return self.primary.gather_read(requests)
+
+    def flush(self) -> None:
+        """Flush both copies."""
+        self.primary.flush()
+        self.replica.flush()
+
+    def close(self) -> None:
+        """Close both handles, replica first; the primary's error wins."""
+        try:
+            self.replica.close()
+        finally:
+            self.primary.close()

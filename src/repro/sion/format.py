@@ -155,8 +155,7 @@ class Metablock1:
     @classmethod
     def decode_from(cls, f: RawFile) -> "Metablock1":
         """Read and parse metablock 1 from the start of ``f``."""
-        f.seek(0)
-        raw = f.read(_MB1_HEAD.size)
+        raw = f.pread(0, _MB1_HEAD.size)
         if len(raw) != _MB1_HEAD.size:
             raise SionFormatError("file too short for a SION metablock 1")
         (
@@ -177,14 +176,17 @@ class Metablock1:
             )
         if version != FORMAT_VERSION:
             raise SionFormatError(f"unsupported format version {version}")
-        granks = _read_array(f, "<u8", ntasks_local, "globalranks")
-        chunks = _read_array(f, "<u8", ntasks_local, "chunksizes")
-        (mapping_kind,) = struct.unpack("<I", _read_exact(f, 4, "mapping kind"))
+        pos = _MB1_HEAD.size
+        granks = _read_array(f, pos, "<u8", ntasks_local, "globalranks")
+        pos += 8 * ntasks_local
+        chunks = _read_array(f, pos, "<u8", ntasks_local, "chunksizes")
+        pos += 8 * ntasks_local
+        (mapping_kind,) = struct.unpack("<I", _read_exact(f, pos, 4, "mapping kind"))
         table: list[tuple[int, int]] = []
         if mapping_kind == MAPPING_CUSTOM and filenum == 0:
             # One frombuffer for the whole table; the strided views split
             # the (file, local rank) columns without a per-task loop.
-            flat = _read_array(f, "<u4", 2 * ntasks_global, "mapping table")
+            flat = _read_array(f, pos + 4, "<u4", 2 * ntasks_global, "mapping table")
             table = list(zip(flat[0::2].tolist(), flat[1::2].tolist()))
         mb1 = cls(
             fsblksize=fsblksize,
@@ -207,8 +209,7 @@ class Metablock1:
         """Rewrite only the ``metablock2_offset`` field in place."""
         self.metablock2_offset = offset
         # Field position: after 8s I I Q I I I I Q = 8+4+4+8+4+4+4+4+8 = 48.
-        f.seek(_MB1_HEAD.size - 8)
-        f.write(struct.pack("<Q", offset))
+        f.pwrite(_MB1_HEAD.size - 8, struct.pack("<Q", offset))
 
 
 @dataclass
@@ -267,19 +268,21 @@ class Metablock2:
             raise SionFormatError(
                 "metablock 2 offset not set (file was never closed cleanly)"
             )
-        f.seek(offset)
-        head = _read_exact(f, _MB2_HEAD.size, "metablock 2 header")
+        head = _read_exact(f, offset, _MB2_HEAD.size, "metablock 2 header")
         magic, ntasks = _MB2_HEAD.unpack(head)
         if magic != MAGIC_MB2:
             raise SionFormatError(
                 f"bad metablock 2 magic {magic!r} at offset {offset}"
             )
-        nblocks_raw = _read_exact(f, 4 * ntasks, "metablock 2 block counts")
+        pos = offset + _MB2_HEAD.size
+        nblocks_raw = _read_exact(f, pos, 4 * ntasks, "metablock 2 block counts")
         nblocks = np.frombuffer(nblocks_raw, dtype="<u4")
         total = int(nblocks.sum())
-        sizes_raw = _read_exact(f, 8 * total, "metablock 2 block sizes")
+        pos += 4 * ntasks
+        sizes_raw = _read_exact(f, pos, 8 * total, "metablock 2 block sizes")
         payload = head + nblocks_raw + sizes_raw
-        (stored_crc,) = struct.unpack("<I", _read_exact(f, 4, "metablock 2 crc"))
+        raw_crc = _read_exact(f, pos + 8 * total, 4, "metablock 2 crc")
+        (stored_crc,) = struct.unpack("<I", raw_crc)
         if stored_crc != (zlib.crc32(payload) & 0xFFFFFFFF):
             raise SionFormatError("metablock 2 CRC mismatch (corrupt or truncated)")
         flat = np.frombuffer(sizes_raw, dtype="<u8").tolist()
@@ -317,15 +320,17 @@ class ShadowHeader:
         return cls(ltask=ltask, block=block, written=written)
 
 
-def _read_exact(f: RawFile, n: int, what: str) -> bytes:
-    raw = f.read(n)
+def _read_exact(f: RawFile, offset: int, n: int, what: str) -> bytes:
+    raw = f.pread(offset, n)
     if len(raw) != n:
         raise SionFormatError(f"truncated multifile while reading {what}")
     return raw
 
 
-def _read_array(f: RawFile, dtype: str, count: int, what: str) -> np.ndarray:
-    """Read ``count`` little-endian integers as one ``frombuffer`` view."""
+def _read_array(
+    f: RawFile, offset: int, dtype: str, count: int, what: str
+) -> np.ndarray:
+    """Read ``count`` little-endian integers at ``offset`` as one view."""
     width = np.dtype(dtype).itemsize
-    raw = _read_exact(f, width * count, what)
+    raw = _read_exact(f, offset, width * count, what)
     return np.frombuffer(raw, dtype=dtype, count=count)

@@ -365,14 +365,13 @@ def write_metablock2(
     """Append metablock 2 after the last block and patch its offset.
 
     The one close-time metadata write of a physical file, shared by the
-    serial creator and the parallel per-file masters: seek past the
-    chunk blocks, write metablock 2, patch its offset into metablock 1,
+    serial creator, the parallel per-file masters and recovery: write
+    metablock 2 past the chunk blocks, patch its offset into metablock 1,
     flush.
     """
     mb2 = Metablock2(blocksizes=blocksizes)
     offset = layout.end_of_blocks(mb2.maxblocks)
-    raw.seek(offset)
-    raw.write(mb2.encode())
+    raw.pwrite(offset, mb2.encode())
     mb1.patch_metablock2_offset(raw, offset)
     raw.flush()
 
@@ -395,7 +394,7 @@ class ReplayGuardedFile:
 
     The guard carries what the write and read cursors call.  Composite
     operations that must count as *one* backend call (the metablock-2
-    seek/write/patch/flush sequence, itself wrapped in ``exec_once``) use
+    write/patch/flush sequence, itself wrapped in ``exec_once``) use
     :attr:`unguarded`: ``exec_once`` must not nest.
     """
 
@@ -584,7 +583,7 @@ def _plan_file(
     for target in (path, replica) if replica is not None else (path,):
         raw = backend.open(target, "w+b")
         try:
-            raw.write(mb1.encode())
+            raw.pwrite(0, mb1.encode())
             raw.flush()
         finally:
             raw.close()

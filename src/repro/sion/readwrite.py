@@ -27,7 +27,7 @@ gateway's sessions — is one of these.
 Byte movement is **zero-copy and vectored**: every write accepts any
 buffer-protocol payload and forwards ``memoryview`` slices of it; every
 call uses *positioned* backend I/O (chunk addresses are computable
-locally, so the implicit file pointer is never consulted), and the
+locally, and the store has no file pointer), and the
 chunk-spanning ``fwrite``/``fread`` compute their complete fragment list
 up front and hand it to the backend in a **single**
 ``scatter_write``/``gather_read`` call instead of one call per fragment.

@@ -64,6 +64,7 @@ from repro.sion.constants import (
 from repro.sion.format import Metablock1, Metablock2, ShadowHeader
 from repro.sion.layout import ChunkLayout
 from repro.sion.mapping import physical_path
+from repro.sion.openspec import write_metablock2
 
 #: Chunked-copy granularity of a buddy restore (bounds peak memory).
 _COPY_CHUNK = 1 << 20
@@ -402,12 +403,7 @@ def _rebuild_from_shadows(
                 report.tasks_recovered += 1
                 report.blocks_recovered += len(sizes)
                 report.bytes_recovered += sum(sizes)
-        mb2 = Metablock2(blocksizes=blocksizes)
-        offset = layout.end_of_blocks(mb2.maxblocks)
-        raw.seek(offset)
-        raw.write(mb2.encode())
-        mb1.patch_metablock2_offset(raw, offset)
-        raw.flush()
+        write_metablock2(raw, layout, mb1, blocksizes)
         report.files_recovered += 1
         report.add(
             f"{fpath}: rebuilt metablock 2 for {mb1.ntasks_local} tasks "

@@ -390,7 +390,7 @@ class SionSerialWriter:
             )
             fpath = physical_path(spec.path, f)
             raw = backend.open(fpath, "w+b")
-            raw.write(mb1.encode())
+            raw.pwrite(0, mb1.encode())
             files.append(_PhysFile(f, fpath, raw, mb1, layout))
         return cls(files, tmap)
 

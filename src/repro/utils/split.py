@@ -42,6 +42,6 @@ def split_multifile(
             data = sf.read_task(rank)
             out_path = out_pattern.format(rank=rank)
             with backend.open(out_path, "wb") as out:
-                out.write(data)
+                out.pwrite(0, data)
             written.append(out_path)
     return written

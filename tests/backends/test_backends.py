@@ -17,10 +17,10 @@ class TestConformance:
         backend, base = any_backend
         p = _path(base, "f.bin")
         with backend.open(p, "wb") as f:
-            f.write(b"hello world")
+            f.pwrite(0, b"hello world")
         assert backend.exists(p)
         with backend.open(p, "rb") as f:
-            assert f.read() == b"hello world"
+            assert f.pread(0, 100) == b"hello world"
         assert backend.file_size(p) == 11
 
     def test_missing_file(self, any_backend):
@@ -33,23 +33,19 @@ class TestConformance:
         backend, base = any_backend
         p = _path(base, "s.bin")
         with backend.open(p, "w+b") as f:
-            f.write(b"0123456789")
-            f.seek(4)
-            assert f.tell() == 4
-            f.write(b"XY")
-            f.seek(0)
-            assert f.read() == b"0123XY6789"
+            f.pwrite(0, b"0123456789")
+            f.pwrite(4, b"XY")
+            assert f.pread(0, 10) == b"0123XY6789"
 
     def test_write_zeros_extends(self, any_backend):
         backend, base = any_backend
         p = _path(base, "z.bin")
         with backend.open(p, "wb") as f:
-            f.write(b"a")
-            f.write_zeros(100)
-            f.write(b"b")
+            f.pwrite(0, b"a")
+            f.pwrite(101, b"b")  # the gap past EOF reads as zeros
         assert backend.file_size(p) == 102
         with backend.open(p, "rb") as f:
-            data = f.read()
+            data = f.pread(0, 102)
         assert data[0:1] == b"a" and data[-1:] == b"b"
         assert data[1:-1] == b"\0" * 100
 
@@ -57,22 +53,23 @@ class TestConformance:
         backend, base = any_backend
         p = _path(base, "hole.bin")
         with backend.open(p, "wb") as f:
-            f.write_zeros(4096)
+            f.pwrite(4095, b"\0")
         assert backend.file_size(p) == 4096
 
     def test_truncate(self, any_backend):
         backend, base = any_backend
         p = _path(base, "t.bin")
         with backend.open(p, "w+b") as f:
-            f.write(b"abcdef")
-            f.truncate(3)
+            f.pwrite(0, b"abcdef")
+        with backend.open(p, "wb") as f:  # reopening for writing truncates
+            f.pwrite(0, b"abc")
         assert backend.file_size(p) == 3
 
     def test_unlink(self, any_backend):
         backend, base = any_backend
         p = _path(base, "u.bin")
         with backend.open(p, "wb") as f:
-            f.write(b"x")
+            f.pwrite(0, b"x")
         backend.unlink(p)
         assert not backend.exists(p)
 
@@ -80,7 +77,7 @@ class TestConformance:
         backend, base = any_backend
         p = _path(base, "blk.bin")
         with backend.open(p, "wb") as f:
-            f.write(b"x")
+            f.pwrite(0, b"x")
         assert backend.stat_blocksize(p) > 0
         # Probing a not-yet-existing path must also work (used at create).
         assert backend.stat_blocksize(_path(base, "new.bin")) > 0
@@ -90,17 +87,15 @@ class TestConformance:
         backend, base = any_backend
         p = _path(base, "multi.bin")
         with backend.open(p, "wb") as f:
-            f.write_zeros(200)
+            f.pwrite(199, b"\0")
         h1 = backend.open(p, "r+b")
         h2 = backend.open(p, "r+b")
-        h1.seek(0)
-        h1.write(b"AAA")
-        h2.seek(100)
-        h2.write(b"BBB")
+        h1.pwrite(0, b"AAA")
+        h2.pwrite(100, b"BBB")
         h1.close()
         h2.close()
         with backend.open(p, "rb") as f:
-            data = f.read()
+            data = f.pread(0, 200)
         assert data[0:3] == b"AAA" and data[100:103] == b"BBB"
 
 
@@ -119,7 +114,7 @@ class TestLocalSpecific:
         b = LocalBackend()
         p = str(tmp_path / "f")
         with b.open(p, "wb") as f:
-            f.write(b"x" * 8192)
+            f.pwrite(0, b"x" * 8192)
         assert b.allocated_size(p) >= 0
 
 
@@ -127,13 +122,12 @@ class TestSimSpecific:
     def test_allocated_size_tracks_sparseness(self):
         backend = SimBackend()
         with backend.open("/f", "wb") as f:
-            f.write_zeros(10**6)
-            f.write(b"tail")
+            f.pwrite(10**6, b"tail")
         assert backend.file_size("/f") == 10**6 + 4
         assert backend.allocated_size("/f") == 4
 
     def test_default_constructor_creates_fs(self):
         backend = SimBackend()
         with backend.open("/x", "wb") as f:
-            f.write(b"1")
+            f.pwrite(0, b"1")
         assert backend.fs.exists("/x")

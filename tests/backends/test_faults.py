@@ -57,9 +57,8 @@ def test_plan_rejects_negative_parameters():
 def test_empty_plan_is_transparent():
     be = _faulty()
     with be.open("/scratch/a", "w+b") as f:
-        f.write(b"hello")
-        f.seek(0)
-        assert f.read() == b"hello"
+        f.pwrite(0, b"hello")
+        assert f.pread(0, 10) == b"hello"
     assert be.exists("/scratch/a")
     assert be.file_size("/scratch/a") == 5
 
@@ -70,24 +69,24 @@ def test_empty_plan_is_transparent():
 def test_kill_rank_fires_only_for_attributed_rank():
     be = _faulty(FaultPlan().kill_rank(1, after_bytes=0))
     with be.open("/scratch/a", "w+b") as f:
-        f.write(b"unattributed traffic never dies")
+        f.pwrite(0, b"unattributed traffic never dies")
     v0 = be.for_rank(0)
     with v0.open("/scratch/b", "w+b") as f:
-        f.write(b"rank 0 is not targeted")
+        f.pwrite(0, b"rank 0 is not targeted")
     v1 = be.for_rank(1)
     f = v1.open("/scratch/c", "w+b")
     with pytest.raises(FaultInjectedError):
-        f.write(b"x")
+        f.pwrite(0, b"x")
     f.close()
 
 
 def test_kill_rank_budget_is_cumulative_and_bytes_never_move():
     be = _faulty(FaultPlan().kill_rank(0, after_bytes=10)).for_rank(0)
     f = be.open("/scratch/a", "w+b")
-    f.write(b"12345")          # 5 of 10
-    f.write(b"12345")          # 10 of 10 (exactly at budget: allowed)
+    f.pwrite(0, b"12345")      # 5 of 10
+    f.pwrite(5, b"12345")      # 10 of 10 (exactly at budget: allowed)
     with pytest.raises(FaultInjectedError):
-        f.write(b"!")          # 11th byte crosses
+        f.pwrite(10, b"!")     # 11th byte crosses
     f.close()
     # The crossing write moved nothing.
     assert be.file_size("/scratch/a") == 10
@@ -96,7 +95,7 @@ def test_kill_rank_budget_is_cumulative_and_bytes_never_move():
 def test_kill_rank_charges_reads_too():
     be = _faulty(FaultPlan().kill_rank(0, after_bytes=8))
     with be.open("/scratch/a", "w+b") as f:
-        f.write(b"0123456789abcdef")
+        f.pwrite(0, b"0123456789abcdef")
     view = be.for_rank(0)
     f = view.open("/scratch/a", "rb")
     assert f.pread(0, 8) == b"01234567"
@@ -111,9 +110,9 @@ def test_for_rank_views_share_trigger_state():
     b = be.for_rank(2)
     fa = a.open("/scratch/a", "w+b")
     fb = b.open("/scratch/b", "w+b")
-    fa.write(b"1234")           # 4 of 6, charged on the shared counter
+    fa.pwrite(0, b"1234")       # 4 of 6, charged on the shared counter
     with pytest.raises(FaultInjectedError):
-        fb.write(b"123")        # 7 of 6 via the sibling view
+        fb.pwrite(0, b"123")    # 7 of 6 via the sibling view
     fa.close()
     fb.close()
 
@@ -125,7 +124,7 @@ def test_kill_rank_determinism_same_plan_same_trigger_point():
         written = 0
         with pytest.raises(FaultInjectedError):
             for _ in range(100):
-                f.write(b"abc")
+                f.pwrite(written, b"abc")
                 written += 3
         f.close()
         assert written == 6  # always dies on the third 3-byte write
@@ -165,18 +164,21 @@ def test_tear_scatter_respects_rank_filter():
 def test_drop_metablock2_swallows_mb2_and_everything_after():
     be = _faulty(FaultPlan().drop_metablock2("/scratch/a"))
     f = be.open("/scratch/a", "w+b")
-    f.write(b"payload!")
-    assert f.write(MAGIC_MB2 + b"metadata") == len(MAGIC_MB2 + b"metadata")
-    assert f.write(b"patched offset") == 14   # blackout: swallowed too
+    f.pwrite(0, b"payload!")
+    assert f.pwrite(8, MAGIC_MB2 + b"metadata") == len(MAGIC_MB2 + b"metadata")
+    assert f.pwrite(0, b"patched offset") == 14   # blackout: swallowed too
+    assert f.scatter_write([(0, b"late")]) == 4   # every later write
     f.flush()
     f.close()                                  # close still reaches the store
     assert be.file_size("/scratch/a") == 8     # only the payload landed
+    with be.open("/scratch/a", "rb") as g:
+        assert g.pread(0, 100) == b"payload!"
 
 
 def test_drop_metablock2_is_path_keyed():
     be = _faulty(FaultPlan().drop_metablock2("/scratch/other"))
     with be.open("/scratch/a", "w+b") as f:
-        f.write(MAGIC_MB2 + b"fine here")
+        f.pwrite(0, MAGIC_MB2 + b"fine here")
     assert be.file_size("/scratch/a") == len(MAGIC_MB2) + 9
 
 
@@ -222,7 +224,7 @@ def test_faulting_local_backend_pickles_with_plan_intact(tmp_path):
     view = clone.for_rank(1)
     f = view.open(str(tmp_path / "a"), "w+b")
     with pytest.raises(FaultInjectedError):
-        f.write(b"12345")
+        f.pwrite(0, b"12345")
     f.close()
 
 

@@ -2,8 +2,8 @@
 
 The process SPMD engine ships backends and open handles into rank
 processes by pickling (spawn) or inheritance (fork).  These tests pin
-the portable-handle contract: ``LocalRawFile`` reopens by path with its
-position restored and never re-truncates; ``LocalBackend`` and
+the portable-handle contract: ``LocalRawFile`` reopens by path (it has
+no file pointer to restore) and never re-truncates; ``LocalBackend`` and
 ``CountingBackend`` round-trip; ``SimBackend`` refuses loudly; and
 ``IOStats`` keeps its cross-process identity token so counter deltas
 find their way home.
@@ -28,16 +28,14 @@ def _roundtrip(obj):
     return pickle.loads(pickle.dumps(obj))
 
 
-def test_local_rawfile_roundtrip_preserves_position_and_bytes(tmp_path):
+def test_local_rawfile_roundtrip_preserves_bytes(tmp_path):
     path = tmp_path / "data.bin"
     f = LocalBackend().open(str(path), "w+")
-    f.write(b"hello world")
-    f.seek(5)
+    f.pwrite(0, b"hello world")
 
     clone = _roundtrip(f)
-    # Independent descriptor, same file, same position — and crucially
-    # the 'w' mode did NOT re-truncate on reopen.
-    assert clone.tell() == 5
+    # Independent descriptor, same file — and crucially the 'w' mode did
+    # NOT re-truncate on reopen.
     assert clone.pread(0, 11) == b"hello world"
     clone.pwrite(0, b"HELLO")
     assert f.pread(0, 11) == b"HELLO world"
@@ -49,12 +47,10 @@ def test_local_rawfile_readonly_mode_survives(tmp_path):
     path = tmp_path / "ro.bin"
     path.write_bytes(b"abcdef")
     f = LocalBackend().open(str(path), "r")
-    f.seek(2)
     clone = _roundtrip(f)
-    assert clone.tell() == 2
-    assert clone.read(2) == b"cd"
+    assert clone.pread(2, 2) == b"cd"
     with pytest.raises(OSError):
-        clone.write(b"x")  # reopened read-only, like the original
+        clone.pwrite(0, b"x")  # reopened read-only, like the original
     f.close()
     clone.close()
 
@@ -84,7 +80,7 @@ def test_counting_backend_keeps_stats_token(tmp_path):
     # The clone's activity can be merged back into the original by token,
     # which is exactly what the proc engine does at join.
     f = clone.open(str(tmp_path / "y.bin"), "w+")
-    f.write(b"12345678")
+    f.pwrite(0, b"12345678")
     f.close()
     assert cb.snapshot()["bytes_written"] == 0
     delta = stats_deltas(

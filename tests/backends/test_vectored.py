@@ -1,4 +1,9 @@
-"""Vectored/positioned RawFile protocol: identical semantics on both backends."""
+"""Vectored/positioned RawFile protocol: identical semantics on both backends.
+
+The contiguous-run hooks (``_pwritev``/``_preadv``) are private to the
+stores; they are reached here the way the SION layer reaches them,
+through ``scatter_write`` and ``gather_read``.
+"""
 
 import numpy as np
 import pytest
@@ -48,12 +53,10 @@ class TestPositioned:
         backend, base = any_backend
         p = _path(base, "p.bin")
         with backend.open(p, "w+b") as f:
-            f.write(b"\0" * 32)
-            f.seek(7)
+            f.pwrite(0, b"\0" * 32)
             assert f.pwrite(4, b"XYZ") == 3
-            assert f.tell() == 7  # file pointer untouched
             assert f.pread(4, 3) == b"XYZ"
-            assert f.tell() == 7
+            assert f.pread(0, 64) == b"\0" * 4 + b"XYZ" + b"\0" * 25
 
     def test_pwrite_accepts_any_buffer(self, any_backend):
         backend, base = any_backend
@@ -69,7 +72,7 @@ class TestPositioned:
         backend, base = any_backend
         p = _path(base, "eof.bin")
         with backend.open(p, "w+b") as f:
-            f.write(b"12345")
+            f.pwrite(0, b"12345")
             assert f.pread(3, 10) == b"45"
             assert f.pread(99, 4) == b""
 
@@ -79,31 +82,32 @@ class TestVectored:
         backend, base = any_backend
         p = _path(base, "v.bin")
         with backend.open(p, "w+b") as f:
-            n = f.pwritev(4, [b"ab", bytearray(b"cd"), memoryview(b"ef")])
-            assert n == 6
+            frags = [(4, b"ab"), (6, bytearray(b"cd")), (8, memoryview(b"ef"))]
+            assert f.scatter_write(frags) == 6
             assert f.pread(0, 10) == b"\0\0\0\0abcdef"
 
     def test_pwritev_skips_empty_views(self, any_backend):
         backend, base = any_backend
         p = _path(base, "v0.bin")
         with backend.open(p, "w+b") as f:
-            assert f.pwritev(0, [b"", b"xy", memoryview(b""), b"z"]) == 3
+            frags = [(0, b""), (0, b"xy"), (2, memoryview(b"")), (2, b"z")]
+            assert f.scatter_write(frags) == 3
             assert f.pread(0, 3) == b"xyz"
-            assert f.pwritev(3, []) == 0
+            assert f.scatter_write([]) == 0
 
     def test_preadv_scatter_read(self, any_backend):
         backend, base = any_backend
         p = _path(base, "r.bin")
         with backend.open(p, "w+b") as f:
-            f.write(b"0123456789")
-            assert f.preadv(1, [3, 0, 4]) == [b"123", b"", b"4567"]
+            f.pwrite(0, b"0123456789")
+            assert f.gather_read([(1, 3), (4, 0), (4, 4)]) == [b"123", b"", b"4567"]
 
     def test_preadv_eof_trims_then_empties(self, any_backend):
         backend, base = any_backend
         p = _path(base, "re.bin")
         with backend.open(p, "w+b") as f:
-            f.write(b"abcdef")
-            assert f.preadv(2, [3, 3, 3]) == [b"cde", b"f", b""]
+            f.pwrite(0, b"abcdef")
+            assert f.gather_read([(2, 3), (5, 3), (8, 3)]) == [b"cde", b"f", b""]
 
     def test_scatter_write_disjoint_fragments(self, any_backend):
         backend, base = any_backend
@@ -129,7 +133,7 @@ class TestVectored:
         backend, base = any_backend
         p = _path(base, "g.bin")
         with backend.open(p, "w+b") as f:
-            f.write(b"0123456789")
+            f.pwrite(0, b"0123456789")
             # Out-of-order, partly contiguous requests come back in order.
             assert f.gather_read([(6, 2), (0, 3), (3, 3)]) == [b"67", b"012", b"345"]
             assert f.gather_read([]) == []
@@ -148,9 +152,9 @@ class TestLocalVectoredNative:
     def test_pwritev_beyond_iov_max(self, local_backend, tmp_path):
         """More fragments than one writev can carry still land correctly."""
         p = str(tmp_path / "iov.bin")
-        views = [bytes([i % 256]) for i in range(1500)]
+        frags = [(i, bytes([i % 256])) for i in range(1500)]  # one contiguous run
         with local_backend.open(p, "w+b") as f:
-            assert f.pwritev(0, views) == 1500
+            assert f.scatter_write(frags) == 1500
             data = f.pread(0, 1500)
         assert data == bytes(i % 256 for i in range(1500))
 
@@ -158,17 +162,16 @@ class TestLocalVectoredNative:
         p = str(tmp_path / "iov2.bin")
         payload = bytes(range(256)) * 8
         with local_backend.open(p, "w+b") as f:
-            f.write(payload)
-            pieces = f.preadv(0, [1] * 2100)
+            f.pwrite(0, payload)
+            pieces = f.gather_read([(i, 1) for i in range(2100)])
         assert b"".join(pieces) == payload
         assert pieces[2047] == payload[-1:]
         assert pieces[2048] == b""  # past EOF
 
-    def test_streaming_and_positioned_stay_coherent(self, local_backend, tmp_path):
-        """Unbuffered handles: fd-level writes are visible to read() at once."""
+    def test_unbuffered_handles_stay_coherent(self, local_backend, tmp_path):
+        """Unbuffered handles: one handle's writes are visible to another at once."""
         p = str(tmp_path / "coh.bin")
-        with local_backend.open(p, "w+b") as f:
-            f.write(b"stream")
-            f.pwrite(6, b"+fd")
-            f.seek(0)
-            assert f.read(9) == b"stream+fd"
+        with local_backend.open(p, "w+b") as f, local_backend.open(p, "r+b") as g:
+            f.pwrite(0, b"stream")
+            g.pwrite(6, b"+fd")
+            assert f.pread(0, 9) == g.pread(0, 9) == b"stream+fd"

@@ -127,7 +127,7 @@ class TestSingleFile:
         backend, base = any_backend
         path = f"{base}/garbage.ckpt"
         with backend.open(path, "wb") as f:
-            f.write(b"not a checkpoint at all........")
+            f.pwrite(0, b"not a checkpoint at all........")
 
         with pytest.raises(SpmdWorkerError):
             run_spmd(2, lambda c: read_single_file(c, path, backend=backend))

@@ -43,27 +43,12 @@ class TestSparseFile:
         assert f.extents() == [(0, 6)]
 
     def test_write_zeros_leaves_hole(self):
+        """Zeros past EOF are a hole: a write beyond the end allocates only itself."""
         f = SparseFile()
-        f.write_zeros(0, 1000)
-        assert f.size == 1000
-        assert f.allocated_bytes == 0
+        f.write(1000, b"x")
+        assert f.size == 1001
+        assert f.allocated_bytes == 1
         assert f.read(500, 4) == b"\0\0\0\0"
-
-    def test_write_zeros_punches_through_data(self):
-        f = SparseFile()
-        f.write(0, b"abcdef")
-        f.write_zeros(2, 2)
-        assert f.read(0, 6) == b"ab\0\0ef"
-        assert f.allocated_bytes == 4
-
-    def test_truncate_shrinks_and_extends(self):
-        f = SparseFile()
-        f.write(0, b"abcdef")
-        f.truncate(3)
-        assert f.size == 3
-        assert f.read(0, 10) == b"abc"
-        f.truncate(5)
-        assert f.read(0, 10) == b"abc\0\0"
 
     def test_read_past_end_truncated(self):
         f = SparseFile()
@@ -77,19 +62,11 @@ class TestSparseFile:
             f.write(-1, b"x")
         with pytest.raises(ValueError):
             f.read(-1, 1)
-        with pytest.raises(ValueError):
-            f.write_zeros(-1, 1)
-        with pytest.raises(ValueError):
-            f.truncate(-1)
 
     @settings(max_examples=80, deadline=None)
     @given(
         ops=st.lists(
-            st.tuples(
-                st.sampled_from(["write", "zeros", "truncate"]),
-                st.integers(0, 300),
-                st.integers(0, 60),
-            ),
+            st.tuples(st.integers(0, 300), st.integers(0, 60)),
             max_size=25,
         )
     )
@@ -102,24 +79,12 @@ class TestSparseFile:
             if len(ref) < n:
                 ref.extend(b"\0" * (n - len(ref)))
 
-        for kind, off, ln in ops:
-            if kind == "write":
-                data = bytes((off + i) % 251 for i in range(ln))
-                f.write(off, data)
-                if ln:  # zero-length writes do not extend the file
-                    grow(off + ln)
-                    ref[off : off + ln] = data
-            elif kind == "zeros":
-                f.write_zeros(off, ln)
-                if ln:
-                    grow(off + ln)
-                    ref[off : off + ln] = b"\0" * ln
-            else:
-                f.truncate(off)
-                if off <= len(ref):
-                    del ref[off:]
-                else:
-                    grow(off)
+        for off, ln in ops:
+            data = bytes((off + i) % 251 for i in range(ln))
+            f.write(off, data)
+            if ln:  # zero-length writes do not extend the file
+                grow(off + ln)
+                ref[off : off + ln] = data
         assert f.size == len(ref)
         assert f.read(0, len(ref) + 10) == bytes(ref)
         # Extents are disjoint, ascending, and within the file.
@@ -157,9 +122,9 @@ class TestNamespace:
     def test_open_create_write_read(self):
         fs = SimFS()
         with fs.open("/f.bin", "wb") as f:
-            f.write(b"data")
+            f.pwrite(0, b"data")
         with fs.open("/f.bin", "rb") as f:
-            assert f.read() == b"data"
+            assert f.pread(0, 100) == b"data"
 
     def test_open_missing_read_raises(self):
         fs = SimFS()
@@ -169,24 +134,17 @@ class TestNamespace:
     def test_open_truncates_on_w(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.write(b"long content")
+            f.pwrite(0, b"long content")
         with fs.open("/f", "wb") as f:
-            f.write(b"x")
+            f.pwrite(0, b"x")
         assert fs.stat("/f").st_size == 1
-
-    def test_append_mode_positions_at_end(self):
-        fs = SimFS()
-        with fs.open("/f", "wb") as f:
-            f.write(b"abc")
-        with fs.open("/f", "ab") as f:
-            f.write(b"def")
-        with fs.open("/f", "rb") as f:
-            assert f.read() == b"abcdef"
 
     def test_text_mode_rejected(self):
         fs = SimFS()
         with pytest.raises(InvalidOperationError):
             fs.open("/f", "w")
+        with pytest.raises(InvalidOperationError):
+            fs.open("/f", "ab")  # no file pointer, so no append mode
 
     def test_directory_is_not_openable(self):
         fs = SimFS()
@@ -197,7 +155,7 @@ class TestNamespace:
     def test_unlink(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.write(b"x")
+            f.pwrite(0, b"x")
         fs.unlink("/f")
         assert not fs.exists("/f")
         with pytest.raises(FileNotFoundSimError):
@@ -212,50 +170,44 @@ class TestNamespace:
     def test_rename(self):
         fs = SimFS()
         with fs.open("/old", "wb") as f:
-            f.write(b"v")
+            f.pwrite(0, b"v")
         fs.mkdir("/sub")
         fs.rename("/old", "/sub/new")
         assert not fs.exists("/old")
         with fs.open("/sub/new", "rb") as f:
-            assert f.read() == b"v"
+            assert f.pread(0, 10) == b"v"
 
     def test_rename_onto_existing_raises(self):
         fs = SimFS()
         for p in ("/a", "/b"):
             with fs.open(p, "wb") as f:
-                f.write(b"x")
+                f.pwrite(0, b"x")
         with pytest.raises(FileExistsSimError):
             fs.rename("/a", "/b")
 
     def test_file_component_used_as_dir_raises(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.write(b"x")
+            f.pwrite(0, b"x")
         with pytest.raises(NotADirectorySimError):
             fs.open("/f/child", "wb")
 
     def test_stat_blocksize_from_profile(self):
         fs = SimFS(profile=jugene())
         with fs.open("/f", "wb") as f:
-            f.write(b"x")
+            f.pwrite(0, b"x")
         assert fs.stat("/f").st_blksize == 2 * (1 << 20)
 
 
 class TestHandles:
-    def test_seek_whences(self):
+    def test_seek_negative_rejected(self):
+        """A negative offset is refused by every positioned call."""
         fs = SimFS()
         f = fs.open("/f", "w+b")
-        f.write(b"0123456789")
-        assert f.seek(2) == 2
-        assert f.seek(3, 1) == 5
-        assert f.seek(-1, 2) == 9
-        assert f.read(1) == b"9"
-
-    def test_seek_negative_rejected(self):
-        fs = SimFS()
-        f = fs.open("/f", "wb")
         with pytest.raises(ValueError):
-            f.seek(-1)
+            f.pwrite(-1, b"x")
+        with pytest.raises(ValueError):
+            f.pread(-1, 1)
 
     def test_closed_handle_rejects_ops(self):
         fs = SimFS()
@@ -263,7 +215,7 @@ class TestHandles:
         f.close()
         assert f.closed
         with pytest.raises(InvalidOperationError):
-            f.write(b"x")
+            f.pwrite(0, b"x")
 
     def test_closed_handle_pins_no_extents(self):
         """A closed handle somebody still holds lets the file's data go
@@ -271,16 +223,14 @@ class TestHandles:
         raising the closed-handle error."""
         fs = SimFS()
         f = fs.open("/f", "w+b")
-        f.write(b"x" * 4096)
+        f.pwrite(0, b"x" * 4096)
         data = f._inode.data
         f.close()
         fs.unlink("/f")
         assert sys.getrefcount(data) == 2  # ``data`` itself and the call's argument
         for op in (
-            lambda: f.seek(0), f.tell, lambda: f.write(b"x"), lambda: f.write_zeros(1),
-            lambda: f.read(1), lambda: f.pwrite(0, b"x"), lambda: f.pread(0, 1),
-            lambda: f.pwritev(0, [b"x"]), lambda: f.preadv(0, [1]),
-            lambda: f.truncate(0), f.flush,
+            lambda: f.pwrite(0, b"x"), lambda: f.pread(0, 1),
+            lambda: f.pwritev(0, [b"x"]), lambda: f.preadv(0, [1]), f.flush,
         ):
             with pytest.raises(InvalidOperationError, match="handle is closed"):
                 op()
@@ -290,31 +240,29 @@ class TestHandles:
         fs = SimFS()
         f = fs.open("/f", "wb")
         with pytest.raises(InvalidOperationError):
-            f.read(1)
+            f.pread(0, 1)
 
     def test_write_on_readonly_rejected(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.write(b"x")
+            f.pwrite(0, b"x")
         f = fs.open("/f", "rb")
         with pytest.raises(InvalidOperationError):
-            f.write(b"y")
+            f.pwrite(0, b"y")
 
     def test_pread_pwrite_keep_position(self):
+        """A pwrite inside the file overlays in place: size and neighbours stay."""
         fs = SimFS()
         f = fs.open("/f", "w+b")
-        f.write(b"abcdef")
-        f.seek(1)
+        f.pwrite(0, b"abcdef")
         f.pwrite(3, b"XY")
-        assert f.tell() == 1
         assert f.pread(0, 6) == b"abcXYf"
-        assert f.tell() == 1
+        assert fs.stat("/f").st_size == 6
 
     def test_sparse_write_zeros_via_handle(self):
         fs = SimFS()
         f = fs.open("/f", "wb")
-        f.write_zeros(10**6)
-        f.write(b"end")
+        f.pwrite(10**6, b"end")
         f.close()
         st = fs.stat("/f")
         assert st.st_size == 10**6 + 3
@@ -326,7 +274,7 @@ class TestClock:
         fs = SimFS(profile=jugene())
         t0 = fs.clock
         with fs.open("/f", "wb") as f:
-            f.write(b"x" * 1000)
+            f.pwrite(0, b"x" * 1000)
         assert fs.clock > t0
         assert fs.op_counts["create"] == 1
         assert fs.op_counts["write_bytes"] == 1000
@@ -334,17 +282,17 @@ class TestClock:
     def test_no_profile_means_free_metadata(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.write(b"x")
+            f.pwrite(0, b"x")
         assert fs.clock == 0.0
 
     def test_data_time_scales_with_bytes(self):
         fs = SimFS(profile=jugene())
         with fs.open("/a", "wb") as f:
-            f.write(b"x" * 10**6)
+            f.pwrite(0, b"x" * 10**6)
         t_small = fs.clock
         fs2 = SimFS(profile=jugene())
         with fs2.open("/a", "wb") as f:
-            f.write(b"x" * 10**7)
+            f.pwrite(0, b"x" * 10**7)
         assert fs2.clock > t_small
 
     def test_creating_n_files_costs_n_creates(self):

@@ -252,7 +252,6 @@ def test_open_handle_travels_to_ranks(tmp_path):
     # rank process writes its own region through the pickled handle.
     path = str(tmp_path / "shared.bin")
     handle = LocalBackend().open(path, "w+")
-    handle.truncate(4 * 8)
 
     def fn(c, h):
         h.pwrite(c.rank * 8, bytes([c.rank]) * 8)

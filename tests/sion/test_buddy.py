@@ -103,6 +103,21 @@ def test_replicas_byte_identical_after_write():
         assert primary == replica
 
 
+def test_mirror_close_closes_primary_when_replica_close_raises(tmp_path):
+    """A failing replica close must not leak the primary's descriptor."""
+    from repro.sion.buddy import MirrorRawFile
+
+    class FailingClose:
+        def close(self):
+            raise OSError("replica close failed")
+
+    primary = LocalBackend().open(str(tmp_path / "p.bin"), "w+b")
+    mirror = MirrorRawFile(primary, FailingClose())
+    with pytest.raises(OSError, match="replica close failed"):
+        mirror.close()
+    assert primary._f.closed
+
+
 def test_buddy_rejected_in_read_mode():
     be = _backend()
     path = "/scratch/r.sion"

@@ -48,7 +48,7 @@ def _physical_bytes(backend, path: str, nfiles: int) -> list[bytes]:
     for fn in range(nfiles):
         p = physical_path(path, fn)
         with backend.open(p, "rb") as f:
-            out.append(f.read(backend.file_size(p)))
+            out.append(f.pread(0, backend.file_size(p)))
     return out
 
 

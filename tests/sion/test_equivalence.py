@@ -30,7 +30,7 @@ def _backend():
 
 def _disk_bytes(backend, path="/m.sion"):
     with backend.open(path, "rb") as f:
-        return f.read()
+        return f.pread(0, backend.file_size(path))
 
 
 def _write_multifile(variant, payload, chunksize, buffer_size, pieces):

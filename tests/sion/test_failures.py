@@ -49,7 +49,7 @@ def test_garbage_file_rejected_with_format_error(any_backend):
     backend, base = any_backend
     path = f"{base}/garbage.sion"
     with backend.open(path, "wb") as f:
-        f.write(b"this is not a multifile" * 10)
+        f.pwrite(0, b"this is not a multifile" * 10)
     with pytest.raises(SionFormatError):
         serial.open(path, "r", backend=backend)
 
@@ -57,8 +57,7 @@ def test_garbage_file_rejected_with_format_error(any_backend):
 def test_empty_file_rejected(any_backend):
     backend, base = any_backend
     path = f"{base}/empty.sion"
-    with backend.open(path, "wb") as f:
-        f.write(b"")
+    backend.open(path, "wb").close()
     with pytest.raises(SionFormatError, match="too short"):
         serial.open(path, "r", backend=backend)
 
@@ -67,8 +66,10 @@ def test_truncated_metablock2_rejected(any_backend):
     backend, base = any_backend
     path = f"{base}/trunc.sion"
     _make(path, backend, nfiles=1)
-    with backend.open(path, "r+b") as f:
-        f.truncate(backend.file_size(path) - 4)
+    with backend.open(path, "rb") as f:  # tear: rewrite all but the CRC
+        prefix = f.pread(0, backend.file_size(path) - 4)
+    with backend.open(path, "wb") as f:
+        f.pwrite(0, prefix)
     with pytest.raises(SionFormatError):
         serial.open(path, "r", backend=backend)
 
@@ -96,8 +97,7 @@ def test_corrupted_chunk_data_does_not_break_metadata(any_backend):
         loc = sf.get_locations()
     # Flip bytes inside task 0's chunk.
     with backend.open(path, "r+b") as f:
-        f.seek(loc.fsblksize + 5)
-        f.write(b"\xde\xad")
+        f.pwrite(loc.fsblksize + 5, b"\xde\xad")
     with serial.open(path, "r", backend=backend) as sf:
         assert sf.get_locations().nblocks == loc.nblocks
         data = sf.read_task(0)
@@ -111,7 +111,7 @@ def test_rank_file_survives_other_files_damage(any_backend):
     _make(path, backend, ntasks=4, nfiles=2)
     # Destroy physical file 1 (ranks 2,3); ranks 0,1 live in file 0.
     with backend.open(physical_path(path, 1), "wb") as f:
-        f.write(b"gone")
+        f.pwrite(0, b"gone")
     with open_rank(path, 0, backend=backend) as rf:
         assert rf.read_all() == bytes([0]) * 700
     with pytest.raises(SionFormatError):

@@ -1,35 +1,38 @@
 """Metablock binary format: roundtrips, corruption detection."""
 
-import io
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backends.base import RawFile
 from repro.errors import SionFormatError
 from repro.sion.constants import MAPPING_BLOCKED, MAPPING_CUSTOM, SHADOW_HEADER_SIZE
 from repro.sion.format import Metablock1, Metablock2, ShadowHeader
 
 
-class MemFile:
-    """Minimal RawFile over a BytesIO for format-level tests."""
+class MemFile(RawFile):
+    """Minimal RawFile over a bytearray for format-level tests."""
 
     def __init__(self, data=b""):
-        self._b = io.BytesIO(data)
+        self._b = bytearray(data)
 
-    def seek(self, offset, whence=0):
-        return self._b.seek(offset, whence)
+    def pwrite(self, offset, data):
+        data = bytes(data)
+        if offset > len(self._b):
+            self._b.extend(bytes(offset - len(self._b)))
+        self._b[offset : offset + len(data)] = data
+        return len(data)
 
-    def tell(self):
-        return self._b.tell()
+    def pread(self, offset, n):
+        return bytes(self._b[offset : offset + n])
 
-    def read(self, n=-1):
-        return self._b.read(n)
+    def flush(self):
+        pass
 
-    def write(self, data):
-        return self._b.write(data)
+    def close(self):
+        pass
 
     def getvalue(self):
-        return self._b.getvalue()
+        return bytes(self._b)
 
 
 def _mb1(**kw):

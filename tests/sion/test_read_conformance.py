@@ -217,18 +217,20 @@ def test_paropen_rows_on_the_process_engine(tmp_path, shape, row):
 
 
 class _TornFile(SimRawFile):
-    """A handle whose positioned reads stop at ``cut``.
+    """A handle whose reads of ``[cut, mb2)`` come back missing.
 
-    Metablocks are decoded through the streaming ``read``, so they stay
-    intact while the chunk data past ``cut`` is gone — the file's data
-    region is truncated under metadata that still claims it.
+    Both metablocks stay intact while the chunk data from ``cut`` up to
+    metablock 2 is gone — the file's data region is truncated under
+    metadata that still claims it.
     """
 
-    def __init__(self, handle, cut: int) -> None:
+    def __init__(self, handle, cut: int, mb2: int) -> None:
         super().__init__(handle)
-        self._cut = cut
+        self._cut, self._mb2 = cut, mb2
 
     def pread(self, offset, n):
+        if offset >= self._mb2:
+            return super().pread(offset, n)
         return super().pread(offset, max(0, min(n, self._cut - offset)))
 
     def gather_read(self, requests):
@@ -238,14 +240,14 @@ class _TornFile(SimRawFile):
 class _TornBackend(SimBackend):
     """The same store, with the data of one physical file torn at ``cut``."""
 
-    def __init__(self, fs: SimFS, path: str, cut: int) -> None:
+    def __init__(self, fs: SimFS, path: str, cut: int, mb2: int) -> None:
         super().__init__(fs)
-        self._path, self._cut = path, cut
+        self._path, self._cut, self._mb2 = path, cut, mb2
 
     def open(self, path, mode):
         if path != self._path:
             return super().open(path, mode)
-        return _TornFile(self.fs.open(path, mode), self._cut)
+        return _TornFile(self.fs.open(path, mode), self._cut, self._mb2)
 
 
 def _tear(backend, path, shape):
@@ -257,7 +259,7 @@ def _tear(backend, path, shape):
     lrank = mb1.globalranks.index(3)
     header = 32 if shape["shadow"] else 0
     cut = ChunkLayout.from_metablock1(mb1).chunk_start(lrank, 1) + header + 10
-    return _TornBackend(backend.fs, fpath, cut)
+    return _TornBackend(backend.fs, fpath, cut, mb1.metablock2_offset)
 
 
 @pytest.mark.parametrize("shape", [SHAPES[0], SHAPES[7], SHAPES[10], SHAPES[-1]], ids=_shape_id)

@@ -308,22 +308,7 @@ def test_partition_stream_shortfall_stops_consuming():
             return self._data[offset : offset + n]
 
         # Unused surface.
-        def seek(self, offset, whence=0):
-            raise NotImplementedError
-
-        def tell(self):
-            raise NotImplementedError
-
-        def read(self, n=-1):
-            raise NotImplementedError
-
-        def write(self, data):
-            raise NotImplementedError
-
-        def write_zeros(self, n):
-            raise NotImplementedError
-
-        def truncate(self, size):
+        def pwrite(self, offset, data):
             raise NotImplementedError
 
         def flush(self):

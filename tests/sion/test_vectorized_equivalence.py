@@ -7,11 +7,11 @@ refactor: for any input, the ndarray paths must reproduce the scalar
 reference implementations exactly — same integers, same encoded bytes.
 """
 
-import io
 import struct
 
 from hypothesis import given, settings, strategies as st
 
+from repro.backends.simfs_backend import SimBackend
 from repro.sion.constants import MAPPING_CUSTOM
 from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import (
@@ -79,6 +79,13 @@ def _scalar_mb1_encode(mb1: Metablock1) -> bytes:
     return b"".join(parts)
 
 
+def _stored(data: bytes):
+    """A simulated file holding ``data`` (the decoders read positioned)."""
+    f = SimBackend().open("/mb", "w+b")
+    f.pwrite(0, data)
+    return f
+
+
 def _scalar_mb2_encode(mb2: Metablock2) -> bytes:
     """The pre-vectorization encoder, kept verbatim as a reference."""
     import zlib
@@ -121,7 +128,7 @@ class TestMetablock1Bytes:
         )
         raw = mb1.encode()
         assert raw == _scalar_mb1_encode(mb1)
-        back = Metablock1.decode_from(io.BytesIO(raw))
+        back = Metablock1.decode_from(_stored(raw))
         assert back == mb1
 
     @settings(max_examples=20, deadline=None)
@@ -151,7 +158,7 @@ class TestMetablock1Bytes:
         )
         raw = mb1.encode()
         assert raw == _scalar_mb1_encode(mb1)
-        back = Metablock1.decode_from(io.BytesIO(raw))
+        back = Metablock1.decode_from(_stored(raw))
         assert back.mapping_table == tmap.table_pairs()
 
 
@@ -168,8 +175,7 @@ class TestMetablock2Bytes:
         mb2 = Metablock2(blocksizes=blocksizes)
         raw = mb2.encode()
         assert raw == _scalar_mb2_encode(mb2)
-        buf = io.BytesIO(b"\x00" * 64 + raw)
-        back = Metablock2.decode_from(buf, 64)
+        back = Metablock2.decode_from(_stored(b"\x00" * 64 + raw), 64)
         assert back.blocksizes == blocksizes
 
 

@@ -153,6 +153,19 @@ class TestParallelPath:
         assert data == bytes(payload)
         assert after["data_read_calls"] - before["data_read_calls"] == 1
 
+    def test_cleared_sources_end_attribution(self):
+        """After clear_sources no fragment is attributed to any payload."""
+        backend = counting_backend()
+        payload = payload_of(64)
+        with backend.open("/t.bin", "w+b") as f:
+            backend.track_source(payload)
+            f.pwrite(0, memoryview(payload))
+            assert backend.snapshot()["tracked_fragments"] == 1
+            backend.clear_sources()
+            f.pwrite(64, memoryview(payload))
+        snap = backend.snapshot()
+        assert (snap["tracked_fragments"], snap["fragments_written"]) == (1, 2)
+
 
 class _FailingWrites:
     """Raw-file decorator whose vectored writes always fail."""
@@ -161,9 +174,6 @@ class _FailingWrites:
         self._inner = inner
 
     def scatter_write(self, fragments):
-        raise OSError(28, "No space left on device")
-
-    def pwritev(self, offset, views):
         raise OSError(28, "No space left on device")
 
     def __getattr__(self, name):
@@ -220,8 +230,7 @@ class TestFailureConsistency:
         layout = ChunkLayout(BLK, [CHUNK], 0)
         payload = payload_of(2 * CHUNK)
         with sim.open("/trunc.bin", "w+b") as w:
-            w.pwrite(0, payload)
-            w.truncate(CHUNK + CHUNK // 2)  # cut half the second chunk
+            w.pwrite(0, payload[: CHUNK + CHUNK // 2])  # half the second chunk
         raw = sim.open("/trunc.bin", "rb")
         stream = TaskStream(raw, layout, 0, [CHUNK, CHUNK])
         data = stream.fread(2 * CHUNK)

@@ -65,8 +65,7 @@ class TestVerify:
         _make(path, backend, nfiles=1)
         size = backend.file_size(path)
         with backend.open(path, "r+b") as f:
-            f.seek(size - 2)
-            f.write(b"\xff\xff")  # clobber the CRC
+            f.pwrite(size - 2, b"\xff\xff")  # clobber the CRC
         report = verify_multifile(path, backend=backend)
         assert not report.ok
         assert any("metablock 2" in e for e in report.errors)
@@ -75,8 +74,10 @@ class TestVerify:
         backend, base = any_backend
         path = f"{base}/vt.sion"
         _make(path, backend, nfiles=1)
-        with backend.open(path, "r+b") as f:
-            f.truncate(backend.file_size(path) - 10)
+        with backend.open(path, "rb") as f:  # tear: rewrite a prefix only
+            prefix = f.pread(0, backend.file_size(path) - 10)
+        with backend.open(path, "wb") as f:
+            f.pwrite(0, prefix)
         report = verify_multifile(path, backend=backend)
         assert not report.ok
 
@@ -97,8 +98,9 @@ class TestVerify:
         with backend.open(path, "r+b") as f:
             mb1 = Metablock1.decode_from(f)
             layout = ChunkLayout.from_metablock1(mb1)
-            f.seek(layout.chunk_start(0, 0))
-            f.write(ShadowHeader(ltask=0, block=0, written=1).encode())
+            f.pwrite(
+                layout.chunk_start(0, 0), ShadowHeader(ltask=0, block=0, written=1).encode()
+            )
         report = verify_multifile(path, backend=backend, deep=True)
         assert not report.ok
         assert any("shadow" in e for e in report.errors)
