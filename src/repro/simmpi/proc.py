@@ -11,20 +11,14 @@ scales with workers — the property every bandwidth figure of the paper
 Architecture
 ------------
 
-* **World collectives** go through a ``multiprocessing.shared_memory``
-  slot buffer: every rank owns a fixed slot, deposits a pickled payload,
-  and a double ``multiprocessing.Barrier`` brackets the read phase —
-  the same deposit / barrier / read / barrier discipline as the thread
-  engine, with the slot array living in a shared segment instead of a
-  Python list.  Payloads larger than a slot spill into an ephemeral
-  shared-memory segment whose name travels in the slot.
-* **Point-to-point and subgroup traffic** use a lightweight control
-  channel: one ``multiprocessing.Queue`` mailbox per rank.  Messages
-  carry their communicator id, so traffic on a ``split`` subgroup never
-  collides with world traffic.  Subgroup collectives are routed through
-  the subgroup's local rank 0 (the *hub*) over the same mailboxes —
-  process barriers cannot be conjured up after the world has started,
-  so subgroups synchronize by message passing instead.
+* **Collectives and point-to-point** share one transport: one
+  ``multiprocessing.Queue`` mailbox per rank.  Messages carry their
+  communicator id, so traffic on a ``split`` subgroup never collides
+  with world traffic.  Every collective — the world's included — is
+  routed through the communicator's local rank 0 (the *hub*): the other
+  ranks post their deposits to it, and it posts the rank-ordered
+  deposits back to each of them.  No barrier or shared segment exists,
+  so nothing a run creates outlives its processes.
 * **Results and telemetry** return over a queue at join.  Each child
   ships per-:class:`~repro.backends.instrument.IOStats` counter deltas
   alongside its result, and the parent merges them into the live stats
@@ -77,12 +71,9 @@ from __future__ import annotations
 import os
 import pickle
 import queue as queue_mod
-import struct
-import threading
 import time
 import traceback
 from multiprocessing import get_all_start_methods, get_context
-from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable
 
 from repro.backends.instrument import snapshot_live_stats, stats_deltas
@@ -97,17 +88,6 @@ from repro.simmpi.comm import Comm, SplitPlan, _matches, group_split
 #: ``REPRO_PROC_MAX_RANKS`` environment variable.
 DEFAULT_MAX_RANKS = 128
 
-#: Per-rank slot size in the shared-memory world buffer; payloads that
-#: do not fit spill to an ephemeral segment.  Overridable via
-#: ``REPRO_PROC_SLOT_BYTES``.
-DEFAULT_SLOT_BYTES = 64 * 1024
-
-#: Slot header: 1 byte kind, 32 bytes opname (utf-8, NUL-padded),
-#: 8 bytes payload length.
-_HEADER = struct.Struct(">B32sQ")
-_KIND_INLINE = 1
-_KIND_SPILL = 2
-
 #: Mailbox poll granularity while honouring abort flags and timeouts.
 _POLL_S = 0.05
 
@@ -118,18 +98,6 @@ _WORLD_ID = ("w",)
 _HUB = -1
 
 
-def _attach_shm(name: str) -> SharedMemory:
-    """Attach an existing segment by name.
-
-    On POSIX, attaching registers the name with the resource tracker —
-    harmlessly: rank processes share the parent's tracker (the tracker
-    fd travels through fork and spawn alike), its cache is a set, and
-    the single ``unlink()`` each segment eventually gets unregisters it
-    exactly once.  No extra bookkeeping is needed here.
-    """
-    return SharedMemory(name=name)
-
-
 def default_start_method() -> str:
     """Start method used for rank processes.
 
@@ -137,10 +105,26 @@ def default_start_method() -> str:
     (fast, closures and open handles inherit) with ``spawn`` as the
     portable fallback (rank function and arguments must pickle).
     """
+    methods = get_all_start_methods()
     env = os.environ.get("REPRO_PROC_START", "").strip()
-    if env:
-        return env
-    return "fork" if "fork" in get_all_start_methods() else "spawn"
+    if not env:
+        return "fork" if "fork" in methods else "spawn"
+    if env not in methods:
+        raise SimMPIError(f"REPRO_PROC_START must be one of {methods}, got {env!r}")
+    return env
+
+
+def _max_ranks() -> int:
+    """The world-size cap: ``REPRO_PROC_MAX_RANKS`` or the default."""
+    raw = os.environ.get("REPRO_PROC_MAX_RANKS", "")
+    if not raw.strip():
+        return DEFAULT_MAX_RANKS
+    try:
+        return int(raw)
+    except ValueError:
+        raise SimMPIError(
+            f"REPRO_PROC_MAX_RANKS must be a whole number of ranks, got {raw!r}"
+        ) from None
 
 
 class _ProcShared:
@@ -148,139 +132,18 @@ class _ProcShared:
 
     Created in the parent; reaches children by inheritance (fork) or by
     pickling through ``Process`` args (spawn) — every field is either
-    a picklable multiprocessing primitive or plain data.  The shared-
-    memory world buffer itself travels by *name* and is attached lazily
-    in each process, so both start methods take the same path.
+    a picklable multiprocessing primitive or plain data.
     """
 
-    def __init__(self, ctx, size: int, timeout: float | None, slot_bytes: int) -> None:
+    def __init__(self, ctx, size: int, timeout: float | None) -> None:
         self.size = size
         self.timeout = timeout
-        self.slot_bytes = slot_bytes
-        self.barrier = ctx.Barrier(size)
         self.abort_event = ctx.Event()
         self.mailboxes = [ctx.Queue() for _ in range(size)]
-        self._shm: SharedMemory | None = SharedMemory(
-            create=True, size=size * slot_bytes
-        )
-        self.shm_name = self._shm.name
-        self._owner_pid = os.getpid()
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        state["_shm"] = None  # children re-attach by name
-        return state
-
-    def buffer(self) -> memoryview:
-        """The world slot buffer, attaching on first use in this process."""
-        if self._shm is None:
-            self._shm = _attach_shm(self.shm_name)
-        return self._shm.buf
 
     def abort(self) -> None:
-        """Break every synchronization point so blocked ranks raise."""
+        """Raise in every rank blocked on a mailbox (they poll the event)."""
         self.abort_event.set()
-        try:
-            self.barrier.abort()
-        except Exception:  # pragma: no cover - broken barrier machinery
-            pass
-
-    def wait_barrier(self) -> None:
-        if self.abort_event.is_set():
-            raise SimMPIError("communicator aborted")
-        try:
-            self.barrier.wait(timeout=self.timeout)
-        except threading.BrokenBarrierError as exc:
-            raise SimMPIError(
-                "collective aborted (another rank failed or barrier timed out)"
-            ) from exc
-
-    def detach(self) -> None:
-        """Release this process's view of the world buffer."""
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except BufferError:  # pragma: no cover - exported views alive
-                pass
-            self._shm = None
-
-    def destroy(self) -> None:
-        """Unlink the world buffer (creator only, after all ranks joined)."""
-        self.detach()
-        if os.getpid() == self._owner_pid:
-            try:
-                SharedMemory(name=self.shm_name).unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-
-class _SlotView:
-    """Lazy, cached view of the deposited slots of one world collective.
-
-    Readers index only what they need (``bcast`` touches one slot), so a
-    size-*n* world does O(n) total unpickling work for single-source
-    collectives instead of every rank unpickling every slot.  Iterating
-    it (``list(view)``) reads every slot in rank order.
-    """
-
-    def __init__(self, shared: _ProcShared) -> None:
-        self._shared = shared
-        self._cache: dict[int, Any] = {}
-
-    def __getitem__(self, rank: int) -> Any:
-        if rank not in self._cache:
-            if not 0 <= rank < self._shared.size:
-                raise IndexError(rank)
-            self._cache[rank] = _read_slot(self._shared, rank)
-        return self._cache[rank]
-
-
-def _write_slot(
-    shared: _ProcShared, rank: int, opname: str, value: Any
-) -> SharedMemory | None:
-    """Deposit one rank's payload; returns the spill segment if one was used.
-
-    The caller owns the returned segment and must unlink it once the
-    collective's consume barrier has passed.
-    """
-    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    base = rank * shared.slot_bytes
-    buf = shared.buffer()
-    op = opname.encode("utf-8")[:32]
-    spill = None
-    if _HEADER.size + len(payload) <= shared.slot_bytes:
-        _HEADER.pack_into(buf, base, _KIND_INLINE, op, len(payload))
-        buf[base + _HEADER.size : base + _HEADER.size + len(payload)] = payload
-    else:
-        spill = SharedMemory(create=True, size=len(payload))
-        spill.buf[: len(payload)] = payload
-        name = spill.name.encode("ascii")
-        _HEADER.pack_into(buf, base, _KIND_SPILL, op, len(name))
-        buf[base + _HEADER.size : base + _HEADER.size + len(name)] = name
-    return spill
-
-
-def _read_slot(shared: _ProcShared, rank: int) -> Any:
-    base = rank * shared.slot_bytes
-    buf = shared.buffer()
-    kind, _, length = _HEADER.unpack_from(buf, base)
-    raw = bytes(buf[base + _HEADER.size : base + _HEADER.size + length])
-    if kind == _KIND_INLINE:
-        return pickle.loads(raw)
-    spill = _attach_shm(raw.decode("ascii"))
-    try:
-        return pickle.loads(spill.buf)
-    finally:
-        spill.close()
-
-
-def _read_opnames(shared: _ProcShared) -> set[str]:
-    buf = shared.buffer()
-    names = set()
-    for rank in range(shared.size):
-        _, op, _ = _HEADER.unpack_from(buf, rank * shared.slot_bytes)
-        names.add(op.rstrip(b"\x00").decode("utf-8"))
-    return names
 
 
 class _Runtime:
@@ -373,9 +236,8 @@ class _Group:
 
 class ProcComm(Comm):
     """One rank's communicator handle on the process engine: the
-    transport behind :class:`repro.simmpi.comm.Comm` whose world
-    collectives ride the shared-memory slot buffer and whose subgroup
-    collectives are hub-routed over mailboxes.
+    transport behind :class:`repro.simmpi.comm.Comm` whose collectives
+    are hub-routed over the per-rank mailboxes.
     """
 
     def __init__(self, group: _Group, rank: int) -> None:
@@ -391,53 +253,21 @@ class ProcComm(Comm):
         read: Callable[[Any], Any],
         shared: bool = False,
     ) -> Any:
-        """Deposit/synchronize/read primitive behind every collective
-        (``needs`` and ``shared`` are moot: every rank waits for everyone
-        and reads its own, unpickled, result)."""
+        """Deposit/synchronize/read primitive behind every collective,
+        routed through local rank 0 (the hub).  ``needs`` and ``shared``
+        are moot: every rank waits for the hub's reply and reads its own,
+        unpickled, copy of the deposits."""
         value = frame(value)
-        if self._group.id == _WORLD_ID:
-            return self._exchange_world(opname, value, read)
-        return self._exchange_hub(opname, value, read)
-
-    def _exchange_world(
-        self, opname: str, value: Any, read: Callable[[Any], Any]
-    ) -> Any:
-        shared = self._group.rt.shared
-        spill = _write_slot(shared, self._rank, opname, value)
-        try:
-            shared.wait_barrier()
-            names = _read_opnames(shared)
-            if len(names) > 1:
-                shared.abort()
-                raise CollectiveMismatchError(
-                    f"ranks disagree on collective operation: {sorted(names)}"
-                )
-            result = read(_SlotView(shared))
-            # Second barrier: every rank has read; slots (and any spill
-            # segments) may now be reused/unlinked for the next op.
-            shared.wait_barrier()
-            return result
-        finally:
-            if spill is not None:
-                spill.close()
-                try:
-                    spill.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
-
-    def _exchange_hub(
-        self, opname: str, value: Any, read: Callable[[Any], Any]
-    ) -> Any:
-        """Subgroup collective routed through local rank 0 (the hub)."""
         group = self._group
         rt, cid, members = group.rt, group.id, group.members
         seq = rt.next_seq(cid)
         if self._rank != 0:
             rt.post(members[0], ("c", cid, seq, self._rank, opname, value))
-            _, _, _, _, op, slots = rt.wait_for(
+            _, _, _, _, op, reply = rt.wait_for(
                 lambda m: m[0] == "c" and m[1] == cid and m[2] == seq and m[3] == _HUB,
                 what=f"hub reply for {opname}#{seq} on {cid}",
             )
+            slots = pickle.loads(reply)
             names = {op, opname}
         else:
             slots = [None] * len(members)
@@ -455,9 +285,13 @@ class ProcComm(Comm):
             raise CollectiveMismatchError(
                 f"ranks disagree on collective operation: {sorted(names)}"
             )
-        if self._rank == 0:
+        if self._rank == 0 and len(members) > 1:
+            # Snapshot the reply before ``read`` hands the hub its result:
+            # a queue pickles in a feeder thread, by when the hub's rank
+            # body may already have mutated that result in place.
+            reply = pickle.dumps(slots, protocol=pickle.HIGHEST_PROTOCOL)
             for dest in members[1:]:
-                rt.post(dest, ("c", cid, seq, _HUB, opname, slots))
+                rt.post(dest, ("c", cid, seq, _HUB, opname, reply))
         return read(slots)
 
     def _split_groups(self, deposits: Any) -> tuple[SplitPlan, list[_Group]]:
@@ -532,7 +366,6 @@ def _child_main(
     result_q,
 ) -> None:
     """Rank process body: run ``fn``, ship result + telemetry deltas."""
-    shared.buffer()  # attach (and untrack) the world buffer eagerly
     baseline = snapshot_live_stats()
     status = "ok"
     payload: Any = None
@@ -559,7 +392,6 @@ def _child_main(
             protocol=pickle.HIGHEST_PROTOCOL,
         )
     result_q.put(blob)
-    shared.detach()
 
 
 def run_spmd_proc(
@@ -568,7 +400,6 @@ def run_spmd_proc(
     *args: Any,
     timeout: float | None = None,
     start_method: str | None = None,
-    slot_bytes: int | None = None,
     **kwargs: Any,
 ) -> list[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` rank *processes*.
@@ -579,8 +410,7 @@ def run_spmd_proc(
     disables).  ``start_method`` overrides the world's multiprocessing
     start method (default: :func:`default_start_method`); under
     ``spawn``/``forkserver`` the rank function, its arguments, and its
-    return value must pickle.  ``slot_bytes`` sizes the per-rank slot of
-    the shared-memory world buffer.
+    return value must pickle.
 
     Returns rank-ordered results; raises
     :class:`~repro.errors.SpmdWorkerError` if any rank failed, with
@@ -591,20 +421,15 @@ def run_spmd_proc(
 
     if nprocs < 1:
         raise CommunicatorError(f"communicator size must be >= 1, got {nprocs}")
-    max_ranks = int(os.environ.get("REPRO_PROC_MAX_RANKS", str(DEFAULT_MAX_RANKS)))
-    if nprocs > max_ranks:
+    cap = _max_ranks()
+    if nprocs > cap:
         raise SimMPIError(
             f"engine='proc' runs one OS process per rank and is capped at "
-            f"{max_ranks} ranks (REPRO_PROC_MAX_RANKS); for large simulated "
+            f"{cap} ranks (REPRO_PROC_MAX_RANKS); for large simulated "
             f"worlds use engine='bulk'"
         )
-    slot_bytes = slot_bytes or int(
-        os.environ.get("REPRO_PROC_SLOT_BYTES", str(DEFAULT_SLOT_BYTES))
-    )
-    if slot_bytes <= _HEADER.size:
-        raise SimMPIError(f"slot_bytes must exceed the {_HEADER.size}-byte header")
     ctx = get_context(start_method or default_start_method())
-    shared = _ProcShared(ctx, nprocs, timeout, slot_bytes)
+    shared = _ProcShared(ctx, nprocs, timeout)
     result_q = ctx.Queue()
     procs = [
         ctx.Process(
@@ -621,7 +446,6 @@ def run_spmd_proc(
         reports = _collect_reports(shared, procs, result_q)
     finally:
         _reap(shared, procs)
-        shared.destroy()
 
     results: list[Any] = [None] * nprocs
     failures: dict[int, BaseException] = {}

@@ -105,10 +105,11 @@ def run_spmd(
         re-executed when a collective unblocks (see
         :mod:`repro.simmpi.bulk` for the contract; guard non-idempotent
         effects with ``Comm.exec_once``).
-        ``"proc"`` runs one OS *process* per rank with shared-memory
-        collectives — the only engine whose aggregate bandwidth scales
-        past one core; payloads cross by value and backend handles must
-        be picklable or rank-local (see :mod:`repro.simmpi.proc`).
+        ``"proc"`` runs one OS *process* per rank with hub-routed
+        collectives over per-rank queues — the only engine whose
+        aggregate bandwidth scales past one core; payloads cross by
+        value and backend handles must be picklable or rank-local (see
+        :mod:`repro.simmpi.proc`).
         ``"thread"`` is accepted as an alias of ``"threads"``.
     nworkers:
         Accepted and ignored.  The bulk engine once had a worker pool of

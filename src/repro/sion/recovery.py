@@ -238,6 +238,44 @@ def _recover_one(
     _rebuild_from_shadows(fpath, mb1, backend, report)
 
 
+def qualify_replica(
+    base: str, filenum: int, nfiles: int, backend: Backend
+) -> tuple[str, tuple[Metablock1, Metablock2] | str]:
+    """The buddy replica of file ``filenum``: its path, and its two
+    metablocks if it qualifies for a byte-copy restore, else why not.
+
+    The replica qualifies only when it exists, both of its metablocks
+    decode, it describes the right file, and its metablock 2 lists as
+    many tasks as its metablock 1 — restoring a half-written replica
+    would trade one damaged copy for another.  Non-destructive: the one
+    test both :func:`recover_multifile` and ``sionverify --inject
+    lose-file=K`` apply.
+    """
+    rpath = buddy_path(base, filenum, nfiles)
+    if not backend.exists(rpath):
+        return rpath, f"buddy replica of file {filenum} is missing"
+    raw = backend.open(rpath, "rb")
+    try:
+        try:
+            mb1 = Metablock1.decode_from(raw)
+            mb2 = Metablock2.decode_from(raw, mb1.metablock2_offset)
+        except SionFormatError as exc:
+            return rpath, f"buddy replica does not fully decode: {exc}"
+    finally:
+        raw.close()
+    if mb1.filenum != filenum or mb1.nfiles != nfiles:
+        return rpath, (
+            f"replica describes file {mb1.filenum} of {mb1.nfiles}, "
+            f"not file {filenum} of {nfiles}"
+        )
+    if mb2.ntasks_local != mb1.ntasks_local:
+        return rpath, (
+            f"replica's metablock 2 lists {mb2.ntasks_local} task(s), its "
+            f"metablock 1 {mb1.ntasks_local}"
+        )
+    return rpath, (mb1, mb2)
+
+
 def _restore_from_buddy(
     base: str,
     fpath: str,
@@ -246,34 +284,16 @@ def _restore_from_buddy(
     backend: Backend,
     report: RecoveryReport,
 ) -> bool:
-    """Byte-copy ``fpath`` back from its buddy replica, if fully intact.
-
-    The replica qualifies only when both of its metablocks decode and it
-    describes the right file — restoring a half-written replica would
-    trade one damaged copy for another.  Only the byte ranges those
+    """Byte-copy ``fpath`` back from its buddy replica, if it qualifies
+    (:func:`qualify_replica`).  Only the byte ranges the replica's
     metablocks describe are moved (:func:`_copy_described`).  Returns
     True on success, False when no qualifying replica exists (callers
     then fall back or raise).
     """
-    rpath = buddy_path(base, filenum, nfiles)
-    if not backend.exists(rpath):
+    rpath, found = qualify_replica(base, filenum, nfiles, backend)
+    if isinstance(found, str):
         return False
-    raw = backend.open(rpath, "rb")
-    try:
-        try:
-            mb1 = Metablock1.decode_from(raw)
-            mb2 = Metablock2.decode_from(raw, mb1.metablock2_offset)
-        except SionFormatError:
-            return False
-    finally:
-        raw.close()
-    if (
-        mb1.filenum != filenum
-        or mb1.nfiles != nfiles
-        or mb2.ntasks_local != mb1.ntasks_local
-    ):
-        return False
-
+    mb1, mb2 = found
     copied = _copy_described(backend, rpath, fpath, mb1, mb2)
     report.files_recovered += 1
     report.files_rebuilt_from_buddy += 1

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from repro.backends.base import Backend
 from repro.backends.localfs import LocalBackend
 from repro.errors import ReproError, SionFormatError
-from repro.sion.buddy import buddy_path
 from repro.sion.constants import FLAG_BUDDY, FLAG_SHADOW, SHADOW_HEADER_SIZE
 from repro.sion.format import Metablock1, Metablock2, ShadowHeader
 from repro.sion.layout import ChunkLayout
 from repro.sion.mapping import TaskMapping, physical_path
+from repro.sion.recovery import qualify_replica
 
 
 @dataclass
@@ -268,10 +268,10 @@ def assess_loss(
     The ``sionverify --inject lose-file=K`` backend.  Non-destructive:
     nothing is deleted or modified.  The report is ``ok`` iff losing
     physical file ``K`` *entirely* would still be recoverable — i.e. the
-    set was written with ``buddy=True`` and file ``K``'s replica exists
-    with both metablocks fully intact (the qualification
-    :func:`~repro.sion.recovery.recover_multifile` demands before a
-    byte-copy restore).  Shadow headers cannot save a lost file — they
+    set was written with ``buddy=True`` and file ``K``'s replica passes
+    :func:`~repro.sion.recovery.qualify_replica`, the test
+    :func:`~repro.sion.recovery.recover_multifile` applies before a
+    byte-copy restore.  Shadow headers cannot save a lost file — they
     live inside it — so a shadow-only set reports unrecoverable here.
     """
     backend = backend if backend is not None else LocalBackend()
@@ -297,27 +297,10 @@ def assess_loss(
             f"{filenum} would be unrecoverable"
         )
         return report
-    rpath = buddy_path(path, filenum, mb1_0.nfiles)
-    if not backend.exists(rpath):
-        report.error(
-            f"{rpath}: buddy replica of file {filenum} is missing; the "
-            "loss would be unrecoverable"
-        )
-        return report
-    raw = backend.open(rpath, "rb")
-    try:
-        try:
-            mb1 = Metablock1.decode_from(raw)
-            Metablock2.decode_from(raw, mb1.metablock2_offset)
-        except SionFormatError as exc:
-            report.error(f"{rpath}: buddy replica does not fully decode: {exc}")
-            return report
-    finally:
-        raw.close()
+    rpath, found = qualify_replica(path, filenum, mb1_0.nfiles, backend)
     report.check(
-        mb1.filenum == filenum and mb1.nfiles == mb1_0.nfiles,
-        f"{rpath}: replica describes file {mb1.filenum} of {mb1.nfiles}, "
-        f"not file {filenum} of {mb1_0.nfiles}",
+        not isinstance(found, str),
+        f"{rpath}: {found}; losing file {filenum} would be unrecoverable",
     )
     if report.ok:
         report.warnings.append(

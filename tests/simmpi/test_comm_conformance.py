@@ -5,12 +5,14 @@ thread, bulk and process engines supply only a transport.  Part (i) runs
 every program of the table below on all three and requires equal results
 — or, for an illegal call, the same exception type and message on the
 primary failing rank.  Part (ii) pins the structure that makes (i) hold
-by construction: no engine class defines any public name.
+by construction: no engine class defines any public name, and the process
+engine moves every collective over one transport.
 
 The programs are module-level functions so that the whole table also runs
 under the ``spawn`` start method (CI: ``REPRO_PROC_START=spawn``).
 """
 
+import hashlib
 import inspect
 import operator
 
@@ -164,6 +166,24 @@ def exec_once_returns_its_value(c):
     return v
 
 
+def _digest(buf) -> str:
+    return hashlib.sha256(buf).hexdigest()[:16]
+
+
+def large_payloads(c):
+    # MiB-sized deposits and results: a 4 MiB bcast from a non-zero root,
+    # 1 MiB gatherv fragments and 128 KiB alltoall cells.
+    big = c.bcast(np.arange(1 << 19, dtype=np.int64) if c.rank == 3 else None, root=3)
+    frags = c.gatherv([bytes([c.rank]) * (1 << 20)], root=0)
+    col = c.alltoall([bytes([c.rank, dst]) * (1 << 16) for dst in range(c.size)])
+    return (
+        big.nbytes,
+        _digest(big),
+        None if frags is None else [_digest(f) for (f,) in frags],
+        [_digest(cell) for cell in col],
+    )
+
+
 RESULT_PROGRAMS = [
     (every_collective, 4),
     (every_collective, 1),
@@ -186,6 +206,7 @@ RESULT_PROGRAMS = [
     (dup_isolates_traffic, 3),
     (subworld_then_collective, 3),
     (exec_once_returns_its_value, 3),
+    (large_payloads, 8),
 ]
 
 # --------------------------------------------------------------------------
@@ -345,6 +366,16 @@ def test_public_surface_is_defined_by_comm_alone():
                 (*PUBLIC_METHODS, "rank", "size")]
     for cls in TRANSPORTS:
         assert not [n for n in vars(cls) if not n.startswith("_")], cls
+
+
+def test_proc_engine_has_one_transport():
+    """World and subgroup collectives share the mailbox hub: no shared
+    memory, no process barrier, no slot size, one exchange method."""
+    source = inspect.getsource(repro.simmpi.proc)
+    assert "shared_memory" not in source and "Barrier(" not in source
+    assert "slot_bytes" not in inspect.signature(repro.simmpi.proc.run_spmd_proc).parameters
+    exchanges = [n for n in vars(ProcComm) if n.startswith("_exchange")]
+    assert exchanges == ["_exchange"]
 
 
 def test_request_is_one_class():

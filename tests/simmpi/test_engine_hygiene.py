@@ -9,8 +9,8 @@ whether the run succeeded, lost a rank, or deadlocked.  The bulk engine
 cannot leave this to the collector: its dense columns and wave slots are
 object ndarrays the cycle collector does not traverse (see the lifetime
 contract in :mod:`repro.simmpi.bulk`).  What the process engine could
-leave behind lives outside the interpreter — rank processes,
-shared-memory segments, pipe descriptors — and is counted there.
+leave behind lives outside the interpreter — rank processes, pipe
+descriptors, ``/dev/shm`` entries — and is counted there.
 """
 
 from __future__ import annotations
@@ -211,9 +211,9 @@ def test_checkpoint_cycles_do_not_accumulate():
 
 
 # --------------------------------------------------------------------------
-# The process engine: no child, shared-memory segment or descriptor is left.
+# The process engine: no child, /dev/shm entry or descriptor is left.
 
-PROC_CELLS = ("success", "raise", "os_exit", "spill")
+PROC_CELLS = ("success", "raise", "os_exit", "large")
 
 
 def _proc_program(comm, cell):
@@ -221,8 +221,8 @@ def _proc_program(comm, cell):
         raise RuntimeError("rank 1 gives up")
     if cell == "os_exit" and comm.rank == 1:
         os._exit(17)  # dies without reporting or aborting
-    if cell == "spill":
-        # 4 MiB does not fit the 64 KiB slot: an ephemeral segment carries it.
+    if cell == "large":
+        # 4 MiB from a non-hub root: the hub relays it over the mailboxes.
         return len(comm.bcast(bytes(4 << 20) if comm.rank == 1 else None, root=1))
     return comm.allreduce(comm.rank)
 
@@ -233,7 +233,7 @@ def _proc_cycle(cell: str) -> None:
         with pytest.raises(SpmdWorkerError):
             run()
     else:
-        assert run() == [4 << 20 if cell == "spill" else 3] * 3
+        assert run() == [4 << 20 if cell == "large" else 3] * 3
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm and /proc")

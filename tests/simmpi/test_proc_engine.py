@@ -96,9 +96,9 @@ def test_thread_alias_accepted():
     assert run_spmd(2, lambda c: c.allreduce(1), engine="thread") == [2, 2]
 
 
-def test_large_payload_spills_past_slot():
+def test_large_payload_bcast_matches_threads():
     def fn(c):
-        data = np.arange(200_000, dtype=np.int64) + c.rank  # ~1.6 MB > slot
+        data = np.arange(200_000, dtype=np.int64) + c.rank  # ~1.6 MB
         got = c.bcast(data if c.rank == 1 else None, root=1)
         return int(got.sum())
 
@@ -118,6 +118,21 @@ def test_payloads_cross_by_value():
         return (bytes(got), type(got).__name__)
 
     assert run_spmd(2, fn, engine="proc")[1] == (b"orig", "bytearray")
+
+
+@pytest.mark.parametrize("sub", [False, True], ids=["world", "subgroup"])
+def test_hub_mutating_its_result_reaches_no_other_rank(sub):
+    # The hub (local rank 0) gets its result while its reply to the other
+    # ranks is still queued; an in-place update must not travel with it.
+    def fn(c):
+        comm = c.dup() if sub else c
+        got = comm.bcast(np.zeros(1 << 18) if comm.rank == 1 else None, root=1)
+        if comm.rank == 0:
+            got += 1
+        comm.barrier()
+        return float(got.sum())
+
+    assert run_spmd(4, fn, engine="proc", timeout=30.0) == [1 << 18, 0.0, 0.0, 0.0]
 
 
 # --------------------------------------------------------------------------
@@ -186,6 +201,15 @@ def test_rank_cap_enforced(monkeypatch):
     monkeypatch.setenv("REPRO_PROC_MAX_RANKS", "4")
     with pytest.raises(SimMPIError, match="capped at 4 ranks"):
         run_spmd(5, lambda c: None, engine="proc")
+
+
+@pytest.mark.parametrize(
+    "var,value", [("REPRO_PROC_MAX_RANKS", "abc"), ("REPRO_PROC_START", "bogus")]
+)
+def test_bad_environment_variable_is_a_typed_error(monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    with pytest.raises(SimMPIError, match=f"{var} must be .*'{value}'"):
+        run_spmd(2, lambda c: None, engine="proc")
 
 
 def test_dead_rank_detected():

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends.localfs import LocalBackend
 from repro.backends.simfs_backend import SimBackend
-from repro.errors import SionUsageError
+from repro.errors import SionMetadataLostError, SionUsageError
 from repro.fs.simfs import SimFS
 from repro.sion import (
     BUDDY_SUFFIX,
@@ -28,6 +28,7 @@ from repro.sion import (
     recover_multifile,
     serial,
 )
+from repro.sion.format import Metablock1, Metablock2
 from repro.sion.mapping import physical_path
 from repro.simmpi import run_spmd
 from repro.utils.cli import main_verify
@@ -231,6 +232,28 @@ def test_assess_loss_reports_survivable_and_not():
     be.unlink(buddy_path(path, 1, 2))
     assert not assess_loss(path, 1, backend=be).ok  # replica gone
     assert assess_loss(path, 0, backend=be).ok      # other file unaffected
+
+
+def test_assess_loss_refuses_the_replica_recovery_refuses():
+    # A replica whose metablock 2 decodes but lists one task where its
+    # metablock 1 has two: recovery will not restore from it, so the
+    # what-if must not call the loss survivable either.
+    be = _backend()
+    path = "/scratch/short.sion"
+    _write_buddy(be, path, 4, nfiles=2)
+    raw = be.open(buddy_path(path, 1, 2), "r+b")
+    try:
+        mb1 = Metablock1.decode_from(raw)
+        raw.pwrite(mb1.metablock2_offset, Metablock2([[1]]).encode())
+    finally:
+        raw.close()
+
+    report = assess_loss(path, 1, backend=be)
+    assert not report.ok
+    assert "metablock 2 lists 1 task(s)" in report.errors[0]
+    be.unlink(physical_path(path, 1))
+    with pytest.raises(SionMetadataLostError):
+        recover_multifile(path, backend=be)
 
 
 def test_assess_loss_requires_buddy_flag():

@@ -18,10 +18,17 @@ the terminal.
 Skipped: abstract declarations (``@abstractmethod``) and functions whose
 ``def`` line carries ``# pragma: no cover``.
 
-Blind spots: ranks of the ``proc`` SPMD engine run in child processes
-whose entries are not reported back, so code reached only there is
-listed; a test that installs its own profile hook (the open-work
-counters do, briefly) hides the calls made while it is active.
+Forked children are followed: ``multiprocessing`` re-arms the hook in
+every child it forks (the ``proc`` SPMD engine's ranks under its default
+start method), and each child writes the functions it entered to
+``--out`` with ``.pid<N>`` appended when it exits; the report merges and
+deletes those files.
+
+Blind spots: children started with ``spawn`` or ``forkserver`` run a
+fresh interpreter without the hook, and a child that dies by
+``os._exit`` writes nothing, so code reached only there is listed; a
+test that installs its own profile hook (the open-work counters do,
+briefly) hides the calls made while it is active.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import ast
 import os
 import sys
 import threading
+from multiprocessing.util import Finalize, register_after_fork
 from pathlib import Path
 
 ROOT = Path(os.path.realpath(__file__)).parent.parent
@@ -45,6 +53,40 @@ def _hook(frame, event, arg) -> None:
 
 sys.setprofile(_hook)
 threading.setprofile(_hook)
+
+
+def _write_child_entries(out: Path) -> None:
+    """Write this child's entered ``repro`` functions, one
+    ``path<TAB>line<TAB>qualname`` per line."""
+    rows = {
+        (os.path.realpath(c.co_filename), c.co_firstlineno,
+         getattr(c, "co_qualname", c.co_name))
+        for c in list(_entered)
+        if "repro" in c.co_filename
+    }
+    out.with_name(f"{out.name}.pid{os.getpid()}").write_text(
+        "".join(f"{path}\t{line}\t{qual}\n" for path, line, qual in rows)
+    )
+
+
+def _after_fork(report: "UnexecutedReport") -> None:
+    """In a child ``multiprocessing`` forked: count afresh, and write
+    the entries at exit (``Process._bootstrap`` runs the finalizers)."""
+    _entered.clear()
+    sys.setprofile(_hook)
+    threading.setprofile(_hook)
+    Finalize(None, _write_child_entries, args=(report.out,), exitpriority=-100)
+
+
+def _merge_children(out: Path) -> set[tuple[str, int]]:
+    """``(path, line)`` of every entry the children wrote; deletes their files."""
+    seen = set()
+    for child in out.parent.glob(f"{out.name}.pid*"):
+        for row in child.read_text().splitlines():
+            path, line, _ = row.split("\t", 2)
+            seen.add((path, int(line)))
+        child.unlink()
+    return seen
 
 
 def _is_abstract(node: ast.AST) -> bool:
@@ -80,13 +122,14 @@ def _defs(path: Path):
     return out
 
 
-def never_entered() -> list[str]:
-    """``path:line qualname`` of every ``src/repro`` function not entered."""
+def never_entered(children: set[tuple[str, int]]) -> list[str]:
+    """``path:line qualname`` of every ``src/repro`` function entered
+    neither here nor in ``children`` (``(path, line)`` pairs)."""
     seen = {
         (os.path.realpath(c.co_filename), c.co_firstlineno)
         for c in list(_entered)
         if "repro" in c.co_filename
-    }
+    } | children
     missing = []
     for path in sorted(SRC.rglob("*.py")):
         for line, qual in _defs(path):
@@ -105,7 +148,7 @@ class UnexecutedReport:
     def pytest_sessionfinish(self, session, exitstatus) -> None:
         sys.setprofile(None)
         threading.setprofile(None)
-        self.missing = never_entered()
+        self.missing = never_entered(_merge_children(self.out))
         self.out.write_text("".join(f"{m}\n" for m in self.missing))
 
     def pytest_terminal_summary(self, terminalreporter) -> None:
@@ -122,7 +165,10 @@ def main(argv: list[str]) -> int:
     out = Path("unexecuted.txt")
     if argv[:1] == ["--out"]:
         out, argv = Path(argv[1]), argv[2:]
-    return pytest.main(argv, plugins=[UnexecutedReport(out)])
+    report = UnexecutedReport(out)
+    _merge_children(out)  # drop what an interrupted earlier run left
+    register_after_fork(report, _after_fork)
+    return pytest.main(argv, plugins=[report])
 
 
 if __name__ == "__main__":
