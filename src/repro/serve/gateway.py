@@ -327,7 +327,7 @@ class ReadGateway:
             # Decode on the backend handle, then wrap it: the metablocks
             # are read once here and never belong in the chunk cache.
             raw = self.backend.open(fpath, "rb")
-            metadata.append(load_metablocks(raw))
+            metadata.append(load_metablocks(raw, fpath))
             raws.append(CachingRawFile(raw, self.cache, generation, fpath))
             sizes.append(self.backend.file_size(fpath))
             tokens.append(self.backend.identity_token(fpath))

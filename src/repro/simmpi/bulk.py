@@ -96,9 +96,13 @@ where the loop regains control — on entry to a frontier op and when a
 body parks or returns: a rank body that held the loop longer than that
 fails every unfinished rank with "bulk engine stalled".
 
-**Lifetime contract.**  Everything a run creates dies with ``run_spmd``:
-program rows and their columns, in-flight waves, mailboxes and sub-worlds
-are reachable only through the engine, and :meth:`_BulkEngine.run` lets
+**Lifetime contract.**  A rank's own logged values die with the rank:
+when its body returns, :meth:`_BulkEngine._finish_rank` drops its
+entries from the per-rank part (exceptions dict or dense array) of every
+column it logged, because a finished rank never replays.  Shared values
+— uniform column values, waves, worlds — die with ``run_spmd``: program
+rows and their columns, in-flight waves, mailboxes and sub-worlds are
+reachable only through the engine, and :meth:`_BulkEngine.run` lets
 go of all of them in a ``finally`` — on success, rank failure, deadlock
 and timeout alike — and cuts every world's reference back to the engine.
 This is not left to the garbage collector because it cannot do it:
@@ -218,6 +222,13 @@ class _Col:
                 dense[g] = v
             self.dense = dense
             self.mode = 2
+
+    def drop(self, grank: int) -> None:
+        """Forget ``grank``'s own value; the shared value stays."""
+        if self.mode == 2:
+            self.dense[grank] = None
+        elif self.exc is not None:
+            self.exc.pop(grank, None)
 
     def get(self, grank: int) -> Any:
         """Logged value for ``grank`` (replay hot path)."""
@@ -753,9 +764,13 @@ class _BulkEngine:
         )
 
     def _finish_rank(self, grank: int, result: Any) -> None:
+        """Record ``result`` and free the rank's own logged values: a
+        finished rank never replays, so nothing reads them again."""
         self.done_b[grank] = 1
         self.results[grank] = result
         self.ndone += 1
+        for col in self.progs[grank].cols[: self.nops[grank]]:
+            col.drop(grank)
 
     def _fail_rank(self, grank: int, exc: BaseException) -> None:
         self.done_b[grank] = 1

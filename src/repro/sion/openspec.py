@@ -58,13 +58,14 @@ from typing import Any, NamedTuple, Sequence
 
 from repro.backends.base import Backend, RawFile
 from repro.buffers import BufferLike
-from repro.errors import SionUsageError
+from repro.errors import SionFormatError, SionUsageError
 from repro.sion.buddy import MirrorRawFile, buddy_path
 from repro.sion.constants import (
     FLAG_BUDDY,
     FLAG_COMPRESS,
     FLAG_SHADOW,
     MAPPING_CUSTOM,
+    SHADOW_HEADER_SIZE,
 )
 from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import ChunkLayout
@@ -299,11 +300,50 @@ def load_set_geometry(backend: Backend, path: str) -> tuple:
     return mb1.nfiles, mb1.ntasks_global, mb1.mapping_kind, mb1.mapping_table
 
 
-def load_metablocks(raw: RawFile) -> tuple[Metablock1, Metablock2, ChunkLayout]:
-    """Decode both metablocks (and the layout) from an open physical file."""
-    mb1 = Metablock1.decode_from(raw)
+def load_metablock2(
+    raw: RawFile, path: str, mb1: Metablock1, layout: ChunkLayout
+) -> Metablock2:
+    """Decode ``path``'s metablock 2 and reject a block table its chunks
+    cannot hold.
+
+    Every block must fit its chunk's data capacity (the aligned size,
+    minus the shadow header under ``FLAG_SHADOW``), and the longest
+    task's last chunk must end at or before metablock 2.  Otherwise a
+    read of an overstated block would silently return padding and the
+    next task's bytes.  The check is arithmetic only: no I/O beyond the
+    decode.
+    """
     mb2 = Metablock2.decode_from(raw, mb1.metablock2_offset)
-    return mb1, mb2, ChunkLayout.from_metablock1(mb1)
+    header = SHADOW_HEADER_SIZE if mb1.flags & FLAG_SHADOW else 0
+    longest, nblocks = 0, 0
+    for t, (blocks, aligned) in enumerate(zip(mb2.blocksizes, layout.aligned_sizes)):
+        if not blocks:
+            continue
+        biggest = max(blocks)
+        if biggest > aligned - header:
+            raise SionFormatError(
+                f"{path}: task {t} block {blocks.index(biggest)} records "
+                f"{biggest} bytes, over its chunk's data capacity {aligned - header}"
+            )
+        if len(blocks) > nblocks:
+            longest, nblocks = t, len(blocks)
+    end = layout.chunk_end(longest, nblocks - 1) if nblocks else 0
+    if end > mb1.metablock2_offset:
+        raise SionFormatError(
+            f"{path}: task {longest} block {nblocks - 1} ends at {end}, "
+            f"past metablock 2 at {mb1.metablock2_offset}"
+        )
+    return mb2
+
+
+def load_metablocks(
+    raw: RawFile, path: str
+) -> tuple[Metablock1, Metablock2, ChunkLayout]:
+    """Decode both metablocks (and the layout) of physical file ``path``,
+    open as ``raw``."""
+    mb1 = Metablock1.decode_from(raw)
+    layout = ChunkLayout.from_metablock1(mb1)
+    return mb1, load_metablock2(raw, path, mb1, layout), layout
 
 
 def load_file_metadata(
@@ -312,7 +352,7 @@ def load_file_metadata(
     """Open one physical file, decode its metablocks, close it."""
     raw = backend.open(fpath, "rb")
     try:
-        return load_metablocks(raw)
+        return load_metablocks(raw, fpath)
     finally:
         raw.close()
 
@@ -771,11 +811,17 @@ class SionReadFile(PartitionStream):
         return self.plan.ntasks
 
     def parclose(self) -> None:
-        """Collective close of the reader world."""
+        """Close this reader's handles; every rank calls it.
+
+        It does not synchronize: a read close writes nothing and releases
+        only this rank's handles, and MPI lets a collective return before
+        the other ranks reach it.  A caller whose next step needs every
+        reader closed (an unlink, rename or rewrite of the set by one
+        rank) adds a ``comm.barrier()`` after it.
+        """
         if self.closed:
             raise SionUsageError("multifile already closed")
         self.close()
-        self.comm.barrier()
 
     def __exit__(self, *exc: object) -> None:
         if not self.closed:

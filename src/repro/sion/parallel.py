@@ -114,7 +114,11 @@ def paropen(
     direct or collector-prefetched: a
     :class:`~repro.sion.openspec.SionReadFile`, the
     :class:`~repro.sion.readwrite.PartitionStream` read cursor over this
-    task's slice of writer streams plus ``parclose``.
+    task's slice of writer streams plus ``parclose``.  Every rank calls
+    ``parclose`` in both modes.  The write ``parclose`` ends in a barrier,
+    so metablock 2 is durable before any rank returns; the read
+    ``parclose`` does not synchronize, so a caller whose next step needs
+    every reader closed adds a ``comm.barrier()``.
 
     Example — every rank writes one record, then reads it back::
 

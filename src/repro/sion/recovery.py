@@ -64,7 +64,7 @@ from repro.sion.constants import (
 from repro.sion.format import Metablock1, Metablock2, ShadowHeader
 from repro.sion.layout import ChunkLayout
 from repro.sion.mapping import physical_path
-from repro.sion.openspec import write_metablock2
+from repro.sion.openspec import load_metablock2, load_metablocks, write_metablock2
 
 #: Chunked-copy granularity of a buddy restore (bounds peak memory).
 _COPY_CHUNK = 1 << 20
@@ -213,7 +213,7 @@ def _recover_one(
     if mb1.metablock2_offset > 0:
         raw = backend.open(fpath, "rb")
         try:
-            Metablock2.decode_from(raw, mb1.metablock2_offset)
+            load_metablock2(raw, fpath, mb1, ChunkLayout.from_metablock1(mb1))
             intact = True
         except SionFormatError:
             intact = False
@@ -245,11 +245,13 @@ def qualify_replica(
     metablocks if it qualifies for a byte-copy restore, else why not.
 
     The replica qualifies only when it exists, both of its metablocks
-    decode, it describes the right file, and its metablock 2 lists as
-    many tasks as its metablock 1 — restoring a half-written replica
-    would trade one damaged copy for another.  Non-destructive: the one
-    test both :func:`recover_multifile` and ``sionverify --inject
-    lose-file=K`` apply.
+    decode and its block table fits its chunks
+    (:func:`~repro.sion.openspec.load_metablock2`), it describes the
+    right file, and its metablock 2 lists as many tasks as its
+    metablock 1 — restoring a half-written replica would trade one
+    damaged copy for another.  Non-destructive: the one test both
+    :func:`recover_multifile` and ``sionverify --inject lose-file=K``
+    apply.
     """
     rpath = buddy_path(base, filenum, nfiles)
     if not backend.exists(rpath):
@@ -257,8 +259,7 @@ def qualify_replica(
     raw = backend.open(rpath, "rb")
     try:
         try:
-            mb1 = Metablock1.decode_from(raw)
-            mb2 = Metablock2.decode_from(raw, mb1.metablock2_offset)
+            mb1, mb2, _ = load_metablocks(raw, rpath)
         except SionFormatError as exc:
             return rpath, f"buddy replica does not fully decode: {exc}"
     finally:

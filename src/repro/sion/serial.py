@@ -36,6 +36,7 @@ from repro.sion.mapping import TaskMapping, physical_path
 from repro.sion.openspec import (
     OpenSpec,
     build_file_metadata,
+    load_metablock2,
     load_metablocks,
     write_metablock2,
 )
@@ -139,12 +140,13 @@ def open_rank(
             raise SionUsageError(f"rank {rank} out of range ({tmap.ntasks} tasks)")
         filenum = tmap.file_of(rank)
         if filenum == 0:
-            mb2 = Metablock2.decode_from(raw, mb1.metablock2_offset)
             layout = ChunkLayout.from_metablock1(mb1)
+            mb2 = load_metablock2(raw, spec.path, mb1, layout)
         else:
             raw.close()
-            raw = backend.open(physical_path(spec.path, filenum), "rb")
-            mb1, mb2, layout = load_metablocks(raw)
+            fpath = physical_path(spec.path, filenum)
+            raw = backend.open(fpath, "rb")
+            mb1, mb2, layout = load_metablocks(raw, fpath)
     except BaseException:
         raw.close()
         raise
@@ -182,7 +184,7 @@ class SionSerialFile:
     @classmethod
     def _open_read(cls, path: str, backend: Backend) -> "SionSerialFile":
         raw0 = backend.open(path, "rb")
-        mb1_0, mb2_0, layout_0 = load_metablocks(raw0)
+        mb1_0, mb2_0, layout_0 = load_metablocks(raw0, path)
         tmap = TaskMapping.from_kind_code(
             mb1_0.ntasks_global, mb1_0.nfiles, mb1_0.mapping_kind, mb1_0.mapping_table
         )
@@ -193,7 +195,7 @@ class SionSerialFile:
                 raw, (mb1, mb2, layout) = raw0, (mb1_0, mb2_0, layout_0)
             else:
                 raw = backend.open(fpath, "rb")
-                mb1, mb2, layout = load_metablocks(raw)
+                mb1, mb2, layout = load_metablocks(raw, fpath)
             pf = _PhysFile(f, fpath, raw, mb1, layout)
             pf.mb2 = mb2
             files.append(pf)

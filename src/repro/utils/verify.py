@@ -18,6 +18,7 @@ from repro.sion.constants import FLAG_BUDDY, FLAG_SHADOW, SHADOW_HEADER_SIZE
 from repro.sion.format import Metablock1, Metablock2, ShadowHeader
 from repro.sion.layout import ChunkLayout
 from repro.sion.mapping import TaskMapping, physical_path
+from repro.sion.openspec import load_metablock2
 from repro.sion.recovery import qualify_replica
 
 
@@ -193,7 +194,7 @@ def _verify_one(
 
         layout = ChunkLayout.from_metablock1(mb1)
         try:
-            mb2 = Metablock2.decode_from(raw, mb1.metablock2_offset)
+            mb2 = load_metablock2(raw, fpath, mb1, layout)
         except SionFormatError as exc:
             report.error(f"{fpath}: bad metablock 2: {exc}")
             return
@@ -203,15 +204,6 @@ def _verify_one(
             f"metablock 1's {mb1.ntasks_local}",
         )
         shadow = bool(mb1.flags & FLAG_SHADOW)
-        usable_delta = SHADOW_HEADER_SIZE if shadow else 0
-        for ltask, blocks in enumerate(mb2.blocksizes):
-            cap = layout.capacity(ltask) - usable_delta
-            for b, nbytes in enumerate(blocks):
-                report.check(
-                    nbytes <= cap,
-                    f"{fpath}: task {ltask} block {b} records {nbytes} bytes, "
-                    f"over the chunk capacity {cap}",
-                )
         fsize = backend.file_size(fpath)
         report.check(
             mb1.metablock2_offset < fsize,

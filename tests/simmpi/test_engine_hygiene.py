@@ -20,6 +20,7 @@ import multiprocessing
 import os
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -169,6 +170,43 @@ def test_bulk_success_needs_no_collection():
     finally:
         gc.enable()
     assert not left, sorted({type(o).__name__ for o in left})
+
+
+class _Logged:
+    """A value a rank logs; weakly referenceable."""
+
+
+@pytest.mark.parametrize("nprocs", [3, 40])  # exceptions dict, dense array
+def test_bulk_rank_values_die_with_the_rank(nprocs):
+    """A value only one rank logged is freed when that rank returns; a
+    column's shared value lives until the run ends.  The first value a
+    column receives is its shared value, so rank 0's stays too."""
+    refs: dict = {}
+    seen: dict = {}
+    sender, checker = nprocs - 2, nprocs - 1
+
+    def body(comm):
+        # Every rank logs the root's object: a uniform column.
+        refs.setdefault("shared", weakref.ref(comm.bcast(_Logged() if comm.rank == 0 else None)))
+        # Rank 0 passes the bcast first, so its object is the column's
+        # shared value and the others' objects are their own entries.
+        refs[comm.rank] = weakref.ref(comm.exec_once(_Logged))
+        if comm.rank == sender:
+            comm.send(None, dest=checker)
+        elif comm.rank == checker:
+            comm.recv(source=sender)  # the sender has returned by now
+            gc.collect()
+            seen.update(
+                finished=refs[sender](), running=refs[checker](), shared=refs["shared"]()
+            )
+
+    run_spmd(nprocs, body, engine="bulk")
+    assert seen["finished"] is None
+    assert isinstance(seen["running"], _Logged)
+    assert isinstance(seen["shared"], _Logged)
+    del seen["running"], seen["shared"]
+    gc.collect()
+    assert refs["shared"]() is None and refs[0]() is None
 
 
 def _checkpoint_cycle(ntasks: int = 512, nreaders: int = 64) -> None:

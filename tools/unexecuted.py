@@ -4,9 +4,13 @@ Usage (from the repository root)::
 
     PYTHONPATH=src python tools/unexecuted.py [--out PATH] [PYTEST ARGS...]
 
-With no pytest arguments it runs the tier-1 suite (``testpaths``).  The
-script is a pytest plugin plus a report, stdlib only: importing this
-module installs a function-entry profile hook (``sys.setprofile`` and
+When no pytest argument names a path, it runs tier-1 (``tests``) and
+the figure benches (``benchmarks/bench_scenarios.py``: the ``full``
+suite, which holds every ``smoke`` scenario, plus the ``ci-grid`` points
+of the grid suites), so code only a benchmark reaches counts as entered.
+Pass paths to narrow the run, e.g. ``tests/sion``.  The script is a
+pytest plugin plus a report, stdlib only: importing this module
+installs a function-entry profile hook (``sys.setprofile`` and
 ``threading.setprofile``), so everything imported afterwards — conftest
 included — is observed, on the main thread and every thread the
 ``threads`` SPMD engine starts.  At session end every ``def`` under
@@ -42,6 +46,8 @@ from pathlib import Path
 
 ROOT = Path(os.path.realpath(__file__)).parent.parent
 SRC = ROOT / "src" / "repro"
+#: What a run covers when no argument names a path.
+DEFAULT_TARGETS = ("tests", "benchmarks/bench_scenarios.py")
 
 _entered: set = set()
 
@@ -165,6 +171,8 @@ def main(argv: list[str]) -> int:
     out = Path("unexecuted.txt")
     if argv[:1] == ["--out"]:
         out, argv = Path(argv[1]), argv[2:]
+    if not any(Path(arg.split("::")[0]).exists() for arg in argv):
+        argv = [*argv, *(str(ROOT / t) for t in DEFAULT_TARGETS)]
     report = UnexecutedReport(out)
     _merge_children(out)  # drop what an interrupted earlier run left
     register_after_fork(report, _after_fork)
