@@ -203,10 +203,12 @@ class TraceExperiment:
             self._handle.pwrite(0, compressed)
             self._handle.flush()
             self._handle.close()
-            self.comm.barrier()
         else:
             self._handle.fwrite(compressed)
             self._handle.parclose()
+        # Every rank's analyzer then reads any task's trace through the
+        # serial interface, so the whole set must be sealed first.
+        self.comm.barrier()
         self._finalized = True
         return TraceWriteStats(
             uncompressed_bytes=len(raw), written_bytes=len(compressed)

@@ -186,19 +186,23 @@ def _peak_rss_mb() -> float:
 
 #: Whole-world wave sequence of one nfiles=1 open/write/close cycle under
 #: the bulk engine: paropen's chunksize gather and geometry bcast, then
-#: parclose's blocktable gather and final barrier.
-_CYCLE_WAVES = ("gather", "bcast", "gather", "barrier")
+#: parclose's blocktable gather.
+_CYCLE_WAVES = ("gather", "bcast", "gather")
 
 
-def _phase_metrics(stats: dict, ntasks: int, t0_mono: float) -> dict[str, Metric]:
+def _phase_metrics(
+    stats: dict, ntasks: int, t0_mono: float, t_end_mono: float
+) -> dict[str, Metric]:
     """Per-phase wall breakdown from the engine's wave completion log.
 
     The bulk engine timestamps every collective wave (creation and last
-    consumption, ``time.monotonic``).  For the standard cycle the four
+    consumption, ``time.monotonic``).  For the standard cycle the three
     whole-world waves bracket the phases: the open phase ends when the
     geometry bcast drains, the write phase (task-local fwrites replayed
     between open and close) ends when the blocktable gather drains, and
-    the close phase runs to the final barrier.  ``collective_wait_s``
+    the close phase — the master's metablock-2 write and every rank's
+    return — runs from there to the return of ``run_spmd``
+    (``t_end_mono``).  ``collective_wait_s``
     sums every wave's open-to-drain span — the aggregate time some rank
     spent parked — and is informational (spans overlap wall time).
     """
@@ -214,7 +218,7 @@ def _phase_metrics(stats: dict, ntasks: int, t0_mono: float) -> dict[str, Metric
         return out
     open_s = waves[1][3] - t0_mono
     write_s = waves[2][3] - waves[1][3]
-    close_s = waves[3][3] - waves[2][3]
+    close_s = t_end_mono - waves[2][3]
     out["phase_open_s"] = host_clock(open_s)
     out["phase_write_s"] = host_clock(write_s)
     out["phase_close_s"] = host_clock(close_s)
@@ -255,6 +259,7 @@ def _paropen_parclose(ctx) -> ScenarioOutput:
     t0 = time.perf_counter()
     out = run_spmd(ntasks, program, engine=p["engine"], engine_stats=stats)
     wall = time.perf_counter() - t0
+    t_end_mono = time.monotonic()
     gc.collect()
     blocks_per_rank = (sys.getallocatedblocks() - blocks_before) / ntasks
     peak_rss_mb = _peak_rss_mb()
@@ -311,7 +316,7 @@ def _paropen_parclose(ctx) -> ScenarioOutput:
         "peak_rss_mb": Metric(peak_rss_mb, "MiB", "lower"),
         "py_blocks_per_rank": Metric(blocks_per_rank, "blocks", "lower"),
     }
-    metrics.update(_phase_metrics(stats, ntasks, t0_mono))
+    metrics.update(_phase_metrics(stats, ntasks, t0_mono, t_end_mono))
     phases = ""
     if "phase_open_s" in metrics:
         phases = (

@@ -29,6 +29,15 @@ class CollectiveMismatchError(CommunicatorError):
     """Ranks of one communicator called different collectives concurrently."""
 
 
+class CommAbortedError(SimMPIError):
+    """A rank's communication was broken off because another rank failed.
+
+    Abort *fallout*: the engines report it only when no primary failure
+    remains to explain it, so a rank's own error is never mistaken for
+    fallout by its message text.
+    """
+
+
 class SpmdWorkerError(SimMPIError):
     """One or more SPMD workers raised; carries the per-rank exceptions."""
 

@@ -86,6 +86,17 @@ returns at the root immediately, a gather blocks only the root, a barrier
 blocks everyone.  Programs that relied on the thread engine's accidental
 barrier-per-collective behavior should add explicit barriers.
 
+**Depth-first wake.**  The ranks a completed wave readies — and the
+receivers a posted message readies — run *next*: they go to the front of
+the run queue, in rank order, ahead of every rank that was already
+runnable.  A wave's consumers thus drain its slots, and finished ranks
+free their logged values, before another producer fills its own wave.
+This is for memory, not speed: with first-in-first-out wake every
+collector group of a collective write or a prefetch read deposits before
+any consumes, so the whole payload and every parked rank's handles are
+alive at once (the space argument for depth-first scheduling in Blumofe
+and Leiserson's work-stealing analysis).
+
 Pass ``stats={}`` to :func:`run_spmd_bulk` (or ``engine_stats={}``
 through ``run_spmd``) to receive per-wave timing and replay counters —
 the raw material of the ``scale`` suite's phase breakdown.
@@ -123,6 +134,7 @@ import numpy as np
 
 from repro.errors import (
     CollectiveMismatchError,
+    CommAbortedError,
     CommunicatorError,
     SimMPIError,
 )
@@ -581,10 +593,6 @@ class BulkComm(Comm):
         self._engine.aborted = True
 
 
-#: Waiter batches below this size wake with a plain loop; above it, the
-#: numpy views over the flag arrays take over (one vectorized pass).
-_WAKE_VECTOR_MIN = 64
-
 #: Per-wave timing entries kept for engine stats before dropping.
 _WAVE_LOG_CAP = 4096
 
@@ -665,30 +673,25 @@ class _BulkEngine:
 
     # -- scheduler state transitions ---------------------------------------
 
-    def _enqueue(self, grank: int) -> None:
-        if not (self.done_b[grank] or self.queued_b[grank]):
-            self.queued_b[grank] = 1
-            self.runnable.append(grank)
-
     def wake(self, waiters: set[int]) -> None:
-        """Move parked ranks back onto the run queue.  Set-based path for
-        mailbox waiters."""
-        for grank in waiters:
-            self._enqueue(grank)
+        """Run a mailbox's parked receivers next, in rank order (module
+        docstring, *Depth-first wake*)."""
+        go = [g for g in sorted(waiters) if not (self.done_b[g] or self.queued_b[g])]
+        for g in go:
+            self.queued_b[g] = 1
+        self.runnable.extendleft(reversed(go))
         waiters.clear()
 
     def wake_wave(self, wave: _Wave) -> None:
-        """Wake a wave's parked ranks — vectorized over the flag views."""
+        """Run the ranks a completed wave readies next, in rank order
+        (module docstring, *Depth-first wake*) — vectorized over the flag
+        views."""
         nw = wave.nwaiters
         wave.nwaiters = 0
-        if nw < _WAKE_VECTOR_MIN:
-            for grank in wave.waiters[:nw].tolist():
-                self._enqueue(grank)
-        else:
-            w = wave.waiters[:nw]
-            go = w[~(self.done_v[w] | self.queued_v[w])]
-            self.queued_v[go] = True
-            self.runnable.extend(go.tolist())
+        w = np.sort(wave.waiters[:nw])
+        go = w[~(self.done_v[w] | self.queued_v[w])]
+        self.queued_v[go] = True
+        self.runnable.extendleft(go[::-1].tolist())
 
     def park_collective(self, grank: int, opid: int, k: int, wsize: int) -> None:
         self.parked_kind[grank] = 1
@@ -756,7 +759,7 @@ class _BulkEngine:
                 "if the machine is genuinely this slow"
             )
         if self.aborted:
-            return SimMPIError("communicator aborted (another rank failed)")
+            return CommAbortedError("communicator aborted (another rank failed)")
         return SimMPIError(
             f"deadlock: rank {grank} is parked on "
             f"{self._parked_desc(grank)} and no other rank can "

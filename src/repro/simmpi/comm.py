@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.errors import (
     CollectiveMismatchError,
+    CommAbortedError,
     CommunicatorError,
     SimMPIError,
 )
@@ -588,7 +589,7 @@ class _Mailbox:
         with self._cond:
             while True:
                 if self._aborted:
-                    raise SimMPIError("communicator aborted while waiting for a message")
+                    raise CommAbortedError("communicator aborted while waiting for a message")
                 idx = _find_match(self._messages, source, tag)
                 if idx is not None:
                     return self._messages.pop(idx)
@@ -639,11 +640,11 @@ class _Backbone:
 
     def wait_barrier(self) -> None:
         if self._aborted:
-            raise SimMPIError("communicator aborted")
+            raise CommAbortedError("communicator aborted")
         try:
             self.barrier.wait(timeout=self.timeout)
         except threading.BrokenBarrierError as exc:
-            raise SimMPIError(
+            raise CommAbortedError(
                 "collective aborted (another rank failed or barrier timed out)"
             ) from exc
 

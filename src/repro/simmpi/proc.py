@@ -79,6 +79,7 @@ from typing import Any, Callable
 from repro.backends.instrument import snapshot_live_stats, stats_deltas
 from repro.errors import (
     CollectiveMismatchError,
+    CommAbortedError,
     CommunicatorError,
     SimMPIError,
 )
@@ -178,7 +179,7 @@ class _Runtime:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self.shared.abort_event.is_set():
-                raise SimMPIError(
+                raise CommAbortedError(
                     "communicator aborted while waiting for a message"
                 )
             wait = _POLL_S

@@ -18,7 +18,7 @@ import os
 import threading
 from typing import Any, Callable, Iterator
 
-from repro.errors import SimMPIError, SpmdWorkerError
+from repro.errors import CommAbortedError, SimMPIError, SpmdWorkerError
 from repro.simmpi.comm import ThreadComm, make_world
 
 #: Default safety timeout for collectives; prevents silent test hangs.
@@ -171,16 +171,14 @@ def run_spmd(
     return results
 
 
-def _is_abort_fallout(exc: BaseException) -> bool:
-    """True for errors that are consequences of another rank's failure."""
-    return isinstance(exc, SimMPIError) and "abort" in str(exc).lower()
-
-
 def spmd_failure_error(failures: dict[int, BaseException]) -> SpmdWorkerError:
-    """Shared failure policy of all three engines: abort fallout is reported
-    only when no primary failure remains to explain it."""
+    """Shared failure policy of all three engines: abort fallout
+    (:class:`~repro.errors.CommAbortedError`) is reported only when no
+    primary failure remains to explain it."""
     primary = {
-        rank: exc for rank, exc in failures.items() if not _is_abort_fallout(exc)
+        rank: exc
+        for rank, exc in failures.items()
+        if not isinstance(exc, CommAbortedError)
     }
     return SpmdWorkerError(primary or failures)
 

@@ -115,10 +115,15 @@ def paropen(
     :class:`~repro.sion.openspec.SionReadFile`, the
     :class:`~repro.sion.readwrite.PartitionStream` read cursor over this
     task's slice of writer streams plus ``parclose``.  Every rank calls
-    ``parclose`` in both modes.  The write ``parclose`` ends in a barrier,
-    so metablock 2 is durable before any rank returns; the read
-    ``parclose`` does not synchronize, so a caller whose next step needs
-    every reader closed adds a ``comm.barrier()``.
+    ``parclose`` in both modes.  The write ``parclose`` is not a
+    barrier: world rank 0 returns from it with the whole set sealed
+    (every metablock 2 written), and ``run_spmd`` returning seals it for
+    everyone.  A later collective open on the same communicator is
+    ordered after the seal; any other rank's non-collective step that
+    needs the set sealed (``serial.open``, ``open_rank``, an unlink)
+    adds a ``comm.barrier()`` first.  The read ``parclose`` does not
+    synchronize either, so a caller whose next step needs every reader
+    closed adds a ``comm.barrier()``.
 
     Example — every rank writes one record, then reads it back::
 
@@ -241,7 +246,14 @@ class SionParallelFile(WriteStream):
 
         The sink drains first (a collective-mode sink's final collection
         wave), so every data byte is in the file before the master's
-        gather completes and metablock 2 claims it.
+        gather completes and metablock 2 claims it.  It is not a world
+        barrier: a task returns once its block table is handed to its
+        master.  World rank 0 returns only with the whole set sealed,
+        ``run_spmd`` returning seals it for every caller, and a later
+        collective open on the same communicator is ordered after it.
+        Any other rank whose next non-collective step needs the set
+        sealed (``serial.open``, ``open_rank``, ``sionverify``, an
+        unlink or a copy) adds a ``comm.barrier()`` first.
         """
         if self._closed:
             raise SionUsageError("multifile already closed")
@@ -258,11 +270,11 @@ class SionParallelFile(WriteStream):
                 lambda: write_metablock2(raw, plan.layout, plan.mb1, gathered)
             )
         self._raw.close()
-        # The world barrier already makes every file's metablock 2 durable
-        # before *any* rank returns: each per-file master enters it only
-        # after its mb2 write above, so a separate lcom barrier per file
-        # would only add a synchronization wave.
-        self.comm.barrier()
+        if self.lcom is not self.comm:
+            # Seal token: world rank 0 returns only once every per-file
+            # master has deposited, i.e. after every metablock 2 write.
+            # With one file rank 0 is that master and already sealed it.
+            self.comm.gather(None, root=0)
 
     # -- context manager -----------------------------------------------------
 

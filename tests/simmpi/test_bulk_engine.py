@@ -318,13 +318,15 @@ def test_paropen_roundtrip_under_bulk_engine():
         # Every rank of a file shares ONE mb1 object, so the master's
         # metablock2_offset patch is visible everywhere — also under
         # replay, where the master must adopt the broadcast instance.
-        return (f.filenum, f.mb1.metablock2_offset)
+        # A non-master's write close returns before its master patches,
+        # so the offsets are read once run_spmd has sealed the set.
+        return (f.filenum, f.mb1)
 
     results = run_spmd(6, write_task, engine="bulk")
     assert [f for f, _ in results] == [0, 0, 0, 1, 1, 1]
-    offsets = {f: off for f, off in results}
-    for f, off in results:
-        assert off == offsets[f] and off > 0
+    masters = {f: mb1 for f, mb1 in results}
+    for f, mb1 in results:
+        assert mb1 is masters[f] and mb1.metablock2_offset > 0
 
     def read_task(comm):
         f = paropen("/bulk.sion", "r", comm, backend=backend)

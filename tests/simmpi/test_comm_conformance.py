@@ -22,7 +22,7 @@ import pytest
 import repro.simmpi.bulk
 import repro.simmpi.comm
 import repro.simmpi.proc
-from repro.errors import SpmdWorkerError
+from repro.errors import SimMPIError, SpmdWorkerError
 from repro.simmpi import (
     ANY_SOURCE,
     ANY_TAG,
@@ -330,6 +330,27 @@ def test_same_rejection_on_every_engine(program, nprocs, kind, message):
     assert expected[0] == kind and message in expected[1], expected
     for engine in ENGINES[1:]:
         assert _primary_failure(engine, program, nprocs) == expected, engine
+
+
+def two_primary_failures(c):
+    if c.rank == 0:
+        raise SimMPIError("user aborted the run")  # its own error, not fallout
+    if c.rank == 1:
+        raise ValueError("bad input")
+    c.barrier()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_abort_fallout_is_told_apart_by_type_not_text(engine):
+    with pytest.raises(SpmdWorkerError) as info:
+        run_spmd(3, two_primary_failures, engine=engine, timeout=10)
+    failures = info.value.failures
+    # The bulk engine runs one rank at a time and stops at the first
+    # failure, so rank 1 never raises there: it is fallout like rank 2.
+    assert set(failures) == ({0} if engine == "bulk" else {0, 1}), failures
+    assert type(failures[0]) is SimMPIError and "aborted" in str(failures[0])
+    if engine != "bulk":
+        assert isinstance(failures[1], ValueError)
 
 
 # --------------------------------------------------------------------------

@@ -36,11 +36,11 @@ FSBLK = 1024
 #: replicas; ``partitioned``/``prefetch``: n/4 readers (prefetch K=2) over
 #: the ``direct-2`` container.
 PINS = {
-    "direct-1": {"write": (37, 98, 3), "read": (25, 28, 1)},
-    "direct-2": {"write": (47, 141, 4), "read": (25, 28, 1)},
-    "collective": {"write": (64, 190, 5)},
+    "direct-1": {"write": (21, 57, 2), "read": (25, 28, 1)},
+    "direct-2": {"write": (31, 99, 3), "read": (25, 28, 1)},
+    "collective": {"write": (42, 142, 4)},
     "partitioned": {"read": (40, 27, 1)},
-    "prefetch": {"read": (88, 106, 3)},
+    "prefetch": {"read": (84, 85, 3)},
 }
 
 
