@@ -25,6 +25,7 @@ import abc
 from typing import Iterable, Sequence
 
 from repro.buffers import BufferLike, as_view
+from repro.errors import BackendUsageError
 
 
 class RawFile(abc.ABC):
@@ -129,7 +130,7 @@ class RawFile(abc.ABC):
         out: list[bytes] = []
         for size in sizes:
             if size < 0:
-                raise ValueError(f"negative read size: {size}")
+                raise BackendUsageError(f"negative read size: {size}")
             out.append(self.pread(offset, size) if size else b"")
             # Advance by the nominal size: a short piece means EOF, and
             # every later nominal offset lies beyond it (empty reads).

@@ -56,7 +56,7 @@ from typing import Sequence
 
 from repro.backends.base import Backend, RawFile
 from repro.buffers import BufferLike, as_view
-from repro.errors import FaultInjectedError
+from repro.errors import BackendUsageError, FaultInjectedError
 from repro.sion.constants import MAGIC_MB2, MAGIC_SHADOW
 
 #: Fault kinds a :class:`FaultSpec` can carry.
@@ -121,9 +121,9 @@ class FaultPlan:
         (e.g. rank 0) for the fault to fire.
         """
         if rank < 0:
-            raise ValueError(f"rank must be non-negative: {rank}")
+            raise BackendUsageError(f"rank must be non-negative: {rank}")
         if after_bytes < 0:
-            raise ValueError(f"after_bytes must be non-negative: {after_bytes}")
+            raise BackendUsageError(f"after_bytes must be non-negative: {after_bytes}")
         return FaultPlan(
             self.faults
             + (FaultSpec(kind=KILL_RANK, rank=rank, after_bytes=after_bytes),)
@@ -141,7 +141,7 @@ class FaultPlan:
         issues it.
         """
         if keep_fragments < 0:
-            raise ValueError(
+            raise BackendUsageError(
                 f"keep_fragments must be non-negative: {keep_fragments}"
             )
         return FaultPlan(

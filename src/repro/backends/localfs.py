@@ -15,6 +15,7 @@ from typing import Sequence
 
 from repro.backends.base import Backend, RawFile
 from repro.buffers import BufferLike, as_view
+from repro.errors import BackendUsageError
 
 #: POSIX caps one writev/readv at IOV_MAX iovecs; use the platform's
 #: actual bound (Linux: 1024) rather than assuming it.
@@ -85,7 +86,7 @@ class LocalRawFile(RawFile):
 
     def pread(self, offset: int, n: int) -> bytes:
         if n < 0:
-            raise ValueError(f"negative read size: {n}")
+            raise BackendUsageError(f"negative read size: {n}")
         fd = self._f.fileno()
         parts: list[bytes] = []
         remaining = n
@@ -122,7 +123,7 @@ class LocalRawFile(RawFile):
     def _preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
         sizes = [int(s) for s in sizes]
         if any(s < 0 for s in sizes):
-            raise ValueError("read sizes must be non-negative")
+            raise BackendUsageError("read sizes must be non-negative")
         if not _HAVE_PREADV:  # pragma: no cover - exercised on exotic hosts
             return super()._preadv(offset, sizes)
         fd = self._f.fileno()
@@ -166,7 +167,7 @@ class LocalBackend(Backend):
 
     def __init__(self, blocksize_override: int | None = None) -> None:
         if blocksize_override is not None and blocksize_override < 1:
-            raise ValueError("blocksize_override must be positive")
+            raise BackendUsageError("blocksize_override must be positive")
         self.blocksize_override = blocksize_override
 
     def open(self, path: str, mode: str) -> LocalRawFile:

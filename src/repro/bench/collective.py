@@ -147,11 +147,11 @@ def _read_wave(ctx) -> ScenarioOutput:
         backend.stats.calls.get("gather_read", 0), ncoll, "prefetch gather_reads"
     )
     read_calls = snap["data_read_calls"] - before["data_read_calls"]
-    # Metadata costs 4 positioned reads for the world probe plus 8 per
-    # physical file (metablock 1 + metablock 2 decode); everything else
-    # is exactly one prefetch wave per collector, one data fragment per
-    # task (each task wrote a single block).
-    meta_reads = 8 * 1 + 4
+    # Metadata costs 8 positioned reads per physical file (rank 0's set
+    # load decodes metablock 1 + metablock 2 once); everything else is
+    # exactly one prefetch wave per collector, one data fragment per task
+    # (each task wrote a single block).
+    meta_reads = 8 * 1
     pin(read_calls, ncoll + meta_reads, "total backend read calls")
     pin(
         snap["fragments_read"] - before["fragments_read"],

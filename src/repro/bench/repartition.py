@@ -14,14 +14,14 @@ numbers a pin cannot state — the modelled cycle's simulated seconds:
 
 * ``repartition/read[nwriters=N]`` — an N-task bulk-engine checkpoint
   read back by 32 readers, every byte verified in-rank; read calls
-  pinned at ``32 + 8·nfiles + 4``.  The 64k point is the acceptance
+  pinned at ``32 + 8·nfiles``.  The 64k point is the acceptance
   workload (write with 64k tasks, analyze with 32).
 * ``repartition/reader-sweep[nwriters=4096]`` — the m-axis: the same
   multifile consumed by 8/32/256 readers, read calls pinned at
-  ``m + 12`` each — O(m), measured, not asserted-by-construction.
+  ``m + 8`` each — O(m), measured, not asserted-by-construction.
 * ``repartition/prefetch[nwriters=4096]`` — collective-prefetch
   partitioned read: 256 readers through 32 collector groups, read
-  calls pinned at ``32 + 12``.
+  calls pinned at ``32 + 8``.
 * ``repartition/restart-analysis-model[system=jugene]`` — the modelled
   checkpoint/analysis cycle (:mod:`repro.workloads.repartition`) over
   the m-sweep: deterministic simulated seconds, gate-tight.
@@ -58,10 +58,10 @@ REPARTITION_WRITER_COUNTS = (4096, 16384, 65536)
 #: The acceptance shape: however many tasks wrote, 32 readers analyze.
 NREADERS = 32
 
-#: Fixed metadata read calls of a partitioned open: the rank-0 probe (4
-#: positioned reads) plus one mb1+mb2 decode per physical file (8 reads).
+#: Fixed metadata read calls of a partitioned open: rank 0's set load
+#: decodes mb1 + mb2 of each physical file once (8 positioned reads).
 def metadata_reads(nfiles: int) -> int:
-    return 8 * nfiles + 4
+    return 8 * nfiles
 
 
 def _partitioned_read_cycle(

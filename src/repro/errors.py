@@ -75,6 +75,15 @@ class InvalidOperationError(SimFSError):
     """Operation not valid for the handle's open mode or state."""
 
 
+class BackendUsageError(ReproError, ValueError):
+    """A storage-backend call or fault plan was given an invalid argument.
+
+    A negative read size, rank or count, or a non-positive block size.
+    Also a :class:`ValueError`, the type the standard file API raises for
+    the same misuse, so callers written against either catch it.
+    """
+
+
 class FaultInjectedError(ReproError):
     """A :class:`~repro.backends.faults.FaultPlan` fired a scripted fault.
 

@@ -2,9 +2,11 @@
 
 One :class:`ReadGateway` owns three resident layers:
 
-* a **container table** — each sealed multifile is opened once, its
-  metablocks decoded once, and every later session is compiled from the
-  in-memory metadata (this is the metadata half of the cache);
+* a **container table** — each sealed multifile is loaded once by the
+  set loader (:func:`~repro.sion.loader.load_set`: every physical file
+  opened once, checked against file 0, its handle kept), and every later
+  session is compiled from the in-memory metadata (this is the metadata
+  half of the cache);
 * a shared :class:`~repro.fs.cache.ChunkCache` — chunk payload served
   block-granularly with LRU eviction against a byte budget, entries
   tagged with the container's *generation* so a re-sealed file never
@@ -43,9 +45,9 @@ from repro.backends.caching import CachingRawFile
 from repro.backends.localfs import LocalBackend
 from repro.errors import SionUsageError
 from repro.fs.cache import DEFAULT_CACHE_BLOCK, ChunkCache
-from repro.sion.format import Metablock1
-from repro.sion.mapping import ReadPartition, physical_path
-from repro.sion.openspec import ReadPlan, load_metablocks
+from repro.sion.loader import load_set
+from repro.sion.mapping import ReadPartition
+from repro.sion.openspec import ReadPlan
 from repro.sion.readwrite import PartitionStream, TaskStream
 
 #: Default chunk-cache byte budget of a gateway that is not given one.
@@ -83,19 +85,17 @@ class ContainerHandle:
         generation: int,
         plan: ReadPlan,
         raws: "list[CachingRawFile]",
-        sizes: Sequence[int],
         tokens: Sequence[tuple],
     ) -> None:
         """Bind the decoded metadata of ``path`` under ``generation``.
 
-        ``raws``, ``sizes`` and ``tokens`` are per physical file: its
-        read handle, its size and its identity token at open time.
+        ``raws`` and ``tokens`` are per physical file: its read handle
+        and its identity token at open time.
         """
         self.path = path
         self.generation = generation
         self.plan = plan
         self.raws = raws
-        self.sizes = tuple(sizes)
         #: Per-file identity tokens at open time (the revalidation probe).
         self.tokens = tuple(tokens)
         self.compress = plan.compress
@@ -266,8 +266,8 @@ class ReadGateway:
         the same reload unconditionally (the escape hatch for a re-seal
         the backend's token cannot see).
 
-        Raises :class:`~repro.errors.SionFormatError` on a damaged
-        container and ``OSError``-family errors from the backend.
+        Raises :class:`~repro.errors.SionFormatError` naming the file on a
+        damaged or incomplete container (the loader's first finding).
         """
         with self._lock:
             handle = self._containers.get(path)
@@ -313,26 +313,14 @@ class ReadGateway:
             return False
 
     def _load(self, path: str) -> ContainerHandle:
-        """Decode the whole set's metadata once and wrap cached handles."""
+        """Load the whole set once and wrap the loader's handles in caches."""
         generation = next(self._generations)
-        raw0 = self.backend.open(path, "rb")
-        try:
-            nfiles = Metablock1.decode_from(raw0).nfiles
-        finally:
-            raw0.close()
-        raws: list[CachingRawFile] = []
-        metadata, sizes, tokens = [], [], []
-        for f in range(nfiles):
-            fpath = physical_path(path, f)
-            # Decode on the backend handle, then wrap it: the metablocks
-            # are read once here and never belong in the chunk cache.
-            raw = self.backend.open(fpath, "rb")
-            metadata.append(load_metablocks(raw, fpath))
-            raws.append(CachingRawFile(raw, self.cache, generation, fpath))
-            sizes.append(self.backend.file_size(fpath))
-            tokens.append(self.backend.identity_token(fpath))
-        plan = ReadPlan.from_metadata(path, metadata)
-        return ContainerHandle(path, generation, plan, raws, sizes, tokens)
+        load = load_set(self.backend, path).require_intact()
+        # The metablocks were read once by the loader, on the backend
+        # handles, and never belong in the chunk cache.
+        raws = [CachingRawFile(f.raw, self.cache, generation, f.path) for f in load.files]
+        tokens = [self.backend.identity_token(f.path) for f in load.files]
+        return ContainerHandle(path, generation, ReadPlan.from_set(load), raws, tokens)
 
     # -- async session API ----------------------------------------------------
 

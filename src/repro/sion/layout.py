@@ -166,12 +166,6 @@ class ChunkLayout:
         """Exclusive end offset of the chunk's allocation."""
         return self.chunk_start(task, block) + self.aligned_sizes[task]
 
-    def block_start(self, block: int) -> int:
-        """Absolute offset where ``block`` begins."""
-        if block < 0:
-            raise SionUsageError(f"block must be non-negative: {block}")
-        return self.start_of_data + block * self.block_capacity
-
     def end_of_blocks(self, nblocks: int) -> int:
         """Offset one past the last allocated block (metablock 2 goes here)."""
         if nblocks < 0:

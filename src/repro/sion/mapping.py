@@ -259,11 +259,6 @@ class ReadPartition:
             np.searchsorted(self._starts_array, writer, side="right") - 1
         )
 
-    def count_of(self, reader: int) -> int:
-        """Number of writer streams assigned to ``reader``."""
-        self._check_reader(reader)
-        return self.counts[reader]
-
     # -- internals -----------------------------------------------------------
 
     @cached_property

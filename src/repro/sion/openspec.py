@@ -17,9 +17,10 @@ module is the single pipeline behind every entry point:
   resolved aggregation degree — creates the file, and broadcasts the
   plan.  A rank's plan is that object plus its rank in the file's
   communicator (its local rank).
-* :func:`compile_read_plan` — rank 0 decodes every physical file's
-  metablocks once into a :class:`ReadPlan` (the task mapping plus
-  per-file layouts and block tables) and broadcasts it.  A reader's
+* :func:`compile_read_plan` — rank 0 loads the set once
+  (:func:`~repro.sion.loader.load_set`: every physical file opened once
+  and checked against file 0) into a :class:`ReadPlan` (the task mapping
+  plus per-file layouts and block tables) and broadcasts it.  A reader's
   slice of writer streams is a ``(start, count)`` range into it; the read
   gateway indexes the same object.
 * :func:`open_read` turns a read plan into a :class:`SionReadFile`;
@@ -58,17 +59,17 @@ from typing import Any, NamedTuple, Sequence
 
 from repro.backends.base import Backend, RawFile
 from repro.buffers import BufferLike
-from repro.errors import SionFormatError, SionUsageError
+from repro.errors import SionUsageError
 from repro.sion.buddy import MirrorRawFile, buddy_path
 from repro.sion.constants import (
     FLAG_BUDDY,
     FLAG_COMPRESS,
     FLAG_SHADOW,
     MAPPING_CUSTOM,
-    SHADOW_HEADER_SIZE,
 )
 from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import ChunkLayout
+from repro.sion.loader import SetLoad, load_set
 from repro.sion.mapping import ReadPartition, TaskMapping, physical_path
 from repro.sion.readwrite import PartitionStream, TaskStream
 
@@ -282,79 +283,8 @@ def resolve_collectsize(
 
 
 # ---------------------------------------------------------------------------
-# Shared metadata helpers: one decode/build path for all four entry points.
-
-
-def load_set_geometry(backend: Backend, path: str) -> tuple:
-    """Decode file 0's metablock 1 into the set geometry.
-
-    Returns ``(nfiles, ntasks_global, mapping_kind, mapping_table)`` —
-    everything needed to rebuild the :class:`TaskMapping` of the whole
-    set.  Used by the parallel probe, the serial openers, and the tools.
-    """
-    raw = backend.open(path, "rb")
-    try:
-        mb1 = Metablock1.decode_from(raw)
-    finally:
-        raw.close()
-    return mb1.nfiles, mb1.ntasks_global, mb1.mapping_kind, mb1.mapping_table
-
-
-def load_metablock2(
-    raw: RawFile, path: str, mb1: Metablock1, layout: ChunkLayout
-) -> Metablock2:
-    """Decode ``path``'s metablock 2 and reject a block table its chunks
-    cannot hold.
-
-    Every block must fit its chunk's data capacity (the aligned size,
-    minus the shadow header under ``FLAG_SHADOW``), and the longest
-    task's last chunk must end at or before metablock 2.  Otherwise a
-    read of an overstated block would silently return padding and the
-    next task's bytes.  The check is arithmetic only: no I/O beyond the
-    decode.
-    """
-    mb2 = Metablock2.decode_from(raw, mb1.metablock2_offset)
-    header = SHADOW_HEADER_SIZE if mb1.flags & FLAG_SHADOW else 0
-    longest, nblocks = 0, 0
-    for t, (blocks, aligned) in enumerate(zip(mb2.blocksizes, layout.aligned_sizes)):
-        if not blocks:
-            continue
-        biggest = max(blocks)
-        if biggest > aligned - header:
-            raise SionFormatError(
-                f"{path}: task {t} block {blocks.index(biggest)} records "
-                f"{biggest} bytes, over its chunk's data capacity {aligned - header}"
-            )
-        if len(blocks) > nblocks:
-            longest, nblocks = t, len(blocks)
-    end = layout.chunk_end(longest, nblocks - 1) if nblocks else 0
-    if end > mb1.metablock2_offset:
-        raise SionFormatError(
-            f"{path}: task {longest} block {nblocks - 1} ends at {end}, "
-            f"past metablock 2 at {mb1.metablock2_offset}"
-        )
-    return mb2
-
-
-def load_metablocks(
-    raw: RawFile, path: str
-) -> tuple[Metablock1, Metablock2, ChunkLayout]:
-    """Decode both metablocks (and the layout) of physical file ``path``,
-    open as ``raw``."""
-    mb1 = Metablock1.decode_from(raw)
-    layout = ChunkLayout.from_metablock1(mb1)
-    return mb1, load_metablock2(raw, path, mb1, layout), layout
-
-
-def load_file_metadata(
-    backend: Backend, fpath: str
-) -> tuple[Metablock1, Metablock2, ChunkLayout]:
-    """Open one physical file, decode its metablocks, close it."""
-    raw = backend.open(fpath, "rb")
-    try:
-        return load_metablocks(raw, fpath)
-    finally:
-        raw.close()
+# Shared metadata writers: one build path for every creating entry point
+# (reading goes through :mod:`repro.sion.loader`).
 
 
 def build_file_metadata(
@@ -649,44 +579,39 @@ class ReadPlan:
     """A sealed multifile's metadata, decoded once, indexed by every reader.
 
     The task mapping (writer global rank -> file, local rank) plus, per
-    physical file, its path, metablock 1, chunk layout and block table
-    (metablock 2's bytes per task per block).  An SPMD read builds it
-    once per wave on rank 0 (:func:`compile_read_plan`), the read gateway
-    once per container generation; :meth:`stream` turns any writer
-    stream into a cursor with O(1) lookups — no per-stream copies.
+    physical file, its path, chunk layout and block table (metablock 2's
+    bytes per task per block).  An SPMD read builds it once per wave on
+    rank 0 (:func:`compile_read_plan`), the read gateway once per
+    container generation; :meth:`stream` turns any writer stream into a
+    cursor with O(1) lookups — no per-stream copies.
 
     Example::
 
-        plan = ReadPlan.from_metadata(path, [load_file_metadata(b, path)])
-        data = PartitionStream([plan.stream(raw, 0)]).read_all()
+        load = load_set(backend, path).require_intact()
+        plan = ReadPlan.from_set(load)
+        data = PartitionStream([plan.stream(load.files[0].raw, 0)]).read_all()
     """
 
     mapping: TaskMapping
     ntasks: int  # writer task streams recorded in the multifile
     paths: tuple[str, ...]
-    mb1s: tuple[Metablock1, ...]
     layouts: tuple[ChunkLayout, ...]
     blocksizes: tuple[list[list[int]], ...]
     compress: bool
     shadow: bool
 
     @classmethod
-    def from_metadata(
-        cls, path: str, metadata: "Sequence[tuple[Metablock1, Metablock2, ChunkLayout]]"
-    ) -> "ReadPlan":
-        """The plan of the multifile at ``path`` from its files' metablocks."""
-        mb1 = metadata[0][0]
+    def from_set(cls, load: SetLoad) -> "ReadPlan":
+        """The plan of an intact set load (:meth:`SetLoad.require_intact`)."""
+        flags = load.files[0].mb1.flags
         return cls(
-            mapping=TaskMapping.from_kind_code(
-                mb1.ntasks_global, mb1.nfiles, mb1.mapping_kind, mb1.mapping_table
-            ),
-            ntasks=mb1.ntasks_global,
-            paths=tuple(physical_path(path, f) for f in range(len(metadata))),
-            mb1s=tuple(m[0] for m in metadata),
-            layouts=tuple(m[2] for m in metadata),
-            blocksizes=tuple(m[1].blocksizes for m in metadata),
-            compress=bool(mb1.flags & FLAG_COMPRESS),
-            shadow=bool(mb1.flags & FLAG_SHADOW),
+            mapping=load.mapping,
+            ntasks=load.mapping.ntasks,
+            paths=tuple(f.path for f in load.files),
+            layouts=tuple(f.layout for f in load.files),
+            blocksizes=tuple(f.mb2.blocksizes for f in load.files),
+            compress=bool(flags & FLAG_COMPRESS),
+            shadow=bool(flags & FLAG_SHADOW),
         )
 
     def stream(self, raw: RawFile, grank: int) -> TaskStream:
@@ -698,13 +623,11 @@ class ReadPlan:
         )
 
 
-def load_read_plan(backend: Backend, path: str) -> ReadPlan:
-    """Decode the whole set: file 0's geometry, then every file's metablocks."""
-    nfiles = load_set_geometry(backend, path)[0]
-    return ReadPlan.from_metadata(
-        path,
-        [load_file_metadata(backend, physical_path(path, f)) for f in range(nfiles)],
-    )
+def _load_plan(backend: Backend, path: str) -> ReadPlan:
+    """Rank 0's load of the whole set: each file opened once, checked, closed."""
+    load = load_set(backend, path).require_intact()
+    load.close()
+    return ReadPlan.from_set(load)
 
 
 def compile_read_plan(spec: OpenSpec, comm: Any, backend: Backend) -> ReadPlan:
@@ -717,7 +640,7 @@ def compile_read_plan(spec: OpenSpec, comm: Any, backend: Backend) -> ReadPlan:
     Without ``partitioned`` the world must match the writer count.
     """
     if comm.rank == 0:
-        plan = comm.bcast(comm.exec_once(lambda: load_read_plan(backend, spec.path)))
+        plan = comm.bcast(comm.exec_once(lambda: _load_plan(backend, spec.path)))
     else:
         plan = comm.bcast(None)
     if not spec.partitioned and plan.ntasks != comm.size:
@@ -799,16 +722,6 @@ class SionReadFile(PartitionStream):
         self.plan = plan
         #: Writer global ranks this reader consumes, in stream order.
         self.writer_ranks = writers
-
-    @property
-    def partition(self) -> ReadPartition:
-        """The world's reader -> writer-slice assignment."""
-        return ReadPartition.balanced(self.plan.ntasks, self.comm.size)
-
-    @property
-    def nwriters(self) -> int:
-        """Number of logical task streams recorded in the multifile."""
-        return self.plan.ntasks
 
     def parclose(self) -> None:
         """Close this reader's handles; every rank calls it.

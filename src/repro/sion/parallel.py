@@ -27,7 +27,6 @@ from repro.backends.localfs import LocalBackend
 from repro.errors import SionUsageError
 from repro.sion.format import Metablock1
 from repro.sion.layout import ChunkLayout
-from repro.sion.mapping import TaskMapping
 from repro.sion.openspec import (
     OpenSpec,
     SionReadFile,
@@ -213,11 +212,6 @@ class SionParallelFile(WriteStream):
     def mb1(self) -> Metablock1:
         """Metablock 1 of this task's physical file (shared by its tasks)."""
         return self.plan.mb1
-
-    @property
-    def mapping(self) -> TaskMapping:
-        """The set's task-to-file mapping."""
-        return self.plan.mapping
 
     @property
     def filenum(self) -> int:

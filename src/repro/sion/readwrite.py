@@ -489,11 +489,6 @@ class PartitionStream:
     # -- cursor state --------------------------------------------------------
 
     @property
-    def nstreams(self) -> int:
-        """Task streams multiplexed by this cursor."""
-        return len(self._streams)
-
-    @property
     def closed(self) -> bool:
         """True once :meth:`close` has run."""
         return self._closed

@@ -22,21 +22,22 @@ write-time options fund two recovery paths:
   never the alignment padding between them.  Costs 2x the written bytes,
   survives the loss of an entire physical file.
 
-The decision per physical file (also rendered as a table in
-``docs/RESILIENCE.md``):
+The decision per physical file, by the status the set loader
+(:func:`~repro.sion.loader.load_set`) gives it (also rendered as a table
+in ``docs/RESILIENCE.md``):
 
-========================  =======================  =========================
-primary file state        buddy replica intact     action
-========================  =======================  =========================
-metablock 2 intact        (any)                    nothing to do
-missing / metablock 1     yes                      byte-copy from replica
-unreadable
-missing / metablock 1     no                       unrecoverable
-unreadable
-metablock 2 torn          yes                      byte-copy from replica
-metablock 2 torn          no, shadow headers       in-place shadow rebuild
-metablock 2 torn          no, no shadow headers    unrecoverable
-========================  =======================  =========================
+=========================  =======================  ========================
+primary file status        buddy replica intact     action
+=========================  =======================  ========================
+intact                     (any)                    nothing to do
+missing / bad metablock 1  yes                      byte-copy from replica
+/ disagrees with file 0
+missing / bad metablock 1  no                       unrecoverable
+/ disagrees with file 0
+bad metablock 2            yes                      byte-copy from replica
+bad metablock 2            no, shadow headers       in-place shadow rebuild
+bad metablock 2            no, no shadow headers    unrecoverable
+=========================  =======================  ========================
 
 A fully intact replica is preferred over a shadow rebuild because the
 copy is byte-identical to the unfaulted write, whereas a shadow rebuild
@@ -53,8 +54,7 @@ import numpy as np
 
 from repro.backends.base import Backend
 from repro.backends.localfs import LocalBackend
-from repro.errors import SionFormatError, SionMetadataLostError
-from repro.sion.buddy import buddy_path
+from repro.errors import SionMetadataLostError
 from repro.sion.constants import (
     BUDDY_SUFFIX,
     FLAG_BUDDY,
@@ -63,8 +63,15 @@ from repro.sion.constants import (
 )
 from repro.sion.format import Metablock1, Metablock2, ShadowHeader
 from repro.sion.layout import ChunkLayout
-from repro.sion.mapping import physical_path
-from repro.sion.openspec import load_metablock2, load_metablocks, write_metablock2
+from repro.sion.loader import (
+    BAD_MB2,
+    INTACT,
+    FileLoad,
+    load_file,
+    load_set,
+    qualify_replica,
+)
+from repro.sion.openspec import write_metablock2
 
 #: Chunked-copy granularity of a buddy restore (bounds peak memory).
 _COPY_CHUNK = 1 << 20
@@ -104,10 +111,11 @@ def recover_multifile(
 ) -> RecoveryReport:
     """Repair every damaged physical file of the multifile set at ``path``.
 
-    Walks all physical files and applies the cheapest sufficient repair
-    per file (see the module docstring's decision table): nothing, a
-    byte-identical restore from the file's buddy replica, or an in-place
-    metablock-2 reconstruction from shadow headers.
+    Loads the set once (:func:`~repro.sion.loader.load_set`) and applies
+    the cheapest sufficient repair per file status (see the module
+    docstring's decision table): nothing, a byte-identical restore from
+    the file's buddy replica, or an in-place metablock-2 reconstruction
+    from shadow headers.
 
     Parameters
     ----------
@@ -116,7 +124,7 @@ def recover_multifile(
         geometry is bootstrapped from the buddy replica hosted at
         ``path + ".buddy"`` (buddy-mode sets keep file ``nfiles - 1``'s
         replica there, and every file's metablock 1 carries the set-wide
-        geometry fields).
+        geometry fields), and file 0 is restored first.
     backend:
         Storage backend (default: local POSIX files).
     force:
@@ -133,148 +141,86 @@ def recover_multifile(
     ------
     SionMetadataLostError
         A damaged file has neither a usable shadow chain nor an intact
-        buddy replica (see the decision table).
+        buddy replica (see the decision table), or file 0 is lost and no
+        readable replica names the set geometry.
     """
     backend = backend if backend is not None else LocalBackend()
     report = RecoveryReport()
-
-    mb1_0 = _bootstrap_geometry(path, backend, report)
-    report.nfiles = mb1_0.nfiles
-
-    for filenum in range(mb1_0.nfiles):
-        fpath = physical_path(path, filenum)
-        _recover_one(path, fpath, filenum, mb1_0.nfiles, backend, report, force)
+    load = load_set(backend, path)
+    load.close()  # a repair reopens the one file it rewrites
+    first = 0
+    if load.mapping is None:
+        _restore_head(path, load.files[0], backend, report)
+        load = load_set(backend, path)
+        load.close()
+        first = 1
+    report.nfiles = len(load.files)
+    for filenum in range(first, report.nfiles):
+        _recover_one(path, filenum, load.files[filenum], report.nfiles, backend, report, force)
     return report
 
 
-def _bootstrap_geometry(
-    path: str, backend: Backend, report: RecoveryReport
-) -> Metablock1:
-    """Learn the set geometry, surviving the loss of physical file 0.
+def _restore_head(
+    path: str, head: FileLoad, backend: Backend, report: RecoveryReport
+) -> None:
+    """Restore a lost or unreadable file 0 from its buddy replica.
 
     Every physical file (and every replica) carries the set-wide
-    ``nfiles``/flags fields in its metablock 1, so any readable copy
-    suffices.  File 0 is tried first; a buddy-mode set falls back to the
-    replica hosted on file 0's stem (``path + ".buddy"`` — the replica
-    of file ``nfiles - 1``, but geometry-wise interchangeable).
+    ``nfiles``/flags fields in its metablock 1, so the replica hosted on
+    file 0's stem (``path + ".buddy"`` — the replica of file
+    ``nfiles - 1``, but geometry-wise interchangeable) names the set.
     """
-    try:
-        raw0 = backend.open(path, "rb")
-        try:
-            return Metablock1.decode_from(raw0)
-        finally:
-            raw0.close()
-    except Exception as primary_exc:  # noqa: BLE001 - any unreadable state
-        fallback = path + BUDDY_SUFFIX
-        if not backend.exists(fallback):
-            raise primary_exc
-        raw = backend.open(fallback, "rb")
-        try:
-            mb1 = Metablock1.decode_from(raw)
-        finally:
-            raw.close()
-        report.add(
-            f"{path}: unreadable; set geometry bootstrapped from the "
-            f"buddy replica {fallback}"
+    fallback = load_file(backend, path + BUDDY_SUFFIX)
+    fallback.close()
+    if fallback.mb1 is None:
+        raise SionMetadataLostError(
+            f"{head.finding}; and {fallback.finding}, so no replica names "
+            "the set geometry; data is unrecoverable"
         )
-        return mb1
+    report.add(
+        f"{path}: {head.status}; set geometry bootstrapped from the buddy "
+        f"replica {fallback.path}"
+    )
+    if not _restore_from_buddy(path, head.path, 0, fallback.mb1.nfiles, backend, report):
+        raise SionMetadataLostError(
+            f"{head.finding}; no intact buddy replica exists, data is unrecoverable"
+        )
 
 
 def _recover_one(
     base: str,
-    fpath: str,
     filenum: int,
+    f: FileLoad,
     nfiles: int,
     backend: Backend,
     report: RecoveryReport,
     force: bool,
 ) -> None:
-    """Inspect one physical file and apply the decision table to it."""
-    mb1: Metablock1 | None = None
-    if backend.exists(fpath):
-        raw = backend.open(fpath, "rb")
-        try:
-            mb1 = Metablock1.decode_from(raw)
-        except SionFormatError:
-            mb1 = None
-        finally:
-            raw.close()
-
-    if mb1 is None:
-        # Missing file (or unreadable metablock 1): only a replica helps.
-        if not _restore_from_buddy(base, fpath, filenum, nfiles, backend, report):
-            raise SionMetadataLostError(
-                f"{fpath}: physical file is missing or unreadable and no "
-                "intact buddy replica exists; data is unrecoverable"
-            )
-        return
-
-    intact = False
-    if mb1.metablock2_offset > 0:
-        raw = backend.open(fpath, "rb")
-        try:
-            load_metablock2(raw, fpath, mb1, ChunkLayout.from_metablock1(mb1))
-            intact = True
-        except SionFormatError:
-            intact = False
-        finally:
-            raw.close()
-    if intact and not force:
+    """Apply the decision table to one physical file, by its load status."""
+    if f.status == INTACT and not force:
         report.files_intact += 1
-        report.add(f"{fpath}: metablock 2 intact, nothing to do")
+        report.add(f"{f.path}: metablock 2 intact, nothing to do")
+        return
+    if f.status not in (INTACT, BAD_MB2):
+        # Missing, unreadable or foreign metablock 1: only a replica helps.
+        if not _restore_from_buddy(base, f.path, filenum, nfiles, backend, report):
+            raise SionMetadataLostError(
+                f"{f.finding}; no intact buddy replica exists, data is unrecoverable"
+            )
         return
 
     # Torn close: prefer the byte-identical replica, then the shadow
     # chain.  ``force`` is a shadow-chain validation request, so it
     # skips the replica shortcut on purpose.
-    if mb1.flags & FLAG_BUDDY and not force:
-        if _restore_from_buddy(base, fpath, filenum, nfiles, backend, report):
+    if f.mb1.flags & FLAG_BUDDY and not force:
+        if _restore_from_buddy(base, f.path, filenum, nfiles, backend, report):
             return
-    if not mb1.flags & FLAG_SHADOW:
+    if not f.mb1.flags & FLAG_SHADOW:
         raise SionMetadataLostError(
-            f"{fpath}: metablock 2 missing and the file was written "
+            f"{f.path}: metablock 2 missing and the file was written "
             "without shadow headers; data is unrecoverable"
         )
-    _rebuild_from_shadows(fpath, mb1, backend, report)
-
-
-def qualify_replica(
-    base: str, filenum: int, nfiles: int, backend: Backend
-) -> tuple[str, tuple[Metablock1, Metablock2] | str]:
-    """The buddy replica of file ``filenum``: its path, and its two
-    metablocks if it qualifies for a byte-copy restore, else why not.
-
-    The replica qualifies only when it exists, both of its metablocks
-    decode and its block table fits its chunks
-    (:func:`~repro.sion.openspec.load_metablock2`), it describes the
-    right file, and its metablock 2 lists as many tasks as its
-    metablock 1 — restoring a half-written replica would trade one
-    damaged copy for another.  Non-destructive: the one test both
-    :func:`recover_multifile` and ``sionverify --inject lose-file=K``
-    apply.
-    """
-    rpath = buddy_path(base, filenum, nfiles)
-    if not backend.exists(rpath):
-        return rpath, f"buddy replica of file {filenum} is missing"
-    raw = backend.open(rpath, "rb")
-    try:
-        try:
-            mb1, mb2, _ = load_metablocks(raw, rpath)
-        except SionFormatError as exc:
-            return rpath, f"buddy replica does not fully decode: {exc}"
-    finally:
-        raw.close()
-    if mb1.filenum != filenum or mb1.nfiles != nfiles:
-        return rpath, (
-            f"replica describes file {mb1.filenum} of {mb1.nfiles}, "
-            f"not file {filenum} of {nfiles}"
-        )
-    if mb2.ntasks_local != mb1.ntasks_local:
-        return rpath, (
-            f"replica's metablock 2 lists {mb2.ntasks_local} task(s), its "
-            f"metablock 1 {mb1.ntasks_local}"
-        )
-    return rpath, (mb1, mb2)
+    _rebuild_from_shadows(f.path, f.mb1, backend, report)
 
 
 def _restore_from_buddy(
@@ -286,16 +232,20 @@ def _restore_from_buddy(
     report: RecoveryReport,
 ) -> bool:
     """Byte-copy ``fpath`` back from its buddy replica, if it qualifies
-    (:func:`qualify_replica`).  Only the byte ranges the replica's
-    metablocks describe are moved (:func:`_copy_described`).  Returns
-    True on success, False when no qualifying replica exists (callers
-    then fall back or raise).
+    (:func:`~repro.sion.loader.qualify_replica`).  Only the byte ranges
+    the replica's metablocks describe are moved (:func:`_copy_described`),
+    through the handle the replica check opened.  Returns True on
+    success, False when no qualifying replica exists (callers then fall
+    back or raise).
     """
-    rpath, found = qualify_replica(base, filenum, nfiles, backend)
-    if isinstance(found, str):
+    rpath, replica = qualify_replica(base, filenum, nfiles, backend)
+    if isinstance(replica, str):
         return False
-    mb1, mb2 = found
-    copied = _copy_described(backend, rpath, fpath, mb1, mb2)
+    try:
+        copied = _copy_described(backend, replica, fpath)
+    finally:
+        replica.close()
+    mb2 = replica.mb2
     report.files_recovered += 1
     report.files_rebuilt_from_buddy += 1
     data_bytes = 0
@@ -375,10 +325,9 @@ def _copy_batches(mb1: Metablock1, mb2: Metablock2, file_size: int):
         yield list(zip(off.tolist(), n.tolist()))
 
 
-def _copy_described(
-    backend: Backend, src: str, dst: str, mb1: Metablock1, mb2: Metablock2
-) -> int:
-    """Rebuild ``dst`` from the described ranges of ``src``; returns bytes moved.
+def _copy_described(backend: Backend, replica: FileLoad, dst: str) -> int:
+    """Rebuild ``dst`` from the described ranges of an intact ``replica``
+    load; returns bytes moved.
 
     One ``gather_read`` -> ``scatter_write`` pair per ``_COPY_CHUNK`` of
     payload (:func:`_copy_batches`), so peak memory stays bounded and the
@@ -386,19 +335,15 @@ def _copy_described(
     restored file has the replica's size and content, as holes where the
     replica has holes.
     """
-    size = backend.file_size(src)
+    size = backend.file_size(replica.path)
     copied = 0
-    rsrc = backend.open(src, "rb")
+    rdst = backend.open(dst, "w+b")
     try:
-        rdst = backend.open(dst, "w+b")
-        try:
-            for batch in _copy_batches(mb1, mb2, size):
-                copied += _copy_batch(rsrc, rdst, batch)
-            rdst.flush()
-        finally:
-            rdst.close()
+        for batch in _copy_batches(replica.mb1, replica.mb2, size):
+            copied += _copy_batch(replica.raw, rdst, batch)
+        rdst.flush()
     finally:
-        rsrc.close()
+        rdst.close()
     return copied
 
 

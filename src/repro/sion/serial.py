@@ -30,16 +30,11 @@ from repro.backends.localfs import LocalBackend
 from repro.buffers import BufferLike
 from repro.errors import SionUsageError
 from repro.sion.constants import FLAG_COMPRESS, FLAG_SHADOW
-from repro.sion.format import Metablock1, Metablock2
+from repro.sion.format import Metablock1
 from repro.sion.layout import ChunkLayout
+from repro.sion.loader import FileLoad, load_set
 from repro.sion.mapping import TaskMapping, physical_path
-from repro.sion.openspec import (
-    OpenSpec,
-    build_file_metadata,
-    load_metablock2,
-    load_metablocks,
-    write_metablock2,
-)
+from repro.sion.openspec import OpenSpec, build_file_metadata, write_metablock2
 from repro.sion.readwrite import (
     PartitionStream,
     TaskStream,
@@ -71,17 +66,12 @@ class Locations:
 
 
 class _PhysFile:
-    """Loaded state of one physical file of the multifile set."""
+    """One physical file of a multifile being created."""
 
-    def __init__(
-        self, filenum: int, path: str, raw: RawFile, mb1: Metablock1, layout: ChunkLayout
-    ) -> None:
-        self.filenum = filenum
-        self.path = path
+    def __init__(self, raw: RawFile, mb1: Metablock1, layout: ChunkLayout) -> None:
         self.raw = raw
         self.mb1 = mb1
         self.layout = layout
-        self.mb2: Metablock2 | None = None
 
 
 def open(  # noqa: A001 - mirrors the paper's sion_open
@@ -121,41 +111,25 @@ def open_rank(
 ) -> PartitionStream:
     """Open the task-local view of a single rank (read-only, Listing 4).
 
-    Shares the pipeline's validated spec and metadata decode helpers
-    with every other entry point (the task-local view is a read spec
-    narrowed to one stream).  Returns the read cursor over that stream,
-    owning the one physical handle it opened (``close`` releases it).
-    Only the rank's own physical file is read: file 0's metablock 1
-    names it, and a damaged sibling does not matter.
+    Shares the pipeline's validated spec and the set loader with every
+    other entry point (the task-local view is a read spec narrowed to
+    one stream).  Returns the read cursor over that stream, owning the
+    physical handle the loader opened (``close`` releases it).  Only
+    file 0, which names the rank's file, and that file are loaded and
+    checked: a damaged sibling does not matter.
     """
     backend = backend if backend is not None else LocalBackend()
     spec = OpenSpec.for_serial(path, "r")
-    raw = backend.open(spec.path, "rb")
-    try:
-        mb1 = Metablock1.decode_from(raw)
-        tmap = TaskMapping.from_kind_code(
-            mb1.ntasks_global, mb1.nfiles, mb1.mapping_kind, mb1.mapping_table
-        )
-        if not 0 <= rank < tmap.ntasks:
-            raise SionUsageError(f"rank {rank} out of range ({tmap.ntasks} tasks)")
-        filenum = tmap.file_of(rank)
-        if filenum == 0:
-            layout = ChunkLayout.from_metablock1(mb1)
-            mb2 = load_metablock2(raw, spec.path, mb1, layout)
-        else:
-            raw.close()
-            fpath = physical_path(spec.path, filenum)
-            raw = backend.open(fpath, "rb")
-            mb1, mb2, layout = load_metablocks(raw, fpath)
-    except BaseException:
-        raw.close()
-        raise
-    lrank = tmap.local_rank(rank)
+    load = load_set(backend, spec.path, rank).require_intact()
+    *others, f = load.files  # the rank's file is the last one loaded
+    for other in others:
+        other.close()
+    lrank = load.mapping.lranks[rank]
     stream = TaskStream(
-        raw, layout, lrank, mb2.blocksizes[lrank], bool(mb1.flags & FLAG_SHADOW)
+        f.raw, f.layout, lrank, f.mb2.blocksizes[lrank], bool(f.mb1.flags & FLAG_SHADOW)
     )
     return PartitionStream(
-        [stream], compress=bool(mb1.flags & FLAG_COMPRESS), raws=[raw]
+        [stream], compress=bool(f.mb1.flags & FLAG_COMPRESS), raws=[f.raw]
     )
 
 
@@ -168,7 +142,7 @@ class SionSerialFile:
         self,
         backend: Backend,
         base_path: str,
-        files: list[_PhysFile],
+        files: list[FileLoad],
         tmap: TaskMapping,
     ) -> None:
         self.backend = backend
@@ -183,23 +157,8 @@ class SionSerialFile:
 
     @classmethod
     def _open_read(cls, path: str, backend: Backend) -> "SionSerialFile":
-        raw0 = backend.open(path, "rb")
-        mb1_0, mb2_0, layout_0 = load_metablocks(raw0, path)
-        tmap = TaskMapping.from_kind_code(
-            mb1_0.ntasks_global, mb1_0.nfiles, mb1_0.mapping_kind, mb1_0.mapping_table
-        )
-        files: list[_PhysFile] = []
-        for f in range(mb1_0.nfiles):
-            fpath = physical_path(path, f)
-            if f == 0:
-                raw, (mb1, mb2, layout) = raw0, (mb1_0, mb2_0, layout_0)
-            else:
-                raw = backend.open(fpath, "rb")
-                mb1, mb2, layout = load_metablocks(raw, fpath)
-            pf = _PhysFile(f, fpath, raw, mb1, layout)
-            pf.mb2 = mb2
-            files.append(pf)
-        return cls(backend, path, files, tmap)
+        load = load_set(backend, path).require_intact()
+        return cls(backend, path, list(load.files), load.mapping)
 
     # -- metadata (Listing 5) ------------------------------------------------
 
@@ -218,10 +177,9 @@ class SionSerialFile:
         for pf in self._files:
             granks = np.asarray(pf.mb1.globalranks, dtype=np.intp)
             chunks[granks] = pf.mb1.chunksizes
-            if pf.mb2 is not None:
-                nblocks[granks] = [len(b) for b in pf.mb2.blocksizes]
-                for grank, blocks in zip(pf.mb1.globalranks, pf.mb2.blocksizes):
-                    blocksizes[grank] = list(blocks)
+            nblocks[granks] = [len(b) for b in pf.mb2.blocksizes]
+            for grank, blocks in zip(pf.mb1.globalranks, pf.mb2.blocksizes):
+                blocksizes[grank] = list(blocks)
         return Locations(
             ntasks=ntasks,
             nfiles=self.mapping.nfiles,
@@ -273,7 +231,6 @@ class SionSerialFile:
             )
         pf = self._phys_of(rank)
         lrank = self.mapping.local_rank(rank)
-        assert pf.mb2 is not None
         stream = TaskStream(
             pf.raw, pf.layout, lrank, pf.mb2.blocksizes[lrank],
             bool(pf.mb1.flags & FLAG_SHADOW),
@@ -333,7 +290,7 @@ class SionSerialFile:
 
     # -- internals ------------------------------------------------------------------------
 
-    def _phys_of(self, rank: int) -> _PhysFile:
+    def _phys_of(self, rank: int) -> FileLoad:
         return self._files[self.mapping.file_of(rank)]
 
     def _check_open(self) -> None:
@@ -393,7 +350,7 @@ class SionSerialWriter:
             fpath = physical_path(spec.path, f)
             raw = backend.open(fpath, "w+b")
             raw.pwrite(0, mb1.encode())
-            files.append(_PhysFile(f, fpath, raw, mb1, layout))
+            files.append(_PhysFile(raw, mb1, layout))
         return cls(files, tmap)
 
     def seek(self, rank: int, block: int = 0, pos: int = 0) -> None:

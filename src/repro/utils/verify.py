@@ -1,10 +1,14 @@
 """``sionverify``: consistency checking of a multifile set.
 
-Beyond what plain opening already validates (magics, version, metablock-2
-CRC), this walks the whole set and cross-checks the pieces against each
-other: mapping bijectivity, per-file task counts, chunk-layout bounds,
-recorded byte counts vs. chunk capacities, physical file sizes, and —
-optionally — the shadow headers against metablock 2.
+Every reader already applies the set loader's checks
+(:func:`~repro.sion.loader.load_set`: both metablocks decode, every file
+agrees with file 0 and its mapping, every rank is covered, block tables
+fit their chunks) and refuses what fails them; ``sionverify`` reports
+every such finding instead of stopping at the first.  What it adds is
+its own: metablock 2's offset against the physical file size,
+optionally the shadow headers against metablock 2 (``deep``), a
+partitioned read cross-checked against the serial view (``readers``),
+and the what-if of losing one file (:func:`assess_loss`).
 """
 
 from __future__ import annotations
@@ -13,13 +17,11 @@ from dataclasses import dataclass, field
 
 from repro.backends.base import Backend
 from repro.backends.localfs import LocalBackend
-from repro.errors import ReproError, SionFormatError
+from repro.errors import ReproError
 from repro.sion.constants import FLAG_BUDDY, FLAG_SHADOW, SHADOW_HEADER_SIZE
-from repro.sion.format import Metablock1, Metablock2, ShadowHeader
+from repro.sion.format import Metablock2, ShadowHeader
 from repro.sion.layout import ChunkLayout
-from repro.sion.mapping import TaskMapping, physical_path
-from repro.sion.openspec import load_metablock2
-from repro.sion.recovery import qualify_replica
+from repro.sion.loader import CHECKS_PER_FILE, INTACT, FileLoad, load_set, qualify_replica
 
 
 @dataclass
@@ -73,35 +75,22 @@ def verify_multifile(
     """
     backend = backend if backend is not None else LocalBackend()
     report = VerifyReport(path=path)
-
+    load = load_set(backend, path)
     try:
-        raw0 = backend.open(path, "rb")
-        mb1_0 = Metablock1.decode_from(raw0)
-        raw0.close()
-    except (ReproError, OSError) as exc:
-        report.error(f"{path}: cannot read metablock 1: {exc}")
-        return report
-
-    report.nfiles = mb1_0.nfiles
-    report.ntasks = mb1_0.ntasks_global
-    try:
-        tmap = TaskMapping.from_kind_code(
-            mb1_0.ntasks_global, mb1_0.nfiles, mb1_0.mapping_kind, mb1_0.mapping_table
-        )
-    except Exception as exc:  # noqa: BLE001 - report, don't raise
-        report.error(f"{path}: invalid task mapping: {exc}")
-        return report
-
-    seen_ranks: set[int] = set()
-    for filenum in range(mb1_0.nfiles):
-        fpath = physical_path(path, filenum)
-        _verify_one(fpath, filenum, mb1_0, tmap, backend, report, deep, seen_ranks)
-
-    report.check(
-        seen_ranks == set(range(mb1_0.ntasks_global)),
-        f"global ranks covered by the set are incomplete: "
-        f"{len(seen_ranks)}/{mb1_0.ntasks_global}",
-    )
+        if load.mapping is None:
+            report.error(load.files[0].finding)
+            return report
+        report.nfiles = load.mapping.nfiles
+        report.ntasks = load.mapping.ntasks
+        for f in load.files:
+            report.checks_run += CHECKS_PER_FILE
+            if f.status == INTACT:
+                _verify_file(f, backend, report, deep)
+        report.checks_run += 1  # every rank covered
+        for finding in load.findings:
+            report.error(finding)
+    finally:
+        load.close()
     if readers is not None and report.ok:
         _verify_partitioned_read(path, backend, readers, report, engine)
     return report
@@ -156,73 +145,19 @@ def _verify_partitioned_read(
             )
 
 
-def _verify_one(
-    fpath: str,
-    filenum: int,
-    mb1_0: Metablock1,
-    tmap: TaskMapping,
-    backend: Backend,
-    report: VerifyReport,
-    deep: bool,
-    seen_ranks: set[int],
-) -> None:
-    if not backend.exists(fpath):
-        report.error(f"{fpath}: physical file {filenum} is missing")
-        return
-    raw = backend.open(fpath, "rb")
-    try:
-        try:
-            mb1 = Metablock1.decode_from(raw)
-        except SionFormatError as exc:
-            report.error(f"{fpath}: bad metablock 1: {exc}")
-            return
-        report.check(mb1.filenum == filenum, f"{fpath}: filenum {mb1.filenum} != {filenum}")
-        report.check(
-            mb1.nfiles == mb1_0.nfiles and mb1.ntasks_global == mb1_0.ntasks_global,
-            f"{fpath}: set geometry disagrees with file 0",
-        )
-        report.check(
-            mb1.fsblksize == mb1_0.fsblksize,
-            f"{fpath}: fsblksize {mb1.fsblksize} != file 0's {mb1_0.fsblksize}",
-        )
-        expected_members = tmap.tasks_of_file(filenum)
-        report.check(
-            mb1.globalranks == expected_members,
-            f"{fpath}: stored global ranks disagree with the mapping",
-        )
-        seen_ranks.update(mb1.globalranks)
-
-        layout = ChunkLayout.from_metablock1(mb1)
-        try:
-            mb2 = load_metablock2(raw, fpath, mb1, layout)
-        except SionFormatError as exc:
-            report.error(f"{fpath}: bad metablock 2: {exc}")
-            return
-        report.check(
-            mb2.ntasks_local == mb1.ntasks_local,
-            f"{fpath}: metablock 2 task count {mb2.ntasks_local} != "
-            f"metablock 1's {mb1.ntasks_local}",
-        )
-        shadow = bool(mb1.flags & FLAG_SHADOW)
-        fsize = backend.file_size(fpath)
-        report.check(
-            mb1.metablock2_offset < fsize,
-            f"{fpath}: metablock 2 offset {mb1.metablock2_offset} beyond "
-            f"file size {fsize}",
-        )
-        end = layout.end_of_blocks(mb2.maxblocks)
-        report.check(
-            mb1.metablock2_offset >= end or mb2.maxblocks == 0,
-            f"{fpath}: metablock 2 at {mb1.metablock2_offset} overlaps "
-            f"chunk data ending at {end}",
-        )
-        if deep:
-            if not shadow:
-                report.warn(f"{fpath}: deep check requested but no shadow headers")
-            else:
-                _deep_check_shadows(fpath, raw, layout, mb2, report)
-    finally:
-        raw.close()
+def _verify_file(f: FileLoad, backend: Backend, report: VerifyReport, deep: bool) -> None:
+    """sionverify's own checks of one intact physical file."""
+    fsize = backend.file_size(f.path)
+    report.check(
+        f.mb1.metablock2_offset < fsize,
+        f"{f.path}: metablock 2 offset {f.mb1.metablock2_offset} beyond "
+        f"file size {fsize}",
+    )
+    if deep:
+        if not f.mb1.flags & FLAG_SHADOW:
+            report.warn(f"{f.path}: deep check requested but no shadow headers")
+        else:
+            _deep_check_shadows(f.path, f.raw, f.layout, f.mb2, report)
 
 
 def _deep_check_shadows(
@@ -261,40 +196,38 @@ def assess_loss(
     nothing is deleted or modified.  The report is ``ok`` iff losing
     physical file ``K`` *entirely* would still be recoverable — i.e. the
     set was written with ``buddy=True`` and file ``K``'s replica passes
-    :func:`~repro.sion.recovery.qualify_replica`, the test
+    :func:`~repro.sion.loader.qualify_replica`, the test
     :func:`~repro.sion.recovery.recover_multifile` applies before a
     byte-copy restore.  Shadow headers cannot save a lost file — they
     live inside it — so a shadow-only set reports unrecoverable here.
     """
     backend = backend if backend is not None else LocalBackend()
     report = VerifyReport(path=path)
-    try:
-        raw0 = backend.open(path, "rb")
-        mb1_0 = Metablock1.decode_from(raw0)
-        raw0.close()
-    except (ReproError, OSError) as exc:
-        report.error(f"{path}: cannot read metablock 1: {exc}")
+    load = load_set(backend, path)
+    load.close()
+    if load.mapping is None:
+        report.error(load.files[0].finding)
         return report
-    report.nfiles = mb1_0.nfiles
-    report.ntasks = mb1_0.ntasks_global
-    if not 0 <= filenum < mb1_0.nfiles:
+    report.nfiles = nfiles = load.mapping.nfiles
+    report.ntasks = load.mapping.ntasks
+    if not 0 <= filenum < nfiles:
         report.error(
-            f"--inject lose-file={filenum}: the set has {mb1_0.nfiles} "
-            "physical file(s)"
+            f"--inject lose-file={filenum}: the set has {nfiles} physical file(s)"
         )
         return report
-    if not mb1_0.flags & FLAG_BUDDY:
+    if not load.files[0].mb1.flags & FLAG_BUDDY:
         report.error(
             f"{path}: set written without buddy=True; losing file "
             f"{filenum} would be unrecoverable"
         )
         return report
-    rpath, found = qualify_replica(path, filenum, mb1_0.nfiles, backend)
+    rpath, replica = qualify_replica(path, filenum, nfiles, backend)
     report.check(
-        not isinstance(found, str),
-        f"{rpath}: {found}; losing file {filenum} would be unrecoverable",
+        not isinstance(replica, str),
+        f"{replica}; losing file {filenum} would be unrecoverable",
     )
     if report.ok:
+        replica.close()
         report.warnings.append(
             f"losing file {filenum} would be recoverable: intact buddy "
             f"replica at {rpath}"

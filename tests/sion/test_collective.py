@@ -183,8 +183,8 @@ def test_backend_calls_scale_with_collectors():
     before = backend.snapshot()
     _read_all(backend, ntasks, collectsize=collectsize)
     assert dict(backend.stats.calls)["gather_read"] == 3  # one prefetch each
-    # Collector handles + the world probe + the file master's metadata load.
-    assert backend.snapshot()["opens"] - before["opens"] == 3 + 2
+    # Collector handles + the set load, which opens the one file once.
+    assert backend.snapshot()["opens"] - before["opens"] == 3 + 1
 
 
 def test_handle_surface_and_flush_collective():

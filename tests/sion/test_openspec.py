@@ -288,6 +288,6 @@ def test_direct_mode_counts_identical_across_engines():
         )
         # One scatter_write per task + the 3 metadata writes.
         assert snap["data_write_calls"] == n + 3
-        # One gather_read per task + probe (4) + per-file metadata (8).
-        assert snap["data_read_calls"] == n + 12
+        # One gather_read per task + the set load's metadata reads (8).
+        assert snap["data_read_calls"] == n + 8
     assert counts["threads"] == counts["bulk"]

@@ -216,6 +216,21 @@ def test_paropen_rows_on_the_process_engine(tmp_path, shape, row):
     _assert_conforms(f"proc:{row[0]}", rows, _payloads())
 
 
+def read_in_with_block(comm, path, backend):
+    """One reader whose handle a ``with`` block closes."""
+    with paropen(path, "r", comm, backend=backend) as f:
+        data = f.read_all()
+    return data, f.closed
+
+
+@pytest.mark.parametrize("engine", ["threads", "bulk"])
+def test_a_with_block_closes_the_read_handle(engine):
+    backend = _sim_backend()
+    _write(backend, "/s/w.sion", SHAPES[-1])
+    out = run_spmd(NWRITERS, read_in_with_block, "/s/w.sion", backend, engine=engine)
+    assert out == [(p, True) for p in _payloads()]
+
+
 class _TornFile(SimRawFile):
     """A handle whose reads of ``[cut, mb2)`` come back missing.
 

@@ -226,9 +226,9 @@ def test_collective_prefetch_serves_reads_from_memory(sim_backend):
     assert b"".join(out) == b"".join(_payload(r, 400) for r in range(n))
     reads = backend.snapshot()["data_read_calls"] - before
     # ceil(3/3) = 1 collector; one gather_read per touched physical file
-    # plus the metadata loads (probe 4 + 8 per file) — independent of the
+    # plus the set load's metadata reads (8 per file) — independent of the
     # number of freads above.
-    assert reads == 1 + 12
+    assert reads == 1 + 8
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +284,8 @@ def test_partitioned_read_calls_scale_with_readers(sim_backend):
         assert b"".join(out) == b"".join(_payload(r, 64) for r in range(n))
         reads = backend.snapshot()["data_read_calls"] - before
         # One vectored gather_read per reader (single physical file) plus
-        # the fixed metadata loads: probe (4) + mb1/mb2 decode (8).
-        assert reads == m + 12, (m, reads)
+        # the set load's fixed metadata reads: mb1/mb2 decode (8).
+        assert reads == m + 8, (m, reads)
 
 
 # ---------------------------------------------------------------------------
