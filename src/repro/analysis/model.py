@@ -101,20 +101,6 @@ def predict_alignment_factor(
     return profile.lock_model.read_penalty(k)
 
 
-def predict_mp2c_sion_floor_bytes(profile: SystemProfile, ntasks: int) -> int:
-    """Fig. 6's flat region: the one-FS-block-per-task allocation floor."""
-    return ntasks * profile.fs_block_size
-
-
-def predict_cached_read(
-    profile: SystemProfile, disk_bw: float, data_bytes: float, ntasks: int
-) -> float:
-    """Fig. 5b's >peak reads from the client-cache model."""
-    return profile.cache_model.effective_read_bandwidth(
-        disk_bw, data_bytes, profile.n_nodes(ntasks)
-    )
-
-
 def speedup_bound_create(profile: SystemProfile, ntasks: int, nfiles: int = 1) -> float:
     """Upper-bound speedup of SION creation over task-local creation."""
     tl = predict_create_time(profile, ntasks)

@@ -24,7 +24,8 @@ from repro.baselines.singlefile import read_single_file, write_single_file
 from repro.baselines.tasklocal import read_task_local, write_task_local
 from repro.errors import SionUsageError
 from repro.simmpi.comm import Comm
-from repro.sion import paropen
+from repro.sion import paropen, serial
+from repro.sion.mapping import ReadPartition
 
 METHODS = ("sion", "tasklocal", "singlefile")
 
@@ -111,15 +112,10 @@ def read_restart_any(
     particles are migrated to their owning domains afterwards (the usual
     way to rebalance after such a restart).
     """
-    from repro.sion import serial as sion_serial
-
-    with sion_serial.open(path, "r", backend=backend) as sf:
-        written_ranks = sf.ntasks
-        base, extra = divmod(written_ranks, comm.size)
-        start = comm.rank * base + min(comm.rank, extra)
-        span = base + (1 if comm.rank < extra else 0)
-        pieces = [sf.read_task(r) for r in range(start, start + span)]
-    state = ParticleState.from_records(b"".join(pieces))
+    with serial.open(path, "r", backend=backend) as sf:
+        part = ReadPartition.balanced(sf.ntasks, comm.size)
+        raw = sf.slice(part.writers_of(comm.rank)).read_all()
+    state = ParticleState.from_records(raw)
     if decomp is not None:
         state = migrate(comm, decomp, state)
     return state

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.errors import ReproError
 
@@ -71,13 +71,3 @@ def decode_events(raw: bytes) -> list[Event]:
         Event.decode(raw[i : i + RECORD_BYTES])
         for i in range(0, len(raw), RECORD_BYTES)
     ]
-
-
-def iter_decode(raw: bytes) -> Iterator[Event]:
-    """Lazy variant of :func:`decode_events` for large traces."""
-    if len(raw) % RECORD_BYTES:
-        raise ReproError(
-            f"trace length {len(raw)} is not a multiple of {RECORD_BYTES}"
-        )
-    for i in range(0, len(raw), RECORD_BYTES):
-        yield Event.decode(raw[i : i + RECORD_BYTES])

@@ -183,3 +183,32 @@ class Backend(abc.ABC):
         the simulator).
         """
         return (self.file_size(path), self.allocated_size(path))
+
+
+class ForwardingBackend(Backend):
+    """A backend decorator over ``inner``.
+
+    The six namespace calls forward to ``inner`` unchanged; a decorator
+    (counting, fault injection) defines ``open`` and its own extras.
+    """
+
+    def __init__(self, inner: Backend) -> None:
+        self.inner = inner
+
+    def exists(self, path: str) -> bool:
+        return self.inner.exists(path)
+
+    def unlink(self, path: str) -> None:
+        self.inner.unlink(path)
+
+    def file_size(self, path: str) -> int:
+        return self.inner.file_size(path)
+
+    def stat_blocksize(self, path: str) -> int:
+        return self.inner.stat_blocksize(path)
+
+    def allocated_size(self, path: str) -> int:
+        return self.inner.allocated_size(path)
+
+    def identity_token(self, path: str) -> tuple:
+        return self.inner.identity_token(path)

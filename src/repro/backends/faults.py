@@ -54,7 +54,7 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.backends.base import Backend, RawFile
+from repro.backends.base import Backend, ForwardingBackend, RawFile
 from repro.buffers import BufferLike, as_view
 from repro.errors import BackendUsageError, FaultInjectedError
 from repro.sion.constants import MAGIC_MB2, MAGIC_SHADOW
@@ -358,7 +358,7 @@ class FaultingRawFile(RawFile):
         self._inner.close()
 
 
-class FaultInjectingBackend(Backend):
+class FaultInjectingBackend(ForwardingBackend):
     """Backend decorator executing a :class:`FaultPlan` deterministically.
 
     All views created by :meth:`for_rank` share the same inner backend,
@@ -376,7 +376,7 @@ class FaultInjectingBackend(Backend):
         state: _FaultState | None = None,
     ) -> None:
         """Wrap ``inner`` with ``plan`` (``None`` = the empty plan)."""
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan if plan is not None else FaultPlan()
         self.rank = rank
         self.state = state if state is not None else _FaultState()
@@ -395,27 +395,3 @@ class FaultInjectingBackend(Backend):
     def open(self, path: str, mode: str) -> FaultingRawFile:
         """Open ``path`` on the inner backend and arm the plan's triggers."""
         return FaultingRawFile(self.inner.open(path, mode), self, path)
-
-    def exists(self, path: str) -> bool:
-        """Forward ``exists``."""
-        return self.inner.exists(path)
-
-    def unlink(self, path: str) -> None:
-        """Forward ``unlink``."""
-        self.inner.unlink(path)
-
-    def file_size(self, path: str) -> int:
-        """Forward ``file_size``."""
-        return self.inner.file_size(path)
-
-    def stat_blocksize(self, path: str) -> int:
-        """Forward ``stat_blocksize``."""
-        return self.inner.stat_blocksize(path)
-
-    def allocated_size(self, path: str) -> int:
-        """Forward ``allocated_size``."""
-        return self.inner.allocated_size(path)
-
-    def identity_token(self, path: str) -> tuple:
-        """Forward ``identity_token``."""
-        return self.inner.identity_token(path)

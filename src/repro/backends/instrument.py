@@ -29,7 +29,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.backends.base import Backend, RawFile
+from repro.backends.base import Backend, ForwardingBackend, RawFile
 from repro.buffers import BufferLike
 
 #: RawFile methods that deliver payload bytes to the store.
@@ -295,11 +295,11 @@ class CountingRawFile(RawFile):
         self._inner.close()
 
 
-class CountingBackend(Backend):
+class CountingBackend(ForwardingBackend):
     """Backend decorator: all handles share one :class:`IOStats`."""
 
     def __init__(self, inner: Backend) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.stats = IOStats()
 
     # Conveniences so scenarios talk to the backend only.
@@ -316,21 +316,3 @@ class CountingBackend(Backend):
     def open(self, path: str, mode: str) -> CountingRawFile:
         self.stats.count("open")
         return CountingRawFile(self.inner.open(path, mode), self.stats)
-
-    def exists(self, path: str) -> bool:
-        return self.inner.exists(path)
-
-    def unlink(self, path: str) -> None:
-        self.inner.unlink(path)
-
-    def file_size(self, path: str) -> int:
-        return self.inner.file_size(path)
-
-    def stat_blocksize(self, path: str) -> int:
-        return self.inner.stat_blocksize(path)
-
-    def allocated_size(self, path: str) -> int:
-        return self.inner.allocated_size(path)
-
-    def identity_token(self, path: str) -> tuple:
-        return self.inner.identity_token(path)

@@ -8,11 +8,7 @@
   file incrementally (MP2C's original checkpoint path, Fig. 6).
 """
 
-from repro.baselines.singlefile import (
-    read_single_file,
-    single_file_path,
-    write_single_file,
-)
+from repro.baselines.singlefile import read_single_file, write_single_file
 from repro.baselines.tasklocal import (
     read_task_local,
     task_local_path,
@@ -21,7 +17,6 @@ from repro.baselines.tasklocal import (
 
 __all__ = [
     "read_single_file",
-    "single_file_path",
     "write_single_file",
     "read_task_local",
     "task_local_path",

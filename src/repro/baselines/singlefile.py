@@ -27,11 +27,6 @@ _HEAD = struct.Struct("<8sI")
 DEFAULT_SLAB_BYTES = 1 << 20
 
 
-def single_file_path(base: str) -> str:
-    """The single file is simply ``base`` itself."""
-    return base
-
-
 def write_single_file(
     comm: Comm,
     base: str,

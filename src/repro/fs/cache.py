@@ -177,12 +177,6 @@ class ChunkCache:
     # -- capacity ------------------------------------------------------------
 
     @property
-    def used_bytes(self) -> int:
-        """Payload bytes currently resident."""
-        with self._lock:
-            return self._used
-
-    @property
     def entry_count(self) -> int:
         """Number of resident entries."""
         with self._lock:
@@ -245,15 +239,6 @@ class ChunkCache:
                 self._used -= len(self._entries.pop(k))
             self.stats.invalidations += len(stale)
             return len(stale)
-
-    def clear(self) -> int:
-        """Drop everything; returns the number of entries removed."""
-        with self._lock:
-            n = len(self._entries)
-            self._entries.clear()
-            self._used = 0
-            self.stats.invalidations += n
-            return n
 
     def snapshot(self) -> dict[str, float]:
         """Statistics plus current occupancy, atomically."""

@@ -4,9 +4,12 @@ One :class:`ReadGateway` owns three resident layers:
 
 * a **container table** — each sealed multifile is loaded once by the
   set loader (:func:`~repro.sion.loader.load_set`: every physical file
-  opened once, checked against file 0, its handle kept), and every later
-  session is compiled from the in-memory metadata (this is the metadata
-  half of the cache);
+  opened once, checked against file 0, its handle kept) into the one
+  open-set object the serial global view is too
+  (:class:`~repro.sion.serial.SealedSet`: a
+  :class:`~repro.sion.openspec.ReadPlan` plus one read handle per file),
+  and every later session is compiled from that in-memory metadata (this
+  is the metadata half of the cache);
 * a shared :class:`~repro.fs.cache.ChunkCache` — chunk payload served
   block-granularly with LRU eviction against a byte budget, entries
   tagged with the container's *generation* so a re-sealed file never
@@ -48,7 +51,8 @@ from repro.fs.cache import DEFAULT_CACHE_BLOCK, ChunkCache
 from repro.sion.loader import load_set
 from repro.sion.mapping import ReadPartition
 from repro.sion.openspec import ReadPlan
-from repro.sion.readwrite import PartitionStream, TaskStream
+from repro.sion.readwrite import PartitionStream
+from repro.sion.serial import SealedSet
 
 #: Default chunk-cache byte budget of a gateway that is not given one.
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
@@ -68,15 +72,17 @@ class GatewayStats:
     bytes_served: int = 0
 
 
-class ContainerHandle:
+class ContainerHandle(SealedSet):
     """One sealed multifile held open by the gateway.
 
-    The container's :class:`~repro.sion.openspec.ReadPlan` (the decoded
-    metadata of every physical file, the same object an SPMD read
-    broadcasts), one caching read handle per file, and the per-stream
-    prefix sums that turn a logical byte offset into a ``(block, pos)``
-    cursor for ranged reads.  All state is immutable after construction
-    (the prefix cache is lock-guarded); sessions share it freely.
+    The open-set object (:class:`~repro.sion.serial.SealedSet`: the
+    container's :class:`~repro.sion.openspec.ReadPlan`, the same object an
+    SPMD read broadcasts, plus one caching read handle per physical file)
+    under a generation, with the identity tokens that revalidate it and
+    the per-stream prefix sums that turn a logical byte offset into a
+    ``(block, pos)`` cursor for ranged reads.  It holds no cursor (the
+    prefix cache is lock-guarded), so sessions and stateless reads on
+    any thread share it freely.
     """
 
     def __init__(
@@ -92,50 +98,13 @@ class ContainerHandle:
         ``raws`` and ``tokens`` are per physical file: its read handle
         and its identity token at open time.
         """
+        super().__init__(plan, raws)
         self.path = path
         self.generation = generation
-        self.plan = plan
-        self.raws = raws
         #: Per-file identity tokens at open time (the revalidation probe).
         self.tokens = tuple(tokens)
-        self.compress = plan.compress
-        self.shadow = plan.shadow
         self._prefix_cache: dict[int, list[int]] = {}
         self._lock = threading.Lock()
-
-    # -- identity ------------------------------------------------------------
-
-    @property
-    def ntasks(self) -> int:
-        """Writer task streams recorded in the container."""
-        return self.plan.ntasks
-
-    @property
-    def nfiles(self) -> int:
-        """Physical files of the container."""
-        return len(self.plan.paths)
-
-    # -- per-stream access ----------------------------------------------------
-
-    def stream(self, grank: int) -> TaskStream:
-        """A fresh read cursor over writer stream ``grank``.
-
-        Cursors are cheap: the handle, layout and block sizes are all
-        shared; only the cursor position is per-stream state.
-        """
-        self._check_rank(grank)
-        return self.plan.stream(self.raws[self.plan.mapping.files[grank]], grank)
-
-    def read_task(self, grank: int) -> bytes:
-        """Entire logical content of writer stream ``grank``.
-
-        Transparently decompresses when the container was sealed with
-        ``compress=True`` (each writer stream is an independent zlib
-        stream).
-        """
-        return PartitionStream(
-            [self.stream(grank)], compress=self.compress
-        ).read_all()
 
     def read_range(self, grank: int, offset: int, n: int) -> bytes:
         """Up to ``n`` bytes of stream ``grank`` starting at logical ``offset``.
@@ -148,32 +117,23 @@ class ContainerHandle:
         Raises :class:`~repro.errors.SionUsageError` on a negative
         offset/size or a compressed container.
         """
-        if self.compress:
+        if self.compressed:
             raise SionUsageError(
                 "ranged reads are unavailable with transparent compression; "
                 "use read_task or a record session"
             )
         if offset < 0 or n < 0:
             raise SionUsageError("offset and size must be non-negative")
+        stream = self.stream(grank)
         prefix = self._prefix(grank)
-        total = prefix[-1]
-        if offset >= total or n == 0:
+        if offset >= prefix[-1] or n == 0:
             return b""
         block = bisect_right(prefix, offset) - 1
-        stream = self.stream(grank)
         stream.seek_logical(block, offset - prefix[block])
         return stream.fread(n)
 
-    def close(self) -> None:
-        """Close the physical handles (cached blocks stay resident)."""
-        for raw in self.raws:
-            raw.close()
-
-    # -- internals ----------------------------------------------------------
-
     def _prefix(self, grank: int) -> list[int]:
         """Cumulative byte offsets of ``grank``'s blocks (cached)."""
-        self._check_rank(grank)
         with self._lock:
             prefix = self._prefix_cache.get(grank)
             if prefix is None:
@@ -181,12 +141,6 @@ class ContainerHandle:
                 prefix = [0, *itertools.accumulate(self.plan.blocksizes[f][lrank])]
                 self._prefix_cache[grank] = prefix
             return prefix
-
-    def _check_rank(self, grank: int) -> None:
-        if not 0 <= grank < self.ntasks:
-            raise SionUsageError(
-                f"writer rank {grank} out of range ({self.ntasks} streams)"
-            )
 
 
 class GatewaySession(PartitionStream):
@@ -211,7 +165,7 @@ class GatewaySession(PartitionStream):
         self.writers = tuple(writers)
         super().__init__(
             [container.stream(g) for g in self.writers],
-            compress=container.compress,
+            compress=container.compressed,
         )
 
 
@@ -354,11 +308,8 @@ class ReadGateway:
             raise SionUsageError("readers and reader must be given together")
         handle = self.open_container(path)
         if rank is not None:
-            writers: Sequence[int] = (rank,) if handle.ntasks > rank >= 0 else ()
-            if not writers:
-                raise SionUsageError(
-                    f"writer rank {rank} out of range ({handle.ntasks} streams)"
-                )
+            handle.stream(rank)  # the range check, before a session id is taken
+            writers: Sequence[int] = (rank,)
         else:
             assert readers is not None and reader is not None
             part = ReadPartition.balanced(handle.ntasks, readers)
@@ -437,8 +388,8 @@ class ReadGateway:
                         "generation": h.generation,
                         "ntasks": h.ntasks,
                         "nfiles": h.nfiles,
-                        "compress": h.compress,
-                        "shadow": h.shadow,
+                        "compress": h.plan.compress,
+                        "shadow": h.plan.shadow,
                     }
                     for p, h in self._containers.items()
                 },

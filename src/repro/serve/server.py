@@ -153,14 +153,6 @@ class GatewayServer:
             self._server = None
         self.gateway.close()
 
-    async def serve_forever(self) -> None:
-        """Block serving connections until cancelled (legacy entry point)."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     async def serve_until_shutdown(self) -> None:
         """Serve until :meth:`request_shutdown` fires, then drain and stop.
 

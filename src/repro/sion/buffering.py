@@ -121,6 +121,3 @@ class CountingStream:
         self.calls += 1
         self.bytes += len(data)
         return self.stream.fwrite(data)
-
-    def __getattr__(self, name):
-        return getattr(self.stream, name)

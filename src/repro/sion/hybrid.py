@@ -97,11 +97,6 @@ class HybridParallelFile:
         self._handles = handles
         self._closed = False
 
-    @property
-    def nthreads(self) -> int:
-        """Thread streams available to this rank."""
-        return len(self._handles)
-
     def stream(self, thread: int) -> "SionParallelFile | SionReadFile":
         """The multifile handle owned by ``thread`` on this rank.
 

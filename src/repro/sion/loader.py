@@ -25,6 +25,7 @@ which raises the first finding as a :class:`~repro.errors.SionFormatError`
 naming the file, and keeps the handles of an intact load.  ``sionverify``
 reports every finding; recovery triages by status, and
 :func:`qualify_replica` is the same check applied to one buddy replica.
+:func:`read_shadow_headers` is the one reader of a task's shadow chain.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.backends.base import Backend, RawFile
 from repro.errors import FileNotFoundSimError, SionFormatError, SionUsageError
 from repro.sion.buddy import buddy_path
 from repro.sion.constants import FLAG_SHADOW, SHADOW_HEADER_SIZE
-from repro.sion.format import Metablock1, Metablock2
+from repro.sion.format import Metablock1, Metablock2, ShadowHeader
 from repro.sion.layout import ChunkLayout
 from repro.sion.mapping import TaskMapping, physical_path
 
@@ -278,3 +279,25 @@ def load_metablock2(
             f"of block row {nblocks - 1}), past metablock 2 at {mb1.metablock2_offset}"
         )
     return mb2
+
+
+def read_shadow_headers(
+    raw: RawFile, layout: ChunkLayout, ltask: int, file_size: int, nblocks: int | None = None
+) -> list[ShadowHeader | None]:
+    """Task ``ltask``'s shadow header slots, block 0 on, in one ``gather_read``.
+
+    The slots read are those whose 32-byte header lies inside the file's
+    ``file_size`` bytes, at most ``nblocks`` of them; each decodes to a
+    :class:`~repro.sion.format.ShadowHeader`, or ``None`` where the bytes
+    are not one.  The one reader of shadow chains: recovery walks it
+    until the chain breaks, ``sionverify --deep`` checks it against
+    metablock 2.
+    """
+    stride, first = layout.block_capacity, layout.chunk_start(ltask, 0)
+    nslots = max(0, (file_size - SHADOW_HEADER_SIZE - first) // stride + 1)
+    if nblocks is not None:
+        nslots = min(nslots, nblocks)
+    if nslots == 0:
+        return []
+    pieces = raw.gather_read([(first + b * stride, SHADOW_HEADER_SIZE) for b in range(nslots)])
+    return [ShadowHeader.decode(piece) for piece in pieces]

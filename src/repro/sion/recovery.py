@@ -61,7 +61,7 @@ from repro.sion.constants import (
     FLAG_SHADOW,
     SHADOW_HEADER_SIZE,
 )
-from repro.sion.format import Metablock1, Metablock2, ShadowHeader
+from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import ChunkLayout
 from repro.sion.loader import (
     BAD_MB2,
@@ -70,6 +70,7 @@ from repro.sion.loader import (
     load_file,
     load_set,
     qualify_replica,
+    read_shadow_headers,
 )
 from repro.sion.openspec import write_metablock2
 
@@ -382,23 +383,17 @@ def _rebuild_from_shadows(
 def _scan_task(raw, layout: ChunkLayout, ltask: int, file_size: int) -> list[int]:
     """Walk a task's chunk chain, reading shadow headers until they stop.
 
-    Header addresses are computable locally, so each probe is one
-    positioned read — the scan never touches the file pointer.  The walk
-    ends at the first missing, undecodable, or misattributed header
-    (torn chain), and trailing zero-byte blocks — the open-but-unused
-    current chunk — are trimmed.
+    The header slots inside the file come in one vectored read
+    (:func:`~repro.sion.loader.read_shadow_headers`).  The walk ends at
+    the first missing, undecodable, or misattributed header (torn chain),
+    and trailing zero-byte blocks — the open-but-unused current chunk —
+    are trimmed.
     """
     sizes: list[int] = []
-    block = 0
-    while True:
-        start = layout.chunk_start(ltask, block)
-        if start + SHADOW_HEADER_SIZE > file_size:
-            break
-        hdr = ShadowHeader.decode(raw.pread(start, SHADOW_HEADER_SIZE))
+    for block, hdr in enumerate(read_shadow_headers(raw, layout, ltask, file_size)):
         if hdr is None or hdr.ltask != ltask or hdr.block != block:
             break
         sizes.append(hdr.written)
-        block += 1
     # A trailing zero-byte block is just the open-but-unused current chunk.
     while len(sizes) > 1 and sizes[-1] == 0:
         sizes.pop()

@@ -11,17 +11,20 @@ Three entry points:
 * :func:`open_rank` — *task-local view*: read a single task's logical file
   with the same streaming API the parallel reader offers (Listing 4).
 
-Both read views are the one read cursor,
-:class:`~repro.sion.readwrite.PartitionStream`, over a single task
-stream: ``open_rank`` returns it, and the global view keeps one under its
-``seek`` position.  The write view, :class:`SionSerialWriter`, is the one
-write cursor, :class:`~repro.sion.readwrite.WriteStream`, once per task.
+The global view is the one open-set object, :class:`SealedSet` (a
+``ReadPlan`` plus one read handle per physical file; the read gateway's
+container is one too), with a cursor under its ``seek`` position.  Every
+read is the one read cursor, :class:`~repro.sion.readwrite.PartitionStream`:
+``open_rank`` returns one over its task, :meth:`SealedSet.slice` one over
+any run of writer streams.  The write view, :class:`SionSerialWriter`, is
+the one write cursor, :class:`~repro.sion.readwrite.WriteStream`, once
+per task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -32,9 +35,9 @@ from repro.errors import SionUsageError
 from repro.sion.constants import FLAG_COMPRESS, FLAG_SHADOW
 from repro.sion.format import Metablock1
 from repro.sion.layout import ChunkLayout
-from repro.sion.loader import FileLoad, load_set
+from repro.sion.loader import load_set
 from repro.sion.mapping import TaskMapping, physical_path
-from repro.sion.openspec import OpenSpec, build_file_metadata, write_metablock2
+from repro.sion.openspec import OpenSpec, ReadPlan, build_file_metadata, write_metablock2
 from repro.sion.readwrite import (
     PartitionStream,
     TaskStream,
@@ -133,83 +136,96 @@ def open_rank(
     )
 
 
-class SionSerialFile:
-    """Global-view read handle for serial programs and command-line tools."""
+class SealedSet:
+    """A sealed multifile held open: a :class:`ReadPlan` and one read
+    handle per physical file.
+
+    The one open-set object: the serial global view and the read
+    gateway's container are this plus their own state.  It holds no
+    cursor; :meth:`stream` and :meth:`slice` compile fresh ones over the
+    shared handles, so several threads may read one set at once.
+    """
+
+    def __init__(self, plan: ReadPlan, raws: Sequence[RawFile]) -> None:
+        self.plan = plan
+        self.raws = list(raws)
+        self.ntasks = plan.ntasks  # writer task streams
+        self.nfiles = len(plan.paths)
+        self.fsblksize = plan.layouts[0].fsblksize
+        self.compressed = plan.compress  # streams are zlib streams
+        self._closed = False
+
+    def stream(self, rank: int) -> TaskStream:
+        """A fresh read cursor over writer stream ``rank`` (range-checked)."""
+        self._check_open()
+        if not 0 <= rank < self.ntasks:
+            raise SionUsageError(f"writer rank {rank} out of range ({self.ntasks} streams)")
+        return self.plan.stream(self.raws[self.plan.mapping.files[rank]], rank)
+
+    def slice(self, writers: Iterable[int]) -> PartitionStream:
+        """One read cursor over the streams ``writers``, in that order,
+        inflating each in a compressed set; it does not own the handles."""
+        return PartitionStream([self.stream(g) for g in writers], compress=self.compressed)
+
+    def read_task(self, rank: int) -> bytes:
+        """Entire logical content of writer stream ``rank``, decompressed."""
+        return self.slice((rank,)).read_all()
+
+    def close(self) -> None:
+        """Release every physical file (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        for raw in self.raws:
+            raw.close()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SionUsageError("multifile is closed")
+
+
+class SionSerialFile(SealedSet):
+    """Global-view read handle for serial programs and command-line tools:
+    the open set plus the Listing 5 cursor that ``seek`` places."""
 
     mode = "r"
 
-    def __init__(
-        self,
-        backend: Backend,
-        base_path: str,
-        files: list[FileLoad],
-        tmap: TaskMapping,
-    ) -> None:
-        self.backend = backend
-        self.base_path = base_path
-        self._files = files
-        self.mapping = tmap
-        self._closed = False
+    def __init__(self, plan: ReadPlan, raws: Sequence[RawFile]) -> None:
+        super().__init__(plan, raws)
         self._cursor: PartitionStream | None = None
         self.seek(0, 0, 0)
-
-    # -- constructors --------------------------------------------------------
 
     @classmethod
     def _open_read(cls, path: str, backend: Backend) -> "SionSerialFile":
         load = load_set(backend, path).require_intact()
-        return cls(backend, path, list(load.files), load.mapping)
+        return cls(ReadPlan.from_set(load), [f.raw for f in load.files])
 
     # -- metadata (Listing 5) ------------------------------------------------
 
     def get_locations(self) -> Locations:
         """Return the full multifile geometry (``sion_get_locations``).
 
-        Per-file scatters of chunk sizes land through one fancy-indexed
-        assignment per physical file; only the ragged per-block lists keep
-        a (C-iterated) per-task loop.
+        The files' chunk sizes, concatenated, land through one fancy-indexed
+        gather (a task sits at its file's offset plus its local rank); only
+        the ragged per-block lists keep a per-task loop.
         """
         self._check_open()
-        ntasks = self.mapping.ntasks
-        chunks = np.zeros(ntasks, dtype=np.int64)
-        nblocks = np.zeros(ntasks, dtype=np.int64)
-        blocksizes: list[list[int]] = [[] for _ in range(ntasks)]
-        for pf in self._files:
-            granks = np.asarray(pf.mb1.globalranks, dtype=np.intp)
-            chunks[granks] = pf.mb1.chunksizes
-            nblocks[granks] = [len(b) for b in pf.mb2.blocksizes]
-            for grank, blocks in zip(pf.mb1.globalranks, pf.mb2.blocksizes):
-                blocksizes[grank] = list(blocks)
+        plan = self.plan
+        files, lranks = plan.mapping.files, plan.mapping.lranks
+        blocksizes = [list(plan.blocksizes[f][lr]) for f, lr in zip(files, lranks)]
+        offsets = np.cumsum([0] + [lay.ntasks for lay in plan.layouts[:-1]])
+        chunks = np.concatenate([np.asarray(lay.chunksizes, np.int64) for lay in plan.layouts])
+        chunks = chunks[offsets[np.asarray(files)] + np.asarray(lranks)]
         return Locations(
-            ntasks=ntasks,
-            nfiles=self.mapping.nfiles,
-            fsblksize=self._files[0].mb1.fsblksize,
+            ntasks=self.ntasks,
+            nfiles=self.nfiles,
+            fsblksize=self.fsblksize,
             chunksizes=chunks.tolist(),
-            nblocks=nblocks.tolist(),
+            nblocks=list(map(len, blocksizes)),
             blocksizes=blocksizes,
-            file_of_task=list(self.mapping.files),
-            compressed=bool(self._files[0].mb1.flags & FLAG_COMPRESS),
+            file_of_task=list(files),
+            compressed=self.compressed,
         )
-
-    @property
-    def ntasks(self) -> int:
-        """Number of logical task-local files in the multifile."""
-        return self.mapping.ntasks
-
-    @property
-    def nfiles(self) -> int:
-        """Number of physical files backing it."""
-        return self.mapping.nfiles
-
-    @property
-    def fsblksize(self) -> int:
-        """Alignment granularity recorded at creation."""
-        return self._files[0].mb1.fsblksize
-
-    @property
-    def compressed(self) -> bool:
-        """True if task streams are transparently zlib-compressed."""
-        return bool(self._files[0].mb1.flags & FLAG_COMPRESS)
 
     # -- cursor ------------------------------------------------------------------
 
@@ -221,20 +237,12 @@ class SionSerialFile:
         position falls inside a deflate stream and is refused with
         :class:`~repro.errors.SionUsageError`.
         """
-        self._check_open()
-        if not 0 <= rank < self.mapping.ntasks:
-            raise SionUsageError(f"rank {rank} out of range ({self.mapping.ntasks})")
+        stream = self.stream(rank)
         if (block, pos) != (0, 0) and self.compressed:
             raise SionUsageError(
                 f"cannot seek to block {block}, pos {pos}: the multifile is "
                 "compressed and a task stream can only be entered at its start"
             )
-        pf = self._phys_of(rank)
-        lrank = self.mapping.local_rank(rank)
-        stream = TaskStream(
-            pf.raw, pf.layout, lrank, pf.mb2.blocksizes[lrank],
-            bool(pf.mb1.flags & FLAG_SHADOW),
-        )
         stream.seek_logical(block, pos)
         self._cursor = PartitionStream([stream], compress=self.compressed)
 
@@ -264,20 +272,12 @@ class SionSerialFile:
         """Entire logical content of ``rank``'s task-local file.
 
         Transparently decompresses if the multifile was written with
-        ``compress=True``.
+        ``compress=True``; leaves the cursor at the end of the task.
         """
         self.seek(rank, 0, 0)
         return self._read_cursor().read_all()
 
     # -- lifecycle -------------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release every physical file (idempotent)."""
-        if self._closed:
-            return
-        for pf in self._files:
-            pf.raw.close()
-        self._closed = True
 
     def __enter__(self) -> "SionSerialFile":
         return self
@@ -289,13 +289,6 @@ class SionSerialFile:
         refuse_other_mode(self, name, "r")
 
     # -- internals ------------------------------------------------------------------------
-
-    def _phys_of(self, rank: int) -> FileLoad:
-        return self._files[self.mapping.file_of(rank)]
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SionUsageError("multifile is closed")
 
     def _read_cursor(self) -> PartitionStream:
         self._check_open()

@@ -10,19 +10,9 @@ the caller thinking about chunk boundaries or encodings.
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol
+from typing import Any, Iterator
 
-from repro.buffers import BufferLike
 from repro.errors import SionUsageError
-
-
-class _WritableStream(Protocol):
-    def fwrite(self, data: BufferLike) -> int: ...
-
-
-class _ReadableStream(Protocol):
-    def fread(self, n: int) -> bytes: ...
-    def feof(self) -> bool: ...
 
 
 class TextWriter:
@@ -34,7 +24,7 @@ class TextWriter:
     """
 
     def __init__(
-        self, stream: _WritableStream, encoding: str = "utf-8", newline: str = "\n"
+        self, stream: Any, encoding: str = "utf-8", newline: str = "\n"
     ) -> None:
         if not newline:
             raise SionUsageError("newline must be non-empty")
@@ -80,7 +70,7 @@ class TextReader:
     _CHUNK = 64 * 1024
 
     def __init__(
-        self, stream: _ReadableStream, encoding: str = "utf-8", newline: str = "\n"
+        self, stream: Any, encoding: str = "utf-8", newline: str = "\n"
     ) -> None:
         if not newline:
             raise SionUsageError("newline must be non-empty")

@@ -11,6 +11,9 @@ import io
 import sys
 
 from repro.backends.base import Backend
+from repro.sion import serial
+from repro.sion.mapping import ReadPartition
+from repro.sion.readwrite import PartitionStream
 from repro.sion.serial import open_rank
 
 #: Read granularity; small enough to stream, large enough to be cheap.
@@ -29,16 +32,8 @@ def cat_rank(
     transparently decompresses compressed multifiles.  Returns the number
     of bytes written.
     """
-    sink = out if out is not None else sys.stdout.buffer
-    total = 0
     with open_rank(path, rank, backend=backend) as rf:
-        while True:
-            piece = rf.fread(_PIECE)
-            if not piece:
-                break
-            sink.write(piece)
-            total += len(piece)
-    return total
+        return _drain(rf, out)
 
 
 def cat_reader(
@@ -53,30 +48,21 @@ def cat_reader(
     The serial mirror of ``paropen(..., partitioned=True)``: reader
     ``reader`` of a ``readers``-rank analysis world owns a contiguous
     slice of the recorded task streams, and this streams their
-    concatenation — still in bounded pieces, one logical file at a time.
-    The set's metadata is decoded **once** (a 64k-entry metablock per
-    stream would be O(n²/m) work); returns the number of bytes written.
+    concatenation through one read cursor over the slice, in the same
+    bounded pieces as :func:`cat_rank`.  The set's metadata is decoded
+    **once** (a 64k-entry metablock per stream would be O(n²/m) work);
+    returns the number of bytes written.
     """
-    from repro.sion import serial
-    from repro.sion.mapping import ReadPartition
-
-    sink = out if out is not None else sys.stdout.buffer
-    total = 0
     with serial.open(path, "r", backend=backend) as sf:
         part = ReadPartition.balanced(sf.ntasks, readers)
-        for writer in part.writers_of(reader):
-            if sf.compressed:
-                # Transparent decompression materializes one logical
-                # task at a time (each stream is its own zlib stream).
-                data = sf.read_task(writer)
-                sink.write(data)
-                total += len(data)
-                continue
-            sf.seek(writer, 0, 0)
-            while True:
-                piece = sf.fread(_PIECE)
-                if not piece:
-                    break
-                sink.write(piece)
-                total += len(piece)
+        return _drain(sf.slice(part.writers_of(reader)), out)
+
+
+def _drain(cursor: PartitionStream, out: io.RawIOBase | io.BufferedIOBase | None) -> int:
+    """Copy what remains of ``cursor`` to ``out`` (default: stdout)."""
+    sink = out if out is not None else sys.stdout.buffer
+    total = 0
+    while piece := cursor.fread(_PIECE):
+        sink.write(piece)
+        total += len(piece)
     return total

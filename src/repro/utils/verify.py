@@ -18,10 +18,15 @@ from dataclasses import dataclass, field
 from repro.backends.base import Backend
 from repro.backends.localfs import LocalBackend
 from repro.errors import ReproError
-from repro.sion.constants import FLAG_BUDDY, FLAG_SHADOW, SHADOW_HEADER_SIZE
-from repro.sion.format import Metablock2, ShadowHeader
-from repro.sion.layout import ChunkLayout
-from repro.sion.loader import CHECKS_PER_FILE, INTACT, FileLoad, load_set, qualify_replica
+from repro.sion.constants import FLAG_BUDDY, FLAG_SHADOW
+from repro.sion.loader import (
+    CHECKS_PER_FILE,
+    INTACT,
+    FileLoad,
+    load_set,
+    qualify_replica,
+    read_shadow_headers,
+)
 
 
 @dataclass
@@ -132,7 +137,7 @@ def _verify_partitioned_read(
         return
     with serial.open(path, "r", backend=backend) as sf:
         for r, (data, eof) in enumerate(out):
-            expected = b"".join(sf.read_task(w) for w in part.writers_of(r))
+            expected = sf.slice(part.writers_of(r)).read_all()
             report.check(
                 eof,
                 f"{path}: reader {r}/{readers} left data unread "
@@ -157,32 +162,28 @@ def _verify_file(f: FileLoad, backend: Backend, report: VerifyReport, deep: bool
         if not f.mb1.flags & FLAG_SHADOW:
             report.warn(f"{f.path}: deep check requested but no shadow headers")
         else:
-            _deep_check_shadows(f.path, f.raw, f.layout, f.mb2, report)
+            _deep_check_shadows(f, fsize, report)
 
 
-def _deep_check_shadows(
-    fpath: str, raw, layout: ChunkLayout, mb2: Metablock2, report: VerifyReport
-) -> None:
-    for ltask, blocks in enumerate(mb2.blocksizes):
+def _deep_check_shadows(f: FileLoad, fsize: int, report: VerifyReport) -> None:
+    for ltask, blocks in enumerate(f.mb2.blocksizes):
+        headers = read_shadow_headers(f.raw, f.layout, ltask, fsize, len(blocks))
         for b, nbytes in enumerate(blocks):
-            # Positioned probe: the header address is computable locally.
-            hdr = ShadowHeader.decode(
-                raw.pread(layout.chunk_start(ltask, b), SHADOW_HEADER_SIZE)
-            )
+            hdr = headers[b] if b < len(headers) else None
             if hdr is None:
                 report.check(
                     nbytes == 0,
-                    f"{fpath}: task {ltask} block {b} has data but no shadow header",
+                    f"{f.path}: task {ltask} block {b} has data but no shadow header",
                 )
                 continue
             report.check(
                 hdr.ltask == ltask and hdr.block == b,
-                f"{fpath}: shadow header at task {ltask} block {b} "
+                f"{f.path}: shadow header at task {ltask} block {b} "
                 f"identifies itself as task {hdr.ltask} block {hdr.block}",
             )
             report.check(
                 hdr.written == nbytes,
-                f"{fpath}: task {ltask} block {b}: shadow says {hdr.written} "
+                f"{f.path}: task {ltask} block {b}: shadow says {hdr.written} "
                 f"bytes, metablock 2 says {nbytes}",
             )
 

@@ -194,6 +194,18 @@ def test_cli_run_and_compare_roundtrip(tmp_path, capsys):
     assert main(["compare", str(bad), str(out), "--threshold", "0.10"]) == 0
 
 
+def test_cli_run_without_quiet_reports_progress_on_stderr(tmp_path, capsys):
+    out = tmp_path / "BENCH_smoke.json"
+    assert main(["run", "--filter", FAST_FILTER, "-o", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    names = sorted(BenchReport.load(out).scenarios)
+    assert len(names) == 2
+    assert sorted(line for line in err if line.startswith("running ")) == [
+        f"running {name} ..." for name in names
+    ]
+    assert all(any(line.startswith(f"  {name}: ok (") for line in err) for name in names)
+
+
 def test_cli_compare_json_output(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["run", "--filter", FAST_FILTER, "-o", str(out), "-q"]) == 0

@@ -401,3 +401,59 @@ def test_read_api_is_defined_by_the_cursor_alone():
     assert owners == {"PartitionStream", "TaskStream", "SionSerialFile", "ReadGateway"}
     assert issubclass(SionReadFile, PartitionStream)
     assert issubclass(GatewaySession, PartitionStream)
+
+
+# --------------------------------------------------------------------------
+# (iii) Chunk-local reads on collector-prefetched handles.
+
+#: ``paropen`` plans whose handles serve from collector-prefetched bytes,
+#: beside their direct twins: (row id, reader count, partitioned, collectsize).
+CHUNK_LOCAL_ROWS = [
+    ("matched", NWRITERS, False, None),
+    ("matched-prefetch", NWRITERS, False, 2),
+    ("partitioned[m=4]", 4, True, None),
+    ("partitioned-prefetch[m=4]", 4, True, 2),
+]
+
+
+def drain_chunks(comm, path, backend, partitioned, collectsize):
+    """Listing 2 with the chunk-local calls: ``bytes_avail_in_chunk``, then
+    a ``read`` of exactly that many bytes, until ``feof``."""
+    f = paropen(
+        path, "r", comm, backend=backend, partitioned=partitioned,
+        collectsize=collectsize,
+    )
+    pieces = []
+    while not f.feof():
+        avail = f.bytes_avail_in_chunk()
+        piece = f.read(avail)
+        assert len(piece) == avail > 0
+        pieces.append(piece)
+    tail = (f.bytes_avail_in_chunk(), f.read(PIECE))
+    f.parclose()
+    return pieces, tail
+
+
+@pytest.mark.parametrize("engine", ["threads", "bulk"])
+@pytest.mark.parametrize("shape", [SHAPES[0], SHAPES[7]], ids=_shape_id)
+def test_chunk_local_reads_agree_on_prefetched_handles(shape, engine):
+    backend = _sim_backend()
+    _write(backend, "/s/k.sion", shape)
+    expected = _payloads()
+    # One piece per recorded block, as the task-local view reads them.
+    chunks = {}
+    for w in range(NWRITERS):
+        with open_rank("/s/k.sion", w, backend=backend) as rf:
+            chunks[w] = []
+            while not rf.feof():
+                chunks[w].append(rf.read(rf.bytes_avail_in_chunk()))
+        assert b"".join(chunks[w]) == expected[w]
+    for row, m, partitioned, k in CHUNK_LOCAL_ROWS:
+        out = run_spmd(
+            m, drain_chunks, "/s/k.sion", backend, partitioned, k, engine=engine
+        )
+        part = ReadPartition.balanced(NWRITERS, m)
+        for r, (pieces, tail) in enumerate(out):
+            want = [c for w in part.writers_of(r) for c in chunks[w]]
+            assert pieces == want, (row, r)
+            assert tail == (0, b""), (row, r)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SionUsageError
 from repro.sion import open_rank, paropen
+from repro.sion.buffering import CoalescingWriter
 from repro.sion.text import TextReader, TextWriter
 from repro.simmpi import run_spmd
 from tests.conftest import TEST_BLKSIZE
@@ -179,3 +180,29 @@ def test_roundtrip_property(lines):
     run_spmd(1, task)
     with open_rank(path, 0, backend=backend) as rf:
         assert TextReader(rf).read_lines() == list(lines)
+
+
+def test_text_writer_over_a_coalescing_writer_roundtrips(any_backend):
+    """The coalescer speaks ``fwrite``, so it can sit under a TextWriter:
+    the lines read back unchanged, in fewer backend writes than lines."""
+    backend, base = any_backend
+    path = f"{base}/coalesced.sion"
+
+    def lines(rank):
+        return [f"rank {rank} record {i}" for i in range(200)]
+
+    def task(comm):
+        f = paropen(path, "w", comm, chunksize=TEST_BLKSIZE, backend=backend)
+        with CoalescingWriter(f, buffer_size=300) as cw:
+            w = TextWriter(cw)
+            for line in lines(comm.rank):
+                w.write_line(line)
+        f.parclose()
+        return cw.flushes, cw.bytes_written, w.bytes_written
+
+    for flushes, coalesced, written in run_spmd(3, task):
+        assert 0 < flushes < 200
+        assert coalesced == written
+    for rank in range(3):
+        with open_rank(path, rank, backend=backend) as rf:
+            assert TextReader(rf).read_lines() == lines(rank)
