@@ -4,6 +4,9 @@
 bytes: hierarchical directories, POSIX-ish open modes, positioned
 ``pread``/``pwrite`` (plus their vectored forms), and *sparse* storage —
 extents of zeros occupy no memory, so a 1 TB virtual write is cheap.
+Each write (each vectored run) is kept as one exact-size piece that is
+never grown, so the store's footprint is its bytes, not its allocator's
+reallocation history.
 Every operation advances a virtual clock using the machine profile's
 metadata costs and single-stream bandwidth, which lets functional tests
 assert timing properties (e.g. "creating one multifile is cheaper
@@ -24,6 +27,7 @@ from functools import lru_cache
 
 from repro.buffers import as_view
 from repro.errors import (
+    BackendUsageError,
     FileExistsSimError,
     FileNotFoundSimError,
     InvalidOperationError,
@@ -38,9 +42,20 @@ _version_clock = itertools.count(1)
 
 
 class SparseFile:
-    """Byte store holding only materialized extents; holes read as zeros."""
+    """Byte store holding only materialized pieces; holes read as zeros.
 
-    __slots__ = ("size", "version", "_starts", "_chunks")
+    Every write stores the bytes it brings in one exact-size buffer of
+    its own (a *piece*); no buffer the store holds is ever grown.  A
+    write that lands inside one piece is spliced into it in place; any
+    other write replaces the pieces it overlaps and keeps what sticks
+    out of the first and the last of them as fresh, exact-size copies.
+    Growing one buffer per extent instead (``+=`` on every touching
+    write) builds a large file by thousands of reallocs, and the heap
+    they leave behind, not the stored bytes, sets the process's peak
+    memory.
+    """
+
+    __slots__ = ("size", "version", "allocated_bytes", "_starts", "_bufs")
 
     def __init__(self) -> None:
         self.size = 0
@@ -48,122 +63,118 @@ class SparseFile:
         # process-wide clock, so (any two states of) any two files never
         # share a version — the stat-based revalidation signal caches use.
         self.version = next(_version_clock)
+        #: Bytes actually materialized (the paper's 'physical' footprint):
+        #: a running count, since ``SimFS.stat`` reads it on every call.
+        self.allocated_bytes = 0
         self._starts: list[int] = []
-        self._chunks: list[bytearray] = []
+        self._bufs: list[bytearray] = []
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def allocated_bytes(self) -> int:
-        """Bytes actually materialized (the paper's 'physical' footprint)."""
-        return sum(len(c) for c in self._chunks)
-
     def extents(self) -> list[tuple[int, int]]:
-        """Materialized ``(offset, length)`` runs, ascending and disjoint."""
-        return [(s, len(c)) for s, c in zip(self._starts, self._chunks)]
+        """Materialized ``(offset, length)`` runs: ascending, disjoint, and
+        never touching — pieces that abut are reported as one run."""
+        out: list[tuple[int, int]] = []
+        end = -1
+        for s, b in zip(self._starts, self._bufs):
+            if s == end:
+                lo, n = out[-1]
+                out[-1] = (lo, n + len(b))
+            else:
+                out.append((s, len(b)))
+            end = s + len(b)
+        return out
 
     # -- mutation ------------------------------------------------------------
 
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> int:
         """Overlay ``data`` at ``offset``; grows the file as needed.
 
-        Accepts any buffer-protocol object and splices it straight into
-        the extent store: the single copy happens here, into the extent
-        ``bytearray`` — no intermediate ``bytes`` materialization.
+        Accepts any buffer-protocol object; the single copy happens here,
+        into the store's own buffer — no intermediate ``bytes``.
         """
+        return self.writev(offset, (data,))
+
+    def writev(self, offset: int, views) -> int:
+        """Overlay ``views`` back to back at ``offset``; a run that does not
+        land inside one piece becomes exactly one new piece."""
         if offset < 0:
-            raise ValueError(f"negative offset: {offset}")
-        view = as_view(data)
-        n = view.nbytes
+            raise BackendUsageError(f"negative offset: {offset}")
+        views = [as_view(v) for v in views]
+        n = sum(v.nbytes for v in views)
         if n == 0:
             return 0
         self.version = next(_version_clock)
+        starts, bufs = self._starts, self._bufs
         lo, hi = offset, offset + n
         first, last = self._overlap_range(lo, hi)
-        if first == last:
-            # No overlap with existing extents: insert fresh.
-            self._starts.insert(first, lo)
-            self._chunks.insert(first, bytearray(view))
-        elif last == first + 1 and (
-            self._starts[first] <= lo
-            and hi <= self._starts[first] + len(self._chunks[first])
-        ):
-            # Overwrite fully inside one extent: splice in place.  The
-            # general path below would rebuild the extent and shift the
-            # whole extent list — O(extents) per write, which turns a
-            # rewrite pass over a large file quadratic.
-            s = self._starts[first]
-            self._chunks[first][lo - s : hi - s] = view
+        if last == first + 1 and starts[first] <= lo and hi <= starts[first] + len(bufs[first]):
+            # Inside one piece: splice in place, same length.  Replacing
+            # the piece instead would copy all of it for a small rewrite.
+            buf, pos = bufs[first], lo - starts[first]
+            for v in views:
+                buf[pos : pos + v.nbytes] = v
+                pos += v.nbytes
             return n
-        else:
-            new_lo = min(lo, self._starts[first])
-            new_hi = max(hi, self._starts[last - 1] + len(self._chunks[last - 1]))
-            merged = bytearray(new_hi - new_lo)
-            for i in range(first, last):
-                s = self._starts[i]
-                merged[s - new_lo : s - new_lo + len(self._chunks[i])] = self._chunks[i]
-            merged[lo - new_lo : lo - new_lo + n] = view
-            del self._starts[first:last]
-            del self._chunks[first:last]
-            self._starts.insert(first, new_lo)
-            self._chunks.insert(first, merged)
-        self._coalesce_around(first)
+        piece = bytearray(views[0]) if len(views) == 1 else bytearray().join(views)
+        new_starts, new_bufs = [lo], [piece]
+        freed = 0
+        if first < last:
+            s = starts[first]
+            if s < lo:  # keep the head of the first piece
+                new_starts.insert(0, s)
+                new_bufs.insert(0, bufs[first][: lo - s])
+            s = starts[last - 1]
+            if s + len(bufs[last - 1]) > hi:  # ... and the tail of the last
+                new_starts.append(hi)
+                new_bufs.append(bufs[last - 1][hi - s :])
+            freed = sum(len(b) for b in bufs[first:last])
+        starts[first:last] = new_starts
+        bufs[first:last] = new_bufs
+        self.allocated_bytes += sum(len(b) for b in new_bufs) - freed
         self.size = max(self.size, hi)
         return n
 
     def read(self, offset: int, n: int) -> bytes:
-        """Read up to ``n`` bytes at ``offset``; holes come back as zeros."""
+        """Read up to ``n`` bytes at ``offset``; holes come back as zeros.
+
+        The result is assembled in one copy from views of the pieces.
+        """
         if offset < 0 or n < 0:
-            raise ValueError("offset and n must be non-negative")
+            raise BackendUsageError("offset and n must be non-negative")
         n = max(0, min(n, self.size - offset))
         if n == 0:
             return b""
-        out = bytearray(n)
         lo, hi = offset, offset + n
         first, last = self._overlap_range(lo, hi)
+        parts: list = []
+        pos = lo
         for i in range(first, last):
             s = self._starts[i]
-            c = self._chunks[i]
-            cs = max(s, lo)
-            ce = min(s + len(c), hi)
-            out[cs - lo : ce - lo] = c[cs - s : ce - s]
-        return bytes(out)
+            b = self._bufs[i]
+            if s > pos:
+                parts.append(bytes(s - pos))
+            e = min(s + len(b), hi)
+            start = max(s, lo)
+            parts.append(memoryview(b)[start - s : e - s])
+            pos = e
+        if pos < hi:
+            parts.append(bytes(hi - pos))
+        return b"".join(parts)
 
     # -- internals -------------------------------------------------------------
 
     def _overlap_range(self, lo: int, hi: int) -> tuple[int, int]:
-        """Indices [first, last) of extents intersecting [lo, hi)."""
+        """Indices [first, last) of pieces intersecting [lo, hi)."""
         first = bisect_right(self._starts, lo) - 1
         if first >= 0:
             s = self._starts[first]
-            if s + len(self._chunks[first]) <= lo:
+            if s + len(self._bufs[first]) <= lo:
                 first += 1
         else:
             first = 0
         last = bisect_left(self._starts, hi, lo=first)
         return first, last
-
-    def _coalesce_around(self, idx: int) -> None:
-        """Merge extent ``idx`` with physically adjacent neighbours."""
-        # Merge with next while touching.
-        while idx + 1 < len(self._starts):
-            end = self._starts[idx] + len(self._chunks[idx])
-            if self._starts[idx + 1] == end:
-                self._chunks[idx] += self._chunks[idx + 1]
-                del self._starts[idx + 1]
-                del self._chunks[idx + 1]
-            else:
-                break
-        # Merge with previous while touching.
-        while idx > 0:
-            end = self._starts[idx - 1] + len(self._chunks[idx - 1])
-            if self._starts[idx] == end:
-                self._chunks[idx - 1] += self._chunks[idx]
-                del self._starts[idx]
-                del self._chunks[idx]
-                idx -= 1
-            else:
-                break
 
 
 @dataclass
@@ -222,15 +233,14 @@ class SimFileHandle:
     def pwritev(self, offset: int, views) -> int:
         """Vectored positional write: views land back to back at ``offset``.
 
-        Each view is spliced directly into the sparse store; the whole
-        call is accounted as one data operation of the summed size.
+        The run is stored as one piece, not one per view (collective
+        mode hands over thousands of small fragments per call); the
+        whole call is accounted as one data operation of the summed size.
         """
         self._check_open()
         self._check_writable()
         with self._fs._lock:
-            total = 0
-            for v in views:
-                total += self._data.write(offset + total, v)
+            total = self._data.writev(offset, views)
             self._fs._account_data("write", total)
         return total
 
@@ -244,7 +254,7 @@ class SimFileHandle:
             pos = offset
             for size in sizes:
                 if size < 0:
-                    raise ValueError(f"negative read size: {size}")
+                    raise BackendUsageError(f"negative read size: {size}")
                 out.append(self._data.read(pos, size))
                 pos += size
             self._fs._account_data("read", sum(len(p) for p in out))
@@ -311,7 +321,7 @@ class SimFS:
         self.clock = 0.0
         self.op_counts: dict[str, int] = {}
         # SPMD workloads drive many rank threads (or bulk-engine workers)
-        # into one SimFS concurrently; extent-list surgery and the clock
+        # into one SimFS concurrently; piece-list surgery and the clock
         # accounting are multi-step and must not interleave.  Reentrant:
         # data ops account inside the same critical section.
         self._lock = threading.RLock()
@@ -408,8 +418,9 @@ class SimFS:
     def extents_of(self, path: str) -> tuple[int, list[tuple[int, int]]]:
         """``(size, materialized extents)`` of a file, without accounting.
 
-        The extents are ascending, disjoint ``(offset, length)`` runs; holes
-        between them read as zeros.  Together with the bytes under each run
+        The extents are ascending, disjoint, non-touching ``(offset,
+        length)`` runs, however many writes built them; holes between
+        them read as zeros.  Together with the bytes under each run
         this determines the file content exactly, which is what content
         fingerprints (e.g. the scale suite's multifile hash pin) are built
         from — a free-of-charge introspection, so no op accounting happens.

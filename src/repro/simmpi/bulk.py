@@ -107,15 +107,18 @@ where the loop regains control — on entry to a frontier op and when a
 body parks or returns: a rank body that held the loop longer than that
 fails every unfinished rank with "bulk engine stalled".
 
-**Lifetime contract.**  A rank's own logged values die with the rank:
-when its body returns, :meth:`_BulkEngine._finish_rank` drops its
-entries from the per-rank part (exceptions dict or dense array) of every
-column it logged, because a finished rank never replays.  Shared values
-— uniform column values, waves, worlds — die with ``run_spmd``: program
-rows and their columns, in-flight waves, mailboxes and sub-worlds are
-reachable only through the engine, and :meth:`_BulkEngine.run` lets
-go of all of them in a ``finally`` — on success, rank failure, deadlock
-and timeout alike — and cuts every world's reference back to the engine.
+**Lifetime contract.**  A value only one rank logged dies with that
+rank: when its body returns, :meth:`_BulkEngine._finish_rank` drops its
+entries from every column it logged, because a finished rank never
+replays — the per-rank part (exceptions dict or dense array), and the
+column's uniform value too when this rank deposited it first and no
+other rank logged the same object (see :class:`_Col`).  Shared values
+— a uniform value other ranks logged too, waves, worlds — die with
+``run_spmd``: program rows and their columns, in-flight waves,
+mailboxes and sub-worlds are reachable only through the engine, and
+:meth:`_BulkEngine.run` lets go of all of them in a ``finally`` — on
+success, rank failure, deadlock and timeout alike — and cuts every
+world's reference back to the engine.
 This is not left to the garbage collector because it cannot do it:
 ``dtype=object`` ndarrays (dense columns, wave slots) are invisible to
 CPython's cycle collector, so a cycle engine → program row → column →
@@ -201,13 +204,23 @@ class _Col:
     and ``None`` results), collects disagreeing ranks in an exceptions
     dict, and spills to a dense object ndarray indexed by global rank
     once per-rank values are the rule (``exec_once`` handles).
+
+    The uniform value is first of all its depositor's own entry:
+    ``first`` names that rank and ``shared`` records whether any other
+    rank logged the very same object.  Until one did, the value is
+    released when ``first`` finishes — every other rank that logged
+    here holds an entry of its own — so a per-rank column (a
+    ``gather_read`` result, say) does not keep its first rank's value
+    until the run ends.
     """
 
-    __slots__ = ("mode", "value", "exc", "dense")
+    __slots__ = ("mode", "value", "first", "shared", "exc", "dense")
 
     def __init__(self) -> None:
         self.mode = 0  # 0 empty, 1 uniform(+exceptions), 2 dense
         self.value: Any = None
+        self.first = -1
+        self.shared = False
         self.exc: dict[int, Any] | None = None
         self.dense: Any = None
 
@@ -219,9 +232,11 @@ class _Col:
             return
         if mode == 0:
             self.value = value
+            self.first = grank
             self.mode = 1
             return
         if value is self.value:
+            self.shared = True
             return
         exc = self.exc
         if exc is None:
@@ -229,18 +244,25 @@ class _Col:
         exc[grank] = value
         if len(exc) > _COL_SPILL and engine_size > 2 * _COL_SPILL:
             dense = np.empty(engine_size, dtype=object)
-            dense.fill(self.value)
+            if self.shared:  # which ranks logged it is not recorded
+                dense.fill(self.value)
+            else:
+                dense[self.first] = self.value
             for g, v in exc.items():
                 dense[g] = v
             self.dense = dense
+            self.value = self.exc = None
             self.mode = 2
 
     def drop(self, grank: int) -> None:
-        """Forget ``grank``'s own value; the shared value stays."""
+        """Forget ``grank``'s own value; a shared value stays."""
         if self.mode == 2:
             self.dense[grank] = None
-        elif self.exc is not None:
-            self.exc.pop(grank, None)
+        else:
+            if self.exc is not None:
+                self.exc.pop(grank, None)
+            if grank == self.first and not self.shared:
+                self.value = None
 
     def get(self, grank: int) -> Any:
         """Logged value for ``grank`` (replay hot path)."""

@@ -1,18 +1,21 @@
 """Fuzz :class:`SparseFile` against a plain-``bytearray`` reference model.
 
-The extent store splices buffer views directly (zero-copy), merges
-extents, and coalesces neighbours — this suite drives random
-interleavings of writes (holes come from writes past the end) and reads
-and checks every observable against the dumbest possible model, plus the structural
-invariants the store promises (sorted disjoint extents, allocation never
-exceeding the logical size).
+The store keeps one exact-size buffer per write (a piece), splices a
+write that lands inside one piece in place, and splits the pieces a
+wider write overlaps; it reports touching pieces as one extent.  This
+suite drives random interleavings of writes (holes come from writes
+past the end) and reads — directly and through the vectored
+``SimFileHandle.pwritev`` / ``preadv`` — and checks every observable
+against the dumbest possible model, plus the structural invariants the
+store promises (sorted disjoint extents, allocation never exceeding the
+logical size, and no buffer the store holds ever resized by a write).
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.fs.simfs import SparseFile
+from repro.fs.simfs import SimFS, SparseFile
 
 LIMIT = 4096  # keep offsets/sizes small enough for dense model comparison
 
@@ -117,3 +120,81 @@ def test_writer_buffer_mutation_after_write_is_invisible(writes):
         model.write(offset, bytes(data))
         data[:] = b"\xee" * len(data)  # scribble over the source buffer
     assert sf.read(0, sf.size) == model.read(0, model.size)
+
+
+def _held(sf: SparseFile) -> dict[int, tuple[bytearray, int]]:
+    """The store's buffers by id, each kept alive so no id is reused."""
+    return {id(b): (b, len(b)) for b in sf._bufs}
+
+
+def _check_no_resize(sf: SparseFile, before: dict[int, tuple[bytearray, int]]) -> None:
+    for b in sf._bufs:
+        if id(b) in before:
+            assert len(b) == before[id(b)][1], "a write resized a held buffer"
+    assert sf.allocated_bytes == sum(n for _, n in sf.extents())
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=ops)
+def test_a_write_never_resizes_a_buffer_the_store_holds(ops):
+    sf = SparseFile()
+    for op in ops:
+        if op[0] == "write":
+            _, offset, size, seed, _ = op
+            before = _held(sf)
+            sf.write(offset, _payload(seed, size))
+            _check_no_resize(sf, before)
+
+
+vectored_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("writev"),
+            st.integers(0, LIMIT),
+            st.lists(st.tuples(st.integers(0, 200), st.integers(0, 250)), min_size=1, max_size=6),
+        ),
+        st.tuples(
+            st.just("readv"),
+            st.integers(0, LIMIT),
+            st.lists(st.integers(0, 300), min_size=1, max_size=6),
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=vectored_ops)
+def test_vectored_handle_calls_match_bytearray_model(ops):
+    fs, model = SimFS(), Model()
+    fh = fs.open("/f", "w+b")
+    sf = fh._data
+    for op in ops:
+        if op[0] == "writev":
+            _, offset, spec = op
+            views = [memoryview(_payload(seed, size)) for size, seed in spec]
+            before = _held(sf)
+            assert fh.pwritev(offset, views) == sum(v.nbytes for v in views)
+            model.write(offset, b"".join(views))
+            _check_no_resize(sf, before)
+        else:
+            _, offset, sizes = op
+            got = fh.preadv(offset, sizes)
+            assert len(got) == len(sizes)
+            pos = offset
+            for size, piece in zip(sizes, got):
+                assert piece == model.read(pos, size)
+                pos += size
+        assert sf.size == model.size == fs.stat("/f").st_size
+        _check_invariants(sf)
+    assert fh.pread(0, sf.size) == model.read(0, model.size)
+
+
+def test_pwritev_stores_one_contiguous_run_as_one_piece():
+    fs = SimFS()
+    fh = fs.open("/f", "w+b")
+    fh.pwritev(100, [b"ab"] * 500)
+    assert len(fh._data._bufs) == 1
+    assert fs.stat("/f").allocated_bytes == 1000
+    assert fh.pread(100, 1000) == b"ab" * 500

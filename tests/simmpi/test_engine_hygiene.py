@@ -178,9 +178,9 @@ class _Logged:
 
 @pytest.mark.parametrize("nprocs", [3, 40])  # exceptions dict, dense array
 def test_bulk_rank_values_die_with_the_rank(nprocs):
-    """A value only one rank logged is freed when that rank returns; a
-    column's shared value lives until the run ends.  The first value a
-    column receives is its shared value, so rank 0's stays too."""
+    """A value only one rank logged is freed when that rank returns — the
+    first value a column receives too; a value every rank logged (the
+    bcast's) lives until the run ends."""
     refs: dict = {}
     seen: dict = {}
     sender, checker = nprocs - 2, nprocs - 1
@@ -189,24 +189,82 @@ def test_bulk_rank_values_die_with_the_rank(nprocs):
         # Every rank logs the root's object: a uniform column.
         refs.setdefault("shared", weakref.ref(comm.bcast(_Logged() if comm.rank == 0 else None)))
         # Rank 0 passes the bcast first, so its object is the column's
-        # shared value and the others' objects are their own entries.
+        # first value and the others' objects are their own entries.
         refs[comm.rank] = weakref.ref(comm.exec_once(_Logged))
+        comm.barrier()  # every rank has logged (at 40: spilled) before any returns
         if comm.rank == sender:
             comm.send(None, dest=checker)
         elif comm.rank == checker:
-            comm.recv(source=sender)  # the sender has returned by now
+            comm.recv(source=sender)  # rank 0 and the sender have returned by now
             gc.collect()
             seen.update(
-                finished=refs[sender](), running=refs[checker](), shared=refs["shared"]()
+                first=refs[0](), finished=refs[sender](), running=refs[checker](),
+                shared=refs["shared"](),
             )
 
     run_spmd(nprocs, body, engine="bulk")
+    assert seen["first"] is None
     assert seen["finished"] is None
     assert isinstance(seen["running"], _Logged)
     assert isinstance(seen["shared"], _Logged)
     del seen["running"], seen["shared"]
     gc.collect()
-    assert refs["shared"]() is None and refs[0]() is None
+    assert refs["shared"]() is None
+
+
+def test_bulk_first_value_dies_with_its_rank_when_some_ranks_never_log_it():
+    """A dense column holds its first value for its depositor alone, not
+    in the slots of ranks that never log there."""
+    nprocs, loggers = 40, 30  # 29 other entries: the column spills to dense
+    checker = nprocs - 1  # not a logger
+    refs: dict = {}
+    seen: dict = {}
+
+    def body(comm):
+        if comm.rank < loggers:
+            value = comm.exec_once(_Logged)
+            if comm.rank == 0:
+                refs["first"] = weakref.ref(value)
+            del value
+        comm.barrier()  # every logger has logged before any returns
+        if comm.rank == 0:
+            comm.send(None, dest=checker)
+        elif comm.rank == checker:
+            comm.recv(source=0)  # rank 0 has returned by now
+            gc.collect()
+            seen["first"] = refs["first"]()
+
+    run_spmd(nprocs, body, engine="bulk")
+    assert seen["first"] is None
+
+
+@pytest.mark.parametrize("nprocs", [3, 40])
+def test_bulk_value_two_ranks_logged_lives_until_both_finish(nprocs):
+    """Ranks 0 and 1 log the same object; the column's first depositor
+    returning does not free what rank 1 still replays."""
+    box = {"pair": _Logged()}
+    ref = weakref.ref(box["pair"])
+    seen: dict = {}
+    checker = nprocs - 1
+
+    def body(comm):
+        comm.exec_once(lambda: box["pair"] if comm.rank < 2 else _Logged())
+        comm.barrier()  # both have logged it before either returns
+        box.pop("pair", None)
+        if comm.rank == 0:
+            comm.send(None, dest=checker)
+        elif comm.rank == 1:
+            comm.recv(source=checker)  # parked: only the log holds the pair
+        elif comm.rank == checker:
+            comm.recv(source=0)  # rank 0 has returned by now
+            gc.collect()
+            seen["alive"] = ref() is not None
+            comm.send(None, dest=1)
+
+    run_spmd(nprocs, body, engine="bulk")
+    assert seen["alive"]
+    gc.collect()
+    assert ref() is None
 
 
 def _checkpoint_cycle(ntasks: int = 512, nreaders: int = 64) -> None:

@@ -6,8 +6,9 @@ once every per-file master has appended metablock 2 (the seal token).
 So (i) a collective re-open in the same body, and a serial open on world
 rank 0 right after the close, see a sealed set on every engine; and
 (ii) under the bulk engine — whose woken ranks run next — a close keeps
-no writer's handle alive, and neither a prefetch read nor a collective
-write holds more than a few collector groups' bytes in flight.
+no writer's handle alive, neither a prefetch read nor a collective
+write holds more than a few collector groups' bytes in flight, and a
+direct read holds about one rank's stream.
 
 The SPMD bodies are module-level, so the process-engine rows also run
 under the ``spawn`` start method.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 import weakref
+import zlib
 
 import pytest
 
@@ -151,6 +153,35 @@ def test_prefetch_read_holds_a_few_collector_groups_in_flight():
     assert all(ok) and len(ok) == readers
     # Every group prefetching before any sender consumes would be all 64.
     assert peak <= 16 * k * per, peak / (k * per)
+
+
+def test_direct_read_holds_about_one_rank_stream_in_flight():
+    nprocs, per, piece = 8, 1 << 20, 12345  # chunk-spanning freads
+    backend = SimBackend(SimFS(blocksize_override=4096))
+    crcs = [zlib.crc32(bytes([r % 251]) * per) for r in range(nprocs)]
+
+    def write(comm):
+        f = paropen("/d.sion", "w", comm, chunksize=256 << 10, nfiles=2, backend=backend)
+        f.fwrite(bytes([comm.rank % 251]) * per)
+        f.parclose()
+
+    def read(comm):
+        f = paropen("/d.sion", "r", comm, backend=backend)
+        crc = nbytes = 0
+        while not f.feof():
+            data = f.fread(piece)
+            crc = zlib.crc32(data, crc)
+            nbytes += len(data)
+        f.parclose()
+        return nbytes == per and crc == crcs[comm.rank]
+
+    run_spmd(nprocs, write, engine="bulk")
+    ok: list[bool] = []
+    peak, _ = _traced(lambda: ok.extend(run_spmd(nprocs, read, engine="bulk")))
+    assert all(ok) and len(ok) == nprocs
+    # A rank's logged freads live until it returns; the first rank's, kept
+    # as each column's shared value until the run ends, would add another.
+    assert peak <= 3 * per // 2, peak / per
 
 
 def test_collective_write_holds_a_few_collector_groups_in_flight():

@@ -1,9 +1,9 @@
 """Every error the library raises on purpose is a ``repro.errors`` type.
 
-An AST scan of the I/O packages: each ``raise`` names a class of
-:mod:`repro.errors`, or calls a function whose return annotation is one
-(the engines' shared failure policies), or is one of the few raises a
-Python protocol dictates, listed below with its reason.  A bare
+An AST scan of the I/O packages and the SimFS store: each ``raise``
+names a class of :mod:`repro.errors`, or calls a function whose return
+annotation is one (the engines' shared failure policies), or is one of
+the few raises a Python protocol dictates, listed below with its reason.  A bare
 ``raise`` (re-raise) is always allowed.
 """
 
@@ -16,6 +16,8 @@ import repro.errors
 
 SRC = pathlib.Path(repro.errors.__file__).resolve().parent
 PACKAGES = ("sion", "simmpi", "serve", "backends", "utils")
+#: Single modules scanned from packages not (yet) scanned whole.
+MODULES = ("fs/simfs.py",)
 
 ERRORS = {
     name
@@ -42,9 +44,9 @@ def _raised_name(node: ast.Raise) -> str:
 
 
 def _sources():
-    for pkg in PACKAGES:
-        for path in sorted((SRC / pkg).rglob("*.py")):
-            yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+    paths = [p for pkg in PACKAGES for p in sorted((SRC / pkg).rglob("*.py"))]
+    for path in paths + [SRC / m for m in MODULES]:
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
 
 
 def _error_factories() -> set[str]:
