@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help=(
-            "override the SPMD engine (threads|bulk|proc, aliases accepted) "
+            "override the SPMD engine (threads|bulk|proc) "
             "for every selected scenario that has an 'engine' parameter; "
             "the report records the effective value"
         ),

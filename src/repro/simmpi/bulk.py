@@ -32,10 +32,9 @@ of engine state:
   bitmap, and a preallocated int32 waiter array.  Waking the world when a
   wave completes is a handful of vectorized index operations over flag
   arrays, not a python loop over a waiter set.
-* **Uniform-program fast path.**  When the first wave of a world
-  completes with every member on the same program row, replay
-  verification switches from per-op opcode compares to a running
-  sequence fingerprint checked once when the rank reaches its frontier.
+* **One replay check.**  Every replayed op is compared with the opcode
+  its rank's own program row logged at that position — one list index
+  per op, the same on a row the whole world shares as on a branch row.
 
 Plain Python functions cannot be suspended mid-call without a dedicated
 stack, so cooperative scheduling is built on **memoized replay**:
@@ -55,9 +54,10 @@ parks on (roughly the program's collective depth), not by world size.
 **Program contract** (checked where cheap, documented here in full):
 
 1. Rank bodies must be *deterministic* given their communication results.
-   The engine verifies on replay that the op sequence matches — per op on
-   the general path, by sequence fingerprint on the uniform fast path —
-   and raises ``SimMPIError`` otherwise.
+   A replay fails with ``SimMPIError`` at the first op that differs from
+   the rank's program row, naming the logged op and the called one,
+   before that op hands the body a value logged for another op; a body
+   that returns before its logged frontier fails too.
 2. Non-communication side effects between ops may be re-executed and must
    be idempotent (positioned writes of the same bytes are; truncating
    creates and appends are not).  Guard non-idempotent effects with
@@ -161,7 +161,7 @@ class _Suspend(BaseException):
 
 
 # --------------------------------------------------------------------------
-# Opcode interning and program fingerprints.
+# Opcode interning.
 
 #: Op names are interned on first use; logs, waves and parked-on
 #: descriptors hold the small ints.
@@ -175,20 +175,6 @@ def _opid(name: str) -> int:
         opid = _OP_IDS[name] = len(_OP_NAMES)
         _OP_NAMES.append(name)
     return opid
-
-
-#: FNV-1a-style running fingerprint of an op-id sequence, masked to stay
-#: a machine int.  Used by the uniform-program fast path: replays
-#: accumulate the fingerprint instead of checking each opcode, and the
-#: result is compared against the program's prefix fingerprint once, when
-#: the rank crosses from replay into fresh execution.
-_FP_SEED = 0xCBF29CE484222325
-_FP_MULT = 0x100000001B3
-_FP_MASK = (1 << 64) - 1
-
-
-def _fp_step(fp: int, opid: int) -> int:
-    return ((fp ^ opid) * _FP_MULT) & _FP_MASK
 
 
 #: Above this many distinct per-rank values a column abandons its
@@ -280,24 +266,17 @@ class _Program:
 
     Ranks running identical sequences share a row; a rank whose next op
     diverges branches to a child row that shares the common-prefix
-    columns by reference.  ``fps[k]`` is the running fingerprint of
-    ``ops[:k]``; ``uniform`` is set when a whole world was observed on
-    this row at its first wave, enabling fingerprint-verified replay.
+    columns by reference.
     """
 
-    __slots__ = ("ops", "cols", "fps", "branches", "uniform")
+    __slots__ = ("ops", "cols", "branches")
 
     def __init__(
-        self,
-        ops: list[int] | None = None,
-        cols: list[_Col] | None = None,
-        fps: list[int] | None = None,
+        self, ops: list[int] | None = None, cols: list[_Col] | None = None
     ) -> None:
         self.ops: list[int] = ops if ops is not None else []
         self.cols: list[_Col] = cols if cols is not None else []
-        self.fps: list[int] = fps if fps is not None else [_FP_SEED]
         self.branches: dict[tuple[int, int], _Program] = {}
-        self.uniform = False
 
 
 class _Exec:
@@ -308,18 +287,12 @@ class _Exec:
     across executions lives in the engine's flat arrays instead.
     """
 
-    __slots__ = ("prog", "cursor", "nlogged", "fast", "fp", "verified", "suspending")
+    __slots__ = ("prog", "cursor", "nlogged", "suspending")
 
     def __init__(self, prog: _Program, nlogged: int) -> None:
         self.prog = prog
         self.cursor = 0
         self.nlogged = nlogged
-        #: Snapshot of ``prog.uniform`` at execution start: the replay
-        #: verification mode must not change mid-run (the fingerprint is
-        #: only meaningful if accumulated from op 0).
-        self.fast = prog.uniform
-        self.fp = _FP_SEED
-        self.verified = False
         #: True while a ``_Suspend`` is unwinding this body.  Any
         #: communication attempted by cleanup code (``finally`` blocks,
         #: context-manager ``__exit__`` like ``SionParallelFile.parclose``)
@@ -409,14 +382,10 @@ class BulkComm(Comm):
     # -- replay machinery -------------------------------------------------
 
     def _replay(self, ex: _Exec, opid: int) -> Any:
-        """Return the column value of the op at the cursor (hot path)."""
+        """Return the column value of the op at the cursor (hot path),
+        after checking it is the op the rank's row logged there."""
         prog, c = ex.prog, ex.cursor
-        if ex.fast:
-            # Uniform fast path: accumulate the sequence fingerprint
-            # (``_fp_step``, inlined on this hot path); verified once
-            # against the program prefix at the frontier.
-            ex.fp = ((ex.fp ^ opid) * _FP_MULT) & _FP_MASK
-        elif prog.ops[c] != opid:
+        if prog.ops[c] != opid:
             raise SimMPIError(
                 f"non-deterministic rank program: replay expected "
                 f"{_OP_NAMES[prog.ops[c]]!r} but rank {self._grank} called "
@@ -429,24 +398,10 @@ class BulkComm(Comm):
             return col.value
         return col.get(self._grank)
 
-    def _verify_frontier(self, ex: _Exec) -> None:
-        """Fingerprint check when a fast-path replay reaches its frontier."""
-        if ex.fast and not ex.verified:
-            if ex.fp != ex.prog.fps[ex.cursor]:
-                raise SimMPIError(
-                    f"non-deterministic rank program: rank {self._grank}'s "
-                    "replayed op sequence diverged from the logged program "
-                    "(fingerprint mismatch); bulk-engine programs must be "
-                    "deterministic"
-                )
-        ex.verified = True
-
     def _advance(self, ex: _Exec, opid: int, value: Any) -> Any:
         """Record a completed frontier op in the (shared) program row."""
         engine = self._engine
         g = self._grank
-        if not ex.verified:
-            self._verify_frontier(ex)
         prog, k = ex.prog, ex.cursor
         if k < len(prog.ops):
             if prog.ops[k] == opid:
@@ -457,11 +412,7 @@ class BulkComm(Comm):
                 # common-prefix columns by reference.
                 child = prog.branches.get((k, opid))
                 if child is None:
-                    fps = prog.fps[: k + 1]
-                    fps.append(_fp_step(fps[-1], opid))
-                    child = _Program(
-                        prog.ops[:k] + [opid], prog.cols[:k] + [_Col()], fps
-                    )
+                    child = _Program(prog.ops[:k] + [opid], prog.cols[:k] + [_Col()])
                     prog.branches[(k, opid)] = child
                 child.cols[k].put(g, value, engine.size)
                 engine.progs[g] = ex.prog = child
@@ -470,7 +421,6 @@ class BulkComm(Comm):
             col.put(g, value, engine.size)
             prog.ops.append(opid)
             prog.cols.append(col)
-            prog.fps.append(_fp_step(prog.fps[-1], opid))
         engine.nops[g] = ex.nlogged = ex.cursor = k + 1
         return value
 
@@ -568,8 +518,6 @@ class BulkComm(Comm):
         if wave.consumed == world.size:
             del world.waves[k]
             engine.note_wave_done(world, wave)
-            if k == 0:
-                engine.maybe_mark_uniform(world)
         return self._advance(ex, opid, value)
 
     def _split_groups(self, deposits: np.ndarray) -> tuple[SplitPlan, list[_World]]:
@@ -745,22 +693,6 @@ class _BulkEngine:
         else:
             self.wave_log_dropped += 1
 
-    def maybe_mark_uniform(self, world: _World) -> None:
-        """Uniform-program detection at a world's first completed wave.
-
-        If every member rank is on the same program row once wave 0 has
-        been consumed by all of them, the row is flagged and subsequent
-        replays of it verify by sequence fingerprint instead of per-op
-        opcode compares.  Ranks that later diverge simply branch to
-        unflagged child rows — the flag never needs revoking.
-        """
-        progs = self.progs
-        first = progs[world.granks[0]]
-        for lr in range(1, world.size):
-            if progs[world.granks[lr]] is not first:
-                return
-        first.uniform = True
-
     def stalled(self) -> bool:
         """Check the stall bound; called where the loop regains control —
         on entry to a frontier op and when a body parks or returns."""
@@ -822,24 +754,13 @@ class _BulkEngine:
         self._finish_rank(grank, result)
 
     def _check_completed_replay(self, ex: _Exec, grank: int) -> None:
-        """Deferred replay verification when a body returns mid-replay.
-
-        The uniform fast path checks the sequence fingerprint at the
-        frontier; a nondeterministic body that returns *before* reaching
-        its frontier (fewer ops than logged, or a diverging sequence the
-        fingerprint accumulated) is caught here instead.
-        """
+        """A body that returns before its logged frontier: every op it
+        replayed matched its row, but it skipped ops the row holds."""
         if ex.cursor < ex.nlogged:
             raise SimMPIError(
                 f"non-deterministic rank program: rank {grank} returned "
                 f"after {ex.cursor} ops but its log holds {ex.nlogged}; "
                 "bulk-engine programs must be deterministic"
-            )
-        if ex.fast and not ex.verified and ex.fp != ex.prog.fps[ex.cursor]:
-            raise SimMPIError(
-                f"non-deterministic rank program: rank {grank}'s replayed "
-                "op sequence diverged from the logged program (fingerprint "
-                "mismatch); bulk-engine programs must be deterministic"
             )
 
     def _loop(self) -> None:
@@ -863,12 +784,10 @@ class _BulkEngine:
         stats = self.stats
         if stats is None:
             return
-        rows = set(self.progs)
         stats["engine"] = "bulk"
         stats["ranks"] = self.size
         stats["executions"] = self.nexecs
-        stats["programs"] = len(rows)
-        stats["uniform_programs"] = sum(prog.uniform for prog in rows)
+        stats["programs"] = len(set(self.progs))
         stats["waves"] = list(self.wave_log)
         stats["waves_dropped"] = self.wave_log_dropped
 
@@ -921,10 +840,11 @@ def run_spmd_bulk(
     ignored: the engine has no worker pool (ranks run one at a time on the
     calling thread), and the keyword stays only so that callers written
     for the pool keep working.  If ``stats`` is a dict it is
-    filled with engine telemetry on return: ``executions`` (total body
-    runs, replay multiplier included), ``programs``/``uniform_programs``
-    (shared op-log rows), and ``waves`` — up to ``_WAVE_LOG_CAP``
-    ``(world_size, opname, t_created, t_completed)`` tuples the scale
-    suite turns into its per-phase breakdown.
+    filled with engine telemetry on return: ``engine`` (``"bulk"``),
+    ``ranks``, ``executions`` (total body runs, replay multiplier
+    included), ``programs`` (shared op-log rows), ``waves`` — up to
+    ``_WAVE_LOG_CAP`` ``(world_size, opname, t_created, t_completed)``
+    tuples the scale suite turns into its per-phase breakdown — and
+    ``waves_dropped`` (completed waves past that cap).
     """
     return _BulkEngine(nprocs, fn, args, kwargs, timeout, stats).run()

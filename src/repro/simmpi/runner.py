@@ -33,13 +33,9 @@ _TIMEOUT_UNSET = object()
 #: Engines selectable via ``run_spmd(..., engine=...)``.
 ENGINES = ("threads", "bulk", "proc")
 
-#: Accepted spellings that normalize onto :data:`ENGINES` entries.
-_ENGINE_ALIASES = {"thread": "threads", "processes": "proc", "process": "proc"}
-
 
 def normalize_engine(engine: str) -> str:
-    """Canonical engine name for ``engine``; raises on unknown names."""
-    engine = _ENGINE_ALIASES.get(engine, engine)
+    """``engine`` if it is one of :data:`ENGINES`; raises on any other name."""
     if engine not in ENGINES:
         raise SimMPIError(
             f"unknown SPMD engine {engine!r}; expected one of {ENGINES}"
@@ -110,7 +106,6 @@ def run_spmd(
         aggregate bandwidth scales past one core; payloads cross by
         value and backend handles must be picklable or rank-local (see
         :mod:`repro.simmpi.proc`).
-        ``"thread"`` is accepted as an alias of ``"threads"``.
     nworkers:
         Accepted and ignored.  The bulk engine once had a worker pool of
         this size; it runs on the calling thread now, and the keyword

@@ -168,8 +168,8 @@ def main_verify(argv: list[str] | None = None) -> int:
         "--engine",
         default="bulk",
         metavar="NAME",
-        help="SPMD engine of the --readers read (threads|bulk|proc, "
-        "aliases accepted; default: bulk)",
+        help="SPMD engine of the --readers read (threads|bulk|proc; "
+        "default: bulk)",
     )
     p.add_argument(
         "--inject",

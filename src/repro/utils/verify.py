@@ -72,10 +72,10 @@ def verify_multifile(
     slice against the serial global view — proving the container can be
     consumed by a differently sized world, byte for byte.
 
-    ``engine`` selects the SPMD engine of that partitioned read (any
-    name :func:`repro.simmpi.normalize_engine` accepts).  The default
-    stays ``bulk`` because a reader world is allowed to be huge; with
-    ``"proc"`` the backend must be able to cross process boundaries
+    ``engine`` selects the SPMD engine of that partitioned read (one of
+    :data:`repro.simmpi.ENGINES`).  The default stays ``bulk`` because a
+    reader world is allowed to be huge; with ``"proc"`` the backend must
+    be able to cross process boundaries
     (:class:`~repro.backends.localfs.LocalBackend` can).
     """
     backend = backend if backend is not None else LocalBackend()

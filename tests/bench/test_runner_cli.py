@@ -123,7 +123,7 @@ def test_cli_run_engine_override(tmp_path):
                 "--filter",
                 "scale/taskbw[workers=1]",
                 "--engine",
-                "thread",  # alias: must land as the canonical name
+                "threads",
                 "-o",
                 str(out),
                 "-q",

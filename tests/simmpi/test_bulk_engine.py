@@ -6,6 +6,7 @@ bulk-engine contract (deterministic, idempotent side effects), which every
 program in this repo's SION layer also follows.
 """
 
+import re
 import threading
 
 import pytest
@@ -224,6 +225,82 @@ def test_nondeterministic_program_detected():
     assert any(
         "non-deterministic" in str(e) for e in exc_info.value.failures.values()
     )
+
+
+def _diverging_program(late=None):
+    """``barrier, bcast, barrier, barrier`` on a rank's first two
+    executions.  From its third on, the body calls ``late(c)`` where the
+    bcast was logged and records what that call returned — or, with no
+    ``late``, returns right after the first barrier."""
+    executions: dict[int, int] = {}
+    returned: dict[int, object] = {}
+    lock = threading.Lock()
+
+    def fn(c):
+        with lock:
+            executions[c.rank] = executions.get(c.rank, 0) + 1
+            n = executions[c.rank]
+        c.barrier()
+        if n >= 3:
+            if late is None:
+                return "early"
+            got = late(c)
+            with lock:
+                returned[c.rank] = got
+        else:
+            c.bcast("root value" if c.rank == 0 else None)
+        c.barrier()
+        c.barrier()
+        return "done"
+
+    return fn, returned
+
+
+def _bulk_failures(fn, nprocs=16):
+    with pytest.raises(SpmdWorkerError) as exc_info:
+        run_spmd(nprocs, fn, engine="bulk")
+    return [str(e) for e in exc_info.value.failures.values()]
+
+
+def test_replay_divergence_names_the_logged_and_the_called_op():
+    fn, _ = _diverging_program(lambda c: c.allreduce(1))
+    messages = _bulk_failures(fn)
+    assert any(
+        "non-deterministic" in m and "'bcast'" in m and "'allreduce'" in m
+        for m in messages
+    ), messages
+
+
+def test_replay_divergence_hands_the_body_no_logged_value():
+    # The diverging call fails before it returns: no rank's body ever
+    # sees the value the bcast logged at that position.
+    fn, returned = _diverging_program(lambda c: c.allreduce(1))
+    _bulk_failures(fn)
+    assert returned == {}
+
+
+def test_replay_returning_before_its_frontier_is_detected():
+    fn, _ = _diverging_program()
+    messages = _bulk_failures(fn)
+    assert any(
+        re.search(r"returned after \d+ ops but its log holds \d+", m)
+        for m in messages
+    ), messages
+
+
+def test_bulk_engine_has_one_replay_check():
+    from repro.simmpi import bulk
+
+    for name in ("_FP_SEED", "_FP_MULT", "_FP_MASK", "_fp_step"):
+        assert not hasattr(bulk, name), name
+    assert set(bulk._Program.__slots__) == {"ops", "cols", "branches"}
+    assert set(bulk._Exec.__slots__) == {"prog", "cursor", "nlogged", "suspending"}
+    assert not hasattr(bulk.BulkComm, "_verify_frontier")
+    assert not hasattr(bulk._BulkEngine, "maybe_mark_uniform")
+    stats: dict = {}
+    run_spmd(4, lambda c: c.allreduce(1), engine="bulk", engine_stats=stats)
+    assert "uniform_programs" not in stats
+    assert stats["programs"] == 1 and stats["executions"] >= 4
 
 
 def test_allgather_result_is_shared_between_ranks():

@@ -92,8 +92,11 @@ def test_extra_conformance(name, program, nprocs):
     assert run_spmd(nprocs, program, engine="proc") == expected
 
 
-def test_thread_alias_accepted():
-    assert run_spmd(2, lambda c: c.allreduce(1), engine="thread") == [2, 2]
+def test_engine_names_are_exactly_engines():
+    assert run_spmd(2, lambda c: c.allreduce(1), engine="threads") == [2, 2]
+    for spelling in ("thread", "process", "processes"):
+        with pytest.raises(SimMPIError, match="unknown SPMD engine"):
+            run_spmd(2, lambda c: c.allreduce(1), engine=spelling)
 
 
 def test_large_payload_bcast_matches_threads():

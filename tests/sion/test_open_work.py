@@ -36,11 +36,11 @@ FSBLK = 1024
 #: replicas; ``partitioned``/``prefetch``: n/4 readers (prefetch K=2) over
 #: the ``direct-2`` container.
 PINS = {
-    "direct-1": {"write": (21, 57, 2), "read": (25, 28, 1)},
-    "direct-2": {"write": (31, 99, 3), "read": (25, 28, 1)},
-    "collective": {"write": (42, 142, 4)},
-    "partitioned": {"read": (40, 27, 1)},
-    "prefetch": {"read": (84, 85, 3)},
+    "direct-1": {"write": (21, 55, 2), "read": (25, 27, 1)},
+    "direct-2": {"write": (31, 96, 3), "read": (25, 27, 1)},
+    "collective": {"write": (42, 138, 4)},
+    "partitioned": {"read": (40, 26, 1)},
+    "prefetch": {"read": (84, 82, 3)},
 }
 
 
