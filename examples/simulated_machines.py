@@ -4,7 +4,8 @@
 Two demonstrations:
 
 1. the full SION stack running unmodified on the simulated parallel file
-   system (virtual clock, sparse terabyte files in megabytes of RAM);
+   system (counted ops, sparse terabyte files in megabytes of RAM), and
+   what the ops of one collective open → close cost on Jugene;
 2. a miniature of the paper's Fig. 3 experiment — why creating one file
    per task stops scaling — rendered as a table and an ASCII chart.
 
@@ -17,13 +18,13 @@ from repro.analysis.results import Series, format_table
 from repro.backends.simfs_backend import SimBackend
 from repro.fs.simfs import SimFS
 from repro.fs.systems import jugene
-from repro.workloads.filecreate import run_fig3
+from repro.workloads.filecreate import open_trace_time, run_fig3, sion_open_trace
 
 
 def main():
     # --- 1. The library on the simulated machine --------------------------
     profile = jugene()
-    fs = SimFS(profile=profile)
+    fs = SimFS()
     fs.mkdir("/scratch")
     backend = SimBackend(fs)
 
@@ -39,8 +40,12 @@ def main():
     print("simulated Jugene scratch file system:")
     print(f"  multifile logical size: {st.st_size / 1e6:.1f} MB "
           f"(allocated in RAM: {st.allocated_bytes / 1e3:.1f} KB)")
-    print(f"  virtual clock after the run: {fs.clock * 1e3:.3f} ms")
-    print(f"  metadata ops: { {k: v for k, v in fs.op_counts.items() if 'bytes' not in k} }\n")
+    print(f"  metadata ops: { {k: v for k, v in fs.op_counts.items() if 'bytes' not in k} }")
+    trace = sion_open_trace(32)
+    print(f"  one 32-task paropen -> parclose: {trace.creates} create, "
+          f"{trace.opens} opens, {len(trace.waves)} collective waves, "
+          f"{trace.write_bytes} metablock bytes")
+    print(f"  priced on Jugene: {open_trace_time(profile, trace) * 1e3:.3f} ms\n")
 
     # --- 2. Fig. 3a in miniature ------------------------------------------
     counts = [1024, 4096, 16384, 65536]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.fs.metadata import batch_completion_time_fast
 from repro.fs.striping import StripingPolicy
 from repro.fs.systems import SystemProfile
+from repro.workloads.filecreate import OpenTrace, open_trace_time
 
 
 @dataclass(frozen=True)
@@ -33,17 +34,27 @@ def predict_create_time(profile: SystemProfile, ntasks: int, kind: str = "create
     )
 
 
-def predict_sion_create_time(
-    profile: SystemProfile, ntasks: int, nfiles: int = 1, metablock_write: float = 0.01
-) -> float:
-    """Fig. 3 SION curve: nfiles creates + gather + grants + metablocks."""
-    creates = batch_completion_time_fast(nfiles, profile.metadata_costs, "create")
-    return (
-        creates
-        + profile.collective_time(ntasks)
-        + ntasks * profile.shared_open_time
-        + metablock_write * nfiles
-    )
+def predict_open_trace(ntasks: int, nfiles: int = 1) -> OpenTrace:
+    """The library's ``"w"`` open trace (blocked mapping) in closed form.
+
+    One create per file, one open and 28 metablock bytes per task, 84 per
+    file, and the waves of the one-file or the split-world cycle.
+    """
+    if nfiles == 1:
+        waves = [(ntasks, "bcast"), (ntasks, "gather")] * 2
+    else:
+        base, extra = divmod(ntasks, nfiles)
+        groups = [base + 1] * extra + [base] * (nfiles - extra)
+        waves = [(ntasks, "bcast"), (ntasks, "split"), (ntasks, "gather")] + [
+            (size, kind) for size in groups for kind in ("bcast", "gather", "gather")
+        ]
+    metablock_bytes = 28 * ntasks + 84 * nfiles
+    return OpenTrace(ntasks, "w", nfiles, nfiles, ntasks, metablock_bytes, 0, tuple(sorted(waves)))
+
+
+def predict_sion_create_time(profile: SystemProfile, ntasks: int, nfiles: int = 1) -> float:
+    """Fig. 3 SION curve at any scale: the closed-form trace, priced."""
+    return open_trace_time(profile, predict_open_trace(ntasks, nfiles))
 
 
 def predict_bandwidth(

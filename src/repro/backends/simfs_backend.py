@@ -2,7 +2,7 @@
 
 Lets the complete SION stack — format, layout, parallel and serial APIs,
 command-line tools — run unmodified against the in-memory simulator, with
-every operation advancing the simulator's virtual clock.
+every operation counted in the simulator's ``op_counts``.
 """
 
 from __future__ import annotations

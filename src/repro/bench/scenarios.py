@@ -449,7 +449,7 @@ def metadata_exchange_sweep(profile, task_counts):
     """(ntasks, collective, naive-metablock, per-task-files) rows."""
     rows = []
     for n in task_counts:
-        sion = filecreate.sion_create_time(profile, n, 1)
+        sion = filecreate.sion_open_time(profile, n)
         rows.append(
             (
                 n,
@@ -491,7 +491,7 @@ def nfiles_tradeoff_times(profile, ntasks: int, nfiles_list):
     """(nfiles, create, write-1TB, total) rows for a 1 TB checkpoint."""
     out = []
     for nf in nfiles_list:
-        create = filecreate.sion_create_time(profile, ntasks, nf)
+        create = filecreate.sion_open_time(profile, ntasks, nf)
         io = parallel_io(profile, ntasks, 1 * TB, "write", nfiles=nf)
         out.append((nf, create, io.time_s, create + io.time_s))
     return out

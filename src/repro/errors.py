@@ -84,6 +84,23 @@ class BackendUsageError(ReproError, ValueError):
     """
 
 
+class ModelUsageError(ReproError, ValueError):
+    """A file-system model or workload generator was given an invalid parameter.
+
+    A negative size, rate or count, an unknown op kind or machine name.
+    Also a :class:`ValueError`, as :class:`BackendUsageError` is, so
+    callers written against the plain type catch it.
+    """
+
+
+class ModelFailureError(ReproError, RuntimeError):
+    """A model could not produce its result from valid input.
+
+    A flow solver that stalls or fails to converge, or a library trace
+    that lost part of what it recorded.  Also a :class:`RuntimeError`.
+    """
+
+
 class FaultInjectedError(ReproError):
     """A :class:`~repro.backends.faults.FaultPlan` fired a scripted fault.
 

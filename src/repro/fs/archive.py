@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.errors import ModelUsageError
+
 
 @dataclass(frozen=True)
 class TapeLibrary:
@@ -37,14 +39,14 @@ class TapeLibrary:
             self.stream_bw_mb_s,
             self.tape_capacity_bytes,
         ) <= 0 and self.per_file_overhead_s != 0:
-            raise ValueError("tape parameters must be positive")
+            raise ModelUsageError("tape parameters must be positive")
 
     # -- archiving -----------------------------------------------------------
 
     def tapes_needed(self, total_bytes: float) -> int:
         """Minimum cartridges for ``total_bytes``."""
         if total_bytes < 0:
-            raise ValueError("negative data size")
+            raise ModelUsageError("negative data size")
         return max(1, math.ceil(total_bytes / self.tape_capacity_bytes))
 
     def archive_time(self, nfiles: int, total_bytes: float) -> float:
@@ -54,7 +56,7 @@ class TapeLibrary:
         explodes with 64K task-local files), and streaming.
         """
         if nfiles < 0:
-            raise ValueError("negative file count")
+            raise ModelUsageError("negative file count")
         if nfiles == 0:
             return 0.0
         tapes = self.tapes_needed(total_bytes)
@@ -77,7 +79,7 @@ class TapeLibrary:
         cartridges (bounded by the file count — a file is on one tape).
         """
         if interleaved_users < 1:
-            raise ValueError("interleaved_users must be >= 1")
+            raise ModelUsageError("interleaved_users must be >= 1")
         packed = self.tapes_needed(total_bytes)
         return min(max(nfiles, 1), packed * interleaved_users)
 

@@ -27,7 +27,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.errors import ReproError
+from repro.errors import ModelUsageError, ReproError
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,14 @@ class ClientCacheModel:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.hit_efficiency <= 1.0:
-            raise ValueError("hit_efficiency must be in [0, 1]")
+            raise ModelUsageError("hit_efficiency must be in [0, 1]")
         if self.bytes_per_node < 0 or self.cache_bw_per_node < 0:
-            raise ValueError("cache sizes/bandwidths must be non-negative")
+            raise ModelUsageError("cache sizes/bandwidths must be non-negative")
 
     def aggregate_cache_bytes(self, n_nodes: int) -> float:
         """Total cache capacity across ``n_nodes``."""
         if n_nodes < 0:
-            raise ValueError("n_nodes must be non-negative")
+            raise ModelUsageError("n_nodes must be non-negative")
         return self.bytes_per_node * n_nodes
 
     def hit_fraction(self, data_bytes: float, n_nodes: int) -> float:
@@ -67,7 +67,7 @@ class ClientCacheModel:
         this exceeds ``disk_bw`` — the paper's >peak artifact.
         """
         if disk_bw <= 0:
-            raise ValueError("disk_bw must be positive")
+            raise ModelUsageError("disk_bw must be positive")
         hit = self.hit_fraction(data_bytes, n_nodes)
         cache_bw = self.cache_bw_per_node * max(n_nodes, 1)
         if cache_bw <= 0:

@@ -11,6 +11,8 @@ import heapq
 import itertools
 from typing import Any, Callable
 
+from repro.errors import ModelUsageError
+
 
 class Event:
     """Handle for a scheduled callback; supports cancellation."""
@@ -53,7 +55,7 @@ class Engine:
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
         if time < self.now - 1e-12:
-            raise ValueError(f"cannot schedule in the past: {time} < now {self.now}")
+            raise ModelUsageError(f"cannot schedule in the past: {time} < now {self.now}")
         ev = Event(max(time, self.now), next(self._seq), fn, args)
         heapq.heappush(self._heap, ev)
         return ev
@@ -61,7 +63,7 @@ class Engine:
     def schedule_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` after ``delay`` units of virtual time."""
         if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+            raise ModelUsageError(f"negative delay: {delay}")
         return self.schedule_at(self.now + delay, fn, *args)
 
     def run(self, until: float | None = None) -> None:

@@ -24,6 +24,7 @@ import itertools
 import math
 from typing import Any, Callable, Iterator, Sequence, Union
 
+from repro.errors import ModelFailureError, ModelUsageError
 from repro.fs.events import Engine
 
 _EPS = 1e-9
@@ -39,7 +40,7 @@ class Resource:
 
     def __init__(self, name: str, capacity: float) -> None:
         if capacity < 0:
-            raise ValueError(f"resource {name!r}: negative capacity {capacity}")
+            raise ModelUsageError(f"resource {name!r}: negative capacity {capacity}")
         self.name = name
         self.capacity = float(capacity)
 
@@ -55,7 +56,7 @@ def _normalize(resources: Sequence[ResourceSpec]) -> tuple[tuple["Resource", flo
         else:
             res, w = spec
             if w <= 0:
-                raise ValueError(f"resource weight must be positive, got {w}")
+                raise ModelUsageError(f"resource weight must be positive, got {w}")
             out.append((res, float(w)))
     return tuple(out)
 
@@ -150,9 +151,9 @@ class FlowScheduler:
     ) -> Flow:
         """Start a flow at the current virtual time."""
         if size_mb < 0:
-            raise ValueError(f"negative flow size: {size_mb}")
+            raise ModelUsageError(f"negative flow size: {size_mb}")
         if rate_cap <= 0:
-            raise ValueError(f"rate cap must be positive, got {rate_cap}")
+            raise ModelUsageError(f"rate cap must be positive, got {rate_cap}")
         weighted = _normalize(resources)
         flow = Flow(next(self._ids), float(size_mb), weighted, rate_cap, on_complete, tag)
         flow.start_time = self.engine.now
@@ -225,7 +226,7 @@ class FlowScheduler:
         while unfrozen:
             guard += 1
             if guard > len(active) + len(residual) + 2:  # pragma: no cover
-                raise RuntimeError("progressive filling failed to converge")
+                raise ModelFailureError("progressive filling failed to converge")
             # Smallest per-flow headroom across resources and caps.
             delta = math.inf
             bottleneck_res: int | None = None
@@ -337,7 +338,7 @@ def simulate_transfer_batch(
     sched = FlowScheduler(eng)
     caps = rate_caps if rate_caps is not None else [math.inf] * len(sizes_mb)
     if len(caps) != len(sizes_mb):
-        raise ValueError("rate_caps must match sizes_mb in length")
+        raise ModelUsageError("rate_caps must match sizes_mb in length")
     with sched.batch():
         flows = [
             sched.submit(size, tuple(shared_resources), cap)
@@ -345,5 +346,5 @@ def simulate_transfer_batch(
         ]
     eng.run()
     if sched.active_flows:
-        raise RuntimeError("flows stalled: zero-capacity path")
+        raise ModelFailureError("flows stalled: zero-capacity path")
     return max((f.finish_time for f in flows), default=0.0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ModelUsageError
 from repro.fs.events import Engine
 from repro.fs.metadata import FifoMetadataService, MetadataCosts, MetadataOp
 
@@ -65,7 +66,7 @@ def bystander_latency(
     the worst of the backlog — and must wait for everything ahead of it.
     """
     if storm_ops < 0:
-        raise ValueError("storm_ops must be non-negative")
+        raise ModelUsageError("storm_ops must be non-negative")
 
     # Quiet system: the op is served immediately at base cost.
     quiet = costs.base_time(bystander_kind)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.errors import ModelUsageError
+
 
 @dataclass(frozen=True)
 class LockContentionModel:
@@ -37,7 +39,7 @@ class LockContentionModel:
         ratio.
         """
         if chunk_align_bytes < 1 or fs_block_bytes < 1:
-            raise ValueError("sizes must be positive")
+            raise ModelUsageError("sizes must be positive")
         if chunk_align_bytes % fs_block_bytes == 0:
             return 1.0
         if fs_block_bytes % chunk_align_bytes == 0:
@@ -56,7 +58,7 @@ class LockContentionModel:
     @staticmethod
     def _penalty(sharers: float, coeff: float) -> float:
         if sharers < 1.0:
-            raise ValueError(f"sharers must be >= 1, got {sharers}")
+            raise ModelUsageError(f"sharers must be >= 1, got {sharers}")
         return 1.0 + coeff * (1.0 - 1.0 / sharers)
 
     def effective_bandwidth(
@@ -72,7 +74,7 @@ class LockContentionModel:
             return raw_bw / self.write_penalty(k)
         if op == "read":
             return raw_bw / self.read_penalty(k)
-        raise ValueError(f"op must be 'read' or 'write', got {op!r}")
+        raise ModelUsageError(f"op must be 'read' or 'write', got {op!r}")
 
 
 def blocks_shared_by_layout(
@@ -85,7 +87,7 @@ def blocks_shared_by_layout(
     exclusive.
     """
     if len(chunk_starts) != len(chunk_ends):
-        raise ValueError("starts and ends must have the same length")
+        raise ModelUsageError("starts and ends must have the same length")
     counts: dict[int, int] = {}
     for s, e in zip(chunk_starts, chunk_ends):
         if e <= s:

@@ -10,7 +10,7 @@ service time may grow with the number of entries already in the directory
 
 :class:`FifoMetadataService` integrates with the event engine: submit an
 operation, receive a completion callback at its virtual finish time.
-:func:`batch_completion_time` gives the closed form used by property tests.
+:func:`batch_completion_time_fast` gives the closed form in O(1).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import collections
 from dataclasses import dataclass, field
 from typing import Callable, Deque
 
+from repro.errors import ModelUsageError
 from repro.fs.events import Engine
 
 
@@ -55,7 +56,7 @@ class MetadataCosts:
         try:
             return float(getattr(self, kind))
         except AttributeError:
-            raise ValueError(f"unknown metadata op kind: {kind!r}") from None
+            raise ModelUsageError(f"unknown metadata op kind: {kind!r}") from None
 
 
 @dataclass
@@ -123,34 +124,18 @@ class FifoMetadataService:
         self._serve_next()
 
 
-def batch_completion_time(
+def batch_completion_time_fast(
     n_ops: int, costs: MetadataCosts, kind: str = "create", initial_entries: int = 0
 ) -> float:
     """Closed-form finish time of ``n_ops`` simultaneous operations.
 
     Matches :class:`FifoMetadataService` when all operations arrive at t=0:
     the i-th served operation (0-based) sees ``n_ops - 1 - i`` queued behind
-    it and ``initial_entries + created_so_far`` directory entries.
+    it and ``initial_entries + created_so_far`` directory entries, summed as
+    arithmetic series.
     """
     if n_ops < 0:
-        raise ValueError("n_ops must be non-negative")
-    base = costs.base_time(kind)
-    total = 0.0
-    entries = initial_entries
-    for i in range(n_ops):
-        queued = n_ops - 1 - i
-        total += base + costs.load_factor * queued + costs.dirsize_factor * entries
-        if kind == "create":
-            entries += 1
-    return total
-
-
-def batch_completion_time_fast(
-    n_ops: int, costs: MetadataCosts, kind: str = "create", initial_entries: int = 0
-) -> float:
-    """O(1) version of :func:`batch_completion_time` (arithmetic series)."""
-    if n_ops < 0:
-        raise ValueError("n_ops must be non-negative")
+        raise ModelUsageError("n_ops must be non-negative")
     base = costs.base_time(kind)
     total = n_ops * base
     # sum of queue depths: (n-1) + (n-2) + ... + 0

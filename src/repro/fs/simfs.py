@@ -1,4 +1,4 @@
-"""Functional in-memory file system with sparse files and a virtual clock.
+"""Functional in-memory file system with sparse files and op counts.
 
 :class:`SimFS` gives the SION layer a real (if simulated) place to put
 bytes: hierarchical directories, POSIX-ish open modes, positioned
@@ -7,13 +7,10 @@ extents of zeros occupy no memory, so a 1 TB virtual write is cheap.
 Each write (each vectored run) is kept as one exact-size piece that is
 never grown, so the store's footprint is its bytes, not its allocator's
 reallocation history.
-Every operation advances a virtual clock using the machine profile's
-metadata costs and single-stream bandwidth, which lets functional tests
-assert timing properties (e.g. "creating one multifile is cheaper
-than creating N files") without the full discrete-event machinery.
-
-The massively parallel experiments do *not* route every byte through this
-class; they use the flow/queue models directly (see :mod:`repro.workloads`).
+Every operation is counted in :attr:`SimFS.op_counts` (metadata ops by
+kind, data by bytes) and priced nowhere here: the figures price the counts
+of a real ``paropen`` → ``parclose``
+(:func:`repro.workloads.filecreate.sion_open_time`).
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from repro.errors import (
     InvalidOperationError,
     NotADirectorySimError,
 )
-from repro.fs.systems import SystemProfile
 
 _DEFAULT_BLKSIZE = 2 * (1 << 20)
 
@@ -217,7 +213,7 @@ class SimFileHandle:
         self._check_writable()
         with self._fs._lock:
             n = self._data.write(offset, data)
-            self._fs._account_data("write", n)
+            self._fs._count("write_bytes", n)
         return n
 
     def pread(self, offset: int, n: int) -> bytes:
@@ -227,7 +223,7 @@ class SimFileHandle:
             raise InvalidOperationError(f"{self.path}: not open for reading")
         with self._fs._lock:
             out = self._data.read(offset, n)
-            self._fs._account_data("read", len(out))
+            self._fs._count("read_bytes", len(out))
         return out
 
     def pwritev(self, offset: int, views) -> int:
@@ -241,7 +237,7 @@ class SimFileHandle:
         self._check_writable()
         with self._fs._lock:
             total = self._data.writev(offset, views)
-            self._fs._account_data("write", total)
+            self._fs._count("write_bytes", total)
         return total
 
     def preadv(self, offset: int, sizes) -> list[bytes]:
@@ -257,7 +253,7 @@ class SimFileHandle:
                     raise BackendUsageError(f"negative read size: {size}")
                 out.append(self._data.read(pos, size))
                 pos += size
-            self._fs._account_data("read", sum(len(p) for p in out))
+            self._fs._count("read_bytes", sum(len(p) for p in out))
         return out
 
     def flush(self) -> None:
@@ -274,7 +270,7 @@ class SimFileHandle:
         if not self._closed:
             self._closed = True
             self._inode = None
-            self._fs._account_meta("close")
+            self._fs._count("close")
 
     @property
     def closed(self) -> bool:
@@ -305,32 +301,19 @@ class SimFileHandle:
 
 
 class SimFS:
-    """In-memory hierarchical file system with virtual-time accounting."""
+    """In-memory hierarchical file system that counts every op."""
 
-    def __init__(
-        self,
-        profile: SystemProfile | None = None,
-        serial_bw_mb_s: float | None = None,
-        blocksize_override: int | None = None,
-    ) -> None:
+    def __init__(self, blocksize_override: int | None = None) -> None:
         if blocksize_override is not None and blocksize_override < 1:
             raise InvalidOperationError("blocksize_override must be positive")
-        self.profile = profile
         self.blocksize_override = blocksize_override
         self._root = _Inode("dir")
-        self.clock = 0.0
         self.op_counts: dict[str, int] = {}
         # SPMD workloads drive many rank threads (or bulk-engine workers)
-        # into one SimFS concurrently; piece-list surgery and the clock
+        # into one SimFS concurrently; piece-list surgery and the op
         # accounting are multi-step and must not interleave.  Reentrant:
         # data ops account inside the same critical section.
         self._lock = threading.RLock()
-        if serial_bw_mb_s is not None:
-            self._serial_bw = serial_bw_mb_s
-        elif profile is not None:
-            self._serial_bw = profile.per_file_bw("write")
-        else:
-            self._serial_bw = None  # timing disabled for data
 
     # -- namespace -----------------------------------------------------------------
 
@@ -348,7 +331,7 @@ class SimFS:
                     if last or parents:
                         child = _Inode("dir")
                         node.entries[part] = child
-                        self._account_meta("mkdir")
+                        self._count("mkdir")
                     else:
                         raise FileNotFoundSimError("/" + "/".join(parts[: i + 1]))
                 elif last:
@@ -380,11 +363,11 @@ class SimFS:
                     raise FileNotFoundSimError(path)
                 inode = _Inode("file")
                 parent.entries[name] = inode
-                self._account_meta("create")
+                self._count("create")
             else:
                 if inode.kind != "file":
                     raise InvalidOperationError(f"{path}: is a directory")
-                self._account_meta("open")
+                self._count("open")
                 if mode.startswith("w"):
                     inode.data = SparseFile()
         return SimFileHandle(self, inode, self._norm(path), mode)
@@ -398,15 +381,10 @@ class SimFS:
             return False
 
     def stat(self, path: str) -> SimStat:
-        """Stat; ``st_blksize`` comes from the machine profile."""
+        """Stat; ``st_blksize`` is ``blocksize_override`` or 2 MiB."""
         inode = self._lookup(path)
-        self._account_meta("stat")
-        if self.blocksize_override is not None:
-            blk = self.blocksize_override
-        elif self.profile is not None:
-            blk = self.profile.fs_block_size
-        else:
-            blk = _DEFAULT_BLKSIZE
+        self._count("stat")
+        blk = self.blocksize_override or _DEFAULT_BLKSIZE
         if inode.kind == "dir":
             return SimStat(0, blk, 0, True)
         assert inode.data is not None
@@ -443,7 +421,7 @@ class SimFS:
             if inode.kind != "file":
                 raise InvalidOperationError(f"{path}: is a directory; cannot unlink")
             del parent.entries[parts[-1]]
-            self._account_meta("unlink")
+            self._count("unlink")
 
     def listdir(self, path: str = "/") -> list[str]:
         """Sorted entry names of a directory."""
@@ -469,18 +447,10 @@ class SimFS:
 
     # -- accounting -----------------------------------------------------------------
 
-    def _account_meta(self, kind: str) -> None:
+    def _count(self, key: str, n: int = 1) -> None:
+        """Add ``n`` to ``op_counts[key]``: one op, or a data op's bytes."""
         with self._lock:
-            self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
-            if self.profile is not None:
-                self.clock += self.profile.metadata_costs.base_time(kind)
-
-    def _account_data(self, op: str, nbytes: int) -> None:
-        with self._lock:
-            key = f"{op}_bytes"
-            self.op_counts[key] = self.op_counts.get(key, 0) + nbytes
-            if self._serial_bw:
-                self.clock += nbytes / (self._serial_bw * 1e6)
+            self.op_counts[key] = self.op_counts.get(key, 0) + n
 
     # -- path helpers ------------------------------------------------------------------
 

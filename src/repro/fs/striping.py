@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.errors import ModelUsageError
+
 
 @dataclass(frozen=True)
 class StripingPolicy:
@@ -26,9 +28,9 @@ class StripingPolicy:
 
     def __post_init__(self) -> None:
         if self.stripe_count < 1:
-            raise ValueError(f"stripe_count must be >= 1, got {self.stripe_count}")
+            raise ModelUsageError(f"stripe_count must be >= 1, got {self.stripe_count}")
         if self.stripe_depth_bytes < 1:
-            raise ValueError(
+            raise ModelUsageError(
                 f"stripe_depth_bytes must be >= 1, got {self.stripe_depth_bytes}"
             )
 
@@ -51,10 +53,10 @@ def assign_osts_roundrobin(
     """Deterministic round-robin OST assignment for ``n_files`` files.
 
     File *i* gets targets ``start + i*stripe_count .. (mod n_targets)``.
-    Used when reproducibility of the exact target sets matters (tests).
+    The placement :func:`repro.workloads.common.parallel_io` simulates.
     """
     if n_targets < 1:
-        raise ValueError("need at least one target")
+        raise ModelUsageError("need at least one target")
     out: list[list[int]] = []
     cursor = start % n_targets
     for _ in range(n_files):
@@ -73,7 +75,7 @@ def expected_coverage(n_files: int, stripe_count: int, n_targets: int) -> float:
     ``T * (1 - (1 - s/T)^n)`` for ``s <= T``.
     """
     if n_targets < 1:
-        raise ValueError("need at least one target")
+        raise ModelUsageError("need at least one target")
     s = min(stripe_count, n_targets)
     miss = (1.0 - s / n_targets) ** n_files
     return n_targets * (1.0 - miss)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.errors import ModelUsageError
 from repro.fs.cache import NO_CACHE, ClientCacheModel
 from repro.fs.locks import LockContentionModel
 from repro.fs.metadata import MetadataCosts
@@ -83,13 +84,6 @@ class SystemProfile:
             bw = min(bw, n_ionodes * self.ionode_bw)
         return bw
 
-    def collective_time(self, ntasks: int) -> float:
-        """Gather-then-broadcast over a binomial tree of ``ntasks``."""
-        if ntasks <= 1:
-            return 0.0
-        hops = math.ceil(math.log2(ntasks))
-        return 2.0 * hops * self.collective_latency
-
     def per_file_bw(self, op: str, striping: StripingPolicy | None = None) -> float:
         """Bandwidth cap of a single shared physical file.
 
@@ -110,7 +104,7 @@ class SystemProfile:
             return self.peak_write_bw
         if op == "read":
             return self.peak_read_bw
-        raise ValueError(f"op must be 'read' or 'write', got {op!r}")
+        raise ModelUsageError(f"op must be 'read' or 'write', got {op!r}")
 
     def backplane_after_overheads(
         self, op: str, n_shared_files: int = 0, n_tasklocal_files: int = 0
@@ -226,6 +220,6 @@ def get_system(name: str) -> SystemProfile:
     try:
         return SYSTEMS[name.lower()]()
     except KeyError:
-        raise ValueError(
+        raise ModelUsageError(
             f"unknown system {name!r}; available: {sorted(SYSTEMS)}"
         ) from None

@@ -1,8 +1,9 @@
 """Experiment scenario generators for every table and figure of the paper.
 
-Each module reproduces one evaluation artifact by driving the simulated
-file system (:mod:`repro.fs`) with the same operation pattern the paper's
-measurements generated:
+Each module drives the simulated file system (:mod:`repro.fs`) with the
+operation pattern the paper's measurements generated; every SION open in
+them prices the ops of a real ``paropen`` → ``parclose``
+(:func:`~repro.workloads.filecreate.sion_open_time`):
 
 ========================  =============================================
 :mod:`~repro.workloads.filecreate`   Fig. 3a/3b — parallel create/open of task-local files vs. SION multifile creation

@@ -27,7 +27,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.fs.events import Engine
 from repro.fs.flows import FlowScheduler, Resource
-from repro.fs.striping import StripingPolicy
+from repro.fs.striping import StripingPolicy, assign_osts_roundrobin
 from repro.fs.systems import SystemProfile
 from repro.sion.mapping import TaskMapping
 
@@ -192,18 +192,11 @@ def _file_resources(
         Resource(f"ost{i}", per_target) for i in range(profile.n_targets)
     ]
     start = int(np.random.default_rng(seed).integers(0, profile.n_targets))
-    out: list[tuple] = []
     stripe = min(pol.stripe_count, profile.n_targets)
     # Each payload byte spreads over `stripe` targets (1/stripe), and small
     # stripe depths burn extra OST service time on per-RPC overhead
     # (1/depth_efficiency) — overhead that never crosses the server
     # backplane as payload.
     weight = (1.0 / stripe) / pol.depth_efficiency()
-    cursor = start
-    for _ in range(nfiles):
-        chosen = tuple(
-            (osts[(cursor + k) % profile.n_targets], weight) for k in range(stripe)
-        )
-        out.append(chosen)
-        cursor = (cursor + stripe) % profile.n_targets
-    return out
+    placement = assign_osts_roundrobin(nfiles, stripe, profile.n_targets, start)
+    return [tuple((osts[t], weight) for t in targets) for targets in placement]

@@ -3,22 +3,25 @@
 The task-local curves come from a discrete-event simulation of the
 metadata service: ``N`` clients each submit one ``create`` (or ``open``)
 against the shared directory at t=0 and the makespan is the completion of
-the last one.  The SION curve is the collective multifile creation: a
-handful of physical-file creates, a gather of chunk sizes, the metablock
-write, and the serialized per-client grant on the shared files.
+the last one.  The SION curve prices what the library itself does: one
+real ``paropen`` → ``parclose`` runs on the bulk engine over a SimFS,
+and :func:`open_trace_time` prices the ops it issued.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.errors import ReproError
+from repro.backends.simfs_backend import SimBackend
+from repro.errors import ModelFailureError, ReproError
 from repro.fs.events import Engine
 from repro.fs.metadata import FifoMetadataService, MetadataOp
+from repro.fs.simfs import SimFS
 from repro.fs.systems import SystemProfile
-
-#: Virtual seconds for the master to write one metablock.
-_METABLOCK_WRITE_TIME = 0.01
+from repro.simmpi import run_spmd
+from repro.sion import paropen
 
 #: Paper sweep points (Fig. 3a and 3b).
 JUGENE_TASK_COUNTS = [4096, 8192, 16384, 32768, 65536]
@@ -63,30 +66,74 @@ def tasklocal_metadata_time(
     return max(done, default=0.0)
 
 
-def sion_create_time(
-    profile: SystemProfile, ntasks: int, nfiles: int = 1
-) -> float:
-    """Collective multifile creation time.
+@dataclass(frozen=True)
+class OpenTrace:
+    """The file-system ops and collective waves of one open → close cycle."""
 
-    Components: ``nfiles`` creates through the (serialized) metadata
-    service, the chunk-size gather over the task tree, the metablock-1
-    writes, and one serialized open grant per client on its shared file.
+    ntasks: int
+    mode: str  # "w" | "r"
+    files: int  # physical files of the set
+    creates: int
+    opens: int
+    write_bytes: int
+    read_bytes: int
+    waves: tuple[tuple[int, str], ...]  # sorted (world size, collective)
+
+
+@lru_cache(maxsize=None)
+def sion_open_trace(ntasks: int, nfiles: int = 1, mode: str = "w") -> OpenTrace:
+    """Op counts and collective waves of one real ``paropen`` → ``parclose``.
+
+    The cycle runs on the bulk engine over a fresh SimFS; ``"r"`` writes
+    the set first, untraced.  Each point is traced once per process.
     """
-    if ntasks < 1 or nfiles < 1 or nfiles > ntasks:
-        raise ReproError(f"bad scenario: ntasks={ntasks} nfiles={nfiles}")
-    engine = Engine()
-    service = FifoMetadataService(engine, profile.metadata_costs, name="dir")
-    done: list[float] = []
-    for f in range(nfiles):
-        service.submit(
-            MetadataOp("create", f"/scratch/run/data.sion.{f:06d}", task=f),
-            callback=lambda ts, op: done.append(ts),
-        )
-    engine.run()
-    create_time = max(done, default=0.0)
-    gather_time = profile.collective_time(ntasks)
-    grant_time = ntasks * profile.shared_open_time
-    return create_time + gather_time + _METABLOCK_WRITE_TIME * nfiles + grant_time
+    fs = SimFS()
+    backend = SimBackend(fs)
+
+    def cycle(comm, mode):
+        geometry = {"chunksize": 1, "nfiles": nfiles} if mode == "w" else {}
+        paropen("/data.sion", mode, comm, backend=backend, **geometry).parclose()
+
+    if mode == "r":
+        run_spmd(ntasks, cycle, "w", engine="bulk")
+    before = dict(fs.op_counts)
+    stats: dict = {}
+    run_spmd(ntasks, cycle, mode, engine="bulk", engine_stats=stats)
+    if stats["waves_dropped"]:
+        raise ModelFailureError(f"the {ntasks}-task open trace lost {stats['waves_dropped']} waves")
+    keys = ("create", "open", "write_bytes", "read_bytes")
+    counts = [fs.op_counts.get(k, 0) - before.get(k, 0) for k in keys]
+    waves = tuple(sorted((size, kind) for size, kind, _, _ in stats["waves"]))
+    return OpenTrace(ntasks, mode, len(fs.listdir("/")), *counts, waves)
+
+
+def open_trace_time(profile: SystemProfile, trace: OpenTrace) -> float:
+    """Seconds ``profile`` takes for ``trace``, by :func:`sion_open_time`'s rule."""
+    kind = "create" if trace.mode == "w" else "open"
+    first = tasklocal_metadata_time(profile, trace.files, kind)
+    grants = (trace.creates + trace.opens - trace.files) * profile.shared_open_time
+    hops = sum(math.ceil(math.log2(size)) * size for size, _ in trace.waves)
+    waves = hops / trace.ntasks * profile.collective_latency
+    bw = profile.per_file_bw
+    data = (trace.write_bytes / bw("write") + trace.read_bytes / bw("read")) / 1e6
+    return first + grants + waves + data
+
+
+def sion_open_time(
+    profile: SystemProfile, ntasks: int, nfiles: int = 1, mode: str = "w"
+) -> float:
+    """Seconds of one collective open → close (``"w"`` creates the set).
+
+    The one SION open cost of every figure, priced from the cycle's
+    :func:`sion_open_trace`: the first op on each physical file (a create
+    for ``"w"``, an open for ``"r"``) goes through the directory's
+    :class:`FifoMetadataService`; every other open is one serialized
+    ``shared_open_time`` grant; a collective wave of size ``s`` costs
+    ``ceil(log2 s)`` hops of ``collective_latency`` weighted by
+    ``s / ntasks``, so side-by-side sub-worlds count as one chain; the
+    bytes the open and close move go at ``per_file_bw``; closes are free.
+    """
+    return open_trace_time(profile, sion_open_trace(ntasks, nfiles, mode))
 
 
 def run_fig3(
@@ -100,7 +147,7 @@ def run_fig3(
             ntasks=n,
             create_files_s=tasklocal_metadata_time(profile, n, "create"),
             open_existing_s=tasklocal_metadata_time(profile, n, "open"),
-            sion_create_s=sion_create_time(profile, n, sion_nfiles),
+            sion_create_s=sion_open_time(profile, n, sion_nfiles),
         )
         for n in task_counts
     ]

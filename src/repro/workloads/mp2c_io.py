@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.apps.mp2c.particles import RECORD_BYTES
 from repro.fs.systems import SystemProfile
 from repro.workloads.common import MB, parallel_io
-from repro.workloads.filecreate import sion_create_time
+from repro.workloads.filecreate import sion_open_time
 
 #: Paper scenario: one rack of Jugene in SMP mode.
 NTASKS = 1000
@@ -82,15 +82,7 @@ def sion_restart_time(
     floor_bytes = ntasks * profile.fs_block_size
     effective = max(data_bytes, float(floor_bytes))
     transfer = parallel_io(profile, ntasks, effective, op, nfiles=nfiles)
-    if op == "write":
-        meta = sion_create_time(profile, ntasks, nfiles)
-    else:
-        meta = (
-            nfiles * profile.metadata_costs.open
-            + ntasks * profile.shared_open_time
-            + profile.collective_time(ntasks)
-        )
-    return meta + transfer.time_s
+    return sion_open_time(profile, ntasks, nfiles, "w" if op == "write" else "r") + transfer.time_s
 
 
 def run_fig6(

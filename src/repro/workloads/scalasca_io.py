@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ModelUsageError
 from repro.fs.systems import SystemProfile
 from repro.workloads.common import parallel_io
-from repro.workloads.filecreate import sion_create_time, tasklocal_metadata_time
+from repro.workloads.filecreate import sion_open_time, tasklocal_metadata_time
 
 GB = 10**9
 
@@ -72,9 +73,9 @@ def activation_time(
     if method == "tasklocal":
         create = tasklocal_metadata_time(profile, ntasks, "create")
     elif method == "sion":
-        create = sion_create_time(profile, ntasks, nfiles)
+        create = sion_open_time(profile, ntasks, nfiles)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ModelUsageError(f"unknown method {method!r}")
     return create + TRACER_INIT_TIME
 
 

@@ -8,7 +8,8 @@ bounded by the saturating file-system bandwidth.
 The second scenario prices the trace-analysis *load* phase (paper §5.2,
 Fig. 7): the parallel analyzer opening every task's trace postmortem.
 With physical task-local files that is Fig. 3's "open existing" cost; with
-a multifile it is one shared-open plus metadata reads.
+a multifile it is the library's own read-mode open → close, priced as
+Fig. 3 prices its create.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.apps.mp2c.particles import RECORD_BYTES
 from repro.fs.systems import SystemProfile
-from repro.workloads.filecreate import tasklocal_metadata_time
+from repro.workloads.filecreate import sion_open_time, tasklocal_metadata_time
 from repro.workloads.mp2c_io import single_file_time, sion_restart_time
 
 #: Particles each task owns in the weak-scaling sweep (fills a domain).
@@ -86,12 +87,6 @@ def analyzer_load_times(
     out = []
     for n in task_counts:
         tasklocal = tasklocal_metadata_time(profile, n, "open")
-        # Multifile: per-client shared-open grants + metadata reads; the
-        # same cost structure as creation minus the create ops themselves.
-        sion = (
-            min(nfiles, n) * profile.metadata_costs.open
-            + n * profile.shared_open_time
-            + profile.collective_time(n)
-        )
+        sion = sion_open_time(profile, n, min(nfiles, n), "r")
         out.append(AnalyzerLoadPoint(ntasks=n, tasklocal_open_s=tasklocal, sion_open_s=sion))
     return out

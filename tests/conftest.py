@@ -21,7 +21,7 @@ def local_backend(tmp_path):
 
 @pytest.fixture
 def sim_backend():
-    """Simulated-FS backend (no profile: zero-cost virtual clock)."""
+    """Simulated-FS backend (counts ops; nothing is priced)."""
     fs = SimFS(blocksize_override=TEST_BLKSIZE)
     fs.mkdir("/scratch")
     return SimBackend(fs)

@@ -8,7 +8,6 @@ from repro.fs.metadata import (
     FifoMetadataService,
     MetadataCosts,
     MetadataOp,
-    batch_completion_time,
     batch_completion_time_fast,
 )
 
@@ -16,6 +15,18 @@ from repro.fs.metadata import (
 def _service(costs=None):
     eng = Engine()
     return eng, FifoMetadataService(eng, costs or MetadataCosts())
+
+
+def des_makespan(n_ops, costs, kind="create", initial_entries=0):
+    """The closed form's reference: ``n_ops`` ops submitted at t=0 to the
+    simulated FIFO station, makespan of the last."""
+    eng, svc = _service(costs)
+    svc.dir_entries = initial_entries
+    done = [0.0]
+    for i in range(n_ops):
+        svc.submit(MetadataOp(kind, f"/d/f{i}"), lambda t, op: done.append(t))
+    eng.run()
+    return max(done)
 
 
 def test_single_create_costs_base_time():
@@ -61,17 +72,17 @@ def test_dir_entries_track_creates_and_unlinks():
 def test_dirsize_factor_makes_creates_superlinear():
     lin_costs = MetadataCosts(create=0.001)
     sup_costs = MetadataCosts(create=0.001, dirsize_factor=1e-5)
-    lin = batch_completion_time(1000, lin_costs)
-    sup = batch_completion_time(1000, sup_costs)
+    lin = batch_completion_time_fast(1000, lin_costs)
+    sup = batch_completion_time_fast(1000, sup_costs)
     assert sup > lin
     # Doubling N must more than double the superlinear cost.
-    assert batch_completion_time(2000, sup_costs) > 2.2 * sup
+    assert batch_completion_time_fast(2000, sup_costs) > 2.2 * sup
 
 
 def test_load_factor_penalizes_deep_queues():
     costs = MetadataCosts(create=0.001, load_factor=1e-5)
-    t10 = batch_completion_time(10, costs)
-    t100 = batch_completion_time(100, costs)
+    t10 = batch_completion_time_fast(10, costs)
+    t100 = batch_completion_time_fast(100, costs)
     assert t100 > 10 * t10  # superlinear in queue depth
 
 
@@ -85,8 +96,8 @@ def test_open_cheaper_than_create_in_default_profiles():
 
 def test_open_existing_uses_initial_entries():
     costs = MetadataCosts(open=0.001, dirsize_factor=1e-6)
-    cold = batch_completion_time(100, costs, kind="open", initial_entries=0)
-    warm = batch_completion_time(100, costs, kind="open", initial_entries=10000)
+    cold = batch_completion_time_fast(100, costs, kind="open", initial_entries=0)
+    warm = batch_completion_time_fast(100, costs, kind="open", initial_entries=10000)
     assert warm > cold
 
 
@@ -94,12 +105,10 @@ def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         MetadataCosts().base_time("chmod")
     with pytest.raises(ValueError):
-        batch_completion_time(1, MetadataCosts(), kind="chmod")
+        batch_completion_time_fast(1, MetadataCosts(), kind="chmod")
 
 
 def test_negative_n_rejected():
-    with pytest.raises(ValueError):
-        batch_completion_time(-1, MetadataCosts())
     with pytest.raises(ValueError):
         batch_completion_time_fast(-1, MetadataCosts())
 
@@ -127,7 +136,7 @@ def test_fast_formula_matches_reference(n, create, load, dirsize, initial, kind)
         create=create, open=create / 2, stat=create / 4,
         load_factor=load, dirsize_factor=dirsize,
     )
-    slow = batch_completion_time(n, costs, kind=kind, initial_entries=initial)
+    slow = des_makespan(n, costs, kind=kind, initial_entries=initial)
     fast = batch_completion_time_fast(n, costs, kind=kind, initial_entries=initial)
     assert slow == pytest.approx(fast, rel=1e-9, abs=1e-12)
 
@@ -136,10 +145,4 @@ def test_fast_formula_matches_reference(n, create, load, dirsize, initial, kind)
 @given(n=st.integers(1, 200))
 def test_des_matches_closed_form(n):
     costs = MetadataCosts(create=0.003, load_factor=1e-6, dirsize_factor=1e-7)
-    eng = Engine()
-    svc = FifoMetadataService(eng, costs)
-    done = []
-    for i in range(n):
-        svc.submit(MetadataOp("create", f"/d/f{i}"), lambda t, op: done.append(t))
-    eng.run()
-    assert max(done) == pytest.approx(batch_completion_time(n, costs), rel=1e-9)
+    assert des_makespan(n, costs) == pytest.approx(batch_completion_time_fast(n, costs), rel=1e-9)

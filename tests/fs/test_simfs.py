@@ -1,4 +1,4 @@
-"""In-memory simulated file system: sparse files, namespace, clock."""
+"""In-memory simulated file system: sparse files, namespace, op counts."""
 
 import sys
 
@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.fs.simfs import SimFS, SparseFile
 from repro.fs.systems import jugene
+from repro.workloads.filecreate import OpenTrace, open_trace_time
 
 
 class TestSparseFile:
@@ -192,11 +193,12 @@ class TestNamespace:
         with pytest.raises(NotADirectorySimError):
             fs.open("/f/child", "wb")
 
-    def test_stat_blocksize_from_profile(self):
-        fs = SimFS(profile=jugene())
+    def test_stat_blocksize_default(self):
+        fs = SimFS()
         with fs.open("/f", "wb") as f:
             f.pwrite(0, b"x")
         assert fs.stat("/f").st_blksize == 2 * (1 << 20)
+        assert SimFS(blocksize_override=512).stat("/").st_blksize == 512
 
 
 class TestHandles:
@@ -270,33 +272,37 @@ class TestHandles:
 
 
 class TestClock:
-    def test_metadata_ops_advance_clock(self):
-        fs = SimFS(profile=jugene())
-        t0 = fs.clock
+    """SimFS keeps no clock: it counts ops, and the figures price the counts."""
+
+    def test_metadata_ops_are_counted(self):
+        fs = SimFS()
         with fs.open("/f", "wb") as f:
             f.pwrite(0, b"x" * 1000)
-        assert fs.clock > t0
         assert fs.op_counts["create"] == 1
+        assert fs.op_counts["close"] == 1
         assert fs.op_counts["write_bytes"] == 1000
 
     def test_no_profile_means_free_metadata(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
             f.pwrite(0, b"x")
-        assert fs.clock == 0.0
+        assert fs.op_counts["create"] == 1
+        assert not hasattr(fs, "clock")
 
     def test_data_time_scales_with_bytes(self):
-        fs = SimFS(profile=jugene())
-        with fs.open("/a", "wb") as f:
-            f.pwrite(0, b"x" * 10**6)
-        t_small = fs.clock
-        fs2 = SimFS(profile=jugene())
-        with fs2.open("/a", "wb") as f:
-            f.pwrite(0, b"x" * 10**7)
-        assert fs2.clock > t_small
+        """Counted bytes are what the pricing charges for."""
+        traces = []
+        for nbytes in (10**6, 10**7):
+            fs = SimFS()
+            with fs.open("/a", "wb") as f:
+                f.pwrite(0, b"x" * nbytes)
+            assert fs.op_counts["write_bytes"] == nbytes
+            traces.append(OpenTrace(1, "w", 1, 1, 0, fs.op_counts["write_bytes"], 0, ()))
+        small, large = (open_trace_time(jugene(), t) for t in traces)
+        assert large > small
 
     def test_creating_n_files_costs_n_creates(self):
-        fs = SimFS(profile=jugene())
+        fs = SimFS()
         for i in range(10):
             fs.open(f"/f{i}", "wb").close()
         assert fs.op_counts["create"] == 10

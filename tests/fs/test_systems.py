@@ -52,11 +52,16 @@ def test_jaguar_clients_direct_attached():
 
 
 def test_collective_time_logarithmic():
+    """A collective wave over the world costs ceil(log2 size) tree hops."""
+    from repro.workloads.filecreate import OpenTrace, open_trace_time
+
     ju = jugene()
-    assert ju.collective_time(1) == 0.0
-    t2 = ju.collective_time(2)
-    t64k = ju.collective_time(65536)
-    assert t64k == pytest.approx(16 * t2)
+
+    def wave(n: int) -> float:
+        return open_trace_time(ju, OpenTrace(n, "w", 0, 0, 0, 0, 0, ((n, "gather"),)))
+
+    assert wave(1) == 0.0
+    assert wave(65536) == pytest.approx(16 * wave(2))
 
 
 def test_n_nodes_rounds_up():
@@ -84,24 +89,24 @@ def test_peak_bw_op_validation():
 
 def test_sion_create_beats_tasklocal_on_both_machines():
     """The headline claim, at the profile level."""
-    from repro.workloads.filecreate import sion_create_time, tasklocal_metadata_time
+    from repro.workloads.filecreate import sion_open_time, tasklocal_metadata_time
 
     for profile, ntasks in ((jugene(), 65536), (jaguar(), 12288)):
         t_tl = tasklocal_metadata_time(profile, ntasks, "create")
-        t_sion = sion_create_time(profile, ntasks, 16)
+        t_sion = sion_open_time(profile, ntasks, 16)
         assert t_sion < t_tl / 20  # orders of magnitude, as the paper says
 
 
 def test_paper_endpoint_calibration():
     """The calibrated endpoints stay near the paper's reported values."""
-    from repro.workloads.filecreate import sion_create_time, tasklocal_metadata_time
+    from repro.workloads.filecreate import sion_open_time, tasklocal_metadata_time
 
     ju, ja = jugene(), jaguar()
     # Jugene: 64K creates ~ 6 min, opens ~ 1 min, SION < 3 s.
     assert 300 <= tasklocal_metadata_time(ju, 65536, "create") <= 480
     assert 45 <= tasklocal_metadata_time(ju, 65536, "open") <= 130
-    assert sion_create_time(ju, 65536, 1) < 3.0
+    assert sion_open_time(ju, 65536, 1) < 3.0
     # Jaguar: 12K creates ~ 5 min, opens ~ 20-60 s, SION < 10 s.
     assert 240 <= tasklocal_metadata_time(ja, 12288, "create") <= 420
     assert 15 <= tasklocal_metadata_time(ja, 12288, "open") <= 70
-    assert sion_create_time(ja, 12288, 16) < 10.0
+    assert sion_open_time(ja, 12288, 16) < 10.0

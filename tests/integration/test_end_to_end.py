@@ -118,9 +118,9 @@ def test_trace_to_analysis_pipeline_multifile(any_backend):
 
 
 def test_sim_backend_virtual_time_accounting(sim_backend):
-    """The same code path on the simulator reports sensible virtual costs."""
+    """The same code path on the simulator reports the op counts that
+    the figures price."""
     backend = sim_backend
-    backend.fs.profile = None  # pure op counting
 
     def wtask(comm):
         f = paropen("/scratch/acct.sion", "w", comm, chunksize=TEST_BLKSIZE,

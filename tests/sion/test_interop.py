@@ -113,8 +113,8 @@ def test_all_access_modes_agree(any_backend):
     assert [len(d) for d in via_parallel] == sizes
 
 
-def test_write_on_sim_read_on_sim_clock_advances(sim_backend):
-    """Virtual time must accumulate across the whole write/read cycle."""
+def test_write_on_sim_read_on_sim_counts_ops(sim_backend):
+    """The SimFS counts accumulate across the whole write/read cycle."""
     backend = sim_backend
     path = "/scratch/clock.sion"
 
@@ -124,8 +124,9 @@ def test_write_on_sim_read_on_sim_clock_advances(sim_backend):
         f.parclose()
 
     run_spmd(2, wtask)
-    t_after_write = backend.fs.clock
     assert backend.fs.op_counts["create"] == 1  # one physical file, not two
+    written = backend.fs.op_counts["write_bytes"]
+    assert written >= 2 * 2000
 
     def rtask(comm):
         f = paropen(path, "r", comm, backend=backend)
@@ -133,4 +134,6 @@ def test_write_on_sim_read_on_sim_clock_advances(sim_backend):
         f.parclose()
 
     run_spmd(2, rtask)
-    assert backend.fs.clock >= t_after_write
+    assert backend.fs.op_counts["create"] == 1
+    assert backend.fs.op_counts["write_bytes"] == written
+    assert backend.fs.op_counts["read_bytes"] >= 2 * 2000

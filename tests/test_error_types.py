@@ -1,10 +1,11 @@
 """Every error the library raises on purpose is a ``repro.errors`` type.
 
-An AST scan of the I/O packages and the SimFS store: each ``raise``
+An AST scan of every module under ``src/repro``: each ``raise``
 names a class of :mod:`repro.errors`, or calls a function whose return
 annotation is one (the engines' shared failure policies), or is one of
-the few raises a Python protocol dictates, listed below with its reason.  A bare
-``raise`` (re-raise) is always allowed.
+the few raises a Python protocol or a benchmark's in-scenario check
+dictates, listed below with its reason.  A bare ``raise`` (re-raise) is
+always allowed.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import pathlib
 import repro.errors
 
 SRC = pathlib.Path(repro.errors.__file__).resolve().parent
-PACKAGES = ("sion", "simmpi", "serve", "backends", "utils")
-#: Single modules scanned from packages not (yet) scanned whole.
-MODULES = ("fs/simfs.py",)
 
 ERRORS = {
     name
@@ -33,6 +31,13 @@ ALLOWED = {
     ("simmpi/bulk.py", "_Suspend"): "bulk-engine control flow, caught by its scheduler",
     ("utils/cli.py", "SystemExit"): "a command-line tool's exit status",
     ("utils/__main__.py", "SystemExit"): "a command-line tool's exit status",
+    **{
+        (f"bench/{module}.py", "AssertionError"): "a benchmark scenario's in-scenario check"
+        for module in (
+            "collective", "core_io", "repartition", "resilience", "scaffold", "scale",
+            "scenarios", "serve",
+        )
+    },
 }
 
 
@@ -44,8 +49,7 @@ def _raised_name(node: ast.Raise) -> str:
 
 
 def _sources():
-    paths = [p for pkg in PACKAGES for p in sorted((SRC / pkg).rglob("*.py"))]
-    for path in paths + [SRC / m for m in MODULES]:
+    for path in sorted(SRC.rglob("*.py")):
         yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
 
 
@@ -88,3 +92,10 @@ def test_the_allowed_raises_still_exist():
 def test_backend_misuse_is_typed_and_still_a_value_error():
     assert issubclass(repro.errors.BackendUsageError, repro.errors.ReproError)
     assert issubclass(repro.errors.BackendUsageError, ValueError)
+
+
+def test_model_errors_are_typed_and_keep_their_builtin_base():
+    assert issubclass(repro.errors.ModelUsageError, repro.errors.ReproError)
+    assert issubclass(repro.errors.ModelUsageError, ValueError)
+    assert issubclass(repro.errors.ModelFailureError, repro.errors.ReproError)
+    assert issubclass(repro.errors.ModelFailureError, RuntimeError)

@@ -11,7 +11,7 @@ from repro.workloads.alignment import alignment_sweep, run_table1
 from repro.workloads.bandwidth import run_fig4a, run_fig4b
 from repro.workloads.filecreate import (
     run_fig3,
-    sion_create_time,
+    sion_open_time,
     tasklocal_metadata_time,
 )
 from repro.workloads.mp2c_io import crossover_particles_m, run_fig6
@@ -48,8 +48,8 @@ class TestFig3:
         assert ja.sion_create_s < 10.0  # "less than 10 s on Jaguar"
 
     def test_sion_create_scales_mildly(self):
-        t4k = sion_create_time(JU, 4096)
-        t64k = sion_create_time(JU, 65536)
+        t4k = sion_open_time(JU, 4096)
+        t64k = sion_open_time(JU, 65536)
         assert t64k < 20 * t4k  # near-linear in ntasks, tiny constants
 
 

@@ -1,8 +1,9 @@
 """Closed-form model vs. discrete-event simulator: they must agree.
 
 The analytic model (:mod:`repro.analysis.model`) predicts the balanced
-scenarios in O(1); the simulator computes them event by event.  Agreement
-pins down both implementations.
+scenarios in O(1); the simulator computes them event by event, and the
+SION open cost comes from a real ``paropen`` → ``parclose`` trace.
+Agreement pins down both implementations.
 """
 
 import pytest
@@ -12,13 +13,18 @@ from repro.analysis.model import (
     predict_alignment_factor,
     predict_bandwidth,
     predict_create_time,
+    predict_open_trace,
     predict_sion_create_time,
     speedup_bound_create,
 )
 from repro.fs.systems import jaguar, jugene
 from repro.workloads.alignment import run_table1
 from repro.workloads.common import parallel_io
-from repro.workloads.filecreate import sion_create_time, tasklocal_metadata_time
+from repro.workloads.filecreate import (
+    sion_open_time,
+    sion_open_trace,
+    tasklocal_metadata_time,
+)
 
 GB = 10**9
 TB = 10**12
@@ -46,13 +52,14 @@ class TestCreateTimes:
     @given(n=st.integers(1, 65536), nfiles=st.integers(1, 64))
     def test_sion_create_model_matches(self, n, nfiles):
         nfiles = min(nfiles, n)
+        assert predict_open_trace(n, nfiles) == sion_open_trace(n, nfiles)
         assert predict_sion_create_time(JU, n, nfiles) == pytest.approx(
-            sion_create_time(JU, n, nfiles), rel=1e-9
+            sion_open_time(JU, n, nfiles), rel=1e-9
         )
 
     def test_speedup_bound_consistent(self):
         bound = speedup_bound_create(JU, 65536)
-        measured = tasklocal_metadata_time(JU, 65536, "create") / sion_create_time(
+        measured = tasklocal_metadata_time(JU, 65536, "create") / sion_open_time(
             JU, 65536, 1
         )
         assert bound == pytest.approx(measured, rel=1e-9)
