@@ -107,9 +107,7 @@ def predict_alignment_factor(
 ) -> float:
     """Table 1's rightmost column from the lock model alone."""
     k = profile.lock_model.sharers_per_block(configured_blk, profile.fs_block_size)
-    if op == "write":
-        return profile.lock_model.write_penalty(k)
-    return profile.lock_model.read_penalty(k)
+    return profile.lock_model.penalty(op, k)
 
 
 def speedup_bound_create(profile: SystemProfile, ntasks: int, nfiles: int = 1) -> float:

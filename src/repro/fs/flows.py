@@ -323,28 +323,3 @@ class FlowScheduler:
     def _fire_callback(self, flow: Flow) -> None:
         if flow.on_complete is not None:
             flow.on_complete(self.engine.now, flow)
-
-
-def simulate_transfer_batch(
-    sizes_mb: list[float],
-    shared_resources: Sequence[ResourceSpec],
-    rate_caps: list[float] | None = None,
-) -> float:
-    """Convenience: run one batch of flows starting at t=0; return makespan.
-
-    ``rate_caps[i]`` limits flow *i* individually (defaults to unlimited).
-    """
-    eng = Engine()
-    sched = FlowScheduler(eng)
-    caps = rate_caps if rate_caps is not None else [math.inf] * len(sizes_mb)
-    if len(caps) != len(sizes_mb):
-        raise ModelUsageError("rate_caps must match sizes_mb in length")
-    with sched.batch():
-        flows = [
-            sched.submit(size, tuple(shared_resources), cap)
-            for size, cap in zip(sizes_mb, caps)
-        ]
-    eng.run()
-    if sched.active_flows:
-        raise ModelFailureError("flows stalled: zero-capacity path")
-    return max((f.finish_time for f in flows), default=0.0)

@@ -16,7 +16,6 @@ penalty saturates as ``k`` grows, matching the measured factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ModelUsageError
@@ -47,6 +46,20 @@ class LockContentionModel:
         # Misaligned, non-divisible: every boundary is shared by 2 writers.
         return max(2.0, fs_block_bytes / chunk_align_bytes)
 
+    def penalty(self, op: str, sharers: float) -> float:
+        """Bandwidth division factor for ``op`` with ``sharers`` per block.
+
+        The one place the op picks its coefficient: the flow model
+        (:func:`repro.workloads.common.parallel_io`) and its closed-form
+        reference (:func:`repro.analysis.model.predict_alignment_factor`)
+        both price false sharing through it.
+        """
+        if op == "write":
+            return self.write_penalty(sharers)
+        if op == "read":
+            return self.read_penalty(sharers)
+        raise ModelUsageError(f"op must be 'read' or 'write', got {op!r}")
+
     def write_penalty(self, sharers: float) -> float:
         """Bandwidth division factor for writes with ``sharers`` per block."""
         return self._penalty(sharers, self.write_coeff)
@@ -60,21 +73,6 @@ class LockContentionModel:
         if sharers < 1.0:
             raise ModelUsageError(f"sharers must be >= 1, got {sharers}")
         return 1.0 + coeff * (1.0 - 1.0 / sharers)
-
-    def effective_bandwidth(
-        self,
-        raw_bw: float,
-        chunk_align_bytes: int,
-        fs_block_bytes: int,
-        op: str = "write",
-    ) -> float:
-        """Bandwidth after the false-sharing penalty for this alignment."""
-        k = self.sharers_per_block(chunk_align_bytes, fs_block_bytes)
-        if op == "write":
-            return raw_bw / self.write_penalty(k)
-        if op == "read":
-            return raw_bw / self.read_penalty(k)
-        raise ModelUsageError(f"op must be 'read' or 'write', got {op!r}")
 
 
 def blocks_shared_by_layout(
@@ -104,23 +102,3 @@ def mean_sharers(shared: dict[int, int]) -> float:
     if not shared:
         return 1.0
     return sum(shared.values()) / len(shared)
-
-
-def worst_case_sharers(shared: dict[int, int]) -> int:
-    """Maximum writers on any one block."""
-    return max(shared.values(), default=1)
-
-
-def alignment_speedup(
-    model: LockContentionModel,
-    aligned_bytes: int,
-    unaligned_bytes: int,
-    fs_block_bytes: int,
-    op: str = "write",
-) -> float:
-    """Ratio of aligned to unaligned bandwidth (paper Table 1 rightmost column)."""
-    hi = model.effective_bandwidth(1.0, aligned_bytes, fs_block_bytes, op)
-    lo = model.effective_bandwidth(1.0, unaligned_bytes, fs_block_bytes, op)
-    if lo == 0:
-        return math.inf
-    return hi / lo

@@ -1,15 +1,15 @@
 """File-striping policies and object-storage-target (OST) selection.
 
 Lustre stripes every file across ``stripe_count`` OSTs with a configurable
-``stripe_depth``; the OSTs for each new file are drawn round-robin from a
-random starting offset, so files may collide on the same targets.  The
-number of *distinct* targets actually covered by a set of files governs the
-aggregate bandwidth available to them (paper Fig. 4b).
+``stripe_depth``; the OSTs for each new file are handed out round-robin from
+a moving cursor, so files share targets only once the pool wraps.  The
+number of *distinct* targets a set of files covers governs the aggregate
+bandwidth available to them (paper Fig. 4b); the flow model in
+:func:`repro.workloads.common.parallel_io` prices it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ModelUsageError
@@ -48,53 +48,19 @@ class StripingPolicy:
 
 
 def assign_osts_roundrobin(
-    n_files: int, stripe_count: int, n_targets: int, start: int = 0
+    n_files: int, stripe_count: int, n_targets: int
 ) -> list[list[int]]:
     """Deterministic round-robin OST assignment for ``n_files`` files.
 
-    File *i* gets targets ``start + i*stripe_count .. (mod n_targets)``.
-    The placement :func:`repro.workloads.common.parallel_io` simulates.
+    File *i* gets targets ``i*stripe_count .. (mod n_targets)``.  The
+    targets of a profile are identical, so a different starting offset
+    would only rotate the placement.  The placement
+    :func:`repro.workloads.common.parallel_io` simulates.
     """
     if n_targets < 1:
         raise ModelUsageError("need at least one target")
-    out: list[list[int]] = []
-    cursor = start % n_targets
-    for _ in range(n_files):
-        targets = [(cursor + k) % n_targets for k in range(min(stripe_count, n_targets))]
-        out.append(targets)
-        cursor = (cursor + stripe_count) % n_targets
-    return out
-
-
-def expected_coverage(n_files: int, stripe_count: int, n_targets: int) -> float:
-    """Expected number of distinct OSTs hit by ``n_files`` random files.
-
-    Each file independently lands on ``stripe_count`` targets starting at a
-    uniformly random offset (the Lustre allocator under load behaves close
-    to random).  The expected coverage is
-    ``T * (1 - (1 - s/T)^n)`` for ``s <= T``.
-    """
-    if n_targets < 1:
-        raise ModelUsageError("need at least one target")
-    s = min(stripe_count, n_targets)
-    miss = (1.0 - s / n_targets) ** n_files
-    return n_targets * (1.0 - miss)
-
-
-def aggregate_stripe_bandwidth(
-    n_files: int,
-    policy: StripingPolicy,
-    n_targets: int,
-    per_target_bw: float,
-    system_peak: float = math.inf,
-) -> float:
-    """Aggregate bandwidth (MB/s) of ``n_files`` files under ``policy``.
-
-    Combines expected OST coverage, stripe-depth efficiency, and the system
-    backplane cap.  This closed form mirrors what the flow scheduler
-    produces for a symmetric all-tasks-write workload and is used for quick
-    parameter exploration and property tests.
-    """
-    coverage = expected_coverage(n_files, policy.stripe_count, n_targets)
-    eff = policy.depth_efficiency()
-    return min(coverage * per_target_bw * eff, system_peak)
+    stripe = min(stripe_count, n_targets)
+    return [
+        [(i * stripe_count + k) % n_targets for k in range(stripe)]
+        for i in range(n_files)
+    ]

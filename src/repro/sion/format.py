@@ -320,11 +320,25 @@ class ShadowHeader:
         return cls(ltask=ltask, block=block, written=written)
 
 
+#: Largest single read a decode issues.  A count-sized read above it goes
+#: piece by piece, so a hostile count field fails "truncated" at the first
+#: short piece instead of asking the store for the bytes it claims.  16 MiB
+#: is metablock 1 of a 2^20-task file, so real reads stay one ``pread``.
+_READ_PIECE = 16 << 20
+
+
 def _read_exact(f: RawFile, offset: int, n: int, what: str) -> bytes:
-    raw = f.pread(offset, n)
-    if len(raw) != n:
-        raise SionFormatError(f"truncated multifile while reading {what}")
-    return raw
+    pieces = []
+    done = 0
+    while True:
+        want = min(n - done, _READ_PIECE)
+        piece = f.pread(offset + done, want)
+        if len(piece) != want:
+            raise SionFormatError(f"truncated multifile while reading {what}")
+        pieces.append(piece)
+        done += want
+        if done == n:
+            return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
 
 def _read_array(

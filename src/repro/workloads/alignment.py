@@ -62,24 +62,8 @@ def run_table1(
     unaligned: int = UNALIGNED_BLKSIZE,
 ) -> AlignmentResult:
     """Reproduce Table 1 on ``profile`` (the paper used Jugene)."""
-    rows = []
-    for blk in (aligned, unaligned):
-        w = parallel_io(
-            profile, ntasks, data_bytes, "write", nfiles=nfiles, chunk_align_bytes=blk
-        )
-        r = parallel_io(
-            profile, ntasks, data_bytes, "read", nfiles=nfiles, chunk_align_bytes=blk
-        )
-        rows.append(
-            AlignmentRow(
-                ntasks=ntasks,
-                data_bytes=data_bytes,
-                blksize=blk,
-                write_mb_s=w.bandwidth_mb_s,
-                read_mb_s=r.bandwidth_mb_s,
-            )
-        )
-    return AlignmentResult(aligned=rows[0], unaligned=rows[1])
+    hi, lo = alignment_sweep(profile, [aligned, unaligned], ntasks, nfiles, data_bytes)
+    return AlignmentResult(aligned=hi, unaligned=lo)
 
 
 def alignment_sweep(
@@ -89,22 +73,18 @@ def alignment_sweep(
     nfiles: int = NFILES,
     data_bytes: int = DATA_BYTES,
 ) -> list[AlignmentRow]:
-    """Ablation: penalty as the configured block size shrinks."""
-    out = []
-    for blk in blk_sizes:
-        w = parallel_io(
-            profile, ntasks, data_bytes, "write", nfiles=nfiles, chunk_align_bytes=blk
+    """One row per configured block size (Table 1 is the sweep over two)."""
+    return [
+        AlignmentRow(
+            ntasks=ntasks,
+            data_bytes=data_bytes,
+            blksize=blk,
+            write_mb_s=parallel_io(
+                profile, ntasks, data_bytes, "write", nfiles=nfiles, chunk_align_bytes=blk
+            ).bandwidth_mb_s,
+            read_mb_s=parallel_io(
+                profile, ntasks, data_bytes, "read", nfiles=nfiles, chunk_align_bytes=blk
+            ).bandwidth_mb_s,
         )
-        r = parallel_io(
-            profile, ntasks, data_bytes, "read", nfiles=nfiles, chunk_align_bytes=blk
-        )
-        out.append(
-            AlignmentRow(
-                ntasks=ntasks,
-                data_bytes=data_bytes,
-                blksize=blk,
-                write_mb_s=w.bandwidth_mb_s,
-                read_mb_s=r.bandwidth_mb_s,
-            )
-        )
-    return out
+        for blk in blk_sizes
+    ]

@@ -43,31 +43,24 @@ def sweep_nfiles(
     total_bytes: float,
     nfiles_list: list[int],
     striping: StripingPolicy | None = None,
-    seeds: int = 3,
 ) -> list[NfilesPoint]:
     """Write/read bandwidth over a sweep of physical-file counts.
 
-    On Lustre the OST sets are drawn randomly per file (like the real
-    allocator under load), so each point is averaged over ``seeds``
-    placements; GPFS placement is deterministic and needs one run.
+    Placement is deterministic on both file systems (round-robin OSTs on
+    Lustre), so each point is one run per op.
     """
-    n_seeds = seeds if profile.fs_type == "lustre" else 1
-    out = []
-    for nf in nfiles_list:
-        w_bw = r_bw = 0.0
-        for s in range(n_seeds):
-            w = parallel_io(
-                profile, ntasks, total_bytes, "write", nfiles=nf, striping=striping, seed=s
-            )
-            r = parallel_io(
-                profile, ntasks, total_bytes, "read", nfiles=nf, striping=striping, seed=s
-            )
-            w_bw += w.bandwidth_mb_s
-            r_bw += r.bandwidth_mb_s
-        out.append(
-            NfilesPoint(nfiles=nf, write_mb_s=w_bw / n_seeds, read_mb_s=r_bw / n_seeds)
+    return [
+        NfilesPoint(
+            nfiles=nf,
+            write_mb_s=parallel_io(
+                profile, ntasks, total_bytes, "write", nfiles=nf, striping=striping
+            ).bandwidth_mb_s,
+            read_mb_s=parallel_io(
+                profile, ntasks, total_bytes, "read", nfiles=nf, striping=striping
+            ).bandwidth_mb_s,
         )
-    return out
+        for nf in nfiles_list
+    ]
 
 
 def run_fig4a(profile: SystemProfile) -> list[NfilesPoint]:

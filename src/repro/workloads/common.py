@@ -14,15 +14,17 @@ resources:
 
 All experiments funnel through this one function, so the figures differ
 only in the scenario parameters — exactly how the paper's measurement
-campaigns were structured.
+campaigns were structured.  It is the one model of a data transfer:
+:func:`repro.analysis.model.predict_bandwidth` and
+:func:`~repro.analysis.model.predict_alignment_factor` are its closed-form
+reference, and a new figure prices its transfers here, not in a second
+model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ReproError
 from repro.fs.events import Engine
@@ -67,7 +69,6 @@ def parallel_io(
     tasklocal: bool = False,
     use_cache: bool = False,
     rate_cap_per_task: float | None = None,
-    seed: int = 0,
 ) -> IOResult:
     """Simulate ``ntasks`` symmetric tasks transferring ``total_bytes``.
 
@@ -98,12 +99,7 @@ def parallel_io(
         k = profile.lock_model.sharers_per_block(
             chunk_align_bytes, profile.fs_block_size
         )
-        penalty = (
-            profile.lock_model.write_penalty(k)
-            if op == "write"
-            else profile.lock_model.read_penalty(k)
-        )
-        per_task_mb *= penalty
+        per_task_mb *= profile.lock_model.penalty(op, k)
 
     # Shared resources.
     clients = Resource("clients", profile.aggregate_client_bw(ntasks))
@@ -121,9 +117,7 @@ def parallel_io(
         else profile.client_bw_per_task
     )
 
-    file_resources = _file_resources(
-        profile, nfiles, op, striping, tasklocal, seed
-    )
+    file_resources = _file_resources(profile, nfiles, op, striping, tasklocal)
 
     # Tasks -> files, blocked (the SION default); task-local is identity.
     tmap = TaskMapping.blocked(ntasks, nfiles)
@@ -165,7 +159,6 @@ def _file_resources(
     op: str,
     striping: StripingPolicy | None,
     tasklocal: bool,
-    seed: int,
 ) -> list[tuple]:
     """Per-file weighted resource tuples: GPFS token caps or Lustre OST sets.
 
@@ -181,9 +174,9 @@ def _file_resources(
         return [(Resource(f"file{f}", cap),) for f in range(nfiles)]
 
     # Lustre: files stripe over OSTs; OSTs are the shared hardware.  The
-    # allocator hands out targets round-robin from a moving cursor (plus a
-    # seeded initial offset), so placements are collision-free until the
-    # target pool wraps — matching Lustre's QOS allocator behaviour.
+    # allocator hands out targets round-robin from a moving cursor, so
+    # placements are collision-free until the target pool wraps — matching
+    # Lustre's QOS allocator behaviour.
     pol = striping or profile.default_striping
     per_target = (
         profile.target_write_bw if op == "write" else profile.target_read_bw
@@ -191,12 +184,11 @@ def _file_resources(
     osts = [
         Resource(f"ost{i}", per_target) for i in range(profile.n_targets)
     ]
-    start = int(np.random.default_rng(seed).integers(0, profile.n_targets))
     stripe = min(pol.stripe_count, profile.n_targets)
     # Each payload byte spreads over `stripe` targets (1/stripe), and small
     # stripe depths burn extra OST service time on per-RPC overhead
     # (1/depth_efficiency) — overhead that never crosses the server
     # backplane as payload.
     weight = (1.0 / stripe) / pol.depth_efficiency()
-    placement = assign_osts_roundrobin(nfiles, stripe, profile.n_targets, start)
+    placement = assign_osts_roundrobin(nfiles, stripe, profile.n_targets)
     return [tuple((osts[t], weight) for t in targets) for targets in placement]

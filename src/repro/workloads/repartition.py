@@ -64,7 +64,6 @@ def run_restart_analysis(
     nreaders: int,
     bytes_per_writer: float,
     nfiles: int = 16,
-    use_cache: bool = False,
 ) -> RestartAnalysisResult:
     """Price one write-with-n / analyze-with-m cycle on ``profile``.
 
@@ -81,10 +80,7 @@ def run_restart_analysis(
     # flow model's nfiles <= ntasks constraint on the read leg only).
     nfiles = min(nfiles, nwriters)
     write = parallel_io(profile, nwriters, data, op="write", nfiles=nfiles)
-    read = parallel_io(
-        profile, nreaders, data, op="read", nfiles=min(nfiles, nreaders),
-        use_cache=use_cache,
-    )
+    read = parallel_io(profile, nreaders, data, op="read", nfiles=min(nfiles, nreaders))
     return RestartAnalysisResult(
         nwriters=nwriters,
         nreaders=nreaders,

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.fs.events import Engine
-from repro.fs.flows import FlowScheduler, Resource, simulate_transfer_batch
+from repro.fs.flows import FlowScheduler, Resource
 
 
 def _run(flows_spec, resources=None):
@@ -158,17 +158,6 @@ def test_large_symmetric_batch_is_fast_and_exact():
         assert f.finish_time == pytest.approx(10.0)
     # Symmetric batch must not need thousands of events.
     assert eng.events_processed < 100
-
-
-def test_simulate_transfer_batch_helper():
-    disk = Resource("disk", 10.0)
-    makespan = simulate_transfer_batch([10.0, 10.0], (disk,))
-    assert makespan == pytest.approx(2.0)
-
-
-def test_simulate_transfer_batch_validates_caps():
-    with pytest.raises(ValueError):
-        simulate_transfer_batch([1.0, 2.0], (Resource("d", 1.0),), rate_caps=[1.0])
 
 
 def test_unconstrained_flow_completes_immediately():

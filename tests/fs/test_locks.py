@@ -3,13 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fs.locks import (
-    LockContentionModel,
-    alignment_speedup,
-    blocks_shared_by_layout,
-    mean_sharers,
-    worst_case_sharers,
-)
+from repro.fs.locks import LockContentionModel, blocks_shared_by_layout, mean_sharers
 
 MiB = 1 << 20
 GPFS = LockContentionModel(write_coeff=1.55, read_coeff=0.79)
@@ -60,18 +54,27 @@ def test_bad_sizes_rejected():
     with pytest.raises(ValueError):
         GPFS.sharers_per_block(0, 2 * MiB)
     with pytest.raises(ValueError):
-        GPFS.effective_bandwidth(100.0, 1024, 2 * MiB, op="append")
+        GPFS.penalty("append", 1.0)
+
+
+def test_penalty_picks_the_op_coefficient():
+    assert GPFS.penalty("write", 128.0) == GPFS.write_penalty(128.0)
+    assert GPFS.penalty("read", 128.0) == GPFS.read_penalty(128.0)
+
+
+def _bandwidth(raw_bw, align, op="write"):
+    return raw_bw / GPFS.penalty(op, GPFS.sharers_per_block(align, 2 * MiB))
 
 
 def test_effective_bandwidth_direction():
-    aligned = GPFS.effective_bandwidth(6000.0, 2 * MiB, 2 * MiB, "write")
-    unaligned = GPFS.effective_bandwidth(6000.0, 16 * 1024, 2 * MiB, "write")
+    aligned = _bandwidth(6000.0, 2 * MiB)
+    unaligned = _bandwidth(6000.0, 16 * 1024)
     assert aligned == pytest.approx(6000.0)
     assert unaligned < aligned / 2
 
 
 def test_alignment_speedup_matches_ratio():
-    s = alignment_speedup(GPFS, 2 * MiB, 16 * 1024, 2 * MiB, "write")
+    s = _bandwidth(1.0, 2 * MiB) / _bandwidth(1.0, 16 * 1024)
     assert s == pytest.approx(GPFS.write_penalty(128.0))
 
 
@@ -82,7 +85,7 @@ def test_layout_sharing_exact_counts():
     ends = [1536, 3072]
     shared = blocks_shared_by_layout(starts, ends, blk)
     assert shared == {0: 1, 1: 2, 2: 1}
-    assert worst_case_sharers(shared) == 2
+    assert max(shared.values()) == 2
     assert mean_sharers(shared) == pytest.approx(4 / 3)
 
 
@@ -91,7 +94,7 @@ def test_layout_aligned_chunks_never_share():
     starts = [i * 2048 for i in range(8)]
     ends = [s + 2048 for s in starts]
     shared = blocks_shared_by_layout(starts, ends, blk)
-    assert worst_case_sharers(shared) == 1
+    assert max(shared.values()) == 1
 
 
 def test_layout_empty_chunks_ignored():
@@ -116,7 +119,7 @@ def test_aligned_layouts_match_analytic_model(n, chunk_blocks, blk):
     starts = [i * size for i in range(n)]
     ends = [s + size for s in starts]
     shared = blocks_shared_by_layout(starts, ends, blk)
-    assert worst_case_sharers(shared) == 1
+    assert max(shared.values()) == 1
     assert GPFS.sharers_per_block(size, blk) == 1.0
 
 

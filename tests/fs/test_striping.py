@@ -1,18 +1,18 @@
-"""Striping policies and OST coverage."""
+"""Striping policies, OST placement and the bandwidth the flow model
+gives striped files."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fs.striping import (
-    StripingPolicy,
-    aggregate_stripe_bandwidth,
-    assign_osts_roundrobin,
-    expected_coverage,
-)
+from repro.fs.striping import StripingPolicy, assign_osts_roundrobin
+from repro.fs.systems import jaguar
+from repro.workloads.common import parallel_io
 
 MiB = 1 << 20
+TB = 10**12
+JA = jaguar()
 
 
 def test_policy_validation():
@@ -51,42 +51,37 @@ def test_roundrobin_requires_targets():
         assign_osts_roundrobin(1, 1, 0)
 
 
-def test_expected_coverage_bounds():
-    cov = expected_coverage(10, 4, 144)
-    assert 4 <= cov <= 40  # at least one file's stripes, at most all stripes
-    assert expected_coverage(1, 4, 144) == pytest.approx(4.0)
-
-
-def test_expected_coverage_saturates_at_targets():
-    assert expected_coverage(10000, 4, 144) == pytest.approx(144.0, rel=1e-6)
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(1, 500),
     stripe=st.integers(1, 64),
     targets=st.integers(1, 200),
 )
-def test_expected_coverage_monotonic_and_bounded(n, stripe, targets):
-    c_n = expected_coverage(n, stripe, targets)
-    c_n1 = expected_coverage(n + 1, stripe, targets)
-    assert 0 < c_n <= targets + 1e-9
-    assert c_n1 >= c_n - 1e-9
+def test_roundrobin_covers_every_target_before_reusing_one(n, stripe, targets):
+    """The coverage rule ``predict_bandwidth`` uses: min(n * stripe, targets)."""
+    sets = assign_osts_roundrobin(n, stripe, targets)
+    assert len(sets) == n
+    assert all(len(set(s)) == min(stripe, targets) for s in sets)
+    assert len(set().union(*sets)) == min(n * stripe, targets)
 
 
 def test_aggregate_bandwidth_capped_by_system_peak():
-    pol = StripingPolicy(64, 8 * MiB)
-    bw = aggregate_stripe_bandwidth(64, pol, 144, per_target_bw=550.0, system_peak=26000.0)
-    assert bw == pytest.approx(26000.0)
+    bw = parallel_io(JA, 2048, 1 * TB, "write", nfiles=64,
+                     striping=JA.optimized_striping).bandwidth_mb_s
+    assert bw == pytest.approx(JA.backplane_after_overheads("write", n_shared_files=64))
+    assert bw <= JA.peak_write_bw
 
 
 def test_aggregate_bandwidth_small_counts_scale_linearly():
-    pol = StripingPolicy(4, 8 * MiB)
-    one = aggregate_stripe_bandwidth(1, pol, 1000, per_target_bw=100.0)
-    two = aggregate_stripe_bandwidth(2, pol, 1000, per_target_bw=100.0)
-    assert two == pytest.approx(2 * one, rel=0.02)  # few collisions at 1000 targets
+    one, two = (
+        parallel_io(JA, 2048, 1 * TB, "write", nfiles=n,
+                    striping=JA.default_striping).bandwidth_mb_s
+        for n in (1, 2)
+    )
+    assert two == pytest.approx(2 * one, rel=1e-9)  # disjoint OSTs until the pool wraps
 
 
 def test_aggregate_bandwidth_uncapped_default():
-    pol = StripingPolicy(4, 8 * MiB)
-    assert aggregate_stripe_bandwidth(4, pol, 144, 550.0) < math.inf
+    bw = parallel_io(JA, 2048, 1 * TB, "write", nfiles=4,
+                     striping=JA.default_striping).bandwidth_mb_s
+    assert bw < math.inf

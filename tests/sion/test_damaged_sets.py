@@ -24,6 +24,8 @@ import ast
 import asyncio
 import pathlib
 import re
+import struct
+import tracemalloc
 
 import pytest
 
@@ -42,6 +44,7 @@ from repro.sion import (
     recover_multifile,
     serial,
 )
+from repro.sion.loader import load_set
 from repro.sion.mapping import physical_path
 from repro.utils.verify import verify_multifile
 from tests.conftest import TEST_BLKSIZE
@@ -122,6 +125,15 @@ def _truncated_mb2(backend, path, fpath):
     _replace(backend, fpath, data[:-6])
 
 
+def _hostile_counts(backend, path, fpath):
+    # 120 bytes whose metablock 1 claims 2^31 - 1 tasks (ntasks_local and
+    # ntasks_global): 16 GiB of global ranks that the file does not hold.
+    head = bytearray(_file_bytes(backend, fpath)[:120])
+    struct.pack_into("<I", head, struct.calcsize("<8sIIQ"), 2**31 - 1)
+    struct.pack_into("<I", head, struct.calcsize("<8sIIQIII"), 2**31 - 1)
+    _replace(backend, fpath, bytes(head))
+
+
 #: shape -> (damage, damaged file, what the finding says after the path).
 SHAPES = {
     "missing": (_missing, 1, "missing: no such file"),
@@ -132,6 +144,9 @@ SHAPES = {
     "ntasks_global": (_ntasks_global, 1, "disagrees with file 0: ntasks_global is 5"),
     "overstated": (_overstated, 1, "bad metablock 2: .* task 1 block 0 records 1000 bytes"),
     "truncated-mb2": (_truncated_mb2, 1, "bad metablock 2: truncated multifile"),
+    "hostile-counts": (
+        _hostile_counts, 1, "bad metablock 1: truncated multifile while reading globalranks"
+    ),
 }
 
 
@@ -257,6 +272,22 @@ def test_paropen_rows_on_the_process_engine(tmp_path, shape, row):
     backend = LocalBackend(blocksize_override=TEST_BLKSIZE)
     path, fpath = _damaged(backend, str(tmp_path), shape)
     _assert_rejects(_strict_error(lambda: _paropen(backend, path, row, "proc")), fpath, shape)
+
+
+def test_hostile_count_fields_load_in_bounded_memory(store):
+    """The decoder reads a claimed length in 16 MiB pieces and stops at the
+    first short one: the load's peak stays under two pieces."""
+    backend, base = store
+    path, fpath = _damaged(backend, base, "hostile-counts")
+    tracemalloc.start()
+    try:
+        load = load_set(backend, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    load.close()
+    assert load.findings[0].startswith(f"{fpath}: bad metablock 1: truncated")
+    assert peak < 2 * (16 << 20)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -79,12 +79,18 @@ class TestBandwidth:
         sim = parallel_io(JU, ntasks, 100 * GB, "write", tasklocal=True)
         assert sim.bandwidth_mb_s == pytest.approx(pred.bandwidth_mb_s, rel=1e-6)
 
-    @pytest.mark.parametrize("nfiles", [1, 4, 16])
+    # Fig. 4b on Jaguar, both policies and both ops; 512 files wrap the
+    # round-robin placement past the 144 OSTs.
+    @pytest.mark.parametrize("nfiles", [1, 2, 4, 16, 64, 512])
     def test_lustre_striped(self, nfiles):
-        pred = predict_bandwidth(JA, 2048, "write", nfiles, striping=JA.default_striping)
-        sim = parallel_io(JA, 2048, 1 * TB, "write", nfiles=nfiles,
-                          striping=JA.default_striping)
-        assert sim.bandwidth_mb_s == pytest.approx(pred.bandwidth_mb_s, rel=1e-6)
+        for op in ("write", "read"):
+            bw = {}
+            for policy in (JA.default_striping, JA.optimized_striping):
+                pred = predict_bandwidth(JA, 2048, op, nfiles, striping=policy)
+                sim = parallel_io(JA, 2048, 1 * TB, op, nfiles=nfiles, striping=policy)
+                assert sim.bandwidth_mb_s == pytest.approx(pred.bandwidth_mb_s, rel=1e-6)
+                bw[policy] = sim.bandwidth_mb_s
+            assert bw[JA.optimized_striping] >= bw[JA.default_striping] * (1 - 1e-12)
 
     def test_rate_cap_scenario(self):
         pred = predict_bandwidth(JU, 32768, "write", 16, rate_cap_per_task=0.067)
