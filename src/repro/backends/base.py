@@ -16,7 +16,7 @@ padding "exists only on the logical level".
 
 All write-side calls accept any buffer-protocol object (``bytes``,
 ``bytearray``, ``memoryview``, NumPy arrays) and must not materialize
-intermediate copies; the one unavoidable copy happens inside the store.
+intermediate copies; the one copy a store may need happens inside it.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ forwards a flat byte *view* of it instead of materializing intermediate
 
 * contiguous buffers are wrapped without copying (slices of the returned
   view keep referencing the caller's memory all the way down to the
-  backend, where the final store copy happens);
+  backend, where the store copies what it cannot share);
 * non-contiguous exporters (e.g. a strided NumPy slice) cannot be
   byte-cast, so they are flattened with exactly **one** materializing
   copy at this entry boundary — never again further down.

@@ -6,7 +6,11 @@ bytes: hierarchical directories, POSIX-ish open modes, positioned
 extents of zeros occupy no memory, so a 1 TB virtual write is cheap.
 Each write (each vectored run) is kept as one exact-size piece that is
 never grown, so the store's footprint is its bytes, not its allocator's
-reallocation history.
+reallocation history.  A run that is one view of an immutable ``bytes``
+is kept without a copy (the object itself, or a view of it); every other
+run is copied once.  So a piece made from a view of a ``bytes`` keeps
+that whole ``bytes`` alive until the piece is overwritten or its file is
+truncated or unlinked.
 Every operation is counted in :attr:`SimFS.op_counts` (metadata ops by
 kind, data by bytes) and priced nowhere here: the figures price the counts
 of a real ``paropen`` → ``parclose``
@@ -40,15 +44,19 @@ _version_clock = itertools.count(1)
 class SparseFile:
     """Byte store holding only materialized pieces; holes read as zeros.
 
-    Every write stores the bytes it brings in one exact-size buffer of
-    its own (a *piece*); no buffer the store holds is ever grown.  A
-    write that lands inside one piece is spliced into it in place; any
-    other write replaces the pieces it overlaps and keeps what sticks
-    out of the first and the last of them as fresh, exact-size copies.
-    Growing one buffer per extent instead (``+=`` on every touching
-    write) builds a large file by thousands of reallocs, and the heap
-    they leave behind, not the stored bytes, sets the process's peak
-    memory.
+    Every write stores the bytes it brings in one exact-size buffer (a
+    *piece*); no buffer the store holds is ever grown.  A run that is
+    one view of an immutable ``bytes`` is shared, not copied: the piece
+    is that ``bytes`` when the view covers all of it, else a view of the
+    store's own.  Any other run is copied into a ``bytearray``.  A write
+    that lands inside one copied piece is spliced into it in place; any
+    other write — every write into a shared piece among them, which is
+    never mutated — replaces the pieces it overlaps and keeps what
+    sticks out of the first and the last of them: views of a shared
+    piece, fresh exact-size copies of a copied one.  Growing one buffer
+    per extent instead (``+=`` on every touching write) builds a large
+    file by thousands of reallocs, and the heap they leave behind, not
+    the stored bytes, sets the process's peak memory.
     """
 
     __slots__ = ("size", "version", "allocated_bytes", "_starts", "_bufs")
@@ -63,7 +71,9 @@ class SparseFile:
         #: a running count, since ``SimFS.stat`` reads it on every call.
         self.allocated_bytes = 0
         self._starts: list[int] = []
-        self._bufs: list[bytearray] = []
+        #: Copied pieces are ``bytearray``; shared ones ``bytes`` or a
+        #: ``memoryview`` of one.
+        self._bufs: list[bytearray | bytes | memoryview] = []
 
     # -- queries -------------------------------------------------------------
 
@@ -86,14 +96,15 @@ class SparseFile:
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> int:
         """Overlay ``data`` at ``offset``; grows the file as needed.
 
-        Accepts any buffer-protocol object; the single copy happens here,
+        Accepts any buffer-protocol object.  A view of an immutable
+        ``bytes`` is kept as it is; anything else is copied once, here,
         into the store's own buffer — no intermediate ``bytes``.
         """
         return self.writev(offset, (data,))
 
     def writev(self, offset: int, views) -> int:
         """Overlay ``views`` back to back at ``offset``; a run that does not
-        land inside one piece becomes exactly one new piece."""
+        land inside one copied piece becomes exactly one new piece."""
         if offset < 0:
             raise BackendUsageError(f"negative offset: {offset}")
         views = [as_view(v) for v in views]
@@ -104,26 +115,32 @@ class SparseFile:
         starts, bufs = self._starts, self._bufs
         lo, hi = offset, offset + n
         first, last = self._overlap_range(lo, hi)
-        if last == first + 1 and starts[first] <= lo and hi <= starts[first] + len(bufs[first]):
-            # Inside one piece: splice in place, same length.  Replacing
-            # the piece instead would copy all of it for a small rewrite.
+        if (
+            last == first + 1
+            and type(bufs[first]) is bytearray
+            and starts[first] <= lo
+            and hi <= starts[first] + len(bufs[first])
+        ):
+            # Inside one copied piece: splice in place, same length.
+            # Replacing the piece instead would copy all of it for a small
+            # rewrite.
             buf, pos = bufs[first], lo - starts[first]
             for v in views:
                 buf[pos : pos + v.nbytes] = v
                 pos += v.nbytes
             return n
-        piece = bytearray(views[0]) if len(views) == 1 else bytearray().join(views)
-        new_starts, new_bufs = [lo], [piece]
+        new_starts, new_bufs = [lo], [_piece(views)]
         freed = 0
         if first < last:
             s = starts[first]
             if s < lo:  # keep the head of the first piece
                 new_starts.insert(0, s)
-                new_bufs.insert(0, bufs[first][: lo - s])
+                new_bufs.insert(0, _cut(bufs[first], 0, lo - s))
             s = starts[last - 1]
-            if s + len(bufs[last - 1]) > hi:  # ... and the tail of the last
+            end = len(bufs[last - 1])
+            if s + end > hi:  # ... and the tail of the last
                 new_starts.append(hi)
-                new_bufs.append(bufs[last - 1][hi - s :])
+                new_bufs.append(_cut(bufs[last - 1], hi - s, end))
             freed = sum(len(b) for b in bufs[first:last])
         starts[first:last] = new_starts
         bufs[first:last] = new_bufs
@@ -171,6 +188,27 @@ class SparseFile:
             first = 0
         last = bisect_left(self._starts, hi, lo=first)
         return first, last
+
+
+def _piece(views: list[memoryview]) -> bytearray | bytes | memoryview:
+    """The piece one run is stored as: shared when it is one view of a
+    ``bytes``, else one exact-size copy."""
+    if len(views) == 1:
+        v = views[0]
+        if type(v.obj) is bytes:
+            # The whole object, or a view of the store's own: a caller
+            # that releases the view it passed cannot break the piece.
+            return v.obj if v.nbytes == len(v.obj) else v[:]
+        return bytearray(v)
+    return bytearray().join(views)
+
+
+def _cut(buf: bytearray | bytes | memoryview, a: int, b: int) -> bytearray | memoryview:
+    """Bytes ``[a, b)`` of a piece: a view of a shared piece (it never
+    changes), a fresh copy of a copied one (it may be spliced later)."""
+    if type(buf) is bytearray:
+        return buf[a:b]
+    return memoryview(buf)[a:b]
 
 
 @dataclass

@@ -147,17 +147,10 @@ def load_set(backend: Backend, path: str, rank: int | None = None) -> SetLoad:
     concern.  Never raises for a damaged set; the statuses say what is
     wrong (an out-of-range ``rank`` is a :class:`SionUsageError`).
     """
-    head = load_file(backend, path, (("filenum", 0),))
-    if head.mb1 is None:
+    head, tmap = load_head(backend, path)
+    if tmap is None:
         return SetLoad(path, (head,))
     mb1 = head.mb1
-    try:
-        tmap = TaskMapping.from_kind_code(
-            mb1.ntasks_global, mb1.nfiles, mb1.mapping_kind, mb1.mapping_table
-        )
-    except SionUsageError as exc:
-        head.fail(BAD_MB1, f"invalid task mapping: {exc}")
-        return SetLoad(path, (head,))
     if rank is None:
         wanted: Sequence[int] = range(tmap.nfiles)
     elif 0 <= rank < tmap.ntasks:
@@ -182,6 +175,27 @@ def load_set(backend: Backend, path: str, rank: int | None = None) -> SetLoad:
         if f.status in (INTACT, BAD_MB2) and f.mb1.globalranks != tmap.tasks_of_file(filenum):
             f.fail(DISAGREES, "stored global ranks disagree with the mapping")
     return SetLoad(path, tuple(files), tmap)
+
+
+def load_head(backend: Backend, path: str) -> tuple[FileLoad, TaskMapping | None]:
+    """File 0 of the set at ``path`` and the task mapping it stores.
+
+    The mapping is ``None`` when file 0 gives no usable geometry (an
+    unreadable metablock 1 or an invalid mapping table); then file 0's
+    status says why.  The caller closes the load.
+    """
+    head = load_file(backend, path, (("filenum", 0),))
+    if head.mb1 is None:
+        return head, None
+    mb1 = head.mb1
+    try:
+        tmap = TaskMapping.from_kind_code(
+            mb1.ntasks_global, mb1.nfiles, mb1.mapping_kind, mb1.mapping_table
+        )
+    except SionUsageError as exc:
+        head.fail(BAD_MB1, f"invalid task mapping: {exc}")
+        return head, None
+    return head, tmap
 
 
 def load_file(

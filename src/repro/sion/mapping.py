@@ -72,18 +72,12 @@ class TaskMapping:
         if not counts.all():
             missing = np.flatnonzero(counts == 0).tolist()
             raise SionUsageError(f"custom mapping leaves files empty: {missing}")
-        # Local ranks follow global-rank order within each file: group the
-        # ranks by file (stable), then number each group from its offset.
-        order = np.argsort(files, kind="stable")
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        lranks = np.empty(ntasks, dtype=np.int64)
-        lranks[order] = np.arange(ntasks) - np.repeat(offsets, counts)
         return cls(
             ntasks,
             nfiles,
             MAPPING_CUSTOM,
             tuple(files.tolist()),
-            tuple(lranks.tolist()),
+            tuple(_local_ranks(files, nfiles).tolist()),
         )
 
     @classmethod
@@ -115,7 +109,13 @@ class TaskMapping:
         kind_code: int,
         table: list[tuple[int, int]] | None = None,
     ) -> "TaskMapping":
-        """Rebuild from metablock-1 fields (standard kinds need no table)."""
+        """Rebuild from metablock-1 fields (standard kinds need no table).
+
+        A stored custom table is checked, not trusted: every file index is
+        in range and every local rank is the task's position among its
+        file's tasks (the only table a writer stores), else a reader would
+        serve one task's chunks as another's.
+        """
         if kind_code == MAPPING_BLOCKED:
             return cls.blocked(ntasks, nfiles)
         if kind_code == MAPPING_ROUNDROBIN:
@@ -123,8 +123,22 @@ class TaskMapping:
         if kind_code == MAPPING_CUSTOM:
             if not table:
                 raise SionUsageError("custom mapping requires the stored table")
-            files, lranks = zip(*table)
-            return cls(ntasks, nfiles, MAPPING_CUSTOM, tuple(files), tuple(lranks))
+            files, lranks = np.asarray(table, dtype=np.int64).reshape(-1, 2).T
+            bad = np.flatnonzero((files < 0) | (files >= nfiles))
+            if bad.size:
+                r = int(bad[0])
+                raise SionUsageError(f"task {r} maps to file {files[r]} of {nfiles}")
+            want = _local_ranks(files, nfiles)
+            bad = np.flatnonzero(lranks != want)
+            if bad.size:
+                r = int(bad[0])
+                raise SionUsageError(
+                    f"task {r} has local rank {lranks[r]} in file {files[r]}, "
+                    f"expected {want[r]}"
+                )
+            return cls(
+                ntasks, nfiles, MAPPING_CUSTOM, tuple(files.tolist()), tuple(lranks.tolist())
+            )
         raise SionUsageError(f"unknown mapping kind code {kind_code}")
 
     # -- queries -----------------------------------------------------------------
@@ -169,6 +183,18 @@ class TaskMapping:
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.ntasks:
             raise SionUsageError(f"rank {rank} out of range ({self.ntasks} tasks)")
+
+
+def _local_ranks(files: np.ndarray, nfiles: int) -> np.ndarray:
+    """Each task's position among its file's tasks, in global-rank order."""
+    # Group the ranks by file (stable), then number each group from its
+    # offset.
+    counts = np.bincount(files, minlength=nfiles)
+    order = np.argsort(files, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    lranks = np.empty(files.size, dtype=np.int64)
+    lranks[order] = np.arange(files.size) - np.repeat(offsets, counts)
+    return lranks
 
 
 @lru_cache(maxsize=128)

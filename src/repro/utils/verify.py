@@ -23,6 +23,7 @@ from repro.sion.loader import (
     CHECKS_PER_FILE,
     INTACT,
     FileLoad,
+    load_head,
     load_set,
     qualify_replica,
     read_shadow_headers,
@@ -204,19 +205,19 @@ def assess_loss(
     """
     backend = backend if backend is not None else LocalBackend()
     report = VerifyReport(path=path)
-    load = load_set(backend, path)
-    load.close()
-    if load.mapping is None:
-        report.error(load.files[0].finding)
+    head, tmap = load_head(backend, path)  # file 0 holds the mapping and flags
+    head.close()
+    if tmap is None:
+        report.error(head.finding)
         return report
-    report.nfiles = nfiles = load.mapping.nfiles
-    report.ntasks = load.mapping.ntasks
+    report.nfiles = nfiles = tmap.nfiles
+    report.ntasks = tmap.ntasks
     if not 0 <= filenum < nfiles:
         report.error(
             f"--inject lose-file={filenum}: the set has {nfiles} physical file(s)"
         )
         return report
-    if not load.files[0].mb1.flags & FLAG_BUDDY:
+    if not head.mb1.flags & FLAG_BUDDY:
         report.error(
             f"{path}: set written without buddy=True; losing file "
             f"{filenum} would be unrecoverable"

@@ -1,20 +1,30 @@
 """Fuzz :class:`SparseFile` against a plain-``bytearray`` reference model.
 
-The store keeps one exact-size buffer per write (a piece), splices a
-write that lands inside one piece in place, and splits the pieces a
-wider write overlaps; it reports touching pieces as one extent.  This
-suite drives random interleavings of writes (holes come from writes
-past the end) and reads — directly and through the vectored
+The store keeps one exact-size buffer per write (a piece), shares a
+run that is one view of an immutable ``bytes`` instead of copying it,
+splices a write that lands inside one copied piece in place, and splits
+the pieces a wider write overlaps; it reports touching pieces as one
+extent.  This suite drives random interleavings of writes (holes come
+from writes past the end) and reads — directly and through the vectored
 ``SimFileHandle.pwritev`` / ``preadv`` — and checks every observable
 against the dumbest possible model, plus the structural invariants the
 store promises (sorted disjoint extents, allocation never exceeding the
 logical size, and no buffer the store holds ever resized by a write).
+The shared pieces get their own checks: a source ``bytes`` is never
+changed by a later write, and a large write from a view of one
+allocates next to nothing.
 """
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 
+from repro.backends.simfs_backend import SimBackend
 from repro.fs.simfs import SimFS, SparseFile
 
 LIMIT = 4096  # keep offsets/sizes small enough for dense model comparison
@@ -56,13 +66,18 @@ ops = st.lists(
             st.integers(0, LIMIT),
             st.integers(0, 600),
             st.integers(0, 250),
-            st.sampled_from(["bytes", "bytearray", "memoryview"]),
+            st.sampled_from(["bytes", "bytearray", "memoryview", "slice", "released"]),
         ),
         st.tuples(st.just("read"), st.integers(0, LIMIT), st.integers(0, 800)),
     ),
     min_size=1,
     max_size=40,
 )
+
+
+def _slice_of_larger(data: bytes) -> memoryview:
+    """``data`` as a view into the middle of a larger ``bytes``."""
+    return memoryview(b"\x11" * 7 + data + b"\x22" * 5)[7 : 7 + len(data)]
 
 
 def _check_invariants(sf: SparseFile) -> None:
@@ -90,8 +105,12 @@ def test_sparsefile_matches_bytearray_model(ops):
                 "bytes": data,
                 "bytearray": bytearray(data),
                 "memoryview": memoryview(data),
+                "slice": _slice_of_larger(data),
+                "released": _slice_of_larger(data),
             }[kind]
             assert sf.write(offset, wrapped) == len(data)
+            if kind == "released":
+                wrapped.release()  # the store must hold a view of its own
             model.write(offset, data)
         else:
             _, offset, n = op
@@ -198,3 +217,91 @@ def test_pwritev_stores_one_contiguous_run_as_one_piece():
     assert len(fh._data._bufs) == 1
     assert fs.stat("/f").allocated_bytes == 1000
     assert fh.pread(100, 1000) == b"ab" * 500
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    writes=st.lists(
+        st.tuples(st.integers(0, LIMIT), st.integers(1, 600), st.integers(0, 250),
+                  st.booleans()),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_overlapping_writes_never_change_a_shared_source(writes):
+    """Shared pieces are read-only: a write over, inside or across one
+    replaces or cuts it and never writes through to the caller's bytes."""
+    sf, model = SparseFile(), Model()
+    sources = []
+    for offset, size, seed, sliced in writes:
+        data = _payload(seed, size)
+        src = _slice_of_larger(data) if sliced else data
+        sources.append((src, bytearray(src)))  # bytearray: a real copy
+        sf.write(offset, src)
+        model.write(offset, data)
+    for src, before in sources:
+        assert src == before
+    assert sf.read(0, sf.size) == model.read(0, model.size)
+    _check_invariants(sf)
+
+
+def test_a_large_write_from_a_view_of_bytes_is_not_copied():
+    """8 MiB through ``scatter_write`` as two runs (a hole between them),
+    each one view into a larger ``bytes``: the store keeps views of it, so
+    the write allocates next to nothing and reads back exactly."""
+    mib = 1 << 20
+    blob = _payload(3, 251) * ((8 * mib + 4096) // 251 + 1)
+    view = memoryview(blob)[4096 : 4096 + 8 * mib]
+    raw = SimBackend(SimFS()).open("/f", "w+b")
+    tracemalloc.start()
+    try:
+        runs = [(0, view[: 4 * mib]), (4 * mib + 512, view[4 * mib :])]
+        assert raw.scatter_write(runs) == 8 * mib
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert raw.pread(0, 4 * mib) == view[: 4 * mib]
+    assert raw.pread(4 * mib, 512) == bytes(512)
+    assert raw.pread(4 * mib + 512, 4 * mib) == view[4 * mib :]
+
+
+def test_threads_sharing_one_bytes_keep_their_regions():
+    """Eight threads (more than this suite assumes cores) store views of
+    one ``bytes`` into disjoint regions of one file, overwriting their own
+    earlier pieces, with a tiny switch interval: the store's lock is the
+    only thing ordering the piece-list surgery, so a lost update shows as
+    a region that differs from its thread's model."""
+    nthreads, region = 8, 4096
+    blob = _payload(5, 251) * 40
+    fs = SimFS()
+    fh = fs.open("/f", "w+b")
+    fh.pwrite(nthreads * region, b"\x01")  # every region reads back whole
+    models = [bytearray(region) for _ in range(nthreads)]
+
+    def writer(t: int) -> None:
+        rng = random.Random(t)
+        for _ in range(300):
+            n = rng.randrange(1, 600)
+            off, src = rng.randrange(region - n + 1), rng.randrange(len(blob) - n + 1)
+            view = memoryview(blob)[src : src + n]
+            if rng.random() < 0.5:
+                fh.pwrite(t * region + off, view)
+            else:
+                fh.pwritev(t * region + off, [view[: n // 2], view[n // 2 :]])
+            models[t][off : off + n] = view
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(nthreads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for t in range(nthreads):
+        assert fh.pread(t * region, region) == models[t], t
+    _check_invariants(fh._data)

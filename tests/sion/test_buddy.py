@@ -17,6 +17,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backends.instrument import CountingBackend
 from repro.backends.localfs import LocalBackend
 from repro.backends.simfs_backend import SimBackend
 from repro.errors import SionMetadataLostError, SionUsageError
@@ -254,6 +255,17 @@ def test_assess_loss_refuses_the_replica_recovery_refuses():
     be.unlink(physical_path(path, 1))
     with pytest.raises(SionMetadataLostError):
         recover_multifile(path, backend=be)
+
+
+def test_assess_loss_opens_file_0_and_the_replica_only():
+    # File 0 holds the mapping and the flags; the other primaries are
+    # none of the what-if's business.
+    be = _backend()
+    path = "/scratch/four.sion"
+    _write_buddy(be, path, 8, nfiles=4)
+    cb = CountingBackend(be)
+    assert assess_loss(path, 2, backend=cb).ok
+    assert cb.snapshot()["opens"] == 2
 
 
 def test_assess_loss_requires_buddy_flag():

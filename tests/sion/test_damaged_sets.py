@@ -1,7 +1,8 @@
 """Every reader rejects a damaged set alike: the damaged-set table.
 
 Set A has four tasks in two physical files (blocked: ranks 0-1 in file
-0, ranks 2-3 in file 1).  Each damage shape breaks one physical file;
+0, ranks 2-3 in file 1; a shape that damages a custom mapping table
+writes it with ``MAPPINGS``).  Each damage shape breaks one physical file;
 every strict reader surface — ``paropen "r"`` matched, partitioned and
 collector-prefetched, ``serial.open``, ``open_rank`` of a task in the
 damaged file and a gateway session — must raise the same
@@ -134,6 +135,16 @@ def _hostile_counts(backend, path, fpath):
     _replace(backend, fpath, bytes(head))
 
 
+def _swapped_local_ranks(backend, path, fpath):
+    # Written with mapping [0, 1, 0, 1]: file 0 holds ranks 0 and 2 at
+    # local ranks 0 and 1.  Swapped, a reader trusting the table would
+    # serve rank 2's chunk as rank 0's.
+    with backend.open(fpath, "rb") as f:
+        table = list(Metablock1.decode_from(f).mapping_table)
+    table[0], table[2] = (table[0][0], table[2][1]), (table[2][0], table[0][1])
+    _rewrite_mb1(backend, fpath, mapping_table=table)
+
+
 #: shape -> (damage, damaged file, what the finding says after the path).
 SHAPES = {
     "missing": (_missing, 1, "missing: no such file"),
@@ -147,7 +158,14 @@ SHAPES = {
     "hostile-counts": (
         _hostile_counts, 1, "bad metablock 1: truncated multifile while reading globalranks"
     ),
+    "swapped-local-ranks": (
+        _swapped_local_ranks, 0,
+        "bad metablock 1: invalid task mapping: task 0 has local rank 1 in file 0, expected 0",
+    ),
 }
+
+#: The mapping set A is written with, where a shape needs another than blocked.
+MAPPINGS = {"swapped-local-ranks": [0, 1, 0, 1]}
 
 
 @pytest.fixture(params=["sim", "local"])
@@ -164,7 +182,7 @@ def _damaged(backend, base, shape, **options):
     """Write set A, damage it by ``shape``; returns its path and the damaged file."""
     damage, filenum, _ = SHAPES[shape]
     path = f"{base}/a.sion"
-    _write(backend, path, **options)
+    _write(backend, path, mapping=MAPPINGS.get(shape, "blocked"), **options)
     fpath = physical_path(path, filenum)
     damage(backend, path, fpath)
     return path, fpath

@@ -103,6 +103,19 @@ class TestReconstruction:
         with pytest.raises(SionUsageError):
             TaskMapping.from_kind_code(3, 2, MAPPING_CUSTOM)
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([(0, 1), (1, 0), (0, 0)], "task 0 has local rank 1 in file 0, expected 0"),
+            ([(0, 0), (1, 0), (0, 7)], "task 2 has local rank 7 in file 0, expected 1"),
+            ([(0, 0), (2, 0), (0, 1)], "task 1 maps to file 2 of 2"),
+        ],
+        ids=["swapped", "out-of-range-rank", "out-of-range-file"],
+    )
+    def test_custom_table_is_checked(self, table, message):
+        with pytest.raises(SionUsageError, match=message):
+            TaskMapping.from_kind_code(3, 2, MAPPING_CUSTOM, table)
+
     def test_unknown_code(self):
         with pytest.raises(SionUsageError):
             TaskMapping.from_kind_code(1, 1, 99)
