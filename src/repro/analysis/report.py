@@ -2,7 +2,7 @@
 
 The benchmark harness writes every reproduced table/figure to
 ``benchmarks/results/<name>.txt``; this module assembles them into a
-single markdown document (the regenerable core of EXPERIMENTS.md).
+single markdown document, regenerable with :data:`REGENERATE`.
 """
 
 from __future__ import annotations

@@ -329,7 +329,7 @@ def table2_scalasca(ctx) -> ScenarioOutput:
     rows.append(
         f"activation speedup: {res.activation_speedup:.1f}x (paper: 13.1x; "
         "the paper's own Fig. 3a implies ~8x at 32K under the conditions it "
-        "reports — production-run variance, see EXPERIMENTS.md)"
+        "reports — production-run variance)"
     )
     metrics = {
         "tasklocal_activation_s": Metric(res.tasklocal.activation_s),

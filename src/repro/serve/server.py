@@ -11,9 +11,11 @@ The wire format is deliberately boring — one frame per message:
 
 Requests are JSON headers with an ``op`` field (``open_session``,
 ``read``, ``read_all``, ``eof``, ``read_task``, ``read_range``,
-``close_session``, ``stats``, ``ping``); chunk payload travels as the
-binary tail of the response frame, so record bytes are never base64'd
-or embedded in JSON.  Errors come back as ``{"ok": false, "kind": ...,
+``close_session``, ``stats``, ``ping``) and no payload; chunk payload
+travels as the binary tail of the response frame, so record bytes are
+never base64'd or embedded in JSON.  A request frame that is not a JSON
+object, or that claims a payload, closes its connection, as a
+truncated frame does.  Errors come back as ``{"ok": false, "kind": ...,
 "error": ...}`` and are re-raised client-side as
 :class:`~repro.errors.SionUsageError`.
 
@@ -48,8 +50,12 @@ _LEN = struct.Struct(">I")
 MAX_HEADER = 1 << 20
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> "tuple[dict, bytes] | None":
-    """Read one frame; ``None`` on clean EOF at a frame boundary."""
+async def _read_header(reader: asyncio.StreamReader) -> "dict | None":
+    """Read one frame's header; ``None`` on clean EOF at a frame boundary.
+
+    The header must be a JSON object whose ``plen`` (default 0) is a
+    non-negative integer; anything else is a :class:`SionUsageError`.
+    """
     try:
         raw_len = await reader.readexactly(_LEN.size)
     except asyncio.IncompleteReadError as exc:
@@ -60,11 +66,43 @@ async def _read_frame(reader: asyncio.StreamReader) -> "tuple[dict, bytes] | Non
     if hlen > MAX_HEADER:
         raise SionUsageError(f"frame header of {hlen} bytes exceeds {MAX_HEADER}")
     try:
-        header = json.loads(await reader.readexactly(hlen))
-        payload = await reader.readexactly(int(header.get("plen", 0)))
+        blob = await reader.readexactly(hlen)
+    except asyncio.IncompleteReadError as exc:
+        raise SionUsageError("connection closed mid-frame") from exc
+    try:
+        header = json.loads(blob)
+    except (ValueError, RecursionError) as exc:
+        raise SionUsageError("frame header is not JSON") from exc
+    if not isinstance(header, dict):
+        raise SionUsageError("frame header is not a JSON object")
+    plen = header.get("plen", 0)
+    if type(plen) is not int or plen < 0:
+        raise SionUsageError(f"frame payload length {plen!r} is not a byte count")
+    return header
+
+
+async def _read_frame(reader: asyncio.StreamReader) -> "tuple[dict, bytes] | None":
+    """Read one frame; ``None`` on clean EOF at a frame boundary."""
+    header = await _read_header(reader)
+    if header is None:
+        return None
+    try:
+        payload = await reader.readexactly(header.get("plen", 0))
     except asyncio.IncompleteReadError as exc:
         raise SionUsageError("connection closed mid-frame") from exc
     return header, payload
+
+
+async def _read_request(reader: asyncio.StreamReader) -> "dict | None":
+    """Read one request header; ``None`` on clean EOF at a frame boundary.
+
+    No request op carries a payload, so a request claiming one is
+    refused before a byte of it is read or buffered.
+    """
+    header = await _read_header(reader)
+    if header is not None and header.get("plen", 0):
+        raise SionUsageError("request frames carry no payload")
+    return header
 
 
 def _write_frame(
@@ -166,16 +204,14 @@ class GatewayServer:
         await self._shutdown.wait()
         await self.shutdown()
 
-    async def _next_frame(
-        self, reader: asyncio.StreamReader
-    ) -> "tuple[dict, bytes] | None":
-        """One request frame, or ``None`` on EOF *or* shutdown while idle.
+    async def _next_request(self, reader: asyncio.StreamReader) -> "dict | None":
+        """One request header, or ``None`` on EOF *or* shutdown while idle.
 
         Races the frame read against the drain event so an idle
         connection folds promptly; a frame that wins the race is still
         returned (and answered) even if the drain fires the same tick.
         """
-        read = asyncio.ensure_future(_read_frame(reader))
+        read = asyncio.ensure_future(_read_request(reader))
         stop = asyncio.ensure_future(self._shutdown.wait())
         try:
             done, _ = await asyncio.wait(
@@ -201,10 +237,9 @@ class GatewayServer:
         owned: set[int] = set()
         try:
             while not self._shutdown.is_set():
-                frame = await self._next_frame(reader)
-                if frame is None:
+                header = await self._next_request(reader)
+                if header is None:
                     break
-                header, _payload = frame
                 try:
                     reply, payload = await self._dispatch(header, owned)
                 except SionUsageError as exc:

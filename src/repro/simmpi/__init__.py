@@ -16,7 +16,7 @@ Parallel programs can so be executed deterministically on one machine:
 """
 
 from repro.simmpi.bulk import BulkComm, run_spmd_bulk
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, COMM_NULL, Comm, Request, ThreadComm
+from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, COMM_NULL, Comm, ThreadComm
 from repro.simmpi.proc import ProcComm, run_spmd_proc
 from repro.simmpi.runner import (
     ENGINES,
@@ -33,7 +33,6 @@ __all__ = [
     "Comm",
     "ENGINES",
     "ProcComm",
-    "Request",
     "ThreadComm",
     "normalize_engine",
     "run_spmd",

@@ -66,12 +66,10 @@ parks on (roughly the program's collective depth), not by world size.
    while a suspension unwinds may *call* communication ops safely: they
    re-suspend without touching any state, and the cleanup re-runs for
    real on replay.
-3. Busy-wait loops over ``iprobe()``/``Request.test()`` never yield the
-   loop; use blocking ``recv``/``wait`` instead.
-4. ``allgather``/``allreduce`` results are computed once and **shared**
+3. ``allgather``/``allreduce`` results are computed once and **shared**
    between ranks (the thread engine hands each rank a private copy);
    treat them as read-only.
-5. Because segments re-execute, side effects your own rank body performs
+4. Because segments re-execute, side effects your own rank body performs
    between ops (counters, logging, ad-hoc file appends) count replays
    too unless you guard them with ``exec_once``.  The SION layer guards
    *all* of its backend interactions — collective mode's waves and
@@ -541,23 +539,18 @@ class BulkComm(Comm):
         box.messages.append((self._rank, tag, payload))
         self._engine.wake(box.waiters)
 
-    def _match(self, source: int, tag: int, block: bool) -> tuple[int, int, Any] | None:
+    def _match(self, source: int, tag: int) -> tuple[int, int, Any]:
         box = self._group.mailbox(self._rank)
         i = _find_match(box.messages, source, tag)
-        if i is not None:
-            msg = box.messages[i]
-            del box.messages[i]
-            return msg
-        if block:
+        if i is None:
             engine, g = self._engine, self._grank
             box.waiters.add(g)
             engine.park_recv(g, source, tag)
             engine.execs[g].suspending = True
             raise _Suspend()
-        return None
-
-    def _probe(self, source: int, tag: int) -> bool:
-        return _find_match(self._group.mailbox(self._rank).messages, source, tag) is not None
+        msg = box.messages[i]
+        del box.messages[i]
+        return msg
 
     def _abort(self) -> None:
         self._engine.aborted = True

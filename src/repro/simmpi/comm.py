@@ -3,11 +3,10 @@
 :class:`Comm` is one rank's view of a communication group and the single
 definition of the communicator surface: every argument check, the
 payload snapshot of each deposit, the extraction of each rank's result,
-the one :class:`Request` class, the one message-match predicate and the
-one ``(color, key)`` grouper live here.  An engine is a subclass that
-supplies only a *transport* (see "Transport interface" on :class:`Comm`):
-:class:`ThreadComm` below, :class:`repro.simmpi.bulk.BulkComm` and
-:class:`repro.simmpi.proc.ProcComm`.
+the one message-match predicate and the one ``(color, key)`` grouper live
+here.  An engine is a subclass that supplies only a *transport* (see
+"Transport interface" on :class:`Comm`): :class:`ThreadComm` below,
+:class:`repro.simmpi.bulk.BulkComm` and :class:`repro.simmpi.proc.ProcComm`.
 
 Thread transport: all ranks of a group share a :class:`_Backbone`
 carrying the synchronization primitives.  Collectives follow a deposit /
@@ -224,10 +223,11 @@ class Comm:
       transport may wait for everyone.  With ``shared`` the result may
       be computed once and handed to every rank.  Mismatched ``opname``
       across ranks raises :class:`CollectiveMismatchError`.
-    * ``_post(dest, tag, payload)`` / ``_match(source, tag, block)`` /
-      ``_probe(source, tag)`` — buffer a message, consume the first
-      matching one as ``(source, tag, payload)`` (``None`` if
-      non-blocking and absent), test for one.
+    * ``_post(dest, tag, payload)`` / ``_match(source, tag)`` — buffer
+      a message; consume the first matching one as ``(source, tag,
+      payload)``, blocking (the bulk engine: parking) until one arrives.
+      A receive always waits: there is no probe and no non-blocking
+      receive, so every legal program runs on every transport.
     * ``_split_groups(deposits)`` — the reader of a split's exchange:
       ``(plan, groups)`` with ``plan = group_split(deposits)`` and one
       new group per entry of ``plan.members``.
@@ -407,7 +407,7 @@ class Comm:
         With ``return_status=True`` returns ``(value, source, tag)``.
         """
         self._check_match(source, tag)
-        src, tg, payload = self._once("recv", lambda: self._match(source, tag, True))
+        src, tg, payload = self._once("recv", lambda: self._match(source, tag))
         if return_status:
             return payload, src, tg
         return payload
@@ -418,27 +418,6 @@ class Comm:
         """Combined send and receive (deadlock-free shift pattern)."""
         self.send(value, dest, tag)
         return self.recv(source, tag)
-
-    def isend(self, value: Any, dest: int, tag: int = 0) -> "Request":
-        """Non-blocking send.  Buffered, so it completes immediately;
-        the returned request exists for MPI-style symmetry."""
-        self.send(value, dest, tag)
-        return Request(self, ANY_SOURCE, ANY_TAG, done=True)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
-        """Non-blocking receive; complete it with ``wait()`` or ``test()``."""
-        self._check_match(source, tag)
-        return Request(self, source, tag)
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True if a matching message is already waiting (not consumed).
-
-        Under the bulk engine the probe is an op: its outcome is logged
-        and replayed.  Spinning on ``iprobe`` without an intervening
-        blocking op never yields there — use ``recv`` to wait.
-        """
-        self._check_match(source, tag)
-        return self._once("iprobe", lambda: self._probe(source, tag))
 
     # -- communicator management -------------------------------------------
 
@@ -524,46 +503,6 @@ class Comm:
         self._abort()
 
 
-class Request:
-    """Handle for a pending non-blocking operation."""
-
-    def __init__(self, comm: Comm, source: int, tag: int, done: bool = False) -> None:
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = done
-        self._value: Any = None
-
-    @property
-    def completed(self) -> bool:
-        """True once the operation has finished (after wait/test success)."""
-        return self._done
-
-    def test(self) -> tuple[bool, Any]:
-        """Non-blocking completion check: ``(done, value_or_None)``.
-
-        Under the bulk engine each call is an op whose outcome is logged;
-        see :meth:`Comm.iprobe` for the busy-wait caveat.
-        """
-        if not self._done:
-            comm = self._comm
-            hit = comm._once(
-                "tryrecv", lambda: comm._match(self._source, self._tag, False)
-            )
-            if hit is None:
-                return False, None
-            self._value = hit[2]
-            self._done = True
-        return True, self._value
-
-    def wait(self) -> Any:
-        """Block until completion; returns the received value (sends: None)."""
-        if not self._done:
-            self._value = self._comm.recv(self._source, self._tag)
-            self._done = True
-        return self._value
-
-
 # --------------------------------------------------------------------------
 # Thread transport: one OS thread per rank, slots + ``threading.Barrier``.
 
@@ -581,11 +520,8 @@ class _Mailbox:
             self._messages.append((source, tag, payload))
             self._cond.notify_all()
 
-    def get(
-        self, source: int, tag: int, timeout: float | None, block: bool
-    ) -> tuple[int, int, Any] | None:
-        """Consume the first matching message; without ``block``, ``None``
-        when nothing matches."""
+    def get(self, source: int, tag: int, timeout: float | None) -> tuple[int, int, Any]:
+        """Consume the first matching message, waiting until one arrives."""
         with self._cond:
             while True:
                 if self._aborted:
@@ -593,16 +529,10 @@ class _Mailbox:
                 idx = _find_match(self._messages, source, tag)
                 if idx is not None:
                     return self._messages.pop(idx)
-                if not block:
-                    return None
                 if not self._cond.wait(timeout=timeout):
                     raise SimMPIError(
                         f"recv timed out waiting for source={source} tag={tag}"
                     )
-
-    def probe(self, source: int, tag: int) -> bool:
-        with self._cond:
-            return _find_match(self._messages, source, tag) is not None
 
     def abort(self) -> None:
         with self._cond:
@@ -720,12 +650,9 @@ class ThreadComm(Comm):
     def _post(self, dest: int, tag: int, payload: Any) -> None:
         self._group.mailboxes[dest].put(self._rank, tag, payload)
 
-    def _match(self, source: int, tag: int, block: bool) -> tuple[int, int, Any] | None:
+    def _match(self, source: int, tag: int) -> tuple[int, int, Any]:
         bb = self._group
-        return bb.mailboxes[self._rank].get(source, tag, bb.timeout, block)
-
-    def _probe(self, source: int, tag: int) -> bool:
-        return self._group.mailboxes[self._rank].probe(source, tag)
+        return bb.mailboxes[self._rank].get(source, tag, bb.timeout)
 
     def _abort(self) -> None:
         self._group.abort()

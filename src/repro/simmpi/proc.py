@@ -171,9 +171,9 @@ class _Runtime:
         Non-matching messages are stashed for later receives.  Honours
         the world abort flag and the communicator timeout.
         """
-        msg = self.take(match)
-        if msg is not None:
-            return msg
+        for i, msg in enumerate(self.stash):
+            if match(msg):
+                return self.stash.pop(i)
         mailbox = self.shared.mailboxes[self.world_rank]
         timeout = self.shared.timeout
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -195,22 +195,6 @@ class _Runtime:
             if match(msg):
                 return msg
             self.stash.append(msg)
-
-    def take(self, match: Callable[[tuple], bool]) -> tuple | None:
-        """Pop the first stashed message satisfying ``match``, if any."""
-        for i, msg in enumerate(self.stash):
-            if match(msg):
-                return self.stash.pop(i)
-        return None
-
-    def drain(self) -> None:
-        """Pull everything currently queued into the stash (probe path)."""
-        mailbox = self.shared.mailboxes[self.world_rank]
-        while True:
-            try:
-                self.stash.append(mailbox.get_nowait())
-            except queue_mod.Empty:
-                return
 
     def next_seq(self, comm_id: tuple) -> int:
         n = self.seq.get(comm_id, 0)
@@ -314,27 +298,14 @@ class ProcComm(Comm):
         group = self._group
         group.rt.post(group.members[dest], ("u", group.id, self._rank, tag, payload))
 
-    def _find_user(self, source: int, tag: int) -> Callable[[tuple], bool]:
-        """Predicate for this group's user messages that a receive for
-        ``(source, tag)`` matches."""
-        cid = self._group.id
-        return lambda m: (
-            m[0] == "u" and m[1] == cid and _matches(source, tag, m[2], m[3])
+    def _match(self, source: int, tag: int) -> tuple[int, int, Any]:
+        group = self._group
+        cid = group.id
+        msg = group.rt.wait_for(
+            lambda m: m[0] == "u" and m[1] == cid and _matches(source, tag, m[2], m[3]),
+            what=f"source={source} tag={tag}",
         )
-
-    def _match(self, source: int, tag: int, block: bool) -> tuple[int, int, Any] | None:
-        rt = self._group.rt
-        match = self._find_user(source, tag)
-        if block:
-            return rt.wait_for(match, what=f"source={source} tag={tag}")[2:]
-        rt.drain()
-        msg = rt.take(match)
-        return None if msg is None else msg[2:]
-
-    def _probe(self, source: int, tag: int) -> bool:
-        rt = self._group.rt
-        rt.drain()
-        return any(map(self._find_user(source, tag), rt.stash))
+        return msg[2:]
 
     def _abort(self) -> None:
         self._group.rt.shared.abort()

@@ -67,14 +67,6 @@ def _alltoall_identity(c):
     return c.alltoall(c.alltoall(row)) == row
 
 
-def _nonblocking(c):
-    if c.rank == 0:
-        reqs = [c.isend(i, dest=i, tag=0) for i in range(1, c.size)]
-        return all(r.completed for r in reqs)
-    req = c.irecv(source=0)
-    return req.wait()
-
-
 PROGRAMS = [
     ("collectives-mix", _collectives_mix, 5),
     ("split-subgroups", _split_subgroups, 6),
@@ -83,7 +75,6 @@ PROGRAMS = [
     ("ring-shift", _ring_shift, 7),
     ("tagged-p2p", _tagged_p2p, 5),
     ("alltoall-identity", _alltoall_identity, 4),
-    ("nonblocking", _nonblocking, 4),
     ("single-rank", lambda c: c.allreduce(41) + 1, 1),
 ]
 

@@ -5,8 +5,9 @@ thread, bulk and process engines supply only a transport.  Part (i) runs
 every program of the table below on all three and requires equal results
 — or, for an illegal call, the same exception type and message on the
 primary failing rank.  Part (ii) pins the structure that makes (i) hold
-by construction: no engine class defines any public name, and the process
-engine moves every collective over one transport.
+by construction: no engine class defines any public name, the process
+engine moves every collective over one transport, and a receive has one
+mode — it blocks (no request object, no probe, no non-blocking match).
 
 The programs are module-level functions so that the whole table also runs
 under the ``spawn`` start method (CI: ``REPRO_PROC_START=spawn``).
@@ -15,10 +16,12 @@ under the ``spawn`` start method (CI: ``REPRO_PROC_START=spawn``).
 import hashlib
 import inspect
 import operator
+import pathlib
 
 import numpy as np
 import pytest
 
+import repro.simmpi
 import repro.simmpi.bulk
 import repro.simmpi.comm
 import repro.simmpi.proc
@@ -30,7 +33,6 @@ from repro.simmpi import (
     BulkComm,
     Comm,
     ProcComm,
-    Request,
     ThreadComm,
     run_spmd,
 )
@@ -73,13 +75,6 @@ def ring_sendrecv(c):
     return c.sendrecv(c.rank, dest=(c.rank + 1) % c.size, source=(c.rank - 1) % c.size)
 
 
-def isend_irecv_wait(c):
-    if c.rank == 0:
-        return [c.isend(i, dest=i, tag=i).completed for i in range(1, c.size)]
-    req = c.irecv(source=0, tag=c.rank)
-    return (req.wait(), req.wait(), req.completed, req.test())
-
-
 def send_to_self(c):
     c.send(("me", c.rank), dest=c.rank, tag=5)
     return c.recv(source=c.rank, tag=5)
@@ -97,17 +92,6 @@ def wildcard_recv(c):
         c.send(c.rank, dest=0, tag=7)
         return None
     return sorted(c.recv(ANY_SOURCE, 7) for _ in range(c.size - 1))
-
-
-def probe_after_delivery(c):
-    # Messages from one source arrive in order: once "y" is here, so is "x".
-    if c.rank == 0:
-        c.send("x", dest=1, tag=3)
-        c.send("y", dest=1, tag=9)
-    if c.rank != 1:
-        return c.iprobe()
-    return (c.recv(tag=9), c.iprobe(source=0, tag=4), c.iprobe(source=0, tag=3),
-            c.recv(tag=3), c.iprobe())
 
 
 def gatherv_of_memoryviews(c):
@@ -192,11 +176,9 @@ RESULT_PROGRAMS = [
     (reduce_noncommutative_op, 4),
     (ring_sendrecv, 5),
     (ring_sendrecv, 1),
-    (isend_irecv_wait, 3),
     (send_to_self, 3),
     (recv_with_status, 4),
     (wildcard_recv, 4),
-    (probe_after_delivery, 3),
     (gatherv_of_memoryviews, 3),
     (scatterv_of_bytearrays, 3),
     (bcast_array_arrives_as_array, 2),
@@ -223,22 +205,6 @@ def split_float_color(c):
 
 def recv_negative_tag(c):
     c.recv(tag=-5)
-
-
-def irecv_negative_tag(c):
-    c.irecv(source=0, tag=-5)
-
-
-def iprobe_negative_tag(c):
-    c.iprobe(tag=-2)
-
-
-def iprobe_source_out_of_range(c):
-    c.iprobe(source=99)
-
-
-def irecv_source_out_of_range(c):
-    c.irecv(source=99)
 
 
 def recv_source_out_of_range(c):
@@ -285,10 +251,6 @@ REJECTED_PROGRAMS = [
     (split_str_key, 4, "CommunicatorError", "split failed: TypeError"),
     (split_float_color, 4, "CommunicatorError", "split failed: TypeError"),
     (recv_negative_tag, 2, "CommunicatorError", "tags must be non-negative"),
-    (irecv_negative_tag, 2, "CommunicatorError", "tags must be non-negative"),
-    (iprobe_negative_tag, 2, "CommunicatorError", "tags must be non-negative"),
-    (iprobe_source_out_of_range, 2, "CommunicatorError", "source 99 out of range"),
-    (irecv_source_out_of_range, 2, "CommunicatorError", "source 99 out of range"),
     (recv_source_out_of_range, 2, "CommunicatorError", "source 2 out of range"),
     (send_negative_tag, 2, "CommunicatorError", "tags must be non-negative"),
     (send_dest_out_of_range, 2, "CommunicatorError", "dest 2 out of range"),
@@ -358,8 +320,8 @@ def test_abort_fallout_is_told_apart_by_type_not_text(engine):
 
 PUBLIC_METHODS = (
     "barrier", "bcast", "gather", "allgather", "gatherv", "scatterv", "scatter",
-    "alltoall", "reduce", "allreduce", "send", "recv", "sendrecv", "isend",
-    "irecv", "iprobe", "split", "dup", "subworld", "exec_once", "abort",
+    "alltoall", "reduce", "allreduce", "send", "recv", "sendrecv", "split",
+    "dup", "subworld", "exec_once", "abort",
 )
 TRANSPORTS = (ThreadComm, BulkComm, ProcComm)
 
@@ -373,12 +335,12 @@ def _package_classes():
 
 
 def test_public_surface_is_defined_by_comm_alone():
-    """Each of the 21 methods and ``rank``/``size`` is in ``vars()`` of
+    """Each of the 18 methods and ``rank``/``size`` is in ``vars()`` of
     exactly one communicator class — ``Comm`` — so signature parity
     between the engines holds by construction."""
     comms = {cls for cls in _package_classes() if issubclass(cls, Comm)}
     assert comms == {Comm, *TRANSPORTS}
-    assert len(PUBLIC_METHODS) == 21
+    assert len(PUBLIC_METHODS) == 18
     for name in (*PUBLIC_METHODS, "rank", "size"):
         assert [cls for cls in comms if name in vars(cls)] == [Comm], name
         for cls in TRANSPORTS:
@@ -399,9 +361,28 @@ def test_proc_engine_has_one_transport():
     assert exchanges == ["_exchange"]
 
 
-def test_request_is_one_class():
-    requests = [cls for cls in _package_classes() if cls.__name__.endswith("Request")]
-    assert requests == [Request]
+def test_no_request_class():
+    """A receive always blocks, so there is no request object to poll."""
+    names = {cls.__name__ for cls in _package_classes()} | set(dir(repro.simmpi))
+    assert not [n for n in names if n.endswith("Request")]
+
+
+def test_no_transport_probes():
+    for cls in (Comm, *TRANSPORTS):
+        assert not hasattr(cls, "_probe"), cls
+
+
+@pytest.mark.parametrize("cls", TRANSPORTS, ids=lambda cls: cls.__name__)
+def test_match_takes_source_and_tag_only(cls):
+    """``_match`` has no non-blocking mode: it returns a message or waits."""
+    assert list(inspect.signature(cls._match).parameters) == ["self", "source", "tag"]
+
+
+def test_no_nonblocking_op_names_in_simmpi():
+    package = pathlib.Path(repro.simmpi.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        assert "tryrecv" not in source and "iprobe" not in source, path.name
 
 
 def test_base_adds_no_instance_dict_to_bulk_comm():

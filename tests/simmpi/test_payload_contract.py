@@ -99,18 +99,6 @@ class TestMemoryviewSnapshots:
         assert results[0] == [bytes([r]) * 4 for r in range(3)]
         assert results[1] is None and results[2] is None
 
-    def test_isend_snapshots_like_send(self, engine="threads"):
-        def task(comm):
-            if comm.rank == 0:
-                buf = bytearray(b"async")
-                req = comm.isend(memoryview(buf), dest=1)
-                buf[:] = b"!!!!!"
-                req.wait()
-                return None
-            return comm.recv(source=0)
-
-        assert spmd(2, task, engine)[1] == b"async"
-
 
 class TestOtherBufferTypes:
     def test_bytearray_stays_bytearray_but_is_copied(self, engine="threads"):

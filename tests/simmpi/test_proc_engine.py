@@ -65,22 +65,10 @@ def _nested_split(c):
     return (sub.allgather(c.rank), inner.allgather(sub.rank))
 
 
-def _probe_then_recv(c):
-    if c.rank == 0:
-        c.send("ping", dest=1, tag=7)
-        return c.recv(source=1)
-    while not c.iprobe(source=0, tag=7):
-        pass
-    msg = c.recv(source=0, tag=7)
-    c.send("pong", dest=0)
-    return msg
-
-
 EXTRA_PROGRAMS = [
     ("gatherv-scatterv", _gatherv_scatterv, 4),
     ("subworld", _subworld_reads, 5),
     ("nested-split", _nested_split, 4),
-    ("probe-then-recv", _probe_then_recv, 2),
 ]
 
 
