@@ -1,7 +1,7 @@
 """Buffer-view discipline for the zero-copy data plane.
 
 Every layer of the byte-movement path — :class:`~repro.sion.buffering.CoalescingWriter`,
-:class:`~repro.sion.readwrite.TaskStream`, the transparent compression
+:class:`~repro.sion.readwrite.WriteStream`, the transparent compression
 wrapper, and the backends — accepts any object exporting the buffer
 protocol (``bytes``, ``bytearray``, ``memoryview``, NumPy arrays) and
 forwards a flat byte *view* of it instead of materializing intermediate

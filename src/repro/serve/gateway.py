@@ -78,11 +78,10 @@ class ContainerHandle(SealedSet):
     The open-set object (:class:`~repro.sion.serial.SealedSet`: the
     container's :class:`~repro.sion.openspec.ReadPlan`, the same object an
     SPMD read broadcasts, plus one caching read handle per physical file)
-    under a generation, with the identity tokens that revalidate it and
-    the per-stream prefix sums that turn a logical byte offset into a
-    ``(block, pos)`` cursor for ranged reads.  It holds no cursor (the
-    prefix cache is lock-guarded), so sessions and stateless reads on
-    any thread share it freely.
+    under a generation, with the identity tokens that revalidate it.  It
+    holds no cursor, no cache and no lock: a ranged read compiles a fresh
+    cursor per call, so sessions and stateless reads on any thread share
+    it freely.
     """
 
     def __init__(
@@ -103,8 +102,6 @@ class ContainerHandle(SealedSet):
         self.generation = generation
         #: Per-file identity tokens at open time (the revalidation probe).
         self.tokens = tuple(tokens)
-        self._prefix_cache: dict[int, list[int]] = {}
-        self._lock = threading.Lock()
 
     def read_range(self, grank: int, offset: int, n: int) -> bytes:
         """Up to ``n`` bytes of stream ``grank`` starting at logical ``offset``.
@@ -112,7 +109,9 @@ class ContainerHandle(SealedSet):
         The offset addresses the *recorded* chunk-stream bytes; ranged
         addressing of a compressed stream is rejected (offsets into
         deflate output are not meaningful record positions — use
-        :meth:`read_task` or a session).
+        :meth:`read_task` or a session).  The stream's block prefix sums
+        turn the offset into a ``(block, pos)`` seek of a fresh stream,
+        read through the one read cursor.
 
         Raises :class:`~repro.errors.SionUsageError` on a negative
         offset/size or a compressed container.
@@ -125,22 +124,13 @@ class ContainerHandle(SealedSet):
         if offset < 0 or n < 0:
             raise SionUsageError("offset and size must be non-negative")
         stream = self.stream(grank)
-        prefix = self._prefix(grank)
+        f, lrank = self.plan.mapping.files[grank], self.plan.mapping.lranks[grank]
+        prefix = [0, *itertools.accumulate(self.plan.blocksizes[f][lrank])]
         if offset >= prefix[-1] or n == 0:
             return b""
         block = bisect_right(prefix, offset) - 1
         stream.seek_logical(block, offset - prefix[block])
-        return stream.fread(n)
-
-    def _prefix(self, grank: int) -> list[int]:
-        """Cumulative byte offsets of ``grank``'s blocks (cached)."""
-        with self._lock:
-            prefix = self._prefix_cache.get(grank)
-            if prefix is None:
-                f, lrank = self.plan.mapping.files[grank], self.plan.mapping.lranks[grank]
-                prefix = [0, *itertools.accumulate(self.plan.blocksizes[f][lrank])]
-                self._prefix_cache[grank] = prefix
-            return prefix
+        return PartitionStream([stream]).fread(n)
 
 
 class GatewaySession(PartitionStream):

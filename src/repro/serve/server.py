@@ -25,13 +25,12 @@ truncated frame does.  Errors come back as ``{"ok": false, "kind": ...,
 asyncio — one coroutine per connection, requests on a connection are
 answered in order.
 
-Shutdown comes in two grades: :meth:`GatewayServer.stop` folds the
-listener and gateway immediately, while
-:meth:`GatewayServer.request_shutdown` (wired to SIGINT/SIGTERM by the
-``repro-serve`` CLI) starts a *graceful drain* — stop accepting, answer
-every request already on the wire, close idle connections, then close
-the gateway.  A request racing the signal is answered; one sent after
-its connection drained is not.
+Shutdown is one graceful drain: :meth:`GatewayServer.shutdown` (or
+:meth:`GatewayServer.request_shutdown`, which the ``repro-serve`` CLI
+wires to SIGINT/SIGTERM) stops accepting, answers every request already
+on the wire, closes idle connections, then closes the gateway.  A
+request racing the signal is answered; one sent after its connection
+drained is not.
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ class GatewayServer:
         server = GatewayServer(ReadGateway(backend))
         await server.start()                  # port 0 -> OS-assigned
         ... # connect GatewayClient("127.0.0.1", server.port)
-        await server.stop()
+        await server.shutdown()
 
     Sessions opened over a connection are owned by it: when the
     connection drops, its sessions are closed automatically so a dead
@@ -147,20 +146,6 @@ class GatewayServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        """Stop listening and close the gateway's containers *now*.
-
-        The abrupt counterpart of :meth:`shutdown`: in-flight requests
-        are not waited for (their connections fold when the loop goes
-        away).  Also releases any :meth:`serve_until_shutdown` waiter.
-        """
-        self._shutdown.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self.gateway.close()
 
     def request_shutdown(self) -> None:
         """Begin a graceful drain (idempotent; safe in a signal handler).

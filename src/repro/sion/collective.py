@@ -127,13 +127,13 @@ class PreloadedFragments:
     """Read-side source serving positioned reads from prefetched bytes.
 
     Holds the ``(offset, bytes)`` fragments a collector prefetched for
-    one sender (one fragment per recorded block).  The sender's
-    :class:`~repro.sion.readwrite.TaskStream` issues exactly the same
-    positioned requests it would against the store, and every one falls
-    inside a single prefetched fragment, so the whole read API (``fread``,
-    ``read``, ``seek_logical``, ``feof``) works unchanged without further
-    backend calls.  A fragment the store returned short (truncated file)
-    simply serves short, preserving the shortfall-vs-EOF distinction.
+    one sender (one fragment per recorded block).  The sender's read
+    cursor (:class:`~repro.sion.readwrite.PartitionStream`) plans exactly
+    the requests it would against the store and fetches them with its
+    one ``gather_read``; every request falls inside a single prefetched
+    fragment, so the read API works without further backend calls.  A
+    fragment the store returned short (truncated file) simply serves
+    short, preserving the shortfall-vs-EOF distinction.
     """
 
     def __init__(self, fragments: list[tuple[int, bytes]]) -> None:
@@ -151,10 +151,6 @@ class PreloadedFragments:
             start, data = self._frags[i]
             out.append(data[offset - start : offset - start + n])
         return out
-
-    def pread(self, offset: int, n: int) -> bytes:
-        """The prefetched bytes at ``offset``, up to ``n`` of them."""
-        return self.gather_read(((offset, n),))[0]
 
 
 class SionCollectiveFile(SionParallelFile):

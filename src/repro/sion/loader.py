@@ -36,7 +36,7 @@ from typing import Sequence
 from repro.backends.base import Backend, RawFile
 from repro.errors import FileNotFoundSimError, SionFormatError, SionUsageError
 from repro.sion.buddy import buddy_path
-from repro.sion.constants import FLAG_SHADOW, SHADOW_HEADER_SIZE
+from repro.sion.constants import FLAG_SHADOW, MAPPING_CUSTOM, SHADOW_HEADER_SIZE
 from repro.sion.format import Metablock1, Metablock2, ShadowHeader
 from repro.sion.layout import ChunkLayout
 from repro.sion.mapping import TaskMapping, physical_path
@@ -181,13 +181,27 @@ def load_head(backend: Backend, path: str) -> tuple[FileLoad, TaskMapping | None
     """File 0 of the set at ``path`` and the task mapping it stores.
 
     The mapping is ``None`` when file 0 gives no usable geometry (an
-    unreadable metablock 1 or an invalid mapping table); then file 0's
-    status says why.  The caller closes the load.
+    unreadable metablock 1, a task count file 0 does not bear out, or an
+    invalid mapping table); then file 0's status says why.  The caller
+    closes the load.
     """
     head = load_file(backend, path, (("filenum", 0),))
     if head.mb1 is None:
         return head, None
     mb1 = head.mb1
+    if mb1.mapping_kind != MAPPING_CUSTOM and mb1.nfiles >= 1:
+        # Both standard kinds put ceil(ntasks / nfiles) tasks in file 0, so
+        # ntasks_global is bounded by what file 0 holds before a mapping
+        # is sized by it (a custom table is read from the file, which
+        # bounds it already).
+        share = -(-mb1.ntasks_global // mb1.nfiles)
+        if share != mb1.ntasks_local:
+            head.fail(
+                BAD_MB1,
+                f"invalid task mapping: {mb1.ntasks_global} tasks in {mb1.nfiles} "
+                f"files put {share} in file 0, which holds {mb1.ntasks_local}",
+            )
+            return head, None
     try:
         tmap = TaskMapping.from_kind_code(
             mb1.ntasks_global, mb1.nfiles, mb1.mapping_kind, mb1.mapping_table

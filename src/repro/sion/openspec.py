@@ -362,10 +362,13 @@ class ReplayGuardedFile:
     rank and replays its logged result, so direct-mode telemetry is as
     deterministic as collective mode's.
 
-    The guard carries what the write and read cursors call.  Composite
-    operations that must count as *one* backend call (the metablock-2
-    write/patch/flush sequence, itself wrapped in ``exec_once``) use
-    :attr:`unguarded`: ``exec_once`` must not nest.
+    The guard carries exactly what the cursors call: ``pwrite`` and
+    ``scatter_write`` from the write cursor, ``gather_read`` from the read
+    cursor (every read, chunk-local ones included, is one vectored
+    gather), and ``close``.  Composite operations that must count as
+    *one* backend call (the metablock-2 write/patch/flush sequence,
+    itself wrapped in ``exec_once``) use :attr:`unguarded`:
+    ``exec_once`` must not nest.
     """
 
     def __init__(self, raw: RawFile, comm: Any) -> None:
@@ -388,10 +391,6 @@ class ReplayGuardedFile:
     def pwrite(self, offset: int, data: BufferLike) -> int:
         """Positioned write as a replay-guarded op."""
         return self._once(lambda: self._raw.pwrite(offset, data))
-
-    def pread(self, offset: int, n: int) -> bytes:
-        """Positioned read as a replay-guarded op."""
-        return self._once(lambda: self._raw.pread(offset, n))
 
     def scatter_write(self, fragments) -> int:
         """Vectored write as a replay-guarded op (fragments materialized)."""

@@ -15,14 +15,16 @@ write semantics exist once:
   boundaries internally (and deflating it first with transparent
   compression).
 
-A :class:`TaskStream` is the read primitive: one task's recorded chunks,
-driven by the per-block byte counts of metablock 2.  A
+A :class:`TaskStream` is the read primitive: the chunk arithmetic of one
+task's recorded chunks (a position, a request plan, a seek), driven by
+the per-block byte counts of metablock 2; it issues no read call.  A
 :class:`PartitionStream` is the read API (Listing 2): a cursor over a
 slice of task streams (a single stream is a slice of length 1) that owns
-transparent decompression, the closed/compression usage checks and the
-physical handles it was given.  Every read surface — ``paropen(..., "r")``
-in all four plans, ``open_rank``, the serial global view and the read
-gateway's sessions — is one of these.
+the one chunk data call and its short-read rule, transparent
+decompression, the closed/compression usage checks and the physical
+handles it was given.  Every read surface — ``paropen(..., "r")`` in all
+four plans, ``open_rank``, the serial global view and the read gateway's
+sessions and ranged reads — is one of these.
 
 Byte movement is **zero-copy and vectored**: every write accepts any
 buffer-protocol payload and forwards ``memoryview`` slices of it; every
@@ -303,9 +305,12 @@ class WriteStream:
 class TaskStream:
     """Read primitive: one task's recorded chunks in one physical file.
 
-    :class:`PartitionStream` composes these.  ``blocksizes`` is the task's
-    row of metablock 2, shared with its owner (the decoded metablock),
-    never copied and never mutated.  Chunk ``b``'s data starts at
+    Only the chunk arithmetic: a position (``cur_block``, ``pos``), the
+    request plan for the next ``n`` bytes and the seek.  It issues no
+    read call; :class:`PartitionStream` composes these and is the only
+    code that fetches chunk bytes.  ``blocksizes`` is the task's row of
+    metablock 2, shared with its owner (the decoded metablock), never
+    copied and never mutated.  Chunk ``b``'s data starts at
     ``_base + b * _stride``.
     """
 
@@ -348,27 +353,6 @@ class TaskStream:
             self.pos = 0
         return self.cur_block >= len(blocks)
 
-    def bytes_avail_in_chunk(self) -> int:
-        """Data bytes left to read in the current chunk (Listing 2)."""
-        if self._at_end():
-            return 0
-        return self._blocksizes[self.cur_block] - self.pos
-
-    def feof(self) -> bool:
-        """True once every recorded byte of this task has been read."""
-        return self._at_end()
-
-    def read(self, n: int) -> bytes:
-        """Read up to ``n`` bytes from the current chunk only."""
-        if n < 0:
-            raise SionUsageError("read size must be non-negative")
-        m = min(n, self.bytes_avail_in_chunk())
-        if m == 0:
-            return b""
-        out = self.raw.pread(self._base + self.cur_block * self._stride + self.pos, m)
-        self.pos += len(out)
-        return out
-
     def _plan_read(self, n: int) -> tuple[list[tuple[int, int]], int, int]:
         """Request list for up to ``n`` logical bytes from the cursor.
 
@@ -390,38 +374,6 @@ class TaskStream:
             pos += take
             remaining -= take
         return requests, blk, pos
-
-    def fread(self, n: int) -> bytes:
-        """Chunk-spanning read of up to ``n`` bytes (stops at task EOF).
-
-        The complete per-chunk request list is computed locally and
-        fetched in a single vectored ``gather_read`` call.  If the store
-        returns fewer bytes than metablock 2 records (a truncated or
-        damaged file), the cursor advances only past what was actually
-        read — so ``feof()`` stays False and tooling can tell the
-        shortfall apart from a clean end of stream.
-        """
-        if n < 0:
-            raise SionUsageError("read size must be non-negative")
-        requests, blk, pos = self._plan_read(n)
-        if not requests:
-            self.cur_block, self.pos = blk, pos
-            return b""
-        pieces = self.raw.gather_read(requests)
-        got = sum(len(p) for p in pieces)
-        if got == sum(size for _, size in requests):
-            self.cur_block, self.pos = blk, pos
-        else:
-            _, self.cur_block, self.pos = self._plan_read(got)
-        return concat_views(pieces)
-
-    def _remaining(self) -> int:
-        """Recorded bytes from the cursor to the end of the stream."""
-        return sum(self._blocksizes[self.cur_block :]) - self.pos
-
-    def read_all(self) -> bytes:
-        """Read this task's entire remaining logical stream."""
-        return self.fread(max(self._remaining(), 0))
 
     def seek_logical(self, block: int, pos: int) -> None:
         """Reposition to ``pos`` within the data of chunk ``block``."""
@@ -445,8 +397,7 @@ class PartitionStream:
     partitioned reader, ``open_rank``, the serial global view, a gateway
     session — and a single stream is simply a slice of length 1.  The
     slice's logical stream is the concatenation of its task streams (in
-    writer-rank order), with the semantics a single :class:`TaskStream`
-    offers:
+    writer-rank order):
 
     * :meth:`fread` collects the *complete* fragment plan across the
       streams, merges the requests of streams sharing a physical handle
@@ -461,9 +412,10 @@ class PartitionStream:
       that arrived — later streams stay untouched and ``feof()`` stays
       False, so tooling can tell the shortfall from a clean end.
 
-    ``raws`` are the physical handles the cursor owns: :meth:`close`
-    closes them.  The cursor owns the :class:`TaskStream` instances'
-    advancement, so do not interleave direct stream reads.
+    Every read — chunk-local ``read``, ``fread``, ``read_all`` and the
+    compressed refill — is one :meth:`_gather`, the only code that issues
+    a chunk data call and applies the short-read rule.  ``raws`` are the
+    physical handles the cursor owns: :meth:`close` closes them.
 
     Example::
 
@@ -535,13 +487,14 @@ class PartitionStream:
         """Unread data bytes in the current stream's current chunk."""
         self._check_raw("bytes_avail_in_chunk")
         s = self._current()
-        return s.bytes_avail_in_chunk() if s is not None else 0
+        return s._blocksizes[s.cur_block] - s.pos if s is not None else 0
 
     def read(self, n: int) -> bytes:
         """Read within the current chunk of the current stream."""
         self._check_raw("read")
-        s = self._current()
-        return s.read(n) if s is not None else b""
+        if n < 0:
+            raise SionUsageError("read size must be non-negative")
+        return concat_views(self._gather(min(n, self.bytes_avail_in_chunk())))
 
     # -- slice-spanning operations -------------------------------------------
 
@@ -602,17 +555,19 @@ class PartitionStream:
 
     # -- internals ------------------------------------------------------------
 
-    def _gather(self, n: int) -> list[bytes]:
+    def _gather(self, n: int, stop: "int | None" = None) -> list[bytes]:
         """Fetch up to ``n`` raw bytes from the cursor on; advance past them.
 
         The plan is pure local arithmetic (every stream's chunk addresses
         are computable without communication); the physical fetch is one
-        ``gather_read`` per distinct handle.
+        ``gather_read`` per distinct handle.  ``stop`` bounds the streams
+        the plan may enter (the compressed refill reads one stream).
         """
         plans: list[tuple[TaskStream, list, int, int, int]] = []
         remaining = n
         i = self._idx
-        while remaining > 0 and i < len(self._streams):
+        stop = len(self._streams) if stop is None else stop
+        while remaining > 0 and i < stop:
             s = self._streams[i]
             requests, blk, pos = s._plan_read(remaining)
             expected = sum(size for _, size in requests)
@@ -661,7 +616,8 @@ class PartitionStream:
         while self._idx < len(self._streams):
             zr, s = self._zrs[self._idx], self._streams[self._idx]
             while (want is None or zr.available() < want) and not s._at_end():
-                piece = s.read_all() if want is None else s.fread(_ZPIECE)
+                n = _ZPIECE if want is not None else sum(s._blocksizes[s.cur_block :]) - s.pos
+                piece = concat_views(self._gather(n, stop=self._idx + 1))
                 if not piece:
                     break
                 zr.feed(piece)

@@ -13,32 +13,10 @@ import pathlib
 
 import pytest
 
+from tests.docs.test_resilience_examples import python_blocks
+
 README = pathlib.Path(__file__).resolve().parents[2] / "README.md"
-SKIP_MARK = "readme-test: skip"
-
-
-def _python_blocks() -> list[tuple[int, str, bool]]:
-    """``(first_line, source, skipped)`` for each fenced python block."""
-    lines = README.read_text(encoding="utf-8").splitlines()
-    blocks = []
-    i = 0
-    while i < len(lines):
-        if lines[i].strip() == "```python":
-            skipped = any(
-                SKIP_MARK in lines[j] for j in range(max(0, i - 3), i)
-            )
-            body = []
-            i += 1
-            first = i + 1  # 1-based line of the first statement
-            while i < len(lines) and lines[i].strip() != "```":
-                body.append(lines[i])
-                i += 1
-            blocks.append((first, "\n".join(body), skipped))
-        i += 1
-    return blocks
-
-
-_BLOCKS = _python_blocks()
+_BLOCKS = python_blocks(README)
 
 
 def test_readme_has_runnable_examples():

@@ -4,7 +4,8 @@ Every fenced ``python`` block in the resilience story must run as-is
 (the listings are written against the simulated FS, so nothing touches
 the real disk).  A block that is intentionally a fragment opts out by
 placing an HTML comment containing ``readme-test: skip`` on one of the
-three lines directly above its opening fence.
+three lines directly above its opening fence.  The README and
+docs/FORMAT.md harnesses parse their blocks with :func:`python_blocks`.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ DOC = pathlib.Path(__file__).resolve().parents[2] / "docs" / "RESILIENCE.md"
 SKIP_MARK = "readme-test: skip"
 
 
-def _python_blocks() -> list[tuple[int, str, bool]]:
-    """``(first_line, source, skipped)`` for each fenced python block."""
-    lines = DOC.read_text(encoding="utf-8").splitlines()
+def python_blocks(doc: pathlib.Path) -> list[tuple[int, str, bool]]:
+    """``(first_line, source, skipped)`` for each fenced python block of ``doc``."""
+    lines = doc.read_text(encoding="utf-8").splitlines()
     blocks = []
     i = 0
     while i < len(lines):
@@ -38,7 +39,7 @@ def _python_blocks() -> list[tuple[int, str, bool]]:
     return blocks
 
 
-_BLOCKS = _python_blocks()
+_BLOCKS = python_blocks(DOC)
 
 
 def test_resilience_doc_has_runnable_examples():

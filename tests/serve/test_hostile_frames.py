@@ -63,9 +63,6 @@ def test_hostile_frame_closes_only_its_connection(name):
             assert await healthy.ping()
         finally:
             await healthy.close()
-            # A graceful drain: ``stop`` would leave the healthy handler
-            # for the loop's teardown to cancel, which python 3.11 also
-            # reports to the exception handler.
             await server.shutdown()
 
     asyncio.run(runner())

@@ -54,7 +54,7 @@ def _run_with_server(backend, coro_fn):
             return await coro_fn(client, server)
         finally:
             await client.close()
-            await server.stop()
+            await server.shutdown()
 
     return asyncio.run(runner())
 
@@ -120,7 +120,7 @@ def test_dead_connection_reaps_its_sessions(backend):
             if gw.snapshot()["sessions_active"] == 0:
                 break
         assert gw.snapshot()["sessions_active"] == 0
-        await server.stop()
+        await server.shutdown()
 
     asyncio.run(runner())
 
@@ -284,6 +284,30 @@ def test_many_clients_share_one_cache(backend):
         for rank, data in results:
             assert data == expected[rank]
         assert gw.snapshot()["containers_opened"] == 1
-        await server.stop()
+        await server.shutdown()
 
     asyncio.run(runner())
+
+
+def test_shutdown_is_the_one_way_down():
+    assert not hasattr(GatewayServer, "stop")
+
+
+def test_shutdown_with_idle_clients_reports_nothing_to_the_loop(backend):
+    seen: list[dict] = []
+
+    async def runner():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: seen.append(context)
+        )
+        server = GatewayServer(ReadGateway(backend=backend))
+        await server.start()
+        clients = [await GatewayClient.connect("127.0.0.1", server.port) for _ in range(3)]
+        for client in clients:
+            assert await client.ping()  # each handler is live and idle
+        await asyncio.wait_for(server.shutdown(), timeout=5)
+        for client in clients:
+            await client.close()
+
+    asyncio.run(runner())
+    assert seen == []

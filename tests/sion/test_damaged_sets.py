@@ -135,6 +135,14 @@ def _hostile_counts(backend, path, fpath):
     _replace(backend, fpath, bytes(head))
 
 
+def _hostile_ntasks_global(backend, path, fpath):
+    # File 0's ntasks_global with its top byte flipped: 4278190084 tasks,
+    # a blocked mapping of 32 GiB per array if anything built it.
+    data = bytearray(_file_bytes(backend, fpath))
+    data[struct.calcsize("<8sIIQIII") + 3] ^= 0xFF
+    _replace(backend, fpath, bytes(data))
+
+
 def _swapped_local_ranks(backend, path, fpath):
     # Written with mapping [0, 1, 0, 1]: file 0 holds ranks 0 and 2 at
     # local ranks 0 and 1.  Swapped, a reader trusting the table would
@@ -157,6 +165,11 @@ SHAPES = {
     "truncated-mb2": (_truncated_mb2, 1, "bad metablock 2: truncated multifile"),
     "hostile-counts": (
         _hostile_counts, 1, "bad metablock 1: truncated multifile while reading globalranks"
+    ),
+    "hostile-ntasks-global": (
+        _hostile_ntasks_global, 0,
+        "bad metablock 1: invalid task mapping: 4278190084 tasks in 2 files put "
+        "2139095042 in file 0, which holds 2",
     ),
     "swapped-local-ranks": (
         _swapped_local_ranks, 0,

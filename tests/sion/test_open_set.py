@@ -165,6 +165,16 @@ def test_both_open_sets_are_the_one_class(cls):
     assert [n for n in ("stream", "close", "ntasks", "nfiles") if n in vars(cls)] == []
 
 
+def test_the_container_keeps_no_prefix_cache_or_lock():
+    gw = ReadGateway(backend=_sealed())
+    try:
+        container = gw.open_container("/o.sion")
+        assert [n for n in ("_prefix_cache", "_lock") if n in vars(container)] == []
+        assert "_prefix" not in vars(ContainerHandle)
+    finally:
+        gw.close()
+
+
 def _constructions(name):
     """``(file, enclosing def)`` of every call of ``name(`` under ``src``."""
     sites = []

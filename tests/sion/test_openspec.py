@@ -250,7 +250,7 @@ def test_guard_exposes_inner_handle(sim_backend):
         guarded = ReplayGuardedFile(raw, _Comm())
         assert guarded.unguarded is raw
         assert guarded.pwrite(0, b"abcd") == 4
-        assert guarded.pread(0, 4) == b"abcd"
+        assert guarded.gather_read([(0, 4)]) == [b"abcd"]
 
 
 def test_direct_mode_counts_identical_across_engines():

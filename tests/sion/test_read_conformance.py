@@ -14,6 +14,7 @@ The SPMD reader is a module-level function so the ``paropen`` rows also
 run on the process engine (over real files).
 """
 
+import ast
 import pathlib
 import random
 import re
@@ -30,11 +31,14 @@ from repro.sion import (
     Metablock1,
     PartitionStream,
     SionReadFile,
+    TaskStream,
     open_rank,
     paropen,
     serial,
 )
+from repro.sion.collective import PreloadedFragments
 from repro.sion.mapping import ReadPartition, TaskMapping, physical_path
+from repro.sion.openspec import ReplayGuardedFile
 from tests.conftest import TEST_BLKSIZE
 
 NWRITERS = 6
@@ -395,12 +399,35 @@ def test_read_api_is_defined_by_the_cursor_alone():
         for name in ("feof", "fread", "read_all", "bytes_avail_in_chunk")
         if name in vars(cls)
     }
-    # TaskStream is the single-stream primitive the cursor is made of; the
-    # serial global view forwards to the cursor under its seek position,
-    # and ReadGateway's are the async client calls on a session.
-    assert owners == {"PartitionStream", "TaskStream", "SionSerialFile", "ReadGateway"}
+    # The serial global view forwards to the cursor under its seek
+    # position, and ReadGateway's are the async client calls on a session.
+    assert owners == {"PartitionStream", "SionSerialFile", "ReadGateway"}
     assert issubclass(SionReadFile, PartitionStream)
     assert issubclass(GatewaySession, PartitionStream)
+
+
+def test_task_stream_is_chunk_arithmetic_only():
+    read_api = ("read", "fread", "read_all", "feof", "bytes_avail_in_chunk")
+    assert [name for name in read_api if hasattr(TaskStream, name)] == []
+
+
+def test_only_the_cursor_issues_chunk_data_calls():
+    tree = ast.parse((SRC / "sion" / "readwrite.py").read_text())
+    callers = {
+        top.name if isinstance(top, ast.ClassDef) else None
+        for top in tree.body
+        for n in ast.walk(top)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr in ("gather_read", "pread")
+    }
+    assert callers == {"PartitionStream"}
+
+
+@pytest.mark.parametrize("cls", [ReplayGuardedFile, PreloadedFragments])
+def test_read_sources_carry_no_pread(cls):
+    # No read cursor calls pread; the cursor's one data call is gather_read.
+    assert "pread" not in vars(cls)
 
 
 # --------------------------------------------------------------------------

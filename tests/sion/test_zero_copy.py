@@ -224,7 +224,7 @@ class TestFailureConsistency:
     def test_truncated_file_read_is_distinguishable_from_eof(self):
         """A short gather advances the cursor only past real bytes."""
         from repro.sion.layout import ChunkLayout
-        from repro.sion.readwrite import TaskStream
+        from repro.sion.readwrite import PartitionStream, TaskStream
 
         sim = SimBackend(SimFS(blocksize_override=BLK))
         layout = ChunkLayout(BLK, [CHUNK], 0)
@@ -232,7 +232,7 @@ class TestFailureConsistency:
         with sim.open("/trunc.bin", "w+b") as w:
             w.pwrite(0, payload[: CHUNK + CHUNK // 2])  # half the second chunk
         raw = sim.open("/trunc.bin", "rb")
-        stream = TaskStream(raw, layout, 0, [CHUNK, CHUNK])
+        stream = PartitionStream([TaskStream(raw, layout, 0, [CHUNK, CHUNK])])
         data = stream.fread(2 * CHUNK)
         assert data == bytes(payload[: CHUNK + CHUNK // 2])
         assert not stream.feof()  # metadata claims more than the file holds
