@@ -105,7 +105,7 @@ def _write_wave(ctx) -> ScenarioOutput:
     )
     pin(geom, expected_geometry(ntasks, CHUNKSIZE, FSBLK), "on-disk geometry")
     snap = backend.snapshot()
-    calls = backend.stats.calls
+    calls = backend.calls()
     pin(calls.get("scatter_write", 0), ncoll, "wave scatter_writes")
     pin(
         snap["data_write_calls"],
@@ -144,7 +144,7 @@ def _read_wave(ctx) -> ScenarioOutput:
     wall = _read_cycle(backend, ntasks, p["engine"], collectors=ncoll)
     snap = backend.snapshot()
     pin(
-        backend.stats.calls.get("gather_read", 0), ncoll, "prefetch gather_reads"
+        backend.calls().get("gather_read", 0), ncoll, "prefetch gather_reads"
     )
     read_calls = snap["data_read_calls"] - before["data_read_calls"]
     # Metadata costs 8 positioned reads per physical file (rank 0's set

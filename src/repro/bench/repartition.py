@@ -118,7 +118,7 @@ def _read_grid_point(ctx) -> ScenarioOutput:
     read_calls = snap["data_read_calls"] - before["data_read_calls"]
     # One vectored gather_read per reader plus the fixed metadata loads —
     # O(m) however many writer streams the multifile records.
-    pin(backend.stats.calls.get("gather_read", 0), nreaders, "reader gather_reads")
+    pin(backend.calls().get("gather_read", 0), nreaders, "reader gather_reads")
     pin(read_calls, nreaders + metadata_reads(1), "total backend read calls")
     fanin = nwriters // nreaders
     metrics = {
@@ -185,7 +185,7 @@ def _prefetch(ctx) -> ScenarioOutput:
     snap = backend.snapshot()
     calls = snap["data_read_calls"] - before["data_read_calls"]
     # One prefetch gather_read per collector group (single physical file).
-    pin(backend.stats.calls.get("gather_read", 0), ngroups, "prefetch waves")
+    pin(backend.calls().get("gather_read", 0), ngroups, "prefetch waves")
     pin(calls, ngroups + metadata_reads(1), "total backend read calls")
     metrics = {
         "read_wall_s": host_clock(wall),

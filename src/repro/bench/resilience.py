@@ -6,19 +6,21 @@ replicas are byte-identical images of their primaries, metadata
 included), and buys back *whole-file loss*: deleting one physical file
 and running ``recover_multifile`` restores it byte-identically, with the
 recovered logical volume pinned from first principles.  The torn-close
-family drives the same recovery machinery through the fault layer
-(:class:`~repro.backends.faults.FaultInjectingBackend` swallowing the
-metablock-2 write) and pins that the shadow rebuild recovers **all**
-logical bytes of a fully flushed checkpoint.
+family drives the same recovery machinery through a crash state cut from
+the call journal (:mod:`repro.backends.journal`: the recorded cycle less
+every metablock-2 write and the offset patch after it) and pins that the
+shadow rebuild recovers **all** logical bytes of a fully flushed
+checkpoint.
 
 * ``resilience/buddy-restore[ntasks=N]`` — an N-task bulk-engine buddy
   checkpoint over 2 physical files: replica overhead pinned at exactly
   2.0x, then physical file 1 is deleted and rebuilt from its buddy;
   recovered bytes pinned at ``(N/2) * payload`` and the restored set is
   hash-compared against the pre-loss capture.
-* ``resilience/torn-close-recover[ntasks=N]`` — the close sequence loses
-  metablock 2 (scripted fault, no exception); the shadow rebuild
-  recovers ``N * payload`` logical bytes and the set verifies deep.
+* ``resilience/torn-close-recover[ntasks=N]`` — the recorded cycle is
+  replayed onto a fresh store without its close-time writes; the shadow
+  rebuild recovers ``N * payload`` logical bytes and the set verifies
+  deep.
 
 Every count above is pinned in-scenario and wall clock is reported,
 never compared, so the suite has no committed baseline.  The 4k/16k
@@ -160,29 +162,25 @@ def _buddy_restore(ctx) -> ScenarioOutput:
 
 
 # --------------------------------------------------------------------------
-# Torn close: the fault layer drops metablock 2; shadows win it back.
+# Torn close: the journal's rows less the close-time writes; shadows win
+# metablock 2 back.
 
 
 def _torn_close_recover(ctx) -> ScenarioOutput:
-    from repro.backends import FaultInjectingBackend, FaultPlan
+    from repro.backends.journal import Journal, replay, without_close_writes
     from repro.sion import recover_multifile
-    from repro.sion.mapping import physical_path
     from repro.utils.verify import verify_multifile
 
     ntasks = ctx.params["ntasks"]
     path = "/resil.sion"
+    journal = Journal(sim_backend())
+    write_wall = _checkpoint_cycle(journal, ntasks, buddy=False)
     inner = sim_backend()
-    plan = FaultPlan()
-    for k in range(NFILES):
-        plan = plan.drop_metablock2(physical_path(path, k))
-    backend = FaultInjectingBackend(inner, plan)
-
-    write_wall = _checkpoint_cycle(backend, ntasks, buddy=False)
+    replay(without_close_writes(journal.rows), inner)
+    del journal
     if verify_multifile(path, backend=inner).ok:
-        raise AssertionError("fault plan failed to tear the close sequence")
+        raise AssertionError("the cut state kept the close sequence")
 
-    # Recovery runs on the clean inner backend: an armed plan would
-    # swallow the repair's own metablock-2 write just as faithfully.
     t0 = time.perf_counter()
     report = recover_multifile(path, backend=inner)
     recover_wall = time.perf_counter() - t0
@@ -201,7 +199,7 @@ def _torn_close_recover(ctx) -> ScenarioOutput:
         "bytes_recovered": Metric(float(report.bytes_recovered), "B", "info"),
     }
     text = (
-        f"{ntasks}-task checkpoint with a scripted torn close ({NFILES} "
+        f"{ntasks}-task checkpoint with a torn close ({NFILES} "
         f"files, metablock 2 never persisted): shadow rebuild recovered all "
         f"{report.bytes_recovered} logical bytes in {recover_wall:.2f} s"
     )

@@ -102,10 +102,11 @@ class ModelFailureError(ReproError, RuntimeError):
 
 
 class FaultInjectedError(ReproError):
-    """A :class:`~repro.backends.faults.FaultPlan` fired a scripted fault.
+    """A rank reached the call a journal was told to fail.
 
-    Raised by :class:`~repro.backends.faults.FaultInjectingBackend` at the
-    exact backend call a plan targets.  Deliberately a direct
+    Raised by :class:`~repro.backends.journal.Journal` built with
+    ``fail_at=(rank, call)``, at that rank's call before it reaches the
+    store, and at every later call of the rank.  Deliberately a direct
     :class:`ReproError` subclass — it is neither a storage malfunction nor
     an API misuse, and tests must be able to tell a scripted fault from a
     real bug.  Carries only its message so it crosses process boundaries

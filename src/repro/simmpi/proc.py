@@ -19,11 +19,11 @@ Architecture
   ranks post their deposits to it, and it posts the rank-ordered
   deposits back to each of them.  No barrier or shared segment exists,
   so nothing a run creates outlives its processes.
-* **Results and telemetry** return over a queue at join.  Each child
-  ships per-:class:`~repro.backends.instrument.IOStats` counter deltas
-  alongside its result, and the parent merges them into the live stats
-  objects, so ``CountingBackend`` telemetry aggregates across processes
-  exactly as it does across threads.
+* **Results and journal rows** return over a queue at join.  Each child
+  ships the rows every live :class:`~repro.backends.journal.Journal`
+  appended since the child started, and the parent appends them to its
+  journal of the same token, so ``CountingBackend`` counts aggregate
+  across processes exactly as they do across threads.
 
 Payload contract
 ----------------
@@ -76,7 +76,7 @@ import traceback
 from multiprocessing import get_all_start_methods, get_context
 from typing import Any, Callable
 
-from repro.backends.instrument import snapshot_live_stats, stats_deltas
+from repro.backends.journal import adopt, marks, rows_since
 from repro.errors import (
     CollectiveMismatchError,
     CommAbortedError,
@@ -337,8 +337,8 @@ def _child_main(
     kwargs: dict,
     result_q,
 ) -> None:
-    """Rank process body: run ``fn``, ship result + telemetry deltas."""
-    baseline = snapshot_live_stats()
+    """Rank process body: run ``fn``, ship its result and journal rows."""
+    baseline = marks()
     status = "ok"
     payload: Any = None
     try:
@@ -348,10 +348,10 @@ def _child_main(
     except BaseException as exc:  # noqa: BLE001 - fan out to the parent
         shared.abort()
         status, payload = "err", _portable_exception(exc)
-    deltas = stats_deltas(baseline, snapshot_live_stats())
+    rows = rows_since(baseline)
     try:
         blob = pickle.dumps(
-            (rank, status, payload, deltas), protocol=pickle.HIGHEST_PROTOCOL
+            (rank, status, payload, rows), protocol=pickle.HIGHEST_PROTOCOL
         )
     except Exception as exc:  # noqa: BLE001 - report instead of vanishing
         blob = pickle.dumps(
@@ -359,7 +359,7 @@ def _child_main(
                 rank,
                 "err",
                 RuntimeError(f"rank {rank} result not picklable: {exc!r}"),
-                deltas,
+                rows,
             ),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
@@ -388,7 +388,6 @@ def run_spmd_proc(
     :class:`~repro.errors.SpmdWorkerError` if any rank failed, with
     abort fallout filtered by the engines' shared failure policy.
     """
-    from repro.backends.instrument import apply_stats_deltas
     from repro.simmpi.runner import spmd_failure_error
 
     if nprocs < 1:
@@ -422,9 +421,8 @@ def run_spmd_proc(
     results: list[Any] = [None] * nprocs
     failures: dict[int, BaseException] = {}
     for rank in range(nprocs):
-        status, payload, deltas = reports[rank]
-        if deltas:
-            apply_stats_deltas(deltas)
+        status, payload, rows = reports[rank]
+        adopt(rows)
         if status == "ok":
             results[rank] = payload
         else:
@@ -448,8 +446,8 @@ def _collect_reports(
     suspects: dict[int, float] = {}
     while len(reports) < nprocs:
         try:
-            rank, status, payload, deltas = pickle.loads(result_q.get(timeout=0.25))
-            reports[rank] = (status, payload, deltas)
+            rank, status, payload, rows = pickle.loads(result_q.get(timeout=0.25))
+            reports[rank] = (status, payload, rows)
             suspects.pop(rank, None)
             continue
         except queue_mod.Empty:

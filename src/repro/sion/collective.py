@@ -18,7 +18,8 @@ layers:
   sink's drain in ``parclose``) the collector gathers its senders'
   ``(offset, bytes)`` fragments over the communicator (``gather`` of
   offsets + ``gatherv`` of payloads) and issues **one** ``scatter_write``
-  against the physical file.
+  of chunk data against the physical file, then one more of the senders'
+  shadow headers, so no header reaches the store with the data it counts.
 * **Read mode** (:func:`prefetch_read`, matched and partitioned alike) —
   each task computes its complete request list locally
   (:meth:`~repro.sion.layout.ChunkLayout.read_requests`), the collector
@@ -57,24 +58,11 @@ from repro.sion.parallel import SionParallelFile
 from repro.simmpi.comm import Comm
 
 
-class FragmentRecorder:
-    """Collective-mode write sink: records fragments, ships them in waves.
+class _Tape:
+    """Records positioned writes as ``(offset, bytes)`` snapshots."""
 
-    Stands in for the physical file underneath a task's write cursor: the
-    ``(offset, bytes)`` fragments accumulate here until the next
-    collection wave (:meth:`drain`) ships them to the collector — the
-    group's rank 0, which alone holds ``raw``, the replay-guarded physical
-    file (mirrored onto the buddy replica, if any).  Payloads are
-    snapshotted at write time, so the caller may reuse its buffer.
-    """
-
-    def __init__(self, ccom: Comm, raw: ReplayGuardedFile | None) -> None:
-        """Record for collector group ``ccom``; ``raw`` only on its collector."""
-        self.ccom = ccom
-        self.raw = raw
+    def __init__(self) -> None:
         self._fragments: list[tuple[int, bytes]] = []
-
-    # -- the write cursor's sink ---------------------------------------------
 
     def pwrite(self, offset: int, data: BufferLike) -> int:
         """Record one positioned write (an empty one records nothing)."""
@@ -89,27 +77,57 @@ class FragmentRecorder:
         self._fragments.extend((off, v.tobytes()) for off, v in views if v.nbytes)
         return sum(v.nbytes for _, v in views)
 
+
+class FragmentRecorder(_Tape):
+    """Collective-mode write sink: records fragments, ships them in waves.
+
+    Stands in for the physical file underneath a task's write cursor: the
+    ``(offset, bytes)`` fragments accumulate here, and the cursor's shadow
+    headers in :attr:`headers`, until the next collection wave
+    (:meth:`drain`) ships both to the collector — the group's rank 0,
+    which alone holds ``raw``, the replay-guarded physical file (mirrored
+    onto the buddy replica, if any).  Payloads are snapshotted at write
+    time, so the caller may reuse its buffer.
+    """
+
+    def __init__(self, ccom: Comm, raw: ReplayGuardedFile | None) -> None:
+        """Record for collector group ``ccom``; ``raw`` only on its collector."""
+        super().__init__()
+        self.ccom = ccom
+        self.raw = raw
+        self.headers = _Tape()
+
     # -- what parclose asks of a sink ------------------------------------------
 
     def drain(self) -> None:
-        """One collection wave: gather fragments, one ``scatter_write``.
+        """One collection wave: gather fragments, one ``scatter_write`` of
+        data, then one of shadow headers.
 
-        Collective over the collector group.  Offsets travel as an
-        immutable tuple through ``gather``; payload bytes travel through
-        ``gatherv``.  The collector's single backend call goes through
-        its replay-guarded handle, so a bulk-engine replay never
-        re-issues it.
+        Collective over the collector group.  Offsets travel as immutable
+        tuples through ``gather`` (data, then headers); payload bytes
+        travel through ``gatherv``.  The collector's backend calls go
+        through its replay-guarded handle, so a bulk-engine replay never
+        repeats them.
         """
         frags, self._fragments = self._fragments, []
-        gathered_offsets = self.ccom.gather(tuple(off for off, _ in frags), root=0)
-        gathered_data = self.ccom.gatherv([data for _, data in frags], root=0)
+        headers, self.headers._fragments = self.headers._fragments, []
+        gathered_offsets = self.ccom.gather(
+            (tuple(off for off, _ in frags), tuple(off for off, _ in headers)), root=0
+        )
+        gathered_data = self.ccom.gatherv(
+            [data for _, data in frags] + [data for _, data in headers], root=0
+        )
         if self.raw is not None:
             assert gathered_offsets is not None and gathered_data is not None
             wave: list[tuple[int, bytes]] = []
-            for offs, pieces in zip(gathered_offsets, gathered_data):
+            shadows: list[tuple[int, bytes]] = []
+            for (offs, hoffs), pieces in zip(gathered_offsets, gathered_data):
                 wave.extend(zip(offs, pieces))
+                shadows.extend(zip(hoffs, pieces[len(offs):]))
             if wave:
                 self.raw.scatter_write(wave)
+            if shadows:
+                self.raw.scatter_write(shadows)
 
     @property
     def unguarded(self) -> RawFile:

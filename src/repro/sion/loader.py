@@ -23,15 +23,24 @@ Every reader — ``paropen(..., "r")``, the serial global view,
 ``open_rank`` and the read gateway — calls :meth:`SetLoad.require_intact`,
 which raises the first finding as a :class:`~repro.errors.SionFormatError`
 naming the file, and keeps the handles of an intact load.  ``sionverify``
-reports every finding; recovery triages by status, and
-:func:`qualify_replica` is the same check applied to one buddy replica.
+reports every finding of the files the load reached; recovery triages
+file by file as :func:`iter_set` loads them, and :func:`qualify_replica`
+is the same check applied to one buddy replica.
 :func:`read_shadow_headers` is the one reader of a task's shadow chain.
+
+A load costs what is on disk, not what file 0 claims: :func:`load_set`
+stops at the first missing file and reports it, with the files after it
+that it did not probe, as one finding.  A file 0 claiming 2^20 files of
+a two-file set is refused after three files, not 2^20 probes (2^20
+existence probes alone take seconds).  The stop holds for ``sionverify``
+too: the findings of files after a missing one are reported once it is
+restored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.backends.base import Backend, RawFile
 from repro.errors import FileNotFoundSimError, SionFormatError, SionUsageError
@@ -138,19 +147,51 @@ class SetLoad:
 
 
 def load_set(backend: Backend, path: str, rank: int | None = None) -> SetLoad:
-    """Open every physical file of the set at ``path`` once and check it.
+    """Open the physical files of the set at ``path`` once and check them.
 
     File 0's metablock 1 gives the set geometry and the task mapping;
     every file must agree with it (see the module docstring).  With
     ``rank``, only file 0 and the file holding that task are loaded — the
     task-local view (paper Listing 4), which a damaged sibling does not
-    concern.  Never raises for a damaged set; the statuses say what is
-    wrong (an out-of-range ``rank`` is a :class:`SionUsageError`).
+    concern.  The load stops at the first missing file: its finding
+    names the files after it, which are not probed.  Never raises for a
+    damaged set; the statuses say what is wrong (an out-of-range
+    ``rank`` is a :class:`SionUsageError`).
+    """
+    head, tmap, loads = iter_set(backend, path, rank)
+    if tmap is None:
+        return SetLoad(path, (head,))
+    files: list[FileLoad] = []
+    try:
+        for filenum, f in loads:
+            files.append(f)
+            if f.status == MISSING and filenum < tmap.nfiles - 1 and rank is None:
+                f.reason += (
+                    f"; the load stops here: files {filenum + 1}..{tmap.nfiles - 1} "
+                    "are not probed"
+                )
+                break
+    except BaseException:
+        for f in files:
+            f.close()
+        raise
+    return SetLoad(path, tuple(files), tmap)
+
+
+def iter_set(
+    backend: Backend, path: str, rank: int | None = None
+) -> tuple[FileLoad, TaskMapping | None, Iterator[tuple[int, FileLoad]]]:
+    """File 0, the task mapping, and the set's files loaded one at a time.
+
+    The iterator yields ``(filenum, load)`` in file order, file 0 (the
+    returned ``head``) first, each checked as :func:`load_set` checks it;
+    it yields nothing when the mapping is ``None``.  The consumer closes
+    what it takes, and may stop early: a file is opened only when it is
+    reached.
     """
     head, tmap = load_head(backend, path)
     if tmap is None:
-        return SetLoad(path, (head,))
-    mb1 = head.mb1
+        return head, None, iter(())
     if rank is None:
         wanted: Sequence[int] = range(tmap.nfiles)
     elif 0 <= rank < tmap.ntasks:
@@ -158,23 +199,23 @@ def load_set(backend: Backend, path: str, rank: int | None = None) -> SetLoad:
     else:
         head.close()
         raise SionUsageError(f"rank {rank} out of range ({tmap.ntasks} tasks)")
-    geometry = [(n, getattr(mb1, n)) for n in ("nfiles", "ntasks_global", "flags", "fsblksize")]
-    files = [head]
-    try:
-        for filenum in wanted[1:]:
-            files.append(
-                load_file(backend, physical_path(path, filenum), [("filenum", filenum), *geometry])
-            )
-    except BaseException:
-        for f in files:
-            f.close()
-        raise
-    for f, filenum in zip(files, wanted):
+    return head, tmap, _checked(backend, path, head, tmap, wanted)
+
+
+def _checked(
+    backend: Backend, path: str, head: FileLoad, tmap: TaskMapping, wanted: Sequence[int]
+) -> Iterator[tuple[int, FileLoad]]:
+    fields = ("nfiles", "ntasks_global", "flags", "fsblksize")
+    geometry = [(n, getattr(head.mb1, n)) for n in fields]
+    for filenum in wanted:
+        f = head if filenum == 0 else load_file(
+            backend, physical_path(path, filenum), [("filenum", filenum), *geometry]
+        )
         # One list compare per file: the stored global ranks are exactly
         # the mapping's members of the file, in local-rank order.
         if f.status in (INTACT, BAD_MB2) and f.mb1.globalranks != tmap.tasks_of_file(filenum):
             f.fail(DISAGREES, "stored global ranks disagree with the mapping")
-    return SetLoad(path, tuple(files), tmap)
+        yield filenum, f
 
 
 def load_head(backend: Backend, path: str) -> tuple[FileLoad, TaskMapping | None]:

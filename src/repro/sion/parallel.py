@@ -177,7 +177,8 @@ def open_access(spec: OpenSpec, comm: Comm, backend: Backend | None = None):
     lrank = lcom.rank
     ccom = lcom.split(color=lrank // plan.collectsize, key=lrank)
     raw = open_mirrored(backend, plan.path, plan.replica, ccom) if ccom.rank == 0 else None
-    return SionCollectiveFile(comm, lcom, plan, FragmentRecorder(ccom, raw))
+    recorder = FragmentRecorder(ccom, raw)
+    return SionCollectiveFile(comm, lcom, plan, recorder, recorder.headers)
 
 
 class SionParallelFile(WriteStream):
@@ -192,10 +193,13 @@ class SionParallelFile(WriteStream):
 
     mode = "w"
 
-    def __init__(self, comm: Comm, lcom: Comm, plan: WritePlan, raw) -> None:
+    def __init__(
+        self, comm: Comm, lcom: Comm, plan: WritePlan, raw, headers=None
+    ) -> None:
         """Bind this task's cursor on its file's plan (built by the executor)."""
         super().__init__(
-            raw, plan.layout, lcom.rank, shadow=plan.shadow, compress=plan.compress
+            raw, plan.layout, lcom.rank, shadow=plan.shadow, compress=plan.compress,
+            headers=headers,
         )
         self.comm = comm
         self.lcom = lcom

@@ -37,8 +37,10 @@ up front and hand it to the backend in a **single**
 With the *shadow* extension (paper §6 roadmap), the first 32 bytes of every
 chunk hold a :class:`~repro.sion.format.ShadowHeader` so metablock 2 can be
 reconstructed after a crash; usable chunk capacity shrinks accordingly.
-Shadow headers of blocks completed inside an ``fwrite`` simply join its
-fragment list — still one backend call.
+A header never reaches the store in the same call as the bytes it
+counts: the headers of blocks completed inside an ``fwrite`` follow its
+data in a second call, so an interrupted data call cannot leave a header
+vouching for bytes that never landed.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ class WriteStream:
     The cursor calls only ``pwrite`` and ``scatter_write`` on its *sink*:
     a :class:`~repro.sion.openspec.ReplayGuardedFile` in direct mode, a
     :class:`~repro.sion.collective.FragmentRecorder` in collective mode,
-    the physical file itself for serial creation.  Chunk ``b``'s data
+    the physical file itself for serial creation.  Shadow headers go to
+    the ``headers`` sink (the same one unless given), always in a call
+    after the data they count.  Chunk ``b``'s data
     starts at ``_base + b * _stride`` (precomputed: a bulk-engine replay
     rebuilds every handle).  With ``compress=True`` each ``fwrite`` is
     deflated into the task's zlib stream, and the chunk-local calls are
@@ -91,7 +95,7 @@ class WriteStream:
 
     __slots__ = (
         "_raw", "ltask", "shadow", "compress", "capacity", "cur_block", "pos",
-        "_end", "_base", "_stride", "_finished", "_zw", "_closed",
+        "_end", "_base", "_stride", "_finished", "_zw", "_closed", "_hraw",
     )
 
     def __init__(
@@ -102,6 +106,7 @@ class WriteStream:
         *,
         shadow: bool = False,
         compress: bool = False,
+        headers=None,
     ) -> None:
         ntasks = len(layout.aligned_sizes)
         if not 0 <= ltask < ntasks:
@@ -116,6 +121,7 @@ class WriteStream:
         self._base = layout.start_of_data + layout.chunk_prefix[ltask] + data_offset
         self._stride = layout.block_capacity
         self._raw = raw
+        self._hraw = raw if headers is None else headers
         self.ltask = ltask
         self.shadow = shadow
         self.compress = compress
@@ -219,7 +225,7 @@ class WriteStream:
         if self._closed:
             raise SionUsageError("multifile is closed")
         if self.shadow:
-            self._raw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
+            self._hraw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
 
     def finalize(self) -> list[int]:
         """End the stream; returns bytes written per block.
@@ -233,7 +239,7 @@ class WriteStream:
         if self._zw is not None:
             self._put(as_view(self._zw.finish()))
         if self.shadow:
-            self._raw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
+            self._hraw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
         sizes = [*self._finished, self._end]
         while len(sizes) > 1 and sizes[-1] == 0:
             sizes.pop()
@@ -246,17 +252,18 @@ class WriteStream:
     # -- internals ----------------------------------------------------------
 
     def _put(self, view: memoryview) -> int:
-        """Chunk-spanning write: one ``scatter_write`` for all fragments.
+        """Chunk-spanning write: one ``scatter_write`` for all data fragments.
 
-        The fragments include the shadow headers of blocks completed along
-        the way.  Cursor state commits only after the sink call returns, so
-        a failed write never leaves block accounting claiming bytes that
-        are not on disk.
+        The shadow headers of blocks completed along the way follow in one
+        more call, once the data is in.  Cursor state commits only after
+        the data call returns, so a failed write never leaves block
+        accounting claiming bytes that are not on disk.
         """
         total = view.nbytes
         if total == 0:
             return 0
         fragments: list[tuple[int, BufferLike]] = []
+        headers: list[tuple[int, bytes]] = []
         completed: list[int] = []
         blk, pos, end = self.cur_block, self.pos, self._end
         done = 0
@@ -264,7 +271,7 @@ class WriteStream:
             avail = self.capacity - pos
             if avail == 0:
                 if self.shadow:
-                    fragments.append(self._shadow_fragment(blk, end))
+                    headers.append(self._shadow_fragment(blk, end))
                 completed.append(end)
                 blk += 1
                 pos = 0
@@ -278,12 +285,14 @@ class WriteStream:
         self._raw.scatter_write(fragments)
         self._finished.extend(completed)
         self.cur_block, self.pos, self._end = blk, pos, pos
+        if headers:
+            self._hraw.scatter_write(headers)
         return total
 
     def _next_block(self) -> None:
         """Complete the current block and move the cursor to the next one."""
         if self.shadow:
-            self._raw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
+            self._hraw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
         self._finished.append(self._end)
         self.cur_block += 1
         self.pos = self._end = 0

@@ -10,10 +10,21 @@ write-time options fund two recovery paths:
   chunk starts with a 32-byte :class:`~repro.sion.format.ShadowHeader`
   recording how many bytes of that chunk were written as of the last
   shadow flush (automatic at every block boundary, at close, and
-  whenever the application calls ``flush_shadow``).
-  :func:`recover_multifile` scans those headers, rebuilds metablock 2
-  *in place*, and patches the file back to a readable state.  Cheap
-  (32 bytes per chunk), but it needs the file itself to survive.
+  whenever the application calls ``flush_shadow``).  A header reaches
+  the store in a later call than the bytes it counts, so an interrupted
+  write never leaves a header vouching for bytes that are not there.
+  A flush is *durable* only once every physical file of the set exists
+  (its creating open has written metablock 1): before that a missing
+  file makes the set unrecoverable, even for flushes that returned.
+  Then it depends on the mode: in direct mode once the task's
+  ``flush_shadow`` returns; in collective mode ``flush_shadow`` only
+  stages the header with the task's collector, and it is durable once
+  the collector's next wave (``flush_collective`` or the close) has
+  written it — a sender may return from ``flush_collective`` before its
+  collector's wave write.  :func:`recover_multifile` scans those
+  headers, rebuilds metablock 2 *in place*, and patches the file back to
+  a readable state.  Cheap (32 bytes per chunk), but it needs the file
+  itself to survive.
 * **Buddy replicas** (``paropen(..., buddy=True)``): every write was
   mirrored to a replica hosted on the partner group's name stem
   (:func:`~repro.sion.buddy.buddy_path`).  :func:`recover_multifile`
@@ -23,7 +34,7 @@ write-time options fund two recovery paths:
   survives the loss of an entire physical file.
 
 The decision per physical file, by the status the set loader
-(:func:`~repro.sion.loader.load_set`) gives it (also rendered as a table
+(:func:`~repro.sion.loader.iter_set`) gives it (also rendered as a table
 in ``docs/RESILIENCE.md``):
 
 =========================  =======================  ========================
@@ -67,8 +78,8 @@ from repro.sion.loader import (
     BAD_MB2,
     INTACT,
     FileLoad,
+    iter_set,
     load_file,
-    load_set,
     qualify_replica,
     read_shadow_headers,
 )
@@ -112,8 +123,8 @@ def recover_multifile(
 ) -> RecoveryReport:
     """Repair every damaged physical file of the multifile set at ``path``.
 
-    Loads the set once (:func:`~repro.sion.loader.load_set`) and applies
-    the cheapest sufficient repair per file status (see the module
+    Loads the set once, file by file (:func:`~repro.sion.loader.iter_set`),
+    and applies the cheapest sufficient repair per file status (see the module
     docstring's decision table): nothing, a byte-identical restore from
     the file's buddy replica, or an in-place metablock-2 reconstruction
     from shadow headers.
@@ -147,17 +158,21 @@ def recover_multifile(
     """
     backend = backend if backend is not None else LocalBackend()
     report = RecoveryReport()
-    load = load_set(backend, path)
-    load.close()  # a repair reopens the one file it rewrites
+    head, tmap, files = iter_set(backend, path)
     first = 0
-    if load.mapping is None:
-        _restore_head(path, load.files[0], backend, report)
-        load = load_set(backend, path)
-        load.close()
+    if tmap is None:
+        head.close()
+        _restore_head(path, head, backend, report)
+        head, tmap, files = iter_set(backend, path)
         first = 1
-    report.nfiles = len(load.files)
-    for filenum in range(first, report.nfiles):
-        _recover_one(path, filenum, load.files[filenum], report.nfiles, backend, report, force)
+    report.nfiles = tmap.nfiles if tmap is not None else 1
+    # File by file, as the loader reaches them: the first unrecoverable
+    # file ends the run before a file past it is probed.
+    for filenum, f in files:
+        f.close()  # a repair reopens the one file it rewrites
+        if filenum >= first:
+            _recover_one(path, filenum, f, report.nfiles, backend, report, force)
+    head.close()
     return report
 
 

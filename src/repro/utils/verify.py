@@ -4,7 +4,9 @@ Every reader already applies the set loader's checks
 (:func:`~repro.sion.loader.load_set`: both metablocks decode, every file
 agrees with file 0 and its mapping, every rank is covered, block tables
 fit their chunks) and refuses what fails them; ``sionverify`` reports
-every such finding instead of stopping at the first.  What it adds is
+every such finding instead of stopping at the first, up to the first
+missing file: there the load stops, and one finding names the missing
+file and the files after it that were not probed.  What it adds is
 its own: metablock 2's offset against the physical file size,
 optionally the shadow headers against metablock 2 (``deep``), a
 partitioned read cross-checked against the serial view (``readers``),

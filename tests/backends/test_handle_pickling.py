@@ -4,22 +4,17 @@ The process SPMD engine ships backends and open handles into rank
 processes by pickling (spawn) or inheritance (fork).  These tests pin
 the portable-handle contract: ``LocalRawFile`` reopens by path (it has
 no file pointer to restore) and never re-truncates; ``LocalBackend`` and
-``CountingBackend`` round-trip; ``SimBackend`` refuses loudly; and
-``IOStats`` keeps its cross-process identity token so counter deltas
-find their way home.
+``CountingBackend`` round-trip; ``SimBackend`` refuses loudly; and a
+journal keeps its cross-process identity token, so the rows a rank
+process appends find their way home.
 """
 
 import pickle
 
 import pytest
 
-from repro.backends.instrument import (
-    CountingBackend,
-    IOStats,
-    apply_stats_deltas,
-    snapshot_live_stats,
-    stats_deltas,
-)
+from repro.backends.instrument import CountingBackend
+from repro.backends.journal import adopt, marks, rows_since
 from repro.backends.localfs import LocalBackend
 from repro.backends.simfs_backend import SimBackend
 
@@ -76,37 +71,42 @@ def test_simbackend_is_in_process_only():
 def test_counting_backend_keeps_stats_token(tmp_path):
     cb = CountingBackend(LocalBackend())
     clone = _roundtrip(cb)
-    assert clone.stats.token == cb.stats.token
-    # The clone's activity can be merged back into the original by token,
-    # which is exactly what the proc engine does at join.
+    assert clone.log.token == cb.log.token
+    # The clone's rows join the original by token, which is exactly what
+    # the proc engine does at join.
     f = clone.open(str(tmp_path / "y.bin"), "w+")
     f.pwrite(0, b"12345678")
     f.close()
     assert cb.snapshot()["bytes_written"] == 0
-    delta = stats_deltas(
-        {cb.stats.token: cb.stats.raw_state()},
-        {cb.stats.token: clone.stats.raw_state()},
-    )
-    apply_stats_deltas(delta)
+    adopt([(clone.log.token, clone.rows)])
     assert cb.snapshot()["bytes_written"] == 8
     assert cb.snapshot()["opens"] == 1
 
 
 def test_stats_delta_roundtrip_is_exact():
-    stats = IOStats()
-    before = snapshot_live_stats()
-    stats.count("pwrite", 3)
-    stats.count_read_bytes(100, requests=2)
-    stats.note_payloads([b"abcd"])
-    deltas = dict(stats_deltas(before, snapshot_live_stats()))
-    assert deltas[stats.token]["calls"] == {"pwrite": 3}
-    assert deltas[stats.token]["bytes_read"] == 100
-    assert deltas[stats.token]["fragments_read"] == 2
-    assert deltas[stats.token]["bytes_written"] == 4
-    assert deltas[stats.token]["fragments_written"] == 1
+    cb = CountingBackend(SimBackend())
+    with cb.open("/a", "w+b") as f:
+        f.pwrite(0, b"first")
+    before = marks()
+    with cb.open("/a", "r+b") as f:
+        f.scatter_write([(0, b"ab"), (8, b"cd")])
+        f.gather_read([(0, 2), (8, 2)])
+    shipped = dict(rows_since(before))[cb.log.token]
+    assert [r.op for r in shipped] == ["open", "scatter_write", "gather_read", "close"]
+    assert [r.seq for r in shipped] == [3, 4, 5, 6]
+    # Shipped payloads are plain bytes: a kept view does not pickle.
+    assert pickle.loads(pickle.dumps(shipped)) == shipped
+    other = CountingBackend(SimBackend())
+    adopt([(other.log.token, shipped)])
+    assert [r.seq for r in other.rows] == [0, 1, 2, 3]
+    assert other.snapshot() == {
+        "data_write_calls": 1, "data_read_calls": 1, "seeks": 0, "opens": 1,
+        "fragments_written": 2, "fragments_read": 2, "tracked_fragments": 0,
+        "copied_fragments": 0, "bytes_written": 4, "bytes_read": 4,
+    }
 
 
 def test_stats_deltas_skip_idle_objects():
-    idle = IOStats()
-    before = snapshot_live_stats()
-    assert all(token != idle.token for token, _ in stats_deltas(before, snapshot_live_stats()))
+    idle = CountingBackend(SimBackend())
+    before = marks()
+    assert all(token != idle.log.token for token, _ in rows_since(before))

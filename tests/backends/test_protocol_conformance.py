@@ -4,7 +4,7 @@ The protocol is six positioned calls — ``pread``, ``pwrite``,
 ``gather_read``, ``scatter_write``, ``flush`` and ``close`` — and every
 stack the SION layer can be handed must honour it identically: the two
 leaf stores (:class:`SimBackend`, :class:`LocalBackend`), the counting
-and fault-injecting wrappers over them, a buddy :class:`MirrorRawFile`
+wrapper and the call journal over them, a buddy :class:`MirrorRawFile`
 pair (read back from both copies), the read-only
 :class:`CachingRawFile` (its writes go to the plain store it wraps), and
 a minimal file and backend that implement only the abstract calls, so
@@ -32,8 +32,8 @@ import pytest
 import repro
 from repro.backends.base import Backend, RawFile
 from repro.backends.caching import CachingRawFile
-from repro.backends.faults import FaultInjectingBackend
 from repro.backends.instrument import CountingBackend
+from repro.backends.journal import Journal
 from repro.backends.localfs import LocalBackend
 from repro.backends.simfs_backend import SimBackend
 from repro.fs.cache import ChunkCache
@@ -147,8 +147,8 @@ STACKS = {
     "sim": lambda tmp: Stack("sim", _sim(), "/scratch"),
     "local": lambda tmp: Stack("local", _local(), str(tmp)),
     "counting-sim": lambda tmp: Stack("sim", CountingBackend(_sim()), "/scratch"),
-    "faulting-sim": lambda tmp: Stack("sim", FaultInjectingBackend(_sim()), "/scratch"),
-    "faulting-local": lambda tmp: Stack("local", FaultInjectingBackend(_local()), str(tmp)),
+    "journal-sim": lambda tmp: Stack("sim", Journal(_sim()), "/scratch"),
+    "journal-local": lambda tmp: Stack("local", Journal(_local()), str(tmp)),
     "mirror-sim": lambda tmp: MirrorStack("sim", _sim(), "/scratch"),
     "caching-sim": lambda tmp: CachingStack("sim", _sim(), "/scratch"),
     "portable-sim": lambda tmp: Stack("sim", _PortableBackend(_sim()), "/scratch"),
@@ -315,7 +315,7 @@ def _pwrite_own_region(comm, handle):
     return True
 
 
-@pytest.mark.parametrize("name", ["local", "faulting-local"])
+@pytest.mark.parametrize("name", ["local", "journal-local"])
 def test_local_handle_travels_to_proc_ranks(name, tmp_path):
     stack = STACKS[name](tmp_path)
     path = stack.path("shared.bin")
@@ -356,7 +356,7 @@ def test_rawfile_public_names_are_the_six_calls():
 def test_no_rawfile_in_repro_keeps_a_file_pointer():
     classes = _repro_rawfile_classes()
     assert {c.__name__ for c in classes} >= {
-        "LocalRawFile", "SimRawFile", "CountingRawFile", "FaultingRawFile", "MirrorRawFile",
+        "LocalRawFile", "SimRawFile", "JournalRawFile", "MirrorRawFile",
     }
     for cls in classes:
         assert not set(POINTER_CALLS) & set(vars(cls)), cls

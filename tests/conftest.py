@@ -38,3 +38,31 @@ def any_backend(request, tmp_path):
     fs = SimFS(blocksize_override=TEST_BLKSIZE)
     fs.mkdir("/scratch")
     return SimBackend(fs), "/scratch"
+
+
+def fresh_sim() -> SimBackend:
+    """An empty simulated store with ``/scratch`` (a crash state's target)."""
+    fs = SimFS(blocksize_override=TEST_BLKSIZE)
+    fs.mkdir("/scratch")
+    return SimBackend(fs)
+
+
+def flip_shadow_magic(rows, path: str, ltask: int, block: int) -> list:
+    """``rows`` with the magic of chunk ``(ltask, block)``'s shadow header
+    inverted wherever it was written to ``path``: the recovery scan finds
+    the chain torn there."""
+    from repro.sion.constants import MAGIC_SHADOW, SHADOW_HEADER_SIZE
+    from repro.sion.format import ShadowHeader
+
+    def flipped(piece):
+        if len(piece) != SHADOW_HEADER_SIZE or bytes(piece[:8]) != MAGIC_SHADOW:
+            return piece
+        hdr = ShadowHeader.decode(bytes(piece))
+        if hdr is None or (hdr.ltask, hdr.block) != (ltask, block):
+            return piece
+        return bytes(b ^ 0xFF for b in piece[:8]) + bytes(piece[8:])
+
+    return [
+        r._replace(payload=tuple(flipped(p) for p in r.payload)) if r.path == path else r
+        for r in rows
+    ]

@@ -139,9 +139,9 @@ def test_warm_reads_bypass_the_backend(backend):
             await gw.read_task(PATH, r)
 
     asyncio.run(sweep())
-    before = backend.stats.snapshot()["data_read_calls"]
+    before = backend.snapshot()["data_read_calls"]
     asyncio.run(sweep())
-    after = backend.stats.snapshot()["data_read_calls"]
+    after = backend.snapshot()["data_read_calls"]
     assert after - before == 0  # everything from cache
     cache = gw.cache.snapshot()
     assert cache["hit_rate"] >= 0.5

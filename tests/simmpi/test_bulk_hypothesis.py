@@ -12,9 +12,9 @@ runs each under both engines.  The contract:
 * scripted rank failures surface the same ``SpmdWorkerError`` — same
   failing ranks, same exception types and messages — with abort fallout
   filtered identically;
-* the PR 8 fault-injection plans (``FaultPlan.kill_rank`` fired through
-  the SION layer, engines x nfiles x collectsize x victim) either fail
-  identically or leave byte-identical multifiles.
+* a rank failing at its call *k* (``Journal(inner, fail_at=(victim, k))``
+  fired through the SION layer, engines x nfiles x collectsize x victim
+  x k) either fails identically or leaves byte-identical multifiles.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends import FaultInjectingBackend, FaultPlan
+from repro.backends.journal import Journal
 from repro.backends.simfs_backend import SimBackend
 from repro.bench.scale import multifile_fingerprint
 from repro.errors import SpmdWorkerError
@@ -208,20 +208,20 @@ def test_multi_victim_failures_are_scripted_subset(nprocs, spec, victims, seed):
 
 
 # --------------------------------------------------------------------------
-# PR 8 fault-injection grid, randomized: a scripted backend fault must
-# surface identically under both engines — or, when the plan never fires,
-# both engines must leave byte-identical multifiles.
+# The in-flight failure grid, randomized: a rank failing at its call k must
+# surface identically under both engines — or, when the rank makes fewer
+# than k + 1 calls, both engines must leave byte-identical multifiles.
 
 
 @settings(max_examples=15, deadline=None)
 @given(
     nprocs=st.integers(2, 6),
     victim=st.integers(0, 5),
-    after=st.sampled_from([0, 100, 2000]),
+    call=st.integers(0, 12),
     collectsize=st.sampled_from([None, 2]),
     nfiles=st.sampled_from([1, 2]),
 )
-def test_fault_grid_surfaces_match(nprocs, victim, after, collectsize, nfiles):
+def test_fault_grid_surfaces_match(nprocs, victim, call, collectsize, nfiles):
     victim %= nprocs
     if collectsize:
         victim -= victim % collectsize  # only collectors do physical I/O
@@ -230,9 +230,7 @@ def test_fault_grid_surfaces_match(nprocs, victim, after, collectsize, nfiles):
         fs = SimFS(blocksize_override=TEST_BLKSIZE)
         fs.mkdir("/scratch")
         inner = SimBackend(fs)
-        be = FaultInjectingBackend(
-            inner, FaultPlan().kill_rank(victim, after_bytes=after)
-        )
+        be = Journal(inner, (victim, call))
         kwargs = {"collectsize": collectsize} if collectsize else {}
 
         def task(comm):

@@ -24,7 +24,8 @@ import weakref
 
 import pytest
 
-from repro.backends import FaultInjectingBackend, FaultPlan
+from repro.backends.journal import Journal
+from repro.backends.localfs import LocalBackend
 from repro.backends.simfs_backend import SimBackend
 from repro.errors import FaultInjectedError, SimMPIError, SpmdWorkerError
 from repro.fs.simfs import SimFileHandle, SimFS
@@ -90,12 +91,13 @@ def _misbehave(comm, outcome: str) -> None:
 def _cycle(engine: str, open_path: str, outcome: str) -> list | None:
     """One run; a successful one hands back what its ranks returned."""
     opts = OPEN_PATHS[open_path]
-    # In collective mode only collectors touch the store, and rank 0 is one.
-    plan = FaultPlan().kill_rank(0, after_bytes=64) if outcome == "kill_rank" else FaultPlan()
+    # In collective mode only collectors touch the store, and rank 0 is
+    # one: it dies at its second call (a write into the file it opened).
+    fail_at = (0, 1) if outcome == "kill_rank" else None
     fs = SimFS(blocksize_override=TEST_BLKSIZE)
     fs.mkdir("/scratch")
-    clean = FaultInjectingBackend(SimBackend(fs), FaultPlan())
-    armed = FaultInjectingBackend(SimBackend(fs), plan)
+    clean = Journal(SimBackend(fs))
+    armed = Journal(SimBackend(fs), fail_at)
 
     def write(comm, be, outcome):
         f = paropen(PATH, "w", comm, chunksize=256, backend=be.for_rank(comm.rank), **opts)
@@ -309,10 +311,14 @@ def test_checkpoint_cycles_do_not_accumulate():
 # --------------------------------------------------------------------------
 # The process engine: no child, /dev/shm entry or descriptor is left.
 
-PROC_CELLS = ("success", "raise", "os_exit", "large")
+PROC_CELLS = ("success", "raise", "os_exit", "large", "kill_rank")
 
 
-def _proc_program(comm, cell):
+def _proc_program(comm, cell, journal, base):
+    if cell == "kill_rank":
+        # Rank 1 dies at its call 1, with the file it opened still open.
+        with journal.for_rank(comm.rank).open(f"{base}/{comm.rank}", "w+b") as f:
+            f.pwrite(0, b"x")
     if cell == "raise" and comm.rank == 1:
         raise RuntimeError("rank 1 gives up")
     if cell == "os_exit" and comm.rank == 1:
@@ -323,22 +329,28 @@ def _proc_program(comm, cell):
     return comm.allreduce(comm.rank)
 
 
-def _proc_cycle(cell: str) -> None:
-    run = lambda: run_spmd(3, _proc_program, cell, engine="proc", timeout=30.0)  # noqa: E731
-    if cell in ("raise", "os_exit"):
-        with pytest.raises(SpmdWorkerError):
+def _proc_cycle(cell: str, base: str) -> None:
+    journal = Journal(LocalBackend(blocksize_override=TEST_BLKSIZE), (1, 1))
+    run = lambda: run_spmd(3, _proc_program, cell, journal, base, engine="proc", timeout=30.0)  # noqa: E731
+    if cell in ("raise", "os_exit", "kill_rank"):
+        with pytest.raises(SpmdWorkerError) as info:
             run()
+        # Only the failures: the traceback pins the run's queues (and fds).
+        failures = {rank: type(exc) for rank, exc in info.value.failures.items()}
+        del info
+        if cell == "kill_rank":
+            assert failures == {1: FaultInjectedError}
     else:
         assert run() == [4 << 20 if cell == "large" else 3] * 3
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm and /proc")
 @pytest.mark.parametrize("cell", PROC_CELLS)
-def test_proc_run_leaves_no_child_segment_or_descriptor(cell):
+def test_proc_run_leaves_no_child_segment_or_descriptor(cell, tmp_path):
     segments = set(os.listdir("/dev/shm"))
-    _proc_cycle(cell)  # the first run also starts the shared resource tracker
+    _proc_cycle(cell, str(tmp_path))  # the first run also starts the shared resource tracker
     fds = len(os.listdir("/proc/self/fd"))
-    _proc_cycle(cell)
+    _proc_cycle(cell, str(tmp_path))
     assert multiprocessing.active_children() == []
     assert set(os.listdir("/dev/shm")) - segments == set()
     assert len(os.listdir("/proc/self/fd")) == fds

@@ -204,12 +204,17 @@ def test_torn_metablock2_prefers_buddy_over_shadow_rebuild():
     The shadow rebuild would lose unflushed tails; the buddy copy cannot
     — the decision table prefers it whenever the replica fully decodes.
     """
-    from repro.backends import FaultInjectingBackend, FaultPlan
+    from repro.backends.journal import Journal, replay, without_close_writes
 
-    inner = _backend()
     path = "/scratch/torn.sion"
-    be = FaultInjectingBackend(inner, FaultPlan().drop_metablock2(path))
+    be = Journal(_backend())
     _write_buddy(be, path, 4, nfiles=2)
+    # The primary of file 0 lost its close-time writes; every other file
+    # of the set, its replica included, closed.
+    kept = {r.seq for r in without_close_writes(be.rows)}
+    inner = _backend()
+    replay([r for r in be.rows if r.seq in kept or r.path != path], inner)
+    assert not verify_multifile(path, backend=inner).ok
 
     report = recover_multifile(path, backend=inner)
     assert report.files_rebuilt_from_buddy == 1

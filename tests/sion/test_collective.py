@@ -176,13 +176,13 @@ def test_backend_calls_scale_with_collectors():
     backend = CountingBackend(_backend())
     schedules = [[64]] * ntasks
     _write(backend, ntasks, schedules, collectsize=collectsize)
-    calls = dict(backend.stats.calls)
+    calls = backend.calls()
     assert calls["scatter_write"] == 3  # one wave per collector
     assert backend.snapshot()["data_write_calls"] == 3 + 3  # + mb1/mb2/patch
     assert backend.snapshot()["opens"] == 3 + 1  # collectors + mb1 create
     before = backend.snapshot()
     _read_all(backend, ntasks, collectsize=collectsize)
-    assert dict(backend.stats.calls)["gather_read"] == 3  # one prefetch each
+    assert backend.calls()["gather_read"] == 3  # one prefetch each
     # Collector handles + the set load, which opens the one file once.
     assert backend.snapshot()["opens"] - before["opens"] == 3 + 1
 
@@ -197,7 +197,7 @@ def test_handle_surface_and_flush_collective():
         f.fwrite(_payload(comm.rank, 300))
         f.flush_collective()  # explicit early wave
         comm.barrier()  # both collectors' waves done before sampling
-        waves_after_flush = backend.stats.calls.get("scatter_write", 0)
+        waves_after_flush = backend.calls().get("scatter_write", 0)
         comm.barrier()  # every rank sampled before any group's final wave
         f.fwrite(_payload(comm.rank, 600)[300:])
         f.parclose()
@@ -210,7 +210,7 @@ def test_handle_surface_and_flush_collective():
     assert [o[2] for o in out] == [0, 0, 2, 2]
     assert all(o[3] == 2 for o in out)  # both collectors flushed early
     # Two waves per collector in total.
-    assert backend.stats.calls["scatter_write"] == 4
+    assert backend.calls()["scatter_write"] == 4
     assert _read_all(backend, 4, path="/s/w.sion") == [
         _payload(r, 600) for r in range(4)
     ]

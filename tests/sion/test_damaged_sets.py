@@ -26,6 +26,7 @@ import asyncio
 import pathlib
 import re
 import struct
+import time
 import tracemalloc
 
 import pytest
@@ -319,6 +320,40 @@ def test_hostile_count_fields_load_in_bounded_memory(store):
     load.close()
     assert load.findings[0].startswith(f"{fpath}: bad metablock 1: truncated")
     assert peak < 2 * (16 << 20)
+
+
+def _hostile_nfiles(backend, path):
+    # File 0 claims 2^20 files of two tasks each: self-consistent, so the
+    # count checks pass, but a load sized by the claim probes 2^20 files.
+    _rewrite_mb1(backend, path, nfiles=2**20, ntasks_global=2**21)
+
+
+@pytest.mark.parametrize("surface", [*STRICT, "sionverify", "recover_multifile"])
+def test_hostile_nfiles_costs_what_is_on_disk(store, surface):
+    """A load stops at the first missing file: file 1 disagrees, file 2 is
+    missing, and no surface probes the other 2^20 - 3 files."""
+    backend, base = store
+    path = f"{base}/a.sion"
+    _write(backend, path)
+    _hostile_nfiles(backend, path)
+    file1 = re.escape(physical_path(path, 1))
+    t0 = time.perf_counter()
+    if surface == "sionverify":
+        errors = verify_multifile(path, backend=backend).errors
+        assert re.match(rf"{file1}: disagrees with file 0: nfiles is 2, expected 1048576",
+                        errors[0])
+        assert errors[1:] == [
+            f"{physical_path(path, 2)}: missing: no such file; the load stops here: "
+            "files 3..1048575 are not probed"
+        ]
+    elif surface == "recover_multifile":
+        with pytest.raises(SionMetadataLostError, match=file1):
+            recover_multifile(path, backend=backend)
+    else:
+        exc = _strict_error(lambda: STRICT[surface](backend, path))
+        assert type(exc) is SionFormatError, repr(exc)
+        assert re.match(rf"{file1}: disagrees with file 0: nfiles is 2", str(exc)), str(exc)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -1,41 +1,35 @@
-"""Fault plans fired through the SION layer: engines × open paths.
+"""Failures fired through the SION layer: engines × open paths.
 
-The contract under test: a scripted fault surfaces as a clean
+The in-flight contract: rank *r* raising at its call *k*
+(``Journal(inner, fail_at=(r, k))``) surfaces as a clean
 :class:`SpmdWorkerError` carrying :class:`FaultInjectedError` for exactly
-the targeted rank (never a hang, never a mangled traceback), identically
-under the ``threads`` and ``bulk`` engines (and ``proc``, over the real
-FS), and across the direct, collective, serial, and partitioned open
-paths.  The silent faults (dropped metablock 2, corrupted shadow header)
-leave damage that ``recover_multifile`` repairs — run on the *clean*
-inner backend, since an armed plan would swallow recovery's own
-metablock-2 write just as faithfully.
+that rank (never a hang, never a mangled traceback), identically under
+the ``threads`` and ``bulk`` engines (and ``proc``, over the real FS),
+and across the direct, collective, serial, and partitioned open paths.
+The call to fail is read off a clean recording of the same cycle.
+
+The silent failures are crash states cut from one recorded cycle: a
+close that lost its metablock-2 writes, and that state with one shadow
+header garbled.  ``recover_multifile`` repairs them on a fresh store.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backends import FaultInjectingBackend, FaultPlan
+from repro.backends.journal import Journal, replay, without_close_writes
 from repro.backends.localfs import LocalBackend
-from repro.backends.simfs_backend import SimBackend
 from repro.errors import FaultInjectedError, SpmdWorkerError
-from repro.fs.simfs import SimFS
 from repro.sion import paropen, recover_multifile, serial
 from repro.simmpi import run_spmd
 from repro.utils.verify import verify_multifile
-from tests.conftest import TEST_BLKSIZE
+from tests.conftest import TEST_BLKSIZE, flip_shadow_magic, fresh_sim
 
 ENGINES = ("threads", "bulk")
 
 
 def _payload(rank: int, n: int) -> bytes:
     return bytes((rank * 13 + i) % 256 for i in range(n))
-
-
-def _faulty(plan: FaultPlan) -> FaultInjectingBackend:
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/scratch")
-    return FaultInjectingBackend(SimBackend(fs), plan)
 
 
 def _write_task(path, be, size=700, **kw):
@@ -48,58 +42,60 @@ def _write_task(path, be, size=700, **kw):
     return task
 
 
-# -- kill_rank across engines and open paths ---------------------------------
+def _call_of(nprocs: int, path: str, rank: int, op: str, **kw) -> int:
+    """``rank``'s call number of its first ``op`` in a clean recording."""
+    be = Journal(fresh_sim())
+    run_spmd(nprocs, _write_task(path, be, **kw), engine="bulk")
+    mine = [row.op for row in be.rows if row.rank == rank]
+    return mine.index(op)
+
+
+# -- rank r raises at its call k: engines and open paths ------------------------
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_kill_rank_direct_path(engine):
-    be = _faulty(FaultPlan().kill_rank(2, after_bytes=100))
+    k = _call_of(4, "/scratch/k.sion", 2, "scatter_write")
+    be = Journal(fresh_sim(), (2, k))
     with pytest.raises(SpmdWorkerError) as exc_info:
         run_spmd(4, _write_task("/scratch/k.sion", be), engine=engine)
+    assert set(exc_info.value.failures) == {2}
     assert isinstance(exc_info.value.failures[2], FaultInjectedError)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_kill_rank_collective_path(engine):
-    # Only collectors do physical I/O in collective mode: target rank 0,
-    # the collector of the first group.
-    be = _faulty(FaultPlan().kill_rank(0, after_bytes=100))
+    # Only collectors do physical I/O in collective mode: fail rank 0, the
+    # collector of the first group, at its wave write.
+    k = _call_of(4, "/scratch/kc.sion", 0, "scatter_write", collectsize=2)
+    be = Journal(fresh_sim(), (0, k))
     with pytest.raises(SpmdWorkerError) as exc_info:
-        run_spmd(
-            4,
-            _write_task("/scratch/kc.sion", be, collectsize=2),
-            engine=engine,
-        )
+        run_spmd(4, _write_task("/scratch/kc.sion", be, collectsize=2), engine=engine)
     assert isinstance(exc_info.value.failures[0], FaultInjectedError)
 
 
 def test_kill_rank_proc_engine(tmp_path):
-    """The wrapped LocalBackend pickles; the plan fires in a real child."""
-    be = FaultInjectingBackend(
-        LocalBackend(blocksize_override=TEST_BLKSIZE),
-        FaultPlan().kill_rank(1, after_bytes=10),
-    )
+    """The journal over a LocalBackend pickles; the failure fires in a real child."""
+    be = Journal(LocalBackend(blocksize_override=TEST_BLKSIZE), (1, 1))
     with pytest.raises(SpmdWorkerError) as exc_info:
-        run_spmd(
-            3, _write_task(str(tmp_path / "kp.sion"), be), engine="proc"
-        )
+        run_spmd(3, _write_task(str(tmp_path / "kp.sion"), be), engine="proc")
+    assert set(exc_info.value.failures) == {1}
     assert isinstance(exc_info.value.failures[1], FaultInjectedError)
 
 
 def test_kill_rank_serial_path():
-    """Serial opens are single-process: the fault surfaces directly."""
-    be = _faulty(FaultPlan().kill_rank(0, after_bytes=0))
-    run_spmd(2, _write_task("/scratch/s.sion", FaultInjectingBackend(be.inner)))
+    """Serial opens are single-process: the failure surfaces directly."""
+    be = Journal(fresh_sim(), (0, 0))
+    run_spmd(2, _write_task("/scratch/s.sion", Journal(be.inner)))
     with pytest.raises(FaultInjectedError):
         serial.open("/scratch/s.sion", "r", backend=be.for_rank(0))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_kill_rank_partitioned_read_path(engine):
-    """Read-side traffic charges the budget too: a reader rank dies."""
-    be = _faulty(FaultPlan().kill_rank(1, after_bytes=64))
-    # Write the container cleanly through an empty plan.
-    run_spmd(4, _write_task("/scratch/p.sion", FaultInjectingBackend(be.inner)))
+    """Read-side calls count too: a reader rank dies at its read."""
+    be = Journal(fresh_sim(), (1, 1))
+    run_spmd(4, _write_task("/scratch/p.sion", Journal(be.inner)))
 
     def read_task(comm):
         f = paropen("/scratch/p.sion", "r", comm, partitioned=True,
@@ -110,17 +106,15 @@ def test_kill_rank_partitioned_read_path(engine):
 
     with pytest.raises(SpmdWorkerError) as exc_info:
         run_spmd(2, read_task, engine=engine)
+    assert set(exc_info.value.failures) == {1}
     assert isinstance(exc_info.value.failures[1], FaultInjectedError)
-
-
-# -- tear_scatter ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_tear_scatter_direct_path(engine):
-    be = _faulty(
-        FaultPlan().tear_scatter("/scratch/t.sion", keep_fragments=1, rank=1)
-    )
+    """A rank's vectored chunk write fails mid-cycle, before the store."""
+    k = _call_of(3, "/scratch/t.sion", 1, "scatter_write")
+    be = Journal(fresh_sim(), (1, k))
     with pytest.raises(SpmdWorkerError) as exc_info:
         run_spmd(3, _write_task("/scratch/t.sion", be), engine=engine)
     assert isinstance(exc_info.value.failures[1], FaultInjectedError)
@@ -128,37 +122,35 @@ def test_tear_scatter_direct_path(engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_tear_scatter_collective_path(engine):
-    """A collection wave's vectored write tears on the collector."""
-    be = _faulty(FaultPlan().tear_scatter("/scratch/tc.sion"))
+    """A collection wave's vectored write fails on the collector."""
+    k = _call_of(4, "/scratch/tc.sion", 2, "scatter_write", collectsize=2)
+    be = Journal(fresh_sim(), (2, k))
     with pytest.raises(SpmdWorkerError) as exc_info:
-        run_spmd(
-            4,
-            _write_task("/scratch/tc.sion", be, collectsize=2),
-            engine=engine,
-        )
-    assert any(
-        isinstance(e, FaultInjectedError)
-        for e in exc_info.value.failures.values()
-    )
+        run_spmd(4, _write_task("/scratch/tc.sion", be, collectsize=2), engine=engine)
+    assert isinstance(exc_info.value.failures[2], FaultInjectedError)
 
 
-# -- silent faults + recovery ------------------------------------------------
+# -- crash states + recovery ---------------------------------------------------
+
+
+def _torn_close(path: str, nprocs: int = 4) -> tuple[Journal, list]:
+    """A recorded cycle and its rows less every close-time write."""
+    be = Journal(fresh_sim())
+    run_spmd(nprocs, _write_task(path, be))
+    return be, without_close_writes(be.rows)
 
 
 def test_drop_metablock2_then_shadow_recovery():
-    """The write 'succeeds'; the damage shows at verify; recovery repairs.
-
-    Recovery and readback run on the clean inner backend — through the
-    armed plan they would be swallowed exactly like the original close.
-    """
+    """The state a torn close leaves fails verify; recovery repairs it."""
     path = "/scratch/d.sion"
-    be = _faulty(FaultPlan().drop_metablock2(path))
-    run_spmd(4, _write_task(path, be))  # no exception: the fault is silent
-    assert not verify_multifile(path, backend=be.inner).ok
-    report = recover_multifile(path, backend=be.inner)
+    _, rows = _torn_close(path)
+    state = fresh_sim()
+    replay(rows, state)
+    assert not verify_multifile(path, backend=state).ok
+    report = recover_multifile(path, backend=state)
     assert report.files_recovered == 1
     assert report.bytes_recovered == 4 * 700
-    with serial.open(path, "r", backend=be.inner) as sf:
+    with serial.open(path, "r", backend=state) as sf:
         for r in range(4):
             assert sf.read_task(r) == _payload(r, 700)
 
@@ -171,41 +163,25 @@ def test_corrupt_chunk_header_shortens_recovered_chain():
     block=1) costs task 1 its 220-byte tail and nothing else.
     """
     path = "/scratch/c.sion"
-    be = _faulty(
-        FaultPlan()
-        .corrupt_chunk_header(path, ltask=1, block=1)
-        .drop_metablock2(path)
-    )
-    run_spmd(4, _write_task(path, be))
-    report = recover_multifile(path, backend=be.inner)
+    _, rows = _torn_close(path)
+    state = fresh_sim()
+    replay(flip_shadow_magic(rows, path, 1, 1), state)
+    report = recover_multifile(path, backend=state)
     assert report.bytes_recovered == 4 * 700 - 220
-    with serial.open(path, "r", backend=be.inner) as sf:
+    with serial.open(path, "r", backend=state) as sf:
         assert sf.read_task(1) == _payload(1, 700)[:480]
         assert sf.read_task(2) == _payload(2, 700)
 
 
-def test_recovery_through_armed_plan_swallows_its_own_repair():
-    """Documented sharp edge: recover on ``be.inner``, not the wrapper."""
-    path = "/scratch/a.sion"
-    be = _faulty(FaultPlan().drop_metablock2(path))
-    run_spmd(2, _write_task(path, be))
-    recover_multifile(path, backend=be)  # repair swallowed again
-    assert not verify_multifile(path, backend=be.inner).ok
-    recover_multifile(path, backend=be.inner)
-    assert verify_multifile(path, backend=be.inner).ok
-
-
-# -- cross-engine determinism ------------------------------------------------
+# -- cross-engine determinism --------------------------------------------------
 
 
 def test_same_plan_same_failing_ranks_across_engines():
     observed = {}
     for engine in ENGINES:
-        be = _faulty(FaultPlan().kill_rank(3, after_bytes=256))
+        be = Journal(fresh_sim(), (3, 2))
         with pytest.raises(SpmdWorkerError) as exc_info:
-            run_spmd(
-                5, _write_task("/scratch/x.sion", be), engine=engine
-            )
+            run_spmd(5, _write_task("/scratch/x.sion", be), engine=engine)
         observed[engine] = {
             r
             for r, e in exc_info.value.failures.items()

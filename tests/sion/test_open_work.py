@@ -38,7 +38,7 @@ FSBLK = 1024
 PINS = {
     "direct-1": {"write": (21, 55, 2), "read": (25, 27, 1)},
     "direct-2": {"write": (31, 96, 3), "read": (25, 27, 1)},
-    "collective": {"write": (42, 138, 4)},
+    "collective": {"write": (45, 138, 4)},
     "partitioned": {"read": (40, 26, 1)},
     "prefetch": {"read": (84, 82, 3)},
 }
