@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""MP2C-style particle simulation with checkpoint/restart (paper §5.1).
+"""MP2C-style checkpoint/restart I/O (paper §5.1).
 
-Runs the multi-particle collision dynamics mini-app on 16 SPMD tasks,
-checkpoints through all three I/O methods — SIONlib, task-local files, and
-the single-file-sequential baseline MP2C originally used — and compares
-what lands on disk.
+Runs the particle mini-app on 16 SPMD tasks — each step moves every
+particle and migrates it to the task owning its new position — restarts
+from its SION checkpoint, then writes a checkpoint through all three I/O
+methods — SIONlib, task-local files, and the single-file-sequential
+baseline MP2C originally used — and compares what lands on disk.
 
 Run:  python examples/checkpoint_restart.py
 """
@@ -30,15 +31,13 @@ def main():
         checkpoint_every=4,
         checkpoint_path=os.path.join(workdir, "restart.sion"),
         checkpoint_method="sion",
-        md_chains=2,  # a couple of bead-spring polymers per task
     )
 
     print(f"running MP2C mini-app: {NTASKS} tasks x {PARTICLES_PER_TASK} particles")
     results = simmpi.run_spmd(NTASKS, run_simulation, cfg)
-    drift = max(r.momentum_drift for r in results)
-    print(f"  grid {results[0].diagnostics['grid']}, "
-          f"momentum drift {drift:.2e} (SRD conserves exactly)")
-    assert drift < 1e-8
+    grid = DomainDecomposition.for_tasks(NTASKS, cfg.box).grid
+    print(f"  grid {grid}, {cfg.nsteps} steps, "
+          f"{sum(r.state.n for r in results)} particles after migration")
 
     ckpt = cfg.checkpoint_path + ".step000008"
     n_files = len(os.listdir(workdir))

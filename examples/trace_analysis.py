@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Scalasca-style tracing and wait-state analysis (paper §5.2, Fig. 7).
+"""Scalasca-style trace I/O and wait-state analysis (paper §5.2, Fig. 7).
 
-An SMG2000-like synthetic workload with an injected load imbalance is
-traced on 16 SPMD tasks; each task's events go to its logical task-local
-trace inside a SION multifile (zlib-compressed, chunk size = buffer
-capacity — the exact configuration the paper describes).  The parallel
-analyzer then loads the traces postmortem and quantifies the Late Sender
-wait states the imbalance caused.
+The trace I/O is what Table 2 measures: an SMG2000-like synthetic
+workload with an injected load imbalance is traced on 16 SPMD tasks, and
+each task's events go to its logical task-local trace inside a SION
+multifile (zlib-compressed, chunk size = buffer capacity — the exact
+configuration the paper describes).  The parallel analyzer then reads the
+traces back postmortem and checks that the Late Sender wait states it
+finds blame only the injected slow ranks.
 
 Run:  python examples/trace_analysis.py
 """
@@ -16,9 +17,7 @@ import tempfile
 
 from repro import simmpi
 from repro.apps.scalasca.analyzer import analyze_barriers, analyze_traces
-from repro.apps.scalasca.profile import profile_traces
 from repro.apps.scalasca.smg2000 import (
-    REGION_RELAX,
     SMG2000Config,
     generate_smg2000_trace,
     is_imbalanced,
@@ -42,8 +41,7 @@ def trace_and_analyze(comm, path, cfg):
     # Postmortem parallel analysis over the same task count.
     result = analyze_traces(comm, path, method="sion")
     barriers = analyze_barriers(comm, path, method="sion")
-    profile = profile_traces(comm, path, method="sion")
-    return stats, result, barriers, profile
+    return stats, result, barriers
 
 
 def main():
@@ -53,10 +51,9 @@ def main():
                         imbalance=0.8, imbalanced_fraction=0.25, seed=11)
 
     out = simmpi.run_spmd(NTASKS, trace_and_analyze, path, cfg)
-    stats = [s for s, _, _, _ in out]
+    stats = [s for s, _, _ in out]
     result = out[0][1]
     barriers = out[0][2]
-    profile = out[0][3]
 
     raw = sum(s.uncompressed_bytes for s in stats)
     disk = sum(s.written_bytes for s in stats)
@@ -83,15 +80,6 @@ def main():
         print("  -> near zero: the halo exchanges already absorbed the "
               "imbalance before each barrier (every rank neighbours a slow "
               "one) — the waiting shows up as Late Sender instead")
-
-    relax = profile.regions[REGION_RELAX]
-    print("\nregion profile (RELAX sweep):")
-    print(f"  exclusive time: min {relax.min_exclusive * 1e3:.2f} ms  "
-          f"max {relax.max_exclusive * 1e3:.2f} ms  "
-          f"imbalance {relax.imbalance:.2f}x")
-    worst = profile.most_imbalanced()
-    assert worst is not None and worst.region == REGION_RELAX
-    print("  -> the profile pinpoints the RELAX sweep as the imbalanced region")
 
 
 if __name__ == "__main__":

@@ -18,8 +18,10 @@ Packages
     The two traditional approaches the paper compares against:
     multiple-file-parallel and single-file-sequential.
 ``repro.apps``
-    Use-case applications: the MP2C-like particle code and the
-    Scalasca-like tracing/analysis toolchain.
+    The paper's use cases, kept for their I/O: an MP2C-like particle
+    mini-app whose particles move and migrate between checkpoints (§5.1
+    restart files), and a Scalasca-like tracer, workload and wait-state
+    analyzer (§5.2 trace files).
 ``repro.workloads`` / ``repro.analysis``
     Experiment scenario generators and result/reporting helpers for every
     table and figure of the paper's evaluation.

@@ -70,11 +70,6 @@ class DomainDecomposition:
         z = rank // (gx * gy)
         return x, y, z
 
-    def rank_of_coords(self, x: int, y: int, z: int) -> int:
-        """Inverse of :meth:`coords_of` (coordinates taken modulo grid)."""
-        gx, gy, gz = self.grid
-        return (x % gx) + (y % gy) * gx + (z % gz) * gx * gy
-
     def bounds_of(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned ``(lo, hi)`` corners of ``rank``'s domain."""
         x, y, z = self.coords_of(rank)

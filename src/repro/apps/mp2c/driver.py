@@ -1,22 +1,18 @@
 """Runnable MP2C-like simulation loop with periodic checkpointing.
 
-Ties the pieces together the way the real code does: domain decomposition,
-SRD solvent steps, optional MD solute integration, particle migration, and
-checkpoint/restart through a selectable I/O method.
+Each step moves every particle ballistically (``pos += vel * dt``) and
+migrates it to the task owning its new position, so the checkpoint I/O
+runs against a state that changes and moves between tasks.  Checkpoints
+go through a selectable I/O method.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.apps.mp2c.checkpoint import write_restart
 from repro.apps.mp2c.decomposition import DomainDecomposition, migrate
-from repro.apps.mp2c.md import BondedSystem, velocity_verlet
-from repro.apps.mp2c.observables import rescale_to_temperature, temperature
 from repro.apps.mp2c.particles import ParticleState
-from repro.apps.mp2c.srd import srd_step
 from repro.backends.base import Backend
 from repro.errors import ReproError
 from repro.simmpi.comm import Comm
@@ -29,71 +25,49 @@ class SimulationConfig:
     particles_per_task: int = 1000
     box: tuple[float, float, float] = (16.0, 16.0, 16.0)
     dt: float = 0.1
-    cell_size: float = 1.0
     nsteps: int = 10
     checkpoint_every: int = 0  # 0 = never
     checkpoint_path: str = "restart.sion"
     checkpoint_method: str = "sion"
     checkpoint_nfiles: int = 1
-    md_chains: int = 0  # polymer chains per task, integrated with MD
-    md_beads: int = 4
-    thermostat_every: int = 0  # 0 = off; else rescale every N steps
-    target_temperature: float = 1.0
     seed: int = 42
 
 
 @dataclass
 class SimulationResult:
-    """Per-task outcome: final state plus conservation diagnostics."""
+    """Per-task outcome: final state and how much was run."""
 
     state: ParticleState
-    momentum_drift: float
     checkpoints_written: int
     steps_run: int
-    kinetic_energy: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
 
 
 def run_simulation(
     comm: Comm, config: SimulationConfig, backend: Backend | None = None
 ) -> SimulationResult:
-    """SPMD entry point: run ``config.nsteps`` SRD(+MD) steps.
+    """SPMD entry point: run ``config.nsteps`` steps, checkpointing on schedule.
 
-    Collective over ``comm``.  Returns each task's result; global momentum
-    drift is computed collectively and must stay at machine precision
-    (SRD collisions conserve momentum exactly).
+    Collective over ``comm``.  Each task starts with
+    ``config.particles_per_task`` particles inside its own domain; the
+    checkpoint written at step ``s`` goes to
+    ``f"{config.checkpoint_path}.step{s:06d}"``.
     """
     if config.nsteps < 0:
         raise ReproError("nsteps must be non-negative")
     decomp = DomainDecomposition.for_tasks(comm.size, config.box)
-    rng = np.random.default_rng(config.seed + 1000 * comm.rank)
+    lo, hi = decomp.bounds_of(comm.rank)
     state = ParticleState.random(
         config.particles_per_task,
-        _domain_extent(decomp, comm.rank),
+        tuple(float(e) for e in hi - lo),
         seed=config.seed + comm.rank,
         id_offset=comm.rank * config.particles_per_task,
     )
-    state = ParticleState(state.ids, state.pos + decomp.bounds_of(comm.rank)[0], state.vel)
-    bonded = (
-        BondedSystem.chains(config.md_chains, config.md_beads)
-        if config.md_chains > 0
-        else None
-    )
+    state = ParticleState(state.ids, state.pos + lo, state.vel)
 
-    initial_momentum = np.asarray(comm.allreduce(state.momentum))
     checkpoints = 0
     for step in range(1, config.nsteps + 1):
-        state = srd_step(state, config.dt, config.cell_size, rng=rng)
-        if bonded is not None and state.n >= config.md_chains * config.md_beads:
-            # Integrate the first chains' beads as bonded solute.
-            nb = config.md_chains * config.md_beads
-            solute = ParticleState(state.ids[:nb], state.pos[:nb], state.vel[:nb])
-            solute = velocity_verlet(solute, bonded, config.dt)
-            state.pos[:nb] = solute.pos
-            state.vel[:nb] = solute.vel
+        state = ParticleState(state.ids, state.pos + state.vel * config.dt, state.vel)
         state = migrate(comm, decomp, state)
-        if config.thermostat_every and step % config.thermostat_every == 0:
-            state = rescale_to_temperature(state, config.target_temperature)
         if config.checkpoint_every and step % config.checkpoint_every == 0:
             write_restart(
                 comm,
@@ -105,25 +79,6 @@ def run_simulation(
             )
             checkpoints += 1
 
-    final_momentum = np.asarray(comm.allreduce(state.momentum))
-    drift = float(np.abs(final_momentum - initial_momentum).max())
     return SimulationResult(
-        state=state,
-        momentum_drift=drift,
-        checkpoints_written=checkpoints,
-        steps_run=config.nsteps,
-        kinetic_energy=state.kinetic_energy,
-        diagnostics={
-            "grid": decomp.grid,
-            "local_particles": state.n,
-            "temperature": temperature(state),
-        },
+        state=state, checkpoints_written=checkpoints, steps_run=config.nsteps
     )
-
-
-def _domain_extent(
-    decomp: DomainDecomposition, rank: int
-) -> tuple[float, float, float]:
-    lo, hi = decomp.bounds_of(rank)
-    ext = hi - lo
-    return float(ext[0]), float(ext[1]), float(ext[2])

@@ -3,7 +3,8 @@
 The paper notes MP2C stores **52 bytes per particle** in its restart
 files; we use the natural encoding that produces exactly that:
 ``uint32`` particle id + 3 x ``float64`` position + 3 x ``float64``
-velocity = 4 + 24 + 24 = 52 bytes.
+velocity = 4 + 24 + 24 = 52 bytes, packed little-endian in that order
+(one :data:`RECORD_DTYPE` row, the bytes of ``struct.pack("<I3d3d", ...)``).
 """
 
 from __future__ import annotations
@@ -14,11 +15,16 @@ import numpy as np
 
 from repro.errors import ReproError
 
-#: Bytes per particle in a restart record (paper §5.1).
-RECORD_BYTES = 52
-
 _ID_DTYPE = np.dtype("<u4")
 _COORD_DTYPE = np.dtype("<f8")
+
+#: One packed restart record: id, position, velocity.
+RECORD_DTYPE = np.dtype(
+    [("id", _ID_DTYPE), ("pos", _COORD_DTYPE, (3,)), ("vel", _COORD_DTYPE, (3,))]
+)
+
+#: Bytes per particle in a restart record (paper §5.1).
+RECORD_BYTES = RECORD_DTYPE.itemsize
 
 
 @dataclass
@@ -33,9 +39,11 @@ class ParticleState:
     vel: np.ndarray
 
     def __post_init__(self) -> None:
-        self.ids = np.ascontiguousarray(self.ids, dtype=_ID_DTYPE)
-        self.pos = np.ascontiguousarray(self.pos, dtype=_COORD_DTYPE)
-        self.vel = np.ascontiguousarray(self.vel, dtype=_COORD_DTYPE)
+        # Copies what is not a C-contiguous, aligned, writeable array, which
+        # includes every field of a record buffer read from a file.
+        self.ids = np.require(self.ids, _ID_DTYPE, "CAW")
+        self.pos = np.require(self.pos, _COORD_DTYPE, "CAW")
+        self.vel = np.require(self.vel, _COORD_DTYPE, "CAW")
         n = len(self.ids)
         if self.pos.shape != (n, 3) or self.vel.shape != (n, 3):
             raise ReproError(
@@ -47,16 +55,6 @@ class ParticleState:
     def n(self) -> int:
         """Number of particles held."""
         return len(self.ids)
-
-    @property
-    def momentum(self) -> np.ndarray:
-        """Total momentum (unit masses)."""
-        return self.vel.sum(axis=0)
-
-    @property
-    def kinetic_energy(self) -> float:
-        """Total kinetic energy (unit masses)."""
-        return 0.5 * float((self.vel**2).sum())
 
     # -- constructors -------------------------------------------------------
 
@@ -113,12 +111,9 @@ class ParticleState:
 
     def to_records(self) -> bytes:
         """Pack into the 52-byte-per-particle restart format."""
-        out = bytearray(self.n * RECORD_BYTES)
-        view = np.frombuffer(out, dtype=np.uint8).reshape(self.n, RECORD_BYTES)
-        view[:, :4] = self.ids.view(np.uint8).reshape(self.n, 4)
-        view[:, 4:28] = self.pos.view(np.uint8).reshape(self.n, 24)
-        view[:, 28:52] = self.vel.view(np.uint8).reshape(self.n, 24)
-        return bytes(out)
+        rec = np.empty(self.n, dtype=RECORD_DTYPE)
+        rec["id"], rec["pos"], rec["vel"] = self.ids, self.pos, self.vel
+        return rec.tobytes()
 
     @classmethod
     def from_records(cls, raw: bytes) -> "ParticleState":
@@ -128,12 +123,8 @@ class ParticleState:
                 f"restart data length {len(raw)} is not a multiple of "
                 f"{RECORD_BYTES}"
             )
-        n = len(raw) // RECORD_BYTES
-        view = np.frombuffer(bytearray(raw), dtype=np.uint8).reshape(n, RECORD_BYTES)
-        ids = view[:, :4].copy().view(_ID_DTYPE).reshape(n)
-        pos = view[:, 4:28].copy().view(_COORD_DTYPE).reshape(n, 3)
-        vel = view[:, 28:52].copy().view(_COORD_DTYPE).reshape(n, 3)
-        return cls(ids=ids, pos=pos, vel=vel)
+        rec = np.frombuffer(raw, dtype=RECORD_DTYPE)
+        return cls(ids=rec["id"], pos=rec["pos"], vel=rec["vel"])
 
 
 def equal_states(a: ParticleState, b: ParticleState) -> bool:

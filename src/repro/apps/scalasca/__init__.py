@@ -14,13 +14,14 @@ The toolchain mirrors Fig. 7 of the paper:
    late-sender wait states.
 
 Table 2's "measurement activation" is step 2's file creation plus tracer
-initialization.
+initialization.  The workload and the analyzer exist to produce and read
+back that I/O: the analyzer's late-sender search finds the imbalance the
+workload injects.
 """
 
 from repro.apps.scalasca.events import Event, EventKind, decode_events, encode_events
 from repro.apps.scalasca.tracer import Tracer, TraceExperiment
 from repro.apps.scalasca.analyzer import analyze_traces, AnalysisResult
-from repro.apps.scalasca.profile import profile_events, profile_traces, ProfileResult
 from repro.apps.scalasca.smg2000 import generate_smg2000_trace
 
 __all__ = [
@@ -32,8 +33,5 @@ __all__ = [
     "TraceExperiment",
     "analyze_traces",
     "AnalysisResult",
-    "profile_events",
-    "profile_traces",
-    "ProfileResult",
     "generate_smg2000_trace",
 ]

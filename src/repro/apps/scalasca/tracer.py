@@ -19,7 +19,13 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from repro.apps.scalasca.events import Event, EventKind, decode_events, encode_events
+from repro.apps.scalasca.events import (
+    RECORD_BYTES,
+    Event,
+    EventKind,
+    decode_events,
+    encode_events,
+)
 from repro.backends.base import Backend
 from repro.baselines.tasklocal import task_local_path
 from repro.errors import SionUsageError
@@ -88,8 +94,6 @@ class Tracer:
         self._record(Event(EventKind.BARRIER_EXIT, barrier_id, timestamp=self._clock))
 
     def _record(self, event: Event) -> None:
-        from repro.apps.scalasca.events import RECORD_BYTES
-
         if self._bytes + RECORD_BYTES > self.capacity:
             # Real tracers flush or drop; we drop and count, keeping the
             # buffer bound honest.

@@ -32,9 +32,13 @@ class TestFactor3:
 class TestDecomposition:
     def test_coords_roundtrip(self):
         d = DomainDecomposition(box=(8.0, 8.0, 8.0), grid=(4, 2, 1))
-        for r in range(8):
-            x, y, z = d.coords_of(r)
-            assert d.rank_of_coords(x, y, z) == r
+        coords = [d.coords_of(r) for r in range(8)]
+        assert coords[:5] == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0)]
+        assert len(set(coords)) == 8  # x fastest, one rank per grid cell
+        for r, (x, y, z) in enumerate(coords):
+            lo, hi = d.bounds_of(r)
+            assert lo.tolist() == [2.0 * x, 4.0 * y, 0.0]
+            assert hi.tolist() == [2.0 * x + 2.0, 4.0 * y + 4.0, 8.0]
 
     def test_bounds_tile_the_box(self):
         d = DomainDecomposition.for_tasks(8, (8.0, 6.0, 4.0))

@@ -1,10 +1,12 @@
 """MP2C driver and checkpoint/restart across all three I/O methods."""
 
+import numpy as np
 import pytest
 
 from repro.apps.mp2c import (
     SimulationConfig,
     read_restart,
+    read_restart_any,
     run_simulation,
     write_restart,
 )
@@ -19,13 +21,27 @@ def _collect(results):
 
 
 class TestDriver:
+    """I/O properties of a run: the state moves, and what is written reads back."""
+
     def test_conservation_over_run(self, any_backend):
         backend, base = any_backend
         cfg = SimulationConfig(particles_per_task=150, nsteps=5)
         results = run_spmd(8, run_simulation, cfg, backend=backend)
-        assert max(r.momentum_drift for r in results) < 1e-9
-        assert sum(r.state.n for r in results) == 8 * 150
+        ids = np.sort(np.concatenate([r.state.ids for r in results]))
+        assert np.array_equal(ids, np.arange(8 * 150))
         assert all(r.steps_run == 5 for r in results)
+
+    def test_particles_end_on_their_owners(self, any_backend):
+        backend, base = any_backend
+        cfg = SimulationConfig(particles_per_task=150, nsteps=5)
+        results = run_spmd(8, run_simulation, cfg, backend=backend)
+        decomp = DomainDecomposition.for_tasks(8, cfg.box)
+        assert decomp.grid == (2, 2, 2)
+        for rank, r in enumerate(results):
+            assert (decomp.owner_of(r.state.pos) == rank).all()
+        # Rank r starts with ids [r * 150, (r + 1) * 150): some must have moved.
+        moved = sum(int((r.state.ids // 150 != rank).sum()) for rank, r in enumerate(results))
+        assert moved > 0
 
     def test_checkpoints_written_on_schedule(self, any_backend):
         backend, base = any_backend
@@ -40,17 +56,32 @@ class TestDriver:
         for step in (2, 4, 6):
             assert backend.exists(f"{base}/drv.sion.step{step:06d}")
 
-    def test_md_coupling_keeps_conservation(self, any_backend):
+    @pytest.mark.parametrize(
+        "readers,read",
+        [
+            pytest.param(4, read_restart, id="same-count"),
+            pytest.param(3, read_restart_any, id="other-count"),
+        ],
+    )
+    def test_last_checkpoint_reads_back_as_final_state(self, any_backend, readers, read):
         backend, base = any_backend
-        cfg = SimulationConfig(particles_per_task=100, nsteps=4, md_chains=3)
+        cfg = SimulationConfig(
+            particles_per_task=80,
+            nsteps=4,
+            checkpoint_every=2,
+            checkpoint_path=f"{base}/last.sion",
+            checkpoint_nfiles=2,
+        )
         results = run_spmd(4, run_simulation, cfg, backend=backend)
-        assert max(r.momentum_drift for r in results) < 1e-8
-
-    def test_grid_reported(self, any_backend):
-        backend, base = any_backend
-        cfg = SimulationConfig(particles_per_task=10, nsteps=1)
-        results = run_spmd(8, run_simulation, cfg, backend=backend)
-        assert results[0].diagnostics["grid"] == (2, 2, 2)
+        path = f"{base}/last.sion.step000004"
+        restored = run_spmd(readers, lambda comm: read(comm, path, backend=backend))
+        if readers == 4:  # the same task count reads back rank for rank
+            for r, back in zip(results, restored):
+                assert equal_states(r.state, back)
+        assert equal_states(_collect(results), _collect(restored))
+        # Two checkpoints of a moving state differ.
+        earlier = run_spmd(4, read_restart, f"{base}/last.sion.step000002", "sion", backend)
+        assert not equal_states(_collect(results), _collect(earlier))
 
     def test_single_task_run(self, any_backend):
         backend, base = any_backend

@@ -1,5 +1,7 @@
 """Particle state and the 52-byte restart record."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,21 @@ def test_record_size_is_papers_52_bytes():
     assert len(s.to_records()) == 10 * 52
 
 
+def test_record_bytes_are_pinned():
+    """Field order and byte order of one record: id, pos, vel, little-endian."""
+    s = ParticleState(
+        np.array([0x01020304]),
+        np.array([[0.5, -1.25, 3.0]]),
+        np.array([[2.0**-30, 7.0, -0.0]]),
+    )
+    raw = struct.pack("<I3d3d", 0x01020304, 0.5, -1.25, 3.0, 2.0**-30, 7.0, -0.0)
+    assert s.to_records() == raw
+    back = ParticleState.from_records(raw + raw)
+    assert back.ids.tolist() == [0x01020304] * 2
+    assert back.pos.tolist() == [[0.5, -1.25, 3.0]] * 2
+    assert back.vel.tolist() == [[2.0**-30, 7.0, -0.0]] * 2
+
+
 def test_records_roundtrip_exactly():
     s = ParticleState.random(100, (8.0, 8.0, 8.0), seed=3)
     back = ParticleState.from_records(s.to_records())
@@ -32,7 +49,7 @@ def test_bad_record_length_rejected():
 
 def test_random_state_has_zero_net_momentum():
     s = ParticleState.random(1000, (10.0, 10.0, 10.0), seed=5)
-    assert np.abs(s.momentum).max() < 1e-10
+    assert np.abs(s.vel.sum(axis=0)).max() < 1e-10
 
 
 def test_random_positions_inside_box():
@@ -74,12 +91,6 @@ def test_select_returns_copies():
 def test_inconsistent_arrays_rejected():
     with pytest.raises(ReproError):
         ParticleState(np.arange(3), np.zeros((2, 3)), np.zeros((3, 3)))
-
-
-def test_kinetic_energy_nonnegative():
-    s = ParticleState.random(100, (4.0, 4.0, 4.0), temperature=2.0, seed=6)
-    assert s.kinetic_energy > 0
-    assert ParticleState.empty().kinetic_energy == 0.0
 
 
 def test_equal_states_order_insensitive():
