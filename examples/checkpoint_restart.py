@@ -22,8 +22,7 @@ NTASKS = 16
 PARTICLES_PER_TASK = 500
 
 
-def main():
-    workdir = tempfile.mkdtemp(prefix="mp2c-")
+def main(workdir):
     cfg = SimulationConfig(
         particles_per_task=PARTICLES_PER_TASK,
         box=(16.0, 16.0, 16.0),
@@ -58,7 +57,8 @@ def main():
     from repro.apps.mp2c.checkpoint import write_restart
 
     for method in ("sion", "tasklocal", "singlefile"):
-        subdir = tempfile.mkdtemp(prefix=f"ck-{method}-")
+        subdir = os.path.join(workdir, f"ck-{method}")
+        os.mkdir(subdir)
 
         def write(comm, m=method, d=subdir):
             state = ParticleState.random(
@@ -74,4 +74,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="mp2c-") as tmp:
+        main(tmp)

@@ -27,8 +27,7 @@ def crashing_writer(comm, path):
     return len(payload)
 
 
-def main():
-    workdir = tempfile.mkdtemp(prefix="sion-crash-")
+def main(workdir):
     path = os.path.join(workdir, "doomed.sion")
 
     sizes = simmpi.run_spmd(NTASKS, crashing_writer, path)
@@ -56,4 +55,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="sion-crash-") as tmp:
+        main(tmp)

@@ -49,8 +49,7 @@ def program(comm, path):
     handle.parclose()
 
 
-def main():
-    workdir = tempfile.mkdtemp(prefix="hybrid-")
+def main(workdir):
     path = os.path.join(workdir, "joblog.sion")
 
     simmpi.run_spmd(NRANKS, program, path)
@@ -71,4 +70,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="hybrid-") as tmp:
+        main(tmp)

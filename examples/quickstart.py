@@ -37,8 +37,7 @@ def parallel_read(comm, path):
     return b"".join(parts)
 
 
-def main():
-    workdir = tempfile.mkdtemp(prefix="sion-quickstart-")
+def main(workdir):
     path = os.path.join(workdir, "data.sion")
 
     # 1. Parallel write: 8 logical task-local files -> ONE physical file.
@@ -68,4 +67,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="sion-quickstart-") as tmp:
+        main(tmp)

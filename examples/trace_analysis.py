@@ -44,8 +44,7 @@ def trace_and_analyze(comm, path, cfg):
     return stats, result, barriers
 
 
-def main():
-    workdir = tempfile.mkdtemp(prefix="scalasca-")
+def main(workdir):
     path = os.path.join(workdir, "traces.sion")
     cfg = SMG2000Config(ntasks=NTASKS, iterations=6, levels=3,
                         imbalance=0.8, imbalanced_fraction=0.25, seed=11)
@@ -83,4 +82,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="scalasca-") as tmp:
+        main(tmp)

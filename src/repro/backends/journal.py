@@ -3,10 +3,11 @@
 :class:`Journal` wraps any backend and appends one :class:`Row` per
 ``open`` and per ``RawFile`` call: its sequence number, the rank that
 made it, the path, the call, its per-fragment offsets and sizes and,
-for a write, the payload.  A payload is kept by the store's own rule
-(:func:`repro.fs.simfs._piece`): a view of an immutable ``bytes`` is
+for a write, the payload.  A payload is kept by the data plane's one
+rule (:func:`repro.buffers.keep`): a view of an immutable ``bytes`` is
 kept as that view, anything else as one ``bytes`` copy, so the journal
-never pins an application buffer.  Three things are built on the rows:
+never pins a mutable application buffer.  Three things are built on the
+rows:
 
 * **Counts.**  :class:`~repro.backends.instrument.CountingBackend` is a
   journal whose snapshot folds the rows into call, fragment and byte
@@ -47,7 +48,7 @@ import weakref
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.backends.base import Backend, ForwardingBackend, RawFile
-from repro.buffers import BufferLike, as_view
+from repro.buffers import BufferLike, as_view, keep
 from repro.errors import BackendUsageError, FaultInjectedError
 
 #: Calls that deliver payload bytes to the store.
@@ -109,13 +110,6 @@ class _Log:
         self.lock = threading.Lock()
         # An unpickled copy in the recording process must not replace it.
         _LIVE.setdefault(self.token, self)
-
-
-def _kept(view: memoryview) -> "bytes | memoryview":
-    """What a row keeps of one write fragment (the store's piece rule)."""
-    if type(view.obj) is bytes:
-        return view.obj if view.nbytes == len(view.obj) else view[:]
-    return view.tobytes()
 
 
 class Journal(ForwardingBackend):
@@ -195,7 +189,7 @@ class Journal(ForwardingBackend):
             if views and log.sources:
                 copied = sum(id(v.obj) not in log.sources for v in views)
             log.ncalls[self.rank] = log.ncalls.get(self.rank, 0) + 1
-            payload = tuple(_kept(v) for v in views) if self._keeps_payloads else ()
+            payload = tuple(map(keep, views)) if self._keeps_payloads else ()
             log.rows.append(
                 Row(len(log.rows), self.rank, path, op, offsets, sizes, payload, mode, copied)
             )

@@ -12,7 +12,8 @@ compared, so the suite has no committed baseline.
 * ``collective/write-wave[ntasks=N]`` — N tasks funnel one payload each
   through ``NCOLLECTORS`` collectors; exactly one ``scatter_write`` per
   collector must reach the store (plus the three metadata writes per
-  physical file).
+  physical file), and every payload must reach it uncopied: the only
+  copied fragments are the metadata writes the library builds.
 * ``collective/read-wave[ntasks=N]`` — the read-side mirror: one
   prefetching ``gather_read`` per collector, every task's payload
   round-tripped.
@@ -100,8 +101,12 @@ def _write_wave(ctx) -> ScenarioOutput:
     ntasks, ncoll = p["ntasks"], p["collectors"]
     collectsize = resolve_collectsize(None, ncoll, ntasks)
     backend = counting_backend()
+    payloads = [payload(rank, PAYLOAD) for rank in range(ntasks)]
+    for buf in payloads:
+        backend.track_source(buf)
     wall, geom = write_cycle(
-        backend, ntasks, p["engine"], nfiles=p["nfiles"], collectors=ncoll
+        backend, ntasks, p["engine"], nfiles=p["nfiles"], collectors=ncoll,
+        payloads=payloads,
     )
     pin(geom, expected_geometry(ntasks, CHUNKSIZE, FSBLK), "on-disk geometry")
     snap = backend.snapshot()
@@ -111,6 +116,11 @@ def _write_wave(ctx) -> ScenarioOutput:
         snap["data_write_calls"],
         ncoll + METADATA_WRITES_PER_FILE * p["nfiles"],
         "total backend write calls",
+    )
+    pin(
+        snap["copied_fragments"],
+        METADATA_WRITES_PER_FILE * p["nfiles"],
+        "copied fragments (the library-built metadata writes only)",
     )
     # One exec_once-guarded handle per collector plus the per-file
     # metablock-1 create.

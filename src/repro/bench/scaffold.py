@@ -70,9 +70,11 @@ def payload(rank: int, nbytes: int) -> bytes:
 
 
 def write_cycle(backend, ntasks, engine, *, nfiles=1, collectors=None,
-                chunksize=CHUNKSIZE, payload_bytes=PAYLOAD, path="/coll.sion"):
+                chunksize=CHUNKSIZE, payload_bytes=PAYLOAD, path="/coll.sion",
+                payloads=None):
     """One open/write/close cycle (collective iff ``collectors``).
 
+    Rank ``r`` writes ``payloads[r]`` if given, else :func:`payload`'s.
     Returns ``(wall_s, (start_of_data, metablock2_offset))``.
     """
     from repro.simmpi import run_spmd
@@ -83,7 +85,8 @@ def write_cycle(backend, ntasks, engine, *, nfiles=1, collectors=None,
             path, "w", comm, chunksize=chunksize, fsblksize=FSBLK,
             nfiles=nfiles, backend=backend, collectors=collectors,
         )
-        f.fwrite(payload(comm.rank, payload_bytes))
+        f.fwrite(payload(comm.rank, payload_bytes) if payloads is None
+                 else payloads[comm.rank])
         f.parclose()
         return (f.layout.start_of_data, f.mb1.metablock2_offset)
 

@@ -14,6 +14,13 @@ forwards a flat byte *view* of it instead of materializing intermediate
   byte-cast, so they are flattened with exactly **one** materializing
   copy at this entry boundary — never again further down.
 
+Whatever outlives the call that passed it — a store piece, a journal
+row, a collective-write fragment, a communicator deposit — is kept by
+:func:`keep`, the one lifetime rule of the data plane: a view of an
+immutable ``bytes`` is kept as that object or as a view of it (it can
+never change), and any other buffer is copied once.  A kept view pins the
+whole ``bytes`` for as long as the keeper holds it.
+
 The module is dependency-free on purpose: both ``repro.backends`` and
 ``repro.fs`` import it, and those two packages import each other.
 """
@@ -47,6 +54,20 @@ def as_view(data: BufferLike) -> memoryview:
             # Non-contiguous exporter: flatten once, here and only here.
             view = memoryview(view.tobytes())
     return view
+
+
+def keep(view: memoryview) -> "bytes | memoryview":
+    """What a layer keeps of ``view`` once the call that passed it returns.
+
+    A contiguous view of an immutable ``bytes`` is kept as that object when
+    it spans all of it, else as a new view of it (one the caller cannot
+    release); any other exporter may change later, so it is copied once,
+    as ``bytes`` (non-contiguous views flatten in C order).
+    """
+    obj = view.obj
+    if type(obj) is bytes and view.c_contiguous:
+        return obj if view.nbytes == len(obj) else view[:]
+    return view.tobytes()
 
 
 def concat_views(views: list[memoryview]) -> bytes:

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.buffers import as_view
+from repro.buffers import as_view, keep
 from repro.errors import (
     BackendUsageError,
     FileExistsSimError,
@@ -191,15 +191,10 @@ class SparseFile:
 
 
 def _piece(views: list[memoryview]) -> bytearray | bytes | memoryview:
-    """The piece one run is stored as: shared when it is one view of a
-    ``bytes``, else one exact-size copy."""
-    if len(views) == 1:
-        v = views[0]
-        if type(v.obj) is bytes:
-            # The whole object, or a view of the store's own: a caller
-            # that releases the view it passed cannot break the piece.
-            return v.obj if v.nbytes == len(v.obj) else v[:]
-        return bytearray(v)
+    """The piece one run is stored as: kept (:func:`~repro.buffers.keep`)
+    when it is one view of a ``bytes``, else one exact-size copy."""
+    if len(views) == 1 and type(views[0].obj) is bytes:
+        return keep(views[0])
     return bytearray().join(views)
 
 

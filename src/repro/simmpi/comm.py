@@ -15,15 +15,16 @@ safely between consecutive operations.
 
 **Payload contract** (MPI buffer semantics, normalized in
 :func:`_copy_payload`): mutable buffer-like payloads — NumPy arrays,
-``bytearray``, ``memoryview`` — are **snapshotted at deposit time**, so
+``bytearray``, views of them — are **snapshotted at deposit time**, so
 the sender may reuse or mutate its buffer the moment ``send``/``bcast``/…
 returns, and the receiver owns what it gets.  Arrays arrive as arrays and
-``bytearray`` as ``bytearray``; a ``memoryview`` (including views of
-arrays or of the zero-copy I/O path's staging buffers) arrives as
-immutable ``bytes`` — the view would otherwise dangle once the sender's
-buffer is reused, exactly the "silent conversion surprise" this contract
-pins down.  Everything else travels by reference, which is safe for the
-immutable metadata tuples the SION layer exchanges.
+``bytearray`` as ``bytearray``; a ``memoryview`` is kept by
+:func:`repro.buffers.keep`: a view of an immutable ``bytes`` travels as
+that view in-process and as ``bytes`` across processes, and a view of
+any other exporter (an array, the zero-copy I/O path's staging buffers)
+arrives as an immutable ``bytes`` snapshot.  Everything else travels by
+reference, which is safe for the immutable metadata tuples the SION
+layer exchanges.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.buffers import keep
 from repro.errors import (
     CollectiveMismatchError,
     CommAbortedError,
@@ -71,13 +73,12 @@ def _copy_payload(value: Any) -> Any:
 
     The type mapping is part of the public contract (see module
     docstring): ``ndarray -> ndarray`` (contiguous copy), ``bytearray ->
-    bytearray``, ``memoryview -> bytes`` (an immutable snapshot: the
-    receiver must never observe later mutations of the sender's
-    underlying buffer, and a live view would also pin — or break, once
-    resized — buffers like the coalescing writer's staging area).
-    Non-contiguous memoryviews flatten in C order, matching ``tobytes``.
-    Immutable payloads (ints, strings, bytes, tuples, ...) pass through
-    untouched via an exact-type fast path.
+    bytearray``, ``memoryview ->`` :func:`~repro.buffers.keep` — a view
+    of an immutable ``bytes`` travels as that view in-process and as
+    ``bytes`` across processes; any other view arrives as a ``bytes``
+    snapshot, since the receiver must never observe later mutations of
+    the sender's buffer.  Immutable payloads (ints, strings, bytes,
+    tuples, ...) pass through untouched via an exact-type fast path.
     """
     if value.__class__ in _IMMUTABLE_FAST:
         return value
@@ -86,7 +87,7 @@ def _copy_payload(value: Any) -> Any:
     if isinstance(value, bytearray):
         return bytearray(value)
     if isinstance(value, memoryview):
-        return value.tobytes()
+        return keep(value)
     return value
 
 
@@ -331,11 +332,11 @@ class Comm:
         The vectored gather behind collector-rank aggregation
         (:mod:`repro.sion.collective`): each rank contributes any number
         of buffer fragments, and ``root`` receives the rank-ordered list
-        of fragment tuples.  Every fragment is snapshotted at deposit per
-        the payload contract (``memoryview -> bytes``), so senders may
-        reuse their buffers the moment the call returns.  Non-root ranks
-        receive ``None``; under the bulk engine only the root blocks
-        (MPI-relaxed readiness).
+        of fragment tuples.  Every fragment is kept at deposit per the
+        payload contract (a view of ``bytes`` as that view, any other
+        buffer copied), so senders may reuse their buffers the moment the
+        call returns.  Non-root ranks receive ``None``; under the bulk
+        engine only the root blocks (MPI-relaxed readiness).
         """
         return self._to_root("gatherv", fragments, _copy_fragments, root, list)
 

@@ -31,9 +31,11 @@ Payload contract
 Everything crosses process boundaries **by value** (pickle) after the
 engine-wide :func:`~repro.simmpi.comm._copy_payload` normalization:
 arrays arrive as arrays, ``bytearray`` as ``bytearray``, ``memoryview``
-as immutable ``bytes``.  Identity is never preserved — two ranks can
-never share an object — which is the strictest reading of the MPI
-buffer semantics the other engines emulate.
+as immutable ``bytes`` — a view the in-process engines would pass on
+(one of a ``bytes``) is copied at the one pickle boundary,
+:func:`_by_value`, which every deposit and message crosses.  Identity is
+never preserved — two ranks can never share an object — which is the
+strictest reading of the MPI buffer semantics the other engines emulate.
 
 ``exec_once`` semantics
 -----------------------
@@ -97,6 +99,17 @@ _WORLD_ID = ("w",)
 
 #: Marks a hub reply in the control channel (never a valid local rank).
 _HUB = -1
+
+
+def _by_value(value: Any, depth: int = 2) -> Any:
+    """``value`` as it crosses the pickle boundary: every ``memoryview``
+    becomes ``bytes``, down to the two sequence levels at which the
+    deposit framings put payloads (a ``scatterv`` row's fragments)."""
+    if type(value) is memoryview:
+        return value.tobytes()
+    if depth and type(value) in (tuple, list):
+        return type(value)(_by_value(v, depth - 1) for v in value)
+    return value
 
 
 def default_start_method() -> str:
@@ -242,7 +255,7 @@ class ProcComm(Comm):
         routed through local rank 0 (the hub).  ``needs`` and ``shared``
         are moot: every rank waits for the hub's reply and reads its own,
         unpickled, copy of the deposits."""
-        value = frame(value)
+        value = _by_value(frame(value))
         group = self._group
         rt, cid, members = group.rt, group.id, group.members
         seq = rt.next_seq(cid)
@@ -296,7 +309,9 @@ class ProcComm(Comm):
 
     def _post(self, dest: int, tag: int, payload: Any) -> None:
         group = self._group
-        group.rt.post(group.members[dest], ("u", group.id, self._rank, tag, payload))
+        group.rt.post(
+            group.members[dest], ("u", group.id, self._rank, tag, _by_value(payload))
+        )
 
     def _match(self, source: int, tag: int) -> tuple[int, int, Any]:
         group = self._group

@@ -50,7 +50,7 @@ import bisect
 from operator import itemgetter
 
 from repro.backends.base import Backend, RawFile
-from repro.buffers import BufferLike, as_view
+from repro.buffers import BufferLike, as_view, keep
 from repro.errors import SionUsageError
 from repro.sion.constants import SHADOW_HEADER_SIZE
 from repro.sion.openspec import ReadPlan, ReplayGuardedFile, SionReadFile, open_guarded
@@ -59,22 +59,23 @@ from repro.simmpi.comm import Comm
 
 
 class _Tape:
-    """Records positioned writes as ``(offset, bytes)`` snapshots."""
+    """Records positioned writes as ``(offset, payload)`` pairs, each
+    payload kept by :func:`~repro.buffers.keep`."""
 
     def __init__(self) -> None:
-        self._fragments: list[tuple[int, bytes]] = []
+        self._fragments: list[tuple[int, bytes | memoryview]] = []
 
     def pwrite(self, offset: int, data: BufferLike) -> int:
         """Record one positioned write (an empty one records nothing)."""
         view = as_view(data)
         if view.nbytes:
-            self._fragments.append((offset, view.tobytes()))
+            self._fragments.append((offset, keep(view)))
         return view.nbytes
 
     def scatter_write(self, fragments) -> int:
         """Record a fragment list as the store receives it: non-empty, by offset."""
         views = sorted(((off, as_view(d)) for off, d in fragments), key=itemgetter(0))
-        self._fragments.extend((off, v.tobytes()) for off, v in views if v.nbytes)
+        self._fragments.extend((off, keep(v)) for off, v in views if v.nbytes)
         return sum(v.nbytes for _, v in views)
 
 
@@ -86,7 +87,9 @@ class FragmentRecorder(_Tape):
     headers in :attr:`headers`, until the next collection wave
     (:meth:`drain`) ships both to the collector — the group's rank 0,
     which alone holds ``raw``, the replay-guarded physical file (mirrored
-    onto the buddy replica, if any).  Payloads are snapshotted at write
+    onto the buddy replica, if any).  Payloads are kept by
+    :func:`~repro.buffers.keep`: a view of an immutable ``bytes`` travels
+    to the store as that view, anything else is copied once at write
     time, so the caller may reuse its buffer.
     """
 
@@ -104,10 +107,10 @@ class FragmentRecorder(_Tape):
         data, then one of shadow headers.
 
         Collective over the collector group.  Offsets travel as immutable
-        tuples through ``gather`` (data, then headers); payload bytes
-        travel through ``gatherv``.  The collector's backend calls go
-        through its replay-guarded handle, so a bulk-engine replay never
-        repeats them.
+        tuples through ``gather`` (data, then headers); the kept payloads
+        travel through ``gatherv``, which keeps them by the same rule.
+        The collector's backend calls go through its replay-guarded
+        handle, so a bulk-engine replay never repeats them.
         """
         frags, self._fragments = self._fragments, []
         headers, self.headers._fragments = self.headers._fragments, []
@@ -119,8 +122,8 @@ class FragmentRecorder(_Tape):
         )
         if self.raw is not None:
             assert gathered_offsets is not None and gathered_data is not None
-            wave: list[tuple[int, bytes]] = []
-            shadows: list[tuple[int, bytes]] = []
+            wave: list[tuple[int, bytes | memoryview]] = []
+            shadows: list[tuple[int, bytes | memoryview]] = []
             for (offs, hoffs), pieces in zip(gathered_offsets, gathered_data):
                 wave.extend(zip(offs, pieces))
                 shadows.extend(zip(hoffs, pieces[len(offs):]))

@@ -1,8 +1,9 @@
 """The scripts under ``examples/`` run to completion.
 
 Each example is executed as its own subprocess, the way a reader runs it,
-with ``TMPDIR`` pointed at the test's scratch directory so the files it
-creates are cleaned up.  ``paper_figures.py`` regenerates every figure and
+with ``TMPDIR`` and the working directory pointed at the test's scratch
+directory, which the example must leave empty: its files go in a
+temporary directory that it removes when it ends.  ``paper_figures.py`` regenerates every figure and
 takes tens of seconds; it runs in the nightly workflow instead.
 """
 
@@ -34,3 +35,4 @@ def test_example_runs(name, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    assert list(tmp_path.iterdir()) == []

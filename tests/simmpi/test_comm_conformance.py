@@ -101,6 +101,25 @@ def gatherv_of_memoryviews(c):
     return out if out is None else [(type(a).__name__, a, b) for a, b in out]
 
 
+def views_of_one_bytes(c):
+    # Slices of one immutable ``bytes``: kept as views in-process, copied
+    # at the process engine's pickle boundary; the content is the same.
+    blob = bytes(range(64))
+    mine = memoryview(blob)[4 * c.rank : 4 * c.rank + 3]
+    gathered = c.gatherv([mine, mine[1:]], root=0)
+    got = c.bcast(mine if c.rank == 1 else None, root=1)
+    if c.rank:
+        c.send(mine, dest=0, tag=3)
+        sent = None
+    else:
+        sent = [bytes(c.recv(source=src, tag=3)) for src in range(1, c.size)]
+    return (
+        gathered if gathered is None else [tuple(map(bytes, row)) for row in gathered],
+        bytes(got),
+        sent,
+    )
+
+
 def scatterv_of_bytearrays(c):
     rows = [[bytearray([i]), b"k"] for i in range(c.size)] if c.rank == 2 else None
     mine = c.scatterv(rows, root=2)
@@ -180,6 +199,7 @@ RESULT_PROGRAMS = [
     (recv_with_status, 4),
     (wildcard_recv, 4),
     (gatherv_of_memoryviews, 3),
+    (views_of_one_bytes, 3),
     (scatterv_of_bytearrays, 3),
     (bcast_array_arrives_as_array, 2),
     (split_by_parity_reversed, 5),

@@ -1,9 +1,12 @@
 """The normalized payload contract: buffers snapshot at deposit time.
 
-``ndarray -> ndarray`` (copy), ``bytearray -> bytearray`` (copy),
-``memoryview -> bytes`` (immutable snapshot) — and in every case the
-sender may scribble over its buffer the moment the call returns without
-the receiver ever noticing.
+``ndarray -> ndarray`` (copy), ``bytearray -> bytearray`` (copy), a
+``memoryview`` of a mutable exporter ``-> bytes`` (immutable snapshot) —
+and in every case the sender may scribble over its buffer the moment the
+call returns without the receiver ever noticing.  A ``memoryview`` of an
+immutable ``bytes`` cannot change, so it is kept (``repro.buffers.keep``):
+in-process it arrives as a view of the sender's object, across processes
+as ``bytes``.
 """
 
 import threading
@@ -151,3 +154,38 @@ _SCENARIOS = [
 @pytest.mark.parametrize("engine", ["bulk", "proc"])
 def test_same_on_engine(engine, cls, name):
     getattr(cls(), name)(engine=engine)
+
+
+#: The one immutable object the view rows below slice.
+BLOB = bytes(range(32))
+
+
+def _views_of_blob(comm):
+    """What rank 1 receives of rank 0's views of ``BLOB``: two ``gatherv``
+    fragments, a ``bcast``, a ``send`` and a ``bcast`` of the whole."""
+    mine = memoryview(BLOB)[8 * comm.rank : 8 * comm.rank + 8]
+    gathered = comm.gatherv([mine, mine[2:5]], root=1)
+    got = comm.bcast(mine if comm.rank == 0 else None, root=0)
+    whole = comm.bcast(memoryview(BLOB) if comm.rank == 0 else None, root=0)
+    if comm.rank == 0:
+        comm.send(mine[1:3], dest=1)
+        return None
+    sent = comm.recv(source=0)
+    return [*gathered[0], got, sent, whole]
+
+
+@pytest.mark.parametrize("engine", ["threads", "bulk"])
+def test_views_of_bytes_arrive_as_views_of_the_senders_object(engine):
+    got = spmd(2, _views_of_blob, engine)[1]
+    frag, part, bcast, sent, whole = got
+    for view in (frag, part, bcast, sent):
+        assert type(view) is memoryview and view.obj is BLOB
+    assert whole is BLOB
+    assert [bytes(v) for v in got] == [BLOB[0:8], BLOB[2:5], BLOB[0:8], BLOB[1:3], BLOB]
+
+
+def test_views_of_bytes_arrive_as_bytes_across_processes():
+    got = spmd(2, _views_of_blob, "proc")[1]
+    assert [type(v) for v in got] == [bytes] * 5
+    assert got == [BLOB[0:8], BLOB[2:5], BLOB[0:8], BLOB[1:3], BLOB]
+

@@ -5,13 +5,20 @@
 2. A ``memoryview``/buffer payload reaches the backend with zero
    intermediate ``bytes()`` materializations — every fragment the store
    receives still lives inside the caller's buffer.
+3. In collective mode a view of an immutable ``bytes`` is kept, not
+   copied, from the sender's tape through ``gatherv`` to the store
+   (``repro.buffers.keep``); only what the library builds is copied.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 
 from repro.backends.instrument import CountingBackend
 from repro.backends.simfs_backend import SimBackend
 from repro.fs.simfs import SimFS
+from repro.simmpi import run_spmd
 from repro.simmpi.comm import make_world
 from repro.sion import paropen, serial
 from repro.sion.buffering import CoalescingWriter
@@ -173,6 +180,59 @@ class TestParallelPath:
             f.pwrite(64, memoryview(payload))
         snap = backend.snapshot()
         assert (snap["tracked_fragments"], snap["fragments_written"]) == (1, 2)
+
+
+class TestCollectivePath:
+    """A checkpoint write: 4096 tasks write 1 KiB views of one ``bytes``
+    through collectors of 64 on the bulk engine, with shadow headers and
+    buddy replicas over 4 physical files."""
+
+    NTASKS, PER, NFILES = 4096, 1024, 4
+
+    def _blob(self) -> bytes:
+        return bytes(range(256)) * (self.NTASKS * self.PER // 256)
+
+    def _write(self, backend, blob: bytes) -> None:
+        view, per = memoryview(blob), self.PER
+
+        def write(comm):
+            f = paropen(
+                "/ck.sion", "w", comm, chunksize=per, fsblksize=4096, nfiles=self.NFILES,
+                collectsize=64, shadow=True, buddy=True, backend=backend,
+            )
+            f.fwrite(view[comm.rank * per : (comm.rank + 1) * per])
+            f.parclose()
+
+        run_spmd(self.NTASKS, write, engine="bulk")
+
+    def test_the_store_keeps_views_of_the_callers_bytes(self):
+        backend, blob = SimBackend(SimFS(blocksize_override=BLK)), self._blob()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            self._write(backend, blob)
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        with serial.open("/ck.sion", "r", backend=backend) as sf:
+            for r in (0, 2049, self.NTASKS - 1):
+                assert sf.read_task(r) == blob[r * self.PER : (r + 1) * self.PER]
+        # A copy of every payload that the store kept (a tape snapshot or
+        # a gatherv deposit) would alone be the blob again.
+        payload = len(blob)
+        assert retained < payload, retained / payload
+
+    def test_only_library_built_fragments_are_copied(self):
+        backend, blob = counting_backend(), self._blob()
+        backend.track_source(blob)
+        self._write(backend, blob)
+        snap = backend.snapshot()
+        # Primary and buddy replica alike: a data fragment and a shadow
+        # header per task, and three metablock writes per physical file.
+        library_built = self.NTASKS + 3 * self.NFILES
+        assert snap["fragments_written"] == 2 * (self.NTASKS + library_built)
+        assert snap["copied_fragments"] == 2 * library_built
 
 
 class _FailingWrites:
