@@ -14,20 +14,27 @@ forwards a flat byte *view* of it instead of materializing intermediate
   byte-cast, so they are flattened with exactly **one** materializing
   copy at this entry boundary — never again further down.
 
-Whatever outlives the call that passed it — a store piece, a journal
-row, a collective-write fragment, a communicator deposit — is kept by
-:func:`keep`, the one lifetime rule of the data plane: a view of an
-immutable ``bytes`` is kept as that object or as a view of it (it can
-never change), and any other buffer is copied once.  A kept view pins the
-whole ``bytes`` for as long as the keeper holds it.
+Whatever outlives the call that passed it is kept by one lifetime rule
+of the data plane: a view of an immutable ``bytes`` is kept as that
+object, or as something that points into it (it can never change), and
+any other buffer is copied once.  :func:`keep` applies it for the
+journal's write rows, the collective-write fragments and the
+communicator's deposits (a view of a ``bytes`` is kept as a view of it).
+The store keeps no view: a ``SparseFile`` piece is the ``bytes`` itself
+plus two numbers, the offset that :func:`offset_in` reads and the
+length.  Either way the whole ``bytes`` stays alive for as long as the
+keeper holds it.
 
-The module is dependency-free on purpose: both ``repro.backends`` and
-``repro.fs`` import it, and those two packages import each other.
+The module imports nothing from ``repro`` on purpose: both
+``repro.backends`` and ``repro.fs`` import it, and those two packages
+import each other.
 """
 
 from __future__ import annotations
 
 from typing import Union
+
+import numpy as np
 
 #: Anything the data plane accepts as a write payload.
 BufferLike = Union[bytes, bytearray, memoryview]
@@ -68,6 +75,27 @@ def keep(view: memoryview) -> "bytes | memoryview":
     if type(obj) is bytes and view.c_contiguous:
         return obj if view.nbytes == len(obj) else view[:]
     return view.tobytes()
+
+
+def offset_in(view: memoryview) -> int:
+    """Where ``view``, a contiguous view of the ``bytes`` ``view.obj``,
+    starts inside that object.
+
+    Both start addresses are read by numpy from the buffers themselves
+    (``ndarray.ctypes.data``; ``__array_interface__`` gives the same
+    number but builds a dict per call, and numpy 2.4 then keeps a
+    further ~1 MiB block after some ten thousand calls).  Nothing is
+    derived from ``id()`` or the object's memory layout, and nothing is
+    cached: a reused ``id`` would give a wrong offset, hence wrong bytes.
+    """
+    if view.nbytes == len(view.obj):
+        return 0
+    return _address(view) - _address(view.obj)
+
+
+def _address(buf) -> int:
+    """Address of the first byte of ``buf``'s buffer."""
+    return np.frombuffer(buf, np.uint8).ctypes.data
 
 
 def concat_views(views: list[memoryview]) -> bytes:

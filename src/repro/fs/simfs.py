@@ -7,10 +7,10 @@ extents of zeros occupy no memory, so a 1 TB virtual write is cheap.
 Each write (each vectored run) is kept as one exact-size piece that is
 never grown, so the store's footprint is its bytes, not its allocator's
 reallocation history.  A run that is one view of an immutable ``bytes``
-is kept without a copy (the object itself, or a view of it); every other
-run is copied once.  So a piece made from a view of a ``bytes`` keeps
-that whole ``bytes`` alive until the piece is overwritten or its file is
-truncated or unlinked.
+is kept without a copy, as ``(bytes, offset, length)`` in the store's
+flat piece columns; every other run is copied once.  So a piece made
+from a view of a ``bytes`` keeps that whole ``bytes`` alive until the
+piece is overwritten or its file is truncated or unlinked.
 Every operation is counted in :attr:`SimFS.op_counts` (metadata ops by
 kind, data by bytes) and priced nowhere here: the figures price the counts
 of a real ``paropen`` → ``parclose``
@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import posixpath
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.buffers import as_view, keep
+from repro.buffers import as_view, offset_in
 from repro.errors import (
     BackendUsageError,
     FileExistsSimError,
@@ -44,22 +45,27 @@ _version_clock = itertools.count(1)
 class SparseFile:
     """Byte store holding only materialized pieces; holes read as zeros.
 
-    Every write stores the bytes it brings in one exact-size buffer (a
-    *piece*); no buffer the store holds is ever grown.  A run that is
-    one view of an immutable ``bytes`` is shared, not copied: the piece
-    is that ``bytes`` when the view covers all of it, else a view of the
-    store's own.  Any other run is copied into a ``bytearray``.  A write
-    that lands inside one copied piece is spliced into it in place; any
-    other write — every write into a shared piece among them, which is
-    never mutated — replaces the pieces it overlaps and keeps what
-    sticks out of the first and the last of them: views of a shared
-    piece, fresh exact-size copies of a copied one.  Growing one buffer
-    per extent instead (``+=`` on every touching write) builds a large
-    file by thousands of reallocs, and the heap they leave behind, not
-    the stored bytes, sets the process's peak memory.
+    Every write stores the bytes it brings as one *piece*, and no buffer
+    the store holds is ever grown.  The pieces live in four flat
+    columns: ``_starts`` (file offset), ``_offs`` (where the piece
+    begins inside its object) and ``_lens`` (its length) are int64
+    arrays, and ``_objs`` lists the objects.  A run that is one view of
+    an immutable ``bytes`` is shared, not copied: its object is that
+    ``bytes``, at the view's offset in it (:func:`~repro.buffers.offset_in`),
+    so a shared piece costs a reference and three numbers, not a view
+    object.  Any other run is copied into an exact-size ``bytearray``
+    at offset 0.  A write that lands inside one copied piece is spliced
+    into it in place; any other write — every write into a shared piece
+    among them, which is never mutated — replaces the pieces it overlaps
+    and keeps what sticks out of the first and the last of them: the
+    same ``bytes`` at a moved offset for a shared piece, a fresh
+    exact-size copy of a copied one.  Growing one buffer per extent
+    instead (``+=`` on every touching write) builds a large file by
+    thousands of reallocs, and the heap they leave behind, not the
+    stored bytes, sets the process's peak memory.
     """
 
-    __slots__ = ("size", "version", "allocated_bytes", "_starts", "_bufs")
+    __slots__ = ("size", "version", "allocated_bytes", "_starts", "_offs", "_lens", "_objs")
 
     def __init__(self) -> None:
         self.size = 0
@@ -70,10 +76,12 @@ class SparseFile:
         #: Bytes actually materialized (the paper's 'physical' footprint):
         #: a running count, since ``SimFS.stat`` reads it on every call.
         self.allocated_bytes = 0
-        self._starts: list[int] = []
-        #: Copied pieces are ``bytearray``; shared ones ``bytes`` or a
-        #: ``memoryview`` of one.
-        self._bufs: list[bytearray | bytes | memoryview] = []
+        self._starts = array("q")
+        self._offs = array("q")
+        self._lens = array("q")
+        #: Copied pieces are ``bytearray`` (offset 0, whole length);
+        #: shared ones the caller's ``bytes``.
+        self._objs: list[bytearray | bytes] = []
 
     # -- queries -------------------------------------------------------------
 
@@ -82,13 +90,13 @@ class SparseFile:
         never touching — pieces that abut are reported as one run."""
         out: list[tuple[int, int]] = []
         end = -1
-        for s, b in zip(self._starts, self._bufs):
+        for s, n in zip(self._starts, self._lens):
             if s == end:
-                lo, n = out[-1]
-                out[-1] = (lo, n + len(b))
+                lo, m = out[-1]
+                out[-1] = (lo, m + n)
             else:
-                out.append((s, len(b)))
-            end = s + len(b)
+                out.append((s, n))
+            end = s + n
         return out
 
     # -- mutation ------------------------------------------------------------
@@ -97,8 +105,9 @@ class SparseFile:
         """Overlay ``data`` at ``offset``; grows the file as needed.
 
         Accepts any buffer-protocol object.  A view of an immutable
-        ``bytes`` is kept as it is; anything else is copied once, here,
-        into the store's own buffer — no intermediate ``bytes``.
+        ``bytes`` is kept as that object and an offset; anything else is
+        copied once, here, into the store's own buffer — no intermediate
+        ``bytes``.
         """
         return self.writev(offset, (data,))
 
@@ -112,39 +121,40 @@ class SparseFile:
         if n == 0:
             return 0
         self.version = next(_version_clock)
-        starts, bufs = self._starts, self._bufs
+        starts, offs, lens, objs = self._starts, self._offs, self._lens, self._objs
         lo, hi = offset, offset + n
         first, last = self._overlap_range(lo, hi)
         if (
             last == first + 1
-            and type(bufs[first]) is bytearray
+            and type(objs[first]) is bytearray
             and starts[first] <= lo
-            and hi <= starts[first] + len(bufs[first])
+            and hi <= starts[first] + lens[first]
         ):
             # Inside one copied piece: splice in place, same length.
             # Replacing the piece instead would copy all of it for a small
             # rewrite.
-            buf, pos = bufs[first], lo - starts[first]
+            buf, pos = objs[first], lo - starts[first]
             for v in views:
                 buf[pos : pos + v.nbytes] = v
                 pos += v.nbytes
             return n
-        new_starts, new_bufs = [lo], [_piece(views)]
+        new = [(lo, *_piece(views), n)]  # (start, object, offset, length)
         freed = 0
         if first < last:
             s = starts[first]
             if s < lo:  # keep the head of the first piece
-                new_starts.insert(0, s)
-                new_bufs.insert(0, _cut(bufs[first], 0, lo - s))
-            s = starts[last - 1]
-            end = len(bufs[last - 1])
-            if s + end > hi:  # ... and the tail of the last
-                new_starts.append(hi)
-                new_bufs.append(_cut(bufs[last - 1], hi - s, end))
-            freed = sum(len(b) for b in bufs[first:last])
-        starts[first:last] = new_starts
-        bufs[first:last] = new_bufs
-        self.allocated_bytes += sum(len(b) for b in new_bufs) - freed
+                new.insert(0, (s, *_cut(objs[first], offs[first], lo - s), lo - s))
+            s, end = starts[last - 1], starts[last - 1] + lens[last - 1]
+            if end > hi:  # ... and the tail of the last
+                tail = _cut(objs[last - 1], offs[last - 1] + hi - s, end - hi)
+                new.append((hi, *tail, end - hi))
+            freed = sum(lens[first:last])
+        new_starts, new_objs, new_offs, new_lens = zip(*new)
+        starts[first:last] = array("q", new_starts)
+        offs[first:last] = array("q", new_offs)
+        lens[first:last] = array("q", new_lens)
+        objs[first:last] = new_objs
+        self.allocated_bytes += sum(new_lens) - freed
         self.size = max(self.size, hi)
         return n
 
@@ -160,16 +170,16 @@ class SparseFile:
             return b""
         lo, hi = offset, offset + n
         first, last = self._overlap_range(lo, hi)
+        starts, offs, lens, objs = self._starts, self._offs, self._lens, self._objs
         parts: list = []
         pos = lo
         for i in range(first, last):
-            s = self._starts[i]
-            b = self._bufs[i]
+            s = starts[i]
             if s > pos:
                 parts.append(bytes(s - pos))
-            e = min(s + len(b), hi)
-            start = max(s, lo)
-            parts.append(memoryview(b)[start - s : e - s])
+            e = min(s + lens[i], hi)
+            o = offs[i] - s
+            parts.append(memoryview(objs[i])[o + max(s, lo) : o + e])
             pos = e
         if pos < hi:
             parts.append(bytes(hi - pos))
@@ -181,8 +191,7 @@ class SparseFile:
         """Indices [first, last) of pieces intersecting [lo, hi)."""
         first = bisect_right(self._starts, lo) - 1
         if first >= 0:
-            s = self._starts[first]
-            if s + len(self._bufs[first]) <= lo:
+            if self._starts[first] + self._lens[first] <= lo:
                 first += 1
         else:
             first = 0
@@ -190,20 +199,24 @@ class SparseFile:
         return first, last
 
 
-def _piece(views: list[memoryview]) -> bytearray | bytes | memoryview:
-    """The piece one run is stored as: kept (:func:`~repro.buffers.keep`)
-    when it is one view of a ``bytes``, else one exact-size copy."""
-    if len(views) == 1 and type(views[0].obj) is bytes:
-        return keep(views[0])
-    return bytearray().join(views)
+def _piece(views: list[memoryview]) -> tuple[bytearray | bytes, int]:
+    """``(object, offset)`` one run is stored as: the caller's ``bytes``
+    and where the run starts in it when the run is one contiguous view of
+    a ``bytes``, else one exact-size copy at offset 0."""
+    if len(views) == 1:
+        v = views[0]
+        if type(v.obj) is bytes:
+            return v.obj, offset_in(v)
+    return bytearray().join(views), 0
 
 
-def _cut(buf: bytearray | bytes | memoryview, a: int, b: int) -> bytearray | memoryview:
-    """Bytes ``[a, b)`` of a piece: a view of a shared piece (it never
-    changes), a fresh copy of a copied one (it may be spliced later)."""
-    if type(buf) is bytearray:
-        return buf[a:b]
-    return memoryview(buf)[a:b]
+def _cut(obj: bytearray | bytes, off: int, n: int) -> tuple[bytearray | bytes, int]:
+    """``(object, offset)`` of ``n`` bytes at ``off`` in a piece's object:
+    the same ``bytes`` for a shared piece (it never changes), a fresh
+    exact-size copy of a copied one (it may be spliced later)."""
+    if type(obj) is bytearray:
+        return obj[off : off + n], 0
+    return obj, off
 
 
 @dataclass
@@ -414,17 +427,21 @@ class SimFS:
             return False
 
     def stat(self, path: str) -> SimStat:
-        """Stat; ``st_blksize`` is ``blocksize_override`` or 2 MiB."""
-        inode = self._lookup(path)
-        self._count("stat")
+        """Stat; ``st_blksize`` is ``blocksize_override`` or 2 MiB.
+
+        Under the store lock, lookup included: a write updates ``size``,
+        ``allocated_bytes`` and ``version`` in separate steps, and a stat
+        between them would pair a new ``version`` (the identity token
+        caches revalidate by) with an old size.
+        """
         blk = self.blocksize_override or _DEFAULT_BLKSIZE
-        if inode.kind == "dir":
-            return SimStat(0, blk, 0, True)
-        assert inode.data is not None
-        return SimStat(
-            inode.data.size, blk, inode.data.allocated_bytes, False,
-            inode.data.version,
-        )
+        with self._lock:
+            inode = self._lookup(path)
+            self._count("stat")
+            if inode.kind == "dir":
+                return SimStat(0, blk, 0, True)
+            data = inode.data
+            return SimStat(data.size, blk, data.allocated_bytes, False, data.version)
 
     def extents_of(self, path: str) -> tuple[int, list[tuple[int, int]]]:
         """``(size, materialized extents)`` of a file, without accounting.
@@ -436,11 +453,10 @@ class SimFS:
         fingerprints (e.g. the scale suite's multifile hash pin) are built
         from — a free-of-charge introspection, so no op accounting happens.
         """
-        inode = self._lookup(path)
-        if inode.kind != "file":
-            raise InvalidOperationError(f"{path}: is a directory")
-        assert inode.data is not None
         with self._lock:
+            inode = self._lookup(path)
+            if inode.kind != "file":
+                raise InvalidOperationError(f"{path}: is a directory")
             return inode.data.size, inode.data.extents()
 
     def unlink(self, path: str) -> None:
@@ -462,21 +478,6 @@ class SimFS:
         if inode.kind != "dir":
             raise NotADirectorySimError(path)
         return sorted(inode.entries)
-
-    def rename(self, old: str, new: str) -> None:
-        """Move a file or directory (new parent must exist)."""
-        oparts = self._split(old)
-        nparts = self._split(new)
-        with self._lock:
-            oparent = self._walk_dir(oparts[:-1], old)
-            inode = oparent.entries.get(oparts[-1])
-            if inode is None:
-                raise FileNotFoundSimError(old)
-            nparent = self._walk_dir(nparts[:-1], new)
-            if nparts[-1] in nparent.entries:
-                raise FileExistsSimError(new)
-            del oparent.entries[oparts[-1]]
-            nparent.entries[nparts[-1]] = inode
 
     # -- accounting -----------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """In-memory simulated file system: sparse files, namespace, op counts."""
 
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,24 +169,6 @@ class TestNamespace:
         with pytest.raises(InvalidOperationError):
             fs.unlink("/d")
 
-    def test_rename(self):
-        fs = SimFS()
-        with fs.open("/old", "wb") as f:
-            f.pwrite(0, b"v")
-        fs.mkdir("/sub")
-        fs.rename("/old", "/sub/new")
-        assert not fs.exists("/old")
-        with fs.open("/sub/new", "rb") as f:
-            assert f.pread(0, 10) == b"v"
-
-    def test_rename_onto_existing_raises(self):
-        fs = SimFS()
-        for p in ("/a", "/b"):
-            with fs.open(p, "wb") as f:
-                f.pwrite(0, b"x")
-        with pytest.raises(FileExistsSimError):
-            fs.rename("/a", "/b")
-
     def test_file_component_used_as_dir_raises(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
@@ -199,6 +182,54 @@ class TestNamespace:
             f.pwrite(0, b"x")
         assert fs.stat("/f").st_blksize == 2 * (1 << 20)
         assert SimFS(blocksize_override=512).stat("/").st_blksize == 512
+
+    @pytest.mark.parametrize("call", ["stat", "extents_of"])
+    def test_stat_and_extents_wait_for_the_store_lock(self, call):
+        """A write updates size, allocation and version in separate steps
+        under the store lock; ``stat`` and ``extents_of`` (their lookups
+        too) must wait for it, or they could pair a new version with an
+        old size."""
+        fs = SimFS()
+        with fs.open("/f", "wb") as f:
+            f.pwrite(0, b"xy")
+        got = []
+        with fs._lock:
+            t = threading.Thread(target=lambda: got.append(getattr(fs, call)("/f")))
+            t.start()
+            t.join(timeout=0.2)
+            assert t.is_alive() and not got, f"{call} ran while the lock was held"
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert got == [fs.stat("/f") if call == "stat" else (2, [(0, 2)])]
+
+    def test_stat_sees_a_racing_write_whole_or_not_at_all(self):
+        """A write lands between ``stat``'s read of the size and its read
+        of the version, if the store lock lets it: the stat must still
+        pair the size with the version of the same state."""
+        fs = SimFS()
+        fh = fs.open("/f", "w+b")
+        fh.pwrite(0, b"xy")
+        data, old = fh._data, fs.stat("/f")
+        writer = threading.Thread(target=fh.pwrite, args=(2, b"z"))
+
+        class WriteAfterSizeIsRead:
+            def __getattr__(self, name):
+                return getattr(data, name)
+
+            @property
+            def size(self):
+                size = data.size
+                writer.start()
+                writer.join(timeout=0.2)  # blocked while stat holds the lock
+                return size
+
+        fh._inode.data = WriteAfterSizeIsRead()
+        st = fs.stat("/f")
+        writer.join(timeout=10)
+        fh._inode.data = data
+        assert not writer.is_alive()
+        assert (st.st_size, st.version) == (old.st_size, old.version)
+        assert fs.stat("/f").st_size == 3
 
 
 class TestHandles:

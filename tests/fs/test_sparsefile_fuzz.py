@@ -10,9 +10,11 @@ from writes past the end) and reads — directly and through the vectored
 against the dumbest possible model, plus the structural invariants the
 store promises (sorted disjoint extents, allocation never exceeding the
 logical size, and no buffer the store holds ever resized by a write).
-The shared pieces get their own checks: a source ``bytes`` is never
-changed by a later write, and a large write from a view of one
-allocates next to nothing.
+The shared pieces get their own checks: every piece lies inside its
+object and a shared object is an exact ``bytes``, a source ``bytes`` is
+never changed by a later write, a large write from a view of one
+allocates next to nothing, and a shared piece costs a few numbers in
+the store's columns, not a view object.
 """
 
 from __future__ import annotations
@@ -91,6 +93,13 @@ def _check_invariants(sf: SparseFile) -> None:
     if extents:
         assert extents[-1][0] + extents[-1][1] <= sf.size
     assert sf.allocated_bytes <= sf.size
+    assert len(sf._starts) == len(sf._offs) == len(sf._lens) == len(sf._objs)
+    for off, n, obj in zip(sf._offs, sf._lens, sf._objs):
+        assert 0 <= off and off + n <= len(obj), "a piece reaches outside its object"
+        if type(obj) is bytearray:
+            assert off == 0 and n == len(obj), "a copied piece is not exact-size"
+        else:
+            assert type(obj) is bytes, f"a shared object is a {type(obj).__name__}"
 
 
 @settings(max_examples=120, deadline=None)
@@ -141,16 +150,16 @@ def test_writer_buffer_mutation_after_write_is_invisible(writes):
     assert sf.read(0, sf.size) == model.read(0, model.size)
 
 
-def _held(sf: SparseFile) -> dict[int, tuple[bytearray, int]]:
-    """The store's buffers by id, each kept alive so no id is reused."""
-    return {id(b): (b, len(b)) for b in sf._bufs}
+def _held(sf: SparseFile) -> dict[int, tuple[bytearray | bytes, int]]:
+    """The store's piece objects by id, each kept alive so no id is reused."""
+    return {id(b): (b, len(b)) for b in sf._objs}
 
 
-def _check_no_resize(sf: SparseFile, before: dict[int, tuple[bytearray, int]]) -> None:
-    for b in sf._bufs:
+def _check_no_resize(sf: SparseFile, before: dict[int, tuple[bytearray | bytes, int]]) -> None:
+    for b in sf._objs:
         if id(b) in before:
             assert len(b) == before[id(b)][1], "a write resized a held buffer"
-    assert sf.allocated_bytes == sum(n for _, n in sf.extents())
+    assert sf.allocated_bytes == sum(sf._lens) == sum(n for _, n in sf.extents())
 
 
 @settings(max_examples=120, deadline=None)
@@ -214,7 +223,9 @@ def test_pwritev_stores_one_contiguous_run_as_one_piece():
     fs = SimFS()
     fh = fs.open("/f", "w+b")
     fh.pwritev(100, [b"ab"] * 500)
-    assert len(fh._data._bufs) == 1
+    sf = fh._data
+    assert list(sf._starts) == [100] and list(sf._lens) == [1000]
+    assert len(sf._objs) == 1 and type(sf._objs[0]) is bytearray
     assert fs.stat("/f").allocated_bytes == 1000
     assert fh.pread(100, 1000) == b"ab" * 500
 
@@ -264,6 +275,29 @@ def test_a_large_write_from_a_view_of_bytes_is_not_copied():
     assert raw.pread(0, 4 * mib) == view[: 4 * mib]
     assert raw.pread(4 * mib, 512) == bytes(512)
     assert raw.pread(4 * mib + 512, 4 * mib) == view[4 * mib :]
+
+
+def test_a_shared_piece_costs_a_reference_and_three_numbers():
+    """16384 1 KiB views of one ``bytes``, written back to back (a
+    ``ckpt-16k`` checkpoint file's data runs): each piece is kept as the
+    ``bytes`` plus its offset and length in the store's columns, not as a
+    view object of its own, so the store grows by a few dozen bytes per
+    piece (a kept ``memoryview`` alone is about 184 B)."""
+    npieces, per = 16384, 1024
+    blob = _payload(9, 251) * (npieces * per // 251 + 1)
+    view = memoryview(blob)
+    sf = SparseFile()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(npieces):
+            sf.write(i * per, view[i * per : (i + 1) * per])
+        per_piece = (tracemalloc.get_traced_memory()[0] - before) / npieces
+    finally:
+        tracemalloc.stop()
+    assert per_piece <= 64, per_piece
+    assert len(sf._objs) == npieces and all(obj is blob for obj in sf._objs)
+    assert sf.read(per - 8, 16) == blob[per - 8 : per + 8]
 
 
 def test_threads_sharing_one_bytes_keep_their_regions():

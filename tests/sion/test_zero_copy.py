@@ -219,9 +219,10 @@ class TestCollectivePath:
             for r in (0, 2049, self.NTASKS - 1):
                 assert sf.read_task(r) == blob[r * self.PER : (r + 1) * self.PER]
         # A copy of every payload that the store kept (a tape snapshot or
-        # a gatherv deposit) would alone be the blob again.
+        # a gatherv deposit) would alone be the blob again; a view object
+        # per stored piece (primary and replica) would be 0.7 of it.
         payload = len(blob)
-        assert retained < payload, retained / payload
+        assert retained < payload / 2, retained / payload
 
     def test_only_library_built_fragments_are_copied(self):
         backend, blob = counting_backend(), self._blob()
