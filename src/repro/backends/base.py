@@ -17,6 +17,12 @@ padding "exists only on the logical level".
 All write-side calls accept any buffer-protocol object (``bytes``,
 ``bytearray``, ``memoryview``, NumPy arrays) and must not materialize
 intermediate copies; the one copy a store may need happens inside it.
+
+``pread`` returns exact ``bytes``; a ``gather_read`` piece is a ``bytes``
+or a read-only ``memoryview`` of an immutable ``bytes`` (the simulated
+store's pieces), which no later call changes, so a replay log keeps what
+was read without a copy.  Consumers use only ``len``, slicing and the
+buffer protocol.
 """
 
 from __future__ import annotations
@@ -79,15 +85,16 @@ class RawFile(abc.ABC):
             total += self._pwritev(run_off, run)
         return total
 
-    def gather_read(self, requests: Sequence["tuple[int, int]"]) -> list[bytes]:
+    def gather_read(self, requests: Sequence["tuple[int, int]"]) -> "list[bytes | memoryview]":
         """Read a whole request list — ``(offset, size)`` pairs — at once.
 
         The read-side mirror of :meth:`scatter_write`: one backend call
         per chunk-spanning ``fread``.  Results come back in request
-        order; contiguous runs collapse into one :meth:`_preadv` each.
+        order (``bytes`` or read-only views, module docstring); contiguous
+        runs collapse into one :meth:`_preadv` each.
         """
         order = sorted(range(len(requests)), key=lambda k: requests[k][0])
-        out: list[bytes] = [b""] * len(requests)
+        out: "list[bytes | memoryview]" = [b""] * len(requests)
         i = 0
         while i < len(order):
             first = order[i]
@@ -121,7 +128,7 @@ class RawFile(abc.ABC):
             total += self.pwrite(offset + total, view)
         return total
 
-    def _preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
+    def _preadv(self, offset: int, sizes: Sequence[int]) -> "list[bytes | memoryview]":
         """Read consecutive pieces of ``sizes`` from ``offset``.
 
         Pieces shorten, then empty, at end of file.  The portable loop; a

@@ -236,7 +236,7 @@ class JournalRawFile(RawFile):
         )
         return n
 
-    def gather_read(self, requests: Sequence["tuple[int, int]"]) -> list[bytes]:
+    def gather_read(self, requests: Sequence["tuple[int, int]"]) -> "list[bytes | memoryview]":
         """Forward ``gather_read``; the row keeps the sizes that came back."""
         self._j._check(self._path)
         reqs = list(requests)

@@ -30,7 +30,7 @@ class SimRawFile(RawFile):
     def _pwritev(self, offset: int, views) -> int:
         return self._h.pwritev(offset, views)
 
-    def _preadv(self, offset: int, sizes) -> list[bytes]:
+    def _preadv(self, offset: int, sizes) -> "list[bytes | memoryview]":
         return self._h.preadv(offset, sizes)
 
     def flush(self) -> None:

@@ -22,8 +22,9 @@ journal's write rows, the collective-write fragments and the
 communicator's deposits (a view of a ``bytes`` is kept as a view of it).
 The store keeps no view: a ``SparseFile`` piece is the ``bytes`` itself
 plus two numbers, the offset that :func:`offset_in` reads and the
-length.  Either way the whole ``bytes`` stays alive for as long as the
-keeper holds it.
+length.  Its reads hand the rule back out: a read inside one piece is a
+read-only view of that ``bytes``.  Either way the whole ``bytes`` stays
+alive for as long as the keeper holds it.
 
 The module imports nothing from ``repro`` on purpose: both
 ``repro.backends`` and ``repro.fs`` import it, and those two packages

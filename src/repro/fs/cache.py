@@ -201,12 +201,14 @@ class ChunkCache:
             self.stats.bytes_served += len(value)  # type: ignore[arg-type]
             return value  # type: ignore[return-value]
 
-    def put(self, key: tuple, data: bytes) -> None:
+    def put(self, key: tuple, data: "bytes | memoryview") -> None:
         """Insert ``data`` under ``key``, evicting LRU entries to fit.
 
         An entry larger than the entire budget is rejected (counted in
         ``stats.rejected``) instead of flushing the whole cache for one
-        unreusable value.  Re-inserting an existing key replaces it.
+        unreusable value.  Re-inserting an existing key replaces it.  A
+        view (a store's read piece) is copied, so an entry holds its own
+        bytes and never pins a larger object the byte budget cannot see.
         """
         size = len(data)
         with self._lock:

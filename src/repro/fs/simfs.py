@@ -4,13 +4,11 @@
 bytes: hierarchical directories, POSIX-ish open modes, positioned
 ``pread``/``pwrite`` (plus their vectored forms), and *sparse* storage —
 extents of zeros occupy no memory, so a 1 TB virtual write is cheap.
-Each write (each vectored run) is kept as one exact-size piece that is
-never grown, so the store's footprint is its bytes, not its allocator's
-reallocation history.  A run that is one view of an immutable ``bytes``
-is kept without a copy, as ``(bytes, offset, length)`` in the store's
-flat piece columns; every other run is copied once.  So a piece made
-from a view of a ``bytes`` keeps that whole ``bytes`` alive until the
-piece is overwritten or its file is truncated or unlinked.
+Each write (each vectored run) is kept as one piece of an immutable
+``bytes``: the caller's, as ``(bytes, offset, length)``, when the run is
+one view of a ``bytes``, else one exact-size copy.  No piece ever
+changes, so a read inside one piece hands out a read-only view of it.
+A ``bytes`` stays alive while a piece or a read's view points into it.
 Every operation is counted in :attr:`SimFS.op_counts` (metadata ops by
 kind, data by bytes) and priced nowhere here: the figures price the counts
 of a real ``paropen`` → ``parclose``
@@ -45,24 +43,23 @@ _version_clock = itertools.count(1)
 class SparseFile:
     """Byte store holding only materialized pieces; holes read as zeros.
 
-    Every write stores the bytes it brings as one *piece*, and no buffer
-    the store holds is ever grown.  The pieces live in four flat
-    columns: ``_starts`` (file offset), ``_offs`` (where the piece
-    begins inside its object) and ``_lens`` (its length) are int64
-    arrays, and ``_objs`` lists the objects.  A run that is one view of
-    an immutable ``bytes`` is shared, not copied: its object is that
-    ``bytes``, at the view's offset in it (:func:`~repro.buffers.offset_in`),
-    so a shared piece costs a reference and three numbers, not a view
-    object.  Any other run is copied into an exact-size ``bytearray``
-    at offset 0.  A write that lands inside one copied piece is spliced
-    into it in place; any other write — every write into a shared piece
-    among them, which is never mutated — replaces the pieces it overlaps
-    and keeps what sticks out of the first and the last of them: the
-    same ``bytes`` at a moved offset for a shared piece, a fresh
-    exact-size copy of a copied one.  Growing one buffer per extent
+    Every write stores the bytes it brings as one *piece* of an
+    immutable ``bytes``.  The pieces live in four flat columns:
+    ``_starts`` (file offset), ``_offs`` (where the piece begins inside
+    its object) and ``_lens`` (its length) are int64 arrays, and
+    ``_objs`` lists the objects, every one an exact ``bytes``.  A run
+    that is one view of a ``bytes`` is shared, not copied: its object is
+    that ``bytes``, at the view's offset in it
+    (:func:`~repro.buffers.offset_in`), so a shared piece costs a
+    reference and three numbers, not a view object.  Any other run is
+    copied once into an exact-size ``bytes`` at offset 0.  A write
+    replaces the pieces it overlaps and keeps what sticks out of the
+    first and the last of them as the same ``bytes`` at a moved offset,
+    so only the new run is ever copied; growing one buffer per extent
     instead (``+=`` on every touching write) builds a large file by
     thousands of reallocs, and the heap they leave behind, not the
-    stored bytes, sets the process's peak memory.
+    stored bytes, sets the process's peak memory.  Since no object
+    changes, :meth:`read` hands out a read-only view of a piece.
     """
 
     __slots__ = ("size", "version", "allocated_bytes", "_starts", "_offs", "_lens", "_objs")
@@ -79,9 +76,9 @@ class SparseFile:
         self._starts = array("q")
         self._offs = array("q")
         self._lens = array("q")
-        #: Copied pieces are ``bytearray`` (offset 0, whole length);
-        #: shared ones the caller's ``bytes``.
-        self._objs: list[bytearray | bytes] = []
+        #: Exact ``bytes``: the caller's when shared, the store's own
+        #: copy (offset 0, whole length) otherwise.
+        self._objs: list[bytes] = []
 
     # -- queries -------------------------------------------------------------
 
@@ -106,14 +103,14 @@ class SparseFile:
 
         Accepts any buffer-protocol object.  A view of an immutable
         ``bytes`` is kept as that object and an offset; anything else is
-        copied once, here, into the store's own buffer — no intermediate
-        ``bytes``.
+        copied once, here, into an exact-size ``bytes``.
         """
         return self.writev(offset, (data,))
 
     def writev(self, offset: int, views) -> int:
-        """Overlay ``views`` back to back at ``offset``; a run that does not
-        land inside one copied piece becomes exactly one new piece."""
+        """Overlay ``views`` back to back at ``offset`` as exactly one new
+        piece; the head and tail of the pieces it overlaps stay where they
+        are in their objects."""
         if offset < 0:
             raise BackendUsageError(f"negative offset: {offset}")
         views = [as_view(v) for v in views]
@@ -124,30 +121,15 @@ class SparseFile:
         starts, offs, lens, objs = self._starts, self._offs, self._lens, self._objs
         lo, hi = offset, offset + n
         first, last = self._overlap_range(lo, hi)
-        if (
-            last == first + 1
-            and type(objs[first]) is bytearray
-            and starts[first] <= lo
-            and hi <= starts[first] + lens[first]
-        ):
-            # Inside one copied piece: splice in place, same length.
-            # Replacing the piece instead would copy all of it for a small
-            # rewrite.
-            buf, pos = objs[first], lo - starts[first]
-            for v in views:
-                buf[pos : pos + v.nbytes] = v
-                pos += v.nbytes
-            return n
         new = [(lo, *_piece(views), n)]  # (start, object, offset, length)
         freed = 0
         if first < last:
             s = starts[first]
             if s < lo:  # keep the head of the first piece
-                new.insert(0, (s, *_cut(objs[first], offs[first], lo - s), lo - s))
+                new.insert(0, (s, objs[first], offs[first], lo - s))
             s, end = starts[last - 1], starts[last - 1] + lens[last - 1]
             if end > hi:  # ... and the tail of the last
-                tail = _cut(objs[last - 1], offs[last - 1] + hi - s, end - hi)
-                new.append((hi, *tail, end - hi))
+                new.append((hi, objs[last - 1], offs[last - 1] + hi - s, end - hi))
             freed = sum(lens[first:last])
         new_starts, new_objs, new_offs, new_lens = zip(*new)
         starts[first:last] = array("q", new_starts)
@@ -158,10 +140,12 @@ class SparseFile:
         self.size = max(self.size, hi)
         return n
 
-    def read(self, offset: int, n: int) -> bytes:
+    def read(self, offset: int, n: int) -> bytes | memoryview:
         """Read up to ``n`` bytes at ``offset``; holes come back as zeros.
 
-        The result is assembled in one copy from views of the pieces.
+        A range inside one piece comes back as a read-only view of that
+        piece's ``bytes``, which no later write changes; any other range
+        is assembled in one copy from views of the pieces.
         """
         if offset < 0 or n < 0:
             raise BackendUsageError("offset and n must be non-negative")
@@ -171,6 +155,9 @@ class SparseFile:
         lo, hi = offset, offset + n
         first, last = self._overlap_range(lo, hi)
         starts, offs, lens, objs = self._starts, self._offs, self._lens, self._objs
+        if last == first + 1 and starts[first] <= lo and hi <= starts[first] + lens[first]:
+            o = offs[first] - starts[first]
+            return memoryview(objs[first])[o + lo : o + hi]
         parts: list = []
         pos = lo
         for i in range(first, last):
@@ -199,7 +186,7 @@ class SparseFile:
         return first, last
 
 
-def _piece(views: list[memoryview]) -> tuple[bytearray | bytes, int]:
+def _piece(views: list[memoryview]) -> tuple[bytes, int]:
     """``(object, offset)`` one run is stored as: the caller's ``bytes``
     and where the run starts in it when the run is one contiguous view of
     a ``bytes``, else one exact-size copy at offset 0."""
@@ -207,16 +194,7 @@ def _piece(views: list[memoryview]) -> tuple[bytearray | bytes, int]:
         v = views[0]
         if type(v.obj) is bytes:
             return v.obj, offset_in(v)
-    return bytearray().join(views), 0
-
-
-def _cut(obj: bytearray | bytes, off: int, n: int) -> tuple[bytearray | bytes, int]:
-    """``(object, offset)`` of ``n`` bytes at ``off`` in a piece's object:
-    the same ``bytes`` for a shared piece (it never changes), a fresh
-    exact-size copy of a copied one (it may be spliced later)."""
-    if type(obj) is bytearray:
-        return obj[off : off + n], 0
-    return obj, off
+    return b"".join(views), 0
 
 
 @dataclass
@@ -263,14 +241,14 @@ class SimFileHandle:
         return n
 
     def pread(self, offset: int, n: int) -> bytes:
-        """Read up to ``n`` bytes at ``offset`` (short at EOF)."""
+        """Read up to ``n`` bytes at ``offset`` (short at EOF), as ``bytes``."""
         self._check_open()
         if not self.readable:
             raise InvalidOperationError(f"{self.path}: not open for reading")
         with self._fs._lock:
             out = self._data.read(offset, n)
             self._fs._count("read_bytes", len(out))
-        return out
+        return out if type(out) is bytes else out.tobytes()
 
     def pwritev(self, offset: int, views) -> int:
         """Vectored positional write: views land back to back at ``offset``.
@@ -286,13 +264,14 @@ class SimFileHandle:
             self._fs._count("write_bytes", total)
         return total
 
-    def preadv(self, offset: int, sizes) -> list[bytes]:
-        """Vectored positional read of consecutive ``sizes`` at ``offset``."""
+    def preadv(self, offset: int, sizes) -> list[bytes | memoryview]:
+        """Vectored positional read of consecutive ``sizes`` at ``offset``;
+        pieces may be read-only views (:meth:`SparseFile.read`)."""
         self._check_open()
         if not self.readable:
             raise InvalidOperationError(f"{self.path}: not open for reading")
         with self._fs._lock:
-            out: list[bytes] = []
+            out: list[bytes | memoryview] = []
             pos = offset
             for size in sizes:
                 if size < 0:

@@ -78,7 +78,7 @@ class MirrorRawFile(RawFile):
         self.replica.scatter_write(frags)
         return n
 
-    def gather_read(self, requests: Sequence[tuple[int, int]]) -> list[bytes]:
+    def gather_read(self, requests: Sequence[tuple[int, int]]) -> "list[bytes | memoryview]":
         """Vectored read from the primary."""
         return self.primary.gather_read(requests)
 

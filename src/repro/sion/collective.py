@@ -157,12 +157,13 @@ class PreloadedFragments:
     short, preserving the shortfall-vs-EOF distinction.
     """
 
-    def __init__(self, fragments: list[tuple[int, bytes]]) -> None:
+    def __init__(self, fragments: "list[tuple[int, bytes | memoryview]]") -> None:
         self._frags = sorted(fragments, key=itemgetter(0))
         self._starts = [off for off, _ in self._frags]
 
-    def gather_read(self, requests) -> list[bytes]:
-        """The prefetched bytes of each ``(offset, size)`` request, in order."""
+    def gather_read(self, requests) -> "list[bytes | memoryview]":
+        """The prefetched bytes of each ``(offset, size)`` request, in order
+        (slices of the fetched pieces, which may be read-only views)."""
         out = []
         for offset, n in requests:
             i = bisect.bisect_right(self._starts, offset) - 1
@@ -257,7 +258,7 @@ def prefetch_read(
                 sender_slices.append((f, len(bucket), len(reqs)))
                 bucket.extend(reqs)
             slices.append(sender_slices)
-        pieces_by_file: dict[int, list[bytes]] = {}
+        pieces_by_file: "dict[int, list[bytes | memoryview]]" = {}
         for f, reqs in buckets.items():
             raw = open_guarded(backend, plan.paths[f], "rb", ccom)
             raws.append(raw)

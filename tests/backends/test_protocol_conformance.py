@@ -222,6 +222,35 @@ def row_gather_read_in_request_order(stack: Stack):
     return _read_back(stack, path, lambda r: r.gather_read(requests))
 
 
+def _kept_as_read(piece) -> bool:
+    """A read piece a caller may keep as is: a ``bytes``, or a read-only
+    view whose ``.obj`` is an immutable ``bytes``."""
+    if type(piece) is memoryview:
+        return piece.readonly and type(piece.obj) is bytes
+    return type(piece) is bytes
+
+
+def row_read_pieces_are_immutable(stack: Stack):
+    """gather_read pieces are bytes or read-only views of a bytes (inside
+    one write, across two, over a hole, past EOF); pread returns bytes."""
+    path = stack.path("kinds.bin")
+    with stack.open_write(path) as f:
+        f.pwrite(0, bytes(range(64)))
+        f.pwrite(64, bytearray(range(64, 128)))
+        f.pwrite(200, memoryview(bytes(range(50)))[10:40])
+    requests = [(8, 16), (60, 8), (70, 10), (120, 90), (205, 10), (300, 4)]
+
+    def kinds(r):
+        pieces = r.gather_read(requests)
+        preads = [r.pread(off, n) for off, n in requests]
+        return (
+            [bytes(p) for p in pieces], all(_kept_as_read(p) for p in pieces),
+            preads, all(type(p) is bytes for p in preads),
+        )
+
+    return _read_back(stack, path, kinds)
+
+
 def row_closed_handle_raises(stack: Stack):
     """Every data call on a closed handle raises."""
     path = stack.path("closed.bin")
@@ -259,6 +288,7 @@ ROWS = [
     row_pread_short_at_eof,
     row_scatter_write_lands_like_pwrites,
     row_gather_read_in_request_order,
+    row_read_pieces_are_immutable,
     row_closed_handle_raises,
     row_namespace_calls,
 ]

@@ -1,20 +1,23 @@
 """Fuzz :class:`SparseFile` against a plain-``bytearray`` reference model.
 
-The store keeps one exact-size buffer per write (a piece), shares a
-run that is one view of an immutable ``bytes`` instead of copying it,
-splices a write that lands inside one copied piece in place, and splits
-the pieces a wider write overlaps; it reports touching pieces as one
-extent.  This suite drives random interleavings of writes (holes come
-from writes past the end) and reads — directly and through the vectored
+The store keeps every write (every vectored run) as one piece of an
+immutable ``bytes``: it shares a run that is one view of a ``bytes``
+instead of copying it, copies any other run once into an exact-size
+``bytes``, and cuts the pieces a later write overlaps by moving offsets,
+never by changing an object; it reports touching pieces as one extent.
+A read inside one piece hands out a read-only view of that ``bytes``.
+This suite drives random interleavings of writes (holes come from writes
+past the end) and reads — directly and through the vectored
 ``SimFileHandle.pwritev`` / ``preadv`` — and checks every observable
 against the dumbest possible model, plus the structural invariants the
 store promises (sorted disjoint extents, allocation never exceeding the
-logical size, and no buffer the store holds ever resized by a write).
-The shared pieces get their own checks: every piece lies inside its
-object and a shared object is an exact ``bytes``, a source ``bytes`` is
-never changed by a later write, a large write from a view of one
-allocates next to nothing, and a shared piece costs a few numbers in
-the store's columns, not a view object.
+logical size, every piece object an exact ``bytes``).  The immutable
+pieces get their own checks: every piece lies inside its object, a
+source ``bytes`` is never changed by a later write, a view a read
+handed out keeps its bytes through later writes, truncates and unlinks,
+a large write from a view of one allocates next to nothing, a small
+overwrite inside a large copied piece copies only itself, and a shared
+piece costs a few numbers in the store's columns, not a view object.
 """
 
 from __future__ import annotations
@@ -95,11 +98,8 @@ def _check_invariants(sf: SparseFile) -> None:
     assert sf.allocated_bytes <= sf.size
     assert len(sf._starts) == len(sf._offs) == len(sf._lens) == len(sf._objs)
     for off, n, obj in zip(sf._offs, sf._lens, sf._objs):
+        assert type(obj) is bytes, f"a piece object is a {type(obj).__name__}"
         assert 0 <= off and off + n <= len(obj), "a piece reaches outside its object"
-        if type(obj) is bytearray:
-            assert off == 0 and n == len(obj), "a copied piece is not exact-size"
-        else:
-            assert type(obj) is bytes, f"a shared object is a {type(obj).__name__}"
 
 
 @settings(max_examples=120, deadline=None)
@@ -150,28 +150,23 @@ def test_writer_buffer_mutation_after_write_is_invisible(writes):
     assert sf.read(0, sf.size) == model.read(0, model.size)
 
 
-def _held(sf: SparseFile) -> dict[int, tuple[bytearray | bytes, int]]:
-    """The store's piece objects by id, each kept alive so no id is reused."""
-    return {id(b): (b, len(b)) for b in sf._objs}
-
-
-def _check_no_resize(sf: SparseFile, before: dict[int, tuple[bytearray | bytes, int]]) -> None:
-    for b in sf._objs:
-        if id(b) in before:
-            assert len(b) == before[id(b)][1], "a write resized a held buffer"
+def _check_nothing_mutable(sf: SparseFile) -> None:
+    """Every object the store holds is an exact ``bytes`` (so no write
+    can resize or change it), and the allocation counts their pieces."""
+    assert all(type(obj) is bytes for obj in sf._objs), "the store holds a mutable object"
     assert sf.allocated_bytes == sum(sf._lens) == sum(n for _, n in sf.extents())
 
 
 @settings(max_examples=120, deadline=None)
 @given(ops=ops)
-def test_a_write_never_resizes_a_buffer_the_store_holds(ops):
+def test_the_store_holds_no_mutable_object(ops):
     sf = SparseFile()
     for op in ops:
         if op[0] == "write":
-            _, offset, size, seed, _ = op
-            before = _held(sf)
-            sf.write(offset, _payload(seed, size))
-            _check_no_resize(sf, before)
+            _, offset, size, seed, kind = op
+            data = _payload(seed, size)
+            sf.write(offset, bytearray(data) if kind == "bytearray" else data)
+            _check_nothing_mutable(sf)
 
 
 vectored_ops = st.lists(
@@ -202,10 +197,9 @@ def test_vectored_handle_calls_match_bytearray_model(ops):
         if op[0] == "writev":
             _, offset, spec = op
             views = [memoryview(_payload(seed, size)) for size, seed in spec]
-            before = _held(sf)
             assert fh.pwritev(offset, views) == sum(v.nbytes for v in views)
             model.write(offset, b"".join(views))
-            _check_no_resize(sf, before)
+            _check_nothing_mutable(sf)
         else:
             _, offset, sizes = op
             got = fh.preadv(offset, sizes)
@@ -225,9 +219,87 @@ def test_pwritev_stores_one_contiguous_run_as_one_piece():
     fh.pwritev(100, [b"ab"] * 500)
     sf = fh._data
     assert list(sf._starts) == [100] and list(sf._lens) == [1000]
-    assert len(sf._objs) == 1 and type(sf._objs[0]) is bytearray
+    assert len(sf._objs) == 1 and type(sf._objs[0]) is bytes
+    assert len(sf._objs[0]) == 1000 and list(sf._offs) == [0]
     assert fs.stat("/f").allocated_bytes == 1000
     assert fh.pread(100, 1000) == b"ab" * 500
+
+
+def test_a_small_overwrite_inside_a_copied_piece_copies_only_itself():
+    """8 bytes written into the middle of a 1 MiB copied piece: the head
+    and the tail stay offsets into the same ``bytes`` and only the new run
+    is copied, so the store grows by a few hundred bytes, not a piece."""
+    mib = 1 << 20
+    mid, run = mib // 2, bytearray(b"\xee" * 8)
+    sf = SparseFile()
+    sf.write(0, bytearray(_payload(4, 251) * (mib // 251 + 1))[:mib])
+    (old,) = sf._objs
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sf.write(mid, run)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096, grown
+    assert len(sf._objs) == 3 and sf._objs[0] is old and sf._objs[2] is old
+    assert list(sf._starts) == [0, mid, mid + 8] and list(sf._offs) == [0, 0, mid + 8]
+    assert sf.read(mid - 1, 10) == old[mid - 1 : mid] + run + old[mid + 8 : mid + 9]
+    assert sf.allocated_bytes == mib
+    _check_invariants(sf)
+
+
+held_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, LIMIT), st.integers(1, 600),
+                  st.integers(0, 250), st.booleans()),
+        st.tuples(st.just("read"), st.integers(0, LIMIT), st.integers(0, 800)),
+        st.tuples(st.just("readv"), st.integers(0, LIMIT),
+                  st.lists(st.integers(0, 300), min_size=1, max_size=6)),
+        st.tuples(st.just("truncate")),
+        st.tuples(st.just("unlink")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=held_ops)
+def test_a_read_view_keeps_its_bytes_through_later_changes(ops):
+    """Every piece any read hands out (views included) is kept; after every
+    later write, truncate (reopen with ``w+b``) and unlink (then recreate)
+    each one still shows exactly the bytes the model held when it was read."""
+    fs, model = SimFS(), Model()
+    fh = fs.open("/f", "w+b")
+    held: list[tuple[object, bytes]] = []
+    for op in ops:
+        if op[0] == "write":
+            _, offset, size, seed, copied = op
+            data = _payload(seed, size)
+            fh.pwrite(offset, bytearray(data) if copied else data)
+            model.write(offset, data)
+        elif op[0] == "read":
+            _, offset, n = op
+            got = fh._data.read(offset, n)
+            assert got == model.read(offset, n)
+            held.append((got, model.read(offset, n)))
+        elif op[0] == "readv":
+            _, offset, sizes = op
+            for size, piece in zip(sizes, fh.preadv(offset, sizes)):
+                if type(piece) is memoryview:
+                    assert piece.readonly and type(piece.obj) is bytes
+                assert piece == model.read(offset, size)
+                held.append((piece, model.read(offset, size)))
+                offset += size
+        else:
+            fh.close()
+            if op[0] == "unlink":
+                fs.unlink("/f")
+            fh, model = fs.open("/f", "w+b"), Model()
+        for piece, seen in held:
+            assert piece == seen, "a read view changed after a later call"
+        _check_invariants(fh._data)
 
 
 @settings(max_examples=120, deadline=None)

@@ -31,6 +31,7 @@ from repro.errors import FaultInjectedError, SimMPIError, SpmdWorkerError
 from repro.fs.simfs import SimFileHandle, SimFS
 from repro.simmpi import bulk, run_spmd
 from repro.sion import paropen, recover_multifile
+from repro.sion.buffering import CoalescingWriter
 from repro.sion.mapping import physical_path
 from tests.conftest import TEST_BLKSIZE
 
@@ -267,6 +268,53 @@ def test_bulk_value_two_ranks_logged_lives_until_both_finish(nprocs):
     assert seen["alive"]
     gc.collect()
     assert ref() is None
+
+
+def test_bulk_read_log_holds_views_not_copies():
+    """A rank's logged reads cost views of the store's ``bytes``, not the
+    bytes again.  Eight ranks each write 1 MiB (3/4 as 12345-byte views of
+    one ``bytes``, the rest as 200-byte records through a
+    ``CoalescingWriter``) and read it back with 12345-byte ``fread``s.  A
+    read ``parclose`` does not park, so on a rank's final execution every
+    ``fread`` runs afresh and its ``gather_read`` result is logged until
+    the rank returns: a copy per read would keep the whole 1 MiB."""
+    nprocs, per, piece, record = 8, 1 << 20, 12345, 200
+    bulk_bytes = per * 3 // 4
+    blob = bytes((i * 7) % 251 for i in range(per + nprocs * 4096))
+    fs = SimFS(blocksize_override=64 << 10)
+    backend = SimBackend(fs)
+    growth: dict[int, int] = {}
+
+    def body(comm):
+        src = memoryview(blob)[comm.rank * 4096 : comm.rank * 4096 + per]
+        f = paropen("/r.sion", "w", comm, chunksize=256 << 10, nfiles=2, backend=backend)
+        for o in range(0, bulk_bytes, piece):
+            f.fwrite(src[o : min(o + piece, bulk_bytes)])
+        writer = CoalescingWriter(f, 64 << 10)
+        for o in range(bulk_bytes, per, record):
+            writer.write(src[o : o + record])
+        writer.close()
+        f.parclose()
+        comm.barrier()  # the set is sealed for every reader
+        f = paropen("/r.sion", "r", comm, backend=backend)
+        nbytes, before = 0, tracemalloc.get_traced_memory()[0]
+        while not f.feof():
+            data = f.fread(piece)
+            assert data == src[nbytes : nbytes + len(data)]
+            nbytes += len(data)
+        f.parclose()
+        del data
+        # Overwritten on every execution: the final one is what stays.
+        growth[comm.rank] = tracemalloc.get_traced_memory()[0] - before
+        return nbytes
+
+    tracemalloc.start()
+    try:
+        assert run_spmd(nprocs, body, engine="bulk") == [per] * nprocs
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == nprocs
+    assert max(growth.values()) <= 128 << 10, growth
 
 
 def _checkpoint_cycle(ntasks: int = 512, nreaders: int = 64) -> None:

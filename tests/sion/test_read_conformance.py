@@ -21,6 +21,7 @@ import re
 
 import pytest
 
+from repro.backends.instrument import CountingBackend
 from repro.backends.localfs import LocalBackend
 from repro.backends.simfs_backend import SimBackend, SimRawFile
 from repro.fs.simfs import SimFS
@@ -218,6 +219,56 @@ def test_paropen_rows_on_the_process_engine(tmp_path, shape, row):
     _, m, partitioned, k = row
     rows = _paropen_surface(backend, path, m, partitioned, k, "proc")
     _assert_conforms(f"proc:{row[0]}", rows, _payloads())
+
+
+def read_then_rewrite(comm, path, backend, shape):
+    """Drain this rank's stream, then world rank 0 rewrites the whole set
+    with other bytes once every reader is closed; return what was read."""
+    f = paropen(path, "r", comm, backend=backend)
+    out = _drain(f, PIECE)
+    f.parclose()
+    comm.barrier()  # a read close does not synchronize; the rewrite needs it
+    if comm.rank == 0:
+        _write_serially(backend, path, shape, _other_payloads())
+    return out
+
+
+def _other_payloads():
+    return [bytes(b ^ 0xFF for b in p) for p in _payloads()]
+
+
+def _write_serially(backend, path, shape, payloads):
+    with serial.open(
+        path, "w", chunksizes=[CHUNKSIZE] * NWRITERS, nfiles=shape["nfiles"],
+        mapping=shape["mapping"], backend=backend,
+    ) as sw:
+        for w, data in enumerate(payloads):
+            sw.seek(w)
+            sw.fwrite(data)
+
+
+def test_reads_before_a_rewrite_agree_on_threads_bulk_and_process_engine(tmp_path):
+    """A bulk-engine rank re-executes its body after the barrier, by which
+    time rank 0 may have rewritten the set: every read it replays must
+    return what the first execution read, as on the thread and process
+    engines, and be counted once."""
+    shape = SHAPES[2]  # raw, plain, three files
+    expected = _payloads()
+    reads = {}
+    for engine in ("threads", "bulk", "proc"):
+        root = tmp_path / engine
+        root.mkdir()
+        path = str(root / "r.sion")
+        local = LocalBackend(blocksize_override=TEST_BLKSIZE)
+        _write(local, path, shape)
+        backend = local if engine == "proc" else CountingBackend(local)
+        out = run_spmd(NWRITERS, read_then_rewrite, path, backend, shape, engine=engine)
+        _assert_conforms(engine, [((w,), *out[w]) for w in range(NWRITERS)], expected)
+        with serial.open(path, "r", backend=local) as sf:
+            assert [sf.read_task(w) for w in range(NWRITERS)] == _other_payloads()
+        if engine != "proc":
+            reads[engine] = backend.snapshot()["data_read_calls"]
+    assert reads["threads"] == reads["bulk"], reads
 
 
 def read_in_with_block(comm, path, backend):
