@@ -27,7 +27,6 @@ except (AttributeError, OSError, ValueError):  # pragma: no cover - exotic hosts
     _IOV_MAX = 1024
 
 _HAVE_PWRITEV = hasattr(os, "pwritev")
-_HAVE_PREADV = hasattr(os, "preadv")
 
 
 class LocalRawFile(RawFile):
@@ -121,40 +120,25 @@ class LocalRawFile(RawFile):
         return total
 
     def _preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
+        """Each batch of up to ``_IOV_MAX`` pieces is one :meth:`pread`
+        into one buffer; a batch of one piece is handed out as that
+        ``bytes``, any other piece as one exact copy of its slice.  Pieces
+        shorten, then empty, at end of file."""
         sizes = [int(s) for s in sizes]
         if any(s < 0 for s in sizes):
             raise BackendUsageError("read sizes must be non-negative")
-        if not _HAVE_PREADV:  # pragma: no cover - exercised on exotic hosts
-            return super()._preadv(offset, sizes)
-        fd = self._f.fileno()
-        out: list[bytes] = [b""] * len(sizes)
-        pos = offset
-        idx = 0
-        while idx < len(sizes):
-            batch_idx = [
-                i for i in range(idx, min(idx + _IOV_MAX, len(sizes))) if sizes[i] > 0
-            ]
-            batch_end = min(idx + _IOV_MAX, len(sizes))
-            if batch_idx:
-                bufs = [bytearray(sizes[i]) for i in batch_idx]
-                need = sum(len(b) for b in bufs)
-                got = os.preadv(fd, bufs, pos)
-                if got < need and self.pread(pos + got, 1):
-                    # A short read that is *not* EOF (signal interruption):
-                    # retake this batch with the loop-until-done scalar path.
-                    for i in batch_idx:
-                        out[i] = self.pread(pos, sizes[i])
-                        pos += sizes[i]
-                    idx = batch_end
-                    continue
-                # Trim at EOF: buffers past ``got`` shrink, then empty.
-                acc = 0
-                for i, buf in zip(batch_idx, bufs):
-                    take = max(0, min(len(buf), got - acc))
-                    out[i] = bytes(buf[:take])
-                    acc += len(buf)
-                pos += need
-            idx = batch_end
+        out: list[bytes] = []
+        for start in range(0, len(sizes), _IOV_MAX):
+            batch = sizes[start : start + _IOV_MAX]
+            data = self.pread(offset, sum(batch))
+            offset += sum(batch)
+            if len(batch) == 1:
+                out.append(data)
+                continue
+            view, acc = memoryview(data), 0
+            for size in batch:
+                out.append(bytes(view[acc : acc + size]))
+                acc += size
         return out
 
 

@@ -6,6 +6,13 @@ memory — and writes a single file incrementally.  I/O is fully serialized
 and limited to what one node can push; the alternating gather/write phases
 halve throughput again.
 
+Both directions run in *slab rounds* over the payload region: round ``r``
+covers file bytes ``[r * slab_bytes, (r + 1) * slab_bytes)`` past the
+header.  Writing, every task ``gatherv``s its slice of that window (empty
+when it holds none of it) to the root, which writes the round with one
+``pwrite``; reading, the root ``pread``s the window and ``scatterv``s it.
+The root so buffers at most ``slab_bytes`` of payload per round.
+
 File format: a small header (magic, ntasks, per-task byte counts) followed
 by the tasks' payloads concatenated in rank order, so the file can be
 re-scattered on restart.
@@ -14,9 +21,11 @@ re-scattered on restart.
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
 
 from repro.backends.base import Backend
 from repro.backends.localfs import LocalBackend
+from repro.buffers import as_view, concat_views
 from repro.errors import SionFormatError, SionUsageError
 from repro.simmpi.comm import Comm
 
@@ -25,6 +34,23 @@ _HEAD = struct.Struct("<8sI")
 
 #: Default gather-slab bound (bytes of payload buffered at the writer).
 DEFAULT_SLAB_BYTES = 1 << 20
+
+
+def _check_slab(slab_bytes: int) -> None:
+    if slab_bytes < 1:
+        raise SionUsageError("slab_bytes must be positive")
+
+
+def _spans(sizes: list[int]) -> list[tuple[int, int]]:
+    """Each rank's ``[start, end)`` in the concatenated payload region."""
+    ends = list(accumulate(sizes))
+    return list(zip([0, *ends], ends))
+
+
+def _clip(span: tuple[int, int], lo: int, hi: int) -> tuple[int, int]:
+    """``span`` cut to the round window ``[lo, hi)``; empty when apart."""
+    a, b = span
+    return min(max(a, lo), hi), min(max(b, lo), hi)
 
 
 def write_single_file(
@@ -41,31 +67,24 @@ def write_single_file(
     forcing the multiple gather/write cycles the paper describes.  All
     tasks must call this collectively.
     """
+    _check_slab(slab_bytes)
     backend = backend if backend is not None else LocalBackend()
-    if slab_bytes < 1:
-        raise SionUsageError("slab_bytes must be positive")
-    sizes = comm.allgather(len(data))
-    f = backend.open(base, "wb") if comm.rank == root else None
-    pos = _HEAD.size + 8 * comm.size  # the root's write offset
+    view = as_view(data)
+    sizes = comm.allgather(len(view))
+    head = _HEAD.size + 8 * comm.size
+    f = None
     if comm.rank == root:
-        assert f is not None
+        f = backend.open(base, "wb")
         f.pwrite(0, _HEAD.pack(_MAGIC, comm.size))
         f.pwrite(_HEAD.size, struct.pack(f"<{comm.size}Q", *sizes))
-    # Slab loop: every task streams its payload to the root in bounded
-    # pieces; the root writes each piece before requesting the next.
-    for src in range(comm.size):
-        nslabs = max(1, -(-sizes[src] // slab_bytes))
-        for s in range(nslabs):
-            lo = s * slab_bytes
-            hi = min(lo + slab_bytes, sizes[src])
-            if comm.rank == src:
-                comm.send(data[lo:hi], dest=root, tag=1)
-            if comm.rank == root:
-                piece = comm.recv(source=src, tag=1)
-                assert f is not None
-                pos += f.pwrite(pos, piece)
-    if comm.rank == root:
-        assert f is not None
+    spans = _spans(sizes)
+    own, total = spans[comm.rank][0], spans[-1][1]
+    for lo in range(0, total, slab_bytes):
+        a, b = _clip(spans[comm.rank], lo, min(lo + slab_bytes, total))
+        rows = comm.gatherv((view[a - own : b - own],) if a < b else (), root=root)
+        if f is not None:
+            f.pwrite(head + lo, concat_views([p for row in rows for p in row]))
+    if f is not None:
         f.flush()
         f.close()
     comm.barrier()
@@ -79,8 +98,10 @@ def read_single_file(
     root: int = 0,
 ) -> bytes:
     """Root reads the single file incrementally and scatters the payloads."""
+    _check_slab(slab_bytes)
     backend = backend if backend is not None else LocalBackend()
     sizes: list[int] | None = None
+    f = None
     if comm.rank == root:
         f = backend.open(base, "rb")
         magic, ntasks = _HEAD.unpack(f.pread(0, _HEAD.size))
@@ -93,24 +114,19 @@ def read_single_file(
         sizes = list(struct.unpack(f"<{ntasks}Q", f.pread(_HEAD.size, 8 * ntasks)))
     sizes = comm.bcast(sizes, root=root)
     assert sizes is not None
-    out = bytearray()
-    pos = _HEAD.size + 8 * comm.size  # the root's read offset
-    for dst in range(comm.size):
-        nslabs = max(1, -(-sizes[dst] // slab_bytes))
-        remaining = sizes[dst]
-        for _ in range(nslabs):
-            take = min(slab_bytes, remaining)
-            remaining -= take
-            if comm.rank == root:
-                piece = f.pread(pos, take)
-                pos += take
-                if dst == root:
-                    out.extend(piece)
-                else:
-                    comm.send(piece, dest=dst, tag=2)
-            elif comm.rank == dst:
-                out.extend(comm.recv(source=root, tag=2))
-    if comm.rank == root:
+    head = _HEAD.size + 8 * comm.size
+    spans = _spans(sizes)
+    total = spans[-1][1]
+    pieces: list = []
+    for lo in range(0, total, slab_bytes):
+        hi = min(lo + slab_bytes, total)
+        rows = None
+        if f is not None:
+            window = memoryview(f.pread(head + lo, hi - lo))
+            cuts = (_clip(span, lo, hi) for span in spans)
+            rows = [(window[a - lo : b - lo],) if a < b else () for a, b in cuts]
+        pieces.extend(comm.scatterv(rows, root=root))
+    if f is not None:
         f.close()
     comm.barrier()
-    return bytes(out)
+    return concat_views(pieces) if pieces else b""

@@ -2,8 +2,8 @@
 
 The SION layer (like the original SIONlib) needs MPI only for metadata
 exchange around collective open/close.  This package provides those
-semantics — communicators, point-to-point messages, and the standard
-collectives — defined once in :class:`Comm` and carried by three
+semantics — communicators and the standard collectives, through which
+every exchange goes — defined once in :class:`Comm` and carried by three
 transports: one thread per rank (the default), the cooperative bulk
 engine for up to a million simulated ranks, and one process per rank.
 Parallel programs can so be executed deterministically on one machine:
@@ -16,7 +16,7 @@ Parallel programs can so be executed deterministically on one machine:
 """
 
 from repro.simmpi.bulk import BulkComm, run_spmd_bulk
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, COMM_NULL, Comm, ThreadComm
+from repro.simmpi.comm import COMM_NULL, Comm, ThreadComm
 from repro.simmpi.proc import ProcComm, run_spmd_proc
 from repro.simmpi.runner import (
     ENGINES,
@@ -26,8 +26,6 @@ from repro.simmpi.runner import (
 )
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "COMM_NULL",
     "BulkComm",
     "Comm",

@@ -84,10 +84,9 @@ returns at the root immediately, a gather blocks only the root, a barrier
 blocks everyone.  Programs that relied on the thread engine's accidental
 barrier-per-collective behavior should add explicit barriers.
 
-**Depth-first wake.**  The ranks a completed wave readies — and the
-receivers a posted message readies — run *next*: they go to the front of
-the run queue, in rank order, ahead of every rank that was already
-runnable.  A wave's consumers thus drain its slots, and finished ranks
+**Depth-first wake.**  The ranks a completed wave readies run *next*:
+they go to the front of the run queue, in rank order, ahead of every
+rank that was already runnable.  A wave's consumers thus drain its slots, and finished ranks
 free their logged values, before another producer fills its own wave.
 This is for memory, not speed: with first-in-first-out wake every
 collector group of a collective write or a prefetch read deposits before
@@ -100,9 +99,10 @@ through ``run_spmd``) to receive per-wave timing and replay counters —
 the raw material of the ``scale`` suite's phase breakdown.
 
 **Deadlock and stall.**  Deadlock is declared the moment the worklist is
-empty with ranks unfinished.  The ``timeout`` is a *stall* bound, checked
-where the loop regains control — on entry to a frontier op and when a
-body parks or returns: a rank body that held the loop longer than that
+empty with ranks unfinished; every exchange is a collective, so a stuck
+rank is always parked in one.  The ``timeout`` is a *stall* bound,
+checked where the loop regains control — on entry to a frontier op and
+when a body parks or returns: a rank body that held the loop longer than that
 fails every unfinished rank with "bulk engine stalled".
 
 **Lifetime contract.**  A value only one rank logged dies with that
@@ -112,8 +112,8 @@ replays — the per-rank part (exceptions dict or dense array), and the
 column's uniform value too when this rank deposited it first and no
 other rank logged the same object (see :class:`_Col`).  Shared values
 — a uniform value other ranks logged too, waves, worlds — die with
-``run_spmd``: program rows and their columns, in-flight waves,
-mailboxes and sub-worlds are reachable only through the engine, and
+``run_spmd``: program rows and their columns, in-flight waves and
+sub-worlds are reachable only through the engine, and
 :meth:`_BulkEngine.run` lets go of all of them in a ``finally`` — on
 success, rank failure, deadlock and timeout alike — and cuts every
 world's reference back to the engine.
@@ -144,7 +144,6 @@ from repro.simmpi.comm import (
     _NONE,
     Comm,
     SplitPlan,
-    _find_match,
     _int64s,
     group_split,
 )
@@ -322,16 +321,6 @@ class _Wave:
         self.t0 = time.monotonic()
 
 
-class _Mailbox:
-    """Point-to-point message store of one (world, local rank)."""
-
-    __slots__ = ("messages", "waiters")
-
-    def __init__(self) -> None:
-        self.messages: deque[tuple[int, int, Any]] = deque()
-        self.waiters: set[int] = set()
-
-
 class _World:
     """Shared state of one communicator group under the bulk engine.
 
@@ -344,7 +333,7 @@ class _World:
     when the run ends.
     """
 
-    __slots__ = ("engine", "size", "granks", "consumed", "waves", "_mailboxes")
+    __slots__ = ("engine", "size", "granks", "consumed", "waves")
 
     def __init__(self, engine: "_BulkEngine", granks: Sequence[int]) -> None:
         self.engine = engine
@@ -352,15 +341,7 @@ class _World:
         self.granks = granks
         self.consumed = array("l", bytes(8 * self.size))
         self.waves: dict[int, _Wave] = {}
-        self._mailboxes: dict[int, _Mailbox] = {}
         engine.worlds.append(self)
-
-    def mailbox(self, lrank: int) -> _Mailbox:
-        box = self._mailboxes.get(lrank)
-        if box is None:
-            box = self._mailboxes[lrank] = _Mailbox()
-        return box
-
 
 
 class BulkComm(Comm):
@@ -534,24 +515,6 @@ class BulkComm(Comm):
         worlds = [_World(world.engine, _int64s(g)) for g in granks]
         return plan, worlds
 
-    def _post(self, dest: int, tag: int, payload: Any) -> None:
-        box = self._group.mailbox(dest)
-        box.messages.append((self._rank, tag, payload))
-        self._engine.wake(box.waiters)
-
-    def _match(self, source: int, tag: int) -> tuple[int, int, Any]:
-        box = self._group.mailbox(self._rank)
-        i = _find_match(box.messages, source, tag)
-        if i is None:
-            engine, g = self._engine, self._grank
-            box.waiters.add(g)
-            engine.park_recv(g, source, tag)
-            engine.execs[g].suspending = True
-            raise _Suspend()
-        msg = box.messages[i]
-        del box.messages[i]
-        return msg
-
     def _abort(self) -> None:
         self._engine.aborted = True
 
@@ -613,10 +576,10 @@ class _BulkEngine:
 
         # Parked-on descriptors, packed; formatted lazily by
         # ``_parked_desc`` only when a stuck world is reported.
-        self.parked_kind = bytearray(nprocs)  # 0 start, 1 collective, 2 recv
-        self.parked_a = array("l", bytes(8 * nprocs))  # opid / source
-        self.parked_b = array("l", bytes(8 * nprocs))  # op index / tag
-        self.parked_c = array("l", bytes(8 * nprocs))  # world size / unused
+        self.parked_kind = bytearray(nprocs)  # 0 start, 1 collective
+        self.parked_a = array("l", bytes(8 * nprocs))  # opid
+        self.parked_b = array("l", bytes(8 * nprocs))  # op index
+        self.parked_c = array("l", bytes(8 * nprocs))  # world size
 
         #: Every world of the run, root first (worlds register themselves).
         self.worlds: list[_World] = []
@@ -636,15 +599,6 @@ class _BulkEngine:
 
     # -- scheduler state transitions ---------------------------------------
 
-    def wake(self, waiters: set[int]) -> None:
-        """Run a mailbox's parked receivers next, in rank order (module
-        docstring, *Depth-first wake*)."""
-        go = [g for g in sorted(waiters) if not (self.done_b[g] or self.queued_b[g])]
-        for g in go:
-            self.queued_b[g] = 1
-        self.runnable.extendleft(reversed(go))
-        waiters.clear()
-
     def wake_wave(self, wave: _Wave) -> None:
         """Run the ranks a completed wave readies next, in rank order
         (module docstring, *Depth-first wake*) — vectorized over the flag
@@ -662,11 +616,6 @@ class _BulkEngine:
         self.parked_b[grank] = k
         self.parked_c[grank] = wsize
 
-    def park_recv(self, grank: int, source: int, tag: int) -> None:
-        self.parked_kind[grank] = 2
-        self.parked_a[grank] = source
-        self.parked_b[grank] = tag
-
     def _parked_desc(self, grank: int) -> str:
         kind = self.parked_kind[grank]
         if kind == 1:
@@ -674,8 +623,6 @@ class _BulkEngine:
                 f"{_OP_NAMES[self.parked_a[grank]]} (op {self.parked_b[grank]} "
                 f"of a {self.parked_c[grank]}-rank world)"
             )
-        if kind == 2:
-            return f"recv(source={self.parked_a[grank]}, tag={self.parked_b[grank]})"
         return "start"
 
     def note_wave_done(self, world: _World, wave: _Wave) -> None:
@@ -795,7 +742,6 @@ class _BulkEngine:
         """
         for world in self.worlds:
             world.waves.clear()
-            world._mailboxes.clear()
             world.engine = None
         self.worlds.clear()
         self.world = None

@@ -2,10 +2,11 @@
 
 :class:`Comm` is one rank's view of a communication group and the single
 definition of the communicator surface: every argument check, the
-payload snapshot of each deposit, the extraction of each rank's result,
-the one message-match predicate and the one ``(color, key)`` grouper live
-here.  An engine is a subclass that supplies only a *transport* (see
-"Transport interface" on :class:`Comm`): :class:`ThreadComm` below,
+payload snapshot of each deposit, the extraction of each rank's result
+and the one ``(color, key)`` grouper live here.  Every exchange is a
+collective: there is no point-to-point message.  An engine is a
+subclass that supplies only a *transport* (see "Transport interface" on
+:class:`Comm`): :class:`ThreadComm` below,
 :class:`repro.simmpi.bulk.BulkComm` and :class:`repro.simmpi.proc.ProcComm`.
 
 Thread transport: all ranks of a group share a :class:`_Backbone`
@@ -16,7 +17,7 @@ safely between consecutive operations.
 **Payload contract** (MPI buffer semantics, normalized in
 :func:`_copy_payload`): mutable buffer-like payloads — NumPy arrays,
 ``bytearray``, views of them — are **snapshotted at deposit time**, so
-the sender may reuse or mutate its buffer the moment ``send``/``bcast``/…
+the sender may reuse or mutate its buffer the moment ``bcast``/``gatherv``/…
 returns, and the receiver owns what it gets.  Arrays arrive as arrays and
 ``bytearray`` as ``bytearray``; a ``memoryview`` is kept by
 :func:`repro.buffers.keep`: a view of an immutable ``bytes`` travels as
@@ -42,13 +43,7 @@ from repro.errors import (
     CollectiveMismatchError,
     CommAbortedError,
     CommunicatorError,
-    SimMPIError,
 )
-
-#: Wildcard source for :meth:`Comm.recv`.
-ANY_SOURCE = -1
-#: Wildcard tag for :meth:`Comm.recv`.
-ANY_TAG = -1
 
 #: Returned by :meth:`Comm.split` for ranks passing ``color=None``.
 COMM_NULL = None
@@ -134,20 +129,6 @@ def _fold(values: Iterable[Any], op: Callable[[Any, Any], Any] | None) -> Any:
     return acc
 
 
-def _matches(source: int, tag: int, src: int, tg: int) -> bool:
-    """Does a receive for ``(source, tag)`` match a message from ``src``
-    tagged ``tg``?  The one match predicate of all three engines."""
-    return source in (ANY_SOURCE, src) and tag in (ANY_TAG, tg)
-
-
-def _find_match(messages: Iterable[tuple], source: int, tag: int) -> int | None:
-    """Index of the first ``(src, tag, payload)`` message that matches."""
-    for i, (src, tg, _) in enumerate(messages):
-        if _matches(source, tag, src, tg):
-            return i
-    return None
-
-
 class SplitPlan(NamedTuple):
     """Outcome of one split, the same for every rank of the parent group.
 
@@ -211,11 +192,11 @@ class Comm:
     Mirrors the subset of MPI used by SIONlib and the example applications:
     ``rank``/``size``, ``barrier``, ``bcast``, ``gather``/``gatherv``,
     ``allgather``, ``scatter``/``scatterv``, ``alltoall``,
-    ``reduce``/``allreduce``, ``send``/``recv``, ``split`` and ``dup``.
+    ``reduce``/``allreduce``, ``split`` and ``dup``.
 
     **Transport interface.**  A subclass is constructed as ``cls(group,
     rank)``, keeps them as ``_group`` (the state its ranks share; has a
-    ``size``) and ``_rank``, and implements five things:
+    ``size``) and ``_rank``, and implements four things:
 
     * ``_exchange(opname, value, frame, needs, read, shared)`` — deposit
       ``frame(value)``, and return ``read(slots)`` over the rank-ordered
@@ -224,11 +205,6 @@ class Comm:
       transport may wait for everyone.  With ``shared`` the result may
       be computed once and handed to every rank.  Mismatched ``opname``
       across ranks raises :class:`CollectiveMismatchError`.
-    * ``_post(dest, tag, payload)`` / ``_match(source, tag)`` — buffer
-      a message; consume the first matching one as ``(source, tag,
-      payload)``, blocking (the bulk engine: parking) until one arrives.
-      A receive always waits: there is no probe and no non-blocking
-      receive, so every legal program runs on every transport.
     * ``_split_groups(deposits)`` — the reader of a split's exchange:
       ``(plan, groups)`` with ``plan = group_split(deposits)`` and one
       new group per entry of ``plan.members``.
@@ -262,12 +238,6 @@ class Comm:
             raise CommunicatorError(
                 f"{what} {rank} out of range for size {self.size}"
             )
-
-    def _check_match(self, source: int, tag: int) -> None:
-        if source != ANY_SOURCE:
-            self._check_rank("source", source)
-        if tag != ANY_TAG and tag < 0:
-            raise CommunicatorError("tags must be non-negative (or ANY_TAG)")
 
     def _check_rows(self, values: Sequence[Any] | None, what: str) -> None:
         """One entry per rank, or abort the group and raise: the other
@@ -390,36 +360,6 @@ class Comm:
             shared=True,
         )
 
-    # -- point to point ----------------------------------------------------
-
-    def send(self, value: Any, dest: int, tag: int = 0) -> None:
-        """Send ``value`` to rank ``dest`` (asynchronous, buffered)."""
-        self._check_rank("dest", dest)
-        if tag < 0:
-            raise CommunicatorError("tags must be non-negative")
-        self._once("send", lambda: self._post(dest, tag, _copy_payload(value)))
-
-    def recv(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, return_status: bool = False
-    ) -> Any:
-        """Receive a message; blocks until a matching one arrives (the
-        bulk engine parks the rank instead).
-
-        With ``return_status=True`` returns ``(value, source, tag)``.
-        """
-        self._check_match(source, tag)
-        src, tg, payload = self._once("recv", lambda: self._match(source, tag))
-        if return_status:
-            return payload, src, tg
-        return payload
-
-    def sendrecv(
-        self, value: Any, dest: int, source: int = ANY_SOURCE, tag: int = 0
-    ) -> Any:
-        """Combined send and receive (deadlock-free shift pattern)."""
-        self.send(value, dest, tag)
-        return self.recv(source, tag)
-
     # -- communicator management -------------------------------------------
 
     def split(self, color: int | None, key: int = 0) -> "Comm | None":
@@ -508,39 +448,6 @@ class Comm:
 # Thread transport: one OS thread per rank, slots + ``threading.Barrier``.
 
 
-class _Mailbox:
-    """Per-destination message store supporting wildcard matching."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._messages: list[tuple[int, int, Any]] = []
-        self._aborted = False
-
-    def put(self, source: int, tag: int, payload: Any) -> None:
-        with self._cond:
-            self._messages.append((source, tag, payload))
-            self._cond.notify_all()
-
-    def get(self, source: int, tag: int, timeout: float | None) -> tuple[int, int, Any]:
-        """Consume the first matching message, waiting until one arrives."""
-        with self._cond:
-            while True:
-                if self._aborted:
-                    raise CommAbortedError("communicator aborted while waiting for a message")
-                idx = _find_match(self._messages, source, tag)
-                if idx is not None:
-                    return self._messages.pop(idx)
-                if not self._cond.wait(timeout=timeout):
-                    raise SimMPIError(
-                        f"recv timed out waiting for source={source} tag={tag}"
-                    )
-
-    def abort(self) -> None:
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
-
-
 class _Backbone:
     """Shared state of one communicator group."""
 
@@ -553,7 +460,6 @@ class _Backbone:
         self.lock = threading.Lock()
         self.slots: list[Any] = [None] * size
         self.opnames: list[str | None] = [None] * size
-        self.mailboxes = [_Mailbox() for _ in range(size)]
         #: The current split's ``(plan, children)``, built by whichever
         #: rank reads the slots first and dropped with the slots.
         self.split: tuple[SplitPlan, list[_Backbone]] | None = None
@@ -564,8 +470,6 @@ class _Backbone:
         """Break all synchronization points so blocked ranks raise."""
         self._aborted = True
         self.barrier.abort()
-        for box in self.mailboxes:
-            box.abort()
         for child in self.children:
             child.abort()
 
@@ -647,13 +551,6 @@ class ThreadComm(Comm):
                 bb.children.extend(children)
                 bb.split = (plan, children)
             return bb.split
-
-    def _post(self, dest: int, tag: int, payload: Any) -> None:
-        self._group.mailboxes[dest].put(self._rank, tag, payload)
-
-    def _match(self, source: int, tag: int) -> tuple[int, int, Any]:
-        bb = self._group
-        return bb.mailboxes[self._rank].get(source, tag, bb.timeout)
 
     def _abort(self) -> None:
         self._group.abort()

@@ -11,7 +11,7 @@ scales with workers — the property every bandwidth figure of the paper
 Architecture
 ------------
 
-* **Collectives and point-to-point** share one transport: one
+* **Collectives** travel over one transport: one
   ``multiprocessing.Queue`` mailbox per rank.  Messages carry their
   communicator id, so traffic on a ``split`` subgroup never collides
   with world traffic.  Every collective — the world's included — is
@@ -33,7 +33,7 @@ engine-wide :func:`~repro.simmpi.comm._copy_payload` normalization:
 arrays arrive as arrays, ``bytearray`` as ``bytearray``, ``memoryview``
 as immutable ``bytes`` — a view the in-process engines would pass on
 (one of a ``bytes``) is copied at the one pickle boundary,
-:func:`_by_value`, which every deposit and message crosses.  Identity is
+:func:`_by_value`, which every deposit crosses.  Identity is
 never preserved — two ranks can never share an object — which is the
 strictest reading of the MPI buffer semantics the other engines emulate.
 
@@ -85,7 +85,7 @@ from repro.errors import (
     CommunicatorError,
     SimMPIError,
 )
-from repro.simmpi.comm import Comm, SplitPlan, _matches, group_split
+from repro.simmpi.comm import Comm, SplitPlan, group_split
 
 #: Maximum world size; one OS process per rank.  Overridable via the
 #: ``REPRO_PROC_MAX_RANKS`` environment variable.
@@ -181,7 +181,7 @@ class _Runtime:
     ) -> tuple:
         """Block until a mailbox message satisfies ``match``.
 
-        Non-matching messages are stashed for later receives.  Honours
+        Non-matching messages are stashed for later collectives.  Honours
         the world abort flag and the communicator timeout.
         """
         for i, msg in enumerate(self.stash):
@@ -199,7 +199,7 @@ class _Runtime:
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    raise SimMPIError(f"recv timed out waiting for {what}")
+                    raise SimMPIError(f"timed out waiting for {what}")
                 wait = min(wait, remaining)
             try:
                 msg = mailbox.get(timeout=wait)
@@ -260,9 +260,9 @@ class ProcComm(Comm):
         rt, cid, members = group.rt, group.id, group.members
         seq = rt.next_seq(cid)
         if self._rank != 0:
-            rt.post(members[0], ("c", cid, seq, self._rank, opname, value))
-            _, _, _, _, op, reply = rt.wait_for(
-                lambda m: m[0] == "c" and m[1] == cid and m[2] == seq and m[3] == _HUB,
+            rt.post(members[0], (cid, seq, self._rank, opname, value))
+            _, _, _, op, reply = rt.wait_for(
+                lambda m: m[0] == cid and m[1] == seq and m[2] == _HUB,
                 what=f"hub reply for {opname}#{seq} on {cid}",
             )
             slots = pickle.loads(reply)
@@ -272,8 +272,8 @@ class ProcComm(Comm):
             slots[0] = value
             names = {opname}
             for _ in members[1:]:
-                _, _, _, src, op, payload = rt.wait_for(
-                    lambda m: m[0] == "c" and m[1] == cid and m[2] == seq and m[3] != _HUB,
+                _, _, src, op, payload = rt.wait_for(
+                    lambda m: m[0] == cid and m[1] == seq and m[2] != _HUB,
                     what=f"deposits for {opname}#{seq} on {cid}",
                 )
                 slots[src] = payload
@@ -289,7 +289,7 @@ class ProcComm(Comm):
             # body may already have mutated that result in place.
             reply = pickle.dumps(slots, protocol=pickle.HIGHEST_PROTOCOL)
             for dest in members[1:]:
-                rt.post(dest, ("c", cid, seq, _HUB, opname, reply))
+                rt.post(dest, (cid, seq, _HUB, opname, reply))
         return read(slots)
 
     def _split_groups(self, deposits: Any) -> tuple[SplitPlan, list[_Group]]:
@@ -306,21 +306,6 @@ class ProcComm(Comm):
             for child, olds in enumerate(plan.members)
         ]
         return plan, groups
-
-    def _post(self, dest: int, tag: int, payload: Any) -> None:
-        group = self._group
-        group.rt.post(
-            group.members[dest], ("u", group.id, self._rank, tag, _by_value(payload))
-        )
-
-    def _match(self, source: int, tag: int) -> tuple[int, int, Any]:
-        group = self._group
-        cid = group.id
-        msg = group.rt.wait_for(
-            lambda m: m[0] == "u" and m[1] == cid and _matches(source, tag, m[2], m[3]),
-            what=f"source={source} tag={tag}",
-        )
-        return msg[2:]
 
     def _abort(self) -> None:
         self._group.rt.shared.abort()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import tracemalloc
 
 import pytest
 
@@ -251,6 +252,25 @@ def row_read_pieces_are_immutable(stack: Stack):
     return _read_back(stack, path, kinds)
 
 
+def row_gather_read_peaks_at_twice_its_bytes(stack: Stack):
+    """A 4 MiB gather_read on the stack's read handle holds its piece and
+    at most one more copy of it at a time: its traced peak stays within
+    twice the bytes read plus 64 KiB.  (The read cache is no ``RawFile``:
+    it keeps one object per block by design.)"""
+    size = 4 << 20
+    path = stack.path("big.bin")
+    with stack.open_write(path) as f:
+        f.pwrite(0, bytes(range(256)) * (size // 256))
+    with stack.backend.open(path, "rb") as r:
+        tracemalloc.start()
+        try:
+            (piece,) = r.gather_read([(0, size)])
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return len(piece), top <= 2 * size + (64 << 10)
+
+
 def row_closed_handle_raises(stack: Stack):
     """Every data call on a closed handle raises."""
     path = stack.path("closed.bin")
@@ -289,6 +309,7 @@ ROWS = [
     row_scatter_write_lands_like_pwrites,
     row_gather_read_in_request_order,
     row_read_pieces_are_immutable,
+    row_gather_read_peaks_at_twice_its_bytes,
     row_closed_handle_raises,
     row_namespace_calls,
 ]

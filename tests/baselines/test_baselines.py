@@ -1,8 +1,15 @@
 """The two traditional approaches: task-local files and single-file-sequential."""
 
+import hashlib
+
 import pytest
 
-from repro.baselines.singlefile import read_single_file, write_single_file
+from repro.backends.localfs import LocalBackend
+from repro.baselines.singlefile import (
+    DEFAULT_SLAB_BYTES,
+    read_single_file,
+    write_single_file,
+)
 from repro.baselines.tasklocal import (
     read_task_local,
     task_local_path,
@@ -15,6 +22,27 @@ from repro.simmpi import run_spmd
 
 def _payload(rank, n=500):
     return bytes((rank * 3 + i) % 256 for i in range(n))
+
+
+#: Per-rank payload sizes of the pinned single-file checkpoint: an empty
+#: task, a task smaller than a slab, one spanning many, one exactly one.
+PINNED_SIZES = [0, 5, 1000, 64]
+#: sha256 of that checkpoint; the file bytes depend on neither the slab
+#: size nor the root.
+PINNED_SHA256 = "a90ce59df566806038efbe87443eef6b5290e1d8ed62cfbe20c1819e53aebe1e"
+
+
+def _write_pinned(comm, path, slab_bytes, root):
+    write_single_file(
+        comm, path, _payload(comm.rank, PINNED_SIZES[comm.rank]),
+        backend=LocalBackend(), slab_bytes=slab_bytes, root=root,
+    )
+
+
+def _read_pinned(comm, path, slab_bytes, root):
+    return read_single_file(
+        comm, path, backend=LocalBackend(), slab_bytes=slab_bytes, root=root
+    )
 
 
 class TestTaskLocal:
@@ -132,11 +160,35 @@ class TestSingleFile:
         with pytest.raises(SpmdWorkerError):
             run_spmd(2, lambda c: read_single_file(c, path, backend=backend))
 
-    def test_invalid_slab_bytes(self, any_backend):
+    @pytest.mark.parametrize("slab_bytes", [0, -1])
+    @pytest.mark.parametrize("side", ["write", "read"])
+    def test_invalid_slab_bytes(self, any_backend, side, slab_bytes):
         backend, base = any_backend
+        path = f"{base}/x"  # never created: the check comes first
 
-        def wtask(comm):
-            write_single_file(comm, f"{base}/x", b"d", backend=backend, slab_bytes=0)
+        def task(comm):
+            if side == "write":
+                write_single_file(comm, path, b"d", backend=backend,
+                                  slab_bytes=slab_bytes)
+            else:
+                read_single_file(comm, path, backend=backend, slab_bytes=slab_bytes)
 
-        with pytest.raises(SpmdWorkerError):
-            run_spmd(2, wtask)
+        with pytest.raises(SpmdWorkerError) as info:
+            run_spmd(2, task)
+        for exc in info.value.failures.values():
+            assert isinstance(exc, SionUsageError)
+            assert str(exc) == "slab_bytes must be positive"
+
+    @pytest.mark.parametrize("engine", ["threads", "bulk", "proc"])
+    @pytest.mark.parametrize(
+        "slab_bytes, root", [(64, 0), (64, 2), (DEFAULT_SLAB_BYTES, 0)]
+    )
+    def test_file_bytes_are_pinned(self, tmp_path, engine, slab_bytes, root):
+        """The format does not move: the same bytes on every engine, for
+        any slab size and root, and every rank reads its payload back."""
+        path = str(tmp_path / "pinned.ckpt")
+        run_spmd(4, _write_pinned, path, slab_bytes, root, engine=engine)
+        with open(path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == PINNED_SHA256
+        out = run_spmd(4, _read_pinned, path, slab_bytes, root, engine=engine)
+        assert out == [_payload(r, n) for r, n in enumerate(PINNED_SIZES)]

@@ -50,21 +50,13 @@ def _dup_then_reduce(c):
     return c.dup().allreduce(c.rank)
 
 
-def _ring_shift(c):
-    return c.sendrecv(c.rank, dest=(c.rank + 1) % c.size, source=(c.rank - 1) % c.size)
-
-
-def _tagged_p2p(c):
-    if c.rank == 0:
-        for dst in range(1, c.size):
-            c.send(f"m{dst}", dest=dst, tag=dst)
-        return "root"
-    return c.recv(source=0, tag=c.rank)
-
-
 def _alltoall_identity(c):
     row = [(c.rank, dst) for dst in range(c.size)]
     return c.alltoall(c.alltoall(row)) == row
+
+
+def _single_rank(c):
+    return c.allreduce(41) + 1
 
 
 PROGRAMS = [
@@ -72,10 +64,8 @@ PROGRAMS = [
     ("split-subgroups", _split_subgroups, 6),
     ("split-with-null", _split_with_null, 4),
     ("dup-then-reduce", _dup_then_reduce, 4),
-    ("ring-shift", _ring_shift, 7),
-    ("tagged-p2p", _tagged_p2p, 5),
     ("alltoall-identity", _alltoall_identity, 4),
-    ("single-rank", lambda c: c.allreduce(41) + 1, 1),
+    ("single-rank", _single_rank, 1),
 ]
 
 
@@ -136,11 +126,11 @@ def test_invalid_root_raises():
 
 
 def test_deadlock_detected_without_timeout():
-    # Rank 0 waits for a message nobody sends: the worklist drains and the
-    # engine reports the deadlock instead of hanging until a timeout.
+    # Rank 0 waits in a barrier rank 1 never joins: the worklist drains and
+    # the engine reports the deadlock instead of hanging until a timeout.
     def fn(c):
         if c.rank == 0:
-            c.recv(source=1)
+            c.barrier()
         return "ok"
 
     with pytest.raises(SpmdWorkerError) as exc_info:
@@ -304,12 +294,12 @@ def test_allgather_result_is_shared_between_ranks():
 def test_bulk_timeout_fires():
     def fn(c):
         if c.rank == 0:
-            c.recv(source=1, tag=5)  # never satisfied
+            c.barrier()  # never satisfied
         else:
             import time
 
             time.sleep(0.2)  # keep a worker busy so it's not a deadlock
-            c.send(1, dest=0, tag=9)  # wrong tag
+            # ... and return without joining the barrier
         return "x"
 
     with pytest.raises(SpmdWorkerError) as exc_info:

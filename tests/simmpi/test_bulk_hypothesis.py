@@ -1,8 +1,8 @@
 """Randomized engine conformance: wave-vectorized bulk vs. threads.
 
 Hypothesis draws small rank *programs* — sequences of collectives,
-subworld phases, ``exec_once`` effects and point-to-point shifts — and
-runs each under both engines.  The contract:
+subworld phases and ``exec_once`` effects — and runs each under both
+engines.  The contract:
 
 * identical rank-ordered results on success (the thread engine is the
   reference semantics);
@@ -48,8 +48,6 @@ _flat_op = st.one_of(
     st.tuples(st.just("gatherv"), st.integers(0, 7), st.integers(0, 2)),
     st.tuples(st.just("alltoall")),
     st.tuples(st.just("barrier")),
-    st.tuples(st.just("ring"), st.integers(0, 5)),
-    st.tuples(st.just("tagged"), st.integers(0, 5)),
     st.tuples(st.just("exec_once"), st.integers(-50, 50)),
 )
 _sub_op = st.tuples(
@@ -87,21 +85,6 @@ def _apply(c, op, grank, once_log, lock):
     if kind == "barrier":
         c.barrier()
         return "bar"
-    if kind == "ring":
-        tag = op[1]
-        return c.sendrecv(
-            (c.rank, tag),
-            dest=(c.rank + 1) % c.size,
-            source=(c.rank - 1) % c.size,
-            tag=tag,
-        )
-    if kind == "tagged":
-        tag = op[1]
-        if c.rank == 0:
-            for dst in range(1, c.size):
-                c.send((dst, tag), dest=dst, tag=tag)
-            return "sent"
-        return c.recv(source=0, tag=tag)
     if kind == "exec_once":
         seed = op[1]
 

@@ -6,13 +6,15 @@ every program of the table below on all three and requires equal results
 — or, for an illegal call, the same exception type and message on the
 primary failing rank.  Part (ii) pins the structure that makes (i) hold
 by construction: no engine class defines any public name, the process
-engine moves every collective over one transport, and a receive has one
-mode — it blocks (no request object, no probe, no non-blocking match).
+engine moves every collective over one transport, and every exchange is
+a collective (no point-to-point call, mailbox or message match, no
+request object, no probe).
 
 The programs are module-level functions so that the whole table also runs
 under the ``spawn`` start method (CI: ``REPRO_PROC_START=spawn``).
 """
 
+import ast
 import hashlib
 import inspect
 import operator
@@ -21,14 +23,13 @@ import pathlib
 import numpy as np
 import pytest
 
+import repro.baselines.singlefile
 import repro.simmpi
 import repro.simmpi.bulk
 import repro.simmpi.comm
 import repro.simmpi.proc
 from repro.errors import SimMPIError, SpmdWorkerError
 from repro.simmpi import (
-    ANY_SOURCE,
-    ANY_TAG,
     COMM_NULL,
     BulkComm,
     Comm,
@@ -71,29 +72,6 @@ def reduce_noncommutative_op(c):
     return c.reduce(str(c.rank), op=operator.add, root=1)
 
 
-def ring_sendrecv(c):
-    return c.sendrecv(c.rank, dest=(c.rank + 1) % c.size, source=(c.rank - 1) % c.size)
-
-
-def send_to_self(c):
-    c.send(("me", c.rank), dest=c.rank, tag=5)
-    return c.recv(source=c.rank, tag=5)
-
-
-def recv_with_status(c):
-    if c.rank:
-        c.send(c.rank * 11, dest=0, tag=c.rank)
-        return None
-    return [c.recv(source=src, tag=ANY_TAG, return_status=True) for src in range(1, c.size)]
-
-
-def wildcard_recv(c):
-    if c.rank:
-        c.send(c.rank, dest=0, tag=7)
-        return None
-    return sorted(c.recv(ANY_SOURCE, 7) for _ in range(c.size - 1))
-
-
 def gatherv_of_memoryviews(c):
     buf = bytearray([c.rank] * 3)
     out = c.gatherv([memoryview(buf), memoryview(buf)[1:]], root=1)
@@ -108,15 +86,11 @@ def views_of_one_bytes(c):
     mine = memoryview(blob)[4 * c.rank : 4 * c.rank + 3]
     gathered = c.gatherv([mine, mine[1:]], root=0)
     got = c.bcast(mine if c.rank == 1 else None, root=1)
-    if c.rank:
-        c.send(mine, dest=0, tag=3)
-        sent = None
-    else:
-        sent = [bytes(c.recv(source=src, tag=3)) for src in range(1, c.size)]
+    (sent,) = c.scatterv([[mine[i:]] for i in range(c.size)] if c.rank == 0 else None)
     return (
         gathered if gathered is None else [tuple(map(bytes, row)) for row in gathered],
         bytes(got),
-        sent,
+        bytes(sent),
     )
 
 
@@ -149,13 +123,9 @@ def split_none_is_comm_null(c):
 
 def dup_isolates_traffic(c):
     d = c.dup()
-    if c.rank == 0:
-        d.send("dup", dest=1)
-        c.send("parent", dest=1)
-        return (d.rank, d.size)
-    if c.rank == 1:
-        return (c.recv(source=0), d.recv(source=0))
-    return None
+    dup = d.bcast("dup" if c.rank == 0 else None)
+    parent = c.bcast("parent" if c.rank == 0 else None)
+    return (d.rank, d.size) if c.rank == 0 else (parent, dup)
 
 
 def subworld_then_collective(c):
@@ -193,11 +163,6 @@ RESULT_PROGRAMS = [
     (reduce_at_nonzero_root, 3),
     (allreduce_max, 5),
     (reduce_noncommutative_op, 4),
-    (ring_sendrecv, 5),
-    (ring_sendrecv, 1),
-    (send_to_self, 3),
-    (recv_with_status, 4),
-    (wildcard_recv, 4),
     (gatherv_of_memoryviews, 3),
     (views_of_one_bytes, 3),
     (scatterv_of_bytearrays, 3),
@@ -221,22 +186,6 @@ def split_str_key(c):
 
 def split_float_color(c):
     c.split(1.5)
-
-
-def recv_negative_tag(c):
-    c.recv(tag=-5)
-
-
-def recv_source_out_of_range(c):
-    c.recv(source=c.size)
-
-
-def send_negative_tag(c):
-    c.send(1, dest=0, tag=-1)
-
-
-def send_dest_out_of_range(c):
-    c.send(1, dest=c.size)
 
 
 def bcast_bad_root(c):
@@ -270,10 +219,6 @@ def barrier_vs_bcast(c):
 REJECTED_PROGRAMS = [
     (split_str_key, 4, "CommunicatorError", "split failed: TypeError"),
     (split_float_color, 4, "CommunicatorError", "split failed: TypeError"),
-    (recv_negative_tag, 2, "CommunicatorError", "tags must be non-negative"),
-    (recv_source_out_of_range, 2, "CommunicatorError", "source 2 out of range"),
-    (send_negative_tag, 2, "CommunicatorError", "tags must be non-negative"),
-    (send_dest_out_of_range, 2, "CommunicatorError", "dest 2 out of range"),
     (bcast_bad_root, 2, "CommunicatorError", "root 7 out of range"),
     (gatherv_bad_root, 2, "CommunicatorError", "root -1 out of range"),
     (scatter_short_input, 3, "CommunicatorError", "exactly one value per rank"),
@@ -338,11 +283,11 @@ def test_abort_fallout_is_told_apart_by_type_not_text(engine):
 # --------------------------------------------------------------------------
 # (ii) Structure: the surface is defined once.
 
-PUBLIC_METHODS = (
+COLLECTIVES = (
     "barrier", "bcast", "gather", "allgather", "gatherv", "scatterv", "scatter",
-    "alltoall", "reduce", "allreduce", "send", "recv", "sendrecv", "split",
-    "dup", "subworld", "exec_once", "abort",
+    "alltoall", "reduce", "allreduce",
 )
+PUBLIC_METHODS = (*COLLECTIVES, "split", "dup", "subworld", "exec_once", "abort")
 TRANSPORTS = (ThreadComm, BulkComm, ProcComm)
 
 
@@ -355,12 +300,12 @@ def _package_classes():
 
 
 def test_public_surface_is_defined_by_comm_alone():
-    """Each of the 18 methods and ``rank``/``size`` is in ``vars()`` of
+    """Each of the 15 methods and ``rank``/``size`` is in ``vars()`` of
     exactly one communicator class — ``Comm`` — so signature parity
     between the engines holds by construction."""
     comms = {cls for cls in _package_classes() if issubclass(cls, Comm)}
     assert comms == {Comm, *TRANSPORTS}
-    assert len(PUBLIC_METHODS) == 18
+    assert len(PUBLIC_METHODS) == 15
     for name in (*PUBLIC_METHODS, "rank", "size"):
         assert [cls for cls in comms if name in vars(cls)] == [Comm], name
         for cls in TRANSPORTS:
@@ -382,7 +327,7 @@ def test_proc_engine_has_one_transport():
 
 
 def test_no_request_class():
-    """A receive always blocks, so there is no request object to poll."""
+    """Every exchange is a blocking collective: no request object to poll."""
     names = {cls.__name__ for cls in _package_classes()} | set(dir(repro.simmpi))
     assert not [n for n in names if n.endswith("Request")]
 
@@ -392,10 +337,33 @@ def test_no_transport_probes():
         assert not hasattr(cls, "_probe"), cls
 
 
-@pytest.mark.parametrize("cls", TRANSPORTS, ids=lambda cls: cls.__name__)
-def test_match_takes_source_and_tag_only(cls):
-    """``_match`` has no non-blocking mode: it returns a message or waits."""
-    assert list(inspect.signature(cls._match).parameters) == ["self", "source", "tag"]
+#: What point-to-point messaging needed: the transport hooks, the
+#: mailboxes, the bulk engine's receive parking and the wildcards.
+P2P_NAMES = (
+    "_post", "_match", "_Mailbox", "mailbox", "park_recv", "wake",
+    "ANY_SOURCE", "ANY_TAG",
+)
+
+
+def test_point_to_point_is_gone():
+    """Every exchange is a collective: no module, class or export of
+    ``repro.simmpi`` keeps a name point-to-point messaging needed."""
+    modules = (repro.simmpi, repro.simmpi.comm, repro.simmpi.bulk, repro.simmpi.proc)
+    owners = [*modules, *_package_classes()]
+    for name in P2P_NAMES:
+        assert not [o for o in owners if name in vars(o)], name
+
+
+def test_single_file_baseline_calls_only_collectives():
+    """The single-file checkpoint moves its slabs by ``gatherv`` /
+    ``scatterv`` rounds: every ``Comm`` method it calls is a collective."""
+    tree = ast.parse(inspect.getsource(repro.baselines.singlefile))
+    called = {
+        node.func.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "comm"
+    }
+    assert called and called <= set(COLLECTIVES), called
 
 
 def test_no_nonblocking_op_names_in_simmpi():

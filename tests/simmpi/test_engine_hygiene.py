@@ -83,8 +83,10 @@ def _misbehave(comm, outcome: str) -> None:
     """The scripted failure, fired while the rank still holds its file."""
     if outcome == "raise" and comm.rank == 3:
         raise RuntimeError("rank 3 gives up")
-    if outcome == "deadlock" and comm.rank == 1:
-        comm.recv(source=0, tag=99)  # nobody sends it
+    if outcome == "deadlock":
+        stray = comm.dup()
+        if comm.rank == 1:
+            stray.barrier()  # nobody else joins it
     if outcome == "timeout" and comm.rank == 5:
         time.sleep(1.5)  # holds the loop far past the 0.2 s stall bound
 
@@ -195,10 +197,11 @@ def test_bulk_rank_values_die_with_the_rank(nprocs):
         # first value and the others' objects are their own entries.
         refs[comm.rank] = weakref.ref(comm.exec_once(_Logged))
         comm.barrier()  # every rank has logged (at 40: spilled) before any returns
-        if comm.rank == sender:
-            comm.send(None, dest=checker)
-        elif comm.rank == checker:
-            comm.recv(source=sender)  # rank 0 and the sender have returned by now
+        # Only the root waits in a gather, and every other rank returns
+        # right after its deposit: rank 0 and the sender have returned by
+        # the time the checker's gather completes.
+        comm.gather(None, root=checker)
+        if comm.rank == checker:
             gc.collect()
             seen.update(
                 first=refs[0](), finished=refs[sender](), running=refs[checker](),
@@ -230,10 +233,8 @@ def test_bulk_first_value_dies_with_its_rank_when_some_ranks_never_log_it():
                 refs["first"] = weakref.ref(value)
             del value
         comm.barrier()  # every logger has logged before any returns
-        if comm.rank == 0:
-            comm.send(None, dest=checker)
-        elif comm.rank == checker:
-            comm.recv(source=0)  # rank 0 has returned by now
+        comm.gather(None, root=checker)  # rank 0 has returned by its end
+        if comm.rank == checker:
             gc.collect()
             seen["first"] = refs["first"]()
 
@@ -254,15 +255,15 @@ def test_bulk_value_two_ranks_logged_lives_until_both_finish(nprocs):
         comm.exec_once(lambda: box["pair"] if comm.rank < 2 else _Logged())
         comm.barrier()  # both have logged it before either returns
         box.pop("pair", None)
-        if comm.rank == 0:
-            comm.send(None, dest=checker)
-        elif comm.rank == 1:
-            comm.recv(source=checker)  # parked: only the log holds the pair
-        elif comm.rank == checker:
-            comm.recv(source=0)  # rank 0 has returned by now
+        pair = comm.split(0 if comm.rank in (1, checker) else None, key=comm.rank)
+        comm.gather(None, root=checker)  # rank 0 has returned by its end
+        if comm.rank == checker:
             gc.collect()
             seen["alive"] = ref() is not None
-            comm.send(None, dest=1)
+        if pair is not None:
+            # Rank 1 parks until the checker deposits: only the log holds
+            # the pair meanwhile.
+            pair.bcast(None, root=1)
 
     run_spmd(nprocs, body, engine="bulk")
     assert seen["alive"]

@@ -47,36 +47,19 @@ def spmd(size, fn, engine="threads"):
 
 
 class TestMemoryviewSnapshots:
-    def test_send_recv_snapshots_a_memoryview(self, engine="threads"):
-        def task(comm):
-            if comm.rank == 0:
-                buf = bytearray(b"payload!")
-                comm.send(memoryview(buf), dest=1)
-                buf[:] = b"SCRIBBLE"  # sender reuses its buffer immediately
-                return None
-            got = comm.recv(source=0)
-            assert type(got) is bytes
-            return got
-
-        assert spmd(2, task, engine)[1] == b"payload!"
-
     def test_sliced_view_sends_only_the_window(self, engine="threads"):
         def task(comm):
-            if comm.rank == 0:
-                buf = bytearray(b"0123456789")
-                comm.send(memoryview(buf)[3:7], dest=1)
-                return None
-            return comm.recv(source=0)
+            buf = bytearray(b"0123456789") if comm.rank == 0 else None
+            got = comm.bcast(memoryview(buf)[3:7] if buf is not None else None)
+            return None if comm.rank == 0 else got
 
         assert spmd(2, task, engine)[1] == b"3456"
 
     def test_non_contiguous_view_flattens_in_c_order(self, engine="threads"):
         def task(comm):
-            if comm.rank == 0:
-                arr = np.arange(10, dtype=np.uint8)
-                comm.send(memoryview(arr[::2]), dest=1)
-                return None
-            return comm.recv(source=0)
+            arr = np.arange(10, dtype=np.uint8) if comm.rank == 0 else None
+            got = comm.bcast(memoryview(arr[::2]) if arr is not None else None)
+            return None if comm.rank == 0 else got
 
         assert spmd(2, task, engine)[1] == bytes([0, 2, 4, 6, 8])
 
@@ -86,7 +69,8 @@ class TestMemoryviewSnapshots:
             view = memoryview(buf) if buf is not None else None
             got = comm.bcast(view, root=0)
             if buf is not None:
-                buf[:] = b"XXXXXXXXX"
+                buf[:] = b"XXXXXXXXX"  # the root reuses its buffer immediately
+            assert type(got) is bytes
             return got
 
         assert spmd(3, task, engine) == [b"root-data"] * 3
@@ -106,12 +90,11 @@ class TestMemoryviewSnapshots:
 class TestOtherBufferTypes:
     def test_bytearray_stays_bytearray_but_is_copied(self, engine="threads"):
         def task(comm):
+            buf = bytearray(b"mutate-me") if comm.rank == 0 else None
+            got = comm.bcast(buf)
             if comm.rank == 0:
-                buf = bytearray(b"mutate-me")
-                comm.send(buf, dest=1)
                 buf[:] = b"armageddo"
                 return None
-            got = comm.recv(source=0)
             assert type(got) is bytearray
             return bytes(got)
 
@@ -119,12 +102,11 @@ class TestOtherBufferTypes:
 
     def test_ndarray_stays_ndarray_but_is_copied(self, engine="threads"):
         def task(comm):
+            arr = np.arange(6, dtype=np.int32) if comm.rank == 0 else None
+            got = comm.bcast(arr)
             if comm.rank == 0:
-                arr = np.arange(6, dtype=np.int32)
-                comm.send(arr, dest=1)
                 arr += 100
                 return None
-            got = comm.recv(source=0)
             assert isinstance(got, np.ndarray)
             return got.tolist()
 
@@ -162,15 +144,15 @@ BLOB = bytes(range(32))
 
 def _views_of_blob(comm):
     """What rank 1 receives of rank 0's views of ``BLOB``: two ``gatherv``
-    fragments, a ``bcast``, a ``send`` and a ``bcast`` of the whole."""
+    fragments, a ``bcast``, a ``scatterv`` fragment and a ``bcast`` of the
+    whole."""
     mine = memoryview(BLOB)[8 * comm.rank : 8 * comm.rank + 8]
     gathered = comm.gatherv([mine, mine[2:5]], root=1)
     got = comm.bcast(mine if comm.rank == 0 else None, root=0)
     whole = comm.bcast(memoryview(BLOB) if comm.rank == 0 else None, root=0)
+    (sent,) = comm.scatterv([[mine[1:3]]] * 2 if comm.rank == 0 else None, root=0)
     if comm.rank == 0:
-        comm.send(mine[1:3], dest=1)
         return None
-    sent = comm.recv(source=0)
     return [*gathered[0], got, sent, whole]
 
 

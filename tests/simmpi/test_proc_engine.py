@@ -98,14 +98,13 @@ def test_large_payload_bcast_matches_threads():
 
 
 def test_payloads_cross_by_value():
-    # A mutable payload mutated after send must arrive as deposited.
+    # A mutable payload mutated after the bcast must arrive as deposited.
     def fn(c):
+        buf = bytearray(b"orig") if c.rank == 0 else None
+        got = c.bcast(buf, root=0)
         if c.rank == 0:
-            buf = bytearray(b"orig")
-            c.send(buf, dest=1)
             buf[:] = b"xxxx"
             return None
-        got = c.recv(source=0)
         return (bytes(got), type(got).__name__)
 
     assert run_spmd(2, fn, engine="proc")[1] == (b"orig", "bytearray")
@@ -176,9 +175,10 @@ def test_scatter_shape_error_aborts_world():
 
 
 def test_recv_timeout_raises():
+    # A wait that never ends is a collective one rank never joins.
     def fn(c):
         if c.rank == 0:
-            c.recv(source=1)  # nobody sends
+            c.barrier()  # rank 1 returns instead
         return "ok"
 
     with pytest.raises(SpmdWorkerError) as exc_info:

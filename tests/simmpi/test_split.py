@@ -149,24 +149,21 @@ def test_dup_preserves_shape_and_isolates_traffic(engine="threads"):
     def fn(c):
         d = c.dup()
         assert (d.rank, d.size) == (c.rank, c.size)
-        # Traffic on the dup must not interfere with the parent's.
-        if c.rank == 0:
-            d.send("dup-msg", dest=1)
-            c.send("parent-msg", dest=1)
-            return None
-        return (c.recv(source=0), d.recv(source=0))
+        # Collectives on the dup, interleaved with the parent's, must not
+        # interfere with them.
+        dup = d.bcast("dup-msg" if c.rank == 0 else None)
+        parent = c.bcast("parent-msg" if c.rank == 0 else None)
+        return None if c.rank == 0 else (parent, dup)
 
     out = run_spmd(2, fn, engine=engine)
     assert out[1] == ("parent-msg", "dup-msg")
 
 
-def test_p2p_within_split_group_uses_new_ranks(engine="threads"):
+def test_rooted_collective_within_split_group_uses_new_ranks(engine="threads"):
     def fn(c):
         sub = c.split(color=c.rank % 2)
-        if sub.rank == 0:
-            sub.send(f"group{c.rank % 2}", dest=1)
-            return None
-        return sub.recv(source=0)
+        got = sub.bcast(f"group{c.rank % 2}" if sub.rank == 0 else None, root=0)
+        return None if sub.rank == 0 else got
 
     out = run_spmd(4, fn, engine=engine)
     assert out[2] == "group0"

@@ -49,7 +49,7 @@ def test_env_timeout_applies_to_run_spmd(monkeypatch, engine):
 
     def fn(c):
         if c.rank == 0:
-            c.recv(source=1, tag=1)  # never sent
+            c.bcast(None, root=1)  # rank 1 never joins it
         else:
             import time
 
