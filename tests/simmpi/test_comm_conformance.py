@@ -354,6 +354,13 @@ def test_point_to_point_is_gone():
         assert not [o for o in owners if name in vars(o)], name
 
 
+@pytest.mark.parametrize("cls", TRANSPORTS, ids=lambda cls: cls.__name__)
+def test_transport_has_no_message_hooks(cls):
+    """No transport posts or matches a message, not even by inheritance:
+    ``_post`` and ``_match`` went with send/recv."""
+    assert not {"_post", "_match"} & set(dir(cls)), cls
+
+
 def test_single_file_baseline_calls_only_collectives():
     """The single-file checkpoint moves its slabs by ``gatherv`` /
     ``scatterv`` rounds: every ``Comm`` method it calls is a collective."""
