@@ -11,7 +11,10 @@ covers file bytes ``[r * slab_bytes, (r + 1) * slab_bytes)`` past the
 header.  Writing, every task ``gatherv``s its slice of that window (empty
 when it holds none of it) to the root, which writes the round with one
 ``pwrite``; reading, the root ``pread``s the window and ``scatterv``s it.
-The root so buffers at most ``slab_bytes`` of payload per round.
+The root so buffers at most ``slab_bytes`` of payload per round.  Each of
+the root's backend steps (open plus header, a round's ``pwrite`` or
+``pread``, the close) is one ``Comm.exec_once``, so an engine that replays
+a rank body issues each of them once.
 
 File format: a small header (magic, ntasks, per-task byte counts) followed
 by the tasks' payloads concatenated in rank order, so the file can be
@@ -74,20 +77,32 @@ def write_single_file(
     head = _HEAD.size + 8 * comm.size
     f = None
     if comm.rank == root:
-        f = backend.open(base, "wb")
-        f.pwrite(0, _HEAD.pack(_MAGIC, comm.size))
-        f.pwrite(_HEAD.size, struct.pack(f"<{comm.size}Q", *sizes))
+        f = comm.exec_once(lambda: _create(backend, base, sizes))
     spans = _spans(sizes)
     own, total = spans[comm.rank][0], spans[-1][1]
     for lo in range(0, total, slab_bytes):
         a, b = _clip(spans[comm.rank], lo, min(lo + slab_bytes, total))
         rows = comm.gatherv((view[a - own : b - own],) if a < b else (), root=root)
         if f is not None:
-            f.pwrite(head + lo, concat_views([p for row in rows for p in row]))
+            comm.exec_once(
+                lambda: f.pwrite(head + lo, concat_views([p for row in rows for p in row]))
+            )
     if f is not None:
-        f.flush()
-        f.close()
+        comm.exec_once(lambda: _close(f))
     comm.barrier()
+
+
+def _create(backend: Backend, base: str, sizes: list[int]):
+    """Create the file and write its header; the root's first backend step."""
+    f = backend.open(base, "wb")
+    f.pwrite(0, _HEAD.pack(_MAGIC, len(sizes)))
+    f.pwrite(_HEAD.size, struct.pack(f"<{len(sizes)}Q", *sizes))
+    return f
+
+
+def _close(f) -> None:
+    f.flush()
+    f.close()
 
 
 def read_single_file(
@@ -103,15 +118,7 @@ def read_single_file(
     sizes: list[int] | None = None
     f = None
     if comm.rank == root:
-        f = backend.open(base, "rb")
-        magic, ntasks = _HEAD.unpack(f.pread(0, _HEAD.size))
-        if magic != _MAGIC:
-            raise SionFormatError(f"{base}: not a single-file checkpoint")
-        if ntasks != comm.size:
-            raise SionUsageError(
-                f"{base} holds {ntasks} tasks, communicator has {comm.size}"
-            )
-        sizes = list(struct.unpack(f"<{ntasks}Q", f.pread(_HEAD.size, 8 * ntasks)))
+        f, sizes = comm.exec_once(lambda: _open(backend, base, comm.size))
     sizes = comm.bcast(sizes, root=root)
     assert sizes is not None
     head = _HEAD.size + 8 * comm.size
@@ -122,11 +129,22 @@ def read_single_file(
         hi = min(lo + slab_bytes, total)
         rows = None
         if f is not None:
-            window = memoryview(f.pread(head + lo, hi - lo))
+            window = memoryview(comm.exec_once(lambda: f.pread(head + lo, hi - lo)))
             cuts = (_clip(span, lo, hi) for span in spans)
             rows = [(window[a - lo : b - lo],) if a < b else () for a, b in cuts]
         pieces.extend(comm.scatterv(rows, root=root))
     if f is not None:
-        f.close()
+        comm.exec_once(f.close)
     comm.barrier()
     return concat_views(pieces) if pieces else b""
+
+
+def _open(backend: Backend, base: str, ntasks: int):
+    """Open the file and read its header; the root's first backend step."""
+    f = backend.open(base, "rb")
+    magic, count = _HEAD.unpack(f.pread(0, _HEAD.size))
+    if magic != _MAGIC:
+        raise SionFormatError(f"{base}: not a single-file checkpoint")
+    if count != ntasks:
+        raise SionUsageError(f"{base} holds {count} tasks, communicator has {ntasks}")
+    return f, list(struct.unpack(f"<{count}Q", f.pread(_HEAD.size, 8 * count)))

@@ -20,6 +20,10 @@ object, or as something that points into it (it can never change), and
 any other buffer is copied once.  :func:`keep` applies it for the
 journal's write rows, the collective-write fragments and the
 communicator's deposits (a view of a ``bytes`` is kept as a view of it).
+The coalescing writer keeps its records by copying them into its
+staging buffer, but hands a flush that is one span of a caller's
+``bytes`` down as a view of that span, which every keeper below then
+shares.
 The store keeps no view: a ``SparseFile`` piece is the ``bytes`` itself
 plus two numbers, the offset that :func:`offset_in` reads and the
 length.  Its reads hand the rule back out: a read inside one piece is a

@@ -16,8 +16,11 @@ Architecture
   communicator id, so traffic on a ``split`` subgroup never collides
   with world traffic.  Every collective — the world's included — is
   routed through the communicator's local rank 0 (the *hub*): the other
-  ranks post their deposits to it, and it posts the rank-ordered
-  deposits back to each of them.  No barrier or shared segment exists,
+  ranks post their deposits to it, each with what its result reads, and
+  it posts back to each of them only that part of the rank-ordered
+  deposits: nothing to a rank that reads nothing (a non-root ``gather``
+  rank), the root's slot to a ``bcast`` or ``scatterv`` rank, and every
+  slot to an ``allgather`` rank.  No barrier or shared segment exists,
   so nothing a run creates outlives its processes.
 * **Results and journal rows** return over a queue at join.  Each child
   ships the rows every live :class:`~repro.backends.journal.Journal`
@@ -85,7 +88,7 @@ from repro.errors import (
     CommunicatorError,
     SimMPIError,
 )
-from repro.simmpi.comm import Comm, SplitPlan, group_split
+from repro.simmpi.comm import _ALL, _NONE, Comm, SplitPlan, group_split
 
 #: Maximum world size; one OS process per rank.  Overridable via the
 #: ``REPRO_PROC_MAX_RANKS`` environment variable.
@@ -110,6 +113,17 @@ def _by_value(value: Any, depth: int = 2) -> Any:
     if depth and type(value) in (tuple, list):
         return type(value)(_by_value(v, depth - 1) for v in value)
     return value
+
+
+def _unpack_reply(reply: "bytes | None", needs: int, size: int) -> list:
+    """The slot list a member reads, rebuilt from the part of the
+    deposits the hub sent it for ``needs``; unsent slots are ``None``."""
+    if needs == _ALL:
+        return pickle.loads(reply)
+    slots = [None] * size
+    if needs != _NONE:
+        slots[needs] = pickle.loads(reply)
+    return slots
 
 
 def default_start_method() -> str:
@@ -252,31 +266,35 @@ class ProcComm(Comm):
         shared: bool = False,
     ) -> Any:
         """Deposit/synchronize/read primitive behind every collective,
-        routed through local rank 0 (the hub).  ``needs`` and ``shared``
-        are moot: every rank waits for the hub's reply and reads its own,
-        unpickled, copy of the deposits."""
+        routed through local rank 0 (the hub).  Every rank waits for the
+        hub's reply (``shared`` is moot); each member sends its ``needs``
+        with its deposit, and the reply carries only that: nothing for
+        :data:`_NONE`, the root's slot for a root index, every slot for
+        :data:`_ALL`.  The hub pickles each distinct reply once."""
         value = _by_value(frame(value))
         group = self._group
         rt, cid, members = group.rt, group.id, group.members
         seq = rt.next_seq(cid)
         if self._rank != 0:
-            rt.post(members[0], (cid, seq, self._rank, opname, value))
+            rt.post(members[0], (cid, seq, self._rank, opname, value, needs))
             _, _, _, op, reply = rt.wait_for(
                 lambda m: m[0] == cid and m[1] == seq and m[2] == _HUB,
                 what=f"hub reply for {opname}#{seq} on {cid}",
             )
-            slots = pickle.loads(reply)
+            slots = _unpack_reply(reply, needs, len(members))
             names = {op, opname}
         else:
             slots = [None] * len(members)
             slots[0] = value
+            wants = [needs] * len(members)
             names = {opname}
             for _ in members[1:]:
-                _, _, src, op, payload = rt.wait_for(
+                _, _, src, op, payload, want = rt.wait_for(
                     lambda m: m[0] == cid and m[1] == seq and m[2] != _HUB,
                     what=f"deposits for {opname}#{seq} on {cid}",
                 )
                 slots[src] = payload
+                wants[src] = want
                 names.add(op)
         if len(names) > 1:
             self._abort()
@@ -284,12 +302,15 @@ class ProcComm(Comm):
                 f"ranks disagree on collective operation: {sorted(names)}"
             )
         if self._rank == 0 and len(members) > 1:
-            # Snapshot the reply before ``read`` hands the hub its result:
+            # Snapshot the replies before ``read`` hands the hub its result:
             # a queue pickles in a feeder thread, by when the hub's rank
             # body may already have mutated that result in place.
-            reply = pickle.dumps(slots, protocol=pickle.HIGHEST_PROTOCOL)
-            for dest in members[1:]:
-                rt.post(dest, (cid, seq, _HUB, opname, reply))
+            replies: dict[int, "bytes | None"] = {_NONE: None}
+            for dest, want in zip(members[1:], wants[1:]):
+                if want not in replies:
+                    part = slots if want == _ALL else slots[want]
+                    replies[want] = pickle.dumps(part, protocol=pickle.HIGHEST_PROTOCOL)
+                rt.post(dest, (cid, seq, _HUB, opname, replies[want]))
         return read(slots)
 
     def _split_groups(self, deposits: Any) -> tuple[SplitPlan, list[_Group]]:

@@ -8,11 +8,15 @@ optimization, applied per task-local stream.
 
 It is a pure wrapper: bytes on disk are identical with and without it
 (property-tested), only the number of backend write calls changes.
+Records are copied once, into the staging buffer; a flush that is one
+span of one caller ``bytes`` (the common case of records sliced from one
+payload) goes down as a view of that span, so the store shares it instead
+of copying the flush a second time.
 """
 
 from __future__ import annotations
 
-from repro.buffers import BufferLike, as_view
+from repro.buffers import BufferLike, as_view, offset_in
 from repro.errors import SionUsageError
 
 
@@ -20,10 +24,13 @@ class CoalescingWriter:
     """Batch small writes into ``buffer_size``-byte flushes.
 
     Copy discipline: small records are copied **once**, into the staging
-    buffer (that copy *is* the coalescing); each flush then hands the
-    stream a ``memoryview`` of the buffer — no flush-time copy.  Large
-    writes arriving on an empty buffer bypass the staging entirely and
-    the caller's view flows through untouched.
+    buffer (that copy *is* the coalescing, and the cheap per-record path).
+    A flush whose staged bytes are one span of one caller ``bytes`` hands
+    the stream a view of that span, which the store and the journal keep
+    as it is (the keep rule of :mod:`repro.buffers`); any other flush
+    hands it a ``memoryview`` of the staging buffer, which the store
+    copies once.  Large writes arriving on an empty buffer bypass the
+    staging entirely and the caller's view flows through untouched.
 
     >>> w = CoalescingWriter(handle, buffer_size=64 * 1024)  # doctest: +SKIP
     ... for record in records:
@@ -37,6 +44,10 @@ class CoalescingWriter:
         self.stream = stream
         self.buffer_size = buffer_size
         self._buf = bytearray()
+        # Where the staged run would start in a caller ``bytes``: a view of
+        # the first record staged into the empty buffer, or of the tail a
+        # flush left of the record that it split; None for other exporters.
+        self._start: memoryview | None = None
         self._closed = False
         self.bytes_written = 0
         self.flushes = 0
@@ -47,14 +58,22 @@ class CoalescingWriter:
         view = as_view(data)
         n = view.nbytes
         self.bytes_written += n
-        if n >= self.buffer_size and not self._buf:
-            # Large writes bypass the staging buffer: zero-copy passthrough.
-            self.stream.fwrite(view)
-            self.flushes += 1
-            return n
-        self._buf += view
-        while len(self._buf) >= self.buffer_size:
+        buf = self._buf
+        shared = type(view.obj) is bytes
+        if not buf:
+            if n >= self.buffer_size:
+                # Large writes bypass the staging buffer: zero-copy passthrough.
+                self.stream.fwrite(view)
+                self.flushes += 1
+                return n
+            # A slice, not ``view``: the caller may release its own view.
+            self._start = view[:] if shared else None
+        buf += view
+        while len(buf) >= self.buffer_size:
             self._flush_prefix(self.buffer_size)
+            # What a flush leaves is the tail of this record.
+            pending = len(buf)
+            self._start = view[n - pending :] if shared and pending else None
         return n
 
     def fwrite(self, data: BufferLike) -> int:
@@ -68,24 +87,49 @@ class CoalescingWriter:
         self._check_open()
         if self._buf:
             self._flush_prefix(len(self._buf))
+            self._start = None
 
     def _flush_prefix(self, size: int) -> None:
-        """Hand the stream a view of the buffer head, then drop it.
+        """Hand the stream the buffer head, then drop it.
 
-        The view must be released before the ``del`` — a ``bytearray``
-        with exported buffers refuses to resize.  Downstream consumes the
-        bytes synchronously (the vectored backend call returns only after
-        the store took its copy), so releasing here is safe.
+        The head goes down as the caller's span when :meth:`_span` finds
+        one.  Otherwise it goes as a view of the staging buffer, which
+        must be released before the ``del`` — a ``bytearray`` with
+        exported buffers refuses to resize.  Downstream consumes the bytes
+        synchronously (the vectored backend call returns only after the
+        store took its copy), so releasing here is safe.
         """
-        view = memoryview(self._buf)
-        head = view[:size]
-        try:
-            self.stream.fwrite(head)
-        finally:
-            head.release()
-            view.release()
+        span = self._span(size)
+        if span is not None:
+            self.stream.fwrite(span)
+        else:
+            view = memoryview(self._buf)
+            head = view[:size]
+            try:
+                self.stream.fwrite(head)
+            finally:
+                head.release()
+                view.release()
         del self._buf[:size]
         self.flushes += 1
+
+    def _span(self, size: int) -> memoryview | None:
+        """The view of a caller ``bytes`` equal to the first ``size`` staged
+        bytes, or None.
+
+        The candidate starts where the staged run started; one ``memcmp``
+        of the staged bytes against it confirms it, so correctness never
+        rests on address arithmetic, and a later record from another
+        object or another place only costs the comparison.
+        """
+        start = self._start
+        if start is None:
+            return None
+        lo = offset_in(start)
+        span = memoryview(start.obj)[lo : lo + size]
+        if span.nbytes == size and self._buf.startswith(span):
+            return span
+        return None
 
     @property
     def pending(self) -> int:

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from repro.backends.localfs import LocalBackend
+from repro.backends.simfs_backend import SimBackend
 from repro.baselines.singlefile import (
     DEFAULT_SLAB_BYTES,
     read_single_file,
@@ -17,6 +18,7 @@ from repro.baselines.tasklocal import (
     write_task_local,
 )
 from repro.errors import SionUsageError, SpmdWorkerError
+from repro.fs.simfs import SimFS
 from repro.simmpi import run_spmd
 
 
@@ -123,6 +125,26 @@ class TestSingleFile:
         path = "/scratch/root-only.ckpt"
         run_spmd(4, lambda c: write_single_file(c, path, b"data", backend=backend))
         assert backend.fs.op_counts["create"] == 1
+
+    def test_bulk_replay_issues_each_root_call_once(self):
+        """The root's backend calls run once per rank body: a bulk world,
+        which replays bodies, leaves the same ``op_counts`` as threads."""
+        counts = {}
+        for engine in ("threads", "bulk"):
+            fs = SimFS(blocksize_override=4096)
+            fs.mkdir("/scratch")
+            backend = SimBackend(fs)
+            path = "/scratch/replay.ckpt"
+            run_spmd(8, lambda c: write_single_file(
+                c, path, _payload(c.rank, 1000), backend=backend, slab_bytes=512
+            ), engine=engine)
+            out = run_spmd(8, lambda c: read_single_file(
+                c, path, backend=backend, slab_bytes=512
+            ), engine=engine)
+            assert out == [_payload(r, 1000) for r in range(8)]
+            counts[engine] = dict(fs.op_counts)
+        assert counts["threads"]["write_bytes"] == counts["threads"]["read_bytes"] == 8076
+        assert counts["bulk"] == counts["threads"]
 
     def test_nonzero_root(self, any_backend):
         backend, base = any_backend

@@ -125,6 +125,35 @@ def test_hub_mutating_its_result_reaches_no_other_rank(sub):
     assert run_spmd(4, fn, engine="proc", timeout=30.0) == [1 << 18, 0.0, 0.0, 0.0]
 
 
+def _gatherv_posted_bytes(c):
+    """Gather 1 MiB per rank at root 0; return the pickled bytes this
+    rank handed to its mailbox runtime's ``post`` and what root 0 got."""
+    rt = c._group.rt
+    post, posted = rt.post, [0]
+
+    def counting(dest, message):
+        posted[0] += len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+        post(dest, message)
+
+    rt.post = counting
+    try:
+        rows = c.gatherv([bytes([c.rank]) * (1 << 20)], root=0)
+    finally:
+        rt.post = post
+    got = None if rows is None else [(len(f), f[:1]) for (f,) in rows]
+    return posted[0], got
+
+
+def test_hub_reply_carries_only_what_each_rank_reads():
+    # A non-root gatherv rank reads nothing, so the hub posts it no slot:
+    # what crosses the mailboxes is the three deposits, not four copies
+    # of the whole slot list on top.
+    out = run_spmd(4, _gatherv_posted_bytes, engine="proc", timeout=60.0)
+    assert out[0][1] == [(1 << 20, bytes([r])) for r in range(4)]
+    assert [got for _, got in out[1:]] == [None] * 3
+    assert sum(n for n, _ in out) <= 3 * (1 << 20) + 64 * 1024
+
+
 # --------------------------------------------------------------------------
 # Failure semantics.
 

@@ -14,6 +14,7 @@ import gc
 import tracemalloc
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.backends.instrument import CountingBackend
 from repro.backends.simfs_backend import SimBackend
@@ -357,3 +358,125 @@ class TestCoalescedPath:
             assert w.pending == 0
         with serial.open("/cv.sion", "r", backend=backend) as f:
             assert f.read_task(0) == bytes(payload_of(200) * 7)
+
+    def test_slices_of_one_bytes_flush_uncopied(self):
+        """Records that are back-to-back slices of one ``bytes`` flush as
+        spans of it: the staging copy is never what the store keeps."""
+        backend = counting_backend()
+        blob = bytes(payload_of(60 * 200))
+        backend.track_source(blob)
+        view = memoryview(blob)
+        with serial.open(
+            "/cs.sion", "w", chunksizes=[BLK], fsblksize=BLK, backend=backend
+        ) as f:
+            f.seek(0, 0, 0)
+            w = CoalescingWriter(f, buffer_size=4 * BLK)
+            before = backend.snapshot()
+            for o in range(0, len(blob), 200):
+                w.write(view[o : o + 200])
+            w.close()
+            after = backend.snapshot()
+        delta = {k: after[k] - before[k] for k in after}
+        assert w.flushes == 6
+        assert delta["data_write_calls"] == 6
+        assert delta["fragments_written"] == 24
+        assert delta["copied_fragments"] == 0
+        with serial.open("/cs.sion", "r", backend=backend) as f:
+            assert f.read_task(0) == blob
+
+    def test_bulk_ranks_leave_no_staging_copy_in_the_store(self):
+        """8 bulk ranks stream 1 MiB of 200-byte records each: what stays
+        alive after the run is the store's numbers, not a copy per flush."""
+        per, record = 1 << 20, 200
+        backend = SimBackend(SimFS(blocksize_override=4096))
+        blob = bytes(payload_of(256)) * (8 * per // 256)
+        view = memoryview(blob)
+
+        def write(comm):
+            f = paropen("/cb.sion", "w", comm, chunksize=256 << 10, fsblksize=4096,
+                        backend=backend)
+            src = view[comm.rank * per : (comm.rank + 1) * per]
+            with CoalescingWriter(f, 64 << 10) as w:
+                for o in range(0, per, record):
+                    w.write(src[o : o + record])
+            f.parclose()
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_spmd(8, write, engine="bulk")
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        with serial.open("/cb.sion", "r", backend=backend) as sf:
+            for r in (0, 7):
+                assert sf.read_task(r) == blob[r * per : (r + 1) * per]
+        assert retained <= 256 << 10, retained
+
+    def test_mutable_record_lands_as_written(self):
+        """A ``bytearray`` changed after ``write`` returns keeps what it
+        held then, staged or bypassing, between slices of a ``bytes``."""
+        backend = counting_backend()
+        blob = bytes(payload_of(3 * BLK))
+        staged, large = bytearray(b"s" * 100), bytearray(b"L" * 2 * BLK)
+        with serial.open(
+            "/cm.sion", "w", chunksizes=[BLK], fsblksize=BLK, backend=backend
+        ) as f:
+            f.seek(0, 0, 0)
+            w = CoalescingWriter(f, buffer_size=BLK)
+            w.write(memoryview(blob)[:300])
+            w.write(staged)
+            staged[:] = b"x" * 100
+            w.write(memoryview(blob)[400:1200])
+            w.write(large)
+            large[:] = b"y" * 2 * BLK
+            w.close()
+        with serial.open("/cm.sion", "r", backend=backend) as f:
+            got = f.read_task(0)
+        assert got == blob[:300] + b"s" * 100 + blob[400:1200] + b"L" * 2 * BLK
+
+
+@st.composite
+def _records(draw):
+    """One ``bytes`` and a record list over it: slices at random cut points,
+    some with gaps between them, mixed with foreign ``bytes`` and
+    ``bytearray`` contents (given as ``bytes``; each pass makes its own)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blob = rng.bytes(draw(st.integers(1, 2000)))
+    out, pos = [], 0
+    while pos < len(blob) and len(out) < 60:
+        kind = draw(st.sampled_from(["slice", "slice", "gap", "foreign", "mutable"]))
+        if kind in ("slice", "gap"):
+            pos += draw(st.integers(1, 40)) if kind == "gap" else 0
+            end = min(len(blob), pos + draw(st.integers(0, 400)))
+            out.append(("slice", memoryview(blob)[pos:end]))
+            pos = end
+        else:
+            out.append((kind, rng.bytes(draw(st.integers(0, 300)))))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=_records(), buffer_size=st.integers(1, 256))
+def test_coalesced_spans_match_direct_writes(records, buffer_size):
+    """Flushing spans of the caller's ``bytes`` (split, gapped, or bypassed)
+    stores exactly what writing each record directly stores."""
+    backend = SimBackend(SimFS(blocksize_override=BLK))
+    for path, coalesce in (("/direct.sion", False), ("/coalesced.sion", True)):
+        with serial.open(path, "w", chunksizes=[BLK], fsblksize=BLK, backend=backend) as f:
+            f.seek(0, 0, 0)
+            w = CoalescingWriter(f, buffer_size=buffer_size) if coalesce else f
+            for kind, data in records:
+                record = bytearray(data) if kind == "mutable" else data
+                w.fwrite(record)
+                if kind == "mutable":
+                    record[:] = bytes(len(record))  # changed once handed over
+            if coalesce:
+                w.close()
+    with serial.open("/direct.sion", "r", backend=backend) as f:
+        direct = f.read_task(0)
+    assert direct == b"".join(bytes(data) for _, data in records)
+    with serial.open("/coalesced.sion", "r", backend=backend) as f:
+        assert f.read_task(0) == direct
