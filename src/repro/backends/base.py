@@ -6,23 +6,25 @@ Paths are plain strings interpreted by the backend.
 
 Every data call is positioned: chunk addresses are computable locally
 (paper §3.1), and so are the metablocks', so no handle carries a file
-pointer.  ``pwrite``/``pread`` move one buffer; ``scatter_write`` and
-``gather_read`` move a whole fragment list in one call, merging
-physically contiguous runs into one vectored store call each — a
-chunk-spanning write hands the *entire* fragment list to the backend
-instead of one write per fragment.  A ``pwrite`` past end of file
-leaves a hole where the store supports sparse files, so empty chunk
-padding "exists only on the logical level".
+pointer.  A :class:`RawFile` is four calls: ``scatter_write`` and
+``gather_read`` move a whole fragment list in one call, ``flush`` and
+``close``.  ``pwrite`` / ``pread`` are helpers defined here once, as a
+one-fragment ``scatter_write`` and a one-request ``gather_read``.  A
+leaf store (:class:`StoreFile`) merges physically contiguous runs into
+one vectored store call each — a chunk-spanning write hands the *entire*
+fragment list to the backend instead of one write per fragment.  A write
+past end of file leaves a hole where the store supports sparse files, so
+empty chunk padding "exists only on the logical level".
 
 All write-side calls accept any buffer-protocol object (``bytes``,
 ``bytearray``, ``memoryview``, NumPy arrays) and must not materialize
 intermediate copies; the one copy a store may need happens inside it.
 
-``pread`` returns exact ``bytes``; a ``gather_read`` piece is a ``bytes``
-or a read-only ``memoryview`` of an immutable ``bytes`` (the simulated
-store's pieces), which no later call changes, so a replay log keeps what
-was read without a copy.  Consumers use only ``len``, slicing and the
-buffer protocol.
+A ``gather_read`` piece is a ``bytes`` or a read-only ``memoryview`` of
+an immutable ``bytes`` (the simulated store's pieces), which no later
+call changes, so a replay log keeps what was read without a copy;
+``pread`` returns exact ``bytes``.  Consumers use only ``len``, slicing
+and the buffer protocol.
 """
 
 from __future__ import annotations
@@ -31,19 +33,29 @@ import abc
 from typing import Iterable, Sequence
 
 from repro.buffers import BufferLike, as_view
-from repro.errors import BackendUsageError
 
 
 class RawFile(abc.ABC):
-    """An open file supporting positioned, vectored binary I/O."""
+    """An open file: positioned fragment lists in, positioned pieces out."""
 
     @abc.abstractmethod
-    def pwrite(self, offset: int, data: BufferLike) -> int:
-        """Write ``data`` at ``offset``; returns bytes written."""
+    def scatter_write(self, fragments: Iterable["tuple[int, BufferLike]"]) -> int:
+        """Write a whole fragment list — ``(offset, data)`` pairs — at once.
+
+        This is the single backend call a chunk-spanning ``fwrite`` or a
+        coalesced flush issues per operation.  Fragments must be
+        disjoint; empty ones write nothing.  Returns total bytes written.
+        """
 
     @abc.abstractmethod
-    def pread(self, offset: int, n: int) -> bytes:
-        """Read up to ``n`` bytes at ``offset`` (short at end of file)."""
+    def gather_read(self, requests: Sequence["tuple[int, int]"]) -> "list[bytes | memoryview]":
+        """Read a whole request list — ``(offset, size)`` pairs — at once.
+
+        The read-side mirror of :meth:`scatter_write`: one backend call
+        per chunk-spanning ``fread``.  Results come back in request order
+        (``bytes`` or read-only views, module docstring), each short at
+        end of file and empty past it.
+        """
 
     @abc.abstractmethod
     def flush(self) -> None:
@@ -53,22 +65,39 @@ class RawFile(abc.ABC):
     def close(self) -> None:
         """Release the handle; subsequent operations are invalid."""
 
-    def scatter_write(self, fragments: Iterable["tuple[int, BufferLike]"]) -> int:
-        """Write a whole fragment list — ``(offset, data)`` pairs — at once.
+    def pwrite(self, offset: int, data: BufferLike) -> int:
+        """Write ``data`` at ``offset``: a one-fragment :meth:`scatter_write`."""
+        return self.scatter_write([(offset, data)])
 
-        This is the single backend call a chunk-spanning ``fwrite`` or a
-        coalesced flush issues per operation.  Fragments must be disjoint;
-        physically contiguous runs are merged into one :meth:`_pwritev`
-        each.  Returns total bytes written.
-        """
+    def pread(self, offset: int, n: int) -> bytes:
+        """Read up to ``n`` bytes at ``offset`` (short at end of file) as
+        exact ``bytes``: a one-request :meth:`gather_read`."""
+        piece = self.gather_read([(offset, n)])[0]
+        return piece if type(piece) is bytes else bytes(piece)
+
+    def __enter__(self) -> "RawFile":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
+class StoreFile(RawFile):
+    """A leaf store's handle: each contiguous run is one vectored call.
+
+    :meth:`scatter_write` and :meth:`gather_read` sort their lists by
+    offset and hand each physically contiguous run to :meth:`_pwritev` /
+    :meth:`_preadv`, the store's native vectored calls.
+    """
+
+    def scatter_write(self, fragments: Iterable["tuple[int, BufferLike]"]) -> int:
+        """Merge the non-empty fragments into runs, one :meth:`_pwritev` each."""
         frags = [(off, as_view(d)) for off, d in fragments]
         frags = [(off, v) for off, v in frags if v.nbytes]
-        if not frags:
-            return 0
         if len(frags) == 1:
             # Fast path for the overwhelmingly common small write: one
             # fragment needs no sorting or run merging.
-            return self.pwrite(frags[0][0], frags[0][1])
+            return self._pwritev(frags[0][0], [frags[0][1]])
         frags.sort(key=lambda f: f[0])
         total = 0
         i = 0
@@ -86,13 +115,7 @@ class RawFile(abc.ABC):
         return total
 
     def gather_read(self, requests: Sequence["tuple[int, int]"]) -> "list[bytes | memoryview]":
-        """Read a whole request list — ``(offset, size)`` pairs — at once.
-
-        The read-side mirror of :meth:`scatter_write`: one backend call
-        per chunk-spanning ``fread``.  Results come back in request
-        order (``bytes`` or read-only views, module docstring); contiguous
-        runs collapse into one :meth:`_preadv` each.
-        """
+        """Merge the requests into runs, one :meth:`_preadv` each."""
         order = sorted(range(len(requests)), key=lambda k: requests[k][0])
         out: "list[bytes | memoryview]" = [b""] * len(requests)
         i = 0
@@ -116,39 +139,15 @@ class RawFile(abc.ABC):
                 out[idx] = piece
         return out
 
-    # -- contiguous-run hooks beneath scatter_write / gather_read -----------
-
+    @abc.abstractmethod
     def _pwritev(self, offset: int, views: Sequence[memoryview]) -> int:
-        """Write non-empty ``views`` back to back from ``offset``.
+        """Write non-empty ``views`` back to back from ``offset``."""
 
-        The portable loop; a store with a native vectored call overrides.
-        """
-        total = 0
-        for view in views:
-            total += self.pwrite(offset + total, view)
-        return total
-
+    @abc.abstractmethod
     def _preadv(self, offset: int, sizes: Sequence[int]) -> "list[bytes | memoryview]":
-        """Read consecutive pieces of ``sizes`` from ``offset``.
-
-        Pieces shorten, then empty, at end of file.  The portable loop; a
-        store with a native vectored call overrides.
-        """
-        out: list[bytes] = []
-        for size in sizes:
-            if size < 0:
-                raise BackendUsageError(f"negative read size: {size}")
-            out.append(self.pread(offset, size) if size else b"")
-            # Advance by the nominal size: a short piece means EOF, and
-            # every later nominal offset lies beyond it (empty reads).
-            offset += size
-        return out
-
-    def __enter__(self) -> "RawFile":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+        """Read consecutive pieces of ``sizes`` from ``offset``; pieces
+        shorten, then empty, at end of file.  A negative size raises
+        :class:`~repro.errors.BackendUsageError`."""
 
 
 class Backend(abc.ABC):

@@ -20,8 +20,8 @@ from repro.fs.cache import ChunkCache
 class CachingRawFile:
     """Read-through cache wrapper around a backend file handle.
 
-    ``pread``/``gather_read`` are split at ``cache.block_size``
-    boundaries; resident blocks are served from the shared
+    ``gather_read`` requests (and ``pread``, one request) are split at
+    ``cache.block_size`` boundaries; resident blocks are served from the shared
     :class:`ChunkCache` and the missing ones are fetched from the wrapped
     handle in **one** vectored ``gather_read`` per call, then inserted.
 
@@ -45,9 +45,8 @@ class CachingRawFile:
         """Close the wrapped handle (cached blocks stay resident)."""
         self._inner.close()
 
-    def pread(self, offset: int, n: int) -> bytes:
-        """Positioned read served block-granularly through the cache."""
-        return self.gather_read([(offset, n)])[0]
+    #: A one-request :meth:`gather_read`, the same helper a ``RawFile`` has.
+    pread = RawFile.pread
 
     def gather_read(self, requests: Sequence["tuple[int, int]"]) -> list[bytes]:
         """Vectored read: resident blocks hit, misses fetched in one call.

@@ -4,10 +4,11 @@
 whose :meth:`~CountingBackend.snapshot` folds the rows into what the SION
 layer asked the store to do:
 
-* **backend calls** per method (``pwrite``, ``scatter_write``,
-  ``gather_read``, …) — proving that a chunk-spanning ``fwrite`` of N
-  fragments crosses the boundary *once* (one ``scatter_write``), not N
-  times;
+* **backend calls** per method (``open``, ``scatter_write``,
+  ``gather_read``, ``flush``, ``close``; a ``pwrite`` / ``pread`` counts
+  as the one-fragment call it is) — proving that a chunk-spanning
+  ``fwrite`` of N fragments crosses the boundary *once* (one
+  ``scatter_write``), not N times;
 * **fragments** — individual payload buffers carried by those calls;
 * **copies** — fragments whose memory is *not* part of a tracked source
   payload.  :meth:`~repro.backends.journal.Journal.track_source`

@@ -1,9 +1,11 @@
 """One journal of the calls that cross the ``RawFile`` boundary.
 
 :class:`Journal` wraps any backend and appends one :class:`Row` per
-``open`` and per ``RawFile`` call: its sequence number, the rank that
-made it, the path, the call, its per-fragment offsets and sizes and,
-for a write, the payload.  A payload is kept by the data plane's one
+``open`` and per ``RawFile`` call — ``scatter_write``, ``gather_read``,
+``flush`` and ``close``, so a ``pwrite`` / ``pread`` is recorded as the
+one-fragment call it is: its sequence number, the rank that made it,
+the path, the call, its per-fragment offsets and sizes and, for a
+write, the payload.  A payload is kept by the data plane's one
 rule (:func:`repro.buffers.keep`): a view of an immutable ``bytes`` is
 kept as that view, anything else as one ``bytes`` copy, so the journal
 never pins a mutable application buffer.  Three things are built on the
@@ -48,14 +50,14 @@ import weakref
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.backends.base import Backend, ForwardingBackend, RawFile
-from repro.buffers import BufferLike, as_view, keep
+from repro.buffers import as_view, keep
 from repro.errors import BackendUsageError, FaultInjectedError
 
-#: Calls that deliver payload bytes to the store.
-WRITE_OPS = ("pwrite", "scatter_write")
+#: The call that delivers payload bytes to the store.
+WRITE_OPS = ("scatter_write",)
 
-#: Calls that fetch payload bytes from the store.
-READ_OPS = ("pread", "gather_read")
+#: The call that fetches payload bytes from the store.
+READ_OPS = ("gather_read",)
 
 
 class Row(NamedTuple):
@@ -198,10 +200,12 @@ class Journal(ForwardingBackend):
 class JournalRawFile(RawFile):
     """Records each call of one handle, then forwards it to the inner one.
 
-    Every method forwards to the inner handle directly, so an inner
-    ``scatter_write`` that fans out into contiguous runs is one row: the
-    journal records the SION layer's boundary crossings, not backend
-    internals.
+    The four ``RawFile`` calls forward to the inner handle directly, so
+    an inner ``scatter_write`` that fans out into contiguous runs is one
+    row: the journal records the SION layer's boundary crossings, not
+    backend internals.  A ``pwrite`` / ``pread`` is the one-fragment
+    ``scatter_write`` / one-request ``gather_read`` it is defined as, and
+    is recorded as that.
     """
 
     def __init__(self, inner: RawFile, journal: Journal, path: str) -> None:
@@ -209,21 +213,6 @@ class JournalRawFile(RawFile):
         self._inner = inner
         self._j = journal
         self._path = path
-
-    def pwrite(self, offset: int, data: BufferLike) -> int:
-        """Forward ``pwrite``; the row keeps the payload."""
-        self._j._check(self._path)
-        view = as_view(data)
-        n = self._inner.pwrite(offset, data)
-        self._j._append(self._path, "pwrite", (offset,), (view.nbytes,), (view,))
-        return n
-
-    def pread(self, offset: int, n: int) -> bytes:
-        """Forward ``pread``; the row keeps the size that came back."""
-        self._j._check(self._path)
-        out = self._inner.pread(offset, n)
-        self._j._append(self._path, "pread", (offset,), (len(out),))
-        return out
 
     def scatter_write(self, fragments) -> int:
         """Forward ``scatter_write``; one row keeps the whole fragment list."""
@@ -343,8 +332,9 @@ def without_close_writes(rows: Sequence[Row]) -> list[Row]:
     """``rows`` less each file's metablock-2 write and the patch after it.
 
     The state of a set whose close sequence died after the data was in:
-    the ``pwrite`` opening with the metablock-2 magic, and the next
-    write on that path by the same rank (the metablock-1 offset patch).
+    the one-fragment write opening with the metablock-2 magic, and the
+    next write on that path by the same rank (the metablock-1 offset
+    patch).
     """
     from repro.sion.constants import MAGIC_MB2  # the package imports backends
 
@@ -356,7 +346,7 @@ def without_close_writes(rows: Sequence[Row]) -> list[Row]:
             if key in closing:
                 closing.discard(key)
                 continue
-            if row.op == "pwrite" and bytes(row.payload[0][: len(MAGIC_MB2)]) == MAGIC_MB2:
+            if len(row.sizes) == 1 and bytes(row.payload[0][: len(MAGIC_MB2)]) == MAGIC_MB2:
                 closing.add(key)
                 continue
         out.append(row)

@@ -1,11 +1,11 @@
 """Backend over the real (POSIX) file system.
 
-Files are opened *unbuffered* (raw ``FileIO``): every call is a
-positioned or vectored one (``os.pwrite``/``os.pwritev``/…) straight
-against the file descriptor, so the descriptor's own offset is never
-used and no user-space buffer has to be kept coherent.  Partial
-reads/writes — legal for raw files — are completed by looping, so
-callers get all-or-nothing semantics.
+Files are opened *unbuffered* (raw ``FileIO``): each contiguous run of
+a ``scatter_write`` / ``gather_read`` is one positioned call straight
+against the file descriptor (``os.pwritev`` of its views, ``os.pread``
+of its bytes into one buffer), so the descriptor's own offset is never
+used and no user-space buffer has to be kept coherent.  Partial reads/writes — legal for raw files — are
+completed by looping, so callers get all-or-nothing semantics.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from repro.backends.base import Backend, RawFile
-from repro.buffers import BufferLike, as_view
+from repro.backends.base import Backend, StoreFile
 from repro.errors import BackendUsageError
 
 #: POSIX caps one writev/readv at IOV_MAX iovecs; use the platform's
@@ -26,10 +25,8 @@ try:
 except (AttributeError, OSError, ValueError):  # pragma: no cover - exotic hosts
     _IOV_MAX = 1024
 
-_HAVE_PWRITEV = hasattr(os, "pwritev")
 
-
-class LocalRawFile(RawFile):
+class LocalRawFile(StoreFile):
     """Adapter around an unbuffered binary file object.
 
     Open handles are **picklable** (a requirement of the process SPMD
@@ -72,66 +69,48 @@ class LocalRawFile(RawFile):
     def close(self) -> None:
         self._f.close()
 
-    # -- positioned / vectored (native) ------------------------------------
-
-    def pwrite(self, offset: int, data: BufferLike) -> int:
-        view = as_view(data)
-        fd = self._f.fileno()
-        total = view.nbytes
-        done = os.pwrite(fd, view, offset)
-        while done < total:  # pragma: no cover - raw partial writes are rare
-            done += os.pwrite(fd, view[done:], offset + done)
-        return total
-
-    def pread(self, offset: int, n: int) -> bytes:
-        if n < 0:
-            raise BackendUsageError(f"negative read size: {n}")
-        fd = self._f.fileno()
-        parts: list[bytes] = []
-        remaining = n
-        while remaining > 0:
-            piece = os.pread(fd, remaining, offset)
-            if not piece:
-                break
-            parts.append(piece)
-            offset += len(piece)
-            remaining -= len(piece)
-        if len(parts) == 1:
-            return parts[0]
-        return b"".join(parts)
+    # -- contiguous runs (native vectored calls) ----------------------------
 
     def _pwritev(self, offset: int, views: Sequence[memoryview]) -> int:
-        if not _HAVE_PWRITEV:  # pragma: no cover - exercised on exotic hosts
-            return super()._pwritev(offset, views)
+        """One ``os.pwritev`` per ``_IOV_MAX`` views; a raw write that
+        stops short goes on from the first byte that did not land."""
         fd = self._f.fileno()
         total = 0
         for start in range(0, len(views), _IOV_MAX):
-            batch = views[start : start + _IOV_MAX]
-            need = sum(v.nbytes for v in batch)
-            done = os.pwritev(fd, batch, offset + total)
-            if done < need:  # pragma: no cover - partial vectored write
-                acc = 0
-                for v in batch:
-                    if acc + v.nbytes > done:
-                        cut = max(done - acc, 0)
-                        self.pwrite(offset + total + acc + cut, v[cut:])
-                    acc += v.nbytes
-            total += need
+            batch = list(views[start : start + _IOV_MAX])
+            i = 0
+            while i < len(batch):
+                done = os.pwritev(fd, batch[i:], offset + total)
+                total += done
+                while i < len(batch) and done >= batch[i].nbytes:
+                    done -= batch[i].nbytes
+                    i += 1
+                if done:  # pragma: no cover - partial vectored write
+                    batch[i] = batch[i][done:]
         return total
 
     def _preadv(self, offset: int, sizes: Sequence[int]) -> list[bytes]:
-        """Each batch of up to ``_IOV_MAX`` pieces is one :meth:`pread`
-        into one buffer; a batch of one piece is handed out as that
-        ``bytes``, any other piece as one exact copy of its slice.  Pieces
-        shorten, then empty, at end of file."""
+        """Each batch of up to ``_IOV_MAX`` pieces is read into one buffer
+        by ``os.pread`` calls until it is full or the file ends; a batch
+        of one piece is handed out as that ``bytes``, any other piece as
+        one exact copy of its slice.  Pieces shorten, then empty, at end
+        of file."""
         sizes = [int(s) for s in sizes]
         if any(s < 0 for s in sizes):
             raise BackendUsageError("read sizes must be non-negative")
+        fd = self._f.fileno()
         out: list[bytes] = []
         for start in range(0, len(sizes), _IOV_MAX):
             batch = sizes[start : start + _IOV_MAX]
-            data = self.pread(offset, sum(batch))
-            offset += sum(batch)
+            pos, offset = offset, offset + sum(batch)
+            parts: list[bytes] = []
+            while pos < offset:
+                piece = os.pread(fd, offset - pos, pos)
+                if not piece:
+                    break
+                parts.append(piece)
+                pos += len(piece)
+            data = parts[0] if len(parts) == 1 else b"".join(parts)
             if len(batch) == 1:
                 out.append(data)
                 continue

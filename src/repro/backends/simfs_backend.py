@@ -7,25 +7,19 @@ every operation counted in the simulator's ``op_counts``.
 
 from __future__ import annotations
 
-from repro.backends.base import Backend, RawFile
+from repro.backends.base import Backend, StoreFile
 from repro.fs.simfs import SimFS, SimFileHandle
 
 
-class SimRawFile(RawFile):
+class SimRawFile(StoreFile):
     """Adapter from :class:`SimFileHandle` to the backend interface.
 
-    Every call maps 1:1 onto the handle's native one, so one
-    scatter/gather run costs one simulated data operation.
+    Each contiguous run maps onto the handle's native vectored call, so
+    one scatter/gather run costs one simulated data operation.
     """
 
     def __init__(self, handle: SimFileHandle) -> None:
         self._h = handle
-
-    def pwrite(self, offset: int, data) -> int:
-        return self._h.pwrite(offset, data)
-
-    def pread(self, offset: int, n: int) -> bytes:
-        return self._h.pread(offset, n)
 
     def _pwritev(self, offset: int, views) -> int:
         return self._h.pwritev(offset, views)

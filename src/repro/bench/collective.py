@@ -110,13 +110,16 @@ def _write_wave(ctx) -> ScenarioOutput:
     )
     pin(geom, expected_geometry(ntasks, CHUNKSIZE, FSBLK), "on-disk geometry")
     snap = backend.snapshot()
-    calls = backend.calls()
-    pin(calls.get("scatter_write", 0), ncoll, "wave scatter_writes")
     pin(
         snap["data_write_calls"],
         ncoll + METADATA_WRITES_PER_FILE * p["nfiles"],
         "total backend write calls",
     )
+    metadata = METADATA_WRITES_PER_FILE * p["nfiles"]
+    scatter_writes = backend.calls().get("scatter_write", 0)
+    # The metadata writes are one-fragment scatter_writes too.
+    pin(scatter_writes, ncoll + metadata, "wave and metadata scatter_writes")
+    waves = scatter_writes - metadata
     pin(
         snap["copied_fragments"],
         METADATA_WRITES_PER_FILE * p["nfiles"],
@@ -128,14 +131,14 @@ def _write_wave(ctx) -> ScenarioOutput:
     metrics = {
         "open_write_close_wall_s": host_clock(wall),
         "tasks_per_s": Metric(ntasks / wall, "tasks/s", "info"),
-        "wave_write_calls": Metric(float(calls["scatter_write"]), "calls", "info"),
+        "wave_write_calls": Metric(float(waves), "calls", "info"),
         "data_write_calls": Metric(float(snap["data_write_calls"]), "calls", "info"),
         "tasks_per_collector": Metric(float(collectsize), "tasks", "info"),
     }
     text = (
         f"{ntasks} tasks -> {ncoll} collectors (collectsize {collectsize}): "
         f"{snap['data_write_calls']} backend write calls "
-        f"({calls['scatter_write']} waves + "
+        f"({waves} waves + "
         f"{METADATA_WRITES_PER_FILE * p['nfiles']} metadata) in {wall:.2f} s"
     )
     return ScenarioOutput(metrics=metrics, text=text)
@@ -153,16 +156,18 @@ def _read_wave(ctx) -> ScenarioOutput:
     before = backend.snapshot()
     wall = _read_cycle(backend, ntasks, p["engine"], collectors=ncoll)
     snap = backend.snapshot()
-    pin(
-        backend.calls().get("gather_read", 0), ncoll, "prefetch gather_reads"
-    )
     read_calls = snap["data_read_calls"] - before["data_read_calls"]
     # Metadata costs 8 positioned reads per physical file (rank 0's set
-    # load decodes metablock 1 + metablock 2 once); everything else is
-    # exactly one prefetch wave per collector, one data fragment per task
-    # (each task wrote a single block).
+    # load decodes metablock 1 + metablock 2 once), each a one-request
+    # gather_read; everything else is exactly one prefetch wave per
+    # collector, one data fragment per task (each task wrote a single
+    # block).
     meta_reads = 8 * 1
     pin(read_calls, ncoll + meta_reads, "total backend read calls")
+    pin(
+        backend.calls().get("gather_read", 0), ncoll + meta_reads,
+        "prefetch and metadata gather_reads",
+    )
     pin(
         snap["fragments_read"] - before["fragments_read"],
         ntasks + meta_reads,

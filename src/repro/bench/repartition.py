@@ -116,10 +116,14 @@ def _read_grid_point(ctx) -> ScenarioOutput:
     read_wall = _partitioned_read_cycle(backend, nwriters, nreaders, p["engine"])
     snap = backend.snapshot()
     read_calls = snap["data_read_calls"] - before["data_read_calls"]
-    # One vectored gather_read per reader plus the fixed metadata loads —
-    # O(m) however many writer streams the multifile records.
-    pin(backend.calls().get("gather_read", 0), nreaders, "reader gather_reads")
+    # One vectored gather_read per reader plus the fixed metadata loads
+    # (one-request gather_reads) — O(m) however many writer streams the
+    # multifile records.
     pin(read_calls, nreaders + metadata_reads(1), "total backend read calls")
+    pin(
+        backend.calls().get("gather_read", 0), nreaders + metadata_reads(1),
+        "reader and metadata gather_reads",
+    )
     fanin = nwriters // nreaders
     metrics = {
         "write_wall_s": host_clock(write_wall),
@@ -184,9 +188,13 @@ def _prefetch(ctx) -> ScenarioOutput:
     )
     snap = backend.snapshot()
     calls = snap["data_read_calls"] - before["data_read_calls"]
-    # One prefetch gather_read per collector group (single physical file).
-    pin(backend.calls().get("gather_read", 0), ngroups, "prefetch waves")
+    # One prefetch gather_read per collector group (single physical file),
+    # plus the metadata loads.
     pin(calls, ngroups + metadata_reads(1), "total backend read calls")
+    pin(
+        backend.calls().get("gather_read", 0), ngroups + metadata_reads(1),
+        "prefetch waves and metadata gather_reads",
+    )
     metrics = {
         "read_wall_s": host_clock(wall),
         "data_read_calls": Metric(float(calls), "calls", "info"),

@@ -576,8 +576,7 @@ class _BulkEngine:
 
         # Parked-on descriptors, packed; formatted lazily by
         # ``_parked_desc`` only when a stuck world is reported.
-        self.parked_kind = bytearray(nprocs)  # 0 start, 1 collective
-        self.parked_a = array("l", bytes(8 * nprocs))  # opid
+        self.parked_a = array("l", [-1]) * nprocs  # opid; -1: never parked
         self.parked_b = array("l", bytes(8 * nprocs))  # op index
         self.parked_c = array("l", bytes(8 * nprocs))  # world size
 
@@ -611,19 +610,18 @@ class _BulkEngine:
         self.runnable.extendleft(go[::-1].tolist())
 
     def park_collective(self, grank: int, opid: int, k: int, wsize: int) -> None:
-        self.parked_kind[grank] = 1
         self.parked_a[grank] = opid
         self.parked_b[grank] = k
         self.parked_c[grank] = wsize
 
     def _parked_desc(self, grank: int) -> str:
-        kind = self.parked_kind[grank]
-        if kind == 1:
-            return (
-                f"{_OP_NAMES[self.parked_a[grank]]} (op {self.parked_b[grank]} "
-                f"of a {self.parked_c[grank]}-rank world)"
-            )
-        return "start"
+        opid = self.parked_a[grank]
+        if opid < 0:
+            return "start"
+        return (
+            f"{_OP_NAMES[opid]} (op {self.parked_b[grank]} "
+            f"of a {self.parked_c[grank]}-rank world)"
+        )
 
     def note_wave_done(self, world: _World, wave: _Wave) -> None:
         if len(self.wave_log) < _WAVE_LOG_CAP:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.backends.base import RawFile
-from repro.buffers import BufferLike
 from repro.sion.constants import BUDDY_SUFFIX
 from repro.sion.mapping import physical_path
 
@@ -48,28 +47,19 @@ def buddy_path(base: str, filenum: int, nfiles: int) -> str:
 class MirrorRawFile(RawFile):
     """Duplicate every mutation onto a primary and a replica handle.
 
-    ``pwrite``, ``scatter_write``, ``flush`` and ``close`` reach both
-    handles; ``pread`` and ``gather_read`` are served by the primary
-    alone.  Return values are the primary's.  Every call forwards
-    explicitly, so a mirrored ``scatter_write`` costs exactly one
-    ``scatter_write`` per copy — instrumented counts stay interpretable
-    (replica overhead is a clean 2x of every write-side counter).
+    ``scatter_write``, ``flush`` and ``close`` reach both handles;
+    ``gather_read`` is served by the primary alone (so the ``pwrite``
+    helper writes both copies, ``pread`` reads the primary).  Return
+    values are the primary's.  Every call forwards explicitly, so a mirrored
+    ``scatter_write`` costs exactly one ``scatter_write`` per copy —
+    instrumented counts stay interpretable (replica overhead is a clean
+    2x of every write-side counter).
     """
 
     def __init__(self, primary: RawFile, replica: RawFile) -> None:
         """Bind the two physical handles (both already open for writing)."""
         self.primary = primary
         self.replica = replica
-
-    def pwrite(self, offset: int, data: BufferLike) -> int:
-        """Positioned write to both copies."""
-        n = self.primary.pwrite(offset, data)
-        self.replica.pwrite(offset, data)
-        return n
-
-    def pread(self, offset: int, n: int) -> bytes:
-        """Positioned read from the primary."""
-        return self.primary.pread(offset, n)
 
     def scatter_write(self, fragments) -> int:
         """Vectored write to both copies (one call per copy)."""

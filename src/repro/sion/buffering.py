@@ -30,7 +30,10 @@ class CoalescingWriter:
     as it is (the keep rule of :mod:`repro.buffers`); any other flush
     hands it a ``memoryview`` of the staging buffer, which the store
     copies once.  Large writes arriving on an empty buffer bypass the
-    staging entirely and the caller's view flows through untouched.
+    staging entirely and the caller's view flows through untouched.  A
+    record that fills a non-empty buffer tops the staged head up to
+    ``buffer_size`` and flushes it; its remaining whole ``buffer_size``
+    pieces go down as views of the record, and only its tail is staged.
 
     >>> w = CoalescingWriter(handle, buffer_size=64 * 1024)  # doctest: +SKIP
     ... for record in records:
@@ -58,22 +61,31 @@ class CoalescingWriter:
         view = as_view(data)
         n = view.nbytes
         self.bytes_written += n
+        size = self.buffer_size
         buf = self._buf
         shared = type(view.obj) is bytes
         if not buf:
-            if n >= self.buffer_size:
+            if n >= size:
                 # Large writes bypass the staging buffer: zero-copy passthrough.
                 self.stream.fwrite(view)
                 self.flushes += 1
                 return n
             # A slice, not ``view``: the caller may release its own view.
             self._start = view[:] if shared else None
-        buf += view
-        while len(buf) >= self.buffer_size:
-            self._flush_prefix(self.buffer_size)
-            # What a flush leaves is the tail of this record.
-            pending = len(buf)
-            self._start = view[n - pending :] if shared and pending else None
+        room = size - len(buf)
+        if n < room:
+            buf += view
+            return n
+        buf += view[:room]
+        self._flush_prefix(size)
+        done = room
+        while n - done >= size:
+            self.stream.fwrite(view[done : done + size])
+            self.flushes += 1
+            done += size
+        # What the flushes leave is the tail of this record.
+        buf += view[done:]
+        self._start = view[done:] if shared and done < n else None
         return n
 
     def fwrite(self, data: BufferLike) -> int:

@@ -50,7 +50,7 @@ import bisect
 from operator import itemgetter
 
 from repro.backends.base import Backend, RawFile
-from repro.buffers import BufferLike, as_view, keep
+from repro.buffers import as_view, keep
 from repro.errors import SionUsageError
 from repro.sion.constants import SHADOW_HEADER_SIZE
 from repro.sion.openspec import ReadPlan, ReplayGuardedFile, SionReadFile, open_guarded
@@ -59,18 +59,11 @@ from repro.simmpi.comm import Comm
 
 
 class _Tape:
-    """Records positioned writes as ``(offset, payload)`` pairs, each
+    """Records fragment lists as ``(offset, payload)`` pairs, each
     payload kept by :func:`~repro.buffers.keep`."""
 
     def __init__(self) -> None:
         self._fragments: list[tuple[int, bytes | memoryview]] = []
-
-    def pwrite(self, offset: int, data: BufferLike) -> int:
-        """Record one positioned write (an empty one records nothing)."""
-        view = as_view(data)
-        if view.nbytes:
-            self._fragments.append((offset, keep(view)))
-        return view.nbytes
 
     def scatter_write(self, fragments) -> int:
         """Record a fragment list as the store receives it: non-empty, by offset."""

@@ -58,7 +58,6 @@ from functools import partial
 from typing import Any, NamedTuple, Sequence
 
 from repro.backends.base import Backend, RawFile
-from repro.buffers import BufferLike
 from repro.errors import SionUsageError
 from repro.sion.buddy import MirrorRawFile, buddy_path
 from repro.sion.constants import (
@@ -362,9 +361,10 @@ class ReplayGuardedFile:
     rank and replays its logged result, so direct-mode telemetry is as
     deterministic as collective mode's.
 
-    The guard carries exactly what the cursors call: ``pwrite`` and
-    ``scatter_write`` from the write cursor, ``gather_read`` from the read
-    cursor (every read, chunk-local ones included, is one vectored
+    The guard carries exactly what the cursors call: ``scatter_write``
+    from the write cursor (every write, chunk-local ones and shadow
+    headers included, is one fragment list), ``gather_read`` from the
+    read cursor (every read, chunk-local ones included, is one vectored
     gather), and ``close``.  Composite operations that must count as
     *one* backend call (the metablock-2 write/patch/flush sequence,
     itself wrapped in ``exec_once``) use :attr:`unguarded`:
@@ -387,10 +387,6 @@ class ReplayGuardedFile:
     def close(self) -> None:
         """``close`` as a replay-guarded op (executes once per rank)."""
         return self._once(self._raw.close)
-
-    def pwrite(self, offset: int, data: BufferLike) -> int:
-        """Positioned write as a replay-guarded op."""
-        return self._once(lambda: self._raw.pwrite(offset, data))
 
     def scatter_write(self, fragments) -> int:
         """Vectored write as a replay-guarded op (fragments materialized)."""

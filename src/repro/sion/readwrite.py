@@ -79,7 +79,8 @@ def refuse_other_mode(handle: object, name: str, mode: str) -> NoReturn:
 class WriteStream:
     """The write cursor: one task's chunks in one physical file.
 
-    The cursor calls only ``pwrite`` and ``scatter_write`` on its *sink*:
+    The cursor calls only ``scatter_write`` on its *sink*, one fragment
+    list per write, chunk-local writes and shadow headers included:
     a :class:`~repro.sion.openspec.ReplayGuardedFile` in direct mode, a
     :class:`~repro.sion.collective.FragmentRecorder` in collective mode,
     the physical file itself for serial creation.  Shadow headers go to
@@ -186,7 +187,9 @@ class WriteStream:
                 f"capacity={self.capacity}); call ensure_free_space first"
             )
         if n:
-            self._raw.pwrite(self._base + self.cur_block * self._stride + self.pos, view)
+            self._raw.scatter_write(
+                [(self._base + self.cur_block * self._stride + self.pos, view)]
+            )
         self.pos = self._end = self.pos + n
         return n
 
@@ -225,7 +228,7 @@ class WriteStream:
         if self._closed:
             raise SionUsageError("multifile is closed")
         if self.shadow:
-            self._hraw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
+            self._hraw.scatter_write([self._shadow_fragment(self.cur_block, self._end)])
 
     def finalize(self) -> list[int]:
         """End the stream; returns bytes written per block.
@@ -239,7 +242,7 @@ class WriteStream:
         if self._zw is not None:
             self._put(as_view(self._zw.finish()))
         if self.shadow:
-            self._hraw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
+            self._hraw.scatter_write([self._shadow_fragment(self.cur_block, self._end)])
         sizes = [*self._finished, self._end]
         while len(sizes) > 1 and sizes[-1] == 0:
             sizes.pop()
@@ -292,7 +295,7 @@ class WriteStream:
     def _next_block(self) -> None:
         """Complete the current block and move the cursor to the next one."""
         if self.shadow:
-            self._hraw.pwrite(*self._shadow_fragment(self.cur_block, self._end))
+            self._hraw.scatter_write([self._shadow_fragment(self.cur_block, self._end)])
         self._finished.append(self._end)
         self.cur_block += 1
         self.pos = self._end = 0

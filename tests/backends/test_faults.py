@@ -77,7 +77,7 @@ def test_kill_rank_budget_is_cumulative_and_bytes_never_move():
         f.pwrite(10, b"!")            # call 3 never reaches the store
     # The failed call appended no row and did not advance the count: a
     # re-execution (the bulk engine's replay) fails again.
-    assert [r.op for r in be.rows] == ["open", "pwrite", "pwrite"]
+    assert [r.op for r in be.rows] == ["open", "scatter_write", "scatter_write"]
     with pytest.raises(FaultInjectedError):
         f.pwrite(10, b"!")
     # A rank that failed stays failed: every later call of it raises.
@@ -197,7 +197,7 @@ def test_drop_metablock2_is_path_keyed():
     b.pwrite(0, b"xx")
     target = fresh_sim()
     kept = without_close_writes(be.rows)
-    assert [r.path for r in kept if r.op == "pwrite"] == ["/scratch/b"]
+    assert [r.path for r in kept if r.op == "scatter_write"] == ["/scratch/b"]
     replay(kept, target)
     assert target.file_size("/scratch/a") == 0
     assert target.file_size("/scratch/b") == 19

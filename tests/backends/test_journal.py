@@ -19,6 +19,7 @@ from repro.backends.instrument import CountingBackend
 from repro.backends.journal import Journal
 from repro.backends.localfs import LocalBackend
 from repro.simmpi import run_spmd
+from repro.sion import paropen
 from tests.conftest import TEST_BLKSIZE, fresh_sim
 
 
@@ -32,7 +33,8 @@ def test_one_row_per_call_with_offsets_and_fragment_sizes():
         f.flush()
     assert [(r.seq, r.rank, r.path, r.op) for r in be.rows] == [
         (i, 3, "/scratch/a", op) for i, op in enumerate(
-            ["open", "pwrite", "scatter_write", "gather_read", "pread", "flush", "close"]
+            ["open", "scatter_write", "scatter_write", "gather_read", "gather_read",
+             "flush", "close"]
         )
     ]
     opened, pw, sw, gr, pr = be.rows[:5]
@@ -69,7 +71,7 @@ def test_rank_views_share_one_row_list():
         with view.open(f"/scratch/{r}", "w+b") as f:
             f.pwrite(0, bytes([r]))
     assert all(v.rows is be.rows for v in views)
-    assert [r.rank for r in be.rows if r.op == "pwrite"] == [0, 1, 2]
+    assert [r.rank for r in be.rows if r.op == "scatter_write"] == [0, 1, 2]
 
 
 def test_journal_over_local_backend_pickles_without_rows(tmp_path):
@@ -97,8 +99,7 @@ def test_counting_backend_is_a_fold_over_the_rows():
     assert cb.rows[1].copied == 1 and cb.rows[-2].copied is None
     # No count reads a payload, so a counter keeps none.
     assert all(r.payload == () for r in cb.rows)
-    assert cb.calls() == {"open": 2, "scatter_write": 1, "gather_read": 1,
-                          "pwrite": 1, "close": 2}
+    assert cb.calls() == {"open": 2, "scatter_write": 2, "gather_read": 1, "close": 2}
     assert cb.snapshot() == {
         "data_write_calls": 2, "data_read_calls": 1, "seeks": 0, "opens": 2,
         "fragments_written": 3, "fragments_read": 2, "tracked_fragments": 2,
@@ -116,9 +117,39 @@ def test_rank_process_rows_join_the_parent_journal(tmp_path):
     be = Journal(LocalBackend(blocksize_override=TEST_BLKSIZE))
     assert run_spmd(3, _write_own, be, str(tmp_path), engine="proc") == [True] * 3
     assert sorted((r.rank, r.op) for r in be.rows) == sorted(
-        (rank, op) for rank in range(3) for op in ("open", "pwrite", "close")
+        (rank, op) for rank in range(3) for op in ("open", "scatter_write", "close")
     )
     assert [r.seq for r in be.rows] == list(range(9))
-    assert {r.payload for r in be.rows if r.op == "pwrite"} == {
+    assert {r.payload for r in be.rows if r.op == "scatter_write"} == {
         (bytes([rank]) * (rank + 1),) for rank in range(3)
     }
+
+
+def _sion_write(comm, backend, path, collectsize):
+    f = paropen(path, "w", comm, chunksize=1000, fsblksize=1024, nfiles=2,
+                collectsize=collectsize, shadow=True, buddy=True, backend=backend)
+    f.fwrite(bytes([comm.rank % 251]) * 1500)  # two chunks
+    f.parclose()
+
+
+def _sion_read(comm, backend, path):
+    f = paropen(path, "r", comm, partitioned=True, backend=backend)
+    data = f.read_all()
+    f.parclose()
+    return len(data)
+
+
+def test_a_sion_cycle_crosses_the_boundary_as_the_four_calls():
+    """Direct and collective writes (shadow headers, buddy replicas) and a
+    partitioned read record only ``open`` and the four ``RawFile`` calls:
+    metablocks, patches and shadow headers are fragment lists too, and the
+    totals are what they were when those went down as ``pwrite`` /
+    ``pread``."""
+    cb = CountingBackend(fresh_sim())
+    run_spmd(8, _sion_write, cb, "/scratch/d.sion", None, engine="bulk")
+    run_spmd(8, _sion_write, cb, "/scratch/c.sion", 4, engine="bulk")
+    assert run_spmd(2, _sion_read, cb, "/scratch/c.sion", engine="bulk") == [6000, 6000]
+    assert set(cb.calls()) <= {"open", "scatter_write", "gather_read", "flush", "close"}
+    snap = cb.snapshot()
+    assert (snap["data_write_calls"], snap["data_read_calls"]) == (80, 18)
+    assert (snap["fragments_written"], snap["fragments_read"]) == (152, 32)

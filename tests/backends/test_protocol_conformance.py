@@ -1,14 +1,15 @@
 """One ``RawFile`` protocol, every storage stack: equal results, equal errors.
 
-The protocol is six positioned calls — ``pread``, ``pwrite``,
-``gather_read``, ``scatter_write``, ``flush`` and ``close`` — and every
-stack the SION layer can be handed must honour it identically: the two
-leaf stores (:class:`SimBackend`, :class:`LocalBackend`), the counting
-wrapper and the call journal over them, a buddy :class:`MirrorRawFile`
-pair (read back from both copies), the read-only
+The protocol is four positioned calls — ``scatter_write``,
+``gather_read``, ``flush`` and ``close`` — plus the ``pwrite`` /
+``pread`` helpers ``RawFile`` defines once on top of the first two, and
+every stack the SION layer can be handed must honour it identically: the
+two leaf stores (:class:`SimBackend`, :class:`LocalBackend`), the
+counting wrapper and the call journal over them, a buddy
+:class:`MirrorRawFile` pair (read back from both copies), the read-only
 :class:`CachingRawFile` (its writes go to the plain store it wraps), and
 a minimal file and backend that implement only the abstract calls, so
-the protocol's own defaults (run merging, the size-based identity
+the protocol's own defaults (the two helpers, the size-based identity
 token) are held to the same table.
 
 Each row runs on every stack; the values must be equal everywhere.  A
@@ -17,9 +18,10 @@ leaf store (the simulator raises its own ``InvalidOperationError``, the
 real file system ``ValueError``/``OSError``), so wrappers never change
 what the store says.
 
-The structure tests pin the protocol's shape: six public calls, no file
-pointer anywhere in the storage stack, and no wrapper re-declaring the
-stores' private contiguous-run hooks.
+The structure tests pin the protocol's shape: four abstract calls and two
+helpers defined once, one journal op per direction, no file pointer
+anywhere in the storage stack, and no wrapper re-declaring the stores'
+private contiguous-run hooks.
 """
 
 from __future__ import annotations
@@ -31,19 +33,22 @@ import tracemalloc
 import pytest
 
 import repro
-from repro.backends.base import Backend, RawFile
+from repro.backends.base import Backend, RawFile, StoreFile
 from repro.backends.caching import CachingRawFile
 from repro.backends.instrument import CountingBackend
-from repro.backends.journal import Journal
+from repro.backends.journal import READ_OPS, WRITE_OPS, Journal
 from repro.backends.localfs import LocalBackend
 from repro.backends.simfs_backend import SimBackend
 from repro.fs.cache import ChunkCache
 from repro.fs.simfs import SimFS
 from repro.sion.buddy import MirrorRawFile
+from repro.sion.collective import FragmentRecorder, _Tape
+from repro.sion.openspec import ReplayGuardedFile
 from repro.simmpi import run_spmd
 from tests.conftest import TEST_BLKSIZE
 
-PROTOCOL = {"pread", "pwrite", "gather_read", "scatter_write", "flush", "close"}
+ABSTRACT = {"scatter_write", "gather_read", "flush", "close"}
+HELPERS = {"pwrite", "pread"}
 POINTER_CALLS = ("seek", "tell", "read", "write", "write_zeros", "truncate")
 HOLE = 4 << 20  # a gap this large must stay (mostly) unallocated
 
@@ -91,16 +96,16 @@ class CachingStack(Stack):
 
 
 class _PortableFile(RawFile):
-    """Only the abstract calls; ``RawFile``'s own run loops do the rest."""
+    """Only the four abstract calls; ``RawFile``'s own helpers do the rest."""
 
     def __init__(self, inner: RawFile) -> None:
         self._inner = inner
 
-    def pwrite(self, offset, data):
-        return self._inner.pwrite(offset, data)
+    def scatter_write(self, fragments):
+        return self._inner.scatter_write(fragments)
 
-    def pread(self, offset, n):
-        return self._inner.pread(offset, n)
+    def gather_read(self, requests):
+        return self._inner.gather_read(requests)
 
     def flush(self):
         self._inner.flush()
@@ -400,8 +405,22 @@ def _repro_rawfile_classes() -> list[type]:
     return found
 
 
-def test_rawfile_public_names_are_the_six_calls():
-    assert {n for n in dir(RawFile) if not n.startswith("_")} == PROTOCOL
+def test_rawfile_is_four_abstract_calls_and_two_helpers():
+    assert RawFile.__abstractmethods__ == ABSTRACT
+    assert {n for n in dir(RawFile) if not n.startswith("_")} == ABSTRACT | HELPERS
+
+
+def test_pwrite_and_pread_are_defined_once():
+    """Only ``RawFile`` defines the helpers; the read cache borrows them,
+    and the write cursor's sinks have neither."""
+    for cls in [*_repro_rawfile_classes(), ReplayGuardedFile, _Tape, FragmentRecorder]:
+        assert not HELPERS & set(vars(cls)), cls
+    assert CachingRawFile.pread is RawFile.pread
+
+
+def test_the_journal_has_one_write_op_and_one_read_op():
+    assert WRITE_OPS == ("scatter_write",)
+    assert READ_OPS == ("gather_read",)
 
 
 def test_no_rawfile_in_repro_keeps_a_file_pointer():
@@ -413,10 +432,13 @@ def test_no_rawfile_in_repro_keeps_a_file_pointer():
         assert not set(POINTER_CALLS) & set(vars(cls)), cls
 
 
-def test_no_wrapper_declares_vectored_run_calls():
+def test_only_leaf_stores_have_contiguous_run_hooks():
+    assert StoreFile.__abstractmethods__ == {"_pwritev", "_preadv", "flush", "close"}
+    leaves = {c for c in _repro_rawfile_classes() if issubclass(c, StoreFile)}
+    assert {c.__name__ for c in leaves} == {"StoreFile", "LocalRawFile", "SimRawFile"}
     for cls in [*_repro_rawfile_classes(), CachingRawFile]:
         assert not {"pwritev", "preadv"} & set(vars(cls)), cls
-        if cls.__name__ not in ("LocalRawFile", "SimRawFile"):
+        if cls not in leaves:
             assert not {"_pwritev", "_preadv"} & set(vars(cls)), cls
 
 

@@ -5,8 +5,7 @@ system.  It must announce its port, answer ``ping`` and ``read_task``
 with the exact bytes, drain and exit 0 on SIGTERM with nothing left in
 its process group, and refuse a set with a missing physical file with
 exit 1 and the loader's finding.  Its ``main`` also runs once in this
-interpreter, because a function-entry profiler does not follow a fresh
-interpreter (``tools/unexecuted.py``).
+interpreter, where a client thread asks the server to drain.
 """
 
 from __future__ import annotations
@@ -123,8 +122,8 @@ def test_the_module_serves_exact_bytes_and_drains_on_sigterm(tmp_path):
 
 
 def test_main_serves_in_process_until_shut_down(tmp_path, monkeypatch, capsys):
-    """The same entry point run in this interpreter, where a profiler sees
-    it: a client thread reads, then asks the server to drain."""
+    """The same entry point run in this interpreter: a client thread
+    reads, then asks the server to drain."""
     path = _seal(tmp_path)
     servers, seen = [], {}
 

@@ -177,12 +177,14 @@ def test_backend_calls_scale_with_collectors():
     schedules = [[64]] * ntasks
     _write(backend, ntasks, schedules, collectsize=collectsize)
     calls = backend.calls()
-    assert calls["scatter_write"] == 3  # one wave per collector
+    # One wave per collector, plus the mb1/mb2/patch writes.
+    assert calls["scatter_write"] == 3 + 3
     assert backend.snapshot()["data_write_calls"] == 3 + 3  # + mb1/mb2/patch
     assert backend.snapshot()["opens"] == 3 + 1  # collectors + mb1 create
     before = backend.snapshot()
     _read_all(backend, ntasks, collectsize=collectsize)
-    assert backend.calls()["gather_read"] == 3  # one prefetch each
+    # One prefetch each, plus the set load's 8 metadata reads.
+    assert backend.calls()["gather_read"] == 3 + 8
     # Collector handles + the set load, which opens the one file once.
     assert backend.snapshot()["opens"] - before["opens"] == 3 + 1
 
@@ -208,9 +210,9 @@ def test_handle_surface_and_flush_collective():
     assert [o[0] for o in out] == [2, 2, 2, 2]
     assert [o[1] for o in out] == [True, False, True, False]
     assert [o[2] for o in out] == [0, 0, 2, 2]
-    assert all(o[3] == 2 for o in out)  # both collectors flushed early
-    # Two waves per collector in total.
-    assert backend.calls()["scatter_write"] == 4
+    assert all(o[3] == 2 + 1 for o in out)  # both collectors flushed early, + mb1
+    # Two waves per collector in total, plus the mb1/mb2/patch writes.
+    assert backend.calls()["scatter_write"] == 4 + 3
     assert _read_all(backend, 4, path="/s/w.sion") == [
         _payload(r, 600) for r in range(4)
     ]

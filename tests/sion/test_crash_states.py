@@ -103,12 +103,16 @@ def record(config: str, ntasks: int = 4) -> Cycle:
         points[t] = [(at[owner, m], (m + 1) * PIECE) for m in range(ROUNDS)]
     mb2 = [
         r.seq for r in journal.rows
-        if r.op == "pwrite" and bytes(r.payload[0][:len(MAGIC_MB2)]) == MAGIC_MB2
+        if r.op == "scatter_write" and len(r.sizes) == 1
+        and bytes(r.payload[0][:len(MAGIC_MB2)]) == MAGIC_MB2
     ]
     assert len(mb2) == NFILES * (2 if opts["buddy"] else 1)
     # A file exists once its creating open wrote metablock 1.
     mb1 = [
-        min(r.seq for r in journal.rows if r.path == physical_path(PATH, k) and r.op == "pwrite")
+        min(
+            r.seq for r in journal.rows
+            if r.path == physical_path(PATH, k) and r.op == "scatter_write"
+        )
         for k in range(NFILES)
     ]
     return Cycle(ntasks, list(journal.rows), points, max(mb2) + 1, max(mb1) + 1)

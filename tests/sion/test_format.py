@@ -15,15 +15,18 @@ class MemFile(RawFile):
     def __init__(self, data=b""):
         self._b = bytearray(data)
 
-    def pwrite(self, offset, data):
-        data = bytes(data)
-        if offset > len(self._b):
-            self._b.extend(bytes(offset - len(self._b)))
-        self._b[offset : offset + len(data)] = data
-        return len(data)
+    def scatter_write(self, fragments):
+        total = 0
+        for offset, data in fragments:
+            data = bytes(data)
+            if offset > len(self._b):
+                self._b.extend(bytes(offset - len(self._b)))
+            self._b[offset : offset + len(data)] = data
+            total += len(data)
+        return total
 
-    def pread(self, offset, n):
-        return bytes(self._b[offset : offset + n])
+    def gather_read(self, requests):
+        return [bytes(self._b[offset : offset + n]) for offset, n in requests]
 
     def flush(self):
         pass

@@ -249,7 +249,7 @@ def test_guard_exposes_inner_handle(sim_backend):
     with sim_backend.open("/scratch/g.bin", "w+b") as raw:
         guarded = ReplayGuardedFile(raw, _Comm())
         assert guarded.unguarded is raw
-        assert guarded.pwrite(0, b"abcd") == 4
+        assert guarded.scatter_write([(0, b"abcd")]) == 4
         assert guarded.gather_read([(0, 4)]) == [b"abcd"]
 
 

@@ -298,13 +298,11 @@ class _TornFile(SimRawFile):
         super().__init__(handle)
         self._cut, self._mb2 = cut, mb2
 
-    def pread(self, offset, n):
-        if offset >= self._mb2:
-            return super().pread(offset, n)
-        return super().pread(offset, max(0, min(n, self._cut - offset)))
-
     def gather_read(self, requests):
-        return [self.pread(offset, n) for offset, n in requests]
+        return super().gather_read([
+            (offset, n if offset >= self._mb2 else max(0, min(n, self._cut - offset)))
+            for offset, n in requests
+        ])
 
 
 class _TornBackend(SimBackend):

@@ -304,11 +304,11 @@ def test_partition_stream_shortfall_stops_consuming():
         def __init__(self, data: bytes) -> None:
             self._data = data
 
-        def pread(self, offset: int, n: int) -> bytes:
-            return self._data[offset : offset + n]
+        def gather_read(self, requests):
+            return [self._data[offset : offset + n] for offset, n in requests]
 
         # Unused surface.
-        def pwrite(self, offset, data):
+        def scatter_write(self, fragments):
             raise NotImplementedError
 
         def flush(self):

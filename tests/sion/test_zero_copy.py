@@ -11,6 +11,7 @@
 """
 
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -414,6 +415,38 @@ class TestCoalescedPath:
             for r in (0, 7):
                 assert sf.read_task(r) == blob[r * per : (r + 1) * per]
         assert retained <= 256 << 10, retained
+
+    def test_large_record_on_a_staged_head_goes_down_as_views(self):
+        """A 10-byte record, then an 8 MiB ``bytes``: the staged head is
+        topped up and flushed, each whole piece after it goes down as a
+        view of the record, and only the tail is staged, so the writer
+        never holds a copy of the record."""
+        size = 64 << 10
+        big = bytes(payload_of(256)) * (8 << 12)
+        sizes, objs, digest = [], [], hashlib.sha256()
+
+        class Sink:  # keeps nothing of what it is handed
+            def fwrite(self, data):
+                view = memoryview(data)
+                sizes.append(view.nbytes)
+                objs.append(view.obj is big)
+                digest.update(view)
+                return view.nbytes
+
+        w = CoalescingWriter(Sink(), buffer_size=size)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            w.write(b"0123456789")
+            w.write(big)
+            w.close()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * size + (64 << 10), peak
+        assert sizes == [size] * 128 + [10] and w.flushes == 129
+        assert digest.digest() == hashlib.sha256(b"0123456789" + big).digest()
+        assert all(objs[1:128])  # every whole piece is a view of the record
 
     def test_mutable_record_lands_as_written(self):
         """A ``bytearray`` changed after ``write`` returns keeps what it

@@ -22,24 +22,33 @@ the terminal.
 Skipped: abstract declarations (``@abstractmethod``) and functions whose
 ``def`` line carries ``# pragma: no cover``.
 
-Forked children are followed: ``multiprocessing`` re-arms the hook in
-every child it forks (the ``proc`` SPMD engine's ranks under its default
-start method), and each child writes the functions it entered to
-``--out`` with ``.pid<N>`` appended when it exits; the report merges and
-deletes those files.
+Children are followed.  ``multiprocessing`` re-arms the hook in every
+child it forks (the ``proc`` SPMD engine's ranks under its default start
+method).  A child *interpreter* — a script a test runs as a subprocess
+(``tests/docs/test_examples.py`` runs the ``examples/``), a ``spawn`` or
+``forkserver`` child — arms itself: the run exports ``REPRO_CENSUS_OUT``
+(the absolute ``--out``) and puts a directory holding a small
+``sitecustomize.py`` first on ``PYTHONPATH``, and that shim imports this
+module, which installs the hook.  Each child writes the functions it
+entered to ``--out`` with ``.pid<N>`` appended when it exits; the report
+merges and deletes those files.
 
-Blind spots: children started with ``spawn`` or ``forkserver`` run a
-fresh interpreter without the hook, and a child that dies by
-``os._exit`` writes nothing, so code reached only there is listed; a
-test that installs its own profile hook (the open-work counters do,
-briefly) hides the calls made while it is active.
+Blind spots: a child that dies by a signal or by ``os._exit`` outside
+``multiprocessing`` writes nothing, and one started without ``site``
+(``python -S`` / ``-I``) or with its own ``PYTHONPATH`` never arms, so
+code reached only there is listed; a test that installs its own profile
+hook (the open-work counters do, briefly) hides the calls made while it
+is active.
 """
 
 from __future__ import annotations
 
 import ast
+import atexit
 import os
+import shutil
 import sys
+import tempfile
 import threading
 from multiprocessing.util import Finalize, register_after_fork
 from pathlib import Path
@@ -48,8 +57,26 @@ ROOT = Path(os.path.realpath(__file__)).parent.parent
 SRC = ROOT / "src" / "repro"
 #: What a run covers when no argument names a path.
 DEFAULT_TARGETS = ("tests", "benchmarks/bench_scenarios.py")
+#: Names ``--out`` (absolute) to every child interpreter of a run.
+CENSUS_ENV = "REPRO_CENSUS_OUT"
+
+#: The ``sitecustomize.py`` a run puts first on its children's
+#: ``PYTHONPATH``: importing this module arms the hook.
+_SHIM = """import os
+import sys
+
+if os.environ.get({env!r}):
+    sys.path.insert(0, {tools!r})
+    try:
+        import unexecuted
+    finally:
+        sys.path.remove({tools!r})
+    unexecuted.arm_child(os.environ[{env!r}])
+"""
 
 _entered: set = set()
+#: A child interpreter's report target (set by :func:`arm_child`).
+_child_report = None
 
 
 def _hook(frame, event, arg) -> None:
@@ -63,16 +90,19 @@ threading.setprofile(_hook)
 
 def _write_child_entries(out: Path) -> None:
     """Write this child's entered ``repro`` functions, one
-    ``path<TAB>line<TAB>qualname`` per line."""
+    ``path<TAB>line<TAB>qualname`` per line (no file when there are none:
+    a helper such as the resource tracker may exit after the report)."""
     rows = {
         (os.path.realpath(c.co_filename), c.co_firstlineno,
          getattr(c, "co_qualname", c.co_name))
         for c in list(_entered)
         if "repro" in c.co_filename
     }
-    out.with_name(f"{out.name}.pid{os.getpid()}").write_text(
-        "".join(f"{path}\t{line}\t{qual}\n" for path, line, qual in rows)
-    )
+    if not rows:
+        return
+    # Appended: a pid the system reused must not erase an earlier child's rows.
+    with open(out.with_name(f"{out.name}.pid{os.getpid()}"), "a") as f:
+        f.write("".join(f"{path}\t{line}\t{qual}\n" for path, line, qual in rows))
 
 
 def _after_fork(report: "UnexecutedReport") -> None:
@@ -82,6 +112,16 @@ def _after_fork(report: "UnexecutedReport") -> None:
     sys.setprofile(_hook)
     threading.setprofile(_hook)
     Finalize(None, _write_child_entries, args=(report.out,), exitpriority=-100)
+
+
+def arm_child(out: str) -> None:
+    """In a child interpreter the shim started (the hook is already on,
+    since importing this module installed it): write the entries at exit,
+    and follow the children it forks."""
+    global _child_report
+    _child_report = UnexecutedReport(Path(out))
+    atexit.register(_write_child_entries, _child_report.out)
+    register_after_fork(_child_report, _after_fork)
 
 
 def _merge_children(out: Path) -> set[tuple[str, int]]:
@@ -171,12 +211,22 @@ def main(argv: list[str]) -> int:
     out = Path("unexecuted.txt")
     if argv[:1] == ["--out"]:
         out, argv = Path(argv[1]), argv[2:]
+    out = out.resolve()
     if not any(Path(arg.split("::")[0]).exists() for arg in argv):
         argv = [*argv, *(str(ROOT / t) for t in DEFAULT_TARGETS)]
     report = UnexecutedReport(out)
     _merge_children(out)  # drop what an interrupted earlier run left
     register_after_fork(report, _after_fork)
-    return pytest.main(argv, plugins=[report])
+    shim = Path(tempfile.mkdtemp(prefix="census-shim-"))
+    (shim / "sitecustomize.py").write_text(_SHIM.format(env=CENSUS_ENV, tools=str(ROOT / "tools")))
+    os.environ[CENSUS_ENV] = str(out)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [str(shim), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )
+    try:
+        return pytest.main(argv, plugins=[report])
+    finally:
+        shutil.rmtree(shim)
 
 
 if __name__ == "__main__":
