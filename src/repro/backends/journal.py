@@ -44,6 +44,7 @@ back to the parent's journal by token.
 from __future__ import annotations
 
 import copy
+import struct
 import threading
 import uuid
 import weakref
@@ -331,26 +332,34 @@ def crash_states(rows: Sequence[Row]) -> Iterator[tuple[str, list[Row]]]:
 def without_close_writes(rows: Sequence[Row]) -> list[Row]:
     """``rows`` less each file's metablock-2 write and the patch after it.
 
-    The state of a set whose close sequence died after the data was in:
-    the one-fragment write opening with the metablock-2 magic, and the
-    next write on that path by the same rank (the metablock-1 offset
-    patch).
+    The state of a set whose close sequence died after the data was in.
+    A pair is exact: a one-fragment write opening with the metablock-2
+    magic, and the same rank's next write on that path being its patch —
+    one 8-byte fragment at metablock 1's ``metablock2_offset`` field that
+    encodes the first write's offset.  Any other write, a data write that
+    happens to open with the magic included, stays.
     """
-    from repro.sion.constants import MAGIC_MB2  # the package imports backends
+    # The package imports backends, so the format is imported here.
+    from repro.sion.constants import MAGIC_MB2
+    from repro.sion.format import MB2_OFFSET_FIELD
 
-    out: list[Row] = []
-    closing: set[tuple[str, int | None]] = set()
-    for row in rows:
-        if row.op in WRITE_OPS:
-            key = (row.path, row.rank)
-            if key in closing:
-                closing.discard(key)
-                continue
-            if len(row.sizes) == 1 and bytes(row.payload[0][: len(MAGIC_MB2)]) == MAGIC_MB2:
-                closing.add(key)
-                continue
-        out.append(row)
-    return out
+    def patches(row: Row, offset: int) -> bool:
+        return row.offsets == (MB2_OFFSET_FIELD,) and row.sizes == (8,) and (
+            bytes(row.payload[0]) == struct.pack("<Q", offset)
+        )
+
+    drop: set[int] = set()
+    candidate: dict[tuple[str, int | None], int] = {}  # (path, rank) -> row index
+    for i, row in enumerate(rows):
+        if row.op not in WRITE_OPS:
+            continue
+        key = (row.path, row.rank)
+        c = candidate.pop(key, None)
+        if c is not None and patches(row, rows[c].offsets[0]):
+            drop.update((c, i))
+        elif len(row.sizes) == 1 and bytes(row.payload[0][: len(MAGIC_MB2)]) == MAGIC_MB2:
+            candidate[key] = i
+    return [row for i, row in enumerate(rows) if i not in drop]
 
 
 def replay(rows: Iterable[Row], backend: Backend) -> None:

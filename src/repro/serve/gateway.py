@@ -124,8 +124,7 @@ class ContainerHandle(SealedSet):
         if offset < 0 or n < 0:
             raise SionUsageError("offset and size must be non-negative")
         stream = self.stream(grank)
-        f, lrank = self.plan.mapping.files[grank], self.plan.mapping.lranks[grank]
-        prefix = [0, *itertools.accumulate(self.plan.blocksizes[f][lrank])]
+        prefix = [0, *itertools.accumulate(self.plan.row(grank))]
         if offset >= prefix[-1] or n == 0:
             return b""
         block = bisect_right(prefix, offset) - 1

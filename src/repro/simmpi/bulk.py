@@ -128,7 +128,6 @@ from __future__ import annotations
 
 import time
 from array import array
-from collections import deque
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -411,7 +410,9 @@ class BulkComm(Comm):
         exec-once bitmap.
         """
         engine = self._engine
-        ex = engine.execs[self._grank]
+        ex = engine.running
+        if engine.running_rank != self._grank:
+            raise engine.foreign_use(self._grank)
         if ex.suspending:
             raise _Suspend()
         opid = _OP_IDS.get(opname)
@@ -435,6 +436,7 @@ class BulkComm(Comm):
         needs: int,
         read: Callable[[Any], Any],
         shared: bool = False,
+        column: bool = False,
     ) -> Any:
         """Deposit into the frontier wave; park until ``needs`` is met.
 
@@ -446,7 +448,9 @@ class BulkComm(Comm):
         """
         engine = self._engine
         g = self._grank
-        ex = engine.execs[g]
+        ex = engine.running
+        if engine.running_rank != g:
+            raise engine.foreign_use(g)
         if ex.suspending:
             raise _Suspend()
         opid = _OP_IDS.get(opname)
@@ -534,6 +538,14 @@ class _BulkEngine:
     allocate.
     """
 
+    __slots__ = (
+        "size", "fn", "args", "kwargs", "timeout", "stats", "last_progress",
+        "progs", "nops", "running", "running_rank", "done_b", "queued_b",
+        "parked_a", "parked_b", "parked_c", "worlds", "world", "batches",
+        "batch_pos", "unstarted", "results", "failures", "ndone", "aborted",
+        "timed_out", "nexecs", "wave_log", "wave_log_dropped",
+    )
+
     def __init__(
         self,
         nprocs: int,
@@ -564,26 +576,34 @@ class _BulkEngine:
         root = _Program()
         self.progs: list[_Program] = [root] * nprocs
         self.nops = array("l", bytes(8 * nprocs))
-        self.execs: list[_Exec | None] = [None] * nprocs
+        #: The one execution in progress and its rank: ranks run one at a
+        #: time, so no per-rank slot is needed.
+        self.running: _Exec | None = None
+        self.running_rank = -1
 
-        # Scheduler flags as byte arrays with shared numpy views: the
-        # scalar paths index the bytearrays, vectorized wake indexes the
-        # views — same memory.
+        # Scheduler flags as byte arrays: the scalar paths index them, and
+        # the vectorized wake reads them through numpy views of the same
+        # memory, made per wake.
         self.done_b = bytearray(nprocs)
         self.queued_b = bytearray(b"\x01" * nprocs)
-        self.done_v = np.frombuffer(self.done_b, dtype=np.bool_)
-        self.queued_v = np.frombuffer(self.queued_b, dtype=np.bool_)
 
         # Parked-on descriptors, packed; formatted lazily by
         # ``_parked_desc`` only when a stuck world is reported.
-        self.parked_a = array("l", [-1]) * nprocs  # opid; -1: never parked
-        self.parked_b = array("l", bytes(8 * nprocs))  # op index
-        self.parked_c = array("l", bytes(8 * nprocs))  # world size
+        self.parked_a = array("i", [-1]) * nprocs  # opid; -1: never parked
+        self.parked_b = array("i", bytes(4 * nprocs))  # op index
+        self.parked_c = array("i", bytes(4 * nprocs))  # world size
 
         #: Every world of the run, root first (worlds register themselves).
         self.worlds: list[_World] = []
         self.world = _World(self, range(nprocs))
-        self.runnable: deque[int] = deque(range(nprocs))
+        #: The run queue: woken ranks first, as a stack of rank-ordered
+        #: batches (the batch a wave woke last on top, each read from its
+        #: position in ``batch_pos``), then every rank from ``unstarted``
+        #: up, which has never run.  A queued rank costs 4 bytes in its
+        #: batch, and an unstarted one nothing.
+        self.batches: list[np.ndarray] = []
+        self.batch_pos: list[int] = []
+        self.unstarted = 0
         self.results: list[Any] = [None] * nprocs
         self.failures: dict[int, BaseException] = {}
         self.ndone = 0
@@ -605,9 +625,29 @@ class _BulkEngine:
         nw = wave.nwaiters
         wave.nwaiters = 0
         w = np.sort(wave.waiters[:nw])
-        go = w[~(self.done_v[w] | self.queued_v[w])]
-        self.queued_v[go] = True
-        self.runnable.extendleft(go[::-1].tolist())
+        done = np.frombuffer(self.done_b, dtype=np.bool_)
+        queued = np.frombuffer(self.queued_b, dtype=np.bool_)
+        go = w[~(done[w] | queued[w])]
+        if go.size:
+            queued[go] = True
+            self.batches.append(go)
+            self.batch_pos.append(0)
+
+    def _next_rank(self) -> int:
+        """Pop the run queue's front rank; -1 when it is empty."""
+        batches = self.batches
+        if batches:
+            go, i = batches[-1], self.batch_pos[-1]
+            if i + 1 == len(go):
+                batches.pop()
+                self.batch_pos.pop()
+            else:
+                self.batch_pos[-1] = i + 1
+            return int(go[i])
+        if self.unstarted < self.size:
+            self.unstarted += 1
+            return self.unstarted - 1
+        return -1
 
     def park_collective(self, grank: int, opid: int, k: int, wsize: int) -> None:
         self.parked_a[grank] = opid
@@ -675,9 +715,13 @@ class _BulkEngine:
 
     # -- execution ---------------------------------------------------------
 
+    def foreign_use(self, grank: int) -> SimMPIError:
+        """Rank ``grank``'s communicator was called while it is not running."""
+        return SimMPIError(f"rank {grank}'s communicator used outside its own rank body")
+
     def _execute(self, grank: int) -> None:
-        ex = _Exec(self.progs[grank], self.nops[grank])
-        self.execs[grank] = ex
+        ex = self.running = _Exec(self.progs[grank], self.nops[grank])
+        self.running_rank = grank
         comm = BulkComm(self.world, grank)
         try:
             result = self.fn(comm, *self.args, **self.kwargs)
@@ -688,7 +732,7 @@ class _BulkEngine:
             self._fail_rank(grank, exc)
             return
         finally:
-            self.execs[grank] = None
+            self.running, self.running_rank = None, -1
         self._finish_rank(grank, result)
 
     def _check_completed_replay(self, ex: _Exec, grank: int) -> None:
@@ -704,14 +748,13 @@ class _BulkEngine:
     def _loop(self) -> None:
         """Run the worklist dry.  Deadlock is declared the moment it is
         empty with ranks unfinished; an abort or a stall fails them too."""
-        runnable = self.runnable
         while self.ndone < self.size:
-            if self.aborted or not runnable:
+            grank = -1 if self.aborted else self._next_rank()
+            if grank < 0:
                 for grank in range(self.size):
                     if not self.done_b[grank]:
                         self._fail_rank(grank, self.stuck_error(grank))
                 return
-            grank = runnable.popleft()
             self.queued_b[grank] = 0
             if not self.done_b[grank]:
                 self._execute(grank)
@@ -743,7 +786,7 @@ class _BulkEngine:
             world.engine = None
         self.worlds.clear()
         self.world = None
-        self.progs = self.execs = ()
+        self.progs = ()
         self.results, self.failures = (), {}
         self.fn = self.args = self.kwargs = None
 

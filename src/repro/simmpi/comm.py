@@ -198,13 +198,16 @@ class Comm:
     rank)``, keeps them as ``_group`` (the state its ranks share; has a
     ``size``) and ``_rank``, and implements four things:
 
-    * ``_exchange(opname, value, frame, needs, read, shared)`` — deposit
-      ``frame(value)``, and return ``read(slots)`` over the rank-ordered
-      deposits once those named by ``needs`` (:data:`_ALL`,
+    * ``_exchange(opname, value, frame, needs, read, shared, column)`` —
+      deposit ``frame(value)``, and return ``read(slots)`` over the
+      rank-ordered deposits once those named by ``needs`` (:data:`_ALL`,
       :data:`_NONE` or one rank) are in.  ``needs`` is a hint: a
       transport may wait for everyone.  With ``shared`` the result may
-      be computed once and handed to every rank.  Mismatched ``opname``
-      across ranks raises :class:`CollectiveMismatchError`.
+      be computed once and handed to every rank.  With ``column``
+      ``read`` takes only entry ``rank`` of each needed deposit (a
+      scatter's row, an alltoall's column), so a transport that copies
+      deposits to the reader may send just those entries.  Mismatched
+      ``opname`` across ranks raises :class:`CollectiveMismatchError`.
     * ``_split_groups(deposits)`` — the reader of a split's exchange:
       ``(plan, groups)`` with ``plan = group_split(deposits)`` and one
       new group per entry of ``plan.members``.
@@ -271,7 +274,9 @@ class Comm:
             self._check_rows(rows, what)
         else:
             rows, frame = None, _as_is
-        return self._exchange(opname, rows, frame, root, lambda slots: slots[root][me])
+        return self._exchange(
+            opname, rows, frame, root, lambda slots: slots[root][me], column=True
+        )
 
     def barrier(self) -> None:
         """Block until every rank of the communicator has entered."""
@@ -339,7 +344,8 @@ class Comm:
         self._check_rows(values, "alltoall requires exactly one value per rank")
         me = self._rank
         return self._exchange(
-            "alltoall", values, _copy_each, _ALL, lambda slots: [row[me] for row in slots]
+            "alltoall", values, _copy_each, _ALL, lambda slots: [row[me] for row in slots],
+            column=True,
         )
 
     def reduce(
@@ -503,6 +509,7 @@ class ThreadComm(Comm):
         needs: int,
         read: Callable[[list[Any]], Any],
         shared: bool = False,
+        column: bool = False,
     ) -> Any:
         """Deposit/barrier/read primitive behind every collective.
 

@@ -115,14 +115,43 @@ def _by_value(value: Any, depth: int = 2) -> Any:
     return value
 
 
-def _unpack_reply(reply: "bytes | None", needs: int, size: int) -> list:
-    """The slot list a member reads, rebuilt from the part of the
-    deposits the hub sent it for ``needs``; unsent slots are ``None``."""
+class _Entry:
+    """Entry ``index`` of a deposit the hub did not send whole: a column
+    member's stand-in for the row it reads one entry of."""
+
+    __slots__ = ("index", "value")
+
+    def __init__(self, index: int, value: Any) -> None:
+        self.index, self.value = index, value
+
+    def __getitem__(self, i: int) -> Any:
+        if i != self.index:
+            raise CommunicatorError(
+                f"entry {i} was not sent; this rank reads entry {self.index}"
+            )
+        return self.value
+
+
+def _reply_part(slots: list, needs: int, column: bool, src: int) -> Any:
+    """What the hub sends member ``src`` of the deposits ``slots``: nothing
+    for :data:`_NONE`, the needed slot or every slot, and with ``column``
+    only entry ``src`` of each."""
     if needs == _ALL:
-        return pickle.loads(reply)
+        return [row[src] for row in slots] if column else slots
+    return slots[needs][src] if column else slots[needs]
+
+
+def _unpack_reply(reply: "bytes | None", needs: int, column: bool, me: int, size: int) -> list:
+    """The slot list a member reads, rebuilt from the part of the
+    deposits the hub sent it (:func:`_reply_part`); unsent slots are
+    ``None`` and unsent entries of a column member's rows are missing."""
+    if needs == _NONE:
+        return [None] * size
+    part = pickle.loads(reply)
+    if needs == _ALL:
+        return [_Entry(me, v) for v in part] if column else part
     slots = [None] * size
-    if needs != _NONE:
-        slots[needs] = pickle.loads(reply)
+    slots[needs] = _Entry(me, part) if column else part
     return slots
 
 
@@ -264,29 +293,32 @@ class ProcComm(Comm):
         needs: int,
         read: Callable[[Any], Any],
         shared: bool = False,
+        column: bool = False,
     ) -> Any:
         """Deposit/synchronize/read primitive behind every collective,
         routed through local rank 0 (the hub).  Every rank waits for the
         hub's reply (``shared`` is moot); each member sends its ``needs``
-        with its deposit, and the reply carries only that: nothing for
-        :data:`_NONE`, the root's slot for a root index, every slot for
-        :data:`_ALL`.  The hub pickles each distinct reply once."""
+        and ``column`` with its deposit, and the reply carries only that:
+        nothing for :data:`_NONE`, the root's slot for a root index,
+        every slot for :data:`_ALL` — and with ``column`` (scatter,
+        scatterv, alltoall) only the member's own entry of each.  The hub
+        pickles each distinct reply once."""
         value = _by_value(frame(value))
         group = self._group
         rt, cid, members = group.rt, group.id, group.members
         seq = rt.next_seq(cid)
         if self._rank != 0:
-            rt.post(members[0], (cid, seq, self._rank, opname, value, needs))
+            rt.post(members[0], (cid, seq, self._rank, opname, value, (needs, column)))
             _, _, _, op, reply = rt.wait_for(
                 lambda m: m[0] == cid and m[1] == seq and m[2] == _HUB,
                 what=f"hub reply for {opname}#{seq} on {cid}",
             )
-            slots = _unpack_reply(reply, needs, len(members))
+            slots = _unpack_reply(reply, needs, column, self._rank, len(members))
             names = {op, opname}
         else:
             slots = [None] * len(members)
             slots[0] = value
-            wants = [needs] * len(members)
+            wants = [(needs, column)] * len(members)
             names = {opname}
             for _ in members[1:]:
                 _, _, src, op, payload, want = rt.wait_for(
@@ -305,12 +337,16 @@ class ProcComm(Comm):
             # Snapshot the replies before ``read`` hands the hub its result:
             # a queue pickles in a feeder thread, by when the hub's rank
             # body may already have mutated that result in place.
-            replies: dict[int, "bytes | None"] = {_NONE: None}
-            for dest, want in zip(members[1:], wants[1:]):
-                if want not in replies:
-                    part = slots if want == _ALL else slots[want]
-                    replies[want] = pickle.dumps(part, protocol=pickle.HIGHEST_PROTOCOL)
-                rt.post(dest, (cid, seq, _HUB, opname, replies[want]))
+            replies: dict[tuple, "bytes | None"] = {}
+            for src, (dest, (want, col)) in enumerate(zip(members, wants)):
+                if src == 0:
+                    continue
+                key = (want, src if col else -1)  # a column part is per member
+                if key not in replies:
+                    replies[key] = None if want == _NONE else pickle.dumps(
+                        _reply_part(slots, want, col, src), protocol=pickle.HIGHEST_PROTOCOL
+                    )
+                rt.post(dest, (cid, seq, _HUB, opname, replies[key]))
         return read(slots)
 
     def _split_groups(self, deposits: Any) -> tuple[SplitPlan, list[_Group]]:

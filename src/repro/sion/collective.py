@@ -225,17 +225,13 @@ def prefetch_read(
     """
     data_offset = SHADOW_HEADER_SIZE if plan.shadow else 0
     files, lranks = plan.mapping.files, plan.mapping.lranks
-    requests = tuple(
-        (
-            files[g],
-            tuple(
-                plan.layouts[files[g]].read_requests(
-                    lranks[g], plan.blocksizes[files[g]][lranks[g]], data_offset
-                )
-            ),
-        )
-        for g in writers
-    )
+    plans = []
+    for g in writers:
+        f, lrank = files[g], lranks[g]
+        table = plan.tables[f]  # the stream's row, as Metablock2.row slices it
+        row = table.sizes[table.bounds[lrank] : table.bounds[lrank + 1]]
+        plans.append((f, tuple(plan.layouts[f].read_requests(lrank, row, data_offset))))
+    requests = tuple(plans)
     gathered = ccom.gather(requests, root=0)
     raws: list[RawFile] = []
     if ccom.rank == 0:

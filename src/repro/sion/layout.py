@@ -11,16 +11,22 @@ This is the heart of the file organization (paper §3.1 and Fig. 2):
   needs **no communication**, only metadata accounting at close.
 
 The same :class:`ChunkLayout` drives the real library, the serial tools,
-and the simulated experiments.
+and the simulated experiments.  Its per-task geometry is three int64
+columns (:mod:`repro.sion.columns`): the requested sizes, the aligned
+sizes and the chunk prefix.
 """
 
 from __future__ import annotations
 
+import bisect
+from array import array
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import SionUsageError
+from repro.sion.columns import column, ndarray_of
 
 #: Use the vectorized geometry computation from this many tasks upward;
 #: below it the scalar reference implementation is both faster (no array
@@ -30,7 +36,8 @@ _VECTOR_MIN_TASKS = 64
 #: Per-value bound for the vectorized path (1 TiB per chunk / block): with
 #: at most ``_VECTOR_MAX_TASKS`` tasks the round-up, the multiply back and
 #: the whole-file cumsum all stay comfortably inside int64.  Larger values
-#: (only seen in adversarial property tests) take the scalar big-int path.
+#: take the scalar big-int path, whose result must still fit the int64
+#: columns (a file offset is a ``u64`` on disk anyway).
 _INT64_SAFE_MAX = 2**40
 _VECTOR_MAX_TASKS = 2**20
 
@@ -45,14 +52,15 @@ def align_up(value: int, granularity: int) -> int:
 
 
 def scalar_chunk_geometry(
-    chunksizes: list[int], fsblksize: int
+    chunksizes: Sequence[int], fsblksize: int
 ) -> tuple[list[int], list[int], int]:
     """Reference implementation of the chunk geometry, one task at a time.
 
-    Returns ``(aligned_sizes, chunk_prefix, block_capacity)``.  This is the
-    paper's per-task arithmetic kept verbatim; the vectorized path in
-    :class:`ChunkLayout` must match it element for element (property-tested
-    in ``tests/sion/test_vectorized_equivalence.py``).
+    Returns ``(aligned_sizes, chunk_prefix, block_capacity)`` in exact
+    Python integers.  This is the paper's per-task arithmetic kept
+    verbatim; :class:`ChunkLayout`'s columns must equal it element for
+    element (property-tested in
+    ``tests/sion/test_vectorized_equivalence.py``).
     """
     aligned = [max(align_up(c, fsblksize), fsblksize) for c in chunksizes]
     prefix: list[int] = []
@@ -64,14 +72,26 @@ def scalar_chunk_geometry(
 
 
 def _vector_chunk_geometry(
-    chunksizes: list[int], fsblksize: int
-) -> tuple[list[int], list[int], int]:
+    chunksizes: array, fsblksize: int
+) -> tuple[array, array, int]:
     """ndarray fast path: whole-array round-up, max and prefix sum."""
-    arr = np.asarray(chunksizes, dtype=np.int64)
+    arr = ndarray_of(chunksizes)
     aligned = np.maximum((arr + (fsblksize - 1)) // fsblksize, 1) * fsblksize
     ends = np.cumsum(aligned)
-    prefix = ends - aligned
-    return aligned.tolist(), prefix.tolist(), int(ends[-1])
+    return column(aligned), column(ends - aligned), int(ends[-1])
+
+
+def _columns_of(
+    chunksizes: array, fsblksize: int
+) -> tuple[array, array, int]:
+    """The scalar reference's geometry as columns, refused if a block
+    outgrows int64 offsets."""
+    aligned, prefix, capacity = scalar_chunk_geometry(chunksizes, fsblksize)
+    if capacity >= 2**63:
+        raise SionUsageError(
+            f"chunk geometry overflows 64-bit offsets (block capacity {capacity})"
+        )
+    return column(aligned), column(prefix), capacity
 
 
 @dataclass
@@ -88,17 +108,21 @@ class ChunkLayout:
         Requested chunk size per local task, in bytes.  Each is rounded up
         to a whole number of FS blocks, with a minimum of one block (the
         paper notes SIONlib "writes at least one file-system block per
-        task").
+        task").  Any integer sequence; the layout keeps it as an int64
+        column, and an ``array('q')`` is kept as that object (a layout
+        shares its metablock 1's column).
     metablock1_size:
         Bytes occupied by metablock 1; data starts at the next FS block
         boundary after it.
+
+    ``aligned_sizes`` and ``chunk_prefix`` are int64 columns too.
     """
 
     fsblksize: int
-    chunksizes: list[int]
+    chunksizes: array
     metablock1_size: int
-    aligned_sizes: list[int] = field(init=False)
-    chunk_prefix: list[int] = field(init=False)
+    aligned_sizes: array = field(init=False)
+    chunk_prefix: array = field(init=False)
     block_capacity: int = field(init=False)
     start_of_data: int = field(init=False)
 
@@ -107,19 +131,25 @@ class ChunkLayout:
             raise SionUsageError(f"fsblksize must be positive: {self.fsblksize}")
         if self.metablock1_size < 0:
             raise SionUsageError("metablock1_size must be non-negative")
-        n = len(self.chunksizes)
+        chunks = self.chunksizes
+        if not (isinstance(chunks, array) and chunks.typecode == "q"):
+            try:
+                chunks = self.chunksizes = column(chunks)
+            except OverflowError:
+                raise SionUsageError("chunk sizes must fit in 64 bits") from None
+        n = len(chunks)
         # min() is a single C pass; the generator-expression any() it
         # replaces dominated __post_init__ at large task counts.
-        if n and min(self.chunksizes) < 0:
+        if n and min(chunks) < 0:
             raise SionUsageError("chunk sizes must be non-negative")
         if (
             _VECTOR_MIN_TASKS <= n <= _VECTOR_MAX_TASKS
             and self.fsblksize <= _INT64_SAFE_MAX
-            and max(self.chunksizes) <= _INT64_SAFE_MAX
+            and max(chunks) <= _INT64_SAFE_MAX
         ):
-            geometry = _vector_chunk_geometry(self.chunksizes, self.fsblksize)
+            geometry = _vector_chunk_geometry(chunks, self.fsblksize)
         else:
-            geometry = scalar_chunk_geometry(self.chunksizes, self.fsblksize)
+            geometry = _columns_of(chunks, self.fsblksize)
         self.aligned_sizes, self.chunk_prefix, self.block_capacity = geometry
         self.start_of_data = align_up(self.metablock1_size, self.fsblksize)
 
@@ -129,9 +159,10 @@ class ChunkLayout:
 
         Uses the *stored* ``start_of_data`` (authoritative) rather than
         recomputing it, so readers stay correct even if a future writer
-        changes the metablock encoding size.
+        changes the metablock encoding size.  The layout shares metablock
+        1's chunk-size column.
         """
-        lay = cls(mb1.fsblksize, list(mb1.chunksizes), 0)
+        lay = cls(mb1.fsblksize, mb1.chunksizes, 0)
         lay.start_of_data = mb1.start_of_data
         return lay
 
@@ -183,22 +214,15 @@ class ChunkLayout:
             return None
         rel = offset - self.start_of_data
         block, in_block = divmod(rel, self.block_capacity)
-        # Binary search over the prefix array.
-        lo, hi = 0, self.ntasks - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.chunk_prefix[mid] <= in_block:
-                lo = mid
-            else:
-                hi = mid - 1
-        task = lo
+        # The last chunk starting at or before the offset (prefixes ascend).
+        task = bisect.bisect_right(self.chunk_prefix, in_block) - 1
         pos = in_block - self.chunk_prefix[task]
         if pos >= self.aligned_sizes[task]:  # pragma: no cover - padding gap
             return None
         return task, block, pos
 
     def read_requests(
-        self, task: int, blocksizes: list[int], data_offset: int = 0
+        self, task: int, blocksizes: Sequence[int], data_offset: int = 0
     ) -> list[tuple[int, int]]:
         """Complete ``(offset, size)`` request list of one task's stream.
 
@@ -223,7 +247,7 @@ class ChunkLayout:
 
     def chunk_starts(self, tasks: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         """:meth:`chunk_start` over parallel int arrays, in one pass."""
-        prefix = np.asarray(self.chunk_prefix, dtype=np.int64)
+        prefix = ndarray_of(self.chunk_prefix)
         return self.start_of_data + blocks * self.block_capacity + prefix[tasks]
 
     def is_aligned(self, true_fsblksize: int) -> bool:

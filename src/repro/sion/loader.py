@@ -42,9 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.backends.base import Backend, RawFile
 from repro.errors import FileNotFoundSimError, SionFormatError, SionUsageError
 from repro.sion.buddy import buddy_path
+from repro.sion.columns import ndarray_of
 from repro.sion.constants import FLAG_SHADOW, MAPPING_CUSTOM, SHADOW_HEADER_SIZE
 from repro.sion.format import Metablock1, Metablock2, ShadowHeader
 from repro.sion.layout import ChunkLayout
@@ -211,7 +214,7 @@ def _checked(
         f = head if filenum == 0 else load_file(
             backend, physical_path(path, filenum), [("filenum", filenum), *geometry]
         )
-        # One list compare per file: the stored global ranks are exactly
+        # One column compare per file: the stored global ranks are exactly
         # the mapping's members of the file, in local-rank order.
         if f.status in (INTACT, BAD_MB2) and f.mb1.globalranks != tmap.tasks_of_file(filenum):
             f.fail(DISAGREES, "stored global ranks disagree with the mapping")
@@ -329,18 +332,23 @@ def load_metablock2(
             f"metablock 1 {mb1.ntasks_local}"
         )
     header = SHADOW_HEADER_SIZE if mb1.flags & FLAG_SHADOW else 0
-    longest, nblocks = 0, 0
-    for t, (blocks, aligned) in enumerate(zip(mb2.blocksizes, layout.aligned_sizes)):
-        if not blocks:
-            continue
-        biggest = max(blocks)
-        if biggest > aligned - header:
-            raise SionFormatError(
-                f"{path}: task {t} block {blocks.index(biggest)} records "
-                f"{biggest} bytes, over its chunk's data capacity {aligned - header}"
-            )
-        if len(blocks) > nblocks:
-            longest, nblocks = t, len(blocks)
+    counts = mb2.nblocks()
+    # One pass over the flat column, each entry against its task's data
+    # capacity; a stored size of 2^63 or more decodes negative and is over.
+    owner = np.repeat(np.arange(len(counts)), counts)
+    sizes = ndarray_of(mb2.sizes)
+    capacity = ndarray_of(layout.aligned_sizes) - header
+    over = np.flatnonzero((sizes < 0) | (sizes > capacity[owner]))
+    if over.size:
+        t = int(owner[over[0]])
+        row = sizes[mb2.bounds[t] : mb2.bounds[t + 1]].view(np.uint64)
+        block = int(row.argmax())
+        raise SionFormatError(
+            f"{path}: task {t} block {block} records {int(row[block])} bytes, "
+            f"over its chunk's data capacity {int(capacity[t])}"
+        )
+    longest = int(counts.argmax()) if counts.size else 0
+    nblocks = int(counts[longest]) if counts.size else 0
     end = layout.end_of_blocks(nblocks)
     if end > mb1.metablock2_offset:
         raise SionFormatError(

@@ -6,22 +6,25 @@ one physical file per Blue Gene I/O node, as the paper suggests); a
 *round-robin* mapping interleaves, and a *custom* mapping accepts an
 explicit rank -> file table.
 
-The assignment is stored as two flat per-rank arrays (``files`` and
-``lranks``) built with whole-array operations, so constructing or
-reconstructing the mapping of a 256k-task world costs milliseconds rather
-than the seconds the former tuple-of-pairs table needed.  The standard
-kinds are cached: in an in-process SPMD world every rank asks for the same
-mapping, and recomputing it per rank made the collective open O(n²).
+The assignment is stored as two int64 columns (``files`` and ``lranks``,
+see :mod:`repro.sion.columns`) built with whole-array operations, so
+constructing or reconstructing the mapping of a 2^20-task world costs
+milliseconds and 16 bytes per task.  The standard kinds are cached: in an
+in-process SPMD world every rank asks for the same mapping, and
+recomputing it per rank made the collective open O(n²).
 """
 
 from __future__ import annotations
 
+import bisect
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from repro.errors import SionUsageError
+from repro.sion.columns import bounds_of, column, ndarray_of
 from repro.sion.constants import (
     MAPPING_BLOCKED,
     MAPPING_CUSTOM,
@@ -35,14 +38,14 @@ class TaskMapping:
     """Immutable assignment of ``ntasks`` global ranks to ``nfiles`` files.
 
     ``files[rank]`` is the physical file index and ``lranks[rank]`` the
-    rank's index within that file's chunk array.
+    rank's index within that file's chunk array; both are int64 columns.
     """
 
     ntasks: int
     nfiles: int
     kind: int
-    files: tuple[int, ...]  # global rank -> file
-    lranks: tuple[int, ...]  # global rank -> local rank
+    files: array  # global rank -> file
+    lranks: array  # global rank -> local rank
 
     # -- constructors ---------------------------------------------------------
 
@@ -73,11 +76,7 @@ class TaskMapping:
             missing = np.flatnonzero(counts == 0).tolist()
             raise SionUsageError(f"custom mapping leaves files empty: {missing}")
         return cls(
-            ntasks,
-            nfiles,
-            MAPPING_CUSTOM,
-            tuple(files.tolist()),
-            tuple(_local_ranks(files, nfiles).tolist()),
+            ntasks, nfiles, MAPPING_CUSTOM, column(files), column(_local_ranks(files, nfiles))
         )
 
     @classmethod
@@ -107,21 +106,23 @@ class TaskMapping:
         ntasks: int,
         nfiles: int,
         kind_code: int,
-        table: list[tuple[int, int]] | None = None,
+        table: "array | None" = None,
     ) -> "TaskMapping":
         """Rebuild from metablock-1 fields (standard kinds need no table).
 
-        A stored custom table is checked, not trusted: every file index is
-        in range and every local rank is the task's position among its
-        file's tasks (the only table a writer stores), else a reader would
-        serve one task's chunks as another's.
+        ``table`` is a custom mapping's stored ``(file, local rank)``
+        pairs, interleaved in one column (:meth:`pairs`).  It is checked,
+        not trusted: every file index is in range and every local rank is
+        the task's position among its file's tasks (the only table a
+        writer stores), else a reader would serve one task's chunks as
+        another's.
         """
         if kind_code == MAPPING_BLOCKED:
             return cls.blocked(ntasks, nfiles)
         if kind_code == MAPPING_ROUNDROBIN:
             return cls.roundrobin(ntasks, nfiles)
         if kind_code == MAPPING_CUSTOM:
-            if not table:
+            if table is None or not len(table):
                 raise SionUsageError("custom mapping requires the stored table")
             files, lranks = np.asarray(table, dtype=np.int64).reshape(-1, 2).T
             bad = np.flatnonzero((files < 0) | (files >= nfiles))
@@ -136,21 +137,18 @@ class TaskMapping:
                     f"task {r} has local rank {lranks[r]} in file {files[r]}, "
                     f"expected {want[r]}"
                 )
-            return cls(
-                ntasks, nfiles, MAPPING_CUSTOM, tuple(files.tolist()), tuple(lranks.tolist())
-            )
+            return cls(ntasks, nfiles, MAPPING_CUSTOM, column(files), column(lranks))
         raise SionUsageError(f"unknown mapping kind code {kind_code}")
 
     # -- queries -----------------------------------------------------------------
 
-    @cached_property
-    def table(self) -> tuple[tuple[int, int], ...]:
-        """Global rank -> ``(file, local rank)`` pairs (compatibility view)."""
-        return tuple(zip(self.files, self.lranks))
-
-    def table_pairs(self) -> list[tuple[int, int]]:
-        """The mapping table as the list of pairs metablock 1 encodes."""
-        return list(self.table)
+    def pairs(self) -> array:
+        """The ``(file, local rank)`` pairs, interleaved in one column: the
+        table metablock 1 stores for a custom mapping."""
+        out = np.empty(2 * self.ntasks, dtype=np.int64)
+        out[0::2] = ndarray_of(self.files)
+        out[1::2] = ndarray_of(self.lranks)
+        return column(out)
 
     def file_of(self, rank: int) -> int:
         """Physical file index holding ``rank``'s chunks."""
@@ -162,23 +160,45 @@ class TaskMapping:
         self._check_rank(rank)
         return self.lranks[rank]
 
-    def tasks_of_file(self, filenum: int) -> list[int]:
-        """Global ranks stored in file ``filenum``, in local-rank order."""
-        if not 0 <= filenum < self.nfiles:
-            raise SionUsageError(f"file {filenum} out of range ({self.nfiles})")
-        # Ranks ascend with local rank by construction, so the positional
-        # scan is already local-rank ordered.
-        return np.flatnonzero(self._files_array == filenum).tolist()
+    def tasks_of_file(self, filenum: int) -> array:
+        """Global ranks stored in file ``filenum``, in local-rank order.
+
+        A new column, built in O(the file's tasks): a rank range for the
+        standard kinds, a slice of :attr:`_members` for a custom mapping.
+        """
+        lo, hi = self._file_range(filenum)
+        if self.kind == MAPPING_BLOCKED:
+            return column(np.arange(lo, hi))
+        if self.kind == MAPPING_ROUNDROBIN:
+            return column(np.arange(filenum, self.ntasks, self.nfiles))
+        return self._members[lo:hi]
 
     def ntasks_of_file(self, filenum: int) -> int:
-        """Number of tasks mapped to ``filenum``."""
-        return len(self.tasks_of_file(filenum))
+        """Number of tasks mapped to ``filenum`` (O(1))."""
+        lo, hi = self._file_range(filenum)
+        return hi - lo
 
     # -- internals ----------------------------------------------------------------
 
     @cached_property
-    def _files_array(self) -> np.ndarray:
-        return np.asarray(self.files, dtype=np.int64)
+    def _bounds(self) -> array:
+        """Each file's run in the ranks grouped by file: ``[bounds[f], bounds[f + 1])``."""
+        return bounds_of(np.bincount(ndarray_of(self.files), minlength=self.nfiles))
+
+    @cached_property
+    def _members(self) -> array:
+        """Every global rank grouped by file (a custom mapping's; built once).
+
+        The sort is stable and local ranks ascend with global rank, so each
+        file's run is in local-rank order.
+        """
+        return column(np.argsort(ndarray_of(self.files), kind="stable"))
+
+    def _file_range(self, filenum: int) -> tuple[int, int]:
+        if not 0 <= filenum < self.nfiles:
+            raise SionUsageError(f"file {filenum} out of range ({self.nfiles})")
+        bounds = self._bounds
+        return bounds[filenum], bounds[filenum + 1]
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.ntasks:
@@ -205,24 +225,14 @@ def _blocked_cached(ntasks: int, nfiles: int) -> TaskMapping:
     files = np.repeat(np.arange(nfiles), counts)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     lranks = np.arange(ntasks) - offsets[files]
-    return TaskMapping(
-        ntasks,
-        nfiles,
-        MAPPING_BLOCKED,
-        tuple(files.tolist()),
-        tuple(lranks.tolist()),
-    )
+    return TaskMapping(ntasks, nfiles, MAPPING_BLOCKED, column(files), column(lranks))
 
 
 @lru_cache(maxsize=128)
 def _roundrobin_cached(ntasks: int, nfiles: int) -> TaskMapping:
     ranks = np.arange(ntasks)
     return TaskMapping(
-        ntasks,
-        nfiles,
-        MAPPING_ROUNDROBIN,
-        tuple((ranks % nfiles).tolist()),
-        tuple((ranks // nfiles).tolist()),
+        ntasks, nfiles, MAPPING_ROUNDROBIN, column(ranks % nfiles), column(ranks // nfiles)
     )
 
 
@@ -236,9 +246,9 @@ class ReadPartition:
     ``[starts[r], starts[r] + counts[r])``; concatenating every reader's
     logical stream in reader order reproduces the writer-order
     concatenation byte for byte.  Like :class:`TaskMapping` the partition
-    is stored as flat per-reader arrays built with whole-array operations
-    and the balanced kind is cached, so re-deriving the partition of a
-    256k-stream multifile per rank costs microseconds.
+    is two int64 columns built with whole-array operations and the
+    balanced kind is cached, so re-deriving the partition of a 256k-stream
+    multifile per rank costs microseconds.
 
     More readers than writers is legal: the surplus readers own empty
     ranges (an oversized analysis job must not crash on a small file).
@@ -255,8 +265,8 @@ class ReadPartition:
 
     nwriters: int
     nreaders: int
-    starts: tuple[int, ...]  # reader -> first writer task of its slice
-    counts: tuple[int, ...]  # reader -> number of writer tasks
+    starts: array  # reader -> first writer task of its slice
+    counts: array  # reader -> number of writer tasks
 
     @classmethod
     def balanced(cls, nwriters: int, nreaders: int) -> "ReadPartition":
@@ -281,15 +291,9 @@ class ReadPartition:
             raise SionUsageError(
                 f"writer {writer} out of range ({self.nwriters} writers)"
             )
-        return int(
-            np.searchsorted(self._starts_array, writer, side="right") - 1
-        )
+        return bisect.bisect_right(self.starts, writer) - 1
 
     # -- internals -----------------------------------------------------------
-
-    @cached_property
-    def _starts_array(self) -> np.ndarray:
-        return np.asarray(self.starts, dtype=np.int64)
 
     def _check_reader(self, reader: int) -> None:
         if not 0 <= reader < self.nreaders:
@@ -304,13 +308,7 @@ def _balanced_partition_cached(nwriters: int, nreaders: int) -> ReadPartition:
     counts = np.full(nreaders, base, dtype=np.int64)
     counts[:extra] += 1
     ends = np.cumsum(counts)
-    starts = ends - counts
-    return ReadPartition(
-        nwriters,
-        nreaders,
-        tuple(starts.tolist()),
-        tuple(counts.tolist()),
-    )
+    return ReadPartition(nwriters, nreaders, column(ends - counts), column(counts))
 
 
 def physical_path(base: str, filenum: int) -> str:

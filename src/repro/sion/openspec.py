@@ -12,7 +12,8 @@ module is the single pipeline behind every entry point:
   identically for every entry point, before any file is touched.
 * :func:`compile_write_plan` — the collective write agreement (paper
   Listing 1, metadata half).  Each per-file master turns the chunk sizes
-  it gathers into one immutable :class:`WritePlan` — metablock 1, the
+  it gathers (one ``int`` per rank; the global ranks come from the task
+  mapping) into one immutable :class:`WritePlan` — metablock 1, the
   chunk layout, the physical and replica paths, the flags and the
   resolved aggregation degree — creates the file, and broadcasts the
   plan.  A rank's plan is that object plus its rank in the file's
@@ -20,7 +21,8 @@ module is the single pipeline behind every entry point:
 * :func:`compile_read_plan` — rank 0 loads the set once
   (:func:`~repro.sion.loader.load_set`: every physical file opened once
   and checked against file 0) into a :class:`ReadPlan` (the task mapping
-  plus per-file layouts and block tables) and broadcasts it.  A reader's
+  plus per-file layouts and block tables, all int64 columns) and
+  broadcasts it.  A reader's
   slice of writer streams is a ``(start, count)`` range into it; the read
   gateway indexes the same object.
 * :func:`open_read` turns a read plan into a :class:`SionReadFile`;
@@ -53,6 +55,7 @@ call executes exactly once per rank; replays return the logged result).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, NamedTuple, Sequence
@@ -290,17 +293,18 @@ def build_file_metadata(
     tmap: TaskMapping,
     filenum: int,
     chunksizes: Sequence[int],
-    globalranks: Sequence[int],
     fsblksize: int,
     flags: int,
 ) -> tuple[Metablock1, ChunkLayout]:
     """Metablock 1 + layout of one physical file about to be created.
 
-    ``chunksizes``/``globalranks`` are the file's local arrays in
-    local-rank order.  The custom mapping table rides on file 0 only.
-    The serial creator and the parallel per-file masters both build
-    their files through this one constructor, so the on-disk metadata
-    of a multifile does not depend on which entry point created it.
+    ``chunksizes`` are the file's requested sizes in local-rank order;
+    the global ranks are the mapping's members of the file.  Both become
+    int64 columns, and the layout shares metablock 1's chunk-size column.
+    The custom mapping table rides on file 0 only.  The serial creator
+    and the parallel per-file masters both build their files through
+    this one constructor, so the on-disk metadata of a multifile does
+    not depend on which entry point created it.
     """
     mb1 = Metablock1(
         fsblksize=fsblksize,
@@ -310,26 +314,21 @@ def build_file_metadata(
         ntasks_global=tmap.ntasks,
         start_of_data=0,
         metablock2_offset=0,
-        globalranks=list(globalranks),
-        chunksizes=list(chunksizes),
+        globalranks=tmap.tasks_of_file(filenum),
+        chunksizes=chunksizes,
         flags=flags,
         mapping_kind=tmap.kind,
         mapping_table=(
-            tmap.table_pairs()
-            if filenum == 0 and tmap.kind == MAPPING_CUSTOM
-            else []
+            tmap.pairs() if filenum == 0 and tmap.kind == MAPPING_CUSTOM else ()
         ),
     )
-    layout = ChunkLayout(fsblksize, list(chunksizes), mb1.encoded_size)
+    layout = ChunkLayout(fsblksize, mb1.chunksizes, mb1.encoded_size)
     mb1.start_of_data = layout.start_of_data
     return mb1, layout
 
 
 def write_metablock2(
-    raw: RawFile,
-    layout: ChunkLayout,
-    mb1: Metablock1,
-    blocksizes: list[list[int]],
+    raw: RawFile, layout: ChunkLayout, mb1: Metablock1, mb2: Metablock2
 ) -> None:
     """Append metablock 2 after the last block and patch its offset.
 
@@ -338,7 +337,6 @@ def write_metablock2(
     metablock 2 past the chunk blocks, patch its offset into metablock 1,
     flush.
     """
-    mb2 = Metablock2(blocksizes=blocksizes)
     offset = layout.end_of_blocks(mb2.maxblocks)
     raw.pwrite(offset, mb2.encode())
     mb1.patch_metablock2_offset(raw, offset)
@@ -446,8 +444,8 @@ class WritePlan:
     """One physical file's open, planned once per wave by its master.
 
     The per-file master (rank 0 of the file's communicator) builds it
-    from the ``(global rank, chunk size)`` pairs it gathers, inside
-    ``exec_once``, and broadcasts it: every rank of the file holds the
+    from the chunk sizes it gathers and the mapping's members of the
+    file, inside ``exec_once``, and broadcasts it: every rank of the file holds the
     same object, and a rank's own plan is this plus its local rank (its
     rank in the file's communicator).  ``mb1`` is the one metablock 1
     the master later patches with the metablock-2 offset.
@@ -475,8 +473,9 @@ def compile_write_plan(spec: OpenSpec, comm: Any, backend: Backend):
     Collective over ``comm``.  A rank needs only its physical file's
     index before the split into per-file communicators (one ``exec_once``
     lookup into the task mapping; single-file sets need no split at all).
-    Each per-file master gathers its tasks' ``(global rank, chunk size)``
-    pairs, plans the file once (:class:`WritePlan`, built and the file —
+    Each per-file master gathers its tasks' chunk sizes — an ``int`` per
+    rank, in local-rank order, since the file communicator is keyed by
+    global rank — plans the file once (:class:`WritePlan`, built and the file —
     and its replica — created inside one ``exec_once``) and broadcasts
     the plan, which also orders the create before any rank writes.
 
@@ -500,7 +499,7 @@ def compile_write_plan(spec: OpenSpec, comm: Any, backend: Backend):
         filenum = comm.exec_once(partial(_file_of, spec, comm, rank))
         lcom = comm.split(color=filenum, key=rank)
         lrank = lcom.rank
-    gathered = lcom.gather((rank, spec.chunksize), root=0)
+    gathered = lcom.gather(spec.chunksize, root=0)
     if lrank == 0:
         plan = lcom.exec_once(
             partial(_plan_file, spec, comm.size, filenum, fsblksize, gathered, backend)
@@ -521,7 +520,7 @@ def _plan_file(
     ntasks: int,
     filenum: int,
     fsblksize: int,
-    gathered: list[tuple[int, int]],
+    chunksizes: list[int],
     backend: Backend,
 ) -> WritePlan:
     """A per-file master's once-per-wave work: plan the file and create it.
@@ -535,14 +534,7 @@ def _plan_file(
         | (FLAG_SHADOW if spec.shadow else 0)
         | (FLAG_BUDDY if spec.buddy else 0)
     )
-    mb1, layout = build_file_metadata(
-        tmap,
-        filenum,
-        [int(c) for _, c in gathered],
-        [g for g, _ in gathered],
-        fsblksize,
-        flags,
-    )
+    mb1, layout = build_file_metadata(tmap, filenum, chunksizes, fsblksize, flags)
     path = physical_path(spec.path, filenum)
     replica = buddy_path(spec.path, filenum, tmap.nfiles) if spec.buddy else None
     for target in (path, replica) if replica is not None else (path,):
@@ -574,11 +566,12 @@ class ReadPlan:
     """A sealed multifile's metadata, decoded once, indexed by every reader.
 
     The task mapping (writer global rank -> file, local rank) plus, per
-    physical file, its path, chunk layout and block table (metablock 2's
-    bytes per task per block).  An SPMD read builds it once per wave on
-    rank 0 (:func:`compile_read_plan`), the read gateway once per
-    container generation; :meth:`stream` turns any writer stream into a
-    cursor with O(1) lookups — no per-stream copies.
+    physical file, its path, chunk layout and block table (its decoded
+    :class:`~repro.sion.format.Metablock2`), every per-task sequence an
+    int64 column.  An SPMD read builds it once per wave on rank 0
+    (:func:`compile_read_plan`), the read gateway once per container
+    generation; :meth:`stream` turns any writer stream into a cursor with
+    O(1) lookups and one copy of that stream's block row.
 
     Example::
 
@@ -591,7 +584,7 @@ class ReadPlan:
     ntasks: int  # writer task streams recorded in the multifile
     paths: tuple[str, ...]
     layouts: tuple[ChunkLayout, ...]
-    blocksizes: tuple[list[list[int]], ...]
+    tables: tuple[Metablock2, ...]  # per physical file
     compress: bool
     shadow: bool
 
@@ -604,18 +597,22 @@ class ReadPlan:
             ntasks=load.mapping.ntasks,
             paths=tuple(f.path for f in load.files),
             layouts=tuple(f.layout for f in load.files),
-            blocksizes=tuple(f.mb2.blocksizes for f in load.files),
+            tables=tuple(f.mb2 for f in load.files),
             compress=bool(flags & FLAG_COMPRESS),
             shadow=bool(flags & FLAG_SHADOW),
         )
+
+    def row(self, grank: int) -> array:
+        """Writer stream ``grank``'s block sizes (a small column of its own)."""
+        return self.tables[self.mapping.files[grank]].row(self.mapping.lranks[grank])
 
     def stream(self, raw: RawFile, grank: int) -> TaskStream:
         """A read cursor over writer stream ``grank``; ``raw`` serves its file."""
         f = self.mapping.files[grank]
         lrank = self.mapping.lranks[grank]
-        return TaskStream(
-            raw, self.layouts[f], lrank, self.blocksizes[f][lrank], self.shadow
-        )
+        table = self.tables[f]  # its row, as Metablock2.row slices it
+        row = table.sizes[table.bounds[lrank] : table.bounds[lrank + 1]]
+        return TaskStream(raw, self.layouts[f], lrank, row, self.shadow)
 
 
 def _load_plan(backend: Backend, path: str) -> ReadPlan:

@@ -20,12 +20,13 @@ partitioned entry points.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any
 
 from repro.backends.base import Backend
 from repro.backends.localfs import LocalBackend
 from repro.errors import SionUsageError
-from repro.sion.format import Metablock1
+from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import ChunkLayout
 from repro.sion.openspec import (
     OpenSpec,
@@ -245,8 +246,10 @@ class SionParallelFile(WriteStream):
         The sink drains first (a collective-mode sink's final collection
         wave), so every data byte is in the file before the master's
         gather completes and metablock 2 claims it.  It is not a world
-        barrier: a task returns once its block table is handed to its
-        master.  World rank 0 returns only with the whole set sealed,
+        barrier: a task returns once its block row is handed to its
+        master as a compact row
+        (:meth:`~repro.sion.format.Metablock2.from_packed`): the ``int``
+        size of a one-block row, else the row packed as int64 ``bytes``.  World rank 0 returns only with the whole set sealed,
         ``run_spmd`` returning seals it for every caller, and a later
         collective open on the same communicator is ordered after it.
         Any other rank whose next non-collective step needs the set
@@ -256,8 +259,9 @@ class SionParallelFile(WriteStream):
         if self._closed:
             raise SionUsageError("multifile already closed")
         blocks = self.finalize()
+        row = blocks[0] if len(blocks) == 1 else array("q", blocks).tobytes()
         self._raw.drain()
-        gathered = self.lcom.gather(blocks, root=0)
+        gathered = self.lcom.gather(row, root=0)
         if self.ltask == 0:  # the per-file master (lcom rank 0)
             # One exec_once op, so a bulk-engine replay of the close does
             # not write the metablock again (the bytes would be identical,
@@ -265,7 +269,9 @@ class SionParallelFile(WriteStream):
             # runs on the unguarded handle: exec_once must not nest.
             raw, plan = self._raw.unguarded, self.plan
             self.lcom.exec_once(
-                lambda: write_metablock2(raw, plan.layout, plan.mb1, gathered)
+                lambda: write_metablock2(
+                    raw, plan.layout, plan.mb1, Metablock2.from_packed(gathered)
+                )
             )
         self._raw.close()
         if self.lcom is not self.comm:

@@ -321,8 +321,8 @@ class TaskStream:
     request plan for the next ``n`` bytes and the seek.  It issues no
     read call; :class:`PartitionStream` composes these and is the only
     code that fetches chunk bytes.  ``blocksizes`` is the task's row of
-    metablock 2, shared with its owner (the decoded metablock), never
-    copied and never mutated.  Chunk ``b``'s data starts at
+    metablock 2 (:meth:`~repro.sion.format.Metablock2.row`, a small
+    column of its own), never mutated.  Chunk ``b``'s data starts at
     ``_base + b * _stride``.
     """
 

@@ -58,7 +58,6 @@ Unrecoverable states raise :class:`~repro.errors.SionMetadataLostError`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +65,7 @@ import numpy as np
 from repro.backends.base import Backend
 from repro.backends.localfs import LocalBackend
 from repro.errors import SionMetadataLostError
+from repro.sion.columns import ndarray_of
 from repro.sion.constants import (
     BUDDY_SUFFIX,
     FLAG_BUDDY,
@@ -264,17 +264,12 @@ def _restore_from_buddy(
     mb2 = replica.mb2
     report.files_recovered += 1
     report.files_rebuilt_from_buddy += 1
-    data_bytes = 0
-    blocks = 0
-    tasks = 0
-    for sizes in mb2.blocksizes:
-        nonzero = [s for s in sizes if s]
-        data_bytes += sum(nonzero)
-        blocks += len(nonzero)
-        if nonzero:
-            tasks += 1
-    report.tasks_recovered += tasks
-    report.blocks_recovered += blocks
+    sizes = ndarray_of(mb2.sizes)
+    nonzero = sizes != 0
+    data_bytes = int(sizes.sum())
+    owner = np.repeat(np.arange(mb2.ntasks_local), mb2.nblocks())
+    report.tasks_recovered += len(np.unique(owner[nonzero]))
+    report.blocks_recovered += int(nonzero.sum())
     report.bytes_recovered += data_bytes
     report.add(
         f"{fpath}: restored byte-identically from buddy replica {rpath} "
@@ -298,10 +293,8 @@ def _described_ranges(
     of (task, block), empty ones dropped; the chunk offsets are one
     :meth:`~repro.sion.layout.ChunkLayout.chunk_starts` pass.
     """
-    counts = np.fromiter(map(len, mb2.blocksizes), np.int64, mb2.ntasks_local)
-    written = np.fromiter(
-        itertools.chain.from_iterable(mb2.blocksizes), np.int64, int(counts.sum())
-    )
+    counts = mb2.nblocks()
+    written = ndarray_of(mb2.sizes)
     tasks = np.repeat(np.arange(len(counts)), counts)
     blocks = np.arange(len(written)) - np.repeat(np.cumsum(counts) - counts, counts)
     if mb1.flags & FLAG_SHADOW:
@@ -376,16 +369,16 @@ def _rebuild_from_shadows(
     try:
         layout = ChunkLayout.from_metablock1(mb1)
         file_size = backend.file_size(fpath)
-        blocksizes: list[list[int]] = []
+        rows: list[list[int]] = []
         blocks_before = report.blocks_recovered
         for ltask in range(mb1.ntasks_local):
             sizes = _scan_task(raw, layout, ltask, file_size)
-            blocksizes.append(sizes if sizes else [0])
+            rows.append(sizes if sizes else [0])
             if sizes:
                 report.tasks_recovered += 1
                 report.blocks_recovered += len(sizes)
                 report.bytes_recovered += sum(sizes)
-        write_metablock2(raw, layout, mb1, blocksizes)
+        write_metablock2(raw, layout, mb1, Metablock2(rows))
         report.files_recovered += 1
         report.add(
             f"{fpath}: rebuilt metablock 2 for {mb1.ntasks_local} tasks "

@@ -32,8 +32,9 @@ from repro.backends.base import Backend, RawFile
 from repro.backends.localfs import LocalBackend
 from repro.buffers import BufferLike
 from repro.errors import SionUsageError
+from repro.sion.columns import ndarray_of
 from repro.sion.constants import FLAG_COMPRESS, FLAG_SHADOW
-from repro.sion.format import Metablock1
+from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import ChunkLayout
 from repro.sion.loader import load_set
 from repro.sion.mapping import TaskMapping, physical_path
@@ -129,7 +130,7 @@ def open_rank(
         other.close()
     lrank = load.mapping.lranks[rank]
     stream = TaskStream(
-        f.raw, f.layout, lrank, f.mb2.blocksizes[lrank], bool(f.mb1.flags & FLAG_SHADOW)
+        f.raw, f.layout, lrank, f.mb2.row(lrank), bool(f.mb1.flags & FLAG_SHADOW)
     )
     return PartitionStream(
         [stream], compress=bool(f.mb1.flags & FLAG_COMPRESS), raws=[f.raw]
@@ -212,10 +213,10 @@ class SionSerialFile(SealedSet):
         self._check_open()
         plan = self.plan
         files, lranks = plan.mapping.files, plan.mapping.lranks
-        blocksizes = [list(plan.blocksizes[f][lr]) for f, lr in zip(files, lranks)]
+        blocksizes = [plan.row(g).tolist() for g in range(self.ntasks)]
         offsets = np.cumsum([0] + [lay.ntasks for lay in plan.layouts[:-1]])
-        chunks = np.concatenate([np.asarray(lay.chunksizes, np.int64) for lay in plan.layouts])
-        chunks = chunks[offsets[np.asarray(files)] + np.asarray(lranks)]
+        chunks = np.concatenate([ndarray_of(lay.chunksizes) for lay in plan.layouts])
+        chunks = chunks[offsets[ndarray_of(files)] + ndarray_of(lranks)]
         return Locations(
             ntasks=self.ntasks,
             nfiles=self.nfiles,
@@ -223,7 +224,7 @@ class SionSerialFile(SealedSet):
             chunksizes=chunks.tolist(),
             nblocks=list(map(len, blocksizes)),
             blocksizes=blocksizes,
-            file_of_task=list(files),
+            file_of_task=files.tolist(),
             compressed=self.compressed,
         )
 
@@ -336,9 +337,8 @@ class SionSerialWriter:
             fsblksize = backend.stat_blocksize(spec.path)
         files: list[_PhysFile] = []
         for f in range(tmap.nfiles):
-            members = tmap.tasks_of_file(f)
             mb1, layout = build_file_metadata(
-                tmap, f, [chunksizes[r] for r in members], members, fsblksize, 0
+                tmap, f, [chunksizes[r] for r in tmap.tasks_of_file(f)], fsblksize, 0
             )
             fpath = physical_path(spec.path, f)
             raw = backend.open(fpath, "w+b")
@@ -382,11 +382,11 @@ class SionSerialWriter:
             return
         streams = self._streams
         for pf in self._files:
-            blocksizes = [
+            mb2 = Metablock2(
                 streams[g].finalize() if g in streams else [0]
                 for g in pf.mb1.globalranks
-            ]
-            write_metablock2(pf.raw, pf.layout, pf.mb1, blocksizes)
+            )
+            write_metablock2(pf.raw, pf.layout, pf.mb1, mb2)
         for pf in self._files:
             pf.raw.close()
         self._closed = True

@@ -169,7 +169,8 @@ def _verify_file(f: FileLoad, backend: Backend, report: VerifyReport, deep: bool
 
 
 def _deep_check_shadows(f: FileLoad, fsize: int, report: VerifyReport) -> None:
-    for ltask, blocks in enumerate(f.mb2.blocksizes):
+    for ltask in range(f.mb2.ntasks_local):
+        blocks = f.mb2.row(ltask)
         headers = read_shadow_headers(f.raw, f.layout, ltask, fsize, len(blocks))
         for b, nbytes in enumerate(blocks):
             hdr = headers[b] if b < len(headers) else None

@@ -13,14 +13,17 @@ the process engine.
 from __future__ import annotations
 
 import pickle
+import struct
 
 import pytest
 
 from repro.backends.journal import Journal, crash_states, replay, without_close_writes
 from repro.backends.localfs import LocalBackend
 from repro.errors import FaultInjectedError
+from repro.simmpi import run_spmd
+from repro.sion import paropen
 from repro.sion.constants import MAGIC_MB2
-from repro.sion.format import ShadowHeader
+from repro.sion.format import MB2_OFFSET_FIELD, ShadowHeader
 from tests.conftest import TEST_BLKSIZE, flip_shadow_magic, fresh_sim
 
 
@@ -172,12 +175,17 @@ def test_every_prefix_and_tear_is_one_state():
     ]
 
 
+def _patch(offset: int) -> bytes:
+    """The metablock-1 patch that points at a metablock 2 at ``offset``."""
+    return struct.pack("<Q", offset)
+
+
 def test_drop_metablock2_swallows_mb2_and_everything_after():
     be = _journal()
     with be.open("/scratch/a", "w+b") as f:
         f.pwrite(0, b"payload!")
-        f.pwrite(8, MAGIC_MB2 + b"metadata")
-        f.pwrite(0, b"patched offset")  # the metablock-1 patch after it
+        f.pwrite(64, MAGIC_MB2 + b"metadata")
+        f.pwrite(MB2_OFFSET_FIELD, _patch(64))  # the metablock-1 patch after it
         f.flush()
     target = fresh_sim()
     replay(without_close_writes(be.rows), target)
@@ -190,17 +198,55 @@ def test_drop_metablock2_is_path_keyed():
     be = _journal()
     a = be.open("/scratch/a", "w+b")
     b = be.open("/scratch/b", "w+b")
-    a.pwrite(0, MAGIC_MB2 + b"gone")
+    a.pwrite(4096, MAGIC_MB2 + b"gone")
     b.pwrite(0, b"b's own write stays")
-    a.pwrite(0, b"patch")
-    b.pwrite(0, MAGIC_MB2 + b"fine here")
-    b.pwrite(0, b"xx")
+    a.pwrite(MB2_OFFSET_FIELD, _patch(4096))
+    b.pwrite(100, MAGIC_MB2 + b"fine here")
+    b.pwrite(MB2_OFFSET_FIELD, _patch(100))
     target = fresh_sim()
     kept = without_close_writes(be.rows)
     assert [r.path for r in kept if r.op == "scatter_write"] == ["/scratch/b"]
     replay(kept, target)
     assert target.file_size("/scratch/a") == 0
     assert target.file_size("/scratch/b") == 19
+
+
+def test_drop_metablock2_needs_the_patch_that_points_at_it():
+    # A magic-prefixed write is cut only with the same rank's next write
+    # on that path, when that is an 8-byte patch at the metablock-1 field
+    # encoding its offset; a free-form next write, a patch pointing
+    # elsewhere or another rank's patch leaves both.
+    be = _journal()
+    f = be.open("/a", "w+b")
+    f.pwrite(4096, MAGIC_MB2 + b"data")
+    f.pwrite(0, b"patch")  # free-form: not a patch
+    f.pwrite(8192, MAGIC_MB2 + b"data")
+    f.pwrite(MB2_OFFSET_FIELD, _patch(4096))  # points elsewhere
+    other = be.for_rank(1).open("/a", "r+b")
+    f.pwrite(12288, MAGIC_MB2 + b"data")
+    other.pwrite(MB2_OFFSET_FIELD, _patch(12288))  # another rank's
+    assert without_close_writes(be.rows) == be.rows
+
+
+def _magic_records(comm, backend):
+    f = paropen("/m.sion", "w", comm, chunksize=256, fsblksize=TEST_BLKSIZE,
+                backend=backend.for_rank(comm.rank))
+    f.fwrite(MAGIC_MB2 + bytes(20))
+    f.fwrite(b"second")
+    f.parclose()
+
+
+def test_data_writes_that_open_with_the_magic_survive_the_cut():
+    be = _journal()
+    run_spmd(2, _magic_records, be, engine="bulk")
+    writes = [r for r in be.rows if r.op == "scatter_write"]
+    kept = [r for r in without_close_writes(be.rows) if r.op == "scatter_write"]
+    # Only the close pair goes: the master's metablock 2 and its patch.
+    gone = [r for r in writes if r not in kept]
+    assert [r.offsets for r in gone][1] == (MB2_OFFSET_FIELD,) and len(gone) == 2
+    assert bytes(gone[0].payload[0][: len(MAGIC_MB2)]) == MAGIC_MB2
+    data = [bytes(r.payload[0]) for r in kept if len(r.sizes) == 1]
+    assert data.count(MAGIC_MB2 + bytes(20)) == 2 and data.count(b"second") == 2
 
 
 def test_corrupt_chunk_header_targets_one_block():

@@ -269,6 +269,24 @@ def test_replay_returning_before_its_frontier_is_detected():
     ), messages
 
 
+def test_a_communicator_used_outside_its_rank_body_is_refused():
+    # Ranks run one at a time and the engine keeps only the running one's
+    # execution: rank 1 calling rank 0's communicator fails, naming it.
+    stash = []
+
+    def body(comm):
+        if comm.rank == 0:
+            stash.append(comm)
+            return None
+        return stash[0].barrier()
+
+    with pytest.raises(SpmdWorkerError) as info:
+        run_spmd(2, body, engine="bulk")
+    failure = info.value.failures[1]
+    assert isinstance(failure, SimMPIError)
+    assert "rank 0's communicator used outside its own rank body" in str(failure)
+
+
 def test_bulk_engine_has_one_replay_check():
     from repro.simmpi import bulk
 

@@ -154,6 +154,55 @@ def test_hub_reply_carries_only_what_each_rank_reads():
     assert sum(n for n, _ in out) <= 3 * (1 << 20) + 64 * 1024
 
 
+def _posted_bytes(c, exchange):
+    """``(pickled bytes this rank handed to its mailbox runtime's post,
+    what exchange(c) returned)``."""
+    rt = c._group.rt
+    post, posted = rt.post, [0]
+
+    def counting(dest, message):
+        posted[0] += len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+        post(dest, message)
+
+    rt.post = counting
+    try:
+        got = exchange(c)
+    finally:
+        rt.post = post
+    return posted[0], got
+
+
+def _scatterv_1mib(c):
+    rows = [[bytes([r]) * (1 << 20)] for r in range(c.size)] if c.rank == 0 else None
+    (piece,) = c.scatterv(rows, root=0)
+    return len(piece), piece[:1]
+
+
+def _alltoall_256kib(c):
+    cells = c.alltoall([bytes([c.rank, d]) * (1 << 17) for d in range(c.size)])
+    return [(len(v), v[:2]) for v in cells]
+
+
+def test_hub_reply_of_a_scatterv_is_the_members_row():
+    # A scatterv member reads slots[root][me]: the hub posts it that row
+    # alone, not the root's whole row list.
+    out = run_spmd(4, _posted_bytes, _scatterv_1mib, engine="proc", timeout=60.0)
+    assert [got for _, got in out] == [(1 << 20, bytes([r])) for r in range(4)]
+    assert sum(n for n, _ in out) <= 3 * (1 << 20) + 64 * 1024
+
+
+def test_hub_reply_of_an_alltoall_is_the_members_column():
+    # An alltoall member reads its column: the hub posts it that column,
+    # not the whole 4 x 4 matrix.  What crosses is the three deposits of
+    # four cells and three columns of four.
+    out = run_spmd(4, _posted_bytes, _alltoall_256kib, engine="proc", timeout=60.0)
+    cell = 1 << 18
+    assert [got for _, got in out] == [
+        [(cell, bytes([src, dst])) for src in range(4)] for dst in range(4)
+    ]
+    assert sum(n for n, _ in out) <= 6 * (1 << 20) + 64 * 1024
+
+
 # --------------------------------------------------------------------------
 # Failure semantics.
 

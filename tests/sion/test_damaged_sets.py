@@ -149,8 +149,8 @@ def _swapped_local_ranks(backend, path, fpath):
     # local ranks 0 and 1.  Swapped, a reader trusting the table would
     # serve rank 2's chunk as rank 0's.
     with backend.open(fpath, "rb") as f:
-        table = list(Metablock1.decode_from(f).mapping_table)
-    table[0], table[2] = (table[0][0], table[2][1]), (table[2][0], table[0][1])
+        table = Metablock1.decode_from(f).mapping_table  # (file, lrank) pairs, flat
+    table[1], table[5] = table[5], table[1]
     _rewrite_mb1(backend, fpath, mapping_table=table)
 
 

@@ -68,10 +68,10 @@ class TestMetablock1:
         assert len(mb1.encode()) == mb1.encoded_size
 
     def test_custom_mapping_table_roundtrip(self):
-        table = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
+        table = [0, 0, 1, 0, 0, 1, 1, 1, 0, 2, 1, 2]  # (file, local rank) pairs, flat
         mb1 = _mb1(mapping_kind=MAPPING_CUSTOM, mapping_table=table)
         back = Metablock1.decode_from(MemFile(mb1.encode()))
-        assert back.mapping_table == table
+        assert back.mapping_table.tolist() == table
 
     def test_custom_mapping_only_in_file_zero(self):
         mb1 = _mb1(
@@ -81,7 +81,7 @@ class TestMetablock1:
         )
         assert mb1.encoded_size < _mb1(
             mapping_kind=MAPPING_CUSTOM,
-            mapping_table=[(0, 0)] * 6,
+            mapping_table=[0, 0] * 6,
         ).encoded_size
 
     def test_bad_magic_rejected(self):
@@ -150,7 +150,8 @@ class TestMetablock2:
         mb2 = Metablock2(blocksizes=[[10, 20], [5], [0, 0, 7]])
         f = MemFile(b"\0" * 16 + mb2.encode())
         back = Metablock2.decode_from(f, 16)
-        assert back.blocksizes == mb2.blocksizes
+        assert back == mb2
+        assert [back.row(t).tolist() for t in range(3)] == [[10, 20], [5], [0, 0, 7]]
         assert back.maxblocks == 3
 
     def test_offset_zero_means_never_closed(self):
@@ -182,7 +183,7 @@ class TestMetablock2:
     def test_empty_tasks_allowed(self):
         mb2 = Metablock2(blocksizes=[])
         back = Metablock2.decode_from(MemFile(b"\0" * 8 + mb2.encode()), 8)
-        assert back.blocksizes == []
+        assert back.ntasks_local == 0 and back == mb2
         assert back.maxblocks == 0
 
     @settings(max_examples=40, deadline=None)
@@ -196,7 +197,7 @@ class TestMetablock2:
     def test_roundtrip_property(self, blocksizes):
         mb2 = Metablock2(blocksizes=blocksizes)
         back = Metablock2.decode_from(MemFile(b"\0" * 8 + mb2.encode()), 8)
-        assert back.blocksizes == blocksizes
+        assert [back.row(t).tolist() for t in range(back.ntasks_local)] == blocksizes
 
 
 class TestShadowHeader:

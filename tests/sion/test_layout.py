@@ -36,7 +36,7 @@ def _layout(chunks, blk=512, mb1=100):
 class TestChunkLayout:
     def test_aligned_sizes_rounded_up_with_min_one_block(self):
         lay = _layout([0, 1, 512, 513])
-        assert lay.aligned_sizes == [512, 512, 512, 1024]
+        assert lay.aligned_sizes.tolist() == [512, 512, 512, 1024]
 
     def test_start_of_data_after_metablock(self):
         lay = _layout([100], blk=512, mb1=1000)

@@ -1,4 +1,6 @@
-"""Task-to-file mappings: bijectivity, ordering, reconstruction."""
+"""Task-to-file mappings: bijectivity, ordering, reconstruction, cost."""
+
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,15 +23,27 @@ class TestBlocked:
 
     def test_tasks_of_file_ordered_by_local_rank(self):
         m = TaskMapping.blocked(8, 2)
-        assert m.tasks_of_file(0) == [0, 1, 2, 3]
-        assert m.tasks_of_file(1) == [4, 5, 6, 7]
+        assert m.tasks_of_file(0).tolist() == [0, 1, 2, 3]
+        assert m.tasks_of_file(1).tolist() == [4, 5, 6, 7]
+
+
+    @pytest.mark.parametrize("kind", ["blocked", "roundrobin"])
+    def test_every_files_members_cost_that_files_tasks(self, kind):
+        # The loader asks each file for its members: over 1024 files of a
+        # 2^20-task set that must be O(ntasks) in all, not O(nfiles x ntasks).
+        m = TaskMapping.create(2**20, 1024, kind)
+        t0 = time.perf_counter()
+        sizes = [len(m.tasks_of_file(f)) for f in range(1024)]
+        elapsed = time.perf_counter() - t0
+        assert sizes == [1024] * 1024 == [m.ntasks_of_file(f) for f in range(1024)]
+        assert elapsed < 0.25, f"{elapsed:.3f} s for every file's members"
 
 
 class TestRoundRobin:
     def test_interleaves(self):
         m = TaskMapping.roundrobin(6, 2)
         assert [m.file_of(r) for r in range(6)] == [0, 1, 0, 1, 0, 1]
-        assert m.tasks_of_file(0) == [0, 2, 4]
+        assert m.tasks_of_file(0).tolist() == [0, 2, 4]
 
     def test_local_ranks_sequential_per_file(self):
         m = TaskMapping.roundrobin(7, 3)
@@ -42,8 +56,8 @@ class TestCustom:
     def test_explicit_assignment(self):
         m = TaskMapping.custom([1, 0, 1, 0])
         assert m.nfiles == 2
-        assert m.tasks_of_file(0) == [1, 3]
-        assert m.tasks_of_file(1) == [0, 2]
+        assert m.tasks_of_file(0).tolist() == [1, 3]
+        assert m.tasks_of_file(1).tolist() == [0, 2]
 
     def test_empty_file_rejected(self):
         with pytest.raises(SionUsageError, match="empty"):
@@ -98,7 +112,7 @@ class TestReconstruction:
 
     def test_custom_requires_table(self):
         m = TaskMapping.custom([0, 1, 0])
-        back = TaskMapping.from_kind_code(3, 2, MAPPING_CUSTOM, list(m.table))
+        back = TaskMapping.from_kind_code(3, 2, MAPPING_CUSTOM, m.pairs())
         assert back == m
         with pytest.raises(SionUsageError):
             TaskMapping.from_kind_code(3, 2, MAPPING_CUSTOM)

@@ -64,8 +64,8 @@ def _read_partitioned(backend, nreaders, *, engine="threads",
 
 def test_balanced_partition_is_contiguous_and_complete():
     p = ReadPartition.balanced(10, 3)
-    assert p.counts == (4, 3, 3)
-    assert p.starts == (0, 4, 7)
+    assert p.counts.tolist() == [4, 3, 3]
+    assert p.starts.tolist() == [0, 4, 7]
     covered = [w for r in range(3) for w in p.writers_of(r)]
     assert covered == list(range(10))
     for w in range(10):
@@ -74,7 +74,7 @@ def test_balanced_partition_is_contiguous_and_complete():
 
 def test_partition_more_readers_than_writers_leaves_empty_slices():
     p = ReadPartition.balanced(2, 5)
-    assert p.counts == (1, 1, 0, 0, 0)
+    assert p.counts.tolist() == [1, 1, 0, 0, 0]
     assert list(p.writers_of(4)) == []
     assert p.reader_of(1) == 1
 

@@ -1,22 +1,29 @@
 """Vectorized metadata plane == scalar reference, byte for byte.
 
-ISSUE 3 replaced the per-task Python loops of the metadata plane
-(:class:`ChunkLayout` geometry, metablock 1/2 array codecs, the mapping
-table) with whole-array operations.  These property tests pin the
-refactor: for any input, the ndarray paths must reproduce the scalar
-reference implementations exactly — same integers, same encoded bytes.
+The metadata plane (:class:`ChunkLayout` geometry, metablock 1/2 array
+codecs, the mapping table) is computed with whole-array operations into
+int64 columns.  These property tests pin it: for any input, the vector
+paths return the same columns as the scalar reference implementations —
+same integers, same encoded bytes — and geometry that int64 offsets
+cannot hold is refused, never wrapped.
 """
 
 import struct
+from array import array
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends.simfs_backend import SimBackend
+from repro.errors import SionUsageError
+from repro.sion.columns import column
 from repro.sion.constants import MAPPING_CUSTOM
 from repro.sion.format import Metablock1, Metablock2
 from repro.sion.layout import (
     ChunkLayout,
     _VECTOR_MIN_TASKS,
+    _columns_of,
+    _vector_chunk_geometry,
     scalar_chunk_geometry,
 )
 from repro.sion.mapping import TaskMapping
@@ -36,19 +43,37 @@ class TestChunkGeometry:
     def test_layout_matches_scalar_reference(self, chunks, fsblk):
         lay = ChunkLayout(fsblk, chunks, metablock1_size=123)
         aligned, prefix, capacity = scalar_chunk_geometry(chunks, fsblk)
-        assert lay.aligned_sizes == aligned
-        assert lay.chunk_prefix == prefix
+        assert lay.aligned_sizes == array("q", aligned)
+        assert lay.chunk_prefix == array("q", prefix)
         assert lay.block_capacity == capacity
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        chunks=st.lists(_sizes, min_size=1, max_size=2 * _VECTOR_MIN_TASKS),
+        fsblk=_fsblk,
+    )
+    def test_vector_and_scalar_paths_return_equal_columns(self, chunks, fsblk):
+        # Both paths on the same input, whatever its length: the ndarray
+        # path ChunkLayout takes from _VECTOR_MIN_TASKS tasks up, and the
+        # scalar reference it takes below.
+        vector = _vector_chunk_geometry(column(chunks), fsblk)
+        scalar = _columns_of(column(chunks), fsblk)
+        assert all(type(c) is array and c.typecode == "q" for c in (*vector[:2], *scalar[:2]))
+        assert vector == scalar
 
     @settings(max_examples=10, deadline=None)
     @given(chunks=st.lists(st.integers(2**62, 2**68), min_size=1, max_size=80))
-    def test_huge_values_fall_back_to_exact_big_ints(self, chunks):
-        # Values past the int64-safe bound must not wrap: the scalar
-        # big-int path takes over and stays exact.
-        lay = ChunkLayout(4096, chunks, metablock1_size=0)
+    def test_huge_values_are_refused_not_wrapped(self, chunks):
+        # Geometry past int64 offsets is refused with a usage error; what
+        # fits stays exact.  Nothing wraps.
         aligned, prefix, capacity = scalar_chunk_geometry(chunks, 4096)
-        assert lay.aligned_sizes == aligned
-        assert lay.chunk_prefix == prefix
+        if capacity >= 2**63:
+            with pytest.raises(SionUsageError):
+                ChunkLayout(4096, chunks, metablock1_size=0)
+            return
+        lay = ChunkLayout(4096, chunks, metablock1_size=0)
+        assert lay.aligned_sizes.tolist() == aligned
+        assert lay.chunk_prefix.tolist() == prefix
         assert lay.block_capacity == capacity
 
 
@@ -74,8 +99,7 @@ def _scalar_mb1_encode(mb1: Metablock1) -> bytes:
     parts.append(struct.pack(f"<{mb1.ntasks_local}Q", *mb1.chunksizes))
     parts.append(struct.pack("<I", mb1.mapping_kind))
     if mb1.mapping_kind == MAPPING_CUSTOM and mb1.filenum == 0:
-        flat = [v for pair in mb1.mapping_table for v in pair]
-        parts.append(struct.pack(f"<{2 * mb1.ntasks_global}I", *flat))
+        parts.append(struct.pack(f"<{2 * mb1.ntasks_global}I", *mb1.mapping_table))
     return b"".join(parts)
 
 
@@ -86,17 +110,18 @@ def _stored(data: bytes):
     return f
 
 
-def _scalar_mb2_encode(mb2: Metablock2) -> bytes:
-    """The pre-vectorization encoder, kept verbatim as a reference."""
+def _scalar_mb2_encode(blocksizes: list[list[int]]) -> bytes:
+    """The pre-vectorization encoder of a block table's rows, kept as a
+    reference."""
     import zlib
 
     from repro.sion.constants import MAGIC_MB2
 
-    parts = [struct.pack("<8sI", MAGIC_MB2, mb2.ntasks_local)]
-    nblocks = [len(b) for b in mb2.blocksizes]
-    parts.append(struct.pack(f"<{mb2.ntasks_local}I", *nblocks))
+    parts = [struct.pack("<8sI", MAGIC_MB2, len(blocksizes))]
+    nblocks = [len(b) for b in blocksizes]
+    parts.append(struct.pack(f"<{len(blocksizes)}I", *nblocks))
     parts.extend(
-        struct.pack(f"<{len(blocks)}Q", *blocks) for blocks in mb2.blocksizes
+        struct.pack(f"<{len(blocks)}Q", *blocks) for blocks in blocksizes
     )
     payload = b"".join(parts)
     return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
@@ -154,12 +179,12 @@ class TestMetablock1Bytes:
             globalranks=members,
             chunksizes=[1024] * len(members),
             mapping_kind=MAPPING_CUSTOM,
-            mapping_table=tmap.table_pairs(),
+            mapping_table=tmap.pairs(),
         )
         raw = mb1.encode()
         assert raw == _scalar_mb1_encode(mb1)
         back = Metablock1.decode_from(_stored(raw))
-        assert back.mapping_table == tmap.table_pairs()
+        assert back.mapping_table == tmap.pairs()
 
 
 class TestMetablock2Bytes:
@@ -174,9 +199,23 @@ class TestMetablock2Bytes:
     def test_encode_matches_struct_reference_and_roundtrips(self, blocksizes):
         mb2 = Metablock2(blocksizes=blocksizes)
         raw = mb2.encode()
-        assert raw == _scalar_mb2_encode(mb2)
+        assert raw == _scalar_mb2_encode(blocksizes)
         back = Metablock2.decode_from(_stored(b"\x00" * 64 + raw), 64)
-        assert back.blocksizes == blocksizes
+        assert back == mb2
+        assert [back.row(t).tolist() for t in range(back.ntasks_local)] == blocksizes
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocksizes=st.lists(
+            st.lists(st.integers(0, 1 << 50), min_size=1, max_size=6),
+            min_size=1,
+            max_size=120,
+        )
+    )
+    def test_compact_rows_build_the_same_table(self, blocksizes):
+        # A parclose deposit: a one-block row as its int, any other packed.
+        rows = [b[0] if len(b) == 1 else array("q", b).tobytes() for b in blocksizes]
+        assert Metablock2.from_packed(rows) == Metablock2(blocksizes)
 
 
 class TestMappingEquivalence:
@@ -191,7 +230,8 @@ class TestMappingEquivalence:
         expect = []
         for f in range(nfiles):
             expect.extend((f, lr) for lr in range(base + (1 if f < extra else 0)))
-        assert m.table_pairs() == expect
+        assert list(zip(m.files, m.lranks)) == expect
+        _members_match(m)
 
     @settings(max_examples=40, deadline=None)
     @given(ntasks=st.integers(1, 400), nfiles=st.integers(1, 32))
@@ -205,7 +245,8 @@ class TestMappingEquivalence:
             f = r % nfiles
             expect.append((f, counters[f]))
             counters[f] += 1
-        assert m.table_pairs() == expect
+        assert list(zip(m.files, m.lranks)) == expect
+        _members_match(m)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -222,5 +263,15 @@ class TestMappingEquivalence:
         for f in file_of:
             expect.append((f, counters[f]))
             counters[f] += 1
-        assert m.table_pairs() == expect
+        assert list(zip(m.files, m.lranks)) == expect
         assert m.ntasks == len(file_of)
+        _members_match(m)
+
+
+def _members_match(m: TaskMapping) -> None:
+    """Each file's members column equals a scan of the files column."""
+    for f in range(m.nfiles):
+        members = m.tasks_of_file(f)
+        assert type(members) is array
+        assert members.tolist() == [r for r in range(m.ntasks) if m.files[r] == f]
+        assert m.ntasks_of_file(f) == len(members)
