@@ -5,8 +5,9 @@ deterministic figure/table simulations, ``core-io`` and the ``micro``
 timings) plus the ``ci-grid`` points of the grid suites.  A scenario's
 claims are pinned *inside* the scenario, so a test here fails in the same
 words as ``python -m repro.bench run``; what pytest adds is the rendered
-table under ``results/`` and the few claims that span two scenarios.  The
-64k-2^20 points run through ``python -m repro.bench run --suite S``.
+table under ``results/`` (one ``.txt`` per scenario, named after it) and
+the few claims that span two scenarios.  The 64k-2^20 points run through
+``python -m repro.bench run --suite S``.
 """
 
 import functools
@@ -16,7 +17,6 @@ import pathlib
 
 import pytest
 
-from repro.analysis.report import ARTIFACTS
 from repro.bench import get_scenario, iter_scenarios
 from repro.bench.results import git_sha, utc_now_iso
 
@@ -27,21 +27,6 @@ SCENARIOS = [sc.name for sc in iter_scenarios(suite="full")] + [
     for suite in ("scale", "collective", "repartition", "serve", "resilience")
     for sc in iter_scenarios(suite=suite, tags=("ci-grid",))
 ]
-
-#: File names the report assembler (``repro.analysis.report.ARTIFACTS``)
-#: knows the paper's artifacts by, where they differ from the name
-#: derived from the scenario.
-REPORT_NAMES = {
-    "fig3/filecreate-jugene": "fig3a_jugene",
-    "fig3/filecreate-jaguar": "fig3b_jaguar",
-    "fig4/nfiles-jugene": "fig4a_jugene",
-    "fig4/nfiles-jaguar": "fig4b_jaguar",
-    "fig5/taskbw-jugene": "fig5a_jugene",
-    "fig5/taskbw-jaguar": "fig5b_jaguar",
-    "fig6/mp2c-restart": "fig6_mp2c",
-    "weak-scaling/analyzer-load": "analyzer_trace_load",
-    "extrapolation/create[system=jugene]": "extrapolation_million_tasks",
-}
 
 #: ISSUE 7 acceptance: minimum aggregate-bandwidth scaling of 4 process
 #: workers over 1, measured within one run on a >= 4-core host.
@@ -55,8 +40,7 @@ def _checkout_sha() -> str:
 
 
 def artifact_name(scenario: str) -> str:
-    derived = scenario.translate(str.maketrans("/-[", "__.", "]"))
-    return REPORT_NAMES.get(scenario, derived)
+    return scenario.translate(str.maketrans("/-[", "__.", "]"))
 
 
 def emit(scenario: str, text: str) -> None:
@@ -84,10 +68,6 @@ def emit(scenario: str, text: str) -> None:
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario(name):
     emit(name, get_scenario(name).execute().text)
-
-
-def test_every_report_artifact_is_produced():
-    assert {name for name, _ in ARTIFACTS} <= {artifact_name(n) for n in SCENARIOS}
 
 
 @pytest.mark.skipif(

@@ -1,8 +1,7 @@
-"""Result containers, ASCII plotting, and report generation."""
+"""Result containers, ASCII plotting, and the closed-form models."""
 
 from repro.analysis.model import predict_bandwidth, predict_create_time
 from repro.analysis.plots import ascii_chart
-from repro.analysis.report import collect_sections, render_markdown, write_report
 from repro.analysis.results import Series, format_table
 
 __all__ = [
@@ -11,7 +10,4 @@ __all__ = [
     "ascii_chart",
     "predict_bandwidth",
     "predict_create_time",
-    "collect_sections",
-    "render_markdown",
-    "write_report",
 ]

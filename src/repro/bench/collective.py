@@ -35,8 +35,6 @@ workflow.
 
 from __future__ import annotations
 
-import time
-
 from repro.bench.registry import scenario
 from repro.bench.results import Metric, ScenarioOutput
 from repro.bench.scaffold import (
@@ -47,8 +45,10 @@ from repro.bench.scaffold import (
     counting_backend,
     grid_tags,
     host_clock,
+    metadata_reads,
     payload,
     pin,
+    read_cycle,
     write_cycle,
 )
 from repro.bench.scale import expected_geometry
@@ -65,29 +65,6 @@ NCOLLECTORS = 64
 #: the metablock-1 create, the metablock-2 append, and the metablock-1
 #: offset patch.
 METADATA_WRITES_PER_FILE = 3
-
-
-def _read_cycle(backend, ntasks, engine, *, collectors=None,
-                payload_bytes=PAYLOAD, path="/coll.sion"):
-    """Collective read-back; asserts corner ranks round-trip exactly."""
-    from repro.simmpi import run_spmd
-    from repro.sion import paropen
-
-    check = {0, ntasks // 2, ntasks - 1}
-
-    def program(comm):
-        f = paropen(path, "r", comm, backend=backend, collectors=collectors)
-        data = f.read_all()
-        f.parclose()
-        return data if comm.rank in check else len(data)
-
-    t0 = time.perf_counter()
-    out = run_spmd(ntasks, program, engine=engine)
-    wall = time.perf_counter() - t0
-    for rank in check:
-        if out[rank] != payload(rank, payload_bytes):
-            raise AssertionError(f"rank {rank} round-tripped corrupted bytes")
-    return wall
 
 
 # --------------------------------------------------------------------------
@@ -154,15 +131,13 @@ def _read_wave(ctx) -> ScenarioOutput:
     backend = counting_backend()
     write_cycle(backend, ntasks, p["engine"], collectors=ncoll)
     before = backend.snapshot()
-    wall = _read_cycle(backend, ntasks, p["engine"], collectors=ncoll)
+    wall, _ = read_cycle(backend, ntasks, ntasks, p["engine"], collectors=ncoll)
     snap = backend.snapshot()
     read_calls = snap["data_read_calls"] - before["data_read_calls"]
-    # Metadata costs 8 positioned reads per physical file (rank 0's set
-    # load decodes metablock 1 + metablock 2 once), each a one-request
-    # gather_read; everything else is exactly one prefetch wave per
+    # Beyond the metadata loads, exactly one prefetch wave per
     # collector, one data fragment per task (each task wrote a single
     # block).
-    meta_reads = 8 * 1
+    meta_reads = metadata_reads(1)
     pin(read_calls, ncoll + meta_reads, "total backend read calls")
     pin(
         backend.calls().get("gather_read", 0), ncoll + meta_reads,

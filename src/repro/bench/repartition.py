@@ -32,22 +32,20 @@ runs in the nightly workflow.
 
 from __future__ import annotations
 
-import time
-
 from repro.bench.registry import scenario
 from repro.bench.results import Metric, ScenarioOutput
 from repro.bench.scaffold import (
     CHUNKSIZE,
     CI_GRID_COUNTS,
     FSBLK,
-    PAYLOAD,
     KiB,
     check,
     counting_backend,
     grid_tags,
     host_clock,
-    payload,
+    metadata_reads,
     pin,
+    read_cycle,
     write_cycle,
 )
 from repro.bench.scale import expected_geometry
@@ -57,48 +55,6 @@ REPARTITION_WRITER_COUNTS = (4096, 16384, 65536)
 
 #: The acceptance shape: however many tasks wrote, 32 readers analyze.
 NREADERS = 32
-
-#: Fixed metadata read calls of a partitioned open: rank 0's set load
-#: decodes mb1 + mb2 of each physical file once (8 positioned reads).
-def metadata_reads(nfiles: int) -> int:
-    return 8 * nfiles
-
-
-def _partitioned_read_cycle(
-    backend, nwriters, nreaders, engine, *, collectsize=None,
-    payload_bytes=PAYLOAD, path="/repart.sion",
-):
-    """Partitioned read-back with in-rank byte verification; returns wall."""
-    from repro.simmpi import run_spmd
-    from repro.sion import paropen
-    from repro.sion.mapping import ReadPartition
-
-    part = ReadPartition.balanced(nwriters, nreaders)
-
-    def program(comm):
-        f = paropen(
-            path, "r", comm, backend=backend, partitioned=True,
-            collectsize=collectsize,
-        )
-        data = f.read_all()
-        f.parclose()
-        expected = b"".join(
-            payload(w, payload_bytes) for w in part.writers_of(comm.rank)
-        )
-        if data != expected:
-            raise AssertionError(
-                f"reader {comm.rank}/{nreaders} diverged "
-                f"({len(data)} vs {len(expected)} bytes)"
-            )
-        return len(data)
-
-    t0 = time.perf_counter()
-    out = run_spmd(nreaders, program, engine=engine)
-    wall = time.perf_counter() - t0
-    if sum(out) != nwriters * payload_bytes:
-        raise AssertionError(f"readers consumed {sum(out)} bytes in total")
-    return wall
-
 
 # --------------------------------------------------------------------------
 # The acceptance workload: n bulk-engine writers, 32 readers.
@@ -113,7 +69,10 @@ def _read_grid_point(ctx) -> ScenarioOutput:
     )
     pin(geom, expected_geometry(nwriters, CHUNKSIZE, FSBLK), "on-disk geometry")
     before = backend.snapshot()
-    read_wall = _partitioned_read_cycle(backend, nwriters, nreaders, p["engine"])
+    read_wall, _ = read_cycle(
+        backend, nwriters, nreaders, p["engine"], path="/repart.sion",
+        partitioned=True,
+    )
     snap = backend.snapshot()
     read_calls = snap["data_read_calls"] - before["data_read_calls"]
     # One vectored gather_read per reader plus the fixed metadata loads
@@ -154,7 +113,10 @@ def _reader_sweep(ctx) -> ScenarioOutput:
     lines = ["readers  read calls  streams/reader    wall"]
     for m in p["reader_counts"]:
         before = backend.snapshot()
-        wall = _partitioned_read_cycle(backend, nwriters, m, p["engine"])
+        wall, _ = read_cycle(
+            backend, nwriters, m, p["engine"], path="/repart.sion",
+            partitioned=True,
+        )
         snap = backend.snapshot()
         calls = snap["data_read_calls"] - before["data_read_calls"]
         pin(calls, m + metadata_reads(1), f"read calls at m={m}")
@@ -183,8 +145,9 @@ def _prefetch(ctx) -> ScenarioOutput:
     backend = counting_backend()
     write_cycle(backend, nwriters, p["engine"], path="/repart.sion")
     before = backend.snapshot()
-    wall = _partitioned_read_cycle(
-        backend, nwriters, nreaders, p["engine"], collectsize=collectsize
+    wall, _ = read_cycle(
+        backend, nwriters, nreaders, p["engine"], path="/repart.sion",
+        partitioned=True, collectsize=collectsize,
     )
     snap = backend.snapshot()
     calls = snap["data_read_calls"] - before["data_read_calls"]

@@ -35,41 +35,21 @@ import time
 from repro.bench.registry import scenario
 from repro.bench.results import Metric, ScenarioOutput
 from repro.bench.scaffold import (
-    CHUNKSIZE,
     CI_GRID_COUNTS,
-    FSBLK,
     PAYLOAD,
     KiB,
     check,
     grid_tags,
     host_clock,
-    payload,
     pin,
     sim_backend,
+    write_cycle,
 )
 
 #: Task counts of the full grid; the first two form the CI grid.
 RESILIENCE_TASK_COUNTS = (4096, 16384, 65536)
 
 NFILES = 2
-
-
-def _checkpoint_cycle(backend, ntasks, *, buddy, path="/resil.sion"):
-    """One shadowed bulk-engine checkpoint; returns the write wall."""
-    from repro.simmpi import run_spmd
-    from repro.sion import paropen
-
-    def program(comm):
-        f = paropen(
-            path, "w", comm, chunksize=CHUNKSIZE, fsblksize=FSBLK,
-            nfiles=NFILES, shadow=True, buddy=buddy, backend=backend,
-        )
-        f.fwrite(payload(comm.rank, PAYLOAD))
-        f.parclose()
-
-    t0 = time.perf_counter()
-    run_spmd(ntasks, program, engine="bulk")
-    return time.perf_counter() - t0
 
 
 def _sha256(backend, path: str) -> str:
@@ -100,7 +80,9 @@ def _buddy_restore(ctx) -> ScenarioOutput:
     ntasks = ctx.params["ntasks"]
     backend = sim_backend()
     path = "/resil.sion"
-    write_wall = _checkpoint_cycle(backend, ntasks, buddy=True)
+    write_wall, _ = write_cycle(
+        backend, ntasks, "bulk", path=path, nfiles=NFILES, shadow=True, buddy=True
+    )
 
     primary_bytes = sum(
         backend.file_size(physical_path(path, k)) for k in range(NFILES)
@@ -174,7 +156,9 @@ def _torn_close_recover(ctx) -> ScenarioOutput:
     ntasks = ctx.params["ntasks"]
     path = "/resil.sion"
     journal = Journal(sim_backend())
-    write_wall = _checkpoint_cycle(journal, ntasks, buddy=False)
+    write_wall, _ = write_cycle(
+        journal, ntasks, "bulk", path=path, nfiles=NFILES, shadow=True
+    )
     inner = sim_backend()
     replay(without_close_writes(journal.rows), inner)
     del journal

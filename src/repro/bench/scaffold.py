@@ -1,6 +1,8 @@
 """Shared scaffolding of the grid suites (``scale``, ``collective``,
 ``repartition``, ``serve``, ``resilience``): the common container
-geometry, the in-scenario pin helpers, and the metric policy.
+geometry, the in-scenario pin helpers, the metric policy, and the one
+write/read cycle (:func:`write_cycle` / :func:`read_cycle`) every
+byte-verifying scenario runs.
 
 **Metric policy.**  A scenario's *gated* metrics are the deterministic
 ones — geometry bytes, modelled seconds, hit rates, retained-object
@@ -34,6 +36,13 @@ PAYLOAD = 64
 CI_GRID_COUNTS = frozenset((4096, 16384))
 
 
+def metadata_reads(nfiles: int) -> int:
+    """Fixed metadata read calls of a read open: rank 0's set load
+    decodes metablock 1 + metablock 2 of each physical file once (8
+    positioned reads, each a one-request ``gather_read``)."""
+    return 8 * nfiles
+
+
 def pin(actual, expected, what: str) -> None:
     """First-principles exactness assertion (no baseline ever sees drift)."""
     if actual != expected:
@@ -65,26 +74,29 @@ def counting_backend() -> CountingBackend:
 
 
 def payload(rank: int, nbytes: int) -> bytes:
-    """The deterministic per-rank payload every byte-verifying suite writes."""
-    return bytes((rank * 31 + i) % 256 for i in range(nbytes))
+    """The deterministic per-rank payload every byte-verifying suite
+    writes: byte ``i`` is ``(31 * rank + i) % 256``."""
+    start = rank * 31 % 256
+    period = bytes(range(start, 256)) + bytes(range(start))
+    return (period * (nbytes // 256 + 1))[:nbytes]
 
 
-def write_cycle(backend, ntasks, engine, *, nfiles=1, collectors=None,
-                chunksize=CHUNKSIZE, payload_bytes=PAYLOAD, path="/coll.sion",
-                payloads=None):
-    """One open/write/close cycle (collective iff ``collectors``).
+def write_cycle(backend, ntasks, engine, *, path="/coll.sion",
+                payload_bytes=PAYLOAD, payloads=None, **open_kw):
+    """One ``paropen`` -> ``fwrite`` -> ``parclose`` cycle of ``ntasks`` writers.
 
     Rank ``r`` writes ``payloads[r]`` if given, else :func:`payload`'s.
+    ``open_kw`` goes to ``paropen`` over the common geometry
+    (``chunksize=CHUNKSIZE``, ``fsblksize=FSBLK``).
     Returns ``(wall_s, (start_of_data, metablock2_offset))``.
     """
     from repro.simmpi import run_spmd
     from repro.sion import paropen
 
+    open_kw = {"chunksize": CHUNKSIZE, "fsblksize": FSBLK, **open_kw}
+
     def program(comm):
-        f = paropen(
-            path, "w", comm, chunksize=chunksize, fsblksize=FSBLK,
-            nfiles=nfiles, backend=backend, collectors=collectors,
-        )
+        f = paropen(path, "w", comm, backend=backend, **open_kw)
         f.fwrite(payload(comm.rank, payload_bytes) if payloads is None
                  else payloads[comm.rank])
         f.parclose()
@@ -93,3 +105,38 @@ def write_cycle(backend, ntasks, engine, *, nfiles=1, collectors=None,
     t0 = time.perf_counter()
     out = run_spmd(ntasks, program, engine=engine)
     return time.perf_counter() - t0, out[0]
+
+
+def read_cycle(backend, nwriters, nreaders, engine, *, path="/coll.sion",
+               payload_bytes=PAYLOAD, **open_kw):
+    """Read back a :func:`write_cycle` set with ``nreaders`` ranks.
+
+    ``open_kw`` goes to ``paropen``.  Each reader checks inside its rank
+    that it read exactly the :func:`payload` bytes of its writers: writer
+    ``r`` for reader ``r`` of a matched read, its
+    :meth:`~repro.sion.mapping.ReadPartition.balanced` slice of a
+    partitioned one.  Returns ``(wall_s, bytes read per reader)``.
+    """
+    from repro.simmpi import run_spmd
+    from repro.sion import paropen
+    from repro.sion.mapping import ReadPartition
+
+    part = ReadPartition.balanced(nwriters, nreaders)
+
+    def program(comm):
+        f = paropen(path, "r", comm, backend=backend, **open_kw)
+        data = f.read_all()
+        f.parclose()
+        expected = b"".join(
+            payload(w, payload_bytes) for w in part.writers_of(comm.rank)
+        )
+        if data != expected:
+            raise AssertionError(
+                f"reader {comm.rank}/{nreaders} diverged "
+                f"({len(data)} vs {len(expected)} bytes)"
+            )
+        return len(data)
+
+    t0 = time.perf_counter()
+    out = run_spmd(nreaders, program, engine=engine)
+    return time.perf_counter() - t0, out

@@ -20,7 +20,7 @@ from repro.analysis.plots import ascii_chart
 from repro.analysis.results import Series, format_table, human_count
 from repro.bench.registry import scenario
 from repro.bench.results import Metric, ScenarioOutput, series_metrics
-from repro.bench.scaffold import KiB, check
+from repro.bench.scaffold import KiB, check, read_cycle, write_cycle
 from repro.fs.events import Engine
 from repro.fs.interference import bystander_latency
 from repro.fs.metadata import FifoMetadataService, MetadataCosts, MetadataOp
@@ -631,62 +631,33 @@ MICRO_CHUNK = 64 * KiB
 MICRO_PAYLOAD_BYTES = 256 * KiB
 
 
-def micro_paropen_roundtrip(tmp_dir: str) -> dict[str, float]:
-    """Write and read back one multifile with the real library."""
-    from repro.backends.localfs import LocalBackend
-    from repro.simmpi import run_spmd
-    from repro.sion import paropen
-
-    backend = LocalBackend(blocksize_override=4096)
-    payload = bytes(range(256)) * (MICRO_PAYLOAD_BYTES // 256)
-    path = f"{tmp_dir}/roundtrip.sion"
-
-    def write_task(comm):
-        f = paropen(
-            path, "w", comm, chunksize=MICRO_CHUNK, nfiles=2, backend=backend
-        )
-        f.fwrite(payload)
-        f.parclose()
-
-    def read_task(comm):
-        f = paropen(path, "r", comm, backend=backend)
-        data = f.read_all()
-        f.parclose()
-        return len(data)
-
-    t0 = time.perf_counter()
-    run_spmd(MICRO_NTASKS, write_task)
-    write_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    lengths = run_spmd(MICRO_NTASKS, read_task)
-    read_s = time.perf_counter() - t0
-    if lengths != [len(payload)] * MICRO_NTASKS:
-        raise AssertionError("roundtrip returned wrong payload lengths")
-    return {"write_s": write_s, "read_s": read_s}
-
-
 @scenario(
     "micro/paropen-roundtrip",
     suite="full",
     tags=("micro", "wallclock"),
 )
 def micro_paropen(ctx) -> ScenarioOutput:
+    """Write and read back one multifile with the real library on disk."""
     import tempfile
 
+    from repro.backends.localfs import LocalBackend
+
+    backend = LocalBackend(blocksize_override=4096)
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        times = micro_paropen_roundtrip(tmp)
+        shape = {"path": f"{tmp}/roundtrip.sion", "payload_bytes": MICRO_PAYLOAD_BYTES}
+        write_s, _ = write_cycle(
+            backend, MICRO_NTASKS, "threads", chunksize=MICRO_CHUNK, nfiles=2, **shape
+        )
+        read_s, _ = read_cycle(backend, MICRO_NTASKS, MICRO_NTASKS, "threads", **shape)
     bytes_total = MICRO_NTASKS * MICRO_PAYLOAD_BYTES
     metrics = {
-        "write_wall_s": Metric(times["write_s"], better="info"),
-        "read_wall_s": Metric(times["read_s"], better="info"),
-        "write_mb_s": Metric(
-            bytes_total / times["write_s"] / 1e6, "MB/s", "info"
-        ),
+        "write_wall_s": Metric(write_s, better="info"),
+        "read_wall_s": Metric(read_s, better="info"),
+        "write_mb_s": Metric(bytes_total / write_s / 1e6, "MB/s", "info"),
     }
     text = (
         f"{MICRO_NTASKS} tasks x {MICRO_PAYLOAD_BYTES // KiB} KiB, 2 physical "
-        f"files: write {times['write_s'] * 1e3:.1f} ms, "
-        f"read {times['read_s'] * 1e3:.1f} ms"
+        f"files: write {write_s * 1e3:.1f} ms, read {read_s * 1e3:.1f} ms"
     )
     return ScenarioOutput(metrics=metrics, text=text)
 

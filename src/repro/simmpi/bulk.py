@@ -28,10 +28,11 @@ of engine state:
   plan on every replay, exactly as the root communicator is rebuilt by
   every execution.
 * **Preallocated wave buffers.**  Each in-flight collective is one
-  :class:`_Wave`: an object ndarray of deposit slots, a bool deposit
-  bitmap, and a preallocated int32 waiter array.  Waking the world when a
-  wave completes is a handful of vectorized index operations over flag
-  arrays, not a python loop over a waiter set.
+  :class:`_Wave`: an object ndarray of deposit slots and a deposit
+  bitmap; it keeps no waiter list.  The ranks a completed wave wakes are
+  those that deposited into it and have not consumed it, so waking them
+  is a handful of vectorized index operations over the bitmap and the
+  world's frontier counts, not a python loop over a waiter set.
 * **One replay check.**  Every replayed op is compared with the opcode
   its rank's own program row logged at that position — one list index
   per op, the same on a row the whole world shares as on a branch row.
@@ -302,7 +303,7 @@ class _Wave:
 
     __slots__ = (
         "opid", "slots", "deposited", "filled", "consumed",
-        "waiters", "nwaiters", "wake_root", "shared", "has_shared", "t0",
+        "wake_root", "shared", "has_shared", "t0",
     )
 
     def __init__(self, opid: int, size: int, wake_root: int | None) -> None:
@@ -311,9 +312,6 @@ class _Wave:
         self.deposited = bytearray(size)  # indexes as plain ints: hot path
         self.filled = 0
         self.consumed = 0
-        #: Parked global ranks, packed front-first; reset on every wake.
-        self.waiters = np.empty(size, dtype=np.int32)
-        self.nwaiters = 0
         self.wake_root = wake_root  # deposit by this lrank readies waiters
         self.shared: Any = None  # once-computed shared result (allgather, ...)
         self.has_shared = False
@@ -478,14 +476,11 @@ class BulkComm(Comm):
             wave.slots[lr] = frame(value)
             wave.filled += 1
             if wave.filled == world.size or lr == wave.wake_root:
-                engine.wake_wave(wave)
+                engine.wake_wave(world, wave, k)
         if not (
             wave.filled == world.size if needs == _ALL
             else needs == _NONE or wave.deposited[needs]
         ):
-            nw = wave.nwaiters
-            wave.waiters[nw] = g
-            wave.nwaiters = nw + 1
             engine.park_collective(g, opid, k, world.size)
             ex.suspending = True
             raise _Suspend()
@@ -618,16 +613,22 @@ class _BulkEngine:
 
     # -- scheduler state transitions ---------------------------------------
 
-    def wake_wave(self, wave: _Wave) -> None:
-        """Run the ranks a completed wave readies next, in rank order
-        (module docstring, *Depth-first wake*) — vectorized over the flag
-        views."""
-        nw = wave.nwaiters
-        wave.nwaiters = 0
-        w = np.sort(wave.waiters[:nw])
+    def wake_wave(self, world: _World, wave: _Wave, k: int) -> None:
+        """Run the ranks a completed wave (op ``k`` of ``world``) readies
+        next, in rank order (module docstring, *Depth-first wake*): those
+        that deposited into it and have not consumed it, less the running
+        rank — vectorized over the flag views."""
+        waiting = np.frombuffer(world.consumed, dtype="l") == k
+        waiting &= np.frombuffer(wave.deposited, dtype=np.bool_)
         done = np.frombuffer(self.done_b, dtype=np.bool_)
         queued = np.frombuffer(self.queued_b, dtype=np.bool_)
-        go = w[~(done[w] | queued[w])]
+        if isinstance(world.granks, range):
+            waiting &= ~(done | queued)
+            go = np.flatnonzero(waiting).astype(np.int32)
+        else:
+            w = np.sort(np.frombuffer(world.granks, dtype=np.int64)[waiting])
+            go = w[~(done[w] | queued[w])].astype(np.int32)
+        go = go[go != self.running_rank]
         if go.size:
             queued[go] = True
             self.batches.append(go)

@@ -10,29 +10,23 @@ reader takes a contiguous slice of the recorded task streams
 (:class:`~repro.sion.mapping.ReadPartition`) and the bytes are identical
 to what an ``n``-rank read would have seen.
 
-Two layers, like the rest of :mod:`repro.workloads`:
-
-* :func:`run_restart_analysis` — the *model*: prices the checkpoint
-  write (n writers) and the analysis read (m readers) on a machine
-  profile through the shared fluid-flow simulation, so the m/n tradeoff
-  (fewer readers mean fewer clients pulling, but also less aggregate
-  client bandwidth) can be swept without touching a byte.
-* :func:`repartition_roundtrip` — the *driver*: executes the same shape
-  against the real library over a storage backend (thread or bulk engine),
-  verifying byte identity inside each reader rank.  The ``repartition``
-  benchmark suite wraps this with a counting backend to pin the O(m)
-  physical-call claim.
+This module is the *model*: :func:`run_restart_analysis` prices the
+checkpoint write (n writers) and the analysis read (m readers) on a
+machine profile through the shared fluid-flow simulation, so the m/n
+tradeoff (fewer readers mean fewer clients pulling, but also less
+aggregate client bandwidth) can be swept without touching a byte.  The
+same shape against the real library — byte identity checked inside each
+reader rank, physical calls pinned at O(m) — is the ``repartition``
+benchmark suite, over :func:`repro.bench.scaffold.write_cycle` /
+:func:`~repro.bench.scaffold.read_cycle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.backends.base import Backend
 from repro.errors import ReproError
 from repro.fs.systems import SystemProfile
-from repro.sion.mapping import ReadPartition
 from repro.workloads.common import IOResult, parallel_io
 
 
@@ -104,83 +98,3 @@ def sweep_reader_counts(
         run_restart_analysis(profile, nwriters, m, bytes_per_writer, nfiles)
         for m in reader_counts
     ]
-
-
-@dataclass
-class RepartitionRoundtrip:
-    """Outcome of one real-library write-n/read-m cycle (verified)."""
-
-    nwriters: int
-    nreaders: int
-    nfiles: int
-    bytes_total: int
-    reader_bytes: list[int]
-
-    @property
-    def read_fanin(self) -> float:
-        return self.nwriters / self.nreaders
-
-
-def repartition_roundtrip(
-    backend: Backend,
-    nwriters: int,
-    nreaders: int,
-    payload_of: Callable[[int], bytes],
-    *,
-    chunksize: int,
-    fsblksize: int | None = None,
-    nfiles: int = 1,
-    mapping: "str | list[int]" = "blocked",
-    engine: str = "threads",
-    write_collectors: int | None = None,
-    read_collectsize: int | None = None,
-    path: str = "/repartition.sion",
-) -> RepartitionRoundtrip:
-    """Write a checkpoint with ``nwriters`` tasks, read it with ``nreaders``.
-
-    Byte identity is verified *inside* each reader rank (against the
-    deterministic ``payload_of`` schedule), so a 64k-stream cycle never
-    ships its full contents back to the driver.  Raises
-    :class:`~repro.errors.ReproError` on any divergence.
-    """
-    from repro.sion import paropen
-    from repro.simmpi import run_spmd
-
-    def write_task(comm):
-        f = paropen(
-            path, "w", comm, chunksize=chunksize, fsblksize=fsblksize,
-            nfiles=nfiles, mapping=mapping, backend=backend,
-            collectors=write_collectors,
-        )
-        f.fwrite(payload_of(comm.rank))
-        f.parclose()
-
-    run_spmd(nwriters, write_task, engine=engine)
-
-    partition = ReadPartition.balanced(nwriters, nreaders)
-
-    def read_task(comm):
-        f = paropen(
-            path, "r", comm, backend=backend, partitioned=True,
-            collectsize=read_collectsize,
-        )
-        data = f.read_all()
-        f.parclose()
-        expected = b"".join(
-            payload_of(w) for w in partition.writers_of(comm.rank)
-        )
-        if data != expected:
-            raise ReproError(
-                f"reader {comm.rank} of {nreaders} diverged: got "
-                f"{len(data)} bytes, expected {len(expected)}"
-            )
-        return len(data)
-
-    reader_bytes = run_spmd(nreaders, read_task, engine=engine)
-    return RepartitionRoundtrip(
-        nwriters=nwriters,
-        nreaders=nreaders,
-        nfiles=nfiles,
-        bytes_total=sum(reader_bytes),
-        reader_bytes=list(reader_bytes),
-    )

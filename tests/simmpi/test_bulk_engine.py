@@ -302,6 +302,24 @@ def test_bulk_engine_has_one_replay_check():
     assert stats["programs"] == 1 and stats["executions"] >= 4
 
 
+def test_a_wave_keeps_no_per_rank_waiter_state():
+    """The ranks a completed wave wakes are read off its deposit bitmap
+    and its world's frontier counts: a wave's only per-rank buffers are
+    its deposit slots and that bitmap."""
+    from repro.simmpi import bulk
+
+    assert set(bulk._Wave.__slots__) == {
+        "opid", "slots", "deposited", "filled", "consumed",
+        "wake_root", "shared", "has_shared", "t0",
+    }
+    wave = bulk._Wave(0, 1000, None)
+    per_rank = {
+        name for name in bulk._Wave.__slots__
+        if hasattr(getattr(wave, name), "__len__") and len(getattr(wave, name)) == 1000
+    }
+    assert per_rank == {"slots", "deposited"}
+
+
 def test_allgather_result_is_shared_between_ranks():
     # Documented bulk-engine divergence: one shared result object.
     out = run_spmd(3, lambda c: c.allgather(c.rank), engine="bulk")

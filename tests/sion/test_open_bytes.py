@@ -36,7 +36,7 @@ FSBLK = 4096
 PATH = "/ctrl.sion"
 
 #: Traced peak bytes per rank at 4096 ranks: (write cycle, read cycle).
-PINS = {"write": 275, "read": 216}
+PINS = {"write": 275, "read": 145}
 
 PLAN_TYPES = (WritePlan, ReadPlan, TaskMapping, ReadPartition, ChunkLayout, Metablock1, Metablock2)
 

@@ -34,8 +34,8 @@ ALLOWED = {
     **{
         (f"bench/{module}.py", "AssertionError"): "a benchmark scenario's in-scenario check"
         for module in (
-            "collective", "core_io", "repartition", "resilience", "scaffold", "scale",
-            "scenarios", "serve",
+            "collective", "core_io", "resilience", "scaffold", "scale", "scenarios",
+            "serve",
         )
     },
 }

@@ -1,22 +1,20 @@
-"""The restart/analysis repartition workload: model and real-library driver."""
+"""The restart/analysis repartition workload: the model, and the
+real-library write/read cycle that the ``repartition`` suite runs."""
 
 import pytest
 
 from repro.backends.simfs_backend import SimBackend
+from repro.bench.scaffold import payload, read_cycle, write_cycle
 from repro.errors import ReproError, SpmdWorkerError
 from repro.fs.simfs import SimFS
 from repro.fs.systems import get_system
-from repro.workloads.repartition import (
-    repartition_roundtrip,
-    run_restart_analysis,
-    sweep_reader_counts,
-)
+from repro.workloads.repartition import run_restart_analysis, sweep_reader_counts
 
 GB = 10**9
 
-
-def _payload(rank, n=200):
-    return bytes((rank * 13 + i) % 256 for i in range(n))
+#: 200-byte payloads over 128-byte chunks in 512-byte blocks.
+NBYTES = 200
+GEOMETRY = {"chunksize": 128, "fsblksize": 512}
 
 
 def _backend(blk=512):
@@ -51,47 +49,43 @@ class TestModel:
 
 
 class TestDriver:
+    """The real-library write-n / read-m cycle: the scaffold pair the
+    ``repartition`` suite runs, each reader checking its slice in-rank."""
+
+    def test_payload_schedule(self):
+        for rank, n in ((0, 0), (1, 200), (9, 256), (4095, 1000)):
+            assert payload(rank, n) == bytes((rank * 31 + i) % 256 for i in range(n))
+
     @pytest.mark.parametrize("engine", ["threads", "bulk"])
     def test_roundtrip_verifies_bytes(self, engine):
-        res = repartition_roundtrip(
-            _backend(), 8, 3, _payload, chunksize=128, fsblksize=512,
-            nfiles=2, engine=engine, path="/w/r.sion",
+        backend = _backend()
+        path = "/w/r.sion"
+        write_cycle(backend, 8, engine, path=path, payload_bytes=NBYTES, nfiles=2, **GEOMETRY)
+        _, reader_bytes = read_cycle(
+            backend, 8, 3, engine, path=path, payload_bytes=NBYTES, partitioned=True
         )
-        assert res.bytes_total == 8 * 200
-        assert res.reader_bytes == [600, 600, 400]
-        assert res.read_fanin == pytest.approx(8 / 3)
+        assert reader_bytes == [600, 600, 400]
 
     def test_roundtrip_with_aggregation_on_both_sides(self):
-        res = repartition_roundtrip(
-            _backend(), 8, 4, _payload, chunksize=128, fsblksize=512,
-            write_collectors=2, read_collectsize=2, path="/w/c.sion",
+        backend = _backend()
+        path = "/w/c.sion"
+        write_cycle(
+            backend, 8, "threads", path=path, payload_bytes=NBYTES, collectors=2, **GEOMETRY
         )
-        assert res.bytes_total == 8 * 200
+        _, reader_bytes = read_cycle(
+            backend, 8, 4, "threads", path=path, payload_bytes=NBYTES,
+            partitioned=True, collectsize=2,
+        )
+        assert reader_bytes == [400] * 4
 
     def test_divergence_is_loud(self):
         backend = _backend()
-        repartition_roundtrip(
-            backend, 4, 2, _payload, chunksize=128, fsblksize=512,
-            path="/w/d.sion",
-        )
+        path = "/w/d.sion"
+        write_cycle(backend, 4, "threads", path=path, payload_bytes=NBYTES, **GEOMETRY)
         # Corrupt one payload byte inside task 0's chunk, then re-read.
-        with backend.open("/w/d.sion", "r+b") as f:
+        with backend.open(path, "r+b") as f:
             f.pwrite(512, b"\xff")  # first data byte (start_of_data = 512)
-
-        from repro.sion import paropen
-        from repro.simmpi import run_spmd
-        from repro.sion.mapping import ReadPartition
-
-        part = ReadPartition.balanced(4, 2)
-
-        def read_task(comm):
-            f = paropen("/w/d.sion", "r", comm, backend=backend, partitioned=True)
-            data = f.read_all()
-            f.parclose()
-            expected = b"".join(_payload(w) for w in part.writers_of(comm.rank))
-            if data != expected:
-                raise ReproError("diverged")
-            return True
-
-        with pytest.raises(SpmdWorkerError):
-            run_spmd(2, read_task)
+        with pytest.raises(SpmdWorkerError, match="reader 0/2 diverged"):
+            read_cycle(
+                backend, 4, 2, "threads", path=path, payload_bytes=NBYTES, partitioned=True
+            )
