@@ -9,7 +9,6 @@ DESIGN.md §5 auditable: each paper endpoint maps to one term here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.fs.metadata import batch_completion_time_fast
@@ -108,10 +107,3 @@ def predict_alignment_factor(
     """Table 1's rightmost column from the lock model alone."""
     k = profile.lock_model.sharers_per_block(configured_blk, profile.fs_block_size)
     return profile.lock_model.penalty(op, k)
-
-
-def speedup_bound_create(profile: SystemProfile, ntasks: int, nfiles: int = 1) -> float:
-    """Upper-bound speedup of SION creation over task-local creation."""
-    tl = predict_create_time(profile, ntasks)
-    sion = predict_sion_create_time(profile, ntasks, nfiles)
-    return tl / sion if sion > 0 else math.inf

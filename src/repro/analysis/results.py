@@ -24,10 +24,6 @@ class Series:
             )
         self.curves[label] = list(ys)
 
-    def row(self, i: int) -> tuple[float, dict[str, float]]:
-        """The i-th x-value and every curve's value there."""
-        return self.xs[i], {k: v[i] for k, v in self.curves.items()}
-
 
 def _fmt(v: float) -> str:
     if v == 0:

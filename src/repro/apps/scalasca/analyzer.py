@@ -45,10 +45,6 @@ class AnalysisResult:
     wait_per_task: list[float]
     worst_states: list[WaitState] = field(default_factory=list)
 
-    @property
-    def mean_wait_per_task(self) -> float:
-        return self.total_wait_time / self.ntasks if self.ntasks else 0.0
-
 
 def _extract_sends(events: list[Event]) -> dict[int, list[tuple[int, float]]]:
     """Per-destination ordered list of (tag, timestamp) of SEND events."""
@@ -125,10 +121,6 @@ class BarrierWaitResult:
     total_wait_time: float
     wait_per_task: list[float]
     instance_waits: list[float]
-
-    @property
-    def mean_wait_per_task(self) -> float:
-        return self.total_wait_time / self.ntasks if self.ntasks else 0.0
 
 
 def analyze_barriers(

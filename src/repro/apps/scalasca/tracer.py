@@ -105,10 +105,6 @@ class Tracer:
     # -- buffer access -----------------------------------------------------------
 
     @property
-    def n_events(self) -> int:
-        return len(self._events)
-
-    @property
     def events(self) -> list[Event]:
         return list(self._events)
 
@@ -123,12 +119,6 @@ class TraceWriteStats:
 
     uncompressed_bytes: int
     written_bytes: int
-
-    @property
-    def compression_ratio(self) -> float:
-        if self.uncompressed_bytes == 0:
-            return 1.0
-        return self.written_bytes / self.uncompressed_bytes
 
 
 class TraceExperiment:

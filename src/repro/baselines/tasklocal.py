@@ -45,11 +45,3 @@ def read_task_local(
     path = task_local_path(base, comm.rank)
     with backend.open(path, "rb") as f:
         return f.pread(0, backend.file_size(path))
-
-
-def unlink_task_local(
-    comm: Comm, base: str, backend: Backend | None = None
-) -> None:
-    """Each task removes its own file (cleanup is also a per-file op)."""
-    backend = backend if backend is not None else LocalBackend()
-    backend.unlink(task_local_path(base, comm.rank))

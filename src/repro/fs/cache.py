@@ -174,14 +174,6 @@ class ChunkCache:
         self._used = 0
         self._lock = threading.RLock()
 
-    # -- capacity ------------------------------------------------------------
-
-    @property
-    def entry_count(self) -> int:
-        """Number of resident entries."""
-        with self._lock:
-            return len(self._entries)
-
     # -- the cache protocol ----------------------------------------------------
 
     def get(self, key: tuple) -> "bytes | None":

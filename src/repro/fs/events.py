@@ -15,7 +15,7 @@ from repro.errors import ModelUsageError
 
 
 class Event:
-    """Handle for a scheduled callback; supports cancellation."""
+    """Handle for a scheduled callback; setting ``cancelled`` drops it."""
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled")
 
@@ -25,10 +25,6 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
-        self.cancelled = True
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -81,17 +77,6 @@ class Engine:
             ev.fn(*ev.args)
         if until is not None:
             self.now = max(self.now, until)
-
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or ``None`` when idle."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
-    @property
-    def pending(self) -> int:
-        """Number of live events still queued."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
 
     @property
     def events_processed(self) -> int:

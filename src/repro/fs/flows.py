@@ -93,11 +93,6 @@ class Flow:
         self.finish_time: float = math.nan
         self.tag = tag
 
-    @property
-    def duration(self) -> float:
-        """Transfer time (valid after completion)."""
-        return self.finish_time - self.start_time
-
 
 class _Profile:
     """Flows with identical weighted paths and caps share one fair rate."""
@@ -293,7 +288,7 @@ class FlowScheduler:
     def _recompute_and_reschedule(self) -> None:
         self._recompute_rates()
         if self._completion_event is not None:
-            self._completion_event.cancel()
+            self._completion_event.cancelled = True
             self._completion_event = None
         nxt = self._next_completion()
         if nxt is not None:

@@ -31,7 +31,7 @@ the old generation's cache entries are dropped wholesale (chunk payload
 can mutate without the metablocks changing, so a mismatched token is
 never second-guessed).  On a backend whose token cannot see a given
 re-seal (the default token folds only sizes), call
-:meth:`ReadGateway.refresh` to force a new generation.
+``open_container(path, refresh=True)`` to force a new generation.
 """
 
 from __future__ import annotations
@@ -229,10 +229,6 @@ class ReadGateway:
             self._containers[path] = fresh
             self.stats_gateway.containers_opened += 1
             return fresh
-
-    def refresh(self, path: str) -> ContainerHandle:
-        """Force-reload ``path`` under a new generation (drop cached bytes)."""
-        return self.open_container(path, refresh=True)
 
     def close(self) -> None:
         """Close every container handle and retire all sessions."""

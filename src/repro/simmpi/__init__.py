@@ -22,7 +22,6 @@ from repro.simmpi.runner import (
     ENGINES,
     normalize_engine,
     run_spmd,
-    spmd_context,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "run_spmd",
     "run_spmd_bulk",
     "run_spmd_proc",
-    "spmd_context",
 ]

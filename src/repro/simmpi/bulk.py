@@ -20,7 +20,7 @@ of engine state:
   plan) and spill to an exceptions dict, then a dense object ndarray,
   only when ranks actually disagree (per-rank ``exec_once`` results such
   as file handles).
-* **Wave-flat communicator algebra.**  ``split`` / ``dup`` / ``subworld``
+* **Wave-flat communicator algebra.**  ``split`` and ``subworld`` (a split)
   log one shared :class:`~repro.simmpi.comm.SplitPlan` per split wave —
   two int arrays, ``child_of[lrank]`` and ``rank_in_child[lrank]``, next
   to the child worlds — so a split's column stays *uniform*.  No per-rank communicator object

@@ -192,7 +192,8 @@ class Comm:
     Mirrors the subset of MPI used by SIONlib and the example applications:
     ``rank``/``size``, ``barrier``, ``bcast``, ``gather``/``gatherv``,
     ``allgather``, ``scatter``/``scatterv``, ``alltoall``,
-    ``reduce``/``allreduce``, ``split`` and ``dup``.
+    ``reduce``/``allreduce``, ``split`` and ``subworld``.  A duplicate
+    with a fresh synchronization context is ``split(0, rank)``.
 
     **Transport interface.**  A subclass is constructed as ``cls(group,
     rank)``, keeps them as ``_group`` (the state its ranks share; has a
@@ -390,12 +391,6 @@ class Comm:
         if child < 0:
             return COMM_NULL
         return type(self)(groups[child], plan.rank_in_child[self._rank])
-
-    def dup(self) -> "Comm":
-        """Duplicate the communicator (fresh synchronization context)."""
-        comm = self.split(color=0, key=self._rank)
-        assert comm is not None
-        return comm
 
     def subworld(self, size: int) -> "Comm | None":
         """Communicator over ranks ``[0, size)``; :data:`COMM_NULL` elsewhere.

@@ -13,13 +13,12 @@ and :mod:`repro.simmpi.proc`.  All three hand the rank program the same
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import CommAbortedError, SimMPIError, SpmdWorkerError
-from repro.simmpi.comm import ThreadComm, make_world
+from repro.simmpi.comm import make_world
 
 #: Default safety timeout for collectives; prevents silent test hangs.
 #: Overridable per environment via ``REPRO_SPMD_TIMEOUT`` (seconds; zero or
@@ -176,20 +175,3 @@ def spmd_failure_error(failures: dict[int, BaseException]) -> SpmdWorkerError:
         if not isinstance(exc, CommAbortedError)
     }
     return SpmdWorkerError(primary or failures)
-
-
-@contextlib.contextmanager
-def spmd_context(
-    nprocs: int, timeout: Any = _TIMEOUT_UNSET
-) -> Iterator[list[ThreadComm]]:
-    """Context manager yielding the communicators of a world.
-
-    Useful for driving ranks manually from test code (e.g. one rank per
-    explicitly managed thread).  On exit the world is aborted so stray
-    blocked threads are released.
-    """
-    comms = make_world(nprocs, timeout=resolve_timeout(timeout))
-    try:
-        yield comms
-    finally:
-        comms[0].abort()

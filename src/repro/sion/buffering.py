@@ -163,17 +163,3 @@ class CoalescingWriter:
     def _check_open(self) -> None:
         if self._closed:
             raise SionUsageError("coalescing writer is closed")
-
-
-class CountingStream:
-    """Test/diagnostic wrapper counting fwrite calls and bytes."""
-
-    def __init__(self, stream) -> None:
-        self.stream = stream
-        self.calls = 0
-        self.bytes = 0
-
-    def fwrite(self, data: bytes) -> int:
-        self.calls += 1
-        self.bytes += len(data)
-        return self.stream.fwrite(data)

@@ -186,16 +186,6 @@ class SionCollectiveFile(SionParallelFile):
         """Number of tasks per collector group."""
         return self.plan.collectsize
 
-    @property
-    def is_collector(self) -> bool:
-        """True if this task performs physical I/O for its group."""
-        return self.ccom.rank == 0
-
-    @property
-    def collector_lrank(self) -> int:
-        """Local rank (within the physical file) of this task's collector."""
-        return (self.local_rank // self.collectsize) * self.collectsize
-
     def flush_collective(self) -> None:
         """Ship all buffered fragments to the collector now.
 

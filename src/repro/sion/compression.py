@@ -51,11 +51,6 @@ class ZlibWriter:
         self.raw_out += len(out)
         return out
 
-    @property
-    def ratio(self) -> float:
-        """Compressed/uncompressed size so far (1.0 when nothing written)."""
-        return self.raw_out / self.raw_in if self.raw_in else 1.0
-
 
 class ZlibReader:
     """Streaming decompressor for one task's reads."""

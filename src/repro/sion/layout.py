@@ -18,7 +18,6 @@ sizes and the chunk prefix.
 
 from __future__ import annotations
 
-import bisect
 from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -173,15 +172,6 @@ class ChunkLayout:
         """Number of local tasks laid out in this file."""
         return len(self.chunksizes)
 
-    def capacity(self, task: int) -> int:
-        """Writable bytes in each of ``task``'s chunks (the aligned size).
-
-        The usable capacity is the *allocated* (aligned) size: SIONlib
-        allocates whole FS blocks, so writes may use the padding.
-        """
-        self._check_task(task)
-        return self.aligned_sizes[task]
-
     def chunk_start(self, task: int, block: int) -> int:
         """Absolute file offset of ``task``'s chunk in ``block``."""
         self._check_task(task)
@@ -193,33 +183,11 @@ class ChunkLayout:
             + self.chunk_prefix[task]
         )
 
-    def chunk_end(self, task: int, block: int) -> int:
-        """Exclusive end offset of the chunk's allocation."""
-        return self.chunk_start(task, block) + self.aligned_sizes[task]
-
     def end_of_blocks(self, nblocks: int) -> int:
         """Offset one past the last allocated block (metablock 2 goes here)."""
         if nblocks < 0:
             raise SionUsageError("nblocks must be non-negative")
         return self.start_of_data + nblocks * self.block_capacity
-
-    def locate(self, offset: int) -> tuple[int, int, int] | None:
-        """Inverse mapping: file offset -> ``(task, block, pos_in_chunk)``.
-
-        Returns ``None`` for offsets outside chunk data (metablock area).
-        Used by the recovery scanner and by tests as the inverse of
-        :meth:`chunk_start`.
-        """
-        if offset < self.start_of_data or self.block_capacity == 0:
-            return None
-        rel = offset - self.start_of_data
-        block, in_block = divmod(rel, self.block_capacity)
-        # The last chunk starting at or before the offset (prefixes ascend).
-        task = bisect.bisect_right(self.chunk_prefix, in_block) - 1
-        pos = in_block - self.chunk_prefix[task]
-        if pos >= self.aligned_sizes[task]:  # pragma: no cover - padding gap
-            return None
-        return task, block, pos
 
     def read_requests(
         self, task: int, blocksizes: Sequence[int], data_offset: int = 0
@@ -249,16 +217,6 @@ class ChunkLayout:
         """:meth:`chunk_start` over parallel int arrays, in one pass."""
         prefix = ndarray_of(self.chunk_prefix)
         return self.start_of_data + blocks * self.block_capacity + prefix[tasks]
-
-    def is_aligned(self, true_fsblksize: int) -> bool:
-        """True when every chunk boundary falls on a ``true_fsblksize`` edge."""
-        if true_fsblksize < 1:
-            raise SionUsageError("true_fsblksize must be positive")
-        if self.start_of_data % true_fsblksize:
-            return False
-        return all(
-            (self.chunk_start(t, 0)) % true_fsblksize == 0 for t in range(self.ntasks)
-        )
 
     # -- internals ------------------------------------------------------------
 

@@ -16,7 +16,6 @@ recomputing it per rank made the collective open O(n²).
 
 from __future__ import annotations
 
-import bisect
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -173,11 +172,6 @@ class TaskMapping:
             return column(np.arange(filenum, self.ntasks, self.nfiles))
         return self._members[lo:hi]
 
-    def ntasks_of_file(self, filenum: int) -> int:
-        """Number of tasks mapped to ``filenum`` (O(1))."""
-        lo, hi = self._file_range(filenum)
-        return hi - lo
-
     # -- internals ----------------------------------------------------------------
 
     @cached_property
@@ -260,7 +254,6 @@ class ReadPartition:
 
         part = ReadPartition.balanced(nwriters=4096, nreaders=32)
         part.writers_of(0)      # range(0, 128)
-        part.reader_of(4095)    # 31
     """
 
     nwriters: int
@@ -284,14 +277,6 @@ class ReadPartition:
         self._check_reader(reader)
         start = self.starts[reader]
         return range(start, start + self.counts[reader])
-
-    def reader_of(self, writer: int) -> int:
-        """The reader whose slice contains writer task ``writer``."""
-        if not 0 <= writer < self.nwriters:
-            raise SionUsageError(
-                f"writer {writer} out of range ({self.nwriters} writers)"
-            )
-        return bisect.bisect_right(self.starts, writer) - 1
 
     # -- internals -----------------------------------------------------------
 

@@ -46,11 +46,6 @@ class RestartAnalysisResult:
         """Checkpoint write plus analysis read, end to end."""
         return self.write.time_s + self.read.time_s
 
-    @property
-    def read_fanin(self) -> float:
-        """Writer streams each analysis rank multiplexes (n/m)."""
-        return self.nwriters / self.nreaders
-
 
 def run_restart_analysis(
     profile: SystemProfile,

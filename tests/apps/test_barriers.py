@@ -68,12 +68,6 @@ def test_result_identical_on_all_ranks(any_backend):
         assert r.instance_waits == results[0].instance_waits
 
 
-def test_mean_wait(any_backend):
-    backend, base = any_backend
-    r = _pipeline(backend, base, 4, imbalance=0.5)[0]
-    assert r.mean_wait_per_task == pytest.approx(r.total_wait_time / 4)
-
-
 def test_instance_waits_sum_to_total(any_backend):
     backend, base = any_backend
     r = _pipeline(backend, base, 8, imbalance=0.6)[0]

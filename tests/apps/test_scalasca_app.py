@@ -72,7 +72,7 @@ class TestTracer:
         t = Tracer(0, capacity=3 * RECORD_BYTES)
         for i in range(5):
             t.enter(i)
-        assert t.n_events == 3
+        assert len(t.events) == 3
         assert t.dropped == 2
 
     def test_buffer_bytes_decode(self):
@@ -147,7 +147,7 @@ class TestTraceExperiment:
         out = run_spmd(4, task)
         for rank, (events, stats) in enumerate(out):
             assert stats.uncompressed_bytes == len(events) * RECORD_BYTES
-            assert stats.compression_ratio < 1.0  # traces compress well
+            assert stats.written_bytes < stats.uncompressed_bytes  # traces compress well
             assert read_trace(path, rank, method=method, backend=backend) == events
 
     def test_lifecycle_enforced(self, any_backend, method):
@@ -239,8 +239,3 @@ class TestAnalyzer:
         events = [Event(EventKind.RECV, ref=1, tag=0, timestamp=1.0)]
         with pytest.raises(ReproError, match="tag mismatch"):
             analyze_local(0, events, {1: [(9, 0.5)]})
-
-    def test_mean_wait(self, any_backend):
-        backend, base = any_backend
-        r = self._run_pipeline(backend, base, 4, imbalance=0.5)[0]
-        assert r.mean_wait_per_task == pytest.approx(r.total_wait_time / 4)

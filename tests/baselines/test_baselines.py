@@ -14,7 +14,6 @@ from repro.baselines.singlefile import (
 from repro.baselines.tasklocal import (
     read_task_local,
     task_local_path,
-    unlink_task_local,
     write_task_local,
 )
 from repro.errors import SionUsageError, SpmdWorkerError
@@ -75,13 +74,6 @@ class TestTaskLocal:
         run_spmd(8, lambda c: write_task_local(c, prefix, b"x", backend=backend))
         # The simulated FS counted 8 creates: the paper's core problem.
         assert backend.fs.op_counts["create"] == 8
-
-    def test_unlink(self, any_backend):
-        backend, base = any_backend
-        prefix = f"{base}/gone"
-        run_spmd(3, lambda c: write_task_local(c, prefix, b"x", backend=backend))
-        run_spmd(3, lambda c: unlink_task_local(c, prefix, backend=backend))
-        assert not backend.exists(f"{prefix}.000000")
 
 
 class TestSingleFile:

@@ -133,7 +133,7 @@ def test_generation_invalidation_never_serves_stale_bytes():
     cache = ChunkCache(1 << 20, 64)
     old = _cached(backend, path, cache, gen=1)
     assert old.pread(0, 512) == b"A" * 512
-    assert cache.entry_count > 0
+    assert cache.snapshot()["entry_count"] > 0
 
     # Re-seal: same path, different bytes, new generation.
     _seal(backend, path, b"B" * 512)
@@ -186,7 +186,7 @@ def test_zero_capacity_disables_caching():
     cache = ChunkCache(0, 64)
     cached = _cached(backend, path, cache)
     assert cached.pread(0, 300) == b"x" * 300
-    assert cache.entry_count == 0
+    assert cache.snapshot()["entry_count"] == 0
     assert cache.snapshot()["rejected"] > 0
 
 

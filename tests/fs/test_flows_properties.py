@@ -48,7 +48,7 @@ def test_makespan_lower_bounds(sizes, capacity, cap):
     total = sum(sizes)
     assert makespan >= total / capacity - 1e-9
     for f in flows:
-        assert f.duration >= f.size_mb / cap - 1e-9
+        assert f.finish_time - f.start_time >= f.size_mb / cap - 1e-9
 
 
 @settings(max_examples=40, deadline=None)

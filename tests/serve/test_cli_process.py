@@ -1,8 +1,9 @@
 """``python -m repro.serve`` as a reader runs it: a real process on a real port.
 
 The module is started as a subprocess over a set sealed on the local file
-system.  It must announce its port, answer ``ping`` and ``read_task``
-with the exact bytes, drain and exit 0 on SIGTERM with nothing left in
+system.  It must announce its port, answer every ``GatewayClient`` call
+(``ping``, ``stats``, a session's reads, stateless ``read_task`` and
+``read_range``) with the exact bytes, drain and exit 0 on SIGTERM with nothing left in
 its process group, and refuse a set with a missing physical file with
 exit 1 and the loader's finding.  Its ``main`` also runs once in this
 interpreter, where a client thread asks the server to drain.
@@ -99,15 +100,22 @@ def test_the_module_serves_exact_bytes_and_drains_on_sigterm(tmp_path):
         async def client_calls():
             client = await GatewayClient.connect(host, int(port))
             try:
-                return await client.ping(), [
+                sid = await client.open_session(path, readers=2, reader=1)
+                head = await client.read(sid, 10)
+                session = (head + await client.read_all(sid), await client.session_eof(sid))
+                await client.close_session(sid)
+                return await client.ping(), session, [
                     await client.read_task(path, r) for r in range(NTASKS)
-                ]
+                ], await client.read_range(path, 4, 100, 50), await client.stats()
             finally:
                 await client.close()
 
-        alive, data = asyncio.run(client_calls())
+        alive, session, data, ranged, stats = asyncio.run(client_calls())
         assert alive
         assert data == [_payload(r) for r in range(NTASKS)]
+        assert session == (b"".join(_payload(r) for r in range(3, NTASKS)), True)
+        assert ranged == _payload(4)[100:150]
+        assert (stats["sessions_opened"], stats["sessions_active"]) == (1, 0)
 
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=TIMEOUT) == 0

@@ -179,7 +179,7 @@ def test_refresh_forces_new_generation(backend):
     gw = ReadGateway(backend=backend, cache_bytes=1 << 20, cache_block=512)
     gen1 = gw.open_container(PATH).generation
     assert gw.open_container(PATH).generation == gen1  # fast-path reuse
-    assert gw.refresh(PATH).generation != gen1
+    assert gw.open_container(PATH, refresh=True).generation != gen1
 
 
 def test_compressed_container_sessions():
@@ -236,4 +236,4 @@ def test_gateway_close_retires_everything(backend):
     snap = gw.snapshot()
     assert snap["containers"] == {}
     assert snap["sessions_active"] == 0
-    assert gw.cache.entry_count == 0
+    assert gw.cache.snapshot()["entry_count"] == 0

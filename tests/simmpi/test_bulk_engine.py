@@ -47,7 +47,7 @@ def _split_with_null(c):
 
 
 def _dup_then_reduce(c):
-    return c.dup().allreduce(c.rank)
+    return c.split(0, c.rank).allreduce(c.rank)
 
 
 def _alltoall_identity(c):

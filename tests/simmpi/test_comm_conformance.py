@@ -122,7 +122,7 @@ def split_none_is_comm_null(c):
 
 
 def dup_isolates_traffic(c):
-    d = c.dup()
+    d = c.split(0, c.rank)
     dup = d.bcast("dup" if c.rank == 0 else None)
     parent = c.bcast("parent" if c.rank == 0 else None)
     return (d.rank, d.size) if c.rank == 0 else (parent, dup)
@@ -287,7 +287,7 @@ COLLECTIVES = (
     "barrier", "bcast", "gather", "allgather", "gatherv", "scatterv", "scatter",
     "alltoall", "reduce", "allreduce",
 )
-PUBLIC_METHODS = (*COLLECTIVES, "split", "dup", "subworld", "exec_once", "abort")
+PUBLIC_METHODS = (*COLLECTIVES, "split", "subworld", "exec_once", "abort")
 TRANSPORTS = (ThreadComm, BulkComm, ProcComm)
 
 
@@ -300,12 +300,12 @@ def _package_classes():
 
 
 def test_public_surface_is_defined_by_comm_alone():
-    """Each of the 15 methods and ``rank``/``size`` is in ``vars()`` of
+    """Each of the 14 methods and ``rank``/``size`` is in ``vars()`` of
     exactly one communicator class — ``Comm`` — so signature parity
     between the engines holds by construction."""
     comms = {cls for cls in _package_classes() if issubclass(cls, Comm)}
     assert comms == {Comm, *TRANSPORTS}
-    assert len(PUBLIC_METHODS) == 15
+    assert len(PUBLIC_METHODS) == 14
     for name in (*PUBLIC_METHODS, "rank", "size"):
         assert [cls for cls in comms if name in vars(cls)] == [Comm], name
         for cls in TRANSPORTS:

@@ -84,7 +84,7 @@ def _misbehave(comm, outcome: str) -> None:
     if outcome == "raise" and comm.rank == 3:
         raise RuntimeError("rank 3 gives up")
     if outcome == "deadlock":
-        stray = comm.dup()
+        stray = comm.split(0, comm.rank)
         if comm.rank == 1:
             stray.barrier()  # nobody else joins it
     if outcome == "timeout" and comm.rank == 5:

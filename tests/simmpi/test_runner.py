@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import CollectiveMismatchError, SimMPIError, SpmdWorkerError
-from repro.simmpi import run_spmd, spmd_context
+from repro.errors import CollectiveMismatchError, SpmdWorkerError
+from repro.simmpi import run_spmd
 
 
 def test_results_in_rank_order():
@@ -74,19 +74,6 @@ def test_barrier_timeout_does_not_hang():
 
     with pytest.raises(SpmdWorkerError):
         run_spmd(2, fn, timeout=0.2)
-
-
-def test_spmd_context_provides_comms():
-    with spmd_context(3) as comms:
-        assert [c.rank for c in comms] == [0, 1, 2]
-        assert all(c.size == 3 for c in comms)
-
-
-def test_spmd_context_aborts_on_exit():
-    with spmd_context(2) as comms:
-        saved = comms[0]
-    with pytest.raises(SimMPIError):
-        saved.barrier()
 
 
 def test_error_message_names_first_failure():

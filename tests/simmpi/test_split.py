@@ -147,7 +147,7 @@ def test_three_level_nested_split(engine="threads"):
 
 def test_dup_preserves_shape_and_isolates_traffic(engine="threads"):
     def fn(c):
-        d = c.dup()
+        d = c.split(0, c.rank)
         assert (d.rank, d.size) == (c.rank, c.size)
         # Collectives on the dup, interleaved with the parent's, must not
         # interfere with them.

@@ -203,7 +203,9 @@ def test_handle_surface_and_flush_collective():
         comm.barrier()  # every rank sampled before any group's final wave
         f.fwrite(_payload(comm.rank, 600)[300:])
         f.parclose()
-        return (f.collectsize, f.is_collector, f.collector_lrank,
+        # The collector is its group's rank 0: its local rank in the file
+        # is this task's less its rank in the group.
+        return (f.collectsize, f.ccom.rank == 0, f.local_rank - f.ccom.rank,
                 waves_after_flush)
 
     out = run_spmd(4, task)

@@ -36,7 +36,6 @@ class TestCodecs:
         w = ZlibWriter()
         out = w.compress(b"z" * 100000)
         assert len(out) < 1000
-        assert w.ratio < 0.05
 
     def test_finish_idempotent_and_final(self):
         w = ZlibWriter()

@@ -62,7 +62,7 @@ def _program(comm, journal, marks, collectsize, buddy):
         f.flush_shadow()
         if collectsize is not None:
             f.flush_collective()
-        if collectsize is None or f.is_collector:
+        if collectsize is None or f.ccom.rank == 0:
             # The rows so far hold this round's durable point: the task's
             # own flush (direct) or the collector's wave (collective).
             # Logged once, however often the bulk engine replays.

@@ -1,5 +1,6 @@
-"""Chunk layout arithmetic: alignment, non-overlap, inverse mapping."""
+"""Chunk layout arithmetic: alignment, non-overlap, block geometry."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,11 +43,6 @@ class TestChunkLayout:
         lay = _layout([100], blk=512, mb1=1000)
         assert lay.start_of_data == 1024
 
-    def test_capacity_is_aligned_size(self):
-        lay = _layout([100, 600])
-        assert lay.capacity(0) == 512
-        assert lay.capacity(1) == 1024
-
     def test_chunk_starts_first_block(self):
         lay = _layout([100, 100, 100])
         assert lay.chunk_start(0, 0) == lay.start_of_data
@@ -60,7 +56,8 @@ class TestChunkLayout:
 
     def test_chunk_end_and_end_of_blocks(self):
         lay = _layout([100, 100])
-        assert lay.chunk_end(1, 0) == lay.chunk_start(1, 0) + 512
+        # The last chunk's allocation ends where the next block starts.
+        assert lay.chunk_start(1, 0) + lay.aligned_sizes[1] == lay.chunk_start(0, 1)
         assert lay.end_of_blocks(3) == lay.start_of_data + 3 * lay.block_capacity
 
     def test_validation(self):
@@ -78,29 +75,18 @@ class TestChunkLayout:
         with pytest.raises(SionUsageError):
             lay.end_of_blocks(-1)
 
-    def test_locate_inverse_of_chunk_start(self):
-        lay = _layout([100, 900, 300])
-        for task in range(3):
-            for block in range(3):
-                for pos in (0, 1, lay.capacity(task) - 1):
-                    off = lay.chunk_start(task, block) + pos
-                    assert lay.locate(off) == (task, block, pos)
-
-    def test_locate_outside_data_returns_none(self):
-        lay = _layout([100])
-        assert lay.locate(0) is None
-        assert lay.locate(lay.start_of_data - 1) is None
-
     def test_is_aligned_true_at_native_granularity(self):
         lay = _layout([100, 700], blk=512)
-        assert lay.is_aligned(512)
-        assert lay.is_aligned(256)  # finer granularity still aligned
+        starts = lay.chunk_starts(np.arange(2), np.zeros(2, dtype=np.int64))
+        assert (starts % 512 == 0).all()
+        assert (starts % 256 == 0).all()  # finer granularity still aligned
 
     def test_is_aligned_false_when_configured_smaller(self):
         # Configured at 512 but the "real" FS block is 2048: chunk
         # boundaries now fall inside real blocks (Table 1's scenario).
         lay = _layout([100, 100, 100], blk=512, mb1=0)
-        assert not lay.is_aligned(2048)
+        starts = lay.chunk_starts(np.arange(3), np.zeros(3, dtype=np.int64))
+        assert (starts % 2048 != 0).any()
 
     def test_from_metablock1_uses_stored_start(self):
         from repro.sion.format import Metablock1
@@ -132,7 +118,8 @@ def test_chunks_never_overlap_and_stay_aligned(chunks, blk, nblocks):
     intervals = []
     for b in range(nblocks):
         for t in range(len(chunks)):
-            s, e = lay.chunk_start(t, b), lay.chunk_end(t, b)
+            s = lay.chunk_start(t, b)
+            e = s + lay.aligned_sizes[t]
             assert s % blk == 0, "chunk start must sit on an FS block boundary"
             assert (e - s) % blk == 0, "allocation must be whole blocks"
             assert e - s >= max(chunks[t], 1)

@@ -18,7 +18,7 @@ class TestBlocked:
 
     def test_uneven_split_front_loaded(self):
         m = TaskMapping.blocked(7, 3)
-        sizes = [m.ntasks_of_file(f) for f in range(3)]
+        sizes = [len(m.tasks_of_file(f)) for f in range(3)]
         assert sizes == [3, 2, 2]
 
     def test_tasks_of_file_ordered_by_local_rank(self):
@@ -35,7 +35,7 @@ class TestBlocked:
         t0 = time.perf_counter()
         sizes = [len(m.tasks_of_file(f)) for f in range(1024)]
         elapsed = time.perf_counter() - t0
-        assert sizes == [1024] * 1024 == [m.ntasks_of_file(f) for f in range(1024)]
+        assert sizes == [1024] * 1024
         assert elapsed < 0.25, f"{elapsed:.3f} s for every file's members"
 
 

@@ -11,8 +11,9 @@ and no wave deposit is a per-rank container.  Two kinds of rows hold that:
   per-rank length;
 * bytes: the ``tracemalloc`` peak of a direct write cycle and of its
   re-read on the bulk engine (the ``ctrl-16k`` shape: one file, 4 KiB
-  blocks, lengths 16-3000 bytes), per rank, is pinned at 4096 ranks and
-  is the same, within 5%, at 1024.
+  blocks, lengths 16-3000 bytes), per rank, is pinned at 4096 ranks, and
+  the cycle's total at 1024 and 4096 ranks fits a per-rank slope no
+  steeper than the 4096-rank average plus a bounded fixed cost.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ PATH = "/ctrl.sion"
 
 #: Traced peak bytes per rank at 4096 ranks: (write cycle, read cycle).
 PINS = {"write": 275, "read": 145}
+#: Bound on the traced bytes a cycle costs whatever its world size, the
+#: intercept of the two-point fit: about 12 KiB write, 8 KiB read, and up
+#: to 5 KiB more under the function-entry hook of ``tools/unexecuted.py``.
+FIXED_BYTES = 32 * 1024
 
 PLAN_TYPES = (WritePlan, ReadPlan, TaskMapping, ReadPartition, ChunkLayout, Metablock1, Metablock2)
 
@@ -151,5 +156,12 @@ def test_traced_bytes_per_rank_are_pinned(cycle_bytes, phase):
 
 @pytest.mark.parametrize("phase", ["write", "read"])
 def test_traced_bytes_per_rank_do_not_grow_with_the_world(cycle_bytes, phase):
-    small, large = cycle_bytes[1024][phase], cycle_bytes[4096][phase]
-    assert abs(small - large) <= 0.05 * large, (phase, small, large)
+    # Total bytes = slope * n + fixed, fitted through the two points.  A
+    # per-rank cost that grows with the world steepens the slope past the
+    # larger world's average and pulls the intercept below zero; a fixed
+    # cost only lifts the intercept.
+    small, large = cycle_bytes[1024][phase] * 1024, cycle_bytes[4096][phase] * 4096
+    slope = (large - small) / (4096 - 1024)
+    fixed = small - slope * 1024
+    assert slope <= 1.05 * large / 4096, (phase, slope, large / 4096)
+    assert abs(fixed) <= FIXED_BYTES, (phase, fixed)

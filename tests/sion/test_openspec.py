@@ -198,7 +198,7 @@ def test_compile_write_plan_exposes_duties(sim_backend):
             lcom.rank,  # the local rank
             plan.path,
             lcom.rank == 0,  # metablock duty: per-file master
-            plan.layout.capacity(lcom.rank),
+            int(plan.layout.aligned_sizes[lcom.rank]),
         )
 
     out = run_spmd(4, task)

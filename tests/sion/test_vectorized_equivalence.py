@@ -274,4 +274,3 @@ def _members_match(m: TaskMapping) -> None:
         members = m.tasks_of_file(f)
         assert type(members) is array
         assert members.tolist() == [r for r in range(m.ntasks) if m.files[r] == f]
-        assert m.ntasks_of_file(f) == len(members)

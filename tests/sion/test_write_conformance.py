@@ -366,5 +366,4 @@ def test_write_api_is_defined_by_the_cursor_alone():
     assert issubclass(SionParallelFile, WriteStream)
     assert issubclass(SionCollectiveFile, SionParallelFile)
     added = {n for n in vars(SionCollectiveFile) if not n.startswith("__")}
-    assert added == {"ccom", "is_collector", "collectsize", "collector_lrank",
-                     "flush_collective"}
+    assert added == {"ccom", "collectsize", "flush_collective"}

@@ -1,5 +1,10 @@
 """Command-line utility logic: dump, split, defragment."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import SionUsageError
@@ -9,6 +14,8 @@ from repro.utils.defrag import defragment
 from repro.utils.dump import dump_multifile, format_dump
 from repro.utils.split import split_multifile
 from tests.conftest import TEST_BLKSIZE
+
+SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 
 def _payload(rank, n):
@@ -159,6 +166,21 @@ class TestDefrag:
 
 
 class TestCLI:
+    def test_python_m_repro_utils_runs_a_tool(self, tmp_path):
+        """The offline entry point, as a process: dispatch, output, exit 0."""
+        from repro.backends.localfs import LocalBackend
+
+        path = str(tmp_path / "m.sion")
+        _make(path, LocalBackend(blocksize_override=TEST_BLKSIZE), ntasks=2)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.utils", "dump", path],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "tasks:       2" in done.stdout
+
     def test_dump_cli(self, tmp_path, capsys):
         from repro.utils.cli import main_dump
 

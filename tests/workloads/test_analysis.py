@@ -14,13 +14,6 @@ def _series():
     return s
 
 
-def test_series_row_access():
-    s = _series()
-    x, vals = s.row(1)
-    assert x == 2
-    assert vals == {"write": 200.0, "read": 250.0}
-
-
 def test_curve_length_checked():
     s = Series("f", "x", "y", xs=[1, 2])
     with pytest.raises(ReproError):

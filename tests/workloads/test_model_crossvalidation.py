@@ -15,7 +15,6 @@ from repro.analysis.model import (
     predict_create_time,
     predict_open_trace,
     predict_sion_create_time,
-    speedup_bound_create,
 )
 from repro.fs.systems import jaguar, jugene
 from repro.workloads.alignment import run_table1
@@ -56,13 +55,6 @@ class TestCreateTimes:
         assert predict_sion_create_time(JU, n, nfiles) == pytest.approx(
             sion_open_time(JU, n, nfiles), rel=1e-9
         )
-
-    def test_speedup_bound_consistent(self):
-        bound = speedup_bound_create(JU, 65536)
-        measured = tasklocal_metadata_time(JU, 65536, "create") / sion_open_time(
-            JU, 65536, 1
-        )
-        assert bound == pytest.approx(measured, rel=1e-9)
 
 
 class TestBandwidth:

@@ -29,7 +29,7 @@ class TestModel:
         res = run_restart_analysis(profile, 4096, 128, 10 * GB / 4096)
         assert res.write.time_s > 0 and res.read.time_s > 0
         assert res.cycle_time_s == res.write.time_s + res.read.time_s
-        assert res.read_fanin == 32.0
+        assert res.nwriters // res.nreaders == 32
         # Both phases move the same total data.
         assert res.write.total_mb == pytest.approx(res.read.total_mb)
 

@@ -2,14 +2,33 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python tools/unexecuted.py [--out PATH] [PYTEST ARGS...]
+    PYTHONPATH=src python tools/unexecuted.py [--out PATH] [--allowlist FILE] [PYTEST ARGS...]
 
 When no pytest argument names a path, it runs tier-1 (``tests``) and
 the figure benches (``benchmarks/bench_scenarios.py``: the ``full``
 suite, which holds every ``smoke`` scenario, plus the ``ci-grid`` points
 of the grid suites), so code only a benchmark reaches counts as entered.
-Pass paths to narrow the run, e.g. ``tests/sion``.  The script is a
-pytest plugin plus a report, stdlib only: importing this module
+Pass paths to narrow the run, e.g. ``tests/sion``.  Two run sets are
+committed, each with its allowlist:
+
+* the default targets, against ``tools/unexecuted.allow``: tier-1 and the
+  benches enter every function but the one only the full grid runs;
+* the surfaces, against ``tools/surface.allow``: the figure benches,
+  ``perfbench/tests``, ``tests/docs`` (README, ``docs/`` blocks and the
+  example scripts), ``tests/serve/test_cli_process.py``,
+  ``tests/bench/test_runner_cli.py`` and ``tests/utils``.  A function
+  none of them enters is reached only from its own tests, so it is
+  deleted, reached from a doc block, or listed with its reason.
+
+``--allowlist FILE`` compares the list with ``FILE`` after the run and
+exits 1 if they differ, printing each extra and each stale entry.  A
+line of the file is ``path qualname  # reason``, with no line number;
+the reasons are a closed set — ``error path``, ``protocol``,
+``documented API: <anchor>``, ``observation hook: <test id>`` and
+``nightly full grid only`` (see ``tools/census.py``, which tier-1 tests
+in ``tests/test_census.py``).
+
+The script is a pytest plugin plus a report, stdlib only: importing this module
 installs a function-entry profile hook (``sys.setprofile`` and
 ``threading.setprofile``), so everything imported afterwards — conftest
 included — is observed, on the main thread and every thread the
@@ -208,10 +227,10 @@ def main(argv: list[str]) -> int:
     import pytest
 
     sys.path.insert(0, str(ROOT))  # as ``python -m pytest`` would: tests/ imports
-    out = Path("unexecuted.txt")
-    if argv[:1] == ["--out"]:
-        out, argv = Path(argv[1]), argv[2:]
-    out = out.resolve()
+    opts = {"--out": "unexecuted.txt", "--allowlist": None}
+    while argv[:1] and argv[0] in opts:
+        opts[argv[0]], argv = argv[1], argv[2:]
+    out = Path(opts["--out"]).resolve()
     if not any(Path(arg.split("::")[0]).exists() for arg in argv):
         argv = [*argv, *(str(ROOT / t) for t in DEFAULT_TARGETS)]
     report = UnexecutedReport(out)
@@ -224,9 +243,15 @@ def main(argv: list[str]) -> int:
         [str(shim), *filter(None, [os.environ.get("PYTHONPATH")])]
     )
     try:
-        return pytest.main(argv, plugins=[report])
+        status = pytest.main(argv, plugins=[report])
     finally:
         shutil.rmtree(shim)
+    if opts["--allowlist"] is None:
+        return status
+    sys.path.insert(0, str(ROOT / "tools"))
+    import census
+
+    return census.check(report.missing, Path(opts["--allowlist"])) or status
 
 
 if __name__ == "__main__":
