@@ -1,10 +1,13 @@
 """Closed-form performance model, cross-validated against the simulator.
 
-The discrete-event simulator in :mod:`repro.fs` computes the experiments;
-this module predicts the same quantities analytically.  Tests assert the
-two agree, which pins down the simulator's semantics (and catches
-regressions in either).  The formulas also make the calibration story in
-DESIGN.md §5 auditable: each paper endpoint maps to one term here.
+The simulator in :mod:`repro.fs` computes the experiments op by op and
+completion by completion (the FIFO loop
+:func:`~repro.fs.metadata.fifo_finish_times` and the flow loop
+:func:`~repro.fs.flows.finish_times`); this module predicts the same
+quantities analytically.  Tests assert the two agree, which pins down the
+simulator's semantics (and catches regressions in either).  The formulas
+also make the calibration targets in :mod:`repro.fs.systems` auditable:
+each paper endpoint maps to one term here.
 """
 
 from __future__ import annotations

@@ -21,9 +21,8 @@ from repro.analysis.results import Series, format_table, human_count
 from repro.bench.registry import scenario
 from repro.bench.results import Metric, ScenarioOutput, series_metrics
 from repro.bench.scaffold import KiB, check, read_cycle, write_cycle
-from repro.fs.events import Engine
 from repro.fs.interference import bystander_latency
-from repro.fs.metadata import FifoMetadataService, MetadataCosts, MetadataOp
+from repro.fs.metadata import MetadataCosts, fifo_finish_times
 from repro.workloads import alignment, archive, bandwidth, filecreate, taskbw
 from repro.workloads.common import parallel_io
 from repro.workloads.mp2c_io import crossover_particles_m, run_fig6
@@ -435,14 +434,8 @@ PER_TASK_UPDATE = 2.0e-4
 
 def naive_metadata_time(ntasks: int) -> float:
     """Every task appends its own entry to the shared metablock."""
-    engine = Engine()
     costs = MetadataCosts(create=PER_TASK_UPDATE)
-    svc = FifoMetadataService(engine, costs, name="metablock")
-    done: list[float] = []
-    for t in range(ntasks):
-        svc.submit(MetadataOp("create", f"meta{t}"), lambda ts, op: done.append(ts))
-    engine.run()
-    return max(done)
+    return max(fifo_finish_times(["create"] * ntasks, costs))
 
 
 def metadata_exchange_sweep(profile, task_counts):

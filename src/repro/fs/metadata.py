@@ -8,28 +8,21 @@ server (MDS).  Both reduce to a FIFO service station whose per-operation
 service time may grow with the number of entries already in the directory
 (hash-chain and journal effects).
 
-:class:`FifoMetadataService` integrates with the event engine: submit an
-operation, receive a completion callback at its virtual finish time.
-:func:`batch_completion_time_fast` gives the closed form in O(1).
+:func:`fifo_finish_times` simulates that station op by op;
+:func:`batch_completion_time_fast` gives the closed form in O(1), checked
+against the simulation.
 """
 
 from __future__ import annotations
 
-import collections
-from dataclasses import dataclass, field
-from typing import Callable, Deque
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import ModelUsageError
-from repro.fs.events import Engine
 
-
-@dataclass(frozen=True)
-class MetadataOp:
-    """One namespace operation issued by a client task."""
-
-    kind: str  # "create" | "open" | "stat" | "close" | "unlink" | "mkdir"
-    path: str
-    task: int = 0
+#: The operation kinds a model prices.
+_KINDS = ("create", "open", "stat")
 
 
 @dataclass
@@ -46,82 +39,49 @@ class MetadataCosts:
     create: float = 1e-3
     open: float = 1e-4
     stat: float = 5e-5
-    close: float = 2e-5
-    unlink: float = 5e-4
-    mkdir: float = 1e-3
     load_factor: float = 0.0
     dirsize_factor: float = 0.0
 
     def base_time(self, kind: str) -> float:
-        try:
-            return float(getattr(self, kind))
-        except AttributeError:
-            raise ModelUsageError(f"unknown metadata op kind: {kind!r}") from None
+        if kind not in _KINDS:
+            raise ModelUsageError(f"unknown metadata op kind: {kind!r}")
+        return float(getattr(self, kind))
 
 
-@dataclass
-class _Pending:
-    op: MetadataOp
-    callback: Callable[[float, MetadataOp], None] | None
-    enqueue_time: float
+def fifo_finish_times(
+    kinds: Sequence[str],
+    costs: MetadataCosts,
+    entries: int = 0,
+    *,
+    late: int = 0,
+    brownout_threshold: float = math.inf,
+    brownout_factor: float = 1.0,
+) -> list[float]:
+    """Finish time of each op a serialized metadata domain serves, in order.
 
-
-@dataclass
-class FifoMetadataService:
-    """A serialized metadata domain (directory lock or MDS queue).
-
-    Operations are served one at a time in arrival order.  ``dir_entries``
-    tracks how many files the domain's directory holds so the
-    ``dirsize_factor`` term can grow lookup costs as the directory fills.
+    Every op arrives at t=0 and the station (a directory lock or an MDS
+    queue) serves them one at a time in ``kinds`` order.  An op is served
+    for its base time, plus ``load_factor`` x the ops queued behind it,
+    plus ``dirsize_factor`` x the directory's entries (``entries`` at
+    first, one more per finished create); the whole is multiplied by
+    ``brownout_factor`` while ``brownout_threshold`` or more ops are
+    queued behind it.  The last ``late`` ops join the queue just after the
+    station takes the first one, so only the first op does not see them.
     """
-
-    engine: Engine
-    costs: MetadataCosts
-    name: str = "meta"
-    dir_entries: int = 0
-    _queue: Deque[_Pending] = field(default_factory=collections.deque)
-    _busy: bool = False
-    ops_served: int = 0
-    busy_time: float = 0.0
-
-    def submit(
-        self,
-        op: MetadataOp,
-        callback: Callable[[float, MetadataOp], None] | None = None,
-    ) -> None:
-        """Enqueue ``op``; ``callback(finish_time, op)`` fires at completion."""
-        self._queue.append(_Pending(op, callback, self.engine.now))
-        if not self._busy:
-            self._busy = True
-            self.engine.schedule_in(0.0, self._serve_next)
-
-    def service_time(self, kind: str) -> float:
-        """Virtual seconds the next ``kind`` operation will occupy the server."""
-        t = self.costs.base_time(kind)
-        t += self.costs.load_factor * len(self._queue)
-        t += self.costs.dirsize_factor * self.dir_entries
-        return t
-
-    # -- internals ----------------------------------------------------------
-
-    def _serve_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        pending = self._queue.popleft()
-        dt = self.service_time(pending.op.kind)
-        self.engine.schedule_in(dt, self._finish, pending, dt)
-
-    def _finish(self, pending: _Pending, dt: float) -> None:
-        self.ops_served += 1
-        self.busy_time += dt
-        if pending.op.kind == "create":
-            self.dir_entries += 1
-        elif pending.op.kind == "unlink" and self.dir_entries > 0:
-            self.dir_entries -= 1
-        if pending.callback is not None:
-            pending.callback(self.engine.now, pending.op)
-        self._serve_next()
+    n = len(kinds)
+    t = 0.0
+    done: list[float] = []
+    for i, kind in enumerate(kinds):
+        behind = n - 1 - i if i else n - 1 - late
+        dt = costs.base_time(kind) + costs.load_factor * behind
+        dt += costs.dirsize_factor * entries
+        if behind >= brownout_threshold:
+            dt *= brownout_factor
+        t += dt
+        done.append(t)
+        if kind == "create":
+            entries += 1
+    return done
 
 
 def batch_completion_time_fast(
@@ -129,10 +89,10 @@ def batch_completion_time_fast(
 ) -> float:
     """Closed-form finish time of ``n_ops`` simultaneous operations.
 
-    Matches :class:`FifoMetadataService` when all operations arrive at t=0:
-    the i-th served operation (0-based) sees ``n_ops - 1 - i`` queued behind
-    it and ``initial_entries + created_so_far`` directory entries, summed as
-    arithmetic series.
+    Matches :func:`fifo_finish_times` for ``n_ops`` ops of one kind: the
+    i-th served operation (0-based) sees ``n_ops - 1 - i`` queued behind
+    it and ``initial_entries + created_so_far`` directory entries, summed
+    as arithmetic series.
     """
     if n_ops < 0:
         raise ModelUsageError("n_ops must be non-negative")

@@ -2,7 +2,7 @@
 
 :class:`SimFS` gives the SION layer a real (if simulated) place to put
 bytes: hierarchical directories, POSIX-ish open modes, positioned
-``pread``/``pwrite`` (plus their vectored forms), and *sparse* storage —
+vectored ``preadv``/``pwritev``, and *sparse* storage —
 extents of zeros occupy no memory, so a 1 TB virtual write is cheap.
 Each write (each vectored run) is kept as one piece of an immutable
 ``bytes``: the caller's, as ``(bytes, offset, length)``, when the run is
@@ -97,15 +97,6 @@ class SparseFile:
         return out
 
     # -- mutation ------------------------------------------------------------
-
-    def write(self, offset: int, data: bytes | bytearray | memoryview) -> int:
-        """Overlay ``data`` at ``offset``; grows the file as needed.
-
-        Accepts any buffer-protocol object.  A view of an immutable
-        ``bytes`` is kept as that object and an offset; anything else is
-        copied once, here, into an exact-size ``bytes``.
-        """
-        return self.writev(offset, (data,))
 
     def writev(self, offset: int, views) -> int:
         """Overlay ``views`` back to back at ``offset`` as exactly one new
@@ -230,25 +221,6 @@ class SimFileHandle:
         self.writable = "w" in mode or "+" in mode
 
     # -- data -------------------------------------------------------------------
-
-    def pwrite(self, offset: int, data: bytes | bytearray | memoryview) -> int:
-        """Write ``data`` at ``offset``; a gap past EOF stays a hole."""
-        self._check_open()
-        self._check_writable()
-        with self._fs._lock:
-            n = self._data.write(offset, data)
-            self._fs._count("write_bytes", n)
-        return n
-
-    def pread(self, offset: int, n: int) -> bytes:
-        """Read up to ``n`` bytes at ``offset`` (short at EOF), as ``bytes``."""
-        self._check_open()
-        if not self.readable:
-            raise InvalidOperationError(f"{self.path}: not open for reading")
-        with self._fs._lock:
-            out = self._data.read(offset, n)
-            self._fs._count("read_bytes", len(out))
-        return out if type(out) is bytes else out.tobytes()
 
     def pwritev(self, offset: int, views) -> int:
         """Vectored positional write: views land back to back at ``offset``.

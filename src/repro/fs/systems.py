@@ -1,10 +1,11 @@
 """Calibrated machine profiles for the paper's two evaluation systems.
 
 The constants below are calibrated so the *reported endpoints* of the
-paper's figures come out right (see DESIGN.md §5); every mechanism — the
-directory-lock serialization, per-file token caps, OST striping, block-lock
-false sharing, client caching — is modelled structurally, so the shapes in
-between follow from the model rather than from curve fitting.
+paper's figures come out right (each profile's docstring lists its
+targets); every mechanism — the directory-lock serialization, per-file
+token caps, OST striping, block-lock false sharing, client caching — is
+modelled structurally, so the shapes in between follow from the model
+rather than from curve fitting.
 
 All bandwidths are MB/s (decimal, 1e6 bytes), all times are seconds, all
 sizes are bytes unless suffixed otherwise.
@@ -147,9 +148,6 @@ def jugene() -> SystemProfile:
             create=5.4e-3,
             open=0.9e-3,
             stat=1e-4,
-            close=2e-5,
-            unlink=2e-3,
-            mkdir=5.4e-3,
             load_factor=0.0,
             dirsize_factor=1e-8,
         ),
@@ -194,9 +192,6 @@ def jaguar() -> SystemProfile:
             create=24e-3,
             open=1.55e-3,
             stat=2e-4,
-            close=2e-5,
-            unlink=8e-3,
-            mkdir=24e-3,
             load_factor=0.5e-6,
             dirsize_factor=0.0,
         ),

@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.fs.events import Engine
-from repro.fs.flows import FlowScheduler, Resource
+from repro.fs.flows import Resource, finish_times
 from repro.fs.striping import StripingPolicy, assign_osts_roundrobin
 from repro.fs.systems import SystemProfile
 from repro.sion.mapping import TaskMapping
@@ -122,18 +121,11 @@ def parallel_io(
     # Tasks -> files, blocked (the SION default); task-local is identity.
     tmap = TaskMapping.blocked(ntasks, nfiles)
 
-    engine = Engine()
-    sched = FlowScheduler(engine)
     flows = []
-    with sched.batch():
-        for t in range(ntasks):
-            fnum = t if tasklocal else tmap.file_of(t)
-            resources = (clients, backplane, *file_resources[fnum])
-            flows.append(sched.submit(per_task_mb, resources, rate_cap=rate_cap))
-    engine.run()
-    if sched.active_flows:
-        raise ReproError("transfer stalled: a resource has zero capacity")
-    time_s = max((f.finish_time for f in flows), default=0.0)
+    for t in range(ntasks):
+        fnum = t if tasklocal else tmap.file_of(t)
+        flows.append((per_task_mb, (clients, backplane, *file_resources[fnum]), rate_cap))
+    time_s = max(finish_times(flows), default=0.0)
     total_mb = total_bytes / MB
     bw = total_mb / time_s if time_s > 0 else math.inf
 

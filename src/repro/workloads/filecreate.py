@@ -1,11 +1,12 @@
 """Fig. 3 — parallel creation/opening of task-local files vs. SION.
 
-The task-local curves come from a discrete-event simulation of the
-metadata service: ``N`` clients each submit one ``create`` (or ``open``)
-against the shared directory at t=0 and the makespan is the completion of
-the last one.  The SION curve prices what the library itself does: one
-real ``paropen`` → ``parclose`` runs on the bulk engine over a SimFS,
-and :func:`open_trace_time` prices the ops it issued.
+The task-local curves come from the FIFO loop of the metadata service
+(:func:`repro.fs.metadata.fifo_finish_times`): ``N`` clients each issue
+one ``create`` (or ``open``) against the shared directory at t=0 and the
+makespan is the completion of the last one.  The SION curve prices what
+the library itself does: one real ``paropen`` → ``parclose`` runs on the
+bulk engine over a SimFS, and :func:`open_trace_time` prices the ops it
+issued.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from functools import lru_cache
 
 from repro.backends.simfs_backend import SimBackend
 from repro.errors import ModelFailureError, ReproError
-from repro.fs.events import Engine
-from repro.fs.metadata import FifoMetadataService, MetadataOp
+from repro.fs.metadata import fifo_finish_times
 from repro.fs.simfs import SimFS
 from repro.fs.systems import SystemProfile
 from repro.simmpi import run_spmd
@@ -49,20 +49,9 @@ def tasklocal_metadata_time(
     """Makespan of ``ntasks`` simultaneous metadata ops in one directory."""
     if ntasks < 0:
         raise ReproError("ntasks must be non-negative")
-    engine = Engine()
-    service = FifoMetadataService(engine, profile.metadata_costs, name="dir")
-    if kind == "open":
-        # Opening *existing* files: the directory already holds them.
-        service.dir_entries = ntasks
-    done: list[float] = []
-    for t in range(ntasks):
-        service.submit(
-            MetadataOp(kind, f"/scratch/run/task{t:06d}", task=t),
-            callback=lambda ts, op: done.append(ts),
-        )
-    engine.run()
-    if len(done) != ntasks:
-        raise ReproError("metadata simulation lost operations")
+    # Opening *existing* files: the directory already holds them.
+    entries = ntasks if kind == "open" else 0
+    done = fifo_finish_times([kind] * ntasks, profile.metadata_costs, entries)
     return max(done, default=0.0)
 
 
@@ -126,8 +115,8 @@ def sion_open_time(
 
     The one SION open cost of every figure, priced from the cycle's
     :func:`sion_open_trace`: the first op on each physical file (a create
-    for ``"w"``, an open for ``"r"``) goes through the directory's
-    :class:`FifoMetadataService`; every other open is one serialized
+    for ``"w"``, an open for ``"r"``) goes through the directory's FIFO
+    loop (:func:`tasklocal_metadata_time`); every other open is one serialized
     ``shared_open_time`` grant; a collective wave of size ``s`` costs
     ``ceil(log2 s)`` hops of ``collective_latency`` weighted by
     ``s / ntasks``, so side-by-side sub-worlds count as one chain; the

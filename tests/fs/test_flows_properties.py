@@ -4,8 +4,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.fs.events import Engine
-from repro.fs.flows import FlowScheduler, Resource
+from repro.fs.flows import Resource, finish_times
 
 _sizes = st.lists(
     st.floats(min_value=0.1, max_value=100.0, allow_nan=False), min_size=1, max_size=12
@@ -14,16 +13,9 @@ _sizes = st.lists(
 
 def _makespan(sizes, capacity, caps=None):
     disk = Resource("disk", capacity)
-    eng = Engine()
-    sched = FlowScheduler(eng)
-    flows = []
-    with sched.batch():
-        for i, s in enumerate(sizes):
-            cap = caps[i] if caps else math.inf
-            flows.append(sched.submit(s, (disk,), rate_cap=cap))
-    eng.run()
-    assert sched.active_flows == 0
-    return max(f.finish_time for f in flows), flows
+    caps = caps or [math.inf] * len(sizes)
+    done = finish_times([(s, (disk,), cap) for s, cap in zip(sizes, caps)])
+    return max(done), done
 
 
 @settings(max_examples=60, deadline=None)
@@ -44,20 +36,19 @@ def test_work_conservation_single_resource(sizes, capacity):
 )
 def test_makespan_lower_bounds(sizes, capacity, cap):
     """Makespan can never beat the capacity bound or any flow's cap bound."""
-    makespan, flows = _makespan(sizes, capacity, caps=[cap] * len(sizes))
+    makespan, done = _makespan(sizes, capacity, caps=[cap] * len(sizes))
     total = sum(sizes)
     assert makespan >= total / capacity - 1e-9
-    for f in flows:
-        assert f.finish_time - f.start_time >= f.size_mb / cap - 1e-9
+    for size, finish in zip(sizes, done):
+        assert finish >= size / cap - 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(sizes=_sizes, capacity=st.floats(min_value=1.0, max_value=100.0))
 def test_completions_ordered_by_size(sizes, capacity):
     """Equal-priority flows on one resource finish in size order."""
-    _, flows = _makespan(sizes, capacity)
-    by_size = sorted(flows, key=lambda f: f.size_mb)
-    finish = [f.finish_time for f in by_size]
+    _, done = _makespan(sizes, capacity)
+    finish = [f for _, f in sorted(zip(sizes, done), key=lambda pair: pair[0])]
     assert all(a <= b + 1e-9 for a, b in zip(finish, finish[1:]))
 
 
@@ -78,18 +69,8 @@ def test_adding_a_flow_never_speeds_anyone_up(sizes, capacity):
 def test_weighted_usage_scales_capacity(sizes, weight, capacity):
     """Charging weight w is the same as a resource with capacity/w."""
     disk1 = Resource("d", capacity)
-    eng1 = Engine()
-    s1 = FlowScheduler(eng1)
-    with s1.batch():
-        f1 = [s1.submit(s, ((disk1, weight),)) for s in sizes]
-    eng1.run()
-
+    f1 = finish_times([(s, ((disk1, weight),)) for s in sizes])
     disk2 = Resource("d", capacity / weight)
-    eng2 = Engine()
-    s2 = FlowScheduler(eng2)
-    with s2.batch():
-        f2 = [s2.submit(s, (disk2,)) for s in sizes]
-    eng2.run()
-
+    f2 = finish_times([(s, (disk2,)) for s in sizes])
     for a, b in zip(f1, f2):
-        assert math.isclose(a.finish_time, b.finish_time, rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)

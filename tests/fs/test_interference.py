@@ -2,40 +2,31 @@
 
 import pytest
 
-from repro.fs.events import Engine
-from repro.fs.interference import (
-    BystanderResult,
-    DegradingMetadataService,
-    bystander_latency,
-)
-from repro.fs.metadata import MetadataCosts, MetadataOp
+from repro.fs.interference import BystanderResult, bystander_latency
+from repro.fs.metadata import MetadataCosts, fifo_finish_times
 from repro.fs.systems import jugene
 
 
 def test_shallow_queue_runs_at_base_rate():
-    eng = Engine()
-    svc = DegradingMetadataService(
-        eng, MetadataCosts(create=0.001), brownout_threshold=100
-    )
-    done = []
-    for i in range(10):
-        svc.submit(MetadataOp("create", f"/f{i}"), lambda t, op: done.append(t))
-    eng.run()
+    done = fifo_finish_times(["create"] * 10, MetadataCosts(create=0.001), brownout_threshold=100)
     assert max(done) == pytest.approx(0.010)
-    assert svc.brownouts_entered == 0
 
 
 def test_deep_queue_triggers_brownout():
-    eng = Engine()
-    svc = DegradingMetadataService(
-        eng, MetadataCosts(create=0.001), brownout_threshold=5, brownout_factor=10.0
+    done = fifo_finish_times(
+        ["create"] * 20, MetadataCosts(create=0.001), brownout_threshold=5, brownout_factor=10.0
     )
-    done = []
-    for i in range(20):
-        svc.submit(MetadataOp("create", f"/f{i}"), lambda t, op: done.append(t))
-    eng.run()
-    assert svc.brownouts_entered > 0
     assert max(done) > 20 * 0.001  # slower than the un-degraded makespan
+
+
+def test_bystander_waits_behind_half_the_storm():
+    # storm 6: creates 0-2, the stat, creates 3-5.  The first create is
+    # dequeued before the stat and creates 3-5 arrive, so it sees 2 behind;
+    # every later op sees all the ops still queued.
+    costs = MetadataCosts(create=0.0, stat=0.0, load_factor=1.0)
+    res = bystander_latency(costs, storm_ops=6, brownout_threshold=5, brownout_factor=10.0)
+    assert res.storm_latency_s == 2 + 50 + 4 + 3
+    assert bystander_latency(costs, storm_ops=1).storm_latency_s == 1.0
 
 
 def test_bystander_unharmed_on_quiet_system():

@@ -20,48 +20,48 @@ from repro.workloads.filecreate import OpenTrace, open_trace_time
 class TestSparseFile:
     def test_write_read_roundtrip(self):
         f = SparseFile()
-        f.write(0, b"hello")
+        f.writev(0, (b"hello",))
         assert f.read(0, 5) == b"hello"
         assert f.size == 5
 
     def test_holes_read_as_zeros(self):
         f = SparseFile()
-        f.write(10, b"x")
+        f.writev(10, (b"x",))
         assert f.read(0, 11) == b"\0" * 10 + b"x"
         assert f.allocated_bytes == 1
 
     def test_overlapping_writes_merge(self):
         f = SparseFile()
-        f.write(0, b"aaaa")
-        f.write(2, b"bbbb")
+        f.writev(0, (b"aaaa",))
+        f.writev(2, (b"bbbb",))
         assert f.read(0, 6) == b"aabbbb"
         assert len(f.extents()) == 1
 
     def test_adjacent_extents_coalesce(self):
         f = SparseFile()
-        f.write(0, b"aa")
-        f.write(4, b"cc")
-        f.write(2, b"bb")
+        f.writev(0, (b"aa",))
+        f.writev(4, (b"cc",))
+        f.writev(2, (b"bb",))
         assert f.extents() == [(0, 6)]
 
     def test_write_zeros_leaves_hole(self):
         """Zeros past EOF are a hole: a write beyond the end allocates only itself."""
         f = SparseFile()
-        f.write(1000, b"x")
+        f.writev(1000, (b"x",))
         assert f.size == 1001
         assert f.allocated_bytes == 1
         assert f.read(500, 4) == b"\0\0\0\0"
 
     def test_read_past_end_truncated(self):
         f = SparseFile()
-        f.write(0, b"ab")
+        f.writev(0, (b"ab",))
         assert f.read(1, 100) == b"b"
         assert f.read(5, 10) == b""
 
     def test_negative_offsets_rejected(self):
         f = SparseFile()
         with pytest.raises(ValueError):
-            f.write(-1, b"x")
+            f.writev(-1, (b"x",))
         with pytest.raises(ValueError):
             f.read(-1, 1)
 
@@ -83,7 +83,7 @@ class TestSparseFile:
 
         for off, ln in ops:
             data = bytes((off + i) % 251 for i in range(ln))
-            f.write(off, data)
+            f.writev(off, (data,))
             if ln:  # zero-length writes do not extend the file
                 grow(off + ln)
                 ref[off : off + ln] = data
@@ -124,9 +124,9 @@ class TestNamespace:
     def test_open_create_write_read(self):
         fs = SimFS()
         with fs.open("/f.bin", "wb") as f:
-            f.pwrite(0, b"data")
+            f.pwritev(0, [b"data"])
         with fs.open("/f.bin", "rb") as f:
-            assert f.pread(0, 100) == b"data"
+            assert f.preadv(0, [100]) == [b"data"]
 
     def test_open_missing_read_raises(self):
         fs = SimFS()
@@ -136,9 +136,9 @@ class TestNamespace:
     def test_open_truncates_on_w(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwrite(0, b"long content")
+            f.pwritev(0, [b"long content"])
         with fs.open("/f", "wb") as f:
-            f.pwrite(0, b"x")
+            f.pwritev(0, [b"x"])
         assert fs.stat("/f").st_size == 1
 
     def test_text_mode_rejected(self):
@@ -157,7 +157,7 @@ class TestNamespace:
     def test_unlink(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwrite(0, b"x")
+            f.pwritev(0, [b"x"])
         fs.unlink("/f")
         assert not fs.exists("/f")
         with pytest.raises(FileNotFoundSimError):
@@ -172,14 +172,14 @@ class TestNamespace:
     def test_file_component_used_as_dir_raises(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwrite(0, b"x")
+            f.pwritev(0, [b"x"])
         with pytest.raises(NotADirectorySimError):
             fs.open("/f/child", "wb")
 
     def test_stat_blocksize_default(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwrite(0, b"x")
+            f.pwritev(0, [b"x"])
         assert fs.stat("/f").st_blksize == 2 * (1 << 20)
         assert SimFS(blocksize_override=512).stat("/").st_blksize == 512
 
@@ -191,7 +191,7 @@ class TestNamespace:
         old size."""
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwrite(0, b"xy")
+            f.pwritev(0, [b"xy"])
         got = []
         with fs._lock:
             t = threading.Thread(target=lambda: got.append(getattr(fs, call)("/f")))
@@ -208,9 +208,9 @@ class TestNamespace:
         pair the size with the version of the same state."""
         fs = SimFS()
         fh = fs.open("/f", "w+b")
-        fh.pwrite(0, b"xy")
+        fh.pwritev(0, [b"xy"])
         data, old = fh._data, fs.stat("/f")
-        writer = threading.Thread(target=fh.pwrite, args=(2, b"z"))
+        writer = threading.Thread(target=fh.pwritev, args=(2, [b"z"]))
 
         class WriteAfterSizeIsRead:
             def __getattr__(self, name):
@@ -238,9 +238,9 @@ class TestHandles:
         fs = SimFS()
         f = fs.open("/f", "w+b")
         with pytest.raises(ValueError):
-            f.pwrite(-1, b"x")
+            f.pwritev(-1, [b"x"])
         with pytest.raises(ValueError):
-            f.pread(-1, 1)
+            f.preadv(-1, [1])
 
     def test_closed_handle_rejects_ops(self):
         fs = SimFS()
@@ -248,7 +248,7 @@ class TestHandles:
         f.close()
         assert f.closed
         with pytest.raises(InvalidOperationError):
-            f.pwrite(0, b"x")
+            f.pwritev(0, [b"x"])
 
     def test_closed_handle_pins_no_extents(self):
         """A closed handle somebody still holds lets the file's data go
@@ -256,13 +256,12 @@ class TestHandles:
         raising the closed-handle error."""
         fs = SimFS()
         f = fs.open("/f", "w+b")
-        f.pwrite(0, b"x" * 4096)
+        f.pwritev(0, [b"x" * 4096])
         data = f._inode.data
         f.close()
         fs.unlink("/f")
         assert sys.getrefcount(data) == 2  # ``data`` itself and the call's argument
         for op in (
-            lambda: f.pwrite(0, b"x"), lambda: f.pread(0, 1),
             lambda: f.pwritev(0, [b"x"]), lambda: f.preadv(0, [1]), f.flush,
         ):
             with pytest.raises(InvalidOperationError, match="handle is closed"):
@@ -273,29 +272,29 @@ class TestHandles:
         fs = SimFS()
         f = fs.open("/f", "wb")
         with pytest.raises(InvalidOperationError):
-            f.pread(0, 1)
+            f.preadv(0, [1])
 
     def test_write_on_readonly_rejected(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwrite(0, b"x")
+            f.pwritev(0, [b"x"])
         f = fs.open("/f", "rb")
         with pytest.raises(InvalidOperationError):
-            f.pwrite(0, b"y")
+            f.pwritev(0, [b"y"])
 
     def test_pread_pwrite_keep_position(self):
         """A pwrite inside the file overlays in place: size and neighbours stay."""
         fs = SimFS()
         f = fs.open("/f", "w+b")
-        f.pwrite(0, b"abcdef")
-        f.pwrite(3, b"XY")
-        assert f.pread(0, 6) == b"abcXYf"
+        f.pwritev(0, [b"abcdef"])
+        f.pwritev(3, [b"XY"])
+        assert f.preadv(0, [6]) == [b"abcXYf"]
         assert fs.stat("/f").st_size == 6
 
     def test_sparse_write_zeros_via_handle(self):
         fs = SimFS()
         f = fs.open("/f", "wb")
-        f.pwrite(10**6, b"end")
+        f.pwritev(10**6, [b"end"])
         f.close()
         st = fs.stat("/f")
         assert st.st_size == 10**6 + 3
@@ -308,7 +307,7 @@ class TestClock:
     def test_metadata_ops_are_counted(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwrite(0, b"x" * 1000)
+            f.pwritev(0, [b"x" * 1000])
         assert fs.op_counts["create"] == 1
         assert fs.op_counts["close"] == 1
         assert fs.op_counts["write_bytes"] == 1000
@@ -316,7 +315,7 @@ class TestClock:
     def test_no_profile_means_free_metadata(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwrite(0, b"x")
+            f.pwritev(0, [b"x"])
         assert fs.op_counts["create"] == 1
         assert not hasattr(fs, "clock")
 
@@ -326,7 +325,7 @@ class TestClock:
         for nbytes in (10**6, 10**7):
             fs = SimFS()
             with fs.open("/a", "wb") as f:
-                f.pwrite(0, b"x" * nbytes)
+                f.pwritev(0, [b"x" * nbytes])
             assert fs.op_counts["write_bytes"] == nbytes
             traces.append(OpenTrace(1, "w", 1, 1, 0, fs.op_counts["write_bytes"], 0, ()))
         small, large = (open_trace_time(jugene(), t) for t in traces)

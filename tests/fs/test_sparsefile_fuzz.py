@@ -117,7 +117,7 @@ def test_sparsefile_matches_bytearray_model(ops):
                 "slice": _slice_of_larger(data),
                 "released": _slice_of_larger(data),
             }[kind]
-            assert sf.write(offset, wrapped) == len(data)
+            assert sf.writev(offset, (wrapped,)) == len(data)
             if kind == "released":
                 wrapped.release()  # the store must hold a view of its own
             model.write(offset, data)
@@ -144,7 +144,7 @@ def test_writer_buffer_mutation_after_write_is_invisible(writes):
     sf, model = SparseFile(), Model()
     for offset, size, seed in writes:
         data = bytearray(_payload(seed, size))
-        sf.write(offset, memoryview(data))
+        sf.writev(offset, (memoryview(data),))
         model.write(offset, bytes(data))
         data[:] = b"\xee" * len(data)  # scribble over the source buffer
     assert sf.read(0, sf.size) == model.read(0, model.size)
@@ -165,7 +165,7 @@ def test_the_store_holds_no_mutable_object(ops):
         if op[0] == "write":
             _, offset, size, seed, kind = op
             data = _payload(seed, size)
-            sf.write(offset, bytearray(data) if kind == "bytearray" else data)
+            sf.writev(offset, (bytearray(data) if kind == "bytearray" else data,))
             _check_nothing_mutable(sf)
 
 
@@ -210,7 +210,7 @@ def test_vectored_handle_calls_match_bytearray_model(ops):
                 pos += size
         assert sf.size == model.size == fs.stat("/f").st_size
         _check_invariants(sf)
-    assert fh.pread(0, sf.size) == model.read(0, model.size)
+    assert fh.preadv(0, [sf.size]) == [model.read(0, model.size)]
 
 
 def test_pwritev_stores_one_contiguous_run_as_one_piece():
@@ -222,7 +222,7 @@ def test_pwritev_stores_one_contiguous_run_as_one_piece():
     assert len(sf._objs) == 1 and type(sf._objs[0]) is bytes
     assert len(sf._objs[0]) == 1000 and list(sf._offs) == [0]
     assert fs.stat("/f").allocated_bytes == 1000
-    assert fh.pread(100, 1000) == b"ab" * 500
+    assert fh.preadv(100, [1000]) == [b"ab" * 500]
 
 
 def test_a_small_overwrite_inside_a_copied_piece_copies_only_itself():
@@ -232,12 +232,12 @@ def test_a_small_overwrite_inside_a_copied_piece_copies_only_itself():
     mib = 1 << 20
     mid, run = mib // 2, bytearray(b"\xee" * 8)
     sf = SparseFile()
-    sf.write(0, bytearray(_payload(4, 251) * (mib // 251 + 1))[:mib])
+    sf.writev(0, (bytearray(_payload(4, 251) * (mib // 251 + 1))[:mib],))
     (old,) = sf._objs
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sf.write(mid, run)
+        sf.writev(mid, (run,))
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -277,7 +277,7 @@ def test_a_read_view_keeps_its_bytes_through_later_changes(ops):
         if op[0] == "write":
             _, offset, size, seed, copied = op
             data = _payload(seed, size)
-            fh.pwrite(offset, bytearray(data) if copied else data)
+            fh.pwritev(offset, [bytearray(data) if copied else data])
             model.write(offset, data)
         elif op[0] == "read":
             _, offset, n = op
@@ -320,7 +320,7 @@ def test_overlapping_writes_never_change_a_shared_source(writes):
         data = _payload(seed, size)
         src = _slice_of_larger(data) if sliced else data
         sources.append((src, bytearray(src)))  # bytearray: a real copy
-        sf.write(offset, src)
+        sf.writev(offset, (src,))
         model.write(offset, data)
     for src, before in sources:
         assert src == before
@@ -363,7 +363,7 @@ def test_a_shared_piece_costs_a_reference_and_three_numbers():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(npieces):
-            sf.write(i * per, view[i * per : (i + 1) * per])
+            sf.writev(i * per, (view[i * per : (i + 1) * per],))
         per_piece = (tracemalloc.get_traced_memory()[0] - before) / npieces
     finally:
         tracemalloc.stop()
@@ -382,7 +382,7 @@ def test_threads_sharing_one_bytes_keep_their_regions():
     blob = _payload(5, 251) * 40
     fs = SimFS()
     fh = fs.open("/f", "w+b")
-    fh.pwrite(nthreads * region, b"\x01")  # every region reads back whole
+    fh.pwritev(nthreads * region, [b"\x01"])  # every region reads back whole
     models = [bytearray(region) for _ in range(nthreads)]
 
     def writer(t: int) -> None:
@@ -392,7 +392,7 @@ def test_threads_sharing_one_bytes_keep_their_regions():
             off, src = rng.randrange(region - n + 1), rng.randrange(len(blob) - n + 1)
             view = memoryview(blob)[src : src + n]
             if rng.random() < 0.5:
-                fh.pwrite(t * region + off, view)
+                fh.pwritev(t * region + off, [view])
             else:
                 fh.pwritev(t * region + off, [view[: n // 2], view[n // 2 :]])
             models[t][off : off + n] = view
@@ -409,5 +409,5 @@ def test_threads_sharing_one_bytes_keep_their_regions():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     for t in range(nthreads):
-        assert fh.pread(t * region, region) == models[t], t
+        assert fh.preadv(t * region, [region]) == [models[t]], t
     _check_invariants(fh._data)

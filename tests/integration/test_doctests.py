@@ -4,11 +4,9 @@ import doctest
 
 import pytest
 
-import repro.fs.events
 import repro.fs.flows
 
 MODULES_WITH_DOCTESTS = [
-    repro.fs.events,
     repro.fs.flows,
 ]
 

@@ -1,8 +1,9 @@
-"""Closed-form model vs. discrete-event simulator: they must agree.
+"""Closed-form model vs. simulator: they must agree.
 
 The analytic model (:mod:`repro.analysis.model`) predicts the balanced
-scenarios in O(1); the simulator computes them event by event, and the
-SION open cost comes from a real ``paropen`` → ``parclose`` trace.
+scenarios in O(1); the simulator computes them op by op (the FIFO loop)
+and completion by completion (the flow loop), and the SION open cost
+comes from a real ``paropen`` → ``parclose`` trace.
 Agreement pins down both implementations.
 """
 
