@@ -25,7 +25,6 @@ def main():
     # --- 1. The library on the simulated machine --------------------------
     profile = jugene()
     fs = SimFS()
-    fs.mkdir("/scratch")
     backend = SimBackend(fs)
 
     def writer(comm):

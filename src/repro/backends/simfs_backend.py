@@ -1,4 +1,4 @@
-"""Backend adapter over the simulated file system (:class:`repro.fs.SimFS`).
+"""Backend view of the simulated file store (:class:`repro.fs.SimFS`).
 
 Lets the complete SION stack — format, layout, parallel and serial APIs,
 command-line tools — run unmodified against the in-memory simulator, with
@@ -7,31 +7,12 @@ every operation counted in the simulator's ``op_counts``.
 
 from __future__ import annotations
 
-from repro.backends.base import Backend, StoreFile
-from repro.fs.simfs import SimFS, SimFileHandle
+from repro.backends.base import Backend
 
-
-class SimRawFile(StoreFile):
-    """Adapter from :class:`SimFileHandle` to the backend interface.
-
-    Each contiguous run maps onto the handle's native vectored call, so
-    one scatter/gather run costs one simulated data operation.
-    """
-
-    def __init__(self, handle: SimFileHandle) -> None:
-        self._h = handle
-
-    def _pwritev(self, offset: int, views) -> int:
-        return self._h.pwritev(offset, views)
-
-    def _preadv(self, offset: int, sizes) -> "list[bytes | memoryview]":
-        return self._h.preadv(offset, sizes)
-
-    def flush(self) -> None:
-        self._h.flush()
-
-    def close(self) -> None:
-        self._h.close()
+# A module import: ``repro.fs.simfs`` imports ``repro.backends.base``,
+# which runs this package's ``__init__`` and so this module, while the
+# store module may still be half-initialized.
+import repro.fs.simfs as simfs
 
 
 class SimBackend(Backend):
@@ -46,8 +27,8 @@ class SimBackend(Backend):
     engine, or keep SimBackend programs on the thread/bulk engines.
     """
 
-    def __init__(self, fs: SimFS | None = None) -> None:
-        self.fs = fs if fs is not None else SimFS()
+    def __init__(self, fs: simfs.SimFS | None = None) -> None:
+        self.fs = fs if fs is not None else simfs.SimFS()
 
     def __reduce__(self):
         raise TypeError(
@@ -57,8 +38,8 @@ class SimBackend(Backend):
             "SimBackend programs on the thread/bulk engines."
         )
 
-    def open(self, path: str, mode: str) -> SimRawFile:
-        return SimRawFile(self.fs.open(path, mode))
+    def open(self, path: str, mode: str) -> simfs.SimFileHandle:
+        return self.fs.open(path, mode)
 
     def exists(self, path: str) -> bool:
         return self.fs.exists(path)
@@ -70,8 +51,7 @@ class SimBackend(Backend):
         return self.fs.stat(path).st_size
 
     def stat_blocksize(self, path: str) -> int:
-        probe = path if self.fs.exists(path) else "/"
-        return self.fs.stat(probe).st_blksize
+        return self.fs.blocksize()
 
     def allocated_size(self, path: str) -> int:
         return self.fs.stat(path).allocated_bytes

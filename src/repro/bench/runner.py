@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import time
 import traceback
@@ -124,7 +125,9 @@ def record_suite(
     ``<suite>.json`` is the whole run; if the suite has ``ci-grid``
     scenarios, ``<suite>_ci.json`` is that slice *of the same report*, so
     the push gate and the nightly gate cannot drift apart.  Each file gets
-    a ``.meta.json`` sidecar (command, git SHA, time, environment).
+    a ``.meta.json`` sidecar (command, git SHA, time, environment, CPU
+    count); every other key of the sidecar it replaces (``notes``,
+    ``role``) is carried over.
     Nothing is written if a scenario errored, or if a file would gate
     nothing — ``compare`` refuses such a baseline anyway.
     """
@@ -148,15 +151,18 @@ def record_suite(
     out_dir = pathlib.Path(out_dir)
     written = []
     for name, rep in targets.items():
+        meta = (out_dir / name).with_suffix(".meta.json")
+        kept = json.loads(meta.read_text()) if meta.exists() else {}
         path = rep.save(out_dir / name)
         sidecar = {
+            **kept,
             "artifact": name,
+            "capture_cpu_count": os.cpu_count(),
             "command": f"python -m repro.bench record --suite {suite}",
             "git_sha": rep.git_sha,
             "created": rep.created,
             "environment": rep.environment,
         }
-        meta = path.with_suffix(".meta.json")
         meta.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
         written += [path, meta]
     return written

@@ -59,16 +59,8 @@ class SimFSError(ReproError):
     """Base class for simulated-file-system errors."""
 
 
-class FileExistsSimError(SimFSError):
-    """Exclusive create of a path that already exists."""
-
-
 class FileNotFoundSimError(SimFSError):
     """Open/stat/unlink of a path that does not exist."""
-
-
-class NotADirectorySimError(SimFSError):
-    """Path component used as a directory is not one."""
 
 
 class InvalidOperationError(SimFSError):

@@ -14,7 +14,7 @@ experiments run.  It models the two mechanisms the paper measures:
 
 Machine profiles calibrated to the paper's two systems (Jugene/GPFS and
 Jaguar/Lustre) live in :mod:`repro.fs.systems`.  :class:`repro.fs.simfs.SimFS`
-is a functional in-memory file system (sparse files, directories, op
+is a functional in-memory file store (a flat map of sparse files, op
 counts) that the SION layer can run on unmodified via
 :class:`repro.backends.simfs_backend.SimBackend`.
 """

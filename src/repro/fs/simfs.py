@@ -1,8 +1,11 @@
-"""Functional in-memory file system with sparse files and op counts.
+"""Functional in-memory file store with sparse files and op counts.
 
 :class:`SimFS` gives the SION layer a real (if simulated) place to put
-bytes: hierarchical directories, POSIX-ish open modes, positioned
-vectored ``preadv``/``pwritev``, and *sparse* storage —
+bytes: a flat map from normalized path to file — no directories, since
+the multifile's namespace cost is priced by the metadata model, not
+here — with POSIX-ish open modes, positioned vectored writes and reads
+through the store's own :class:`~repro.backends.base.StoreFile` handle,
+and *sparse* storage —
 extents of zeros occupy no memory, so a 1 TB virtual write is cheap.
 Each write (each vectored run) is kept as one piece of an immutable
 ``bytes``: the caller's, as ``(bytes, offset, length)``, when the run is
@@ -25,14 +28,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.backends.base import StoreFile
 from repro.buffers import as_view, offset_in
-from repro.errors import (
-    BackendUsageError,
-    FileExistsSimError,
-    FileNotFoundSimError,
-    InvalidOperationError,
-    NotADirectorySimError,
-)
+from repro.errors import BackendUsageError, FileNotFoundSimError, InvalidOperationError
 
 _DEFAULT_BLKSIZE = 2 * (1 << 20)
 
@@ -195,145 +193,93 @@ class SimStat:
     st_size: int
     st_blksize: int
     allocated_bytes: int
-    is_dir: bool
     version: int = 0
 
 
-class _Inode:
-    __slots__ = ("kind", "entries", "data")
+class SimFileHandle(StoreFile):
+    """An open file of the store: the leaf :class:`StoreFile` itself.
 
-    def __init__(self, kind: str) -> None:
-        self.kind = kind  # "dir" | "file"
-        self.entries: dict[str, _Inode] = {} if kind == "dir" else None  # type: ignore
-        self.data: SparseFile | None = SparseFile() if kind == "file" else None
+    Each contiguous run of a ``scatter_write`` / ``gather_read`` is one
+    :meth:`_pwritev` / :meth:`_preadv` here, so one run costs one counted
+    data operation.  Positioned calls only, no file pointer.
+    """
 
-
-class SimFileHandle:
-    """Open-file handle: positioned calls only, no file pointer."""
-
-    def __init__(self, fs: "SimFS", inode: _Inode, path: str, mode: str) -> None:
+    def __init__(self, fs: "SimFS", data: SparseFile, path: str, mode: str) -> None:
         self._fs = fs
-        self._inode: _Inode | None = inode
+        #: The open file; ``None`` once closed.
+        self._data: SparseFile | None = data
         self.path = path
-        self.mode = mode
-        self._closed = False
         self.readable = "r" in mode or "+" in mode
         self.writable = "w" in mode or "+" in mode
 
-    # -- data -------------------------------------------------------------------
-
-    def pwritev(self, offset: int, views) -> int:
+    def _pwritev(self, offset: int, views) -> int:
         """Vectored positional write: views land back to back at ``offset``.
 
         The run is stored as one piece, not one per view (collective
         mode hands over thousands of small fragments per call); the
         whole call is accounted as one data operation of the summed size.
         """
-        self._check_open()
-        self._check_writable()
         with self._fs._lock:
-            total = self._data.writev(offset, views)
+            total = self._checked(self.writable, "writing").writev(offset, views)
             self._fs._count("write_bytes", total)
         return total
 
-    def preadv(self, offset: int, sizes) -> list[bytes | memoryview]:
+    def _preadv(self, offset: int, sizes) -> list[bytes | memoryview]:
         """Vectored positional read of consecutive ``sizes`` at ``offset``;
         pieces may be read-only views (:meth:`SparseFile.read`)."""
-        self._check_open()
-        if not self.readable:
-            raise InvalidOperationError(f"{self.path}: not open for reading")
         with self._fs._lock:
+            data = self._checked(self.readable, "reading")
             out: list[bytes | memoryview] = []
             pos = offset
             for size in sizes:
                 if size < 0:
                     raise BackendUsageError(f"negative read size: {size}")
-                out.append(self._data.read(pos, size))
+                out.append(data.read(pos, size))
                 pos += size
             self._fs._count("read_bytes", sum(len(p) for p in out))
         return out
 
     def flush(self) -> None:
         """No-op (everything is already 'durable' in memory)."""
-        self._check_open()
+        self._checked()
 
     def close(self) -> None:
         """Close the handle; further operations raise.
 
-        A closed handle also lets go of its inode, so one that a caller
+        A closed handle also lets go of its file, so one that a caller
         still holds (returned from a rank body, captured in a traceback)
         does not pin the file's extents.
         """
-        if not self._closed:
-            self._closed = True
-            self._inode = None
-            self._fs._count("close")
+        with self._fs._lock:
+            if self._data is not None:
+                self._data = None
+                self._fs._count("close")
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "SimFileHandle":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- internals ----------------------------------------------------------------
-
-    @property
-    def _data(self) -> SparseFile:
-        inode = self._inode
-        if inode is None:  # closed by another thread after _check_open
+    def _checked(self, allowed: bool = True, use: str = "") -> SparseFile:
+        """The open file, if this handle is open (and open for ``use``)."""
+        data = self._data
+        if data is None:
             raise InvalidOperationError(f"{self.path}: handle is closed")
-        return inode.data
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InvalidOperationError(f"{self.path}: handle is closed")
-
-    def _check_writable(self) -> None:
-        if not self.writable:
-            raise InvalidOperationError(f"{self.path}: not open for writing")
+        if not allowed:
+            raise InvalidOperationError(f"{self.path}: not open for {use}")
+        return data
 
 
 class SimFS:
-    """In-memory hierarchical file system that counts every op."""
+    """In-memory flat file store that counts every op: a map from
+    normalized path to :class:`SparseFile`."""
 
     def __init__(self, blocksize_override: int | None = None) -> None:
         if blocksize_override is not None and blocksize_override < 1:
             raise InvalidOperationError("blocksize_override must be positive")
         self.blocksize_override = blocksize_override
-        self._root = _Inode("dir")
+        self._files: dict[str, SparseFile] = {}
         self.op_counts: dict[str, int] = {}
         # SPMD workloads drive many rank threads (or bulk-engine workers)
         # into one SimFS concurrently; piece-list surgery and the op
         # accounting are multi-step and must not interleave.  Reentrant:
         # data ops account inside the same critical section.
         self._lock = threading.RLock()
-
-    # -- namespace -----------------------------------------------------------------
-
-    def mkdir(self, path: str, parents: bool = False) -> None:
-        """Create a directory (optionally with intermediate ones)."""
-        parts = self._split(path)
-        with self._lock:
-            node = self._root
-            for i, part in enumerate(parts):
-                if node.kind != "dir":
-                    raise NotADirectorySimError("/" + "/".join(parts[:i]))
-                child = node.entries.get(part)
-                last = i == len(parts) - 1
-                if child is None:
-                    if last or parents:
-                        child = _Inode("dir")
-                        node.entries[part] = child
-                        self._count("mkdir")
-                    else:
-                        raise FileNotFoundSimError("/" + "/".join(parts[: i + 1]))
-                elif last:
-                    raise FileExistsSimError(path)
-                node = child
 
     def open(self, path: str, mode: str = "rb") -> SimFileHandle:
         """Open a file; 'w' creates/truncates, 'r' requires existence.
@@ -344,55 +290,41 @@ class SimFS:
             raise InvalidOperationError("SimFS is binary-only; use a 'b' mode")
         if mode[0] not in "rw":
             raise InvalidOperationError(f"unsupported SimFS mode {mode!r}")
-        parts = self._split(path)
-        if not parts:
-            raise InvalidOperationError("cannot open the root directory")
-        # Namespace check-then-insert (and the truncating data swap) must
-        # be atomic against concurrent rank threads: without the lock two
-        # creating opens could each install their own inode and one
-        # handle's writes would land in an orphan.
+        key = self._norm(path)
+        # Check-then-insert (and the truncating swap) must be atomic
+        # against concurrent rank threads: without the lock two creating
+        # opens could each install their own file and one handle's writes
+        # would land in an orphan.
         with self._lock:
-            parent = self._walk_dir(parts[:-1], path)
-            name = parts[-1]
-            inode = parent.entries.get(name)
-            if inode is None:
-                if not mode.startswith("w"):
-                    raise FileNotFoundSimError(path)
-                inode = _Inode("file")
-                parent.entries[name] = inode
-                self._count("create")
-            else:
-                if inode.kind != "file":
-                    raise InvalidOperationError(f"{path}: is a directory")
-                self._count("open")
-                if mode.startswith("w"):
-                    inode.data = SparseFile()
-        return SimFileHandle(self, inode, self._norm(path), mode)
+            data = self._files.get(key)
+            if data is None and mode[0] == "r":
+                raise FileNotFoundSimError(path)
+            self._count("create" if data is None else "open")
+            if mode[0] == "w":
+                data = self._files[key] = SparseFile()
+        return SimFileHandle(self, data, key, mode)
 
     def exists(self, path: str) -> bool:
-        """True if ``path`` names a file or directory."""
-        try:
-            self._lookup(path)
-            return True
-        except (FileNotFoundSimError, NotADirectorySimError):
-            return False
+        """True if ``path`` names a file."""
+        return self._norm(path) in self._files
 
     def stat(self, path: str) -> SimStat:
-        """Stat; ``st_blksize`` is ``blocksize_override`` or 2 MiB.
+        """Stat; ``st_blksize`` is :meth:`blocksize`'s.
 
         Under the store lock, lookup included: a write updates ``size``,
         ``allocated_bytes`` and ``version`` in separate steps, and a stat
         between them would pair a new ``version`` (the identity token
         caches revalidate by) with an old size.
         """
-        blk = self.blocksize_override or _DEFAULT_BLKSIZE
         with self._lock:
-            inode = self._lookup(path)
-            self._count("stat")
-            if inode.kind == "dir":
-                return SimStat(0, blk, 0, True)
-            data = inode.data
-            return SimStat(data.size, blk, data.allocated_bytes, False, data.version)
+            data = self._file(path)
+            return SimStat(data.size, self.blocksize(), data.allocated_bytes, data.version)
+
+    def blocksize(self) -> int:
+        """``st_blksize`` of every path, existing or not —
+        ``blocksize_override`` or 2 MiB; counted as one ``stat``."""
+        self._count("stat")
+        return self.blocksize_override or _DEFAULT_BLKSIZE
 
     def extents_of(self, path: str) -> tuple[int, list[tuple[int, int]]]:
         """``(size, materialized extents)`` of a file, without accounting.
@@ -405,39 +337,26 @@ class SimFS:
         from — a free-of-charge introspection, so no op accounting happens.
         """
         with self._lock:
-            inode = self._lookup(path)
-            if inode.kind != "file":
-                raise InvalidOperationError(f"{path}: is a directory")
-            return inode.data.size, inode.data.extents()
+            data = self._file(path)
+            return data.size, data.extents()
 
     def unlink(self, path: str) -> None:
         """Remove a file."""
-        parts = self._split(path)
         with self._lock:
-            parent = self._walk_dir(parts[:-1], path)
-            inode = parent.entries.get(parts[-1])
-            if inode is None:
+            if self._files.pop(self._norm(path), None) is None:
                 raise FileNotFoundSimError(path)
-            if inode.kind != "file":
-                raise InvalidOperationError(f"{path}: is a directory; cannot unlink")
-            del parent.entries[parts[-1]]
             self._count("unlink")
 
-    def listdir(self, path: str = "/") -> list[str]:
-        """Sorted entry names of a directory."""
-        inode = self._lookup(path)
-        if inode.kind != "dir":
-            raise NotADirectorySimError(path)
-        return sorted(inode.entries)
-
-    # -- accounting -----------------------------------------------------------------
+    def _file(self, path: str) -> SparseFile:
+        data = self._files.get(self._norm(path))
+        if data is None:
+            raise FileNotFoundSimError(path)
+        return data
 
     def _count(self, key: str, n: int = 1) -> None:
         """Add ``n`` to ``op_counts[key]``: one op, or a data op's bytes."""
         with self._lock:
             self.op_counts[key] = self.op_counts.get(key, 0) + n
-
-    # -- path helpers ------------------------------------------------------------------
 
     @staticmethod
     @lru_cache(maxsize=4096)
@@ -447,32 +366,3 @@ class SimFS:
         norm = posixpath.normpath("/" + path.strip())
         # POSIX preserves a leading double slash; collapse it for our use.
         return "/" + norm.lstrip("/")
-
-    def _split(self, path: str) -> list[str]:
-        norm = self._norm(path)
-        if norm == "/":
-            return []
-        return norm.lstrip("/").split("/")
-
-    def _walk_dir(self, parts: list[str], full_path: str) -> _Inode:
-        node = self._root
-        for i, part in enumerate(parts):
-            if node.kind != "dir":
-                raise NotADirectorySimError("/" + "/".join(parts[:i]))
-            nxt = node.entries.get(part)
-            if nxt is None:
-                raise FileNotFoundSimError("/" + "/".join(parts[: i + 1]))
-            node = nxt
-        if node.kind != "dir":
-            raise NotADirectorySimError(full_path)
-        return node
-
-    def _lookup(self, path: str) -> _Inode:
-        parts = self._split(path)
-        if not parts:
-            return self._root
-        parent = self._walk_dir(parts[:-1], path)
-        inode = parent.entries.get(parts[-1])
-        if inode is None:
-            raise FileNotFoundSimError(path)
-        return inode

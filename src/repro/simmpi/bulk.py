@@ -809,7 +809,6 @@ def run_spmd_bulk(
     fn: Callable[..., Any],
     *args: Any,
     timeout: float | None = None,
-    nworkers: int | None = None,
     stats: dict | None = None,
     **kwargs: Any,
 ) -> list[Any]:
@@ -817,10 +816,8 @@ def run_spmd_bulk(
 
     Same result contract as :func:`repro.simmpi.runner.run_spmd`; see the
     module docstring for the bulk-engine program contract.  Usually invoked
-    as ``run_spmd(..., engine="bulk")``.  ``nworkers`` is accepted and
-    ignored: the engine has no worker pool (ranks run one at a time on the
-    calling thread), and the keyword stays only so that callers written
-    for the pool keep working.  If ``stats`` is a dict it is
+    as ``run_spmd(..., engine="bulk")``; ranks run one at a time on the
+    calling thread.  If ``stats`` is a dict it is
     filled with engine telemetry on return: ``engine`` (``"bulk"``),
     ``ranks``, ``executions`` (total body runs, replay multiplier
     included), ``programs`` (shared op-log rows), ``waves`` — up to

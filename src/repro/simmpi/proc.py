@@ -428,7 +428,6 @@ def run_spmd_proc(
     fn: Callable[..., Any],
     *args: Any,
     timeout: float | None = None,
-    start_method: str | None = None,
     **kwargs: Any,
 ) -> list[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` rank *processes*.
@@ -436,10 +435,9 @@ def run_spmd_proc(
     The process-parallel twin of :func:`repro.simmpi.runner.run_spmd`'s
     thread path; normally reached via ``run_spmd(..., engine="proc")``.
     ``timeout`` has already been resolved by the caller (``None``
-    disables).  ``start_method`` overrides the world's multiprocessing
-    start method (default: :func:`default_start_method`); under
-    ``spawn``/``forkserver`` the rank function, its arguments, and its
-    return value must pickle.
+    disables).  The world's multiprocessing start method is
+    :func:`default_start_method`'s; under ``spawn``/``forkserver`` the
+    rank function, its arguments, and its return value must pickle.
 
     Returns rank-ordered results; raises
     :class:`~repro.errors.SpmdWorkerError` if any rank failed, with
@@ -456,7 +454,7 @@ def run_spmd_proc(
             f"{cap} ranks (REPRO_PROC_MAX_RANKS); for large simulated "
             f"worlds use engine='bulk'"
         )
-    ctx = get_context(start_method or default_start_method())
+    ctx = get_context(default_start_method())
     shared = _ProcShared(ctx, nprocs, timeout)
     result_q = ctx.Queue()
     procs = [

@@ -93,7 +93,7 @@ def sion_open_trace(ntasks: int, nfiles: int = 1, mode: str = "w") -> OpenTrace:
     keys = ("create", "open", "write_bytes", "read_bytes")
     counts = [fs.op_counts.get(k, 0) - before.get(k, 0) for k in keys]
     waves = tuple(sorted((size, kind) for size, kind, _, _ in stats["waves"]))
-    return OpenTrace(ntasks, mode, len(fs.listdir("/")), *counts, waves)
+    return OpenTrace(ntasks, mode, len(fs._files), *counts, waves)
 
 
 def open_trace_time(profile: SystemProfile, trace: OpenTrace) -> float:

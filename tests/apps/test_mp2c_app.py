@@ -167,5 +167,4 @@ def test_sion_checkpoint_single_physical_file(sim_backend):
 
     run_spmd(16, task)
     assert backend.fs.op_counts["create"] == 1
-    names = backend.fs.listdir("/scratch")
-    assert names == ["one.sion"]
+    assert list(backend.fs._files) == ["/scratch/one.sion"]

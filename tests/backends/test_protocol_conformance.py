@@ -26,7 +26,10 @@ private contiguous-run hooks.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import importlib
+import pathlib
 import pkgutil
 import tracemalloc
 
@@ -40,7 +43,7 @@ from repro.backends.journal import READ_OPS, WRITE_OPS, Journal
 from repro.backends.localfs import LocalBackend
 from repro.backends.simfs_backend import SimBackend
 from repro.fs.cache import ChunkCache
-from repro.fs.simfs import SimFS
+from repro.fs.simfs import SimFileHandle, SimFS, SimStat
 from repro.sion.buddy import MirrorRawFile
 from repro.sion.collective import FragmentRecorder, _Tape
 from repro.sion.openspec import ReplayGuardedFile
@@ -140,9 +143,7 @@ class _PortableBackend(Backend):
 
 
 def _sim() -> SimBackend:
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/scratch")
-    return SimBackend(fs)
+    return SimBackend(SimFS(blocksize_override=TEST_BLKSIZE))
 
 
 def _local() -> LocalBackend:
@@ -426,7 +427,7 @@ def test_the_journal_has_one_write_op_and_one_read_op():
 def test_no_rawfile_in_repro_keeps_a_file_pointer():
     classes = _repro_rawfile_classes()
     assert {c.__name__ for c in classes} >= {
-        "LocalRawFile", "SimRawFile", "JournalRawFile", "MirrorRawFile",
+        "LocalRawFile", "SimFileHandle", "JournalRawFile", "MirrorRawFile",
     }
     for cls in classes:
         assert not set(POINTER_CALLS) & set(vars(cls)), cls
@@ -435,7 +436,7 @@ def test_no_rawfile_in_repro_keeps_a_file_pointer():
 def test_only_leaf_stores_have_contiguous_run_hooks():
     assert StoreFile.__abstractmethods__ == {"_pwritev", "_preadv", "flush", "close"}
     leaves = {c for c in _repro_rawfile_classes() if issubclass(c, StoreFile)}
-    assert {c.__name__ for c in leaves} == {"StoreFile", "LocalRawFile", "SimRawFile"}
+    assert {c.__name__ for c in leaves} == {"StoreFile", "LocalRawFile", "SimFileHandle"}
     for cls in [*_repro_rawfile_classes(), CachingRawFile]:
         assert not {"pwritev", "preadv"} & set(vars(cls)), cls
         if cls not in leaves:
@@ -454,4 +455,25 @@ def test_sim_file_handle_has_no_position():
     handle = fs.open("/f", "w+b")
     assert not hasattr(handle, "_pos")
     assert not any(hasattr(handle, name) for name in POINTER_CALLS)
+    handle.close()
+
+
+def test_the_simulated_store_has_no_directory_tree():
+    """The store is a flat map of files: nothing under ``src/repro``
+    defines a directory call, an inode, a directory error or an adapter
+    between the store's handle and the protocol."""
+    gone = {"mkdir", "listdir", "_Inode", "SimRawFile", "NotADirectorySimError"}
+    defined = {
+        node.name
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not gone & defined
+    assert "is_dir" not in {f.name for f in dataclasses.fields(SimStat)}
+
+
+def test_the_sim_backend_hands_out_the_stores_own_leaf():
+    handle = SimBackend().open("/f", "w+b")
+    assert type(handle) is SimFileHandle and isinstance(handle, StoreFile)
     handle.close()

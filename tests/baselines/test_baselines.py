@@ -124,7 +124,6 @@ class TestSingleFile:
         counts = {}
         for engine in ("threads", "bulk"):
             fs = SimFS(blocksize_override=4096)
-            fs.mkdir("/scratch")
             backend = SimBackend(fs)
             path = "/scratch/replay.ckpt"
             run_spmd(8, lambda c: write_single_file(

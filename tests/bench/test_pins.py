@@ -10,6 +10,7 @@ scenario's ``error`` names the pin — through ``run_suite`` (what
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -122,6 +123,20 @@ def test_record_round_trips_full_report_ci_slice_and_sidecars(tmp_path):
         assert meta["command"] == "python -m repro.bench record --suite repartition"
         assert meta["git_sha"] == full.git_sha and meta["created"] == full.created
         assert meta["environment"] == full.environment
+
+
+def test_record_keeps_the_sidecar_keys_it_does_not_write(tmp_path):
+    old = {"artifact": "x", "capture_cpu_count": -1, "created": "then",
+           "notes": "why this capture", "role": "nightly gate"}
+    for name in ("repartition", "repartition_ci"):
+        (tmp_path / f"{name}.meta.json").write_text(json.dumps(old))
+    record_suite("repartition", tmp_path, param_overrides=SMALL)
+    full = BenchReport.load(tmp_path / "repartition.json")
+    for name in ("repartition", "repartition_ci"):
+        meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+        assert meta["notes"] == "why this capture" and meta["role"] == "nightly gate"
+        assert meta["capture_cpu_count"] == os.cpu_count()
+        assert meta["artifact"] == f"{name}.json" and meta["created"] == full.created
 
 
 def test_record_refuses_an_errored_run(tmp_path, monkeypatch):

@@ -22,9 +22,7 @@ def local_backend(tmp_path):
 @pytest.fixture
 def sim_backend():
     """Simulated-FS backend (counts ops; nothing is priced)."""
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/scratch")
-    return SimBackend(fs)
+    return SimBackend(SimFS(blocksize_override=TEST_BLKSIZE))
 
 
 @pytest.fixture(params=["local", "sim"])
@@ -35,16 +33,12 @@ def any_backend(request, tmp_path):
     """
     if request.param == "local":
         return LocalBackend(blocksize_override=TEST_BLKSIZE), str(tmp_path)
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/scratch")
-    return SimBackend(fs), "/scratch"
+    return SimBackend(SimFS(blocksize_override=TEST_BLKSIZE)), "/scratch"
 
 
 def fresh_sim() -> SimBackend:
-    """An empty simulated store with ``/scratch`` (a crash state's target)."""
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/scratch")
-    return SimBackend(fs)
+    """An empty simulated store (a crash state's target)."""
+    return SimBackend(SimFS(blocksize_override=TEST_BLKSIZE))
 
 
 def flip_shadow_magic(rows, path: str, ltask: int, block: int) -> list:

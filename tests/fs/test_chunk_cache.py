@@ -19,15 +19,12 @@ from repro.backends.caching import CachingRawFile
 from repro.backends.simfs_backend import SimBackend
 from repro.errors import ReproError
 from repro.fs.cache import ChunkCache
-from repro.fs.simfs import SimFS
 
 LIMIT = 4096  # file/offset/size bound: small enough for dense comparison
 
 
 def _backend() -> SimBackend:
-    fs = SimFS()
-    fs.mkdir("/t")
-    return SimBackend(fs)
+    return SimBackend()
 
 
 def _seal(backend: SimBackend, path: str, content: bytes) -> None:

@@ -1,4 +1,4 @@
-"""In-memory simulated file system: sparse files, namespace, op counts."""
+"""In-memory simulated file store: sparse files, a flat path map, op counts."""
 
 import sys
 import threading
@@ -6,12 +6,8 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import (
-    FileExistsSimError,
-    FileNotFoundSimError,
-    InvalidOperationError,
-    NotADirectorySimError,
-)
+from repro.backends.simfs_backend import SimBackend
+from repro.errors import FileNotFoundSimError, InvalidOperationError
 from repro.fs.simfs import SimFS, SparseFile
 from repro.fs.systems import jugene
 from repro.workloads.filecreate import OpenTrace, open_trace_time
@@ -98,35 +94,12 @@ class TestSparseFile:
 
 
 class TestNamespace:
-    def test_mkdir_and_listdir(self):
-        fs = SimFS()
-        fs.mkdir("/a")
-        fs.mkdir("/a/b")
-        assert fs.listdir("/") == ["a"]
-        assert fs.listdir("/a") == ["b"]
-
-    def test_mkdir_parents(self):
-        fs = SimFS()
-        fs.mkdir("/x/y/z", parents=True)
-        assert fs.exists("/x/y/z")
-
-    def test_mkdir_existing_raises(self):
-        fs = SimFS()
-        fs.mkdir("/a")
-        with pytest.raises(FileExistsSimError):
-            fs.mkdir("/a")
-
-    def test_mkdir_missing_parent_raises(self):
-        fs = SimFS()
-        with pytest.raises(FileNotFoundSimError):
-            fs.mkdir("/no/such")
-
     def test_open_create_write_read(self):
         fs = SimFS()
         with fs.open("/f.bin", "wb") as f:
-            f.pwritev(0, [b"data"])
+            f.pwrite(0, b"data")
         with fs.open("/f.bin", "rb") as f:
-            assert f.preadv(0, [100]) == [b"data"]
+            assert f.pread(0, 100) == b"data"
 
     def test_open_missing_read_raises(self):
         fs = SimFS()
@@ -136,9 +109,9 @@ class TestNamespace:
     def test_open_truncates_on_w(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwritev(0, [b"long content"])
+            f.pwrite(0, b"long content")
         with fs.open("/f", "wb") as f:
-            f.pwritev(0, [b"x"])
+            f.pwrite(0, b"x")
         assert fs.stat("/f").st_size == 1
 
     def test_text_mode_rejected(self):
@@ -148,40 +121,38 @@ class TestNamespace:
         with pytest.raises(InvalidOperationError):
             fs.open("/f", "ab")  # no file pointer, so no append mode
 
-    def test_directory_is_not_openable(self):
-        fs = SimFS()
-        fs.mkdir("/d")
-        with pytest.raises(InvalidOperationError):
-            fs.open("/d", "rb")
-
     def test_unlink(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwritev(0, [b"x"])
+            f.pwrite(0, b"x")
         fs.unlink("/f")
         assert not fs.exists("/f")
         with pytest.raises(FileNotFoundSimError):
             fs.unlink("/f")
 
-    def test_unlink_directory_rejected(self):
+    def test_the_store_is_a_flat_map_of_normalized_paths(self):
+        """Any path names a file, with no parent to create first."""
         fs = SimFS()
-        fs.mkdir("/d")
-        with pytest.raises(InvalidOperationError):
-            fs.unlink("/d")
+        with fs.open("/a/b/c.sion", "wb") as f:
+            f.pwrite(0, b"x")
+        assert fs.exists("//a/./b/c.sion") and not fs.exists("/a/b")
+        assert list(fs._files) == ["/a/b/c.sion"]
+        assert fs.op_counts == {"create": 1, "write_bytes": 1, "close": 1}
 
-    def test_file_component_used_as_dir_raises(self):
-        fs = SimFS()
-        with fs.open("/f", "wb") as f:
-            f.pwritev(0, [b"x"])
-        with pytest.raises(NotADirectorySimError):
-            fs.open("/f/child", "wb")
+    def test_the_block_size_of_any_path_is_one_stat(self):
+        backend = SimBackend(SimFS(blocksize_override=512))
+        assert backend.stat_blocksize("/missing") == 512
+        with backend.open("/f", "wb"):
+            pass
+        assert backend.stat_blocksize("/f") == 512
+        assert backend.fs.op_counts == {"stat": 2, "create": 1, "close": 1}
 
     def test_stat_blocksize_default(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwritev(0, [b"x"])
+            f.pwrite(0, b"x")
         assert fs.stat("/f").st_blksize == 2 * (1 << 20)
-        assert SimFS(blocksize_override=512).stat("/").st_blksize == 512
+        assert SimFS(blocksize_override=512).blocksize() == 512
 
     @pytest.mark.parametrize("call", ["stat", "extents_of"])
     def test_stat_and_extents_wait_for_the_store_lock(self, call):
@@ -191,7 +162,7 @@ class TestNamespace:
         old size."""
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwritev(0, [b"xy"])
+            f.pwrite(0, b"xy")
         got = []
         with fs._lock:
             t = threading.Thread(target=lambda: got.append(getattr(fs, call)("/f")))
@@ -208,9 +179,9 @@ class TestNamespace:
         pair the size with the version of the same state."""
         fs = SimFS()
         fh = fs.open("/f", "w+b")
-        fh.pwritev(0, [b"xy"])
+        fh.pwrite(0, b"xy")
         data, old = fh._data, fs.stat("/f")
-        writer = threading.Thread(target=fh.pwritev, args=(2, [b"z"]))
+        writer = threading.Thread(target=fh.pwrite, args=(2, b"z"))
 
         class WriteAfterSizeIsRead:
             def __getattr__(self, name):
@@ -223,10 +194,10 @@ class TestNamespace:
                 writer.join(timeout=0.2)  # blocked while stat holds the lock
                 return size
 
-        fh._inode.data = WriteAfterSizeIsRead()
+        fs._files["/f"] = WriteAfterSizeIsRead()
         st = fs.stat("/f")
         writer.join(timeout=10)
-        fh._inode.data = data
+        fs._files["/f"] = data
         assert not writer.is_alive()
         assert (st.st_size, st.version) == (old.st_size, old.version)
         assert fs.stat("/f").st_size == 3
@@ -238,17 +209,16 @@ class TestHandles:
         fs = SimFS()
         f = fs.open("/f", "w+b")
         with pytest.raises(ValueError):
-            f.pwritev(-1, [b"x"])
+            f.pwrite(-1, b"x")
         with pytest.raises(ValueError):
-            f.preadv(-1, [1])
+            f.pread(-1, 1)
 
     def test_closed_handle_rejects_ops(self):
         fs = SimFS()
         f = fs.open("/f", "wb")
         f.close()
-        assert f.closed
         with pytest.raises(InvalidOperationError):
-            f.pwritev(0, [b"x"])
+            f.pwrite(0, b"x")
 
     def test_closed_handle_pins_no_extents(self):
         """A closed handle somebody still holds lets the file's data go
@@ -256,13 +226,13 @@ class TestHandles:
         raising the closed-handle error."""
         fs = SimFS()
         f = fs.open("/f", "w+b")
-        f.pwritev(0, [b"x" * 4096])
-        data = f._inode.data
+        f.pwrite(0, b"x" * 4096)
+        data = f._data
         f.close()
         fs.unlink("/f")
         assert sys.getrefcount(data) == 2  # ``data`` itself and the call's argument
         for op in (
-            lambda: f.pwritev(0, [b"x"]), lambda: f.preadv(0, [1]), f.flush,
+            lambda: f.pwrite(0, b"x"), lambda: f.pread(0, 1), f.flush,
         ):
             with pytest.raises(InvalidOperationError, match="handle is closed"):
                 op()
@@ -272,29 +242,29 @@ class TestHandles:
         fs = SimFS()
         f = fs.open("/f", "wb")
         with pytest.raises(InvalidOperationError):
-            f.preadv(0, [1])
+            f.pread(0, 1)
 
     def test_write_on_readonly_rejected(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwritev(0, [b"x"])
+            f.pwrite(0, b"x")
         f = fs.open("/f", "rb")
         with pytest.raises(InvalidOperationError):
-            f.pwritev(0, [b"y"])
+            f.pwrite(0, b"y")
 
     def test_pread_pwrite_keep_position(self):
         """A pwrite inside the file overlays in place: size and neighbours stay."""
         fs = SimFS()
         f = fs.open("/f", "w+b")
-        f.pwritev(0, [b"abcdef"])
-        f.pwritev(3, [b"XY"])
-        assert f.preadv(0, [6]) == [b"abcXYf"]
+        f.pwrite(0, b"abcdef")
+        f.pwrite(3, b"XY")
+        assert f.pread(0, 6) == b"abcXYf"
         assert fs.stat("/f").st_size == 6
 
     def test_sparse_write_zeros_via_handle(self):
         fs = SimFS()
         f = fs.open("/f", "wb")
-        f.pwritev(10**6, [b"end"])
+        f.pwrite(10**6, b"end")
         f.close()
         st = fs.stat("/f")
         assert st.st_size == 10**6 + 3
@@ -307,7 +277,7 @@ class TestClock:
     def test_metadata_ops_are_counted(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwritev(0, [b"x" * 1000])
+            f.pwrite(0, b"x" * 1000)
         assert fs.op_counts["create"] == 1
         assert fs.op_counts["close"] == 1
         assert fs.op_counts["write_bytes"] == 1000
@@ -315,7 +285,7 @@ class TestClock:
     def test_no_profile_means_free_metadata(self):
         fs = SimFS()
         with fs.open("/f", "wb") as f:
-            f.pwritev(0, [b"x"])
+            f.pwrite(0, b"x")
         assert fs.op_counts["create"] == 1
         assert not hasattr(fs, "clock")
 
@@ -325,7 +295,7 @@ class TestClock:
         for nbytes in (10**6, 10**7):
             fs = SimFS()
             with fs.open("/a", "wb") as f:
-                f.pwritev(0, [b"x" * nbytes])
+                f.pwrite(0, b"x" * nbytes)
             assert fs.op_counts["write_bytes"] == nbytes
             traces.append(OpenTrace(1, "w", 1, 1, 0, fs.op_counts["write_bytes"], 0, ()))
         small, large = (open_trace_time(jugene(), t) for t in traces)

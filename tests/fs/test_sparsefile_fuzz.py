@@ -7,8 +7,8 @@ instead of copying it, copies any other run once into an exact-size
 never by changing an object; it reports touching pieces as one extent.
 A read inside one piece hands out a read-only view of that ``bytes``.
 This suite drives random interleavings of writes (holes come from writes
-past the end) and reads — directly and through the vectored
-``SimFileHandle.pwritev`` / ``preadv`` — and checks every observable
+past the end) and reads — directly and through the handle's
+``scatter_write`` / ``gather_read`` — and checks every observable
 against the dumbest possible model, plus the structural invariants the
 store promises (sorted disjoint extents, allocation never exceeding the
 logical size, every piece object an exact ``bytes``).  The immutable
@@ -58,6 +58,16 @@ class Model:
     @property
     def size(self) -> int:
         return len(self.buf)
+
+
+def _back_to_back(offset: int, items) -> list:
+    """``(offset, item)`` pairs laid back to back from ``offset``: one
+    contiguous run as a fragment list (views) or a request list (sizes)."""
+    out = []
+    for item in items:
+        out.append((offset, item))
+        offset += item if isinstance(item, int) else len(item)
+    return out
 
 
 def _payload(seed: int, n: int) -> bytes:
@@ -197,12 +207,14 @@ def test_vectored_handle_calls_match_bytearray_model(ops):
         if op[0] == "writev":
             _, offset, spec = op
             views = [memoryview(_payload(seed, size)) for size, seed in spec]
-            assert fh.pwritev(offset, views) == sum(v.nbytes for v in views)
+            assert fh.scatter_write(_back_to_back(offset, views)) == sum(
+                v.nbytes for v in views
+            )
             model.write(offset, b"".join(views))
             _check_nothing_mutable(sf)
         else:
             _, offset, sizes = op
-            got = fh.preadv(offset, sizes)
+            got = fh.gather_read(_back_to_back(offset, sizes))
             assert len(got) == len(sizes)
             pos = offset
             for size, piece in zip(sizes, got):
@@ -210,19 +222,19 @@ def test_vectored_handle_calls_match_bytearray_model(ops):
                 pos += size
         assert sf.size == model.size == fs.stat("/f").st_size
         _check_invariants(sf)
-    assert fh.preadv(0, [sf.size]) == [model.read(0, model.size)]
+    assert fh.pread(0, sf.size) == model.read(0, model.size)
 
 
 def test_pwritev_stores_one_contiguous_run_as_one_piece():
     fs = SimFS()
     fh = fs.open("/f", "w+b")
-    fh.pwritev(100, [b"ab"] * 500)
+    fh.scatter_write(_back_to_back(100, [b"ab"] * 500))
     sf = fh._data
     assert list(sf._starts) == [100] and list(sf._lens) == [1000]
     assert len(sf._objs) == 1 and type(sf._objs[0]) is bytes
     assert len(sf._objs[0]) == 1000 and list(sf._offs) == [0]
     assert fs.stat("/f").allocated_bytes == 1000
-    assert fh.preadv(100, [1000]) == [b"ab" * 500]
+    assert fh.pread(100, 1000) == b"ab" * 500
 
 
 def test_a_small_overwrite_inside_a_copied_piece_copies_only_itself():
@@ -277,7 +289,7 @@ def test_a_read_view_keeps_its_bytes_through_later_changes(ops):
         if op[0] == "write":
             _, offset, size, seed, copied = op
             data = _payload(seed, size)
-            fh.pwritev(offset, [bytearray(data) if copied else data])
+            fh.pwrite(offset, bytearray(data) if copied else data)
             model.write(offset, data)
         elif op[0] == "read":
             _, offset, n = op
@@ -286,7 +298,7 @@ def test_a_read_view_keeps_its_bytes_through_later_changes(ops):
             held.append((got, model.read(offset, n)))
         elif op[0] == "readv":
             _, offset, sizes = op
-            for size, piece in zip(sizes, fh.preadv(offset, sizes)):
+            for size, piece in zip(sizes, fh.gather_read(_back_to_back(offset, sizes))):
                 if type(piece) is memoryview:
                     assert piece.readonly and type(piece.obj) is bytes
                 assert piece == model.read(offset, size)
@@ -382,7 +394,7 @@ def test_threads_sharing_one_bytes_keep_their_regions():
     blob = _payload(5, 251) * 40
     fs = SimFS()
     fh = fs.open("/f", "w+b")
-    fh.pwritev(nthreads * region, [b"\x01"])  # every region reads back whole
+    fh.pwrite(nthreads * region, b"\x01")  # every region reads back whole
     models = [bytearray(region) for _ in range(nthreads)]
 
     def writer(t: int) -> None:
@@ -392,9 +404,9 @@ def test_threads_sharing_one_bytes_keep_their_regions():
             off, src = rng.randrange(region - n + 1), rng.randrange(len(blob) - n + 1)
             view = memoryview(blob)[src : src + n]
             if rng.random() < 0.5:
-                fh.pwritev(t * region + off, [view])
+                fh.pwrite(t * region + off, view)
             else:
-                fh.pwritev(t * region + off, [view[: n // 2], view[n // 2 :]])
+                fh.scatter_write(_back_to_back(t * region + off, [view[: n // 2], view[n // 2 :]]))
             models[t][off : off + n] = view
 
     old = sys.getswitchinterval()
@@ -409,5 +421,5 @@ def test_threads_sharing_one_bytes_keep_their_regions():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     for t in range(nthreads):
-        assert fh.preadv(t * region, [region]) == [models[t]], t
+        assert fh.pread(t * region, region) == models[t], t
     _check_invariants(fh._data)

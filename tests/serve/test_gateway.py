@@ -25,7 +25,6 @@ def _payload(rank: int) -> bytes:
 
 def _sealed_backend(nfiles=2, compress=False, payload=_payload):
     fs = SimFS(blocksize_override=512)
-    fs.mkdir("/scratch")
     backend = CountingBackend(SimBackend(fs))
 
     def program(comm):

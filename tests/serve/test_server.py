@@ -26,7 +26,6 @@ def _payload(rank: int) -> bytes:
 @pytest.fixture
 def backend():
     fs = SimFS(blocksize_override=512)
-    fs.mkdir("/scratch")
     backend = SimBackend(fs)
 
     def program(comm):

@@ -211,7 +211,6 @@ def test_fault_grid_surfaces_match(nprocs, victim, call, collectsize, nfiles):
 
     def outcome(engine):
         fs = SimFS(blocksize_override=TEST_BLKSIZE)
-        fs.mkdir("/scratch")
         inner = SimBackend(fs)
         be = Journal(inner, (victim, call))
         kwargs = {"collectsize": collectsize} if collectsize else {}

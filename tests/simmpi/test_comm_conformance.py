@@ -326,6 +326,15 @@ def test_proc_engine_has_one_transport():
     assert exchanges == ["_exchange"]
 
 
+
+def test_engines_take_no_keyword_run_spmd_cannot_forward():
+    """``run_spmd`` hands the bulk engine ``timeout`` and ``stats`` and
+    the process engine ``timeout``; the proc start method is
+    ``REPRO_PROC_START``'s."""
+    bulk = inspect.signature(repro.simmpi.bulk.run_spmd_bulk).parameters
+    proc = inspect.signature(repro.simmpi.proc.run_spmd_proc).parameters
+    assert "nworkers" not in bulk and "start_method" not in proc
+
 def test_no_request_class():
     """Every exchange is a blocking collective: no request object to poll."""
     names = {cls.__name__ for cls in _package_classes()} | set(dir(repro.simmpi))

@@ -4,7 +4,7 @@ A checkpoint library is called every few timesteps for the life of a job,
 so whatever one cycle leaves behind is multiplied by the cycle count.  The
 census below walks ``gc.get_objects()`` after a run has returned or raised
 and finds no bulk-engine machinery and no :class:`SimFileHandle` that still
-pins an inode — on both in-process engines, through every open path, and
+pins a file — on both in-process engines, through every open path, and
 whether the run succeeded, lost a rank, or deadlocked.  The bulk engine
 cannot leave this to the collector: its dense columns and wave slots are
 object ndarrays the cycle collector does not traverse (see the lifetime
@@ -60,11 +60,11 @@ OUTCOMES = {
 
 
 def _survivors() -> list[object]:
-    """Engine objects, and handles still holding an inode, alive right now."""
+    """Engine objects, and handles still holding a file, alive right now."""
     return [
         o for o in gc.get_objects()
         if type(o) in ENGINE_TYPES
-        or (type(o) is SimFileHandle and o._inode is not None)
+        or (type(o) is SimFileHandle and o._data is not None)
     ]
 
 
@@ -98,7 +98,6 @@ def _cycle(engine: str, open_path: str, outcome: str) -> list | None:
     # one: it dies at its second call (a write into the file it opened).
     fail_at = (0, 1) if outcome == "kill_rank" else None
     fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/scratch")
     clean = Journal(SimBackend(fs))
     armed = Journal(SimBackend(fs), fail_at)
 
@@ -154,7 +153,7 @@ def test_nothing_survives_a_run(engine, open_path, outcome):
     held = _cycle(engine, open_path, outcome)
     gc.collect()
     # The closed files the ranks returned keep their communicators alive,
-    # but pin no inode ...
+    # but pin no file ...
     assert not [o for o in _new_since(before) if type(o) is SimFileHandle]
     del held
     gc.collect()
@@ -321,7 +320,6 @@ def test_bulk_read_log_holds_views_not_copies():
 def _checkpoint_cycle(ntasks: int = 512, nreaders: int = 64) -> None:
     """Collective write with replicas, a lost file, recovery, m != n restart."""
     fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/scratch")
     backend = SimBackend(fs)
 
     def write(comm):

@@ -44,9 +44,7 @@ def _payload(rank: int, n: int) -> bytes:
 
 
 def _backend():
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/scratch")
-    return SimBackend(fs)
+    return SimBackend(SimFS(blocksize_override=TEST_BLKSIZE))
 
 
 def _write_buddy(be, path, ntasks, *, nfiles=2, size=700, engine="threads",
@@ -319,7 +317,6 @@ def test_restore_moves_only_described_ranges(monkeypatch, copy_chunk):
 
     monkeypatch.setattr(recovery, "_COPY_CHUNK", copy_chunk)
     fs = SimFS(blocksize_override=4096)
-    fs.mkdir("/scratch")
     be = SimBackend(fs)
     path = "/scratch/sparse.sion"
 

@@ -34,9 +34,7 @@ ENGINES = ("threads", "bulk")
 
 
 def _backend():
-    fs = SimFS(blocksize_override=BLK)
-    fs.mkdir("/s")
-    return SimBackend(fs)
+    return SimBackend(SimFS(blocksize_override=BLK))
 
 
 def _payload(rank: int, n: int) -> bytes:

@@ -187,9 +187,7 @@ def store(request, tmp_path):
     """``(backend, directory)`` on either leaf store."""
     if request.param == "local":
         return LocalBackend(blocksize_override=TEST_BLKSIZE), str(tmp_path)
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/d")
-    return SimBackend(fs), "/d"
+    return SimBackend(SimFS(blocksize_override=TEST_BLKSIZE)), "/d"
 
 
 def _damaged(backend, base, shape, **options):

@@ -56,7 +56,6 @@ def _write(comm, backend, options):
 def _written(kind: str) -> dict[str, tuple[bytes, tuple[int, ...]]]:
     """Per physical file: its written bytes and its metablock byte offsets."""
     fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/d")
     backend = SimBackend(fs)
     run_spmd(NTASKS, _write, backend, OPTIONS[kind], engine="bulk")
     out = {}
@@ -72,7 +71,6 @@ def _written(kind: str) -> dict[str, tuple[bytes, tuple[int, ...]]]:
 def _backend(kind: str, damaged: str, data: bytes) -> SimBackend:
     """A fresh store holding the set ``kind`` with ``damaged`` replaced by ``data``."""
     fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/d")
     backend = SimBackend(fs)
     for fpath, (written, _) in _written(kind).items():
         with backend.open(fpath, "wb") as f:

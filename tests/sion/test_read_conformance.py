@@ -21,9 +21,10 @@ import re
 
 import pytest
 
+from repro.backends.base import RawFile
 from repro.backends.instrument import CountingBackend
 from repro.backends.localfs import LocalBackend
-from repro.backends.simfs_backend import SimBackend, SimRawFile
+from repro.backends.simfs_backend import SimBackend
 from repro.fs.simfs import SimFS
 from repro.serve.gateway import GatewaySession, ReadGateway
 from repro.simmpi import run_spmd
@@ -188,9 +189,7 @@ def _assert_conforms(surface, rows, expected, whole=False):
 
 
 def _sim_backend():
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/s")
-    return SimBackend(fs)
+    return SimBackend(SimFS(blocksize_override=TEST_BLKSIZE))
 
 
 # --------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def test_a_with_block_closes_the_read_handle(engine):
     assert out == [(p, True) for p in _payloads()]
 
 
-class _TornFile(SimRawFile):
+class _TornFile(RawFile):
     """A handle whose reads of ``[cut, mb2)`` come back missing.
 
     Both metablocks stay intact while the chunk data from ``cut`` up to
@@ -294,15 +293,23 @@ class _TornFile(SimRawFile):
     metadata that still claims it.
     """
 
-    def __init__(self, handle, cut: int, mb2: int) -> None:
-        super().__init__(handle)
-        self._cut, self._mb2 = cut, mb2
+    def __init__(self, inner: RawFile, cut: int, mb2: int) -> None:
+        self._inner, self._cut, self._mb2 = inner, cut, mb2
+
+    def scatter_write(self, fragments):
+        return self._inner.scatter_write(fragments)
 
     def gather_read(self, requests):
-        return super().gather_read([
+        return self._inner.gather_read([
             (offset, n if offset >= self._mb2 else max(0, min(n, self._cut - offset)))
             for offset, n in requests
         ])
+
+    def flush(self):
+        self._inner.flush()
+
+    def close(self):
+        self._inner.close()
 
 
 class _TornBackend(SimBackend):

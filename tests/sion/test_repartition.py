@@ -29,9 +29,7 @@ def _payload(rank: int, n: int) -> bytes:
 
 
 def _backend():
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/s")
-    return SimBackend(fs)
+    return SimBackend(SimFS(blocksize_override=TEST_BLKSIZE))
 
 
 def _write(backend, ntasks, sizes, *, chunksize=128, nfiles=1,

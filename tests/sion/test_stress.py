@@ -10,9 +10,7 @@ from tests.conftest import TEST_BLKSIZE
 
 
 def _fresh_backend():
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/scratch")
-    return SimBackend(fs)
+    return SimBackend(SimFS(blocksize_override=TEST_BLKSIZE))
 
 
 def test_128_rank_roundtrip():

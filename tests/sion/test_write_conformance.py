@@ -141,9 +141,7 @@ def _digests(backend, path, nfiles, replicas=False):
 
 
 def _sim_backend():
-    fs = SimFS(blocksize_override=TEST_BLKSIZE)
-    fs.mkdir("/s")
-    return SimBackend(fs)
+    return SimBackend(SimFS(blocksize_override=TEST_BLKSIZE))
 
 
 def _assert_one_file_set(groups):

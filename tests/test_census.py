@@ -1,7 +1,8 @@
 """The census allowlist comparator (``tools/census.py``) on fixed lists.
 
 No census run here: the hook module ``tools/unexecuted.py`` is never
-imported, only the stdlib comparator it calls at the end of a run.
+imported, only the stdlib comparator it calls at the end of a run and
+the option split it calls at the start.
 """
 
 from __future__ import annotations
@@ -83,6 +84,27 @@ def test_check_reports_and_returns_status(tmp_path, capsys):
     assert census.check(MISSING[:2], allow) == 1
     out = capsys.readouterr().out
     assert "equals" in out and "stale" in out and "differs" in out
+
+
+DEFAULTS = {"--out": "unexecuted.txt", "--allowlist": None}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "F", "--allowlist", "A", "-q", "tests/sion"],
+    ["--out", "F", "-q", "--allowlist", "A", "tests/sion"],
+    ["-q", "tests/sion", "--allowlist", "A", "--out", "F"],
+])
+def test_census_options_are_taken_from_any_position(argv):
+    opts, rest = census.split_options(argv, DEFAULTS)
+    assert opts == {"--out": "F", "--allowlist": "A"}
+    assert rest == ["-q", "tests/sion"]
+
+
+def test_census_options_keep_their_defaults_and_need_a_value():
+    assert census.split_options(["-q"], DEFAULTS) == (DEFAULTS, ["-q"])
+    assert DEFAULTS == {"--out": "unexecuted.txt", "--allowlist": None}
+    with pytest.raises(SystemExit, match="--allowlist needs a value"):
+        census.split_options(["-q", "--allowlist"], DEFAULTS)
 
 
 def test_committed_allowlists_parse():

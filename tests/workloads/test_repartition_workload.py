@@ -18,9 +18,7 @@ GEOMETRY = {"chunksize": 128, "fsblksize": 512}
 
 
 def _backend(blk=512):
-    fs = SimFS(blocksize_override=blk)
-    fs.mkdir("/w")
-    return SimBackend(fs)
+    return SimBackend(SimFS(blocksize_override=blk))
 
 
 class TestModel:

@@ -18,6 +18,7 @@ set, some with a required detail after ``": "``:
   code;
 * ``nightly full grid only`` — entered only by the full benchmark grid.
 
+Also the census command line's option split (:func:`split_options`).
 Stdlib only, and free of the census hook, so tier-1 can test it.
 """
 
@@ -33,6 +34,23 @@ REASONS = {
     "observation hook": True,
     "nightly full grid only": False,
 }
+
+
+def split_options(argv: list[str], opts: dict[str, str | None]) -> tuple[dict, list[str]]:
+    """``(options, rest)`` of a ``tools/unexecuted.py`` command line: each
+    ``NAME VALUE`` pair whose ``NAME`` is a key of ``opts`` (the defaults),
+    taken from any position; ``rest`` is every other argument, in order,
+    for pytest."""
+    opts, rest = dict(opts), []
+    args = iter(argv)
+    for arg in args:
+        if arg in opts:
+            opts[arg] = next(args, None)
+            if opts[arg] is None:
+                raise SystemExit(f"{arg} needs a value")
+        else:
+            rest.append(arg)
+    return opts, rest
 
 
 def key(entry: str) -> str:

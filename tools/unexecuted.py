@@ -20,6 +20,8 @@ committed, each with its allowlist:
   none of them enters is reached only from its own tests, so it is
   deleted, reached from a doc block, or listed with its reason.
 
+``--out`` and ``--allowlist`` may stand anywhere on the command line;
+every other argument goes to pytest.
 ``--allowlist FILE`` compares the list with ``FILE`` after the run and
 exits 1 if they differ, printing each extra and each stale entry.  A
 line of the file is ``path qualname  # reason``, with no line number;
@@ -226,10 +228,11 @@ class UnexecutedReport:
 def main(argv: list[str]) -> int:
     import pytest
 
+    sys.path.insert(0, str(ROOT / "tools"))
+    import census
+
     sys.path.insert(0, str(ROOT))  # as ``python -m pytest`` would: tests/ imports
-    opts = {"--out": "unexecuted.txt", "--allowlist": None}
-    while argv[:1] and argv[0] in opts:
-        opts[argv[0]], argv = argv[1], argv[2:]
+    opts, argv = census.split_options(argv, {"--out": "unexecuted.txt", "--allowlist": None})
     out = Path(opts["--out"]).resolve()
     if not any(Path(arg.split("::")[0]).exists() for arg in argv):
         argv = [*argv, *(str(ROOT / t) for t in DEFAULT_TARGETS)]
@@ -248,9 +251,6 @@ def main(argv: list[str]) -> int:
         shutil.rmtree(shim)
     if opts["--allowlist"] is None:
         return status
-    sys.path.insert(0, str(ROOT / "tools"))
-    import census
-
     return census.check(report.missing, Path(opts["--allowlist"])) or status
 
 
